@@ -14,11 +14,8 @@ from .engine import (
     assert_certificate,
     check_derivation,
     replay,
-    replay_division,
     replay_parallel,
-    replay_perp,
     replay_scale,
-    replay_translation,
 )
 from .gadgets import (
     AffineComb,
@@ -64,11 +61,8 @@ __all__ = [
     "assert_certificate",
     "check_derivation",
     "replay",
-    "replay_division",
     "replay_parallel",
-    "replay_perp",
     "replay_scale",
-    "replay_translation",
     "AffineComb",
     "DotZero",
     "Gadget",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .engine import (
     replay,
 )
 from .gadgets import (
+    KEMPE_IDENTITIES,
     Gadget,
     GadgetError,
     build_division,
@@ -31,13 +31,6 @@ from .gadgets import (
 )
 from .models import ModelMap, conjugation_model, eps_rotation_model, identity_model, make_pythagorean_rotation
 from .suite import run_suite
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    output: str | None = None
 
 
 def _parse_point(text: str) -> Point:
@@ -174,23 +167,12 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    a, b, c, d, e = poly.variables("a b c d e")
-    displays = [
-        ("det(A,B,E,F)", [[0, 1, 1, 1, 1], [1, 0, 16, e, 9], [1, 16, 0, c, 1], [1, e, c, 0, 1], [1, 9, 1, 1, 0]],
-         -2, [(e - 16 + 3 * c, 2)], "-2*(e - 16 + 3c)^2"),
-        ("det(A,B,C,F)", [[0, 1, 1, 1, 1], [1, 0, 16, b, 9], [1, 16, 0, 4, 1], [1, b, 4, 0, d], [1, 9, 1, d, 0]],
-         -2, [(b - 4 * d, 2)], "-2*(b - 4d)^2"),
-        ("det(A,B,C,D) at b=4d", None, -8, [a, a * d + 4 * (d * d - 10 * d + 9)], "-8a*(ad + 4(d^2 - 10d + 9))"),
-        ("det(B,C,E,F)", [[0, 1, 1, 1, 1], [1, 0, 4, c, 1], [1, 4, 0, 4, d], [1, c, 4, 0, 1], [1, 1, d, 1, 0]],
-         -2, [c, c * d + d * d - 10 * d + 9], "-2c*(cd + d^2 - 10d + 9)"),
-    ]
-    m3 = [[0, 1, 1, 1, 1], [1, 0, 16, b, 16], [1, 16, 0, 4, a], [1, b, 4, 0, 4], [1, 16, a, 4, 0]]
     all_ok = True
-    for name, matrix, constant, factors, rendered in displays:
-        value = poly.det(m3).substitute({"b": 4 * d}) if matrix is None else poly.det(matrix)
-        ok = poly.identity_check(value, constant, factors)
+    for identity in KEMPE_IDENTITIES:
+        value = identity.determinant()
+        ok = poly.identity_check(value, identity.constant, identity.factors)
         all_ok = all_ok and ok
-        print(f"{'ok ' if ok else 'FAIL'} {name} = {rendered}")
+        print(f"{'ok ' if ok else 'FAIL'} {identity.name} = {identity.rendered}")
         print(f"     expanded: {value}")
     return 0 if all_ok else 1
 
@@ -242,9 +224,8 @@ def _cmd_model_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = RunConfig(command="suite", seed=args.seed)
-    print(f"seed: {config.seed}")
-    results, ok = run_suite(config.seed)
+    print(f"seed: {args.seed}")
+    results, ok = run_suite(args.seed)
     for result in results:
         status = "PASS" if result.ok else "FAIL"
         print(f"criterion {result.index}: {status} - {result.name} ({result.detail})")

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Sequence
 
-from .scalars import QQ, TowerDesc, TowerElem
+from .poly import laplace_det
+from .scalars import QQ, TowerDesc
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -100,45 +102,23 @@ def sqdist(p: Point, q: Point) -> Scalar:
     return dx * dx + dy * dy
 
 
-def _det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        entry = rows[0][j]
-        if isinstance(entry, int) and entry == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _det(minor)
-        signed = term if j % 2 == 0 else -term
-        total = signed if total is None else total + signed
-    return 0 if total is None else total
+def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:
+    """The bordered squared-distance matrix of n points; ``sq_dists`` lists
+    d_ij for 1 <= i < j <= n in lexicographic order."""
+    rows = [[0] + [1] * n] + [[1] + [0] * n for _ in range(n)]
+    for (i, j), value in zip(combinations(range(1, n + 1), 2), sq_dists):
+        rows[i][j] = rows[j][i] = value
+    return rows
 
 
 def cm3(d12: Scalar, d13: Scalar, d23: Scalar) -> Scalar:
     """Bordered determinant for three points from their squared distances."""
-    return _det(
-        [
-            [0, 1, 1, 1],
-            [1, 0, d12, d13],
-            [1, d12, 0, d23],
-            [1, d13, d23, 0],
-        ]
-    )
+    return laplace_det(bordered_matrix((d12, d13, d23), 3))
 
 
 def cm4(d12: Scalar, d13: Scalar, d14: Scalar, d23: Scalar, d24: Scalar, d34: Scalar) -> Scalar:
     """Bordered determinant for four points from their squared distances."""
-    return _det(
-        [
-            [0, 1, 1, 1, 1],
-            [1, 0, d12, d13, d14],
-            [1, d12, 0, d23, d24],
-            [1, d13, d23, 0, d34],
-            [1, d14, d24, d34, 0],
-        ]
-    )
+    return laplace_det(bordered_matrix((d12, d13, d14, d23, d24, d34), 4))
 
 
 def cm3_points(p1: Point, p2: Point, p3: Point) -> Scalar:

@@ -355,6 +355,8 @@ def decode_derivation(obj: Any) -> Derivation:
         if not isinstance(premises, list) or any(not isinstance(p, int) for p in premises):
             _fail(f"{loc}.premises", "expected a list of fact indices")
         justs.append(Justification(step["rule"], tuple(premises)))
+    if not facts:
+        _fail("facts", "a derivation needs at least one fact")
     derivation = Derivation(gadget, facts, justs)
     derivation.check_wellformed()
     return derivation

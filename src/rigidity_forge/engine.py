@@ -18,9 +18,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
-from . import poly
 from .cm import Point, prop3_verify, prop4_verify, sqdist, _is_zero
 from .gadgets import (
+    KEMPE_IDENTITIES,
+    KEMPE_NONZERO_PAIRS,
+    KEMPE_SQ_DISTANCES,
+    KEMPE_SYMBOLS,
     AffineComb,
     DotZero,
     Gadget,
@@ -213,6 +216,8 @@ class Derivation:
         for i, just in enumerate(self.justifications):
             if just.rule not in RULES:
                 raise EngineError(f"unknown rule {just.rule}")
+            if any(p < 0 for p in just.premises):
+                raise EngineError(f"fact {i} cites a negative premise index")
             if any(p >= i for p in just.premises):
                 raise EngineError("derivation is not acyclic")
         if fact_key(self.final_fact()) != fact_key(self.gadget.goal):
@@ -377,59 +382,12 @@ def _vec_algebra_conclude(store: FactStore, premises: Sequence[int], conclusion:
     return conclusion
 
 
-KEMPE_PATTERN: dict[tuple[str, str], Fraction] = {
-    ("A", "B"): Fraction(16),
-    ("A", "D"): Fraction(16),
-    ("C", "B"): Fraction(4),
-    ("C", "D"): Fraction(4),
-    ("C", "E"): Fraction(4),
-    ("A", "F"): Fraction(9),
-    ("F", "B"): Fraction(1),
-    ("F", "E"): Fraction(1),
-}
-
-
 @lru_cache(maxsize=1)
 def kempe_identities_verified() -> bool:
     """Soundness certificate: the four symbolic determinant factorizations and
     the closing dot-product identity, checked by exact expansion."""
-    a, b, c, d, e = poly.variables("a b c d e")
-    m1 = [
-        [0, 1, 1, 1, 1],
-        [1, 0, 16, e, 9],
-        [1, 16, 0, c, 1],
-        [1, e, c, 0, 1],
-        [1, 9, 1, 1, 0],
-    ]
-    m2 = [
-        [0, 1, 1, 1, 1],
-        [1, 0, 16, b, 9],
-        [1, 16, 0, 4, 1],
-        [1, b, 4, 0, d],
-        [1, 9, 1, d, 0],
-    ]
-    m3 = [
-        [0, 1, 1, 1, 1],
-        [1, 0, 16, b, 16],
-        [1, 16, 0, 4, a],
-        [1, b, 4, 0, 4],
-        [1, 16, a, 4, 0],
-    ]
-    m4 = [
-        [0, 1, 1, 1, 1],
-        [1, 0, 4, c, 1],
-        [1, 4, 0, 4, d],
-        [1, c, 4, 0, 1],
-        [1, 1, d, 1, 0],
-    ]
-    checks = [
-        poly.identity_check(poly.det(m1), -2, [(e - 16 + 3 * c, 2)]),
-        poly.identity_check(poly.det(m2), -2, [(b - 4 * d, 2)]),
-        poly.identity_check(
-            poly.det(m3).substitute({"b": 4 * d}), -8, [a, a * d + 4 * (d * d - 10 * d + 9)]
-        ),
-        poly.identity_check(poly.det(m4), -2, [c, c * d + d * d - 10 * d + 9]),
-    ]
+    checks = [identity.holds() for identity in KEMPE_IDENTITIES]
+    a, c, e = (KEMPE_SYMBOLS[name] for name in "ace")
     dot = Fraction(1, 2) * a - Fraction(1, 2) * c + Fraction(1, 2) * e - 8
     checks.append(dot.substitute({"e": 16 - 3 * c, "a": 4 * c}).is_zero())
     return all(checks)
@@ -443,11 +401,11 @@ def _kempe_conclude(store: FactStore, premises: Sequence[int], roles: Mapping[st
     facts = [store.facts[i] for i in premises]
     dists = {frozenset((f.p, f.q)): f.v for f in facts if isinstance(f, SqDistKnown)}
     nonzero = {frozenset((f.p, f.q)) for f in facts if isinstance(f, NonzeroDist)}
-    for (r1, r2), value in KEMPE_PATTERN.items():
+    for (r1, r2), value in KEMPE_SQ_DISTANCES.items():
         pair = frozenset((roles[r1], roles[r2]))
         if dists.get(pair) != value:
             raise PatternMismatch(f"missing or wrong linkage distance {r1}{r2} = {value}")
-    for r1, r2 in (("B", "D"), ("B", "E"), ("C", "F")):
+    for r1, r2 in KEMPE_NONZERO_PAIRS:
         if frozenset((roles[r1], roles[r2])) not in nonzero:
             raise PatternMismatch(f"missing nonzero-distance premise {r1}{r2}")
     return DotZero(a=roles["D"], b=roles["E"], c=roles["A"], d=roles["B"])
@@ -635,9 +593,9 @@ def _replay_scale_layout(store: FactStore, layout: Mapping) -> int:
 def _replay_kempe_layout(store: FactStore, layout: Mapping) -> int:
     roles = layout["roles"]
     premises = []
-    for r1, r2 in KEMPE_PATTERN:
+    for r1, r2 in KEMPE_SQ_DISTANCES:
         premises.append(store.require_sqdist(roles[r1], roles[r2]))
-    for r1, r2 in (("B", "D"), ("B", "E"), ("C", "F")):
+    for r1, r2 in KEMPE_NONZERO_PAIRS:
         premises.append(store.require(NonzeroDist(roles[r1], roles[r2])))
     conclusion = apply_rule(store, "KempeChain", premises, roles=roles)[0]
     return store.require(conclusion)
@@ -681,24 +639,6 @@ def replay(gadget: Gadget) -> Derivation:
     return _finish(store, goal_id)
 
 
-def replay_division(gadget: Gadget) -> Derivation:
-    if not isinstance(gadget.goal, AffineComb) or gadget.layout.get("kind") != "division":
-        raise ReplayFailed("not a division gadget (goal must be AffineComb)")
-    return replay(gadget)
-
-
-def replay_translation(gadget: Gadget) -> Derivation:
-    if not isinstance(gadget.goal, VecEq) or gadget.layout.get("kind") not in ("chain", "bridge"):
-        raise ReplayFailed("not a translation gadget (goal must be VecEq)")
-    return replay(gadget)
-
-
-def replay_perp(gadget: Gadget) -> Derivation:
-    if not isinstance(gadget.goal, DotZero) or gadget.layout.get("kind") not in ("kempe", "perp"):
-        raise ReplayFailed("not a perpendicularity gadget (goal must be DotZero)")
-    return replay(gadget)
-
-
 def replay_scale(a: Point, b: Point, c: Point, d: Point, r: Fraction) -> Derivation:
     """Derive f(D)-f(C) = r (f(B)-f(A)) from the domain relation D-C = r(B-A)."""
     from .gadgets import _Builder, _emit_scale, GadgetError
@@ -716,10 +656,7 @@ def replay_scale(a: Point, b: Point, c: Point, d: Point, r: Fraction) -> Derivat
     except GadgetError as exc:
         raise ReplayFailed(str(exc)) from exc
     goal = VecScale(a=c_name, b=d_name, c=a_name, d=b_name, r=r)
-    gadget = builder.finish(goal, layout)
-    store = assert_certificate(gadget)
-    goal_id = _replay_layout(store, layout)
-    return _finish(store, goal_id)
+    return replay(builder.finish(goal, layout))
 
 
 @dataclass
@@ -761,7 +698,7 @@ def replay_parallel(a: Point, b: Point, c: Point, d: Point) -> ParallelReport:
         if (qq - p).is_zero():
             continue
         gadget = build_perp_transfer(p, qq, x, y)
-        derivation = replay_perp(gadget)
+        derivation = replay(gadget)
         derivations.append(derivation)
         facts.append(derivation.final_fact())
     return ParallelReport(x=x, y=y, derivations=tuple(derivations), facts=tuple(facts))
@@ -894,67 +831,3 @@ def recheck_derivation(derivation: Derivation) -> None:
         # extend the shadow store verbatim so later premise indices line up
         shadow.facts.append(fact)
         shadow.justifications.append(just)
-
-
-def axiom_witness(p: Point, q: Point, axiom: str):
-    """Concrete witness documenting an axiom application: a third point at
-    exactly-rational distances separating p from q (injectivity) or lying
-    equidistant far from both (nonzero distance).
-
-    Documentation only: the axioms' proofs quantify over a dense distance set
-    that is not finitely materializable, so derivations never consume this.
-    """
-    from .gadgets import find_rational_bidistance_point
-
-    if axiom == "Injectivity":
-        return find_rational_bidistance_point(p, q, "distinct_distances")
-    if axiom == "NonzeroDistance":
-        return find_rational_bidistance_point(p, q, "equal_distances")
-    raise EngineError(f"no witness construction for rule {axiom!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bounded saturation (exploration only; excluded from acceptance)
-# ---------------------------------------------------------------------------
-
-
-def saturate(store: FactStore, max_depth: int = 4) -> int:
-    """Exhaustively apply Prop3/Prop4 over current facts, up to a small depth.
-
-    Returns the number of new facts.  This is a forcing-exploration aid, not
-    part of any acceptance path; replays never call it.
-    """
-    added = 0
-    for _ in range(max_depth):
-        new = 0
-        dist_ids = [i for i, f in enumerate(store.facts) if isinstance(f, SqDistKnown)]
-        for trio in combinations(dist_ids, 3):
-            try:
-                before = len(store.facts)
-                apply_rule(store, "Prop3", list(trio))
-                new += len(store.facts) - before
-            except PatternMismatch:
-                continue
-        nz = [i for i, f in enumerate(store.facts) if isinstance(f, NonzeroDist)]
-        di = [i for i, f in enumerate(store.facts) if isinstance(f, Distinct)]
-        for quad in combinations(dist_ids, 4):
-            values = {store.facts[i].v for i in quad}
-            if len(values) != 1:
-                continue
-            names = set()
-            for i in quad:
-                names |= {store.facts[i].p, store.facts[i].q}
-            if len(names) != 4:
-                continue
-            for nz_id in nz:
-                for di_id in di:
-                    try:
-                        before = len(store.facts)
-                        apply_rule(store, "Prop4", list(quad) + [nz_id, di_id])
-                        new += len(store.facts) - before
-                    except PatternMismatch:
-                        continue
-        added += new
-        if new == 0:
-            break
-    return added

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Union
 
-from .cm import Point, Vec2, _is_zero, sqdist
+from . import poly
+from .cm import Point, Vec2, _is_zero, bordered_matrix, sqdist
 from .scalars import (
     QQ,
     TowerDesc,
@@ -536,6 +538,76 @@ KEMPE_SQ_DISTANCES: dict[tuple[str, str], Fraction] = {
     ("F", "E"): Fraction(1),
 }
 
+# role pairs whose image distance the linkage rule needs to be nonzero
+KEMPE_NONZERO_PAIRS: tuple[tuple[str, str], ...] = (("B", "D"), ("B", "E"), ("C", "F"))
+
+# the squared distances the linkage leaves free, named as in the identities
+KEMPE_UNKNOWNS: dict[tuple[str, str], str] = {
+    ("B", "D"): "a",
+    ("A", "C"): "b",
+    ("B", "E"): "c",
+    ("C", "F"): "d",
+    ("A", "E"): "e",
+}
+
+KEMPE_SYMBOLS: dict[str, poly.Polynomial] = dict(zip("abcde", poly.variables("a b c d e")))
+
+
+def kempe_quad_distances(quad: str, unknowns: Mapping[str, object] = KEMPE_SYMBOLS) -> tuple:
+    """The six squared distances of a role quad in ``cm4`` argument order: the
+    linkage's certified values, and ``unknowns[name]`` for the free pairs."""
+    named = {frozenset(pair): value for pair, value in KEMPE_SQ_DISTANCES.items()}
+    named.update({frozenset(pair): unknowns[name] for pair, name in KEMPE_UNKNOWNS.items()})
+    return tuple(named[frozenset(pair)] for pair in combinations(quad, 2))
+
+
+@dataclass(frozen=True)
+class KempeIdentity:
+    """One bordered-determinant factorization certifying the linkage rule:
+    det(quad), after the optional substitution, equals constant * factors."""
+
+    quad: str
+    substitution: tuple[str, poly.Polynomial] | None
+    constant: int
+    factors: tuple
+    rendered: str
+
+    @property
+    def name(self) -> str:
+        label = f"det({','.join(self.quad)})"
+        if self.substitution is not None:
+            var, replacement = self.substitution
+            label += f" at {var}={str(replacement).replace('*', '')}"
+        return label
+
+    def matrix(self) -> list[list]:
+        return bordered_matrix(kempe_quad_distances(self.quad), 4)
+
+    def determinant(self) -> poly.Polynomial:
+        value = poly.det(self.matrix())
+        if self.substitution is not None:
+            var, replacement = self.substitution
+            value = value.substitute({var: replacement})
+        return value
+
+    def holds(self) -> bool:
+        return poly.identity_check(self.determinant(), self.constant, self.factors)
+
+
+def _kempe_identities() -> tuple[KempeIdentity, ...]:
+    a, b, c, d, e = KEMPE_SYMBOLS.values()
+    return (
+        KempeIdentity("ABEF", None, -2, ((e - 16 + 3 * c, 2),), "-2*(e - 16 + 3c)^2"),
+        KempeIdentity("ABCF", None, -2, ((b - 4 * d, 2),), "-2*(b - 4d)^2"),
+        KempeIdentity(
+            "ABCD", ("b", 4 * d), -8, (a, a * d + 4 * (d * d - 10 * d + 9)), "-8a*(ad + 4(d^2 - 10d + 9))"
+        ),
+        KempeIdentity("BCEF", None, -2, (c, c * d + d * d - 10 * d + 9), "-2c*(cd + d^2 - 10d + 9)"),
+    )
+
+
+KEMPE_IDENTITIES = _kempe_identities()
+
 
 def _kempe_points(t: TowerElem) -> dict[str, Point]:
     """The six linkage points for circle parameter t; exact in t's field."""
@@ -655,22 +727,6 @@ def _emit_scale(builder: _Builder, src: tuple[str, str], dst: tuple[str, str], r
     return layout
 
 
-def simplest_rational_in_interval(lo: TowerElem, hi: TowerElem) -> Fraction:
-    """Smallest-denominator rational strictly between two tower values."""
-    if (hi - lo).sign() <= 0:
-        raise ValueError("empty interval")
-    a, b = 0, 1
-    c, d = 1, 0
-    while True:
-        m = Fraction(a + c, b + d)
-        if (lo - m).sign() >= 0:
-            a, b = m.numerator, m.denominator
-        elif (hi - m).sign() <= 0:
-            c, d = m.numerator, m.denominator
-        else:
-            return m
-
-
 # candidate linkage parameters for the bounded rational search
 KEMPE_PARAM_CANDIDATES: tuple[Fraction, ...] = (
     Fraction(1),
@@ -698,7 +754,8 @@ def _solve_kempe_parameter(kappa: TowerElem) -> tuple:
         raise UnreachableRatio("no rational linkage parameter available")
     sign = kappa.sign()
     mag = kappa if sign > 0 else -kappa
-    r_mag = simplest_rational_in_interval(mag * Fraction(1, 4), mag * Fraction(1, 2))
+    mag_sq = mag * mag
+    r_mag = simplest_rational_between_sqrts(mag_sq * Fraction(1, 16), mag_sq * Fraction(1, 4))
     target = mag * (1 / r_mag)  # |DE| target, strictly inside (2, 4)
     disc = 144 - 9 * target * target
     res = adjoin_sqrt(disc.tower, disc)

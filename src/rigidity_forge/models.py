@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .cm import Point, Vec2, _is_zero, sqdist
+from .cm import Point, Vec2, _invert, _is_zero, sqdist
 from .scalars import (
     QQ,
     FunElem,
@@ -86,19 +86,6 @@ class Embedding:
             )
         return lifted
 
-    def check_homomorphism(self, samples: Sequence[TowerElem]) -> bool:
-        """Spot-check additivity and multiplicativity on sample pairs."""
-        for a, b in combinations(samples, 2):
-            if not self.apply_scalar(a + b) == self.apply_scalar(a) + self.apply_scalar(b):
-                return False
-            if not self.apply_scalar(a * b) == self.apply_scalar(a) * self.apply_scalar(b):
-                return False
-        return self.apply_scalar(_one_of(samples)) == 1 if samples else True
-
-
-def _one_of(samples: Sequence[TowerElem]) -> TowerElem:
-    return samples[0].tower.one()
-
 
 # ---------------------------------------------------------------------------
 # Orthogonal-affine frames
@@ -145,30 +132,6 @@ def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | 
     else:
         rows = ((a, -b), (b, a))
     return OrthoAffine(matrix=rows, translation=translation)
-
-
-def _invert(x):
-    inv = getattr(x, "inverse", None)
-    if inv is not None:
-        return inv()
-    return 1 / Fraction(x)
-
-
-def compose_frames(outer: OrthoAffine, inner: OrthoAffine) -> OrthoAffine:
-    """The frame applying ``inner`` first; orthonormality is re-validated."""
-    (a00, a01), (a10, a11) = outer.matrix
-    (b00, b01), (b10, b11) = inner.matrix
-    rows = (
-        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
-        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
-    )
-    if inner.translation is not None:
-        tx, ty = outer.apply(inner.translation[0], inner.translation[1])
-    elif outer.translation is not None:
-        tx, ty = outer.translation
-    else:
-        return OrthoAffine(matrix=rows)
-    return OrthoAffine(matrix=rows, translation=(tx, ty))
 
 
 # ---------------------------------------------------------------------------

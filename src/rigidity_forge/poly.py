@@ -61,19 +61,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- arithmetic -----------------------------------------------------------------
 
     def __add__(self, other):
@@ -288,25 +275,30 @@ def det_bareiss(matrix: Matrix) -> Polynomial:
     return -result if sign < 0 else result
 
 
+def laplace_det(rows: Sequence[Sequence]):
+    """Laplace expansion along the first row over any commutative ring.
+
+    Entries that are the int 0 (the diagonal and corner of a bordered
+    matrix) are skipped along with their minors.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = None
+    for j in range(n):
+        entry = rows[0][j]
+        if isinstance(entry, int) and entry == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = entry * laplace_det(minor)
+        signed = term if j % 2 == 0 else -term
+        total = signed if total is None else total + signed
+    return 0 if total is None else total
+
+
 def det_cofactor(matrix: Matrix) -> Polynomial:
-    """Laplace expansion along the first row; oracle for det_bareiss."""
-    m = _normalize_matrix(matrix)
-    ctx = m[0][0].vars if m else ()
-
-    def rec(rows: list[list[Polynomial]]) -> Polynomial:
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = Polynomial(ctx)
-        for j in range(n):
-            if rows[0][j].is_zero():
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            term = rows[0][j] * rec(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return rec(m)
+    """Laplace expansion of the polynomial matrix; oracle for det_bareiss."""
+    return laplace_det(_normalize_matrix(matrix))
 
 
 def det(matrix: Matrix) -> Polynomial:

@@ -65,10 +65,6 @@ def _vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def _vscale(a: Vec, q: Fraction) -> Vec:
-    return tuple(x * q for x in a)
-
-
 def _vmul(rads: Sequence[Vec], a: Vec, b: Vec) -> Vec:
     n = len(a)
     if n == 1:
@@ -221,9 +217,10 @@ QQ = TowerDesc()
 class TowerElem:
     """Exact element of a quadratic tower; immutable.
 
-    Hashing is structural (tower shape plus coordinates); equal values over
-    structurally different towers may hash differently, so containers must
-    not mix carriers from unrelated towers.
+    The hash is that of the rational coordinate.  It equals Tr(x)/[K:Q] for
+    any tower K holding x (every other basis element has trace zero), so equal
+    values hash equal across towers, and a rational value hashes like its
+    ``Fraction`` or ``int``.
     """
 
     __slots__ = ("tower", "coords")
@@ -238,10 +235,6 @@ class TowerElem:
         raise AttributeError("TowerElem is immutable")
 
     # -- constructors / coercion --------------------------------------------
-
-    @staticmethod
-    def from_rational(q: RationalLike, tower: TowerDesc = QQ) -> "TowerElem":
-        return tower.rational(q)
 
     def _coerce(self, other) -> "TowerElem | None":
         if isinstance(other, TowerElem):
@@ -355,8 +348,7 @@ class TowerElem:
         return a.coords == b.coords
 
     def __hash__(self) -> int:
-        m = self.minimized()
-        return hash((m.tower, m.coords))
+        return hash(self.coords[0])
 
     def sign(self) -> int:
         """Exact sign under the designated real embedding.
@@ -777,6 +769,9 @@ class FunElem:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
+        if self.is_constant():
+            # a constant hashes like the tower element (and rational) it equals
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:

@@ -18,16 +18,16 @@ from .engine import (
     SqDistKnown,
     check_derivation,
     kempe_identities_verified,
-    replay_division,
-    replay_perp,
-    replay_translation,
+    replay,
 )
 from .gadgets import (
+    KEMPE_IDENTITIES,
     Gadget,
     InvalidGadget,
     build_division,
     build_kempe,
     build_rhombus_chain,
+    kempe_quad_distances,
 )
 from .models import (
     ModelMap,
@@ -89,7 +89,7 @@ def replay_corpus() -> list[CorpusEntry]:
     for label, a, b in bases:
         for t in DIVISION_TS:
             gadget = build_division(a, b, t)
-            entries.append(CorpusEntry(f"division[{label},t={t}]", gadget, replay_division(gadget)))
+            entries.append(CorpusEntry(f"division[{label},t={t}]", gadget, replay(gadget)))
     side = Fraction(2)
     for span in TRANSLATION_SPANS:
         a = rational_point(0, 0)
@@ -98,11 +98,11 @@ def replay_corpus() -> list[CorpusEntry]:
         d = rational_point(span, side)
         gadget = build_rhombus_chain(a, b, c, d)
         entries.append(
-            CorpusEntry(f"chain[|v|/s={span / side}]", gadget, replay_translation(gadget))
+            CorpusEntry(f"chain[|v|/s={span / side}]", gadget, replay(gadget))
         )
     for t in KEMPE_TS:
         gadget = build_kempe(t)
-        entries.append(CorpusEntry(f"kempe[t={t}]", gadget, replay_perp(gadget)))
+        entries.append(CorpusEntry(f"kempe[t={t}]", gadget, replay(gadget)))
     _CORPUS = entries
     return entries
 
@@ -149,17 +149,7 @@ def model_family(gadget: Gadget) -> list[tuple[str, ModelMap]]:
 
 
 def criterion_1_symbolic_identities(seed: int = 0) -> CriterionResult:
-    a, b, c, d, e = poly.variables("a b c d e")
-    m1 = [[0, 1, 1, 1, 1], [1, 0, 16, e, 9], [1, 16, 0, c, 1], [1, e, c, 0, 1], [1, 9, 1, 1, 0]]
-    m2 = [[0, 1, 1, 1, 1], [1, 0, 16, b, 9], [1, 16, 0, 4, 1], [1, b, 4, 0, d], [1, 9, 1, d, 0]]
-    m3 = [[0, 1, 1, 1, 1], [1, 0, 16, b, 16], [1, 16, 0, 4, a], [1, b, 4, 0, 4], [1, 16, a, 4, 0]]
-    m4 = [[0, 1, 1, 1, 1], [1, 0, 4, c, 1], [1, 4, 0, 4, d], [1, c, 4, 0, 1], [1, 1, d, 1, 0]]
-    checks = [
-        poly.identity_check(poly.det(m1), -2, [(e - 16 + 3 * c, 2)]),
-        poly.identity_check(poly.det(m2), -2, [(b - 4 * d, 2)]),
-        poly.identity_check(poly.det(m3).substitute({"b": 4 * d}), -8, [a, a * d + 4 * (d * d - 10 * d + 9)]),
-        poly.identity_check(poly.det(m4), -2, [c, c * d + d * d - 10 * d + 9]),
-    ]
+    checks = [identity.holds() for identity in KEMPE_IDENTITIES]
     ok = all(checks) and kempe_identities_verified()
     return CriterionResult(1, "symbolic determinant identities", ok, f"4 factorizations: {checks}")
 
@@ -347,23 +337,12 @@ def criterion_8_oracle_agreement(seed: int = 0) -> CriterionResult:
             mismatches += 1
     if mismatches:
         return CriterionResult(8, "oracle agreement", False, f"{mismatches} collinearity mismatches")
-    a, b, c, d, e = poly.variables("a b c d e")
-    m1 = [[0, 1, 1, 1, 1], [1, 0, 16, e, 9], [1, 16, 0, c, 1], [1, e, c, 0, 1], [1, 9, 1, 1, 0]]
-    m2 = [[0, 1, 1, 1, 1], [1, 0, 16, b, 9], [1, 16, 0, 4, 1], [1, b, 4, 0, d], [1, 9, 1, d, 0]]
-    m3 = [[0, 1, 1, 1, 1], [1, 0, 16, b, 16], [1, 16, 0, 4, a], [1, b, 4, 0, 4], [1, 16, a, 4, 0]]
-    m4 = [[0, 1, 1, 1, 1], [1, 0, 4, c, 1], [1, 4, 0, 4, d], [1, c, 4, 0, 1], [1, 1, d, 1, 0]]
-    dets = [poly.det(m) for m in (m1, m2, m3, m4)]
-    distance_maps = [
-        lambda v: (16, v["e"], 9, v["c"], 1, 1),
-        lambda v: (16, v["b"], 9, 4, 1, v["d"]),
-        lambda v: (16, v["b"], 16, 4, v["a"], 4),
-        lambda v: (4, v["c"], 1, 4, v["d"], 1),
-    ]
+    dets = [(identity.quad, poly.det(identity.matrix())) for identity in KEMPE_IDENTITIES]
     for trial in range(100):
         values = {name: _rand_fraction(rng) for name in "abcde"}
-        for det_poly, dist_map in zip(dets, distance_maps):
+        for quad, det_poly in dets:
             symbolic = det_poly.evaluate(values)
-            numeric = cm4(*[Fraction(x) for x in dist_map(values)])
+            numeric = cm4(*[Fraction(x) for x in kempe_quad_distances(quad, values)])
             if symbolic != numeric:
                 return CriterionResult(8, "oracle agreement", False, f"det mismatch at {values}")
     return CriterionResult(8, "oracle agreement", True, "1000 collinearity trials; 100 x 4 determinant evaluations")

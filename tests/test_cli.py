@@ -89,11 +89,50 @@ def test_model_check_via_descriptor_file(tmp_path, capsys):
     assert "all-true" in out
 
 
+EXPECTED_IDENTITIES = """\
+ok  det(A,B,E,F) = -2*(e - 16 + 3c)^2
+     expanded: -18*c^2 - 12*c*e - 2*e^2 + 192*c + 64*e - 512
+ok  det(A,B,C,F) = -2*(b - 4d)^2
+     expanded: -2*b^2 + 16*b*d - 32*d^2
+ok  det(A,B,C,D) at b=4d = -8a*(ad + 4(d^2 - 10d + 9))
+     expanded: -8*a^2*d - 32*a*d^2 + 320*a*d - 288*a
+ok  det(B,C,E,F) = -2c*(cd + d^2 - 10d + 9)
+     expanded: -2*c^2*d - 2*c*d^2 + 20*c*d - 18*c
+"""
+
+
 def test_identities_prints_all_four(capsys):
     code, out, _ = run(["identities"], capsys)
     assert code == 0
-    assert out.count("ok ") == 4
-    assert "-2*(e - 16 + 3c)^2" in out
+    assert out == EXPECTED_IDENTITIES
+
+
+def _division_derivation(tmp_path, capsys) -> dict:
+    gadget_file = tmp_path / "div.json"
+    deriv_file = tmp_path / "deriv.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
+    return json.loads(deriv_file.read_text())
+
+
+def test_verify_rejects_negative_premise_index(tmp_path, capsys):
+    doc = _division_derivation(tmp_path, capsys)
+    doc["facts"][-1]["premises"][-1] = -1  # would alias the previous fact
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert "negative premise" in err
+
+
+def test_verify_rejects_derivation_without_facts(tmp_path, capsys):
+    doc = _division_derivation(tmp_path, capsys)
+    doc["facts"] = []
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: facts:")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from rigidity_forge import codec
 from rigidity_forge.cm import Point, rational_point
-from rigidity_forge.engine import replay_division, replay_perp
+from rigidity_forge.engine import replay
 from rigidity_forge.gadgets import (
     build_division,
     build_kempe,
@@ -92,7 +92,7 @@ def test_tower_decoding_enforces_invariants():
 
 def test_derivation_round_trip():
     gadget = build_division(rational_point(0, 0), rational_point(1, 0), F(2, 5))
-    derivation = replay_division(gadget)
+    derivation = replay(gadget)
     text = codec.dumps(codec.encode_derivation(derivation))
     decoded = codec.decode_derivation(codec.load_document(text))
     assert decoded.facts == derivation.facts
@@ -102,7 +102,7 @@ def test_derivation_round_trip():
 
 def test_derivation_round_trip_for_composite():
     gadget = build_perp_transfer(rational_point(0, 0), rational_point(0, F(24, 5)), rational_point(0, 0), rational_point(8, 0))
-    derivation = replay_perp(gadget)
+    derivation = replay(gadget)
     text = codec.dumps(codec.encode_derivation(derivation))
     decoded = codec.decode_derivation(codec.load_document(text))
     assert decoded.facts == derivation.facts

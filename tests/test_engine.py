@@ -26,12 +26,8 @@ from rigidity_forge.engine import (
     fact_key,
     kempe_identities_verified,
     replay,
-    replay_division,
     replay_parallel,
-    replay_perp,
     replay_scale,
-    replay_translation,
-    saturate,
 )
 from rigidity_forge.gadgets import (
     Gadget,
@@ -211,7 +207,7 @@ def test_fact_store_deduplicates(division_half):
 
 
 def test_replay_division_midpoint(division_half):
-    derivation = replay_division(division_half)
+    derivation = replay(division_half)
     final = derivation.final_fact()
     assert final == AffineComb(c="C", a="A", b="B", t=F(1, 2))
     rules = [j.rule for j in derivation.justifications]
@@ -223,20 +219,14 @@ def test_replay_division_midpoint(division_half):
 
 def test_replay_division_third():
     gadget = build_division(rational_point(0, 0), rational_point(2, 0), F(1, 3))
-    derivation = replay_division(gadget)
+    derivation = replay(gadget)
     assert derivation.final_fact() == AffineComb(c="C", a="A", b="B", t=F(1, 3))
 
 
 def test_replay_division_conclusion_carries_exact_t():
     for t in (F(1, 2), F(1, 3), F(2, 5), F(7, 9)):
         gadget = build_division(rational_point(0, 0), rational_point(1, 0), t)
-        assert replay_division(gadget).final_fact().t == t
-
-
-def test_replay_division_rejects_other_goals():
-    chain = build_rhombus_chain(rational_point(0, 0), rational_point(1, 0), rational_point(0, 1), rational_point(1, 1))
-    with pytest.raises(ReplayFailed):
-        replay_division(chain)
+        assert replay(gadget).final_fact().t == t
 
 
 def test_replay_fails_on_missing_certificate(division_half):
@@ -249,7 +239,7 @@ def test_replay_fails_on_missing_certificate(division_half):
         layout=division_half.layout,
     )
     with pytest.raises(ReplayFailed):
-        replay_division(reduced)
+        replay(reduced)
 
 
 # -- translation replays ----------------------------------------------------------------------
@@ -257,7 +247,7 @@ def test_replay_fails_on_missing_certificate(division_half):
 
 def test_replay_chain_two_links():
     gadget = build_rhombus_chain(rational_point(0, 0), rational_point(1, 0), rational_point(0, 1), rational_point(1, 1))
-    derivation = replay_translation(gadget)
+    derivation = replay(gadget)
     rules = [j.rule for j in derivation.justifications]
     assert rules.count("Prop4") == 4  # two per rhombus
     assert derivation.final_fact() == VecEq(a="A0", b="A2", c="C0", d="C2")
@@ -265,7 +255,7 @@ def test_replay_chain_two_links():
 
 def test_replay_chain_trivial():
     gadget = build_rhombus_chain(rational_point(0, 0), rational_point(0, 0), rational_point(1, 0), rational_point(1, 0))
-    derivation = replay_translation(gadget)
+    derivation = replay(gadget)
     # no lemma applications: the goal is immediate (formally the zero relation)
     rules = {j.rule for j in derivation.justifications}
     assert "Prop3" not in rules and "Prop4" not in rules
@@ -278,7 +268,7 @@ def test_replay_bridge_composes_two_chains():
     gadget = build_translation_bridge(
         rational_point(0, 0), rational_point(1, 0), Point(s2, s2 + 1), Point(s2 + 1, s2 + 1)
     )
-    derivation = replay_translation(gadget)
+    derivation = replay(gadget)
     assert fact_key(derivation.final_fact()) == fact_key(gadget.goal)
     veceqs = [f for f, j in zip(derivation.facts, derivation.justifications) if isinstance(f, VecEq) and j.rule == "VecAlgebra"]
     assert len(veceqs) >= 3  # two chain conclusions plus the composition
@@ -325,7 +315,7 @@ def test_replay_scale_rejects_wrong_ratio():
 
 def test_replay_kempe(division_half):
     gadget = build_kempe(F(1))
-    derivation = replay_perp(gadget)
+    derivation = replay(gadget)
     assert derivation.final_fact() == DotZero(a="D", b="E", c="A", d="B")
     rules = [j.rule for j in derivation.justifications]
     assert "KempeChain" in rules
@@ -342,15 +332,10 @@ def test_replay_perp_transfer():
     gadget = build_perp_transfer(
         rational_point(0, 0), rational_point(0, F(24, 5)), rational_point(0, 0), rational_point(8, 0)
     )
-    derivation = replay_perp(gadget)
+    derivation = replay(gadget)
     assert fact_key(derivation.final_fact()) == fact_key(gadget.goal)
     rules = [j.rule for j in derivation.justifications]
     assert "KempeChain" in rules and "Composition" in rules
-
-
-def test_replay_perp_needs_dotzero_goal(division_half):
-    with pytest.raises(ReplayFailed):
-        replay_perp(division_half)
 
 
 def test_kempe_soundness_certificate_is_verified():
@@ -363,7 +348,7 @@ def test_kempe_chain_gated_on_identities(division_half, monkeypatch):
     gadget = build_kempe(F(1))
     monkeypatch.setattr(engine, "kempe_identities_verified", lambda: False)
     with pytest.raises(engine.SoundnessCertificateMissing):
-        engine.replay_perp(gadget)
+        engine.replay(gadget)
 
 
 # -- parallel replay ----------------------------------------------------------------------------------
@@ -393,9 +378,9 @@ def test_replay_parallel_rejects_independent():
 
 def test_derivations_are_acyclic_and_terminate(division_half):
     for derivation in (
-        replay_division(division_half),
-        replay_translation(build_rhombus_chain(rational_point(0, 0), rational_point(2, 0), rational_point(0, 1), rational_point(2, 1))),
-        replay_perp(build_kempe(F(2))),
+        replay(division_half),
+        replay(build_rhombus_chain(rational_point(0, 0), rational_point(2, 0), rational_point(0, 1), rational_point(2, 1))),
+        replay(build_kempe(F(2))),
     ):
         derivation.check_wellformed()
         for i, just in enumerate(derivation.justifications):
@@ -403,14 +388,14 @@ def test_derivations_are_acyclic_and_terminate(division_half):
 
 
 def test_check_derivation_identity_all_true(division_half):
-    derivation = replay_division(division_half)
+    derivation = replay(division_half)
     verdict = check_derivation(derivation, identity_model())
     assert verdict.ok
     assert verdict.checked == len(derivation.facts)
 
 
 def test_check_derivation_scaling_violates_first_fact(division_half):
-    derivation = replay_division(division_half)
+    derivation = replay(division_half)
 
     class Doubling:
         def apply(self, p):
@@ -429,12 +414,12 @@ def test_recheck_accepts_all_replayed_derivations(division_half):
     from rigidity_forge.engine import recheck_derivation
 
     for derivation in (
-        replay_division(division_half),
-        replay_translation(
+        replay(division_half),
+        replay(
             build_rhombus_chain(rational_point(0, 0), rational_point(1, 0), rational_point(0, 1), rational_point(1, 1))
         ),
-        replay_perp(build_kempe(F(1))),
-        replay_perp(
+        replay(build_kempe(F(1))),
+        replay(
             build_perp_transfer(rational_point(0, 0), rational_point(0, F(12, 5)), rational_point(0, 0), rational_point(4, 0))
         ),
     ):
@@ -444,7 +429,7 @@ def test_recheck_accepts_all_replayed_derivations(division_half):
 def test_recheck_rejects_tampered_lemma_conclusion(division_half):
     from rigidity_forge.engine import Derivation, recheck_derivation
 
-    derivation = replay_division(division_half)
+    derivation = replay(division_half)
     tampered = Derivation(derivation.gadget, list(derivation.facts), list(derivation.justifications))
     # forge the ratio concluded by the first lemma application
     idx = next(
@@ -460,31 +445,8 @@ def test_recheck_rejects_tampered_lemma_conclusion(division_half):
 def test_recheck_rejects_forged_axiom_fact(division_half):
     from rigidity_forge.engine import Derivation, recheck_derivation
 
-    derivation = replay_division(division_half)
+    derivation = replay(division_half)
     tampered = Derivation(derivation.gadget, list(derivation.facts), list(derivation.justifications))
     tampered.facts[0] = dataclasses.replace(tampered.facts[0], v=F(7))
     with pytest.raises(ReplayFailed, match="step 0"):
         recheck_derivation(tampered)
-
-
-def test_axiom_witness_materialization():
-    from rigidity_forge.engine import axiom_witness
-
-    p1, p2 = rational_point(0, 0), rational_point(1, 0)
-    w, q1, q2 = axiom_witness(p1, p2, "Injectivity")
-    assert q1 != q2
-    assert sqdist(p1, w) == q1 * q1 and sqdist(p2, w) == q2 * q2
-    w, q1, q2 = axiom_witness(p1, p2, "NonzeroDistance")
-    assert q1 == q2
-    assert sqdist(p1, w) == q1 * q1 and sqdist(p2, w) == q1 * q1
-
-
-# -- bounded saturation (exploration mode) ----------------------------------------------------------
-
-
-def test_saturation_rederives_division_scales(division_half):
-    store = assert_certificate(division_half)
-    added = saturate(store, max_depth=1)
-    assert added > 0
-    assert store.find(VecScale(a="A", b="E", c="A", d="D", r=F(1, 2))) is not None
-    assert store.find(VecEq(a="E", b="C", c="D", d="F")) is not None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidity_forge import poly
+from rigidity_forge.gadgets import KEMPE_IDENTITIES
 from rigidity_forge.poly import Polynomial, det, det_bareiss, det_cofactor, divide_exact, identity_check, variables
 
 
@@ -84,6 +85,10 @@ def test_kempe_determinant_4(symbols):
     a, b, c, d, e = symbols
     m4 = kempe_matrices(symbols)[3]
     assert identity_check(det(m4), -2, [c, c * d + d * d - 10 * d + 9])
+
+
+def test_linkage_table_builds_the_reference_matrices(symbols):
+    assert [identity.matrix() for identity in KEMPE_IDENTITIES] == list(kempe_matrices(symbols))
 
 
 def test_bareiss_matches_cofactor_oracle(symbols):

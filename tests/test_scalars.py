@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rigidity_forge.scalars import (
     QQ,
@@ -297,6 +297,36 @@ def test_common_tower_lifts_values():
     a, b = common_tower(q, s2)
     assert a.tower == b.tower
     assert a == Fraction(1, 2)
+
+
+def _positive_sqrt(tower, n):
+    root = sqrt_in_tower(tower.rational(n))
+    return root if root.sign() > 0 else -root
+
+
+@given(rationals, rationals, rationals, rationals)
+@example(Fraction(0), Fraction(1), Fraction(0), Fraction(0))  # sqrt(2) over Q(sqrt 2, sqrt 3) and Q(sqrt 3, sqrt 2)
+def test_equal_values_hash_equal_across_merged_towers(a0, a1, a2, a3):
+    values = []
+    for first, second in ((2, 3), (3, 2), (6, 2)):
+        tower = adjoin_sqrt(adjoin_sqrt(QQ, first).tower, second).tower
+        s2, s3 = _positive_sqrt(tower, 2), _positive_sqrt(tower, 3)
+        values.append(a0 + a1 * s2 + a2 * s3 + a3 * s2 * s3)
+    merged, _ = common_tower(values[0], values[2])
+    for x in values + [merged, FunElem.constant(values[0])]:
+        assert x == values[0]
+        assert hash(x) == hash(values[0])
+    assert len(set(values + [merged])) == 1
+
+
+@given(rationals)
+def test_rational_values_hash_like_fractions_and_ints(q):
+    towers = (QQ, adjoin_sqrt(QQ, 2).tower, adjoin_sqrt(adjoin_sqrt(QQ, 2).tower, 3).tower)
+    for tower in towers:
+        for x in (tower.rational(q), FunElem.constant(q, tower)):
+            assert x == q and hash(x) == hash(q)
+            if q.denominator == 1:
+                assert x == int(q) and hash(x) == hash(int(q))
 
 
 def test_scalar_text_rendering(sqrt2):
