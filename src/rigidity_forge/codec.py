@@ -37,6 +37,9 @@ SCHEMA = "rigidity-forge/1"
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
+# digits per integer, below the interpreter's default int-string limit (4300)
+MAX_DIGITS = 4000
+
 
 class SchemaViolation(ValueError):
     """Input does not conform to the file schema; the message carries a location."""
@@ -61,6 +64,8 @@ def decode_rational(text: Any, location: str = "rational") -> Fraction:
         _fail(location, f"expected an exact rational string, got {type(text).__name__}")
     if not _RATIONAL_RE.match(text):
         _fail(location, f"not an exact rational (p or p/q): {text!r}")
+    if any(len(part) > MAX_DIGITS for part in text.lstrip("-").split("/")):
+        _fail(location, f"an integer has more than {MAX_DIGITS} digits")
     return Fraction(text)
 
 
@@ -230,12 +235,15 @@ def decode_fact(obj: Any, location: str = "fact") -> Fact:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         _fail(location, "expected a tagged fact object")
     kind = obj["kind"]
-    if kind == "SqDistKnown":
-        return SqDistKnown(p=obj["p"], q=obj["q"], v=decode_rational(obj["v"], f"{location}.v"))
-    if kind == "Distinct":
-        return Distinct(p=obj["p"], q=obj["q"])
-    if kind == "NonzeroDist":
-        return NonzeroDist(p=obj["p"], q=obj["q"])
+    try:
+        if kind == "SqDistKnown":
+            return SqDistKnown(p=obj["p"], q=obj["q"], v=decode_rational(obj["v"], f"{location}.v"))
+        if kind == "Distinct":
+            return Distinct(p=obj["p"], q=obj["q"])
+        if kind == "NonzeroDist":
+            return NonzeroDist(p=obj["p"], q=obj["q"])
+    except KeyError as exc:
+        _fail(location, f"missing field {exc}")
     return decode_goal(obj, location)
 
 
@@ -309,6 +317,7 @@ def decode_gadget(obj: Any) -> Gadget:
         if name not in points:
             _fail("goal", f"unknown point {name!r}")
     layout = decode_layout(obj.get("layout", {}), "layout")
+    _check_layout(layout, points, "layout")
     return Gadget(
         tower=tower,
         points=points,
@@ -317,6 +326,56 @@ def decode_gadget(obj: Any) -> Gadget:
         goal=goal,
         layout=layout,
     )
+
+
+def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind: str | None = None) -> None:
+    """Check that a layout of a known kind carries every field its replay
+    script reads; ``kind``, when given, is the kind its parent needs."""
+    if not isinstance(layout, Mapping):
+        _fail(location, "expected a layout object")
+    if kind is not None and layout.get("kind") != kind:
+        _fail(f"{location}.kind", f"expected {kind!r}")
+    kind = layout.get("kind")
+
+    def need(key: str, ok, what: str) -> Any:
+        if key not in layout or not ok(layout[key]):
+            _fail(f"{location}.{key}", f"expected {what}")
+        return layout[key]
+
+    def names(count: int | None = None):
+        return lambda v: (
+            isinstance(v, list)
+            and len(v) > 0
+            and count in (None, len(v))
+            and all(isinstance(n, str) and n in points for n in v)
+        )
+
+    def rational(v) -> bool:
+        return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+    def roles(v) -> bool:
+        return isinstance(v, Mapping) and all(isinstance(v.get(r), str) and v[r] in points for r in "ABCDEF")
+
+    if kind in ("division", "kempe"):
+        need("roles", roles, "roles A-F naming gadget points")
+    if kind == "division":
+        need("t", rational, "an exact rational")
+    elif kind == "chain":
+        track1 = need("track1", names(), "a list of gadget point names")
+        need("track2", names(len(track1)), f"{len(track1)} gadget point names")
+    elif kind == "bridge":
+        subs = need("sub", lambda v: isinstance(v, list) and v, "a non-empty list of chain layouts")
+        for i, sub in enumerate(subs):
+            _check_layout(sub, points, f"{location}.sub[{i}]", "chain")
+    elif kind == "scale":
+        need("src", names(2), "two gadget point names")
+        need("dst", names(2), "two gadget point names")
+        need("r", rational, "an exact rational")
+        for i, sub in enumerate(need("sub", lambda v: isinstance(v, list), "a list of layouts")):
+            _check_layout(sub, points, f"{location}.sub[{i}]")
+    elif kind == "perp":
+        for key, sub_kind in (("kempe", "kempe"), ("scale_pq", "scale"), ("scale_xy", "scale")):
+            _check_layout(layout.get(key), points, f"{location}.{key}", sub_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,7 @@ class FactStore:
         self.facts: list[Fact] = []
         self.justifications: list[Justification] = []
         self._index: dict[tuple, int] = {}
+        self._sqdist: dict[frozenset, int] = {}  # unordered pair -> first SqDistKnown
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -243,10 +244,18 @@ class FactStore:
         for p in premises:
             if not 0 <= p < len(self.facts):
                 raise EngineError("premise reference out of range")
+        idx = self.append(fact, Justification(rule, tuple(premises)))
+        self._index[key] = idx
+        return idx
+
+    def append(self, fact: Fact, just: Justification) -> int:
+        """Append verbatim, without deduplication; returns the new index."""
         self.facts.append(fact)
-        self.justifications.append(Justification(rule, tuple(premises)))
-        self._index[key] = len(self.facts) - 1
-        return len(self.facts) - 1
+        self.justifications.append(just)
+        idx = len(self.facts) - 1
+        if isinstance(fact, SqDistKnown):
+            self._sqdist.setdefault(frozenset((fact.p, fact.q)), idx)
+        return idx
 
     def find(self, fact: Fact) -> int | None:
         return self._index.get(fact_key(fact))
@@ -258,10 +267,7 @@ class FactStore:
         return idx
 
     def find_sqdist(self, p: str, q: str) -> int | None:
-        for idx, fact in enumerate(self.facts):
-            if isinstance(fact, SqDistKnown) and {fact.p, fact.q} == {p, q}:
-                return idx
-        return None
+        return self._sqdist.get(frozenset((p, q)))
 
     def require_sqdist(self, p: str, q: str) -> int:
         idx = self.find_sqdist(p, q)
@@ -625,8 +631,7 @@ def _finish(store: FactStore, goal_id: int) -> Derivation:
         raise ReplayFailed("replay conclusion does not match the gadget goal")
     if goal_id != len(store.facts) - 1:
         # goal fact may have been deduplicated; re-anchor it at the end
-        store.facts.append(store.facts[goal_id])
-        store.justifications.append(store.justifications[goal_id])
+        store.append(store.facts[goal_id], store.justifications[goal_id])
     derivation = store.derivation()
     derivation.check_wellformed()
     return derivation
@@ -829,5 +834,4 @@ def recheck_derivation(derivation: Derivation) -> None:
         except PatternMismatch as exc:
             raise ReplayFailed(f"step {i} ({rule}) fails re-checking: {exc}") from exc
         # extend the shadow store verbatim so later premise indices line up
-        shadow.facts.append(fact)
-        shadow.justifications.append(just)
+        shadow.append(fact, just)

@@ -10,6 +10,11 @@ Three carriers, all with decidable equality:
   total order) are computable.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
+  Its arithmetic is lazy: a value is any numerator over any nonzero
+  denominator, operations take no polynomial gcd, and equality
+  cross-multiplies.  The reduced form (coprime, monic denominator) is what
+  ``num``/``den``, hashing, printing and the codec see; it is computed once
+  per value, on first use, and cached.
 """
 
 from __future__ import annotations
@@ -574,10 +579,10 @@ def _ptrim(coeffs: Sequence[TowerElem]) -> Poly:
     return tuple(coeffs)
 
 
-def _padd(a: Poly, b: Poly, tower: TowerDesc) -> Poly:
-    out = [tower.zero()] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
+def _padd(a: Poly, b: Poly) -> Poly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
         out[i] = out[i] + c
     return _ptrim(out)
@@ -586,14 +591,21 @@ def _padd(a: Poly, b: Poly, tower: TowerDesc) -> Poly:
 def _pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
+
 def _pmul(a: Poly, b: Poly, tower: TowerDesc) -> Poly:
     if not a or not b:
         return ()
-    out = [tower.zero()] * (len(a) + len(b) - 1)
+    # None marks a coefficient no nonzero product has reached yet
+    out: list[TowerElem | None] = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
+        if ca.is_zero():
+            continue
         for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _ptrim(out)
+            if not cb.is_zero():
+                term = ca * cb
+                out[i + j] = term if out[i + j] is None else out[i + j] + term
+    zero = tower.zero()
+    return _ptrim([zero if c is None else c for c in out])
 
 
 def _pdivmod(a: Poly, b: Poly, tower: TowerDesc) -> tuple[Poly, Poly]:
@@ -625,34 +637,57 @@ def _pgcd(a: Poly, b: Poly, tower: TowerDesc) -> Poly:
     return a
 
 
-class FunElem:
-    """Element of K(eps), reduced, with monic-leading denominator."""
+def _reduce(num: Poly, den: Poly, tower: TowerDesc) -> tuple[Poly, Poly]:
+    """num/den in lowest terms with a monic denominator (the unique form)."""
+    if not num:
+        return (), (tower.one(),)
+    if len(den) > 1:
+        g = _pgcd(num, den, tower)
+        if len(g) > 1:
+            num, _ = _pdivmod(num, g, tower)
+            den, _ = _pdivmod(den, g, tower)
+    lead = den[-1]
+    if not lead == 1:
+        inv = lead.inverse()
+        num = tuple(c * inv for c in num)
+        den = tuple(c * inv for c in den)
+    return num, den
 
-    __slots__ = ("tower", "num", "den")
+
+class FunElem:
+    """Element of K(eps) over a tower K; immutable.
+
+    Held lazily as a quotient of two polynomials over K that need not be
+    coprime.  ``+``, ``-``, ``*``, ``/`` and ``inverse`` multiply out without
+    a gcd, and ``+`` over one shared denominator adds the numerators only.
+    ``==`` cross-multiplies (a.n * b.d == b.n * a.d, or the numerators alone
+    over one shared denominator); that is exact because K[eps] is an integral
+    domain, so a product of nonzero denominators is never zero.
+
+    The public face is the reduced form: ``num`` and ``den`` are coprime and
+    ``den`` is monic.  It costs one polynomial gcd, taken on first use and
+    cached, and ``is_constant``, the hash, the printed value and the codec all
+    read it, so none of them depends on how the value was computed.
+    """
+
+    __slots__ = ("tower", "_n", "_d", "_reduced")
 
     def __init__(self, tower: TowerDesc, num: Sequence[TowerElem], den: Sequence[TowerElem]) -> None:
         num = _ptrim([c.lift(tower) if c.tower != tower else c for c in num])
         den = _ptrim([c.lift(tower) if c.tower != tower else c for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator in function field element")
-        if not num:
-            den = (tower.one(),)
-        elif len(den) > 1 or not den[0] == 1:
-            g = _pgcd(num, den, tower)
-            if len(g) > 1 or not g[0] == 1:
-                num, _ = _pdivmod(num, g, tower)
-                den, _ = _pdivmod(den, g, tower)
-        lead = den[-1]
-        if not (lead == 1):
-            inv = lead.inverse()
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _init(self, tower, num, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FunElem is immutable")
+
+    @classmethod
+    def _make(cls, tower: TowerDesc, num: Poly, den: Poly) -> "FunElem":
+        """Wrap trimmed polynomials over ``tower``, den nonzero; no checks."""
+        out = object.__new__(cls)
+        _init(out, tower, num, den)
+        return out
 
     # -- constructors ------------------------------------------------------------
 
@@ -682,17 +717,33 @@ class FunElem:
             return self, other, self.tower
         probe, _ = common_tower(self.tower.zero(), other.tower.zero())
         tower = probe.tower
-        lift_a = FunElem(tower, _plift_into(self.num, tower), _plift_into(self.den, tower))
-        lift_b = FunElem(tower, _plift_into(other.num, tower), _plift_into(other.den, tower))
+        lift_a = FunElem._make(tower, _plift_into(self._n, tower), _plift_into(self._d, tower))
+        lift_b = FunElem._make(tower, _plift_into(other._n, tower), _plift_into(other._d, tower))
         return lift_a, lift_b, tower
+
+    # -- reduced form --------------------------------------------------------------
+
+    def _canonical(self) -> tuple[Poly, Poly]:
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", _reduce(self._n, self._d, self.tower))
+        return self._reduced
+
+    @property
+    def num(self) -> Poly:
+        return self._canonical()[0]
+
+    @property
+    def den(self) -> Poly:
+        return self._canonical()[1]
 
     # -- structure -----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        num, den = self._canonical()
+        return len(num) <= 1 and len(den) == 1
 
     # -- arithmetic ------------------------------------------------------------------
 
@@ -701,15 +752,15 @@ class FunElem:
         if rhs is None:
             return NotImplemented
         a, b, tower = self._common(rhs)
-        num = _padd(
-            _pmul(a.num, b.den, tower), _pmul(b.num, a.den, tower), tower
-        )
-        return FunElem(tower, num, _pmul(a.den, b.den, tower))
+        if a._d == b._d:
+            return FunElem._make(tower, _padd(a._n, b._n), a._d)
+        num = _padd(_pmul(a._n, b._d, tower), _pmul(b._n, a._d, tower))
+        return FunElem._make(tower, num, _pmul(a._d, b._d, tower))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FunElem(self.tower, _pneg(self.num), self.den)
+        return FunElem._make(self.tower, _pneg(self._n), self._d)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -728,14 +779,14 @@ class FunElem:
         if rhs is None:
             return NotImplemented
         a, b, tower = self._common(rhs)
-        return FunElem(tower, _pmul(a.num, b.num, tower), _pmul(a.den, b.den, tower))
+        return FunElem._make(tower, _pmul(a._n, b._n, tower), _pmul(a._d, b._d, tower))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FunElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero function field element")
-        return FunElem(self.tower, self.den, self.num)
+        return FunElem._make(self.tower, self._d, self._n)
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -765,14 +816,17 @@ class FunElem:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b, _ = self._common(rhs)
-        return a.num == b.num and a.den == b.den
+        a, b, tower = self._common(rhs)
+        if a._d == b._d:
+            return a._n == b._n
+        return _pmul(a._n, b._d, tower) == _pmul(b._n, a._d, tower)
 
     def __hash__(self) -> int:
+        num, den = self._canonical()
         if self.is_constant():
             # a constant hashes like the tower element (and rational) it equals
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.num, self.den))
+            return hash(num[0] if num else 0)
+        return hash((num, den))
 
     def __repr__(self) -> str:
         return f"FunElem({self})"
@@ -793,17 +847,22 @@ class FunElem:
                     parts.append(f"({c})*eps^{i}")
             return " + ".join(parts)
 
-        if len(self.den) == 1 and self.den[0] == 1:
-            return fmt(self.num)
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
+        num, den = self._canonical()
+        if len(den) == 1 and den[0] == 1:
+            return fmt(num)
+        return f"({fmt(num)}) / ({fmt(den)})"
+
+
+def _init(x: FunElem, tower: TowerDesc, num: Poly, den: Poly) -> None:
+    object.__setattr__(x, "tower", tower)
+    object.__setattr__(x, "_n", num)
+    object.__setattr__(x, "_d", den)
+    object.__setattr__(x, "_reduced", None)
 
 
 def _plift_into(p: Poly, tower: TowerDesc) -> Poly:
-    out = []
-    for c in p:
-        lifted, _ = common_tower(c, tower.zero())
-        out.append(lifted)
-    return tuple(out)
+    """Each coefficient mapped into ``tower``, which must hold its value."""
+    return tuple(common_tower(tower.zero(), c)[1] for c in p)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,52 @@ def test_verify_rejects_derivation_without_facts(tmp_path, capsys):
     assert err.startswith("SchemaViolation: facts:")
 
 
+def test_verify_rejects_fact_without_point(tmp_path, capsys):
+    doc = _division_derivation(tmp_path, capsys)
+    del doc["facts"][0]["fact"]["p"]
+    bad = tmp_path / "no-p.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: facts[0].fact: missing field 'p'")
+
+
+def test_replay_rejects_division_layout_without_roles(tmp_path, capsys):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    doc = json.loads(gadget_file.read_text())
+    del doc["layout"]["roles"]
+    bad = tmp_path / "no-roles.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["replay", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: layout.roles:")
+
+
+def test_replay_rejects_bridge_without_chains(tmp_path, capsys):
+    gadget_file = tmp_path / "bridge.json"
+    run(["gadget", "bridge", "--a", "0,0", "--b", "1,0", "--c", "0,2", "--d", "1,2", "-o", str(gadget_file)], capsys)
+    doc = json.loads(gadget_file.read_text())
+    doc["layout"]["sub"] = []
+    bad = tmp_path / "empty-sub.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["replay", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: layout.sub:")
+
+
+def test_verify_rejects_oversized_rational(tmp_path, capsys):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    doc = json.loads(gadget_file.read_text())
+    doc["certificate"][0]["d2"] = "7" * 5000 + "/3"
+    bad = tmp_path / "digits.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: certificate[0].d2:")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

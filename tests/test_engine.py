@@ -203,6 +203,22 @@ def test_fact_store_deduplicates(division_half):
     assert idx == store.require_sqdist("A", "E")
 
 
+def test_sqdist_pair_index_matches_a_scan(division_half):
+    store = assert_certificate(division_half)
+    # a second value for a certified pair, appended verbatim: the first one wins
+    late = store.append(SqDistKnown("E", "A", F(9)), store.justifications[0])
+    names = list(division_half.points)
+    for p in names:
+        for q in names:
+            scan = next(
+                (i for i, f in enumerate(store.facts) if isinstance(f, SqDistKnown) and {f.p, f.q} == {p, q}),
+                None,
+            )
+            assert store.find_sqdist(p, q) == scan
+    assert store.find_sqdist("A", "E") == 0 != late
+    assert store.find_sqdist("A", "missing") is None
+
+
 # -- division replay -------------------------------------------------------------------
 
 

@@ -1,13 +1,23 @@
 """Distance-preserving model maps and the structural verification reports."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from rigidity_forge import scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
-from rigidity_forge.engine import check_derivation, replay
-from rigidity_forge.gadgets import build_division, build_kempe, build_rhombus_chain
+from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation, replay
+from rigidity_forge.gadgets import (
+    AffineComb,
+    DotZero,
+    VecEq,
+    VecScale,
+    build_division,
+    build_kempe,
+    build_rhombus_chain,
+)
 from rigidity_forge.models import (
     DegenerateParameter,
     Embedding,
@@ -296,3 +306,108 @@ def test_embedding_homomorphism_spot_checks(sqrt2_tower):
             assert rho(a + b) == rho(a) + rho(b)
             assert rho(a * b) == rho(a) * rho(b)
         assert rho(tower.one()) == 1
+
+
+# -- lazy K(eps) against its reduced form -------------------------------------------------------
+
+
+def _compared_values(fact, images, model):
+    """The value pairs check_derivation compares for one fact; a zero test
+    pairs its value with 0."""
+    im = images
+    if isinstance(fact, SqDistKnown):
+        return [(sqdist(im[fact.p], im[fact.q]), model.embed_rational(fact.v))]
+    if isinstance(fact, Distinct):
+        diff = im[fact.p] - im[fact.q]
+        return [(diff.x, 0), (diff.y, 0)]
+    if isinstance(fact, NonzeroDist):
+        return [(sqdist(im[fact.p], im[fact.q]), 0)]
+    if isinstance(fact, DotZero):
+        return [((im[fact.b] - im[fact.a]).dot(im[fact.d] - im[fact.c]), 0)]
+    if isinstance(fact, VecEq):
+        lhs, rhs = im[fact.b] - im[fact.a], im[fact.d] - im[fact.c]
+    elif isinstance(fact, VecScale):
+        lhs = im[fact.b] - im[fact.a]
+        rhs = (im[fact.d] - im[fact.c]).scaled(model.embed_rational(fact.r))
+    else:
+        assert isinstance(fact, AffineComb)
+        lhs = im[fact.c] - im[fact.b]
+        rhs = (im[fact.a] - im[fact.b]).scaled(model.embed_rational(fact.t))
+    return [(lhs.x, rhs.x), (lhs.y, rhs.y)]
+
+
+def test_lazy_equality_agrees_with_reduced_form_on_the_corpus():
+    models = {"eps-rotation": eps_rotation_model(), "eps-reflection": eps_rotation_model(reflection=True)}
+    for entry in suite.replay_corpus():
+        facts = entry.derivation.facts
+        for name, model in models.items():
+            images = {p: model.apply(point) for p, point in entry.gadget.points.items()}
+            for fact in facts:
+                for value, other in _compared_values(fact, images, model):
+                    other = other if isinstance(other, FunElem) else FunElem.constant(other, value.tower)
+                    reduced_equal = (value.num, value.den) == (other.num, other.den)
+                    assert (value == other) == reduced_equal, (entry.label, name, fact)
+                    assert value.is_zero() == (value.num == ())
+            verdict = check_derivation(entry.derivation, model)
+            assert verdict.ok and verdict.checked == len(facts), (entry.label, name)
+
+
+class _Doubled:
+    """Doubles every image of a model: not distance preserving."""
+
+    def __init__(self, model=None):
+        self.model = model
+
+    def apply(self, p):
+        q = p if self.model is None else self.model.apply(p)
+        return Point(2 * q.x, 2 * q.y)
+
+    def embed_rational(self, q):
+        return q
+
+
+def test_lazy_kfield_refutes_the_negative_controls():
+    entry = suite.replay_corpus()[0]
+    derivation = entry.derivation
+    final = derivation.final_fact()
+    assert isinstance(final, AffineComb)
+    altered = Derivation(
+        derivation.gadget,
+        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + Fraction(1, 3))],
+        derivation.justifications,
+    )
+    last = len(altered.facts) - 1
+    controls = [
+        (derivation, _Doubled(), 0),
+        (derivation, _Doubled(eps_rotation_model()), 0),
+        (altered, eps_rotation_model(), last),
+        (altered, eps_rotation_model(reflection=True), last),
+    ]
+    for subject, model, index in controls:
+        verdict = check_derivation(subject, model)
+        assert not verdict.ok and verdict.violated_index == index
+
+
+def test_model_checks_take_no_polynomial_gcd(monkeypatch):
+    corpus = suite.replay_corpus()
+    calls = []
+    real_gcd = scalars._pgcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(scalars, "_pgcd", counting_gcd)
+    checks = 0
+    for entry in corpus:
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        for _, model in suite.model_family(gadget):
+            assert check_derivation(entry.derivation, model).ok
+            assert verify_preservation(model, pairs).ok
+            checks += 1
+    assert checks == 96
+    assert calls == []
+    # the counter does see the gcd that the reduced form takes
+    assert str((FunElem.eps() + 1) / (FunElem.eps() * FunElem.eps() - 1)) == "(1) / (-1 + (1)*eps)"
+    assert len(calls) == 1

@@ -19,6 +19,7 @@ from rigidity_forge.scalars import (
     strict_rational_bounds_of_sqrt,
     tower_conjugate,
 )
+from rigidity_forge.scalars import _pgcd
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -259,6 +260,50 @@ def test_function_field_axioms(a0, a1, b0, b1):
     assert (x + (-x)).is_zero()
     if not y.is_zero():
         assert (x / y) * y == x
+
+
+def test_function_field_across_unrelated_towers():
+    s2 = adjoin_sqrt(QQ, 2).root
+    s3 = adjoin_sqrt(QQ, 3).root
+    a, b = FunElem.constant(s2), FunElem.constant(s3)
+    total = a + b
+    assert str(total) == "r0 + r1"
+    assert total == FunElem.constant(s2 + s3)
+    assert hash(total) == hash(FunElem.constant(s2 + s3))
+    assert not a == b
+    assert a * b == FunElem.constant(s2 * s3)
+    eps = FunElem.eps()
+    assert (a + eps) * (b - eps) - a * b == (b - a) * eps - eps * eps
+
+
+small_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_polys = st.lists(small_coeffs, min_size=1, max_size=4)
+
+
+def _fun(num, den):
+    if not any(den):
+        den = [1]
+    return FunElem(QQ, [QQ.rational(c) for c in num], [QQ.rational(c) for c in den])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, small_polys, small_polys, small_polys, small_polys, st.booleans())
+def test_lazy_function_field_agrees_with_reduced_form(an, ad, bn, bd, factor, related):
+    a = _fun(an, ad)
+    c = _fun(factor, [1])
+    # a times c/c carries the common factor c in numerator and denominator
+    b = a * c / c if related and not c.is_zero() else _fun(bn, bd)
+    assert (a == b) == ((a.num, a.den) == (b.num, b.den))
+    if related and not c.is_zero():
+        assert a == b
+    if a == b:
+        assert hash(a) == hash(b)
+    for x in (a, b):
+        assert x.den[-1] == 1
+        assert _pgcd(x.num, x.den, QQ) == (QQ.one(),) if x.num else x.den == (QQ.one(),)
+    assert (a + b) - b == a
+    if not b.is_zero():
+        assert (a * b) / b == a
 
 
 # -- comparison helpers -----------------------------------------------------------------------
