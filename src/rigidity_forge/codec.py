@@ -497,6 +497,8 @@ def load_document(text: str) -> Any:
         return json.loads(text, parse_float=_reject_float, parse_int=int)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaViolation("document: nesting too deep") from exc
 
 
 def _reject_float(text: str):
@@ -509,10 +511,10 @@ def decode_document(text: str):
     if not isinstance(obj, Mapping):
         _fail("document", "expected a JSON object")
     kind = obj.get("kind")
-    if kind == "gadget":
-        return decode_gadget(obj)
-    if kind == "derivation":
-        return decode_derivation(obj)
-    if kind == "model":
-        return decode_model(obj)
-    _fail("kind", f"unknown document kind {kind!r}")
+    decode = {"gadget": decode_gadget, "derivation": decode_derivation, "model": decode_model}.get(kind)
+    if decode is None:
+        _fail("kind", f"unknown document kind {kind!r}")
+    try:
+        return decode(obj)
+    except RecursionError as exc:  # layouts nested within the JSON parser's limit
+        raise SchemaViolation("document: nesting too deep") from exc

@@ -3,11 +3,12 @@
 A derivation replays one of the finite rigidity proofs as an ordered list of
 facts about an arbitrary unit-distance preserving map f, each justified by a
 rule: the rational-distance axiom seeds certified squared distances, the
-injectivity and nonzero-distance axioms seed distinctness, the two vector
-lemmas fire on matching distance patterns, and linear closing steps are
-validated by exact rational span membership (a conclusion is admitted only if
-its formal linear relation lies in the span of its premises' relations, which
-holds in F^2 for any assignment of the image points).
+injectivity and nonzero-distance axioms are asserted when a lemma cites them,
+the two vector lemmas fire on matching distance patterns, and linear closing
+steps are validated by exact rational span membership (a conclusion is
+admitted only if its formal linear relation lies in the span of its premises'
+relations, which holds in F^2 for any assignment of the image points).  A
+replayed derivation is exactly the premise closure of its goal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from .cm import Point, prop3_verify, prop4_verify, sqdist, _is_zero
@@ -261,7 +261,13 @@ class FactStore:
         return self._index.get(fact_key(fact))
 
     def require(self, fact: Fact) -> int:
+        """Index of ``fact``; a missing Distinct/NonzeroDist of two
+        coordinate-distinct points is asserted as its axiom on demand."""
         idx = self.find(fact)
+        if idx is None and isinstance(fact, (Distinct, NonzeroDist)):
+            pts = self.gadget.points
+            if fact.p in pts and fact.q in pts and not (pts[fact.p] == pts[fact.q]):
+                idx = self.add(fact, "Injectivity" if isinstance(fact, Distinct) else "NonzeroDistance")
         if idx is None:
             raise ReplayFailed(f"required fact missing from store: {fact}")
         return idx
@@ -275,19 +281,15 @@ class FactStore:
             raise ReplayFailed(f"no certified squared distance for ({p}, {q})")
         return idx
 
-    def derivation(self) -> Derivation:
-        d = Derivation(self.gadget, list(self.facts), list(self.justifications))
-        return d
-
 
 # ---------------------------------------------------------------------------
-# Certificate seeding (rational-distance + injectivity + nonzero axioms)
+# Certificate seeding (rational-distance axioms)
 # ---------------------------------------------------------------------------
 
 
 def assert_certificate(gadget: Gadget) -> FactStore:
-    """Seed a store: one SqDistKnown per certificate entry, then Distinct and
-    NonzeroDist for every coordinate-distinct pair of domain points."""
+    """Seed a store with one SqDistKnown per certificate entry; the pair axioms
+    are asserted by ``FactStore.require`` when a lemma cites them."""
     try:
         gadget.validate()
     except InvalidGadget as exc:
@@ -295,11 +297,6 @@ def assert_certificate(gadget: Gadget) -> FactStore:
     store = FactStore(gadget)
     for entry in gadget.certificate:
         store.add(SqDistKnown(entry.p, entry.q, entry.d2), "RationalDistanceAxiom")
-    names = list(gadget.points)
-    for p, q in combinations(names, 2):
-        if not (gadget.points[p] == gadget.points[q]):
-            store.add(Distinct(p, q), "Injectivity")
-            store.add(NonzeroDist(p, q), "NonzeroDistance")
     return store
 
 
@@ -626,13 +623,25 @@ def _replay_perp_layout(store: FactStore, layout: Mapping) -> int:
 
 
 def _finish(store: FactStore, goal_id: int) -> Derivation:
-    goal = store.gadget.goal
-    if fact_key(store.facts[goal_id]) != fact_key(goal):
+    """Slice the store to the goal's premise closure, in store order, with the
+    premises renumbered; the goal is the highest kept index, so it ends last."""
+    if fact_key(store.facts[goal_id]) != fact_key(store.gadget.goal):
         raise ReplayFailed("replay conclusion does not match the gadget goal")
-    if goal_id != len(store.facts) - 1:
-        # goal fact may have been deduplicated; re-anchor it at the end
-        store.append(store.facts[goal_id], store.justifications[goal_id])
-    derivation = store.derivation()
+    keep = {goal_id}
+    stack = [goal_id]
+    while stack:
+        for p in store.justifications[stack.pop()].premises:
+            if p not in keep:
+                keep.add(p)
+                stack.append(p)
+    order = sorted(keep)
+    renumber = {old: new for new, old in enumerate(order)}
+    justifications = [store.justifications[i] for i in order]
+    derivation = Derivation(
+        store.gadget,
+        [store.facts[i] for i in order],
+        [Justification(j.rule, tuple(renumber[p] for p in j.premises)) for j in justifications],
+    )
     derivation.check_wellformed()
     return derivation
 

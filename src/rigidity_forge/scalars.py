@@ -902,19 +902,34 @@ def least_int_above_sqrt(square: TowerElem, strict: bool) -> int:
 
 def simplest_rational_between_sqrts(lo_sq: TowerElem, hi_sq: TowerElem) -> Fraction:
     """Smallest-denominator rational in the open interval (sqrt(lo_sq), sqrt(hi_sq)),
-    found by Stern-Brocot mediant search with exact tower ordering."""
+    found by Stern-Brocot mediant search with exact tower ordering.  Each run of
+    equal-direction steps is taken at once, its length found by an exponential
+    then binary search, so the search makes O(log) comparisons."""
     if (hi_sq - lo_sq).sign() <= 0:
         raise ValueError("empty interval")
+
+    def run(a: int, b: int, c: int, d: int, inside) -> int:
+        """Largest k >= 0 with inside((a + k c) / (b + k d)), monotone in k."""
+        lo, hi = 0, 1
+        while inside(Fraction(a + hi * c, b + hi * d)):
+            lo, hi = hi, 2 * hi
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if inside(Fraction(a + mid * c, b + mid * d)):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     a, b = 0, 1  # lower bound a/b
     c, d = 1, 0  # upper bound c/d (infinity)
     while True:
-        m = Fraction(a + c, b + d)
-        if cmp_with_sqrt(m, lo_sq) <= 0:
-            a, b = m.numerator, m.denominator
-        elif cmp_with_sqrt(m, hi_sq) >= 0:
-            c, d = m.numerator, m.denominator
-        else:
-            return m
+        k = run(a, b, c, d, lambda m: cmp_with_sqrt(m, lo_sq) <= 0)
+        a, b = a + k * c, b + k * d
+        k = run(c, d, a, b, lambda m: cmp_with_sqrt(m, hi_sq) >= 0)
+        if k == 0:  # the mediant is above sqrt(lo_sq) and below sqrt(hi_sq)
+            return Fraction(a + c, b + d)
+        c, d = c + k * a, d + k * b
 
 
 def strict_rational_bounds_of_sqrt(square: TowerElem) -> tuple[Fraction, Fraction]:

@@ -181,6 +181,25 @@ def test_verify_rejects_oversized_rational(tmp_path, capsys):
     assert err.startswith("SchemaViolation: certificate[0].d2:")
 
 
+def test_verify_rejects_deeply_nested_document(tmp_path, capsys):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    text = gadget_file.read_text()
+    deep = tmp_path / "deep.json"
+    # beyond the JSON parser's nesting limit
+    deep.write_text(text.replace('"side_conditions": [', '"side_conditions": [' + "[" * 100000 + "]" * 100000 + ",", 1))
+    # within the parser's limit, but nested past the decoder's recursion
+    layout = json.loads(text)["layout"]
+    for _ in range(400):
+        layout = {"kind": "scale", "src": ["A", "B"], "dst": ["A", "B"], "r": {"$rat": "1"}, "sub": [layout]}
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(dict(json.loads(text), layout=layout)))
+    for bad in (deep, nested):
+        code, _, err = run(["verify", str(bad)], capsys)
+        assert code == 1
+        assert err.startswith("SchemaViolation: document: nesting too deep")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

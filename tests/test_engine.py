@@ -57,11 +57,47 @@ def test_assert_certificate_counts(division_half):
     distinct = [f for f in store.facts if isinstance(f, Distinct)]
     nonzero = [f for f in store.facts if isinstance(f, NonzeroDist)]
     assert len(sq) == 8
-    # all six points are pairwise distinct: full distinctness lattice
-    assert len(distinct) == 15
-    assert len(nonzero) == 15
+    # the pair axioms are asserted on demand, not seeded
+    assert len(distinct) == 0
+    assert len(nonzero) == 0
     # certificate facts come first, in certificate order
     assert store.facts[0] == SqDistKnown("A", "E", F(1, 4))
+
+
+def test_require_asserts_pair_axiom_once(division_half):
+    store = assert_certificate(division_half)
+    n = len(store)
+    idx = store.require(Distinct("C", "D"))
+    assert idx == n and len(store) == n + 1
+    assert store.facts[idx] == Distinct("C", "D")
+    assert store.justifications[idx].rule == "Injectivity"
+    assert store.justifications[idx].premises == ()
+    # a second request, in either orientation, finds the same fact
+    assert store.require(Distinct("C", "D")) == idx
+    assert store.require(Distinct("D", "C")) == idx
+    assert len(store) == n + 1
+    nz = store.require(NonzeroDist("E", "F"))
+    assert store.justifications[nz].rule == "NonzeroDistance"
+    assert store.require(NonzeroDist("F", "E")) == nz
+    assert len(store) == n + 2
+
+
+def test_require_rejects_coincident_points():
+    gadget = Gadget(
+        tower=QQ,
+        points={"X": rational_point(0, 0), "Y": rational_point(0, 0), "Z": rational_point(1, 0)},
+        certificate=(),
+        side_conditions=(),
+        goal=VecEq(a="X", b="X", c="X", d="X"),
+        layout={"kind": "chain", "track1": ["X"], "track2": ["X"], "side_sq": None},
+    )
+    store = assert_certificate(gadget)
+    for fact in (Distinct("X", "Y"), NonzeroDist("Y", "X"), Distinct("X", "X"), Distinct("X", "W")):
+        with pytest.raises(ReplayFailed):
+            store.require(fact)
+    assert len(store) == 0
+    # coordinate-distinct points still get their axiom
+    assert store.facts[store.require(Distinct("X", "Z"))] == Distinct("X", "Z")
 
 
 def test_assert_certificate_empty_gadget():
@@ -227,8 +263,9 @@ def test_replay_division_midpoint(division_half):
     final = derivation.final_fact()
     assert final == AffineComb(c="C", a="A", b="B", t=F(1, 2))
     rules = [j.rule for j in derivation.justifications]
+    # exactly the proof: the second parallelogram equality is not a premise
     assert rules.count("Prop3") == 2
-    assert rules.count("Prop4") == 2  # the rule emits both parallelogram equalities
+    assert rules.count("Prop4") == 1
     assert rules.count("VecAlgebra") == 1
     derivation.check_wellformed()
 
@@ -265,7 +302,9 @@ def test_replay_chain_two_links():
     gadget = build_rhombus_chain(rational_point(0, 0), rational_point(1, 0), rational_point(0, 1), rational_point(1, 1))
     derivation = replay(gadget)
     rules = [j.rule for j in derivation.justifications]
-    assert rules.count("Prop4") == 4  # two per rhombus
+    # one per rhombus: each step is the second conclusion itself, and the
+    # first conclusion is no premise of the goal
+    assert rules.count("Prop4") == 2
     assert derivation.final_fact() == VecEq(a="A0", b="A2", c="C0", d="C2")
 
 

@@ -329,6 +329,64 @@ def test_simplest_rational_between_sqrts():
     assert simplest_rational_between_sqrts(QQ.rational(1), QQ.rational(9)) == 2
 
 
+def linear_mediant_walk(lo_sq, hi_sq) -> Fraction:
+    """Reference: the Stern-Brocot walk taking one mediant step at a time."""
+    a, b, c, d = 0, 1, 1, 0
+    while True:
+        m = Fraction(a + c, b + d)
+        if cmp_with_sqrt(m, lo_sq) <= 0:
+            a, b = m.numerator, m.denominator
+        elif cmp_with_sqrt(m, hi_sq) >= 0:
+            c, d = m.numerator, m.denominator
+        else:
+            return m
+
+
+squares = st.fractions(min_value=0, max_value=400, max_denominator=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(squares, squares, st.fractions(min_value=0, max_value=3, max_denominator=7))
+@example(Fraction(1), Fraction(81, 25), Fraction(0))
+@example(Fraction(0), Fraction(1, 3600), Fraction(0))
+@example(Fraction(399), Fraction(400), Fraction(0))
+@example(Fraction(2), Fraction(3), Fraction(1, 7))
+def test_batched_mediant_search_matches_the_linear_walk(sqrt2, x, y, shift):
+    # both ends moved by shift*sqrt(2) >= 0, so irrational whenever shift != 0
+    lo_sq = sqrt2.tower.rational(min(x, y)) + sqrt2.root * shift
+    hi_sq = sqrt2.tower.rational(max(x, y)) + sqrt2.root * shift
+    if x == y:
+        with pytest.raises(ValueError):
+            simplest_rational_between_sqrts(lo_sq, hi_sq)
+        return
+    assert simplest_rational_between_sqrts(lo_sq, hi_sq) == linear_mediant_walk(lo_sq, hi_sq)
+
+
+def test_mediant_search_is_logarithmic(monkeypatch):
+    from rigidity_forge import gadgets, scalars
+    from rigidity_forge.cm import rational_point
+
+    calls = []
+    real = scalars.cmp_with_sqrt
+
+    def counting(m, square):
+        calls.append(m)
+        return real(m, square)
+
+    monkeypatch.setattr(scalars, "cmp_with_sqrt", counting)
+    monkeypatch.setattr(gadgets, "cmp_with_sqrt", counting)
+    n = 10**9
+    # |AB| = n: a run of n steps up from 0; the linear walk makes n + 2 calls
+    gadget = gadgets.build_division(rational_point(0, 0), rational_point(n, 0), Fraction(1, 3))
+    assert gadget.layout["r"] == n + 1
+    assert len(calls) <= 64
+    # |AB| = 1/n: a run of about n/3 steps down from infinity
+    calls.clear()
+    gadget = gadgets.build_division(rational_point(0, 0), rational_point(Fraction(1, n), 0), Fraction(1, 3))
+    assert gadget.layout["r"] == Fraction(1, n // 3 + 1)
+    assert len(calls) <= 64
+
+
 def test_strict_rational_bounds():
     lo, hi = strict_rational_bounds_of_sqrt(QQ.rational(2))
     assert 0 < lo < hi
