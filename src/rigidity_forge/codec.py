@@ -9,27 +9,13 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_type_hints
 
 from .cm import Point
-from .engine import (
-    Derivation,
-    Distinct,
-    Fact,
-    Justification,
-    NonzeroDist,
-    SqDistKnown,
-)
-from .gadgets import (
-    AffineComb,
-    CertEntry,
-    DotZero,
-    Gadget,
-    Goal,
-    VecEq,
-    VecScale,
-)
+from .engine import Derivation, Fact, Justification
+from .gadgets import CertEntry, Gadget, Goal
 from .models import Embedding, ModelMap, OrthoAffine
 from .scalars import QQ, FunElem, TowerDesc, TowerElem, sqrt_in_tower
 
@@ -39,6 +25,9 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 # digits per integer, below the interpreter's default int-string limit (4300)
 MAX_DIGITS = 4000
+
+# generators per tower; decoding and validating costs ~5x per level
+MAX_TOWER_DEPTH = 8
 
 
 class SchemaViolation(ValueError):
@@ -69,18 +58,29 @@ def decode_rational(text: Any, location: str = "rational") -> Fraction:
     return Fraction(text)
 
 
+def _encode_coords(x: TowerElem) -> list[str]:
+    return [encode_rational(c) for c in x.coords]
+
+
+def _decode_coords(tower: TowerDesc, coords: Any, location: str) -> TowerElem:
+    """A list of ``tower.dim`` exact rationals at ``location``."""
+    if not isinstance(coords, list) or len(coords) != tower.dim:
+        _fail(location, f"expected {tower.dim} coordinates")
+    return TowerElem(tower, tuple(decode_rational(c, f"{location}[{i}]") for i, c in enumerate(coords)))
+
+
 def encode_tower(tower: TowerDesc) -> dict:
-    return {"gens": [[encode_rational(c) for c in g.coords] for g in tower.gens]}
+    return {"gens": [_encode_coords(g) for g in tower.gens]}
 
 
 def decode_tower(obj: Any, location: str = "field") -> TowerDesc:
-    if not isinstance(obj, Mapping) or "gens" not in obj:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("gens"), list):
         _fail(location, "expected an object with a 'gens' list")
+    if len(obj["gens"]) > MAX_TOWER_DEPTH:
+        _fail(f"{location}.gens", f"{len(obj['gens'])} generators exceed the tower depth limit {MAX_TOWER_DEPTH}")
     tower = QQ
     for i, coords in enumerate(obj["gens"]):
-        if not isinstance(coords, list) or len(coords) != tower.dim:
-            _fail(f"{location}.gens[{i}]", f"expected {tower.dim} coordinates")
-        rad = TowerElem(tower, tuple(decode_rational(c, f"{location}.gens[{i}][{j}]") for j, c in enumerate(coords)))
+        rad = _decode_coords(tower, coords, f"{location}.gens[{i}]")
         if rad.sign() <= 0:
             _fail(f"{location}.gens[{i}]", "radicand is not strictly positive")
         if sqrt_in_tower(rad) is not None:
@@ -90,38 +90,32 @@ def decode_tower(obj: Any, location: str = "field") -> TowerDesc:
 
 
 def encode_tower_elem(x: TowerElem) -> dict:
-    return {"gens": encode_tower(x.tower)["gens"], "coords": [encode_rational(c) for c in x.coords]}
+    return {"gens": encode_tower(x.tower)["gens"], "coords": _encode_coords(x)}
 
 
 def decode_tower_elem(obj: Any, location: str = "scalar") -> TowerElem:
     tower = decode_tower(obj, location)
-    coords = obj.get("coords")
-    if not isinstance(coords, list) or len(coords) != tower.dim:
-        _fail(f"{location}.coords", f"expected {tower.dim} coordinates")
-    return TowerElem(tower, tuple(decode_rational(c, f"{location}.coords[{i}]") for i, c in enumerate(coords)))
+    return _decode_coords(tower, obj.get("coords"), f"{location}.coords")
 
 
 def encode_fun_elem(x: FunElem) -> dict:
     return {
         "tower": encode_tower(x.tower),
-        "num": [[encode_rational(c) for c in coeff.coords] for coeff in x.num],
-        "den": [[encode_rational(c) for c in coeff.coords] for coeff in x.den],
+        "num": [_encode_coords(coeff) for coeff in x.num],
+        "den": [_encode_coords(coeff) for coeff in x.den],
     }
 
 
 def decode_fun_elem(obj: Any, location: str = "scalar") -> FunElem:
+    if not isinstance(obj, Mapping):
+        _fail(location, "expected a function-field element object")
     tower = decode_tower(obj.get("tower", {"gens": []}), f"{location}.tower")
 
     def poly(key: str):
         coeffs = obj.get(key)
         if not isinstance(coeffs, list):
             _fail(f"{location}.{key}", "expected a coefficient list")
-        out = []
-        for i, coords in enumerate(coeffs):
-            if not isinstance(coords, list) or len(coords) != tower.dim:
-                _fail(f"{location}.{key}[{i}]", f"expected {tower.dim} coordinates")
-            out.append(TowerElem(tower, tuple(decode_rational(c, f"{location}.{key}[{i}][{j}]") for j, c in enumerate(coords))))
-        return tuple(out)
+        return tuple(_decode_coords(tower, coords, f"{location}.{key}[{i}]") for i, coords in enumerate(coeffs))
 
     return FunElem(tower, poly("num"), poly("den"))
 
@@ -187,64 +181,63 @@ def decode_layout(value: Any, location: str = "layout") -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Goals and facts
+# Facts and certificate entries: each dataclass field in declaration order
 # ---------------------------------------------------------------------------
 
+FACT_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(Fact)}
+GOAL_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(Goal)}
 
-def encode_goal(goal: Goal) -> dict:
-    if isinstance(goal, AffineComb):
-        return {"kind": "AffineComb", "c": goal.c, "a": goal.a, "b": goal.b, "t": encode_rational(goal.t)}
-    if isinstance(goal, VecEq):
-        return {"kind": "VecEq", "a": goal.a, "b": goal.b, "c": goal.c, "d": goal.d}
-    if isinstance(goal, VecScale):
-        return {"kind": "VecScale", "a": goal.a, "b": goal.b, "c": goal.c, "d": goal.d, "r": encode_rational(goal.r)}
-    if isinstance(goal, DotZero):
-        return {"kind": "DotZero", "a": goal.a, "b": goal.b, "c": goal.c, "d": goal.d}
-    raise SchemaViolation(f"unknown goal {goal!r}")
+# per record class, each field's name and whether it holds an exact rational
+# (every other field is a point name)
+_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {
+    cls: tuple((f.name, get_type_hints(cls)[f.name] is Fraction) for f in fields(cls))
+    for cls in (*FACT_KINDS.values(), CertEntry)
+}
 
 
-def decode_goal(obj: Any, location: str = "goal") -> Goal:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        _fail(location, "expected a tagged goal object")
-    kind = obj["kind"]
-    try:
-        if kind == "AffineComb":
-            return AffineComb(c=obj["c"], a=obj["a"], b=obj["b"], t=decode_rational(obj["t"], f"{location}.t"))
-        if kind == "VecEq":
-            return VecEq(a=obj["a"], b=obj["b"], c=obj["c"], d=obj["d"])
-        if kind == "VecScale":
-            return VecScale(a=obj["a"], b=obj["b"], c=obj["c"], d=obj["d"], r=decode_rational(obj["r"], f"{location}.r"))
-        if kind == "DotZero":
-            return DotZero(a=obj["a"], b=obj["b"], c=obj["c"], d=obj["d"])
-    except KeyError as exc:
-        _fail(location, f"missing field {exc}")
-    _fail(location, f"unknown goal kind {kind!r}")
+def _is_point(name: Any, points: Mapping[str, Point]) -> bool:
+    return isinstance(name, str) and name in points
+
+
+def _encode_record(record: Any, out: dict) -> dict:
+    for name, rational in _FIELDS[type(record)]:
+        value = getattr(record, name)
+        out[name] = encode_rational(value) if rational else value
+    return out
+
+
+def _decode_record(cls: type, obj: Mapping, points: Mapping[str, Point], location: str) -> Any:
+    values = {}
+    for name, rational in _FIELDS[cls]:
+        if name not in obj:
+            _fail(location, f"missing field {name!r}")
+        value = obj[name]
+        if rational:
+            value = decode_rational(value, f"{location}.{name}")
+        elif not _is_point(value, points):
+            _fail(f"{location}.{name}", f"unknown point {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 def encode_fact(fact: Fact) -> dict:
-    if isinstance(fact, SqDistKnown):
-        return {"kind": "SqDistKnown", "p": fact.p, "q": fact.q, "v": encode_rational(fact.v)}
-    if isinstance(fact, Distinct):
-        return {"kind": "Distinct", "p": fact.p, "q": fact.q}
-    if isinstance(fact, NonzeroDist):
-        return {"kind": "NonzeroDist", "p": fact.p, "q": fact.q}
-    return encode_goal(fact)
+    return _encode_record(fact, {"kind": type(fact).__name__})
 
 
-def decode_fact(obj: Any, location: str = "fact") -> Fact:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        _fail(location, "expected a tagged fact object")
-    kind = obj["kind"]
-    try:
-        if kind == "SqDistKnown":
-            return SqDistKnown(p=obj["p"], q=obj["q"], v=decode_rational(obj["v"], f"{location}.v"))
-        if kind == "Distinct":
-            return Distinct(p=obj["p"], q=obj["q"])
-        if kind == "NonzeroDist":
-            return NonzeroDist(p=obj["p"], q=obj["q"])
-    except KeyError as exc:
-        _fail(location, f"missing field {exc}")
-    return decode_goal(obj, location)
+def decode_fact(obj: Any, points: Mapping[str, Point], location: str = "fact", kinds: Mapping[str, type] = FACT_KINDS) -> Fact:
+    """A fact of one of ``kinds`` whose name fields all name ``points``."""
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("kind"), str):
+        _fail(location, "expected an object tagged with its kind")
+    if obj["kind"] not in kinds:
+        _fail(location, f"kind {obj['kind']!r} is not one of {', '.join(kinds)}")
+    return _decode_record(kinds[obj["kind"]], obj, points, location)
+
+
+def _list(obj: Mapping, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        _fail(key, "expected a list")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +250,10 @@ def encode_gadget(gadget: Gadget) -> dict:
         "schema": SCHEMA,
         "kind": "gadget",
         "field": encode_tower(gadget.tower),
-        "points": {
-            name: [
-                [encode_rational(c) for c in p.x.coords],
-                [encode_rational(c) for c in p.y.coords],
-            ]
-            for name, p in gadget.points.items()
-        },
-        "certificate": [
-            {"p": e.p, "q": e.q, "d2": encode_rational(e.d2)} for e in gadget.certificate
-        ],
+        "points": {name: [_encode_coords(p.x), _encode_coords(p.y)] for name, p in gadget.points.items()},
+        "certificate": [_encode_record(e, {}) for e in gadget.certificate],
         "side_conditions": [list(pair) for pair in gadget.side_conditions],
-        "goal": encode_goal(gadget.goal),
+        "goal": encode_fact(gadget.goal),
         "layout": encode_layout(gadget.layout),
     }
 
@@ -289,33 +274,20 @@ def decode_gadget(obj: Any) -> Gadget:
         loc = f"points.{name}"
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(loc, "expected [x_coords, y_coords]")
-        coords = []
-        for axis, coord_list in zip("xy", pair):
-            if not isinstance(coord_list, list) or len(coord_list) != tower.dim:
-                _fail(f"{loc}.{axis}", f"expected {tower.dim} coordinates")
-            coords.append(
-                TowerElem(tower, tuple(decode_rational(c, f"{loc}.{axis}[{i}]") for i, c in enumerate(coord_list)))
-            )
-        points[name] = Point(coords[0], coords[1])
+        points[name] = Point(*(_decode_coords(tower, coords, f"{loc}.{axis}") for axis, coords in zip("xy", pair)))
     certificate = []
-    for i, entry in enumerate(obj.get("certificate", [])):
-        loc = f"certificate[{i}]"
-        if not isinstance(entry, Mapping) or not {"p", "q", "d2"} <= set(entry):
-            _fail(loc, "expected {p, q, d2}")
-        if entry["p"] not in points or entry["q"] not in points:
-            _fail(loc, f"unknown point {entry['p']!r}/{entry['q']!r}")
-        certificate.append(CertEntry(entry["p"], entry["q"], decode_rational(entry["d2"], f"{loc}.d2")))
+    for i, entry in enumerate(_list(obj, "certificate")):
+        if not isinstance(entry, Mapping):
+            _fail(f"certificate[{i}]", "expected {p, q, d2}")
+        certificate.append(_decode_record(CertEntry, entry, points, f"certificate[{i}]"))
     sides = []
-    for i, pair in enumerate(obj.get("side_conditions", [])):
+    for i, pair in enumerate(_list(obj, "side_conditions")):
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(f"side_conditions[{i}]", "expected a name pair")
-        if pair[0] not in points or pair[1] not in points:
+        if not all(_is_point(name, points) for name in pair):
             _fail(f"side_conditions[{i}]", f"unknown point in {pair}")
         sides.append((pair[0], pair[1]))
-    goal = decode_goal(obj.get("goal"), "goal")
-    for name in (goal.a, goal.b, goal.c) if isinstance(goal, AffineComb) else (goal.a, goal.b, goal.c, goal.d):
-        if name not in points:
-            _fail("goal", f"unknown point {name!r}")
+    goal = decode_fact(obj.get("goal"), points, "goal", GOAL_KINDS)
     layout = decode_layout(obj.get("layout", {}), "layout")
     _check_layout(layout, points, "layout")
     return Gadget(
@@ -347,14 +319,14 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
             isinstance(v, list)
             and len(v) > 0
             and count in (None, len(v))
-            and all(isinstance(n, str) and n in points for n in v)
+            and all(_is_point(n, points) for n in v)
         )
 
     def rational(v) -> bool:
         return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
     def roles(v) -> bool:
-        return isinstance(v, Mapping) and all(isinstance(v.get(r), str) and v[r] in points for r in "ABCDEF")
+        return isinstance(v, Mapping) and all(_is_point(v.get(r), points) for r in "ABCDEF")
 
     if kind in ("division", "kempe"):
         need("roles", roles, "roles A-F naming gadget points")
@@ -405,11 +377,11 @@ def decode_derivation(obj: Any) -> Derivation:
     gadget = decode_gadget(obj.get("gadget"))
     facts = []
     justs = []
-    for i, step in enumerate(obj.get("facts", [])):
+    for i, step in enumerate(_list(obj, "facts")):
         loc = f"facts[{i}]"
         if not isinstance(step, Mapping) or not {"fact", "rule", "premises"} <= set(step):
             _fail(loc, "expected {fact, rule, premises}")
-        facts.append(decode_fact(step["fact"], f"{loc}.fact"))
+        facts.append(decode_fact(step["fact"], gadget.points, f"{loc}.fact"))
         premises = step["premises"]
         if not isinstance(premises, list) or any(not isinstance(p, int) for p in premises):
             _fail(f"{loc}.premises", "expected a list of fact indices")

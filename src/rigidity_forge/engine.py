@@ -30,6 +30,7 @@ from .gadgets import (
     InvalidGadget,
     VecEq,
     VecScale,
+    layout_goal,
 )
 from .scalars import _frac_sqrt
 
@@ -77,35 +78,39 @@ class ModelUndefinedAtPoint(EngineError):
 
 @dataclass(frozen=True)
 class SqDistKnown:
+    """|f(p) - f(q)|^2 = v."""
+
     p: str
     q: str
     v: Fraction
 
+    def holds(self, points: Mapping[str, Point]) -> bool:
+        return sqdist(points[self.p], points[self.q]) == self.v
+
 
 @dataclass(frozen=True)
 class Distinct:
+    """f(p) != f(q)."""
+
     p: str
     q: str
+
+    def holds(self, points: Mapping[str, Point]) -> bool:
+        return not (points[self.p] == points[self.q])
 
 
 @dataclass(frozen=True)
 class NonzeroDist:
+    """|f(p) - f(q)|^2 != 0."""
+
     p: str
     q: str
 
+    def holds(self, points: Mapping[str, Point]) -> bool:
+        return not _is_zero(sqdist(points[self.p], points[self.q]))
+
 
 Fact = Union[SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero]
-
-RULES = (
-    "RationalDistanceAxiom",
-    "Injectivity",
-    "NonzeroDistance",
-    "Prop3",
-    "Prop4",
-    "VecAlgebra",
-    "KempeChain",
-    "Composition",
-)
 
 
 def fact_key(fact: Fact):
@@ -305,7 +310,7 @@ def assert_certificate(gadget: Gadget) -> FactStore:
 # ---------------------------------------------------------------------------
 
 
-def _prop3_conclude(store: FactStore, premises: Sequence[int]) -> VecScale:
+def _prop3_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[VecScale]:
     facts = [store.facts[i] for i in premises]
     if len(facts) != 3 or not all(isinstance(f, SqDistKnown) for f in facts):
         raise PatternMismatch("Prop3 needs three SqDistKnown premises")
@@ -334,13 +339,13 @@ def _prop3_conclude(store: FactStore, premises: Sequence[int]) -> VecScale:
                 if a + b == 0:
                     continue
                 if (a + b) ** 2 == zxt.v:
-                    return VecScale(a=z, b=x, c=z, d=xt, r=a / (a + b))
+                    return (VecScale(a=z, b=x, c=z, d=xt, r=a / (a + b)),)
     if not saw_rational_roots:
         raise NonRationalPattern("no rational square-root decomposition of the given squared distances")
     raise PatternMismatch("premises do not match the a^2 / b^2 / (a+b)^2 pattern")
 
 
-def _prop4_conclude(store: FactStore, premises: Sequence[int]) -> tuple[VecEq, VecEq]:
+def _prop4_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[VecEq, VecEq]:
     facts = [store.facts[i] for i in premises]
     dists = [f for f in facts if isinstance(f, SqDistKnown)]
     nonzero = [f for f in facts if isinstance(f, NonzeroDist)]
@@ -370,7 +375,7 @@ def _prop4_conclude(store: FactStore, premises: Sequence[int]) -> tuple[VecEq, V
     return VecEq(a=e, b=c, c=d, d=f), VecEq(a=f, b=c, c=d, d=e)
 
 
-def _vec_algebra_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact) -> Fact:
+def _vec_algebra_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact]:
     target = _linear_relation(conclusion)
     if target is None:
         raise PatternMismatch("VecAlgebra conclusion must be a vector fact")
@@ -382,7 +387,7 @@ def _vec_algebra_conclude(store: FactStore, premises: Sequence[int], conclusion:
         vectors.append(rel)
     if not _in_span(target, vectors):
         raise PatternMismatch("conclusion is not a rational combination of the premises")
-    return conclusion
+    return (conclusion,)
 
 
 @lru_cache(maxsize=1)
@@ -396,14 +401,34 @@ def kempe_identities_verified() -> bool:
     return all(checks)
 
 
-def _kempe_conclude(store: FactStore, premises: Sequence[int], roles: Mapping[str, str]) -> DotZero:
+def _infer_kempe_roles(dists: Mapping[frozenset, Fraction], conclusion: DotZero) -> dict[str, str]:
+    """Recover the role assignment of a linkage step from its premise values."""
+    roles = {"D": conclusion.a, "E": conclusion.b, "A": conclusion.c, "B": conclusion.d}
+    names = set()
+    for pair in dists:
+        names |= set(pair)
+    rest = names - set(roles.values())
+    for name in rest:
+        if dists.get(frozenset((roles["A"], name))) == 9:
+            roles["F"] = name
+        elif dists.get(frozenset((roles["B"], name))) == 4:
+            roles["C"] = name
+    if "C" not in roles or "F" not in roles:
+        raise PatternMismatch("cannot recover the linkage role assignment")
+    return roles
+
+
+def _kempe_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[DotZero]:
     if not kempe_identities_verified():  # pragma: no cover - identities are fixed
         raise SoundnessCertificateMissing(
             "the symbolic determinant identities were not verified in this build"
         )
+    if not isinstance(conclusion, DotZero):
+        raise PatternMismatch("linkage conclusion must be a DotZero fact")
     facts = [store.facts[i] for i in premises]
     dists = {frozenset((f.p, f.q)): f.v for f in facts if isinstance(f, SqDistKnown)}
     nonzero = {frozenset((f.p, f.q)) for f in facts if isinstance(f, NonzeroDist)}
+    roles = _infer_kempe_roles(dists, conclusion)
     for (r1, r2), value in KEMPE_SQ_DISTANCES.items():
         pair = frozenset((roles[r1], roles[r2]))
         if dists.get(pair) != value:
@@ -411,10 +436,10 @@ def _kempe_conclude(store: FactStore, premises: Sequence[int], roles: Mapping[st
     for r1, r2 in KEMPE_NONZERO_PAIRS:
         if frozenset((roles[r1], roles[r2])) not in nonzero:
             raise PatternMismatch(f"missing nonzero-distance premise {r1}{r2}")
-    return DotZero(a=roles["D"], b=roles["E"], c=roles["A"], d=roles["B"])
+    return (conclusion,)
 
 
-def _composition_conclude(store: FactStore, premises: Sequence[int]) -> DotZero:
+def _composition_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[DotZero]:
     facts = [store.facts[i] for i in premises]
     dot = [f for f in facts if isinstance(f, DotZero)]
     scales = [f for f in facts if isinstance(f, VecScale)]
@@ -434,34 +459,35 @@ def _composition_conclude(store: FactStore, premises: Sequence[int]) -> DotZero:
             raise PatternMismatch("VecScale premise does not rescale a DotZero side")
     if new_first is None or new_second is None:
         raise PatternMismatch("both DotZero sides must be rescaled")
-    return DotZero(a=new_first[0], b=new_first[1], c=new_second[0], d=new_second[1])
+    return (DotZero(a=new_first[0], b=new_first[1], c=new_second[0], d=new_second[1]),)
 
 
-def apply_rule(store: FactStore, rule: str, premises: Sequence[int], **params) -> list[Fact]:
+# each lemma maps (store, premises, stated conclusion) to the facts it admits;
+# VecAlgebra and KempeChain admit the stated conclusion or raise
+_LEMMAS = {
+    "Prop3": _prop3_conclude,
+    "Prop4": _prop4_conclude,
+    "VecAlgebra": _vec_algebra_conclude,
+    "KempeChain": _kempe_conclude,
+    "Composition": _composition_conclude,
+}
+
+RULES = ("RationalDistanceAxiom", "Injectivity", "NonzeroDistance", *_LEMMAS)
+
+
+def _conclusions(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact, ...]:
+    if rule not in _LEMMAS:
+        raise EngineError(f"unknown or axiom-only rule {rule!r}")
+    return _LEMMAS[rule](store, premises, conclusion)
+
+
+def apply_rule(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None = None) -> list[Fact]:
     """Apply a deduction rule; returns the newly concluded fact(s), which are
     also appended to the store with full justifications."""
-    if rule == "Prop3":
-        conclusion = _prop3_conclude(store, premises)
-        store.add(conclusion, rule, premises)
-        return [conclusion]
-    if rule == "Prop4":
-        veceq1, veceq2 = _prop4_conclude(store, premises)
-        store.add(veceq1, rule, premises)
-        store.add(veceq2, rule, premises)
-        return [veceq1, veceq2]
-    if rule == "VecAlgebra":
-        conclusion = _vec_algebra_conclude(store, premises, params["conclusion"])
-        store.add(conclusion, rule, premises)
-        return [conclusion]
-    if rule == "KempeChain":
-        conclusion = _kempe_conclude(store, premises, params["roles"])
-        store.add(conclusion, rule, premises)
-        return [conclusion]
-    if rule == "Composition":
-        conclusion = _composition_conclude(store, premises)
-        store.add(conclusion, rule, premises)
-        return [conclusion]
-    raise EngineError(f"unknown or axiom-only rule {rule!r}")
+    facts = list(_conclusions(store, rule, premises, conclusion))
+    for fact in facts:
+        store.add(fact, rule, premises)
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +497,9 @@ def apply_rule(store: FactStore, rule: str, premises: Sequence[int], **params) -
 
 def _replay_layout(store: FactStore, layout: Mapping) -> int:
     kind = layout.get("kind")
-    if kind == "division":
-        return _replay_division_layout(store, layout)
-    if kind == "chain":
-        return _replay_chain_layout(store, layout)
-    if kind == "bridge":
-        return _replay_bridge_layout(store, layout)
-    if kind == "scale":
-        return _replay_scale_layout(store, layout)
-    if kind == "kempe":
-        return _replay_kempe_layout(store, layout)
-    if kind == "perp":
-        return _replay_perp_layout(store, layout)
-    raise ReplayFailed(f"no replay script for layout kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _REPLAYS:
+        raise ReplayFailed(f"no replay script for layout kind {kind!r}")
+    return _REPLAYS[kind](store, layout)
 
 
 def _shadow_prop3(store: FactStore, z: str, x: str, xt: str) -> None:
@@ -505,7 +521,6 @@ def _shadow_prop3(store: FactStore, z: str, x: str, xt: str) -> None:
 
 def _replay_division_layout(store: FactStore, layout: Mapping) -> int:
     roles = layout["roles"]
-    t = layout["t"]
     a, b, c, d, e, f = (roles[k] for k in "ABCDEF")
     p1 = [store.require_sqdist(a, e), store.require_sqdist(e, d), store.require_sqdist(a, d)]
     scale1 = apply_rule(store, "Prop3", p1)[0]
@@ -524,11 +539,10 @@ def _replay_division_layout(store: FactStore, layout: Mapping) -> int:
     pts = store.gadget.points
     _shadow_prop3(store, a, e, d)
     _shadow_prop3(store, b, f, d)
-    for fact in (scale1, scale2):
-        if not (pts[fact.b] - pts[fact.a]) == (pts[fact.d] - pts[fact.c]).scaled(fact.r):
-            raise ReplayFailed("Prop3 conclusion fails on domain coordinates")
+    if not (scale1.holds(pts) and scale2.holds(pts)):
+        raise ReplayFailed("Prop3 conclusion fails on domain coordinates")
     prop4_verify(pts[e], pts[f], pts[c], pts[d])
-    conclusion = AffineComb(c=c, a=a, b=b, t=t)
+    conclusion = layout_goal(layout)
     premises = [store.require(scale1), store.require(scale2), store.require(veceq)]
     apply_rule(store, "VecAlgebra", premises, conclusion=conclusion)
     return store.require(conclusion)
@@ -537,7 +551,7 @@ def _replay_division_layout(store: FactStore, layout: Mapping) -> int:
 def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
     track1 = layout["track1"]
     track2 = layout["track2"]
-    conclusion = VecEq(a=track1[0], b=track1[-1], c=track2[0], d=track2[-1])
+    conclusion = layout_goal(layout)
     if len(track1) == 1 or track1 == track2:
         apply_rule(store, "VecAlgebra", [], conclusion=conclusion)
         return store.require(conclusion)
@@ -569,26 +583,10 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
     return store.require(conclusion)
 
 
-def _replay_bridge_layout(store: FactStore, layout: Mapping) -> int:
-    sub_ids = [_replay_layout(store, sub) for sub in layout["sub"]]
-    first = layout["sub"][0]
-    last = layout["sub"][-1]
-    conclusion = VecEq(
-        a=first["track1"][0],
-        b=first["track1"][-1],
-        c=last["track2"][0],
-        d=last["track2"][-1],
-    )
-    apply_rule(store, "VecAlgebra", sub_ids, conclusion=conclusion)
-    return store.require(conclusion)
-
-
-def _replay_scale_layout(store: FactStore, layout: Mapping) -> int:
-    src = layout["src"]
-    dst = layout["dst"]
-    r = layout["r"]
-    conclusion = VecScale(a=dst[0], b=dst[1], c=src[0], d=src[1], r=r)
+def _replay_collect_layout(store: FactStore, layout: Mapping) -> int:
+    """Bridge and scale: the sub-layouts' conclusions combine linearly."""
     premises = [_replay_layout(store, sub) for sub in layout["sub"]]
+    conclusion = layout_goal(layout)
     apply_rule(store, "VecAlgebra", premises, conclusion=conclusion)
     return store.require(conclusion)
 
@@ -600,7 +598,8 @@ def _replay_kempe_layout(store: FactStore, layout: Mapping) -> int:
         premises.append(store.require_sqdist(roles[r1], roles[r2]))
     for r1, r2 in KEMPE_NONZERO_PAIRS:
         premises.append(store.require(NonzeroDist(roles[r1], roles[r2])))
-    conclusion = apply_rule(store, "KempeChain", premises, roles=roles)[0]
+    conclusion = layout_goal(layout)
+    apply_rule(store, "KempeChain", premises, conclusion=conclusion)
     return store.require(conclusion)
 
 
@@ -608,18 +607,25 @@ def _replay_perp_layout(store: FactStore, layout: Mapping) -> int:
     kempe_id = _replay_layout(store, layout["kempe"])
     scale_pq_id = _replay_layout(store, layout["scale_pq"])
     scale_xy_id = _replay_layout(store, layout["scale_xy"])
-    roles = layout["kempe"]["roles"]
-    pq = layout["scale_pq"]["dst"]
-    xy = layout["scale_xy"]["dst"]
     scale_pq = store.facts[scale_pq_id]
     scale_xy = store.facts[scale_xy_id]
     if scale_pq.r == 0 or scale_xy.r == 0:
         raise ReplayFailed("degenerate zero ratio in perpendicularity transfer")
     conclusion = apply_rule(store, "Composition", [kempe_id, scale_pq_id, scale_xy_id])[0]
-    want = DotZero(a=pq[0], b=pq[1], c=xy[0], d=xy[1])
+    want = layout_goal(layout)
     if fact_key(conclusion) != fact_key(want):
         raise ReplayFailed("composition did not produce the expected perpendicularity")
     return store.require(want)
+
+
+_REPLAYS = {
+    "division": _replay_division_layout,
+    "chain": _replay_chain_layout,
+    "bridge": _replay_collect_layout,
+    "scale": _replay_collect_layout,
+    "kempe": _replay_kempe_layout,
+    "perp": _replay_perp_layout,
+}
 
 
 def _finish(store: FactStore, goal_id: int) -> Derivation:
@@ -669,8 +675,7 @@ def replay_scale(a: Point, b: Point, c: Point, d: Point, r: Fraction) -> Derivat
         layout = _emit_scale(builder, (a_name, b_name), (c_name, d_name), r, "s")
     except GadgetError as exc:
         raise ReplayFailed(str(exc)) from exc
-    goal = VecScale(a=c_name, b=d_name, c=a_name, d=b_name, r=r)
-    return replay(builder.finish(goal, layout))
+    return replay(builder.finish(layout))
 
 
 @dataclass
@@ -743,54 +748,10 @@ def check_derivation(derivation: Derivation, model) -> Verdict:
             images[name] = model.apply(point)
         except Exception as exc:
             raise ModelUndefinedAtPoint(f"model undefined at {name}: {exc}") from exc
-
-    def embed(value: Fraction):
-        return model.embed_rational(value)
-
     for idx, fact in enumerate(derivation.facts):
-        if isinstance(fact, SqDistKnown):
-            ok = sqdist(images[fact.p], images[fact.q]) == embed(fact.v)
-        elif isinstance(fact, Distinct):
-            ok = not (images[fact.p] == images[fact.q])
-        elif isinstance(fact, NonzeroDist):
-            ok = not _is_zero(sqdist(images[fact.p], images[fact.q]))
-        elif isinstance(fact, VecEq):
-            ok = (images[fact.b] - images[fact.a]) == (images[fact.d] - images[fact.c])
-        elif isinstance(fact, VecScale):
-            ok = (images[fact.b] - images[fact.a]) == (
-                images[fact.d] - images[fact.c]
-            ).scaled(embed(fact.r))
-        elif isinstance(fact, AffineComb):
-            ok = (images[fact.c] - images[fact.b]) == (
-                images[fact.a] - images[fact.b]
-            ).scaled(embed(fact.t))
-        elif isinstance(fact, DotZero):
-            ok = _is_zero(
-                (images[fact.b] - images[fact.a]).dot(images[fact.d] - images[fact.c])
-            )
-        else:  # pragma: no cover
-            raise EngineError(f"unknown fact {fact!r}")
-        if not ok:
+        if not fact.holds(images):
             return Verdict(ok=False, checked=idx + 1, violated_index=idx, violated_fact=fact)
     return Verdict(ok=True, checked=len(derivation.facts))
-
-
-def _infer_kempe_roles(store_facts: Sequence[Fact], premises: Sequence[int], conclusion: DotZero) -> dict[str, str]:
-    """Recover the role assignment of a linkage step from its premise values."""
-    roles = {"D": conclusion.a, "E": conclusion.b, "A": conclusion.c, "B": conclusion.d}
-    dists = {frozenset((f.p, f.q)): f.v for i in premises if isinstance(f := store_facts[i], SqDistKnown)}
-    names = set()
-    for pair in dists:
-        names |= set(pair)
-    rest = names - set(roles.values())
-    for name in rest:
-        if dists.get(frozenset((roles["A"], name))) == 9:
-            roles["F"] = name
-        elif dists.get(frozenset((roles["B"], name))) == 4:
-            roles["C"] = name
-    if "C" not in roles or "F" not in roles:
-        raise PatternMismatch("cannot recover the linkage role assignment")
-    return roles
 
 
 def recheck_derivation(derivation: Derivation) -> None:
@@ -817,29 +778,8 @@ def recheck_derivation(derivation: Derivation) -> None:
             elif rule == "NonzeroDistance":
                 if not isinstance(fact, NonzeroDist) or gadget.points[fact.p] == gadget.points[fact.q]:
                     raise PatternMismatch("points are not coordinate-distinct")
-            elif rule == "Prop3":
-                expected = _prop3_conclude(shadow, just.premises)
-                if fact_key(expected) != fact_key(fact):
-                    raise PatternMismatch("stored fact differs from the rule's conclusion")
-            elif rule == "Prop4":
-                first, second = _prop4_conclude(shadow, just.premises)
-                if fact_key(fact) not in (fact_key(first), fact_key(second)):
-                    raise PatternMismatch("stored fact differs from the rule's conclusions")
-            elif rule == "VecAlgebra":
-                _vec_algebra_conclude(shadow, just.premises, fact)
-            elif rule == "KempeChain":
-                if not isinstance(fact, DotZero):
-                    raise PatternMismatch("linkage conclusion must be a DotZero fact")
-                roles = _infer_kempe_roles(shadow.facts, just.premises, fact)
-                expected = _kempe_conclude(shadow, just.premises, roles)
-                if fact_key(expected) != fact_key(fact):
-                    raise PatternMismatch("stored fact differs from the linkage conclusion")
-            elif rule == "Composition":
-                expected = _composition_conclude(shadow, just.premises)
-                if fact_key(expected) != fact_key(fact):
-                    raise PatternMismatch("stored fact differs from the composed conclusion")
-            else:  # pragma: no cover - check_wellformed already restricts rules
-                raise PatternMismatch(f"unknown rule {rule!r}")
+            elif fact_key(fact) not in {fact_key(c) for c in _conclusions(shadow, rule, just.premises, fact)}:
+                raise PatternMismatch("stored fact differs from the rule's conclusion")
         except PatternMismatch as exc:
             raise ReplayFailed(f"step {i} ({rule}) fails re-checking: {exc}") from exc
         # extend the shadow store verbatim so later premise indices line up

@@ -86,6 +86,9 @@ class AffineComb:
     b: str
     t: Fraction
 
+    def holds(self, p: Mapping[str, Point]) -> bool:
+        return (p[self.c] - p[self.b]) == (p[self.a] - p[self.b]).scaled(self.t)
+
 
 @dataclass(frozen=True)
 class VecEq:
@@ -95,6 +98,9 @@ class VecEq:
     b: str
     c: str
     d: str
+
+    def holds(self, p: Mapping[str, Point]) -> bool:
+        return (p[self.b] - p[self.a]) == (p[self.d] - p[self.c])
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,9 @@ class VecScale:
     d: str
     r: Fraction
 
+    def holds(self, p: Mapping[str, Point]) -> bool:
+        return (p[self.b] - p[self.a]) == (p[self.d] - p[self.c]).scaled(self.r)
+
 
 @dataclass(frozen=True)
 class DotZero:
@@ -117,22 +126,36 @@ class DotZero:
     c: str
     d: str
 
+    def holds(self, p: Mapping[str, Point]) -> bool:
+        return _is_zero((p[self.b] - p[self.a]).dot(p[self.d] - p[self.c]))
+
 
 Goal = Union[AffineComb, VecEq, VecScale, DotZero]
 
 
-def goal_holds(goal: Goal, points: Mapping[str, Point]) -> bool:
-    """Evaluate a goal on concrete coordinates (identity-model truth)."""
-    p = points
-    if isinstance(goal, AffineComb):
-        return (p[goal.c] - p[goal.b]) == (p[goal.a] - p[goal.b]).scaled(goal.t)
-    if isinstance(goal, VecEq):
-        return (p[goal.b] - p[goal.a]) == (p[goal.d] - p[goal.c])
-    if isinstance(goal, VecScale):
-        return (p[goal.b] - p[goal.a]) == (p[goal.d] - p[goal.c]).scaled(goal.r)
-    if isinstance(goal, DotZero):
-        return _is_zero((p[goal.b] - p[goal.a]).dot(p[goal.d] - p[goal.c]))
-    raise TypeError(f"unknown goal {goal!r}")
+def layout_goal(layout: Mapping) -> Goal:
+    """The fact a layout forces; builders state it as their goal and replay
+    scripts conclude it."""
+    kind = layout["kind"]
+    if kind == "division":
+        roles = layout["roles"]
+        return AffineComb(c=roles["C"], a=roles["A"], b=roles["B"], t=layout["t"])
+    if kind == "chain":
+        track1, track2 = layout["track1"], layout["track2"]
+        return VecEq(a=track1[0], b=track1[-1], c=track2[0], d=track2[-1])
+    if kind == "bridge":
+        first, last = layout_goal(layout["sub"][0]), layout_goal(layout["sub"][-1])
+        return VecEq(a=first.a, b=first.b, c=last.c, d=last.d)
+    if kind == "scale":
+        (c, d), (a, b) = layout["src"], layout["dst"]
+        return VecScale(a=a, b=b, c=c, d=d, r=layout["r"])
+    if kind == "kempe":
+        roles = layout["roles"]
+        return DotZero(a=roles["D"], b=roles["E"], c=roles["A"], d=roles["B"])
+    if kind == "perp":
+        pq, xy = layout_goal(layout["scale_pq"]), layout_goal(layout["scale_xy"])
+        return DotZero(a=pq.a, b=pq.b, c=xy.a, d=xy.b)
+    raise InvalidGadget(f"unknown layout kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +192,7 @@ class Gadget:
         for a, b in self.side_conditions:
             if self.points[a] == self.points[b]:
                 raise InvalidGadget(f"side condition {a} != {b} fails on coordinates")
-        if not goal_holds(self.goal, self.points):
+        if not self.goal.holds(self.points):
             raise InvalidGadget("goal fails on the gadget's own coordinates")
 
 
@@ -221,7 +244,7 @@ class _Builder:
         if (p, q) not in self.side_conditions and (q, p) not in self.side_conditions:
             self.side_conditions.append((p, q))
 
-    def finish(self, goal: Goal, layout: dict) -> Gadget:
+    def finish(self, layout: dict) -> Gadget:
         points, tower = _minimize_points(self.points)
         gadget = Gadget(
             tower=tower,
@@ -230,7 +253,7 @@ class _Builder:
                 CertEntry(p, q, self.certificate[(p, q)]) for p, q in self.cert_order
             ),
             side_conditions=tuple(self.side_conditions),
-            goal=goal,
+            goal=layout_goal(layout),
             layout=layout,
         )
         gadget.validate()
@@ -384,10 +407,7 @@ def build_division(a: Point, b: Point, t: Fraction, r: Fraction | None = None) -
         if t != Fraction(1, 2) and cmp_with_sqrt(r * abs(1 - 2 * t), ab_sq) >= 0:
             raise GadgetError(f"r = {r} is too large for t = {t}")
     builder = _Builder()
-    layout = _emit_division(builder, a, b, t, r)
-    roles = layout["roles"]
-    goal = AffineComb(c=roles["C"], a=roles["A"], b=roles["B"], t=t)
-    return builder.finish(goal, layout)
+    return builder.finish(_emit_division(builder, a, b, t, r))
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +496,7 @@ def build_rhombus_chain(a: Point, b: Point, c: Point, d: Point) -> Gadget:
     """Transport f(B)-f(A) = f(D)-f(C) along congruent rhombi with rational side;
     degenerate translations yield the trivial chain."""
     builder = _Builder()
-    layout = _emit_chain(builder, a, b, c, d, "A", "C")
-    goal = VecEq(
-        a=layout["track1"][0],
-        b=layout["track1"][-1],
-        c=layout["track2"][0],
-        d=layout["track2"][-1],
-    )
-    return builder.finish(goal, layout)
+    return builder.finish(_emit_chain(builder, a, b, c, d, "A", "C"))
 
 
 def _emit_bridge(builder: _Builder, a: Point, b: Point, c: Point, d: Point, prefix: str) -> dict:
@@ -511,16 +524,7 @@ def build_translation_bridge(a: Point, b: Point, c: Point, d: Point) -> Gadget:
     """Transport f(B)-f(A) = f(D)-f(C) for an arbitrary translate pair, inserting
     auxiliary points at rational distances when |AC| is irrational."""
     builder = _Builder()
-    layout = _emit_bridge(builder, a, b, c, d, "")
-    first = layout["sub"][0]
-    last = layout["sub"][-1]
-    goal = VecEq(
-        a=first["track1"][0],
-        b=first["track1"][-1],
-        c=last["track2"][0],
-        d=last["track2"][-1],
-    )
-    return builder.finish(goal, layout)
+    return builder.finish(_emit_bridge(builder, a, b, c, d, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +664,7 @@ def _emit_kempe(builder: _Builder, t, rotation: tuple | None = None, anchor: Poi
 def build_kempe(t) -> Gadget:
     """The linkage fragment with distances 1,2,3,4 forcing DE perpendicular to AB."""
     builder = _Builder()
-    layout = _emit_kempe(builder, t)
-    roles = layout["roles"]
-    goal = DotZero(a=roles["D"], b=roles["E"], c=roles["A"], d=roles["B"])
-    return builder.finish(goal, layout)
+    return builder.finish(_emit_kempe(builder, t))
 
 
 def kempe_de_length(t: Fraction) -> Fraction:
@@ -801,7 +802,6 @@ def build_perp_transfer(p: Point, q: Point, x: Point, y: Point) -> Gadget:
     s = s_xy / 4
     scale_pq = _emit_scale(builder, (roles["E"], roles["D"]), (p_name, q_name), r, "p")
     scale_xy = _emit_scale(builder, (roles["A"], roles["B"]), (x_name, y_name), s, "x")
-    goal = DotZero(a=p_name, b=q_name, c=x_name, d=y_name)
     layout = {
         "kind": "perp",
         "kempe": layout_kempe,
@@ -810,7 +810,7 @@ def build_perp_transfer(p: Point, q: Point, x: Point, y: Point) -> Gadget:
         "r": r,
         "s": s,
     }
-    return builder.finish(goal, layout)
+    return builder.finish(layout)
 
 
 # ---------------------------------------------------------------------------

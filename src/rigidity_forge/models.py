@@ -13,7 +13,6 @@ preservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -152,9 +151,6 @@ class ModelMap:
         if self.frame is not None:
             x, y = self.frame.apply(x, y)
         return Point(x, y)
-
-    def embed_rational(self, q: Fraction) -> Fraction:
-        return q
 
     def rho(self, value: TowerElem):
         return self.embedding.apply_scalar(value)

@@ -288,9 +288,6 @@ def criterion_7_negative_controls(seed: int = 0) -> CriterionResult:
         def apply(self, p):
             return Point(2 * p.x, 2 * p.y)
 
-        def embed_rational(self, q):
-            return q
-
     verdict = check_derivation(entry.derivation, Doubling())
     checks["doubling fails at the first certificate fact"] = (
         not verdict.ok

@@ -200,6 +200,67 @@ def test_verify_rejects_deeply_nested_document(tmp_path, capsys):
         assert err.startswith("SchemaViolation: document: nesting too deep")
 
 
+@pytest.mark.parametrize("name", ["ZZ", [1]], ids=["unknown-name", "list"])
+def test_verify_and_model_check_reject_fact_naming_non_gadget_point(tmp_path, capsys, name):
+    gadget_file = tmp_path / "div.json"
+    deriv_file = tmp_path / "deriv.json"
+    run(["gadget", "division", "--t", "1/3", "-o", str(gadget_file)], capsys)
+    run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
+    doc = json.loads(deriv_file.read_text())
+    for step in doc["facts"]:
+        step["premises"] = [p + 1 for p in step["premises"]]
+    fact = {"kind": "VecEq", "a": name, "b": "ZZ", "c": "WW", "d": "WW"}
+    doc["facts"].insert(0, {"fact": fact, "rule": "VecAlgebra", "premises": []})
+    bad = tmp_path / "foreign.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
+        code, _, err = run(argv, capsys)
+        assert code == 1, argv[0]
+        assert err.startswith(f"SchemaViolation: facts[0].fact.a: unknown point {name!r}"), argv[0]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("gadget", "certificate"), 5, "certificate: expected a list"),
+        (("gadget", "certificate", 0, "p"), [1], "certificate[0].p: unknown point [1]"),
+        (("gadget", "side_conditions"), [[[1], [2]]], "side_conditions[0]: unknown point in"),
+        (("gadget", "field"), {"gens": 5}, "field: expected an object with a 'gens' list"),
+        (("facts",), 5, "facts: expected a list"),
+    ],
+    ids=["certificate", "certificate-name", "side-names", "gens", "facts"],
+)
+def test_verify_rejects_malformed_containers(tmp_path, capsys, path, value, message):
+    doc = _division_derivation(tmp_path, capsys)
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith(f"SchemaViolation: {message}")
+
+
+def test_verify_rejects_tower_deeper_than_limit(tmp_path, capsys):
+    from rigidity_forge.codec import MAX_TOWER_DEPTH
+
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    doc = json.loads(gadget_file.read_text())
+    # a dense tower: each radicand a distinct prime plus coordinates 1-3
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    doc["field"] = {"gens": [[str(p)] + [str(j) if j < 4 else "0" for j in range(1, 2**i)] for i, p in enumerate(primes)]}
+    assert len(doc["field"]["gens"]) == MAX_TOWER_DEPTH + 1
+    bad = tmp_path / "deep-tower.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: field.gens: 9 generators exceed the tower depth limit 8")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

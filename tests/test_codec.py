@@ -1,11 +1,12 @@
 """Bit-exact serialization round-trips and schema enforcement."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import codec
+from rigidity_forge import codec, suite
 from rigidity_forge.cm import Point, rational_point
 from rigidity_forge.engine import replay
 from rigidity_forge.gadgets import (
@@ -169,6 +170,11 @@ def test_random_function_field_elements_round_trip():
     run()
 
 
+def test_scalar_decoding_rejects_non_object_function_element():
+    with pytest.raises(codec.SchemaViolation, match="frame.matrix"):
+        codec.decode_scalar({"$fun": []}, "frame.matrix[0][0]")
+
+
 def test_document_dispatch():
     gadget = gadget_corpus()[0]
     assert codec.decode_document(codec.dumps(codec.encode_gadget(gadget))) == gadget
@@ -176,3 +182,17 @@ def test_document_dispatch():
     assert codec.decode_document(codec.dumps(codec.encode_model(model))) == model
     with pytest.raises(codec.SchemaViolation, match="kind"):
         codec.decode_document('{"schema": "rigidity-forge/1", "kind": "mystery"}')
+
+
+# sha256 of the 16 corpus derivations' encodings, concatenated in corpus order
+CORPUS_ENCODING_SHA256 = "a7875ffee76af4a222301e711eb5c51589764e6c1b64bb52aa1ad8530795ebdf"
+
+
+def test_corpus_encoding_is_pinned():
+    """The derivation file format, byte for byte, over every fact kind."""
+    corpus = suite.replay_corpus()
+    assert len(corpus) == 16
+    kinds = {type(fact).__name__ for entry in corpus for fact in entry.derivation.facts}
+    assert kinds == {"SqDistKnown", "Distinct", "NonzeroDist", "VecEq", "VecScale", "AffineComb", "DotZero"}
+    text = "".join(codec.dumps(codec.encode_derivation(entry.derivation)) for entry in corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_ENCODING_SHA256

@@ -23,7 +23,6 @@ from rigidity_forge.gadgets import (
     build_translation_bridge,
     choose_division_radius,
     find_rational_bidistance_point,
-    goal_holds,
     kempe_de_length,
 )
 from rigidity_forge.scalars import QQ, adjoin_sqrt
@@ -38,7 +37,7 @@ def assert_self_consistent(gadget):
         assert isinstance(entry.d2, Fraction)
     for a, b in gadget.side_conditions:
         assert not gadget.points[a] == gadget.points[b]
-    assert goal_holds(gadget.goal, gadget.points)
+    assert gadget.goal.holds(gadget.points)
 
 
 # -- division -------------------------------------------------------------------

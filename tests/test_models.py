@@ -316,7 +316,7 @@ def _compared_values(fact, images, model):
     pairs its value with 0."""
     im = images
     if isinstance(fact, SqDistKnown):
-        return [(sqdist(im[fact.p], im[fact.q]), model.embed_rational(fact.v))]
+        return [(sqdist(im[fact.p], im[fact.q]), fact.v)]
     if isinstance(fact, Distinct):
         diff = im[fact.p] - im[fact.q]
         return [(diff.x, 0), (diff.y, 0)]
@@ -328,11 +328,11 @@ def _compared_values(fact, images, model):
         lhs, rhs = im[fact.b] - im[fact.a], im[fact.d] - im[fact.c]
     elif isinstance(fact, VecScale):
         lhs = im[fact.b] - im[fact.a]
-        rhs = (im[fact.d] - im[fact.c]).scaled(model.embed_rational(fact.r))
+        rhs = (im[fact.d] - im[fact.c]).scaled(fact.r)
     else:
         assert isinstance(fact, AffineComb)
         lhs = im[fact.c] - im[fact.b]
-        rhs = (im[fact.a] - im[fact.b]).scaled(model.embed_rational(fact.t))
+        rhs = (im[fact.a] - im[fact.b]).scaled(fact.t)
     return [(lhs.x, rhs.x), (lhs.y, rhs.y)]
 
 
