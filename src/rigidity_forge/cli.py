@@ -17,6 +17,7 @@ from .engine import (
     Derivation,
     EngineError,
     check_derivation,
+    recheck_derivation,
     replay,
 )
 from .gadgets import (
@@ -144,8 +145,6 @@ def _cmd_verify(args) -> int:
               f"{len(document.side_conditions)} side conditions, goal holds on coordinates")
         return 0
     if isinstance(document, Derivation):
-        from .engine import recheck_derivation
-
         recheck_derivation(document)
         print(f"verified: every step of the {len(document.facts)}-fact derivation re-checks")
         return 0
@@ -207,6 +206,7 @@ def _cmd_model_check(args) -> int:
     if isinstance(document, Gadget):
         derivation = replay(document)
     elif isinstance(document, Derivation):
+        recheck_derivation(document)  # a valid proof first, then its truth under the model
         derivation = document
     else:
         print("model-check expects a gadget or derivation file", file=sys.stderr)

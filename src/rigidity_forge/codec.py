@@ -16,8 +16,8 @@ from typing import Any, Mapping, get_args, get_type_hints
 from .cm import Point
 from .engine import Derivation, Fact, Justification
 from .gadgets import CertEntry, Gadget, Goal
-from .models import Embedding, ModelMap, OrthoAffine
-from .scalars import QQ, FunElem, TowerDesc, TowerElem, sqrt_in_tower
+from .models import Embedding, ModelMap, NonOrthogonalFrame, OrthoAffine
+from .scalars import QQ, BadGeneratorIndex, FunElem, TowerDesc, TowerElem, sqrt_in_tower
 
 SCHEMA = "rigidity-forge/1"
 
@@ -426,11 +426,14 @@ def decode_model(obj: Any) -> ModelMap:
         _fail("embedding", "expected a tagged embedding object")
     kind = emb_obj["kind"]
     if kind == "conjugation":
-        embedding = Embedding(
-            "conjugation",
-            domain=decode_tower(emb_obj.get("domain", {}), "embedding.domain"),
-            generator=emb_obj.get("generator"),
-        )
+        generator = emb_obj.get("generator")
+        if not isinstance(generator, int) or isinstance(generator, bool):
+            _fail("embedding.generator", f"expected a generator index, got {generator!r}")
+        domain = decode_tower(emb_obj.get("domain", {}), "embedding.domain")
+        try:
+            embedding = Embedding("conjugation", domain=domain, generator=generator)
+        except BadGeneratorIndex as exc:
+            _fail("embedding.generator", str(exc))
     elif kind in ("identity", "function_field"):
         embedding = Embedding(kind)
     else:
@@ -438,8 +441,10 @@ def decode_model(obj: Any) -> ModelMap:
     frame_obj = obj.get("frame")
     frame = None
     if frame_obj is not None:
+        if not isinstance(frame_obj, Mapping):
+            _fail("frame", "expected an object or null")
         matrix = frame_obj.get("matrix")
-        if not isinstance(matrix, list) or len(matrix) != 2 or any(len(row) != 2 for row in matrix):
+        if not isinstance(matrix, list) or len(matrix) != 2 or any(not isinstance(row, list) or len(row) != 2 for row in matrix):
             _fail("frame.matrix", "expected a 2x2 matrix")
         rows = tuple(
             tuple(decode_scalar(entry, f"frame.matrix[{i}][{j}]") for j, entry in enumerate(row))
@@ -451,7 +456,10 @@ def decode_model(obj: Any) -> ModelMap:
             if not isinstance(translation, list) or len(translation) != 2:
                 _fail("frame.translation", "expected two scalars")
             trans = tuple(decode_scalar(entry, f"frame.translation[{i}]") for i, entry in enumerate(translation))
-        frame = OrthoAffine(matrix=rows, translation=trans)
+        try:
+            frame = OrthoAffine(matrix=rows, translation=trans)
+        except NonOrthogonalFrame as exc:
+            _fail("frame.matrix", str(exc))
     return ModelMap(embedding=embedding, frame=frame)
 
 
@@ -483,10 +491,10 @@ def decode_document(text: str):
     if not isinstance(obj, Mapping):
         _fail("document", "expected a JSON object")
     kind = obj.get("kind")
-    decode = {"gadget": decode_gadget, "derivation": decode_derivation, "model": decode_model}.get(kind)
-    if decode is None:
+    decoders = {"gadget": decode_gadget, "derivation": decode_derivation, "model": decode_model}
+    if not isinstance(kind, str) or kind not in decoders:
         _fail("kind", f"unknown document kind {kind!r}")
     try:
-        return decode(obj)
+        return decoders[kind](obj)
     except RecursionError as exc:  # layouts nested within the JSON parser's limit
         raise SchemaViolation("document: nesting too deep") from exc

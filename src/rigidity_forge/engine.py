@@ -223,6 +223,8 @@ class Derivation:
                 raise EngineError(f"unknown rule {just.rule}")
             if any(p < 0 for p in just.premises):
                 raise EngineError(f"fact {i} cites a negative premise index")
+            if just.rule in AXIOMS and just.premises:
+                raise EngineError(f"fact {i} is a {just.rule} step and may cite no premises")
             if any(p >= i for p in just.premises):
                 raise EngineError("derivation is not acyclic")
         if fact_key(self.final_fact()) != fact_key(self.gadget.goal):
@@ -472,7 +474,9 @@ _LEMMAS = {
     "Composition": _composition_conclude,
 }
 
-RULES = ("RationalDistanceAxiom", "Injectivity", "NonzeroDistance", *_LEMMAS)
+AXIOMS = ("RationalDistanceAxiom", "Injectivity", "NonzeroDistance")
+
+RULES = (*AXIOMS, *_LEMMAS)
 
 
 def _conclusions(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact, ...]:

@@ -190,12 +190,21 @@ class PreservationReport:
 
 def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -> PreservationReport:
     """Check the squared distance of each image pair equals the embedded
-    squared distance; rational values must be reproduced verbatim."""
+    squared distance; rational values must be reproduced verbatim.  Each
+    distinct point is mapped once."""
+    images: dict[Point, Point] = {}
+
+    def image(p: Point) -> Point:
+        out = images.get(p)
+        if out is None:
+            out = images[p] = model.apply(p)
+        return out
+
     checks = []
     all_ok = True
     for p, q in pairs:
         value = sqdist(p, q)
-        image_value = sqdist(model.apply(p), model.apply(q))
+        image_value = sqdist(image(p), image(q))
         ok = image_value == model.rho(value)
         if ok and value.is_rational():
             ok = image_value == value.as_fraction()

@@ -7,7 +7,11 @@ Three carriers, all with decidable equality:
 * ``TowerElem`` lives in a quadratic tower over the rationals: iterated
   adjunctions of square roots of positive elements, with the designated real
   embedding taking every generator to the positive root.  Signs (and hence a
-  total order) are computable.
+  total order) are computable.  An element is held as an integer coordinate
+  vector over one positive denominator, in canonical form (the denominator
+  and the coordinates share no factor), so arithmetic takes one integer gcd
+  per result and equality is a tuple comparison.  ``coords`` gives the same
+  values as ``Fraction``s.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -21,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from functools import cached_property, lru_cache
+from math import gcd, isqrt, lcm
+from operator import add, neg
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -47,71 +52,147 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate-vector kernels.
+# Integer coordinate-vector kernels.
 #
-# An element of Q(sqrt(d_1), ..., sqrt(d_k)) is stored as 2^k rational
-# coordinates over the multiplicative basis indexed by subset bitmask:
-# basis(m) = prod of sqrt(d_i) over bits i of m.  Each radicand d_i is itself
-# a coordinate vector of length 2^i over the generators below it.
+# An element of Q(sqrt(d_1), ..., sqrt(d_k)) has 2^k rational coordinates
+# over the multiplicative basis indexed by subset bitmask: basis(m) = prod of
+# sqrt(d_i) over bits i of m.  They are held as an integer vector n over one
+# denominator d, the representation of H. Cohen, "A Course in Computational
+# Algebraic Number Theory" (GTM 138), sec. 4.2.  The pair is canonical when
+# d > 0 and gcd(d, *n) == 1, so zero is (0, ..., 0) over 1 and equal values
+# have equal pairs.  Each radicand d_i is itself a canonical pair of length
+# 2^i over the generators below it.
+#
+# The ``_i*`` kernels return unreduced (vector, denominator) pairs whose
+# denominators are products of the operands' and the radicands' positive
+# denominators; ``_canon`` reduces a result once.
 # ---------------------------------------------------------------------------
 
-Vec = tuple[Fraction, ...]
+IVec = tuple[int, ...]
+Rads = tuple[tuple[IVec, int], ...]
 
 
-def _vzero(n: int) -> Vec:
-    return (Fraction(0),) * n
+def _canon(n: IVec, d: int) -> tuple[IVec, int]:
+    """n/d in canonical form; d is nonzero."""
+    if d == 1:
+        return n, 1
+    g = gcd(d, *n)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return n, d
+    return tuple([c // g for c in n]), d // g
 
 
-def _vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+def _ineg(u: IVec) -> IVec:
+    return tuple(map(neg, u))
 
 
-def _vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+def _iadd(u: IVec, ku: int, v: IVec, kv: int) -> tuple[IVec, int]:
+    """u/ku + v/kv."""
+    if ku == kv:
+        return tuple(map(add, u, v)), ku
+    return tuple([x * kv + y * ku for x, y in zip(u, v)]), ku * kv
 
 
-def _vmul(rads: Sequence[Vec], a: Vec, b: Vec) -> Vec:
+def _ijoin(u: IVec, ku: int, v: IVec, kv: int) -> tuple[IVec, int]:
+    """The coordinates of u/ku followed by those of v/kv, over one denominator."""
+    if ku == kv:
+        return u + v, ku
+    return tuple([x * kv for x in u]) + tuple([y * ku for y in v]), ku * kv
+
+
+def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
+    """The product of the integer vectors a and b."""
     n = len(a)
     if n == 1:
-        return (a[0] * b[0],)
-    h = n // 2
+        return (a[0] * b[0],), 1
+    h = n >> 1
     al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
     # prune zero halves: elements rarely use the whole radical basis
-    ah_zero = all(x == 0 for x in ah)
-    bh_zero = all(x == 0 for x in bh)
-    if ah_zero and bh_zero:
-        return _vmul(rads, al, bl) + _vzero(h)
-    if ah_zero:
-        return _vmul(rads, al, bl) + _vmul(rads, al, bh)
-    if bh_zero:
-        return _vmul(rads, al, bl) + _vmul(rads, ah, bl)
-    rad = rads[h.bit_length() - 1]
-    lo = _vadd(_vmul(rads, al, bl), _vmul(rads, _vmul(rads, ah, bh), rad))
-    hi = _vadd(_vmul(rads, al, bh), _vmul(rads, ah, bl))
-    return lo + hi
+    if not any(ah):
+        lo, k = _imul(rads, al, bl)
+        if not any(bh):
+            return lo + (0,) * h, k
+        return _ijoin(lo, k, *_imul(rads, al, bh))
+    if not any(bh):
+        return _ijoin(*_imul(rads, al, bl), *_imul(rads, ah, bl))
+    rn, rd = rads[h.bit_length() - 1]
+    p, kp = _imul(rads, ah, bh)
+    q, kq = _imul(rads, p, rn)
+    lo = _iadd(*_imul(rads, al, bl), q, kp * kq * rd)
+    hi = _iadd(*_imul(rads, al, bh), *_imul(rads, ah, bl))
+    return _ijoin(*lo, *hi)
 
 
-def _vinv(rads: Sequence[Vec], a: Vec) -> Vec:
-    n = len(a)
-    if n == 1:
-        if a[0] == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return (1 / a[0],)
-    h = n // 2
-    lo, hi = a[:h], a[h:]
-    if all(x == 0 for x in hi):
-        return _vinv(rads, lo) + _vzero(h)
-    rad = rads[h.bit_length() - 1]
-    # 1/(lo + hi*g) = (lo - hi*g) / (lo^2 - hi^2*d); the norm is nonzero
+def _mul(rads: Rads, a: IVec, da: int, b: IVec, db: int) -> tuple[IVec, int]:
+    c, k = _imul(rads, a, b)
+    return _canon(c, da * db * k)
+
+
+def _inv(rads: Rads, n: IVec, d: int) -> tuple[IVec, int]:
+    """1/(n/d) for a canonical nonzero n/d."""
+    if len(n) == 1:
+        return ((d,), n[0]) if n[0] > 0 else ((-d,), -n[0])
+    h = len(n) >> 1
+    lo, hi = n[:h], n[h:]
+    if not any(hi):
+        m, k = _inv(rads, *_canon(lo, d))
+        return m + (0,) * h, k
+    rn, rd = rads[h.bit_length() - 1]
+    # d/(lo + hi*g) = d*(lo - hi*g) / (lo^2 - hi^2*r); the norm is nonzero
     # because no radicand is a square in the tower below it.
-    norm = _vadd(_vmul(rads, lo, lo), _vneg(_vmul(rads, _vmul(rads, hi, hi), rad)))
-    if all(x == 0 for x in norm):
+    q, kq = _imul(rads, hi, hi)
+    s, ks = _imul(rads, q, rn)
+    norm = _canon(*_iadd(*_imul(rads, lo, lo), _ineg(s), kq * ks * rd))
+    if not any(norm[0]):
         raise ArithmeticError("tower invariant violated: radicand is a square below")
-    ninv = _vinv(rads, norm)
-    return _vmul(rads, lo, ninv) + _vneg(_vmul(rads, hi, ninv))
+    m, km = _inv(rads, *norm)
+    p_lo, k_lo = _imul(rads, lo, m)
+    p_hi, k_hi = _imul(rads, hi, m)
+    c, k = _ijoin(p_lo, k_lo, _ineg(p_hi), k_hi)
+    return _canon(tuple([x * d for x in c]), k * km)
 
 
-# -- interval arithmetic for sign determination ------------------------------
+def _sqrt(rads: Rads, x: IVec, dx: int) -> tuple[IVec, int] | None:
+    """A canonical y with y*y == x/dx, for a canonical x/dx, or None."""
+    n = len(x)
+    if n == 1:
+        if x[0] < 0:
+            return None
+        rn, rd = isqrt(x[0]), isqrt(dx)
+        return ((rn,), rd) if rn * rn == x[0] and rd * rd == dx else None
+    h = n >> 1
+    u, v = _canon(x[:h], dx), _canon(x[h:], dx)
+    rad = rads[h.bit_length() - 1]
+    zeros = (0,) * h
+    if not any(v[0]):
+        r = _sqrt(rads, *u)
+        if r is not None:
+            return r[0] + zeros, r[1]
+        # maybe x = (b*g)^2 = b^2 * r
+        if any(u[0]):
+            b = _sqrt(rads, *_mul(rads, *u, *_inv(rads, *rad)))
+            if b is not None:
+                return zeros + b[0], b[1]
+        return None
+    # x = (a + b*g)^2 with a, b in the subtower: a^2 + b^2 r = u, 2ab = v.
+    vvr = _mul(rads, *_mul(rads, *v, *v), *rad)
+    nrt = _sqrt(rads, *_canon(*_iadd(*_mul(rads, *u, *u), _ineg(vvr[0]), vvr[1])))
+    if nrt is None:
+        return None
+    for signed in (nrt[0], _ineg(nrt[0])):
+        a = _sqrt(rads, *_canon(*_iadd(u[0], 2 * u[1], signed, 2 * nrt[1])))
+        if a is None or not any(a[0]):
+            continue
+        b_n, b_d = _mul(rads, *v, *_inv(rads, *a))
+        candidate = _canon(*_ijoin(*a, b_n, 2 * b_d))
+        if _mul(rads, *candidate, *candidate) == (x, dx):
+            return candidate
+    return None
+
+
+# -- interval enclosures for sign determination ---------------------------------
 
 Interval = tuple[Fraction, Fraction]
 
@@ -128,37 +209,33 @@ def _sqrt_interval(iv: Interval, prec: int) -> Interval:
     return (r_lo, r_hi)
 
 
-def _imul(a: Interval, b: Interval) -> Interval:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
 @lru_cache(maxsize=None)
-def _radical_intervals(tower: "TowerDesc", prec: int) -> tuple[Interval, ...]:
-    out: list[Interval] = []
+def _basis_bounds(tower: "TowerDesc", prec: int) -> tuple[IVec, IVec, int]:
+    """Lower and upper bounds of every basis element at ``prec`` bits of each
+    radical, as integer vectors over one common positive denominator."""
+    los, his = [Fraction(1)], [Fraction(1)]
     for gen in tower.gens:
-        out.append(_sqrt_interval(_vec_interval(gen.coords, tuple(out)), prec))
-    return tuple(out)
+        iv = _enclose(gen._n, los, his)
+        r_lo, r_hi = _sqrt_interval((Fraction(iv[0], gen._d), Fraction(iv[1], gen._d)), prec)
+        # the radicals are nonnegative, so products of bounds are bounds
+        los += [q * r_lo for q in los]
+        his += [q * r_hi for q in his]
+    den = lcm(*(q.denominator for q in los + his))
+    lows, highs = (tuple([q.numerator * (den // q.denominator) for q in qs]) for qs in (los, his))
+    return lows, highs, den
 
 
-def _vec_interval(coords: Vec, radicals: tuple[Interval, ...]) -> Interval:
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for mask, q in enumerate(coords):
-        if q == 0:
-            continue
-        term: Interval = (Fraction(1), Fraction(1))
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                term = _imul(term, radicals[i])
-            m >>= 1
-            i += 1
-        t_lo, t_hi = (term[0] * q, term[1] * q) if q > 0 else (term[1] * q, term[0] * q)
-        lo += t_lo
-        hi += t_hi
-    return (lo, hi)
+def _enclose(n: IVec, los: Sequence, his: Sequence) -> tuple:
+    """Bounds of the integer vector n from bounds of the basis elements."""
+    lo = hi = 0
+    for c, l, u in zip(n, los, his):
+        if c > 0:
+            lo += c * l
+            hi += c * u
+        elif c < 0:
+            lo += c * u
+            hi += c * l
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +268,31 @@ class TowerDesc:
     def is_prefix_of(self, other: "TowerDesc") -> bool:
         return self.gens == other.gens[: len(self.gens)]
 
-    def _rad_vectors(self) -> tuple[Vec, ...]:
-        return tuple(g.coords for g in self.gens)
+    @cached_property
+    def _rads(self) -> Rads:
+        """The radicands as (integer vector, denominator) pairs."""
+        return tuple((g._n, g._d) for g in self.gens)
 
     def zero(self) -> "TowerElem":
-        return TowerElem(self, _vzero(self.dim))
+        return _elem(self, (0,) * self.dim, 1)
 
     def one(self) -> "TowerElem":
-        return self.rational(Fraction(1))
+        return _elem(self, (1,) + (0,) * (self.dim - 1), 1)
 
     def rational(self, q: RationalLike) -> "TowerElem":
-        return TowerElem(self, (_as_fraction(q),) + _vzero(self.dim - 1))
+        if isinstance(q, int):
+            n, d = int(q), 1
+        else:
+            q = _as_fraction(q)
+            n, d = q.numerator, q.denominator
+        return _elem(self, (n,) + (0,) * (self.dim - 1), d)
 
     def generator(self, index: int) -> "TowerElem":
         if not 0 <= index < self.depth:
             raise BadGeneratorIndex(f"generator index {index} out of range")
-        coords = [Fraction(0)] * self.dim
-        coords[1 << index] = Fraction(1)
-        return TowerElem(self, tuple(coords))
+        n = [0] * self.dim
+        n[1 << index] = 1
+        return _elem(self, tuple(n), 1)
 
     def __repr__(self) -> str:
         if not self.gens:
@@ -222,22 +306,35 @@ QQ = TowerDesc()
 class TowerElem:
     """Exact element of a quadratic tower; immutable.
 
-    The hash is that of the rational coordinate.  It equals Tr(x)/[K:Q] for
-    any tower K holding x (every other basis element has trace zero), so equal
-    values hash equal across towers, and a rational value hashes like its
+    Held as a canonical integer vector ``_n`` over a denominator ``_d`` (see
+    the kernels above); ``coords`` are the rational coordinates.  The hash is
+    that of the rational coordinate.  It equals Tr(x)/[K:Q] for any tower K
+    holding x (every other basis element has trace zero), so equal values
+    hash equal across towers, and a rational value hashes like its
     ``Fraction`` or ``int``.
     """
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "_n", "_d")
 
-    def __init__(self, tower: TowerDesc, coords: Sequence[Fraction]) -> None:
+    def __init__(self, tower: TowerDesc, coords: Sequence[RationalLike]) -> None:
         if len(coords) != tower.dim:
             raise ValueError("coordinate vector does not match tower dimension")
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "coords", tuple(coords))
+        qs = [_as_fraction(c) for c in coords]
+        # over the lcm of reduced denominators the pair is already canonical
+        d = lcm(*(q.denominator for q in qs))
+        _set_tower(self, tower)
+        _set_n(self, tuple([q.numerator * (d // q.denominator) for q in qs]))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("TowerElem is immutable")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        d = self._d
+        if d == 1:
+            return tuple(map(Fraction, self._n))
+        return tuple([Fraction(c, d) for c in self._n])
 
     # -- constructors / coercion --------------------------------------------
 
@@ -251,31 +348,31 @@ class TowerElem:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._n)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self._n[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self._n[0], self._d)
 
     def lift(self, tower: TowerDesc) -> "TowerElem":
         if self.tower == tower:
             return self
         if not self.tower.is_prefix_of(tower):
             raise ValueError("can only lift along a tower prefix")
-        return TowerElem(tower, self.coords + _vzero(tower.dim - len(self.coords)))
+        return _elem(tower, self._n + (0,) * (tower.dim - len(self._n)), self._d)
 
     def minimized(self) -> "TowerElem":
         """Drop trailing generators the element does not use."""
-        coords = self.coords
+        n = self._n
         depth = self.tower.depth
-        while depth > 0 and all(c == 0 for c in coords[len(coords) // 2 :]):
-            coords = coords[: len(coords) // 2]
+        while depth > 0 and not any(n[len(n) // 2 :]):
+            n = n[: len(n) // 2]
             depth -= 1
-        return TowerElem(self.tower.prefix(depth), coords)
+        return _elem(self.tower.prefix(depth), n, self._d)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -284,12 +381,12 @@ class TowerElem:
         if rhs is None:
             return NotImplemented
         a, b = common_tower(self, rhs)
-        return TowerElem(a.tower, _vadd(a.coords, b.coords))
+        return _elem(a.tower, *_canon(*_iadd(a._n, a._d, b._n, b._d)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElem(self.tower, _vneg(self.coords))
+        return _elem(self.tower, _ineg(self._n), self._d)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -308,14 +405,14 @@ class TowerElem:
         if rhs is None:
             return NotImplemented
         a, b = common_tower(self, rhs)
-        return TowerElem(a.tower, _vmul(a.tower._rad_vectors(), a.coords, b.coords))
+        return _elem(a.tower, *_mul(a.tower._rads, a._n, a._d, b._n, b._d))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TowerElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
-        return TowerElem(self.tower, _vinv(self.tower._rad_vectors(), self.coords))
+        return _elem(self.tower, *_inv(self.tower._rads, self._n, self._d))
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -347,13 +444,12 @@ class TowerElem:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.tower == rhs.tower:
-            return self.coords == rhs.coords
         a, b = common_tower(self, rhs)
-        return a.coords == b.coords
+        return a._n == b._n and a._d == b._d
 
     def __hash__(self) -> int:
-        return hash(self.coords[0])
+        n0, d = self._n[0], self._d
+        return hash(n0) if d == 1 else hash(Fraction(n0, d))
 
     def sign(self) -> int:
         """Exact sign under the designated real embedding.
@@ -361,11 +457,13 @@ class TowerElem:
         Structural zero test first (the basis is linearly independent over Q),
         then dyadic interval refinement, which terminates on nonzero values.
         """
-        if self.is_zero():
-            return 0
+        n = self._n
+        if not any(n[1:]):
+            return (n[0] > 0) - (n[0] < 0)
         prec = 8
         while True:
-            lo, hi = _vec_interval(self.coords, _radical_intervals(self.tower, prec))
+            lows, highs, _ = _basis_bounds(self.tower, prec)
+            lo, hi = _enclose(n, lows, highs)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -397,7 +495,9 @@ class TowerElem:
         return (self - rhs).sign() >= 0
 
     def bounds(self, prec: int = 32) -> Interval:
-        return _vec_interval(self.coords, _radical_intervals(self.tower, prec))
+        lows, highs, den = _basis_bounds(self.tower, prec)
+        lo, hi = _enclose(self._n, lows, highs)
+        return Fraction(lo, den * self._d), Fraction(hi, den * self._d)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -418,29 +518,44 @@ class TowerElem:
         return " + ".join(parts) if parts else "0"
 
 
+_set_tower = TowerElem.tower.__set__
+_set_n = TowerElem._n.__set__
+_set_d = TowerElem._d.__set__
+
+
+def _elem(tower: TowerDesc, n: IVec, d: int) -> TowerElem:
+    """Wrap a canonical pair of the tower's dimension; no checks."""
+    x = object.__new__(TowerElem)
+    _set_tower(x, tower)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
+
+
 def common_tower(x: TowerElem, y: TowerElem) -> tuple[TowerElem, TowerElem]:
     """Lift two elements into a common extension (auto-lift of tower_arith)."""
-    if x.tower == y.tower:
+    if x.tower is y.tower or x.tower == y.tower:
         return x, y
     if x.tower.is_prefix_of(y.tower):
         return x.lift(y.tower), y
     if y.tower.is_prefix_of(x.tower):
         return x, y.lift(x.tower)
     tower, images = _merge_tower(x.tower, y.tower)
-    return x.lift(tower), _map_coords(y.coords, images, tower)
+    return x.lift(tower), _map_into(y, images, tower)
 
 
-def _map_coords(coords: Vec, images: Sequence[TowerElem], tower: TowerDesc) -> TowerElem:
+def _map_into(x: TowerElem, images: Sequence[TowerElem], tower: TowerDesc) -> TowerElem:
+    """x with generator i replaced by ``images[i]``, evaluated in ``tower``."""
     total = tower.zero()
-    for mask, q in enumerate(coords):
-        if q == 0:
+    for mask, c in enumerate(x._n):
+        if c == 0:
             continue
-        term = tower.rational(q)
+        term = tower.rational(c)
         for i, img in enumerate(images):
             if mask >> i & 1:
                 term = term * img.lift(tower)
         total = total + term
-    return total
+    return _elem(tower, *_canon(total._n, total._d * x._d))
 
 
 def _merge_tower(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, list[TowerElem]]:
@@ -449,7 +564,7 @@ def _merge_tower(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, list[Tow
     tower = base
     images: list[TowerElem] = []
     for gen in other.gens:
-        radicand = _map_coords(gen.coords, images, tower)
+        radicand = _map_into(gen, images, tower)
         result = adjoin_sqrt(tower, radicand)
         tower = result.tower
         images = [img.lift(tower) for img in images]
@@ -477,7 +592,7 @@ def adjoin_sqrt(tower: TowerDesc, radicand: TowerElem | RationalLike) -> AdjoinR
             radicand = radicand.lift(tower)
         else:
             tower, images = _merge_tower(tower, radicand.tower)
-            radicand = _map_coords(radicand.coords, images, tower)
+            radicand = _map_into(radicand, images, tower)
     if radicand.sign() <= 0:
         raise NonPositiveRadicand(f"radicand {radicand} is not strictly positive")
     existing = sqrt_in_tower(radicand)
@@ -491,10 +606,10 @@ def adjoin_sqrt(tower: TowerDesc, radicand: TowerElem | RationalLike) -> AdjoinR
 
 def sqrt_in_tower(x: TowerElem) -> TowerElem | None:
     """Return y with y*y == x inside x's own tower, or None."""
-    root = _vec_sqrt(x.tower._rad_vectors(), x.coords)
+    root = _sqrt(x.tower._rads, x._n, x._d)
     if root is None:
         return None
-    return TowerElem(x.tower, root)
+    return _elem(x.tower, *root)
 
 
 def _frac_sqrt(q: Fraction) -> Fraction | None:
@@ -503,44 +618,6 @@ def _frac_sqrt(q: Fraction) -> Fraction | None:
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
-    return None
-
-
-def _vec_sqrt(rads: Sequence[Vec], x: Vec) -> Vec | None:
-    n = len(x)
-    if n == 1:
-        r = _frac_sqrt(x[0])
-        return None if r is None else (r,)
-    h = n // 2
-    u, v = x[:h], x[h:]
-    rad = rads[h.bit_length() - 1]
-    sub = rads[: h.bit_length() - 1]
-    if all(c == 0 for c in v):
-        r = _vec_sqrt(sub, u)
-        if r is not None:
-            return r + _vzero(h)
-        # maybe x = (b*g)^2 = b^2 * d
-        quotient = _vmul(sub, u, _vinv(sub, rad)) if any(c != 0 for c in u) else None
-        if quotient is not None:
-            b = _vec_sqrt(sub, quotient)
-            if b is not None:
-                return _vzero(h) + b
-        return None
-    # x = (a + b*g)^2 with a, b in the subtower: a^2 + b^2 d = u, 2ab = v.
-    disc = _vadd(_vmul(sub, u, u), _vneg(_vmul(sub, _vmul(sub, v, v), rad)))
-    nrt = _vec_sqrt(sub, disc)
-    if nrt is None:
-        return None
-    half = (Fraction(1, 2),) + _vzero(h - 1)
-    for signed in (nrt, _vneg(nrt)):
-        a_sq = _vmul(sub, _vadd(u, signed), half)
-        a = _vec_sqrt(sub, a_sq)
-        if a is None or all(c == 0 for c in a):
-            continue
-        b = _vmul(sub, _vmul(sub, v, half), _vinv(sub, a))
-        candidate = a + b
-        if _vmul(rads[: h.bit_length()], candidate, candidate) == x:
-            return candidate
     return None
 
 
@@ -554,15 +631,13 @@ def tower_conjugate(x: TowerElem, index: int) -> TowerElem:
         raise BadGeneratorIndex(f"generator index {index} out of range")
     for j in range(index + 1, x.tower.depth):
         rad = x.tower.gens[j]
-        if any(mask >> index & 1 and c != 0 for mask, c in enumerate(rad.coords)):
+        if any(mask >> index & 1 and c != 0 for mask, c in enumerate(rad._n)):
             raise BadGeneratorIndex(
                 f"generator {j} has a radicand involving generator {index}; "
                 "conjugation is not an automorphism of this tower"
             )
-    coords = tuple(
-        -c if mask >> index & 1 else c for mask, c in enumerate(x.coords)
-    )
-    return TowerElem(x.tower, coords)
+    n = tuple([-c if mask >> index & 1 else c for mask, c in enumerate(x._n)])
+    return _elem(x.tower, n, x._d)
 
 
 # ---------------------------------------------------------------------------

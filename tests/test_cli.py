@@ -303,3 +303,77 @@ def test_exit_codes_stable_across_repeats(tmp_path, capsys):
     second = run(["gadget", "kempe", "--t", "1", "-o", str(gadget_file)], capsys)[0]
     assert first == second == 0
     assert gadget_file.read_text() == text_first
+
+
+def _model_document() -> dict:
+    from rigidity_forge import codec
+    from rigidity_forge.models import eps_rotation_model
+
+    return json.loads(codec.dumps(codec.encode_model(eps_rotation_model())))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(frame=[1]), "frame: expected an object or null"),
+        (lambda doc: doc["frame"].update(matrix=[1, 2]), "frame.matrix: expected a 2x2 matrix"),
+        (
+            lambda doc: doc.update(embedding={"kind": "conjugation", "domain": {"gens": [["2"]]}, "generator": "x"}),
+            "embedding.generator: expected a generator index, got 'x'",
+        ),
+        (
+            lambda doc: doc.update(embedding={"kind": "conjugation", "domain": {"gens": [["2"]]}, "generator": 3}),
+            "embedding.generator: generator index 3 out of range",
+        ),
+        (
+            lambda doc: doc["frame"]["matrix"][0].__setitem__(0, {"$rat": "2"}),
+            "frame.matrix: columns are not orthonormal",
+        ),
+    ],
+    ids=["frame", "matrix", "generator", "generator-range", "non-orthonormal"],
+)
+def test_model_check_rejects_malformed_model_descriptor(tmp_path, capsys, edit, message):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    doc = _model_document()
+    edit(doc)
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    code, _, err = run(["model-check", str(gadget_file), "--model", f"@{model_file}"], capsys)
+    assert code == 1
+    assert err.startswith(f"SchemaViolation: {message}")
+
+
+@pytest.mark.parametrize("command", ["verify", "replay", "model-check"])
+def test_unhashable_document_kind_is_a_schema_violation(tmp_path, capsys, command):
+    doc = _division_derivation(tmp_path, capsys)
+    doc["kind"] = {}
+    bad = tmp_path / "kind.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)] + (["--model", "identity"] if command == "model-check" else [])
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("SchemaViolation: kind: unknown document kind {}")
+
+
+def test_verify_rejects_axiom_step_citing_premises(tmp_path, capsys):
+    doc = _division_derivation(tmp_path, capsys)
+    index = next(i for i, step in enumerate(doc["facts"]) if i >= 2 and step["rule"] == "RationalDistanceAxiom")
+    doc["facts"][index]["premises"] = [0, 1]
+    bad = tmp_path / "axiom.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert f"fact {index} is a RationalDistanceAxiom step and may cite no premises" in err
+
+
+def test_model_check_rechecks_the_derivation(tmp_path, capsys):
+    doc = _division_derivation(tmp_path, capsys)
+    doc["gadget"]["certificate"][0]["d2"] = "-3/2"
+    bad = tmp_path / "negative-d2.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1, argv[0]
+        assert err.startswith("InvalidGadget"), argv[0]
+        assert "all-true" not in out

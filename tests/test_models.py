@@ -201,6 +201,24 @@ def test_preservation_detects_scaling():
     assert not report.ok
 
 
+def test_preservation_maps_each_point_once(monkeypatch):
+    gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
+    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+    calls = []
+    real_apply = ModelMap.apply
+
+    def counting_apply(self, p):
+        calls.append(p)
+        return real_apply(self, p)
+
+    monkeypatch.setattr(ModelMap, "apply", counting_apply)
+    for model in (identity_model(), eps_rotation_model()):
+        calls.clear()
+        assert verify_preservation(model, pairs).ok
+        # 162 points in 241 pairs: one call per point, not one per endpoint
+        assert (len(calls), len(pairs)) == (len(gadget.points), 241) == (162, 241)
+
+
 # -- structure ----------------------------------------------------------------------------------
 
 

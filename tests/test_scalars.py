@@ -1,6 +1,7 @@
 """Exact arithmetic in all three carriers: rationals, towers, K(eps)."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from rigidity_forge.scalars import (
     BadGeneratorIndex,
     FunElem,
     NonPositiveRadicand,
+    TowerElem,
     adjoin_sqrt,
     cmp_with_sqrt,
     common_tower,
@@ -436,3 +438,240 @@ def test_scalar_text_rendering(sqrt2):
     assert str(sqrt2.root) == "r0"
     assert str(sqrt2.tower.rational(0)) == "0"
     assert str(1 + sqrt2.root) == "1 + r0"
+
+
+# -- differential test: integer kernels against the Fraction-vector oracle ----------------------
+#
+# The oracle is the coordinate-vector arithmetic the package used before towers
+# were held as integer vectors over one denominator: 2^k Fraction coordinates
+# over the subset-bitmask basis, each radicand a Fraction vector of length 2^i.
+
+OracleVec = tuple
+
+
+def _vzero(n: int) -> OracleVec:
+    return (Fraction(0),) * n
+
+
+def _vadd(a: OracleVec, b: OracleVec) -> OracleVec:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vneg(a: OracleVec) -> OracleVec:
+    return tuple(-x for x in a)
+
+
+def _vmul(rads, a: OracleVec, b: OracleVec) -> OracleVec:
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0],)
+    h = n // 2
+    al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
+    rad = rads[h.bit_length() - 1]
+    lo = _vadd(_vmul(rads, al, bl), _vmul(rads, _vmul(rads, ah, bh), rad))
+    hi = _vadd(_vmul(rads, al, bh), _vmul(rads, ah, bl))
+    return lo + hi
+
+
+def _vinv(rads, a: OracleVec) -> OracleVec:
+    n = len(a)
+    if n == 1:
+        return (1 / a[0],)
+    h = n // 2
+    lo, hi = a[:h], a[h:]
+    if all(x == 0 for x in hi):
+        return _vinv(rads, lo) + _vzero(h)
+    rad = rads[h.bit_length() - 1]
+    norm = _vadd(_vmul(rads, lo, lo), _vneg(_vmul(rads, _vmul(rads, hi, hi), rad)))
+    ninv = _vinv(rads, norm)
+    return _vmul(rads, lo, ninv) + _vneg(_vmul(rads, hi, ninv))
+
+
+def _oracle_frac_sqrt(q: Fraction):
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
+def _vec_sqrt(rads, x: OracleVec):
+    n = len(x)
+    if n == 1:
+        r = _oracle_frac_sqrt(x[0])
+        return None if r is None else (r,)
+    h = n // 2
+    u, v = x[:h], x[h:]
+    rad = rads[h.bit_length() - 1]
+    if all(c == 0 for c in v):
+        r = _vec_sqrt(rads, u)
+        if r is not None:
+            return r + _vzero(h)
+        if any(c != 0 for c in u):
+            b = _vec_sqrt(rads, _vmul(rads, u, _vinv(rads, rad)))
+            if b is not None:
+                return _vzero(h) + b
+        return None
+    disc = _vadd(_vmul(rads, u, u), _vneg(_vmul(rads, _vmul(rads, v, v), rad)))
+    nrt = _vec_sqrt(rads, disc)
+    if nrt is None:
+        return None
+    half = (Fraction(1, 2),) + _vzero(h - 1)
+    for signed in (nrt, _vneg(nrt)):
+        a = _vec_sqrt(rads, _vmul(rads, _vadd(u, signed), half))
+        if a is None or all(c == 0 for c in a):
+            continue
+        candidate = a + _vmul(rads, _vmul(rads, v, half), _vinv(rads, a))
+        if _vmul(rads, candidate, candidate) == x:
+            return candidate
+    return None
+
+
+def _oracle_bounds(tower, coords: OracleVec, prec: int):
+    """Interval enclosure: dyadic square-root bounds of each radical, then
+    interval products over the basis."""
+    scale = 1 << prec
+    radicals = []
+
+    def enclose(vec):
+        lo = hi = Fraction(0)
+        for mask, q in enumerate(vec):
+            if q == 0:
+                continue
+            t_lo = t_hi = Fraction(1)
+            for i, (r_lo, r_hi) in enumerate(radicals):
+                if mask >> i & 1:
+                    t_lo, t_hi = t_lo * r_lo, t_hi * r_hi
+            lo += t_lo * q if q > 0 else t_hi * q
+            hi += t_hi * q if q > 0 else t_lo * q
+        return lo, hi
+
+    for gen in tower.gens:
+        lo, hi = enclose(gen.coords)
+        lo = max(lo, Fraction(0))
+        radicals.append((
+            Fraction(isqrt(lo.numerator * lo.denominator * scale * scale), lo.denominator * scale),
+            Fraction(isqrt(hi.numerator * hi.denominator * scale * scale) + 1, hi.denominator * scale),
+        ))
+    return enclose(coords)
+
+
+def _oracle_sign(tower, coords: OracleVec) -> int:
+    if all(c == 0 for c in coords):
+        return 0
+    prec = 8
+    while True:
+        lo, hi = _oracle_bounds(tower, coords, prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+
+
+def _rads(tower):
+    return tuple(g.coords for g in tower.gens)
+
+
+def _tower_chain(*radicands):
+    """Towers of depth 0..len(radicands); a callable radicand sees the tower so far."""
+    towers = [QQ]
+    for radicand in radicands:
+        tower = towers[-1]
+        result = adjoin_sqrt(tower, radicand(tower) if callable(radicand) else radicand)
+        assert not result.absorbed
+        towers.append(result.tower)
+    return towers
+
+
+# radicands with non-integer coordinates run the denominator path of the
+# multiply kernel: sqrt(1/2), sqrt(3/5 + r0), ...
+FRACTIONAL_TOWERS = _tower_chain(
+    Fraction(1, 2),
+    lambda t: t.rational(Fraction(3, 5)) + t.generator(0),
+    Fraction(7, 3),
+    lambda t: t.rational(Fraction(2, 7)) + t.generator(1) * Fraction(1, 3),
+)
+INTEGER_TOWERS = _tower_chain(2, 3, lambda t: t.one() + t.generator(0), 5)
+DIFF_TOWERS = [(depth, family[depth]) for depth in range(5) for family in (FRACTIONAL_TOWERS, INTEGER_TOWERS)]
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def tower_pairs(draw):
+    depth, tower = draw(st.sampled_from(DIFF_TOWERS))
+    x, y = (
+        TowerElem(tower, draw(st.lists(sparse_rationals, min_size=tower.dim, max_size=tower.dim)))
+        for _ in range(2)
+    )
+    return tower, x, y
+
+
+def _assert_canonical(x: TowerElem) -> None:
+    n, d = x._n, x._d
+    assert len(n) == x.tower.dim and d > 0 and gcd(d, *n) == 1
+    assert TowerElem(x.tower, x.coords)._n == n and TowerElem(x.tower, x.coords)._d == d
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower_pairs())
+@example((FRACTIONAL_TOWERS[2], FRACTIONAL_TOWERS[2].generator(1), FRACTIONAL_TOWERS[2].generator(1)))
+def test_integer_tower_kernels_match_the_fraction_oracle(case):
+    tower, x, y = case
+    rads = _rads(tower)
+    a, b = x.coords, y.coords
+    for value in (x, y, x + y, x * y, -x):
+        _assert_canonical(value)
+    assert (x + y).coords == _vadd(a, b)
+    assert (x - y).coords == _vadd(a, _vneg(b))
+    assert (x * y).coords == _vmul(rads, a, b)
+    assert (x == y) == (a == b)
+    assert x == TowerElem(tower, a) and hash(x) == hash(a[0])
+    assert hash(x * y) == hash(_vmul(rads, a, b)[0])
+    assert x.sign() == _oracle_sign(tower, a)
+    assert x.bounds(8) == _oracle_bounds(tower, a, 8)
+    if not x.is_zero():
+        inverse = x.inverse()
+        _assert_canonical(inverse)
+        assert inverse.coords == _vinv(rads, a)
+    for value in (x, x * x):
+        root = sqrt_in_tower(value)
+        expected = _vec_sqrt(rads, value.coords)
+        assert (None if root is None else root.coords) == expected
+    assert sqrt_in_tower(x * x) is not None
+    for index in range(tower.depth):
+        try:
+            flipped = tower_conjugate(x, index)
+        except BadGeneratorIndex:
+            assert any(mask >> index & 1 and c != 0 for g in tower.gens[index + 1 :] for mask, c in enumerate(g.coords))
+            continue
+        assert flipped.coords == tuple(-c if mask >> index & 1 else c for mask, c in enumerate(a))
+    minimized = x.minimized()
+    assert minimized.coords == a[: minimized.tower.dim] and not any(a[minimized.tower.dim :])
+    assert minimized.tower.dim == 1 or any(minimized.coords[minimized.tower.dim // 2 :])
+    for bigger in FRACTIONAL_TOWERS + INTEGER_TOWERS:
+        if tower.is_prefix_of(bigger):
+            assert x.lift(bigger).coords == a + _vzero(bigger.dim - tower.dim)
+            assert x.lift(bigger) == x and hash(x.lift(bigger)) == hash(x)
+
+
+def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
+    operands = [
+        (tower.rational(Fraction(-3, 4)) + tower.generator(depth - 1) * Fraction(5, 6) if depth else tower.rational(Fraction(2, 9)))
+        for family in (FRACTIONAL_TOWERS, INTEGER_TOWERS)
+        for depth, tower in enumerate(family)
+    ]
+    dense = [x * x + x * Fraction(1, 7) + 3 for x in operands]
+    created = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for x, y in zip(operands, dense):
+        x + y, x - y, x * y, y * y, x == y, x == x + 0, 2 * x, x + 1, x == 1
+    assert created == []
+    Fraction(1, 3) + Fraction(1, 6)  # the counter does see Fractions
+    assert created
