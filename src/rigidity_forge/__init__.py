@@ -14,8 +14,6 @@ from .engine import (
     assert_certificate,
     check_derivation,
     replay,
-    replay_parallel,
-    replay_scale,
 )
 from .gadgets import (
     AffineComb,
@@ -28,7 +26,6 @@ from .gadgets import (
     build_perp_transfer,
     build_rhombus_chain,
     build_translation_bridge,
-    find_rational_bidistance_point,
 )
 from .models import (
     Embedding,
@@ -61,8 +58,6 @@ __all__ = [
     "assert_certificate",
     "check_derivation",
     "replay",
-    "replay_parallel",
-    "replay_scale",
     "AffineComb",
     "DotZero",
     "Gadget",
@@ -73,7 +68,6 @@ __all__ = [
     "build_perp_transfer",
     "build_rhombus_chain",
     "build_translation_bridge",
-    "find_rational_bidistance_point",
     "Embedding",
     "ModelMap",
     "OrthoAffine",

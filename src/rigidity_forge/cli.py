@@ -30,7 +30,14 @@ from .gadgets import (
     build_rhombus_chain,
     build_translation_bridge,
 )
-from .models import ModelMap, conjugation_model, eps_rotation_model, identity_model, make_pythagorean_rotation
+from .models import (
+    ModelMap,
+    conjugation_model,
+    eps_rotation_model,
+    identity_model,
+    make_pythagorean_rotation,
+    verify_preservation,
+)
 from .suite import run_suite
 
 
@@ -213,8 +220,6 @@ def _cmd_model_check(args) -> int:
         return 2
     model = _resolve_model(args.model, derivation.gadget)
     verdict = check_derivation(derivation, model)
-    from .models import verify_preservation
-
     gadget = derivation.gadget
     pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
     preservation = verify_preservation(model, pairs)

@@ -125,17 +125,6 @@ def cm3_points(p1: Point, p2: Point, p3: Point) -> Scalar:
     return cm3(sqdist(p1, p2), sqdist(p1, p3), sqdist(p2, p3))
 
 
-def cm4_points(p1: Point, p2: Point, p3: Point, p4: Point) -> Scalar:
-    return cm4(
-        sqdist(p1, p2),
-        sqdist(p1, p3),
-        sqdist(p1, p4),
-        sqdist(p2, p3),
-        sqdist(p2, p4),
-        sqdist(p3, p4),
-    )
-
-
 def affinely_dependent3(p1: Point, p2: Point, p3: Point) -> bool:
     """Three points are affinely dependent iff their bordered determinant vanishes."""
     return _is_zero(cm3_points(p1, p2, p3))

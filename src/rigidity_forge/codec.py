@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Any, Mapping, get_args, get_type_hints
 
 from .cm import Point
-from .engine import Derivation, Fact, Justification
-from .gadgets import CertEntry, Gadget, Goal
+from .engine import Derivation, Fact, Justification, fact_key
+from .gadgets import CertEntry, Gadget, Goal, layout_goal
 from .models import Embedding, ModelMap, NonOrthogonalFrame, OrthoAffine
 from .scalars import QQ, BadGeneratorIndex, FunElem, TowerDesc, TowerElem, sqrt_in_tower
 
@@ -290,6 +290,8 @@ def decode_gadget(obj: Any) -> Gadget:
     goal = decode_fact(obj.get("goal"), points, "goal", GOAL_KINDS)
     layout = decode_layout(obj.get("layout", {}), "layout")
     _check_layout(layout, points, "layout")
+    if fact_key(goal) != fact_key(layout_goal(layout)):
+        _fail("goal", f"{goal} is not the conclusion of the {layout['kind']} layout")
     return Gadget(
         tower=tower,
         points=points,
@@ -301,8 +303,9 @@ def decode_gadget(obj: Any) -> Gadget:
 
 
 def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind: str | None = None) -> None:
-    """Check that a layout of a known kind carries every field its replay
-    script reads; ``kind``, when given, is the kind its parent needs."""
+    """Check that a layout is of a known kind and carries every field its
+    replay script and ``layout_goal`` read; ``kind``, when given, is the kind
+    its parent needs."""
     if not isinstance(layout, Mapping):
         _fail(location, "expected a layout object")
     if kind is not None and layout.get("kind") != kind:
@@ -328,10 +331,11 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
     def roles(v) -> bool:
         return isinstance(v, Mapping) and all(_is_point(v.get(r), points) for r in "ABCDEF")
 
-    if kind in ("division", "kempe"):
-        need("roles", roles, "roles A-F naming gadget points")
     if kind == "division":
+        need("roles", roles, "roles A-F naming gadget points")
         need("t", rational, "an exact rational")
+    elif kind == "kempe":
+        need("roles", roles, "roles A-F naming gadget points")
     elif kind == "chain":
         track1 = need("track1", names(), "a list of gadget point names")
         need("track2", names(len(track1)), f"{len(track1)} gadget point names")
@@ -348,6 +352,8 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
     elif kind == "perp":
         for key, sub_kind in (("kempe", "kempe"), ("scale_pq", "scale"), ("scale_xy", "scale")):
             _check_layout(layout.get(key), points, f"{location}.{key}", sub_kind)
+    else:
+        _fail(f"{location}.kind", f"unknown layout kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +389,7 @@ def decode_derivation(obj: Any) -> Derivation:
             _fail(loc, "expected {fact, rule, premises}")
         facts.append(decode_fact(step["fact"], gadget.points, f"{loc}.fact"))
         premises = step["premises"]
-        if not isinstance(premises, list) or any(not isinstance(p, int) for p in premises):
+        if not isinstance(premises, list) or any(not isinstance(p, int) or isinstance(p, bool) for p in premises):
             _fail(f"{loc}.premises", "expected a list of fact indices")
         justs.append(Justification(step["rule"], tuple(premises)))
     if not facts:

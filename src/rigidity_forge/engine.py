@@ -59,14 +59,6 @@ class SoundnessCertificateMissing(EngineError):
     pass
 
 
-class NotAScalarMultiple(EngineError):
-    pass
-
-
-class NotParallel(EngineError):
-    pass
-
-
 class ModelUndefinedAtPoint(EngineError):
     pass
 
@@ -312,11 +304,11 @@ def assert_certificate(gadget: Gadget) -> FactStore:
 # ---------------------------------------------------------------------------
 
 
-def _prop3_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[VecScale]:
-    facts = [store.facts[i] for i in premises]
-    if len(facts) != 3 or not all(isinstance(f, SqDistKnown) for f in facts):
+def _prop3_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: Fact | None) -> tuple[VecScale]:
+    cited = [facts[i] for i in premises]
+    if len(cited) != 3 or not all(isinstance(f, SqDistKnown) for f in cited):
         raise PatternMismatch("Prop3 needs three SqDistKnown premises")
-    f1, f2, f3 = facts
+    f1, f2, f3 = cited
     names = {f1.p, f1.q} | {f2.p, f2.q} | {f3.p, f3.q}
     if len(names) != 3:
         raise PatternMismatch("Prop3 premises must form a triangle")
@@ -347,11 +339,11 @@ def _prop3_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact 
     raise PatternMismatch("premises do not match the a^2 / b^2 / (a+b)^2 pattern")
 
 
-def _prop4_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[VecEq, VecEq]:
-    facts = [store.facts[i] for i in premises]
-    dists = [f for f in facts if isinstance(f, SqDistKnown)]
-    nonzero = [f for f in facts if isinstance(f, NonzeroDist)]
-    distinct = [f for f in facts if isinstance(f, Distinct)]
+def _prop4_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: Fact | None) -> tuple[VecEq, VecEq]:
+    cited = [facts[i] for i in premises]
+    dists = [f for f in cited if isinstance(f, SqDistKnown)]
+    nonzero = [f for f in cited if isinstance(f, NonzeroDist)]
+    distinct = [f for f in cited if isinstance(f, Distinct)]
     if len(dists) != 4 or len(nonzero) != 1 or len(distinct) != 1:
         raise PatternMismatch(
             "Prop4 needs four SqDistKnown, one NonzeroDist and one Distinct premise"
@@ -377,13 +369,13 @@ def _prop4_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact 
     return VecEq(a=e, b=c, c=d, d=f), VecEq(a=f, b=c, c=d, d=e)
 
 
-def _vec_algebra_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact]:
+def _vec_algebra_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact]:
     target = _linear_relation(conclusion)
     if target is None:
         raise PatternMismatch("VecAlgebra conclusion must be a vector fact")
     vectors = []
     for i in premises:
-        rel = _linear_relation(store.facts[i])
+        rel = _linear_relation(facts[i])
         if rel is None:
             raise PatternMismatch("VecAlgebra premises must be vector facts")
         vectors.append(rel)
@@ -420,16 +412,16 @@ def _infer_kempe_roles(dists: Mapping[frozenset, Fraction], conclusion: DotZero)
     return roles
 
 
-def _kempe_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[DotZero]:
+def _kempe_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: Fact | None) -> tuple[DotZero]:
     if not kempe_identities_verified():  # pragma: no cover - identities are fixed
         raise SoundnessCertificateMissing(
             "the symbolic determinant identities were not verified in this build"
         )
     if not isinstance(conclusion, DotZero):
         raise PatternMismatch("linkage conclusion must be a DotZero fact")
-    facts = [store.facts[i] for i in premises]
-    dists = {frozenset((f.p, f.q)): f.v for f in facts if isinstance(f, SqDistKnown)}
-    nonzero = {frozenset((f.p, f.q)) for f in facts if isinstance(f, NonzeroDist)}
+    cited = [facts[i] for i in premises]
+    dists = {frozenset((f.p, f.q)): f.v for f in cited if isinstance(f, SqDistKnown)}
+    nonzero = {frozenset((f.p, f.q)) for f in cited if isinstance(f, NonzeroDist)}
     roles = _infer_kempe_roles(dists, conclusion)
     for (r1, r2), value in KEMPE_SQ_DISTANCES.items():
         pair = frozenset((roles[r1], roles[r2]))
@@ -441,10 +433,10 @@ def _kempe_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact 
     return (conclusion,)
 
 
-def _composition_conclude(store: FactStore, premises: Sequence[int], conclusion: Fact | None) -> tuple[DotZero]:
-    facts = [store.facts[i] for i in premises]
-    dot = [f for f in facts if isinstance(f, DotZero)]
-    scales = [f for f in facts if isinstance(f, VecScale)]
+def _composition_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: Fact | None) -> tuple[DotZero]:
+    cited = [facts[i] for i in premises]
+    dot = [f for f in cited if isinstance(f, DotZero)]
+    scales = [f for f in cited if isinstance(f, VecScale)]
     if len(dot) != 1 or len(scales) != 2:
         raise PatternMismatch("Composition needs one DotZero and two VecScale premises")
     base = dot[0]
@@ -464,8 +456,9 @@ def _composition_conclude(store: FactStore, premises: Sequence[int], conclusion:
     return (DotZero(a=new_first[0], b=new_first[1], c=new_second[0], d=new_second[1]),)
 
 
-# each lemma maps (store, premises, stated conclusion) to the facts it admits;
-# VecAlgebra and KempeChain admit the stated conclusion or raise
+# each lemma maps (fact list, premise indices, stated conclusion) to the facts
+# it admits, reading only the cited facts; VecAlgebra and KempeChain admit the
+# stated conclusion or raise
 _LEMMAS = {
     "Prop3": _prop3_conclude,
     "Prop4": _prop4_conclude,
@@ -479,16 +472,16 @@ AXIOMS = ("RationalDistanceAxiom", "Injectivity", "NonzeroDistance")
 RULES = (*AXIOMS, *_LEMMAS)
 
 
-def _conclusions(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact, ...]:
+def _conclusions(facts: Sequence[Fact], rule: str, premises: Sequence[int], conclusion: Fact | None) -> tuple[Fact, ...]:
     if rule not in _LEMMAS:
         raise EngineError(f"unknown or axiom-only rule {rule!r}")
-    return _LEMMAS[rule](store, premises, conclusion)
+    return _LEMMAS[rule](facts, premises, conclusion)
 
 
 def apply_rule(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None = None) -> list[Fact]:
     """Apply a deduction rule; returns the newly concluded fact(s), which are
     also appended to the store with full justifications."""
-    facts = list(_conclusions(store, rule, premises, conclusion))
+    facts = list(_conclusions(store.facts, rule, premises, conclusion))
     for fact in facts:
         store.add(fact, rule, premises)
     return facts
@@ -663,70 +656,6 @@ def replay(gadget: Gadget) -> Derivation:
     return _finish(store, goal_id)
 
 
-def replay_scale(a: Point, b: Point, c: Point, d: Point, r: Fraction) -> Derivation:
-    """Derive f(D)-f(C) = r (f(B)-f(A)) from the domain relation D-C = r(B-A)."""
-    from .gadgets import _Builder, _emit_scale, GadgetError
-
-    r = Fraction(r)
-    if not (d - c) == (b - a).scaled(r):
-        raise NotAScalarMultiple("D - C is not the requested multiple of B - A")
-    builder = _Builder()
-    a_name = builder.add_point("A", a)
-    b_name = builder.add_point("B", b)
-    c_name = builder.add_point("C", c)
-    d_name = builder.add_point("D", d)
-    try:
-        layout = _emit_scale(builder, (a_name, b_name), (c_name, d_name), r, "s")
-    except GadgetError as exc:
-        raise ReplayFailed(str(exc)) from exc
-    return replay(builder.finish(layout))
-
-
-@dataclass
-class ParallelReport:
-    """Two perpendicularity derivations against a shared unit segment."""
-
-    x: Point
-    y: Point
-    derivations: tuple[Derivation, ...]
-    facts: tuple[Fact, ...]
-
-
-def replay_parallel(a: Point, b: Point, c: Point, d: Point) -> ParallelReport:
-    """Witness linear dependence of the image vectors by perpendicularity to a
-    shared unit segment."""
-    from .gadgets import build_perp_transfer
-    from .scalars import adjoin_sqrt
-
-    v1 = b - a
-    v2 = d - c
-    if not _is_zero(v1.cross(v2)):
-        raise NotParallel("the two domain vectors are linearly independent")
-    direction = v2 if v1.is_zero() else v1
-    if direction.is_zero():
-        x = a
-        y = Point(a.x, a.y + 1)
-        return ParallelReport(x=x, y=y, derivations=(), facts=(SqDistKnown("X", "Y", Fraction(1)),))
-    q = direction.dot(direction)
-    res = adjoin_sqrt(q.tower, q)
-    inv_norm = res.root.inverse()
-    x = a
-    y = Point(
-        x.x.lift(res.tower) - direction.y.lift(res.tower) * inv_norm,
-        x.y.lift(res.tower) + direction.x.lift(res.tower) * inv_norm,
-    )
-    derivations = []
-    facts: list[Fact] = [SqDistKnown("X", "Y", Fraction(1))]
-    for p, qq in ((a, b), (c, d)):
-        if (qq - p).is_zero():
-            continue
-        gadget = build_perp_transfer(p, qq, x, y)
-        derivation = replay(gadget)
-        derivations.append(derivation)
-        facts.append(derivation.final_fact())
-    return ParallelReport(x=x, y=y, derivations=tuple(derivations), facts=tuple(facts))
-
-
 # ---------------------------------------------------------------------------
 # Model checking
 # ---------------------------------------------------------------------------
@@ -763,14 +692,16 @@ def recheck_derivation(derivation: Derivation) -> None:
 
     Re-runs each rule on its recorded premises and requires the stored fact to
     match the re-derived conclusion; axiom facts must re-verify against the
-    gadget's coordinates.  Raises on the first illegitimate step.
+    gadget's coordinates.  Raises on the first illegitimate step.  The rules
+    read the derivation's own fact list: ``check_wellformed`` bounds every
+    premise index below its step, so each step cites only earlier facts.
     """
     derivation.check_wellformed()
     gadget = derivation.gadget
     gadget.validate()
     cert_values = {frozenset((e.p, e.q)): e.d2 for e in gadget.certificate}
-    shadow = FactStore(gadget)
-    for i, (fact, just) in enumerate(zip(derivation.facts, derivation.justifications)):
+    facts = derivation.facts
+    for i, (fact, just) in enumerate(zip(facts, derivation.justifications)):
         rule = just.rule
         try:
             if rule == "RationalDistanceAxiom":
@@ -782,9 +713,7 @@ def recheck_derivation(derivation: Derivation) -> None:
             elif rule == "NonzeroDistance":
                 if not isinstance(fact, NonzeroDist) or gadget.points[fact.p] == gadget.points[fact.q]:
                     raise PatternMismatch("points are not coordinate-distinct")
-            elif fact_key(fact) not in {fact_key(c) for c in _conclusions(shadow, rule, just.premises, fact)}:
+            elif fact_key(fact) not in {fact_key(c) for c in _conclusions(facts, rule, just.premises, fact)}:
                 raise PatternMismatch("stored fact differs from the rule's conclusion")
         except PatternMismatch as exc:
             raise ReplayFailed(f"step {i} ({rule}) fails re-checking: {exc}") from exc
-        # extend the shadow store verbatim so later premise indices line up
-        shadow.append(fact, just)

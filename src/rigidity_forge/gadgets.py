@@ -27,7 +27,6 @@ from .scalars import (
     common_tower,
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
-    strict_rational_bounds_of_sqrt,
     _frac_sqrt,
 )
 
@@ -812,27 +811,3 @@ def build_perp_transfer(p: Point, q: Point, x: Point, y: Point) -> Gadget:
     }
     return builder.finish(layout)
 
-
-# ---------------------------------------------------------------------------
-# Witness points for the injectivity / nonzero-distance axioms
-# ---------------------------------------------------------------------------
-
-
-def find_rational_bidistance_point(p1: Point, p2: Point, mode: str = "distinct_distances") -> tuple[Point, Fraction, Fraction]:
-    """A point at exactly-rational distances (q1, q2) from two given points.
-
-    ``equal_distances`` returns q1 = q2 > |P1P2|/2; ``distinct_distances``
-    returns q1 != q2 with |q1 - q2| < |P1P2| < q1 + q2.
-    """
-    if p1 == p2:
-        raise CoincidentInputs("P1 = P2")
-    if mode not in ("distinct_distances", "equal_distances"):
-        raise ValueError(f"unknown mode {mode!r}")
-    d_sq = sqdist(p1, p2)
-    if mode == "equal_distances":
-        q = Fraction(least_int_above_sqrt(d_sq * Fraction(1, 4), strict=True))
-        w = circle_intersection(p1, q * q, p2, q * q, branch=1)
-        return w, q, q
-    lo, hi = strict_rational_bounds_of_sqrt(d_sq)
-    w = circle_intersection(p1, hi * hi, p2, lo * lo, branch=1)
-    return w, hi, lo

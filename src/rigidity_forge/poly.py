@@ -296,11 +296,6 @@ def laplace_det(rows: Sequence[Sequence]):
     return 0 if total is None else total
 
 
-def det_cofactor(matrix: Matrix) -> Polynomial:
-    """Laplace expansion of the polynomial matrix; oracle for det_bareiss."""
-    return laplace_det(_normalize_matrix(matrix))
-
-
 def det(matrix: Matrix) -> Polynomial:
     return det_bareiss(matrix)
 

@@ -1006,27 +1006,3 @@ def simplest_rational_between_sqrts(lo_sq: TowerElem, hi_sq: TowerElem) -> Fract
             return Fraction(a + c, b + d)
         c, d = c + k * a, d + k * b
 
-
-def strict_rational_bounds_of_sqrt(square: TowerElem) -> tuple[Fraction, Fraction]:
-    """Rationals (l, u) with 0 < l < sqrt(square) < u and u - l < sqrt(square)."""
-    if square.sign() <= 0:
-        raise ValueError("needs a positive square")
-    if square.is_rational():
-        exact = _frac_sqrt(square.as_fraction())
-        if exact is not None:
-            # refinement cannot get strictly below an exact rational root
-            return exact * Fraction(3, 4), exact * Fraction(5, 4)
-    prec = 8
-    while True:
-        lo, hi = square.bounds(prec)
-        if lo > 0:
-            l = Fraction(isqrt(lo.numerator * lo.denominator), lo.denominator)
-            u = Fraction(isqrt(hi.numerator * hi.denominator) + 1, hi.denominator)
-            if (
-                l > 0
-                and cmp_with_sqrt(l, square) < 0
-                and cmp_with_sqrt(u, square) > 0
-                and cmp_with_sqrt(u - l, square) < 0
-            ):
-                return l, u
-        prec *= 2

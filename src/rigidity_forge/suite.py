@@ -17,6 +17,7 @@ from .engine import (
     Derivation,
     SqDistKnown,
     check_derivation,
+    fact_key,
     kempe_identities_verified,
     replay,
 )
@@ -248,8 +249,6 @@ def criterion_5_replays(seed: int = 0) -> CriterionResult:
         if entry.label.startswith("division"):
             if not (hasattr(final, "t") and final.t == goal.t):
                 problems.append(f"{entry.label}: t mismatch")
-        from .engine import fact_key
-
         if fact_key(final) != fact_key(goal):
             problems.append(f"{entry.label}: goal mismatch")
     counts = {

@@ -1,9 +1,13 @@
 """Command-line behaviour: subcommands, files, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rigidity_forge import codec, suite
 from rigidity_forge.cli import main
 
 
@@ -77,7 +81,6 @@ def test_model_check_on_gadget_file_replays_first(tmp_path, capsys):
 
 
 def test_model_check_via_descriptor_file(tmp_path, capsys):
-    from rigidity_forge import codec
     from rigidity_forge.models import eps_rotation_model
 
     gadget_file = tmp_path / "div.json"
@@ -306,7 +309,6 @@ def test_exit_codes_stable_across_repeats(tmp_path, capsys):
 
 
 def _model_document() -> dict:
-    from rigidity_forge import codec
     from rigidity_forge.models import eps_rotation_model
 
     return json.loads(codec.dumps(codec.encode_model(eps_rotation_model())))
@@ -377,3 +379,90 @@ def test_model_check_rechecks_the_derivation(tmp_path, capsys):
         assert code == 1, argv[0]
         assert err.startswith("InvalidGadget"), argv[0]
         assert "all-true" not in out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda layout: layout.update(kind=True), "layout.kind: unknown layout kind True"),
+        (lambda layout: layout.update(kind=[1]), "layout.kind: unknown layout kind [1]"),
+        (lambda layout: layout.update(t={"$rat": "1/3"}), "goal: "),
+        (lambda layout: layout["roles"].update(C="D"), "goal: "),
+    ],
+    ids=["kind-true", "kind-list", "t", "roles-C"],
+)
+def test_verify_and_model_check_reject_layout_edits(tmp_path, capsys, edit, message):
+    doc = _division_derivation(tmp_path, capsys)
+    edit(doc["gadget"]["layout"])
+    bad = tmp_path / "layout.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1, argv[0]
+        assert err.startswith(f"SchemaViolation: {message}"), argv[0]
+        assert "all-true" not in out
+
+
+def test_verify_and_model_check_reject_boolean_premise_index(tmp_path, capsys):
+    doc = _division_derivation(tmp_path, capsys)
+    assert doc["facts"][8]["premises"][0] == 0  # false would alias it
+    doc["facts"][8]["premises"][0] = False
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
+        code, _, err = run(argv, capsys)
+        assert code == 1, argv[0]
+        assert err.startswith("SchemaViolation: facts[8].premises: expected a list of fact indices"), argv[0]
+
+
+def _node_paths(node, path=()):
+    """Paths to every node below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_DELETE = object()
+_REPLACEMENTS = (None, True, False, 0, 1, -1, 10**6, "", "A", "x", "1/2", "-3", [], [1], {}, {"$rat": "1/2"}, _DELETE)
+
+
+def _corpus_documents() -> list[tuple[str, list]]:
+    """Each encoded corpus gadget and derivation, with its node paths."""
+    texts = []
+    for entry in suite.replay_corpus():
+        texts.append(codec.dumps(codec.encode_gadget(entry.gadget)))
+        texts.append(codec.dumps(codec.encode_derivation(entry.derivation)))
+    return [(text, list(_node_paths(json.loads(text)))) for text in texts]
+
+
+def test_single_node_mutations_never_crash_the_cli(tmp_path_factory):
+    """Structural fuzz (property-based testing: Claessen & Hughes, QuickCheck,
+    2000): one node of an encoded corpus document is replaced or deleted, and
+    every command ends in a verdict or a usage message, never an internal error."""
+    documents = _corpus_documents()
+    path = tmp_path_factory.mktemp("fuzz") / "mutant.json"
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        text, paths = data.draw(st.sampled_from(documents))
+        *parents, key = data.draw(st.sampled_from(paths))
+        value = data.draw(st.sampled_from(_REPLACEMENTS))
+        doc = json.loads(text)
+        target = doc
+        for step in parents:
+            target = target[step]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)], ["replay", str(path)], ["model-check", str(path), "--model", "identity"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert "internal error" not in err.getvalue(), (argv[0], parents, key, value)
+            assert code in (0, 1) or (code == 2 and err.getvalue() == "replay expects a gadget file\n"), (argv[0], code)
+
+    check()

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,6 @@ from rigidity_forge.cm import (
     cm3,
     cm3_points,
     cm4,
-    cm4_points,
     prop3_verify,
     prop4_verify,
     rational_point,
@@ -25,6 +24,11 @@ from rigidity_forge.cm import (
 from rigidity_forge.scalars import QQ, FunElem, adjoin_sqrt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
+
+
+def cm4_points(*points: Point):
+    """Oracle: the four-point bordered determinant from the points' pairwise squared distances."""
+    return cm4(*(sqdist(p, q) for p, q in combinations(points, 2)))
 
 
 def rand_frac(rng, span=40, den=12):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidity_forge.cm import Point, rational_point, sqdist
+from rigidity_forge.cm import Point, rational_point
 from rigidity_forge.engine import (
     AffineComb,
     Distinct,
@@ -13,8 +13,6 @@ from rigidity_forge.engine import (
     InconsistentCertificate,
     NonRationalPattern,
     NonzeroDist,
-    NotAScalarMultiple,
-    NotParallel,
     PatternMismatch,
     ReplayFailed,
     SqDistKnown,
@@ -26,11 +24,12 @@ from rigidity_forge.engine import (
     fact_key,
     kempe_identities_verified,
     replay,
-    replay_parallel,
-    replay_scale,
 )
 from rigidity_forge.gadgets import (
     Gadget,
+    GadgetError,
+    _Builder,
+    _emit_scale,
     build_division,
     build_kempe,
     build_perp_transfer,
@@ -332,6 +331,13 @@ def test_replay_bridge_composes_two_chains():
 # -- scalar-multiple replay -----------------------------------------------------------------------
 
 
+def replay_scale(a: Point, b: Point, c: Point, d: Point, r: Fraction):
+    """Replay the scale layout deriving f(D)-f(C) = r (f(B)-f(A))."""
+    builder = _Builder()
+    names = [builder.add_point(name, p) for name, p in zip("ABCD", (a, b, c, d))]
+    return replay(builder.finish(_emit_scale(builder, names[:2], names[2:], F(r), "s")))
+
+
 def test_replay_scale_identity_ratio():
     derivation = replay_scale(
         rational_point(0, 0), rational_point(1, 0), rational_point(0, 1), rational_point(1, 1), F(1)
@@ -361,7 +367,7 @@ def test_replay_scale_blowup():
 
 
 def test_replay_scale_rejects_wrong_ratio():
-    with pytest.raises(NotAScalarMultiple):
+    with pytest.raises(GadgetError, match="scale relation does not hold"):
         replay_scale(rational_point(0, 0), rational_point(1, 0), rational_point(0, 0), rational_point(2, 1), F(2))
 
 
@@ -404,28 +410,6 @@ def test_kempe_chain_gated_on_identities(division_half, monkeypatch):
     monkeypatch.setattr(engine, "kempe_identities_verified", lambda: False)
     with pytest.raises(engine.SoundnessCertificateMissing):
         engine.replay(gadget)
-
-
-# -- parallel replay ----------------------------------------------------------------------------------
-
-
-def test_replay_parallel_on_axis():
-    report = replay_parallel(rational_point(0, 0), rational_point(2, 0), rational_point(5, 0), rational_point(6, 0))
-    assert len(report.derivations) == 2
-    assert sqdist(report.x, report.y) == 1
-    for derivation in report.derivations:
-        assert isinstance(derivation.final_fact(), DotZero)
-    assert any(isinstance(f, SqDistKnown) and f.v == 1 for f in report.facts)
-
-
-def test_replay_parallel_zero_vector():
-    report = replay_parallel(rational_point(0, 0), rational_point(0, 0), rational_point(5, 0), rational_point(6, 0))
-    assert len(report.derivations) == 1
-
-
-def test_replay_parallel_rejects_independent():
-    with pytest.raises(NotParallel):
-        replay_parallel(rational_point(0, 0), rational_point(1, 0), rational_point(0, 0), rational_point(0, 1))
 
 
 # -- derivation structure ----------------------------------------------------------------------------

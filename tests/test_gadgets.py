@@ -7,7 +7,6 @@ import pytest
 from rigidity_forge.cm import Point, rational_point, sqdist
 from rigidity_forge.gadgets import (
     AffineComb,
-    CoincidentInputs,
     DegenerateLinkage,
     DegenerateSegment,
     DotZero,
@@ -22,7 +21,6 @@ from rigidity_forge.gadgets import (
     build_rhombus_chain,
     build_translation_bridge,
     choose_division_radius,
-    find_rational_bidistance_point,
     kempe_de_length,
 )
 from rigidity_forge.scalars import QQ, adjoin_sqrt
@@ -325,32 +323,6 @@ def test_perp_transfer_irrational_component_solves_symbolically():
 def test_kempe_de_length_formula():
     assert kempe_de_length(F(1)) == F(12, 5)
     assert kempe_de_length(F(3)) == 4
-
-
-# -- bidistance witness points -----------------------------------------------------------------
-
-
-def test_bidistance_equal_mode():
-    w, q1, q2 = find_rational_bidistance_point(rational_point(0, 0), rational_point(1, 0), "equal_distances")
-    assert q1 == q2 == 1
-    t34 = adjoin_sqrt(QQ, F(3, 4))
-    assert w == Point(t34.tower.rational(F(1, 2)), t34.root)
-    assert sqdist(rational_point(0, 0), w) == q1 * q1
-
-
-def test_bidistance_distinct_mode():
-    root2 = adjoin_sqrt(QQ, 2)
-    p2 = Point(root2.root, root2.tower.rational(0))
-    w, q1, q2 = find_rational_bidistance_point(rational_point(0, 0), p2, "distinct_distances")
-    assert q1 != q2
-    assert sqdist(rational_point(0, 0), w) == q1 * q1
-    assert sqdist(p2, w) == q2 * q2
-    assert abs(q1 - q2) < 3  # triangle inequality held exactly at build time
-
-
-def test_bidistance_coincident_inputs():
-    with pytest.raises(CoincidentInputs):
-        find_rational_bidistance_point(rational_point(0, 0), rational_point(0, 0))
 
 
 # -- cross-cutting invariants --------------------------------------------------------------------

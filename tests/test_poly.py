@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity_forge import poly
 from rigidity_forge.gadgets import KEMPE_IDENTITIES
-from rigidity_forge.poly import Polynomial, det, det_bareiss, det_cofactor, divide_exact, identity_check, variables
+from rigidity_forge.poly import Polynomial, det, det_bareiss, divide_exact, identity_check, variables
+
+
+def det_cofactor(matrix) -> Polynomial:
+    """Laplace expansion of the polynomial matrix; oracle for det_bareiss."""
+    return poly.laplace_det(poly._normalize_matrix(matrix))
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from rigidity_forge.scalars import (
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
     sqrt_in_tower,
-    strict_rational_bounds_of_sqrt,
     tower_conjugate,
 )
 from rigidity_forge.scalars import _pgcd
@@ -387,13 +386,6 @@ def test_mediant_search_is_logarithmic(monkeypatch):
     gadget = gadgets.build_division(rational_point(0, 0), rational_point(Fraction(1, n), 0), Fraction(1, 3))
     assert gadget.layout["r"] == Fraction(1, n // 3 + 1)
     assert len(calls) <= 64
-
-
-def test_strict_rational_bounds():
-    lo, hi = strict_rational_bounds_of_sqrt(QQ.rational(2))
-    assert 0 < lo < hi
-    assert cmp_with_sqrt(lo, QQ.rational(2)) < 0 < cmp_with_sqrt(hi, QQ.rational(2))
-    assert cmp_with_sqrt(hi - lo, QQ.rational(2)) < 0
 
 
 def test_common_tower_lifts_values():
