@@ -6,7 +6,7 @@ derivations, and validates the derivations against concrete distance
 preserving models (tower conjugations and function-field isometries).
 """
 
-from .cm import Point, Vec2, affinely_dependent3, cm3, cm4, prop3_verify, prop4_verify, rational_point, sqdist
+from .cm import Point, Vec2, affinely_dependent3, cm3, cm4, rational_point, sqdist
 from .engine import (
     Derivation,
     FactStore,
@@ -48,8 +48,6 @@ __all__ = [
     "affinely_dependent3",
     "cm3",
     "cm4",
-    "prop3_verify",
-    "prop4_verify",
     "rational_point",
     "sqdist",
     "Derivation",

@@ -198,7 +198,10 @@ def _resolve_model(spec: str, gadget: Gadget | None) -> ModelMap:
     if spec.startswith("conj:") or spec.startswith("conj-rot:"):
         if gadget is None or gadget.tower.depth == 0:
             raise EngineError("gadget field has no generators to conjugate")
-        index = int(spec.rsplit(":", 1)[1])
+        try:
+            index = int(spec.rsplit(":", 1)[1])
+        except ValueError:
+            raise EngineError(f"bad generator index in model spec {spec!r}") from None
         if not 0 <= index < gadget.tower.depth:
             raise EngineError(f"generator index {index} out of range")
         model = conjugation_model(gadget.tower, index)

@@ -1,9 +1,10 @@
-"""Cayley-Menger determinants and the coordinate-level vector lemmas.
+"""Points, vectors and Cayley-Menger determinants over any exact carrier.
 
-``cm3``/``cm4`` take squared distances directly, so one code path serves
-numeric carriers, the symbolic polynomial ring, and image-space checks.
-Point-based wrappers compute the squared-distance form first.  All
-precondition checks are exact; nothing here tolerates approximation.
+``cm3``/``cm4`` take squared distances directly and expand the bordered
+matrix with ``poly.det``, so one code path serves numeric carriers, the
+symbolic polynomial ring, and image-space checks.  Point-based wrappers
+compute the squared-distance form first.  Nothing here tolerates
+approximation.
 """
 
 from __future__ import annotations
@@ -13,18 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Sequence
 
-from .poly import laplace_det
+from .poly import det
 from .scalars import QQ, TowerDesc
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
-
-
-class PreconditionViolated(ValueError):
-    """A lemma's hypotheses fail on the given exact data."""
-
-
-class DegenerateSum(PreconditionViolated):
-    """The division ratio a/(a+b) does not exist because a + b = 0."""
 
 
 def _is_zero(x: Scalar) -> bool:
@@ -113,12 +106,12 @@ def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:
 
 def cm3(d12: Scalar, d13: Scalar, d23: Scalar) -> Scalar:
     """Bordered determinant for three points from their squared distances."""
-    return laplace_det(bordered_matrix((d12, d13, d23), 3))
+    return det(bordered_matrix((d12, d13, d23), 3))
 
 
 def cm4(d12: Scalar, d13: Scalar, d14: Scalar, d23: Scalar, d24: Scalar, d34: Scalar) -> Scalar:
     """Bordered determinant for four points from their squared distances."""
-    return laplace_det(bordered_matrix((d12, d13, d14, d23, d24, d34), 4))
+    return det(bordered_matrix((d12, d13, d14, d23, d24, d34), 4))
 
 
 def cm3_points(p1: Point, p2: Point, p3: Point) -> Scalar:
@@ -128,67 +121,6 @@ def cm3_points(p1: Point, p2: Point, p3: Point) -> Scalar:
 def affinely_dependent3(p1: Point, p2: Point, p3: Point) -> bool:
     """Three points are affinely dependent iff their bordered determinant vanishes."""
     return _is_zero(cm3_points(p1, p2, p3))
-
-
-@dataclass(frozen=True)
-class RatioCertificate:
-    """Witness that x - z = ratio * (xt - z), checked coordinatewise."""
-
-    ratio: Scalar
-    lhs: Vec2
-    rhs: Vec2
-
-
-def prop3_verify(z: Point, x: Point, xt: Point, a: Scalar, b: Scalar) -> RatioCertificate:
-    """Certify the division ratio forced by the a^2 / b^2 / (a+b)^2 pattern."""
-    s = a + b
-    if _is_zero(s):
-        raise DegenerateSum("a + b = 0")
-    checks = (
-        (sqdist(z, x), a * a, "phi2(z,x) != a^2"),
-        (sqdist(x, xt), b * b, "phi2(x,xt) != b^2"),
-        (sqdist(z, xt), s * s, "phi2(z,xt) != (a+b)^2"),
-    )
-    for got, want, message in checks:
-        if not _is_zero(got - want):
-            raise PreconditionViolated(message)
-    ratio = a * _invert(s)
-    lhs = x - z
-    rhs = xt - z
-    if not (rhs.scaled(ratio) == lhs):
-        raise PreconditionViolated("coordinate certificate failed")
-    return RatioCertificate(ratio=ratio, lhs=lhs, rhs=rhs)
-
-
-@dataclass(frozen=True)
-class ParallelogramCertificate:
-    """Witness vectors for C - E = F - D and C - F = E - D."""
-
-    ec: Vec2
-    fc: Vec2
-
-
-def prop4_verify(e: Point, f: Point, c: Point, d: Point) -> ParallelogramCertificate:
-    """Certify the reflected-pair conclusion for four points at equal distances."""
-    if _is_zero(sqdist(e, f)):
-        raise PreconditionViolated("phi2(E,F) = 0")
-    if c == d:
-        raise PreconditionViolated("C = D")
-    base = sqdist(e, c)
-    for got, message in (
-        (sqdist(f, c), "phi2(F,C) differs from phi2(E,C)"),
-        (sqdist(e, d), "phi2(E,D) differs from phi2(E,C)"),
-        (sqdist(f, d), "phi2(F,D) differs from phi2(E,C)"),
-    ):
-        if not _is_zero(got - base):
-            raise PreconditionViolated(message)
-    ec = c - e
-    fc = c - f
-    if not (ec == f - d):
-        raise PreconditionViolated("coordinate certificate failed: C-E != F-D")
-    if not (fc == e - d):
-        raise PreconditionViolated("coordinate certificate failed: C-F != E-D")
-    return ParallelogramCertificate(ec=ec, fc=fc)
 
 
 def _invert(x: Scalar) -> Scalar:

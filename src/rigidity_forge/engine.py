@@ -8,7 +8,8 @@ the two vector lemmas fire on matching distance patterns, and linear closing
 steps are validated by exact rational span membership (a conclusion is
 admitted only if its formal linear relation lies in the span of its premises'
 relations, which holds in F^2 for any assignment of the image points).  A
-replayed derivation is exactly the premise closure of its goal.
+replayed derivation is exactly the premise closure of its goal, and each of
+its lemma conclusions holds on the gadget's own coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
-from .cm import Point, prop3_verify, prop4_verify, sqdist, _is_zero
+from .cm import Point, sqdist, _is_zero
 from .gadgets import (
     KEMPE_IDENTITIES,
     KEMPE_NONZERO_PAIRS,
@@ -365,7 +366,7 @@ def _prop4_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: 
         raise PatternMismatch("distance premises do not cover EC, FC, ED, FD")
     if len(values) != 1:
         raise PatternMismatch("the four squared distances are not equal")
-    # EC = DF and FC = ED, as certified coordinatewise by prop4_verify
+    # EC = DF and FC = ED; replay checks each kept conclusion on the coordinates
     return VecEq(a=e, b=c, c=d, d=f), VecEq(a=f, b=c, c=d, d=e)
 
 
@@ -499,23 +500,6 @@ def _replay_layout(store: FactStore, layout: Mapping) -> int:
     return _REPLAYS[kind](store, layout)
 
 
-def _shadow_prop3(store: FactStore, z: str, x: str, xt: str) -> None:
-    """Re-certify the ratio rule on the domain coordinates (shadow check)."""
-    pts = store.gadget.points
-    v_zx = store.facts[store.require_sqdist(z, x)].v
-    v_xxt = store.facts[store.require_sqdist(x, xt)].v
-    v_zxt = store.facts[store.require_sqdist(z, xt)].v
-    a = _frac_sqrt(v_zx)
-    b = _frac_sqrt(v_xxt)
-    if a is None or b is None:
-        raise ReplayFailed("domain shadow: certificate values are not rational squares")
-    if (a + b) ** 2 != v_zxt:
-        b = -b
-    if (a + b) ** 2 != v_zxt or a + b == 0:
-        raise ReplayFailed("domain shadow: no admissible square decomposition")
-    prop3_verify(pts[z], pts[x], pts[xt], a, b)
-
-
 def _replay_division_layout(store: FactStore, layout: Mapping) -> int:
     roles = layout["roles"]
     a, b, c, d, e, f = (roles[k] for k in "ABCDEF")
@@ -532,13 +516,6 @@ def _replay_division_layout(store: FactStore, layout: Mapping) -> int:
         store.require(Distinct(c, d)),
     ]
     veceq = apply_rule(store, "Prop4", p4)[0]
-    # domain shadow checks: the lemma conclusions hold on the coordinates
-    pts = store.gadget.points
-    _shadow_prop3(store, a, e, d)
-    _shadow_prop3(store, b, f, d)
-    if not (scale1.holds(pts) and scale2.holds(pts)):
-        raise ReplayFailed("Prop3 conclusion fails on domain coordinates")
-    prop4_verify(pts[e], pts[f], pts[c], pts[d])
     conclusion = layout_goal(layout)
     premises = [store.require(scale1), store.require(scale2), store.require(veceq)]
     apply_rule(store, "VecAlgebra", premises, conclusion=conclusion)
@@ -552,7 +529,6 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
     if len(track1) == 1 or track1 == track2:
         apply_rule(store, "VecAlgebra", [], conclusion=conclusion)
         return store.require(conclusion)
-    pts = store.gadget.points
     step_ids = []
     for i in range(len(track1) - 1):
         a_i, a_next = track1[i], track1[i + 1]
@@ -566,7 +542,6 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
             store.require(Distinct(c_i, a_next)),
         ]
         veceq1, veceq2 = apply_rule(store, "Prop4", premises)
-        prop4_verify(pts[a_i], pts[c_next], pts[c_i], pts[a_next])
         # f(A_i)A_{i+1} = f(C_i)C_{i+1} is the second conclusion's content
         step = VecEq(a=a_i, b=a_next, c=c_i, d=c_next)
         apply_rule(
@@ -627,7 +602,8 @@ _REPLAYS = {
 
 def _finish(store: FactStore, goal_id: int) -> Derivation:
     """Slice the store to the goal's premise closure, in store order, with the
-    premises renumbered; the goal is the highest kept index, so it ends last."""
+    premises renumbered; the goal is the highest kept index, so it ends last.
+    Every kept lemma conclusion must hold on the gadget's own coordinates."""
     if fact_key(store.facts[goal_id]) != fact_key(store.gadget.goal):
         raise ReplayFailed("replay conclusion does not match the gadget goal")
     keep = {goal_id}
@@ -646,6 +622,10 @@ def _finish(store: FactStore, goal_id: int) -> Derivation:
         [Justification(j.rule, tuple(renumber[p] for p in j.premises)) for j in justifications],
     )
     derivation.check_wellformed()
+    points = store.gadget.points
+    for i, (fact, just) in enumerate(zip(derivation.facts, derivation.justifications)):
+        if just.rule in _LEMMAS and not fact.holds(points):
+            raise ReplayFailed(f"step {i} ({just.rule}) concludes {fact}, false on the gadget's coordinates")
     return derivation
 
 

@@ -401,7 +401,7 @@ def build_division(a: Point, b: Point, t: Fraction, r: Fraction | None = None) -
         r = choose_division_radius(ab_sq, t)
     else:
         r = Fraction(r)
-        if cmp_with_sqrt(r, ab_sq) <= 0:
+        if r <= 0 or cmp_with_sqrt(r, ab_sq) <= 0:
             raise GadgetError(f"r = {r} does not exceed |AB|")
         if t != Fraction(1, 2) and cmp_with_sqrt(r * abs(1 - 2 * t), ab_sq) >= 0:
             raise GadgetError(f"r = {r} is too large for t = {t}")

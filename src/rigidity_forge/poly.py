@@ -2,9 +2,10 @@
 
 Terms map exponent vectors (over a fixed, named indeterminate context) to
 nonzero rational coefficients; graded-lexicographic order gives the canonical
-rendering.  Determinants come from fraction-free (Bareiss) elimination with a
-cofactor expansion kept as an independent oracle.  There is deliberately no
-factoring: identities are checked by expanding a claimed factored form.
+rendering.  ``det`` is the package's one determinant: a Laplace expansion
+that runs on polynomials and on every scalar carrier alike.  There is
+deliberately no factoring: identities are checked by expanding a claimed
+factored form.
 """
 
 from __future__ import annotations
@@ -201,81 +202,7 @@ def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(n, ctx) for n in ctx)
 
 
-PolyLike = Union[Polynomial, int, Fraction]
-Matrix = Sequence[Sequence[PolyLike]]
-
-
-def _normalize_matrix(matrix: Matrix) -> list[list[Polynomial]]:
-    ctx: tuple[str, ...] | None = None
-    for row in matrix:
-        for entry in row:
-            if isinstance(entry, Polynomial):
-                if ctx is None:
-                    ctx = entry.vars
-                elif entry.vars != ctx:
-                    raise ValueError("matrix entries use different indeterminate contexts")
-    if ctx is None:
-        ctx = ()
-    out = []
-    for row in matrix:
-        out.append(
-            [e if isinstance(e, Polynomial) else Polynomial.constant(e, ctx) for e in row]
-        )
-    if any(len(row) != len(out) for row in out):
-        raise ValueError("determinant needs a square matrix")
-    return out
-
-
-def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient p/q when the division is exact; used by Bareiss elimination."""
-    if q.is_zero():
-        raise ZeroDivisionError("exact division by the zero polynomial")
-    ctx = p.vars
-
-    def grlex_lead(poly: Polynomial) -> Exponents:
-        return max(poly.terms, key=lambda e: (sum(e), e))
-
-    quotient = Polynomial(ctx)
-    rem = p
-    q_lead = grlex_lead(q)
-    q_lc = q.terms[q_lead]
-    while not rem.is_zero():
-        r_lead = grlex_lead(rem)
-        diff = tuple(a - b for a, b in zip(r_lead, q_lead))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("division is not exact")
-        mono = Polynomial(ctx, {diff: rem.terms[r_lead] / q_lc})
-        quotient = quotient + mono
-        rem = rem - mono * q
-    return quotient
-
-
-def det_bareiss(matrix: Matrix) -> Polynomial:
-    """Fraction-free elimination; every intermediate division is exact."""
-    m = _normalize_matrix(matrix)
-    n = len(m)
-    ctx = m[0][0].vars if n else ()
-    sign = 1
-    prev = Polynomial.constant(1, ctx)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial(ctx)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = divide_exact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = Polynomial(ctx)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def laplace_det(rows: Sequence[Sequence]):
+def det(rows: Sequence[Sequence]):
     """Laplace expansion along the first row over any commutative ring.
 
     Entries that are the int 0 (the diagonal and corner of a bordered
@@ -290,14 +217,10 @@ def laplace_det(rows: Sequence[Sequence]):
         if isinstance(entry, int) and entry == 0:
             continue
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * laplace_det(minor)
+        term = entry * det(minor)
         signed = term if j % 2 == 0 else -term
         total = signed if total is None else total + signed
     return 0 if total is None else total
-
-
-def det(matrix: Matrix) -> Polynomial:
-    return det_bareiss(matrix)
 
 
 def identity_check(lhs: Polynomial, constant: RationalLike, factors: Iterable[Polynomial | tuple[Polynomial, int]]) -> bool:

@@ -72,6 +72,25 @@ def test_replay_writes_derivation_and_model_check_reads_it(tmp_path, capsys):
         assert "all-true" in out
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("conj:x", "bad generator index in model spec 'conj:x'"),
+        ("conj:1.5", "bad generator index in model spec 'conj:1.5'"),
+        ("conj:", "bad generator index in model spec 'conj:'"),
+        ("conj-rot:y", "bad generator index in model spec 'conj-rot:y'"),
+        ("conj:5", "generator index 5 out of range"),
+        ("bogus", "unknown model spec 'bogus'"),
+    ],
+    ids=["letter", "fraction", "empty", "rot-letter", "range", "unknown"],
+)
+def test_model_check_rejects_bad_model_spec(tmp_path, capsys, spec, message):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    code, out, err = run(["model-check", str(gadget_file), "--model", spec], capsys)
+    assert (code, out, err) == (1, "", f"EngineError: {message}\n")
+
+
 def test_model_check_on_gadget_file_replays_first(tmp_path, capsys):
     gadget_file = tmp_path / "kempe.json"
     run(["gadget", "kempe", "--t", "1/2", "-o", str(gadget_file)], capsys)
@@ -273,6 +292,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run(["gadget", "kempe", "--t", "0"], capsys)
     assert code == 2
     assert "tangent" in err
+    code, out, err = run(["gadget", "division", "--t", "1/3", "--r", "-3"], capsys)
+    assert (code, out, err) == (2, "", "gadget construction failed: r = -3 does not exceed |AB|\n")
 
 
 def test_missing_file_exits_2(capsys):

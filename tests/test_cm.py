@@ -1,4 +1,4 @@
-"""Bordered squared-distance determinants and the two vector lemmas."""
+"""Bordered squared-distance determinants, and the two vector lemmas on coordinates."""
 
 import random
 from fractions import Fraction
@@ -7,20 +7,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge.cm import (
-    DegenerateSum,
-    Point,
-    PreconditionViolated,
-    Vec2,
-    affinely_dependent3,
-    cm3,
-    cm3_points,
-    cm4,
-    prop3_verify,
-    prop4_verify,
-    rational_point,
-    sqdist,
-)
+from rigidity_forge.cm import Point, Vec2, affinely_dependent3, cm3, cm3_points, cm4, rational_point, sqdist
+from rigidity_forge.engine import _LEMMAS, Distinct, NonzeroDist, PatternMismatch, SqDistKnown, VecEq
 from rigidity_forge.scalars import QQ, FunElem, adjoin_sqrt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
@@ -145,34 +133,62 @@ def test_affine_dependence_matches_cross_product_oracle():
 
 
 # -- ratio lemma ---------------------------------------------------------------------------------
+#
+# The two vector lemmas are the rules ``engine._LEMMAS["Prop3"]`` and
+# ``["Prop4"]``; their conclusions must hold on the configurations they are
+# read from.
+
+
+def prop3(zx, xxt, zxt):
+    """The ratio rule on Z, X, XT with the given squared distances."""
+    facts = [SqDistKnown("Z", "X", zx), SqDistKnown("X", "XT", xxt), SqDistKnown("Z", "XT", zxt)]
+    (scale,) = _LEMMAS["Prop3"](facts, [0, 1, 2], None)
+    return scale
+
+
+def line_points(z, x, xt):
+    return {"Z": z, "X": x, "XT": xt}
 
 
 def test_prop3_interior_point():
-    cert = prop3_verify(rational_point(0, 0), rational_point(1, 0), rational_point(3, 0), Fraction(1), Fraction(2))
-    assert cert.ratio == Fraction(1, 3)
+    points = line_points(rational_point(0, 0), rational_point(1, 0), rational_point(3, 0))
+    scale = prop3(Fraction(1), Fraction(4), Fraction(9))
+    assert scale.r == Fraction(1, 3)
+    assert scale.holds(points)
 
 
 def test_prop3_negative_branch():
-    cert = prop3_verify(rational_point(0, 0), rational_point(2, 0), rational_point(1, 0), Fraction(2), Fraction(-1))
-    assert cert.ratio == 2
+    points = line_points(rational_point(0, 0), rational_point(2, 0), rational_point(1, 0))
+    scale = prop3(Fraction(4), Fraction(1), Fraction(1))
+    assert scale.r == 2
+    assert scale.holds(points)
 
 
 def test_prop3_oblique():
-    z = rational_point(0, 0)
-    x = rational_point(Fraction(3, 5), Fraction(4, 5))
-    xt = rational_point(Fraction(6, 5), Fraction(8, 5))
-    cert = prop3_verify(z, x, xt, Fraction(1), Fraction(1))
-    assert cert.ratio == Fraction(1, 2)
+    points = line_points(
+        rational_point(0, 0),
+        rational_point(Fraction(3, 5), Fraction(4, 5)),
+        rational_point(Fraction(6, 5), Fraction(8, 5)),
+    )
+    scale = prop3(Fraction(1), Fraction(1), Fraction(4))
+    assert scale.r == Fraction(1, 2)
+    assert scale.holds(points)
 
 
 def test_prop3_degenerate_sum():
-    with pytest.raises(DegenerateSum):
-        prop3_verify(rational_point(0, 0), rational_point(2, 0), rational_point(0, 0), Fraction(2), Fraction(-2))
+    # XT = Z: the split a = 2, b = -2 would divide by a + b = 0; the rule
+    # reads the triangle the other way round (ratio 1), which holds
+    points = line_points(rational_point(0, 0), rational_point(2, 0), rational_point(0, 0))
+    scale = prop3(Fraction(4), Fraction(4), Fraction(0))
+    assert scale.r == 1
+    assert scale.holds(points)
 
 
 def test_prop3_pattern_violation():
-    with pytest.raises(PreconditionViolated):
-        prop3_verify(rational_point(0, 0), rational_point(1, 0), rational_point(3, 0), Fraction(1), Fraction(1))
+    # a = b = 1 stated for a configuration whose |Z XT|^2 is 9, not (a+b)^2
+    points = line_points(rational_point(0, 0), rational_point(1, 0), rational_point(3, 0))
+    with pytest.raises(PatternMismatch):
+        prop3(Fraction(1), Fraction(1), sqdist(points["Z"], points["XT"]).as_fraction())
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,19 +197,35 @@ def test_prop3_on_scaled_unit_directions(zx, zy, a):
     # z, z + a*u, z + (a+b)*u with u = (3/5, 4/5) and b = 1
     b = Fraction(1)
     u = (Fraction(3, 5), Fraction(4, 5))
-    z = rational_point(zx, zy)
-    x = rational_point(zx + a * u[0], zy + a * u[1])
-    xt = rational_point(zx + (a + b) * u[0], zy + (a + b) * u[1])
-    cert = prop3_verify(z, x, xt, a, b)
-    assert cert.ratio == a / (a + b)
+    points = line_points(
+        rational_point(zx, zy),
+        rational_point(zx + a * u[0], zy + a * u[1]),
+        rational_point(zx + (a + b) * u[0], zy + (a + b) * u[1]),
+    )
+    scale = prop3(a * a, b * b, (a + b) ** 2)
+    assert scale.r == a / (a + b)
+    assert scale.holds(points)
 
 
 # -- parallelogram lemma -----------------------------------------------------------------------------
 
 
+def prop4(e, f, c, d):
+    """The parallelogram rule on E, F, C, D, its distance premises read off
+    the points; returns the points and the two conclusions."""
+    points = {"E": e, "F": f, "C": c, "D": d}
+    facts = [SqDistKnown(p, q, sqdist(points[p], points[q]).as_fraction()) for p, q in ("EC", "FC", "ED", "FD")]
+    facts += [NonzeroDist("E", "F"), Distinct("C", "D")]
+    assert all(fact.holds(points) for fact in facts)
+    return points, _LEMMAS["Prop4"](facts, range(6), None)
+
+
 def test_prop4_axis_example():
-    cert = prop4_verify(rational_point(1, 0), rational_point(-1, 0), rational_point(0, 1), rational_point(0, -1))
-    assert cert.ec == Vec2(QQ.rational(-1), QQ.rational(1))
+    e, f, c, d = rational_point(1, 0), rational_point(-1, 0), rational_point(0, 1), rational_point(0, -1)
+    points, (ec_df, fc_de) = prop4(e, f, c, d)
+    assert (ec_df, fc_de) == (VecEq(a="E", b="C", c="D", d="F"), VecEq(a="F", b="C", c="D", d="E"))
+    assert ec_df.holds(points) and fc_de.holds(points)
+    assert points["C"] - points["E"] == Vec2(QQ.rational(-1), QQ.rational(1))
 
 
 def test_prop4_division_gadget_quadruple():
@@ -204,21 +236,15 @@ def test_prop4_division_gadget_quadruple():
     f = Point(tower.rational(Fraction(3, 4)), root * Fraction(1, 2))
     c = Point(tower.rational(Fraction(1, 2)), tower.rational(0))
     d = Point(tower.rational(Fraction(1, 2)), root)
-    cert = prop4_verify(e, f, c, d)
-    assert cert.ec == Vec2(tower.rational(Fraction(1, 4)), -root * Fraction(1, 2))
-    assert cert.ec == f - d
-    assert cert.fc == e - d
-
-
-def test_prop4_rejects_coincident_cd():
-    c = rational_point(0, 1)
-    with pytest.raises(PreconditionViolated, match="C = D"):
-        prop4_verify(rational_point(1, 0), rational_point(-1, 0), c, c)
+    points, conclusions = prop4(e, f, c, d)
+    assert all(fact.holds(points) for fact in conclusions)
+    assert c - e == Vec2(tower.rational(Fraction(1, 4)), -root * Fraction(1, 2))
 
 
 def test_prop4_reports_failed_distance():
-    with pytest.raises(PreconditionViolated, match="F,C"):
-        prop4_verify(rational_point(1, 0), rational_point(-2, 0), rational_point(0, 1), rational_point(0, -1))
+    # |FC|^2 = |FD|^2 = 5 but |EC|^2 = |ED|^2 = 2
+    with pytest.raises(PatternMismatch, match="not equal"):
+        prop4(rational_point(1, 0), rational_point(-2, 0), rational_point(0, 1), rational_point(0, -1))
 
 
 def test_prop4_matches_reflection_construction():
@@ -237,7 +263,6 @@ def test_prop4_matches_reflection_construction():
         perp = Vec2(-(f.y - e.y), f.x - e.x)
         c = Point(mid_x + lam * perp.x, mid_y + lam * perp.y)
         d = Point(mid_x - lam * perp.x, mid_y - lam * perp.y)
-        cert = prop4_verify(e, f, c, d)
-        assert cert.ec == f - d
-        assert cert.fc == e - d
+        points, conclusions = prop4(e, f, c, d)
+        assert all(fact.holds(points) for fact in conclusions)
         built += 1

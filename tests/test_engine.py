@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rigidity_forge import engine
 from rigidity_forge.cm import Point, rational_point
 from rigidity_forge.engine import (
     AffineComb,
@@ -292,6 +293,22 @@ def test_replay_fails_on_missing_certificate(division_half):
     )
     with pytest.raises(ReplayFailed):
         replay(reduced)
+
+
+def test_replay_rejects_lemma_conclusion_false_on_coordinates(monkeypatch):
+    """A ratio rule that doubles its ratio, and a span rule that admits any
+    stated conclusion: replay must catch the false step, not return it."""
+    prop3 = engine._LEMMAS["Prop3"]
+
+    def wrong_ratio(facts, premises, conclusion):
+        (scale,) = prop3(facts, premises, conclusion)
+        return (dataclasses.replace(scale, r=2 * scale.r),)
+
+    monkeypatch.setitem(engine._LEMMAS, "Prop3", wrong_ratio)
+    monkeypatch.setitem(engine._LEMMAS, "VecAlgebra", lambda facts, premises, conclusion: (conclusion,))
+    gadget = build_division(rational_point(0, 0), rational_point(1, 0), F(1, 3))
+    with pytest.raises(ReplayFailed, match=r"^step \d+ \(Prop3\) concludes VecScale"):
+        replay(gadget)
 
 
 # -- translation replays ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from rigidity_forge.gadgets import (
     DegenerateLinkage,
     DegenerateSegment,
     DotZero,
+    GadgetError,
     IrrationalSide,
     NotATranslate,
     NotPerpendicular,
@@ -93,6 +94,9 @@ def test_division_rejects_degenerate_inputs():
         build_division(a, rational_point(1, 0), F(3, 2))
     with pytest.raises(TOutOfRange):
         build_division(a, rational_point(1, 0), F(0))
+    for r in (F(-3), F(0)):
+        with pytest.raises(GadgetError, match=rf"^r = {r} does not exceed \|AB\|$"):
+            build_division(a, rational_point(1, 0), F(1, 3), r=r)
 
 
 def test_division_every_t_in_sample_range():

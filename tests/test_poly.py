@@ -2,18 +2,27 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import poly
 from rigidity_forge.gadgets import KEMPE_IDENTITIES
-from rigidity_forge.poly import Polynomial, det, det_bareiss, divide_exact, identity_check, variables
+from rigidity_forge.poly import Polynomial, det, identity_check, variables
 
 
-def det_cofactor(matrix) -> Polynomial:
-    """Laplace expansion of the polynomial matrix; oracle for det_bareiss."""
-    return poly.laplace_det(poly._normalize_matrix(matrix))
+def det_leibniz(matrix):
+    """Oracle for ``det``: the Leibniz sum over all permutations, each signed
+    by its inversion count; shares no step with a Laplace expansion."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -96,25 +105,29 @@ def test_linkage_table_builds_the_reference_matrices(symbols):
     assert [identity.matrix() for identity in KEMPE_IDENTITIES] == list(kempe_matrices(symbols))
 
 
-def test_bareiss_matches_cofactor_oracle(symbols):
+def test_det_matches_leibniz_oracle(symbols):
     for m in kempe_matrices(symbols):
-        assert det_bareiss(m) == det_cofactor(m)
+        assert det(m) == det_leibniz(m)
 
 
-def test_bareiss_matches_cofactor_on_random_matrices():
+def test_det_matches_leibniz_on_random_matrices():
     rng = random.Random(7)
     x, y = variables("x y")
-    for _ in range(10):
-        m = [
-            [
-                Polynomial.constant(rng.randint(-4, 4), x.vars)
-                + x * rng.randint(-2, 2)
-                + y * rng.randint(-2, 2)
-                for _ in range(3)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            m = [
+                [
+                    Polynomial.constant(rng.randint(-4, 4), x.vars)
+                    + x * rng.randint(-2, 2)
+                    + y * rng.randint(-2, 2)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
             ]
-            for _ in range(3)
-        ]
-        assert det_bareiss(m) == det_cofactor(m)
+            assert det(m) == det_leibniz(m)
+            # the same expansion over the rationals, zero entries included
+            q = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            assert det(q) == det_leibniz(q)
 
 
 def test_det_with_equal_rows_vanishes():
@@ -134,14 +147,6 @@ def test_det_row_scaling_multilinearity():
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 5))
         scaled = [m[0], [lam * entry for entry in m[1]], m[2]]
         assert det(scaled) == lam * det(m)
-
-
-def test_divide_exact_roundtrip(symbols):
-    a, b, c, d, e = symbols
-    p = (a + 2 * b - 3) * (c * c - d + 1)
-    assert divide_exact(p, c * c - d + 1) == a + 2 * b - 3
-    with pytest.raises(ArithmeticError):
-        divide_exact(a * a + 1, a + 1)
 
 
 # -- substitution and evaluation -----------------------------------------------------

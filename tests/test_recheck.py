@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from rigidity_forge import codec, engine, suite
-from rigidity_forge.engine import AXIOMS, Derivation, EngineError, Justification, recheck_derivation
+from rigidity_forge.engine import AXIOMS, RULES, Derivation, EngineError, Justification, recheck_derivation
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,16 @@ def premise_mutants(derivation: Derivation):
             yield Derivation(derivation.gadget, derivation.facts, justifications)
 
 
+def rule_mutants(derivation: Derivation):
+    """Every step with its rule renamed to each other rule, premises kept."""
+    for i, just in enumerate(derivation.justifications):
+        for rule in RULES:
+            if rule != just.rule:
+                justifications = list(derivation.justifications)
+                justifications[i] = Justification(rule, just.premises)
+                yield Derivation(derivation.gadget, derivation.facts, justifications)
+
+
 def _rejected(derivation: Derivation) -> bool:
     try:
         recheck_derivation(derivation)
@@ -56,7 +66,11 @@ def _rejected(derivation: Derivation) -> bool:
     return False
 
 
-@pytest.mark.parametrize("mutants, count", [(fact_mutants, 2191), (premise_mutants, 153)], ids=["facts", "premises"])
+@pytest.mark.parametrize(
+    "mutants, count",
+    [(fact_mutants, 2191), (premise_mutants, 153), (rule_mutants, 1673)],
+    ids=["facts", "premises", "rules"],
+)
 def test_recheck_rejects_every_corpus_mutant(corpus, mutants, count):
     tried = accepted = 0
     for entry in corpus:
