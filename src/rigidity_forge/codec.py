@@ -117,7 +117,10 @@ def decode_fun_elem(obj: Any, location: str = "scalar") -> FunElem:
             _fail(f"{location}.{key}", "expected a coefficient list")
         return tuple(_decode_coords(tower, coords, f"{location}.{key}[{i}]") for i, coords in enumerate(coeffs))
 
-    return FunElem(tower, poly("num"), poly("den"))
+    num, den = poly("num"), poly("den")
+    if all(c.is_zero() for c in den):
+        _fail(f"{location}.den", "zero denominator")
+    return FunElem(tower, num, den)
 
 
 def encode_scalar(value: Any) -> Any:

@@ -203,31 +203,24 @@ class Gadget:
 class _Builder:
     def __init__(self) -> None:
         self.points: dict[str, Point] = {}
-        self._bounds: dict[str, tuple] = {}
+        # name of each point by value: equal points hash equal across towers,
+        # and a lookup confirms with exact ``==``
+        self._names: dict[Point, str] = {}
         self.certificate: dict[tuple[str, str], Fraction] = {}
         self.cert_order: list[tuple[str, str]] = []
         self.side_conditions: list[tuple[str, str]] = []
 
     def add_point(self, name: str, point: Point) -> str:
-        # interval prefilter: exact (tower-merging) comparison only on overlap
-        bounds = (point.x.bounds(12), point.y.bounds(12))
-        for existing, p in self.points.items():
-            eb = self._bounds[existing]
-            if (
-                eb[0][0] <= bounds[0][1]
-                and bounds[0][0] <= eb[0][1]
-                and eb[1][0] <= bounds[1][1]
-                and bounds[1][0] <= eb[1][1]
-                and p == point
-            ):
-                return existing
+        existing = self._names.get(point)
+        if existing is not None:
+            return existing
         if name in self.points:
             base, k = name, 2
             while f"{base}_{k}" in self.points:
                 k += 1
             name = f"{base}_{k}"
         self.points[name] = point
-        self._bounds[name] = bounds
+        self._names[point] = name
         return name
 
     def add_cert(self, p: str, q: str, d2: Fraction) -> None:

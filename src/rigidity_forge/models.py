@@ -176,6 +176,19 @@ def eps_rotation_model(reflection: bool = False) -> ModelMap:
 # ---------------------------------------------------------------------------
 
 
+def _mapped_once(f):
+    """``f`` on points, evaluated once per distinct point."""
+    images: dict[Point, object] = {}
+
+    def image(p: Point):
+        out = images.get(p)
+        if out is None:
+            out = images[p] = f(p)
+        return out
+
+    return image
+
+
 @dataclass(frozen=True)
 class PairCheck:
     pair: tuple[Point, Point]
@@ -192,14 +205,7 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     """Check the squared distance of each image pair equals the embedded
     squared distance; rational values must be reproduced verbatim.  Each
     distinct point is mapped once."""
-    images: dict[Point, Point] = {}
-
-    def image(p: Point) -> Point:
-        out = images.get(p)
-        if out is None:
-            out = images[p] = model.apply(p)
-        return out
-
+    image = _mapped_once(model.apply)
     checks = []
     all_ok = True
     for p, q in pairs:
@@ -238,15 +244,14 @@ def _extract_theta(phi_lu: Vec2, phi_u: Vec2):
 
 def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence[Point]) -> StructureReport:
     """Check the displacement map phi(u) = m(u) - m(0) is additive, scales by a
-    direction-independent factor rho(lambda), and that rho is a homomorphism."""
+    direction-independent factor rho(lambda), and that rho is a homomorphism.
+    Each distinct point is mapped once."""
     if not us:
         raise ModelError("need at least one sample direction")
     tower = us[0].x.tower
     origin = Point(tower.rational(0), tower.rational(0))
     m0 = model.apply(origin)
-
-    def phi(p: Point) -> Vec2:
-        return model.apply(p) - m0
+    phi = _mapped_once(lambda p: model.apply(p) - m0)
 
     additivity_ok = True
     for u, v in combinations(us, 2):

@@ -16,7 +16,11 @@ Three carriers, all with decidable equality:
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
   denominator, operations take no polynomial gcd, and equality
-  cross-multiplies.  The reduced form (coprime, monic denominator) is what
+  cross-multiplies.  Numerator and denominator are each held as an integer
+  matrix over one positive denominator (row i holds the integer coordinates
+  of the coefficient of eps^i), in canonical form, so products and sums run
+  on integers and equal polynomials have equal pairs.  The reduced form
+  (coprime ``TowerElem`` polynomials, monic denominator) is what
   ``num``/``den``, hashing, printing and the codec see; it is computed once
   per value, on first use, and cached.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, neg
 from typing import Sequence, Union
@@ -494,11 +499,6 @@ class TowerElem:
             return NotImplemented
         return (self - rhs).sign() >= 0
 
-    def bounds(self, prec: int = 32) -> Interval:
-        lows, highs, den = _basis_bounds(self.tower, prec)
-        lo, hi = _enclose(self._n, lows, highs)
-        return Fraction(lo, den * self._d), Fraction(hi, den * self._d)
-
     # -- rendering ---------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -642,9 +642,108 @@ def tower_conjugate(x: TowerElem, index: int) -> TowerElem:
 
 # ---------------------------------------------------------------------------
 # Rational function field K(eps) over a tower K.  No order is defined here.
+#
+# A polynomial over K is held as an integer matrix over one positive
+# denominator k: row i is the integer coordinate vector of the coefficient of
+# eps^i, as in the tower kernels above, and the matrix is kept in content form
+# (J. von zur Gathen and J. Gerhard, "Modern Computer Algebra", ch. 6).  The
+# pair is canonical when gcd(k, every entry) == 1 and the last row is nonzero,
+# so zero is () over 1 and equal polynomials have equal pairs.  The ``_f*``
+# kernels take and return canonical pairs of one tower; ``Poly`` (a tuple of
+# ``TowerElem`` coefficients) is only built for the reduced public form.
 # ---------------------------------------------------------------------------
 
 Poly = tuple[TowerElem, ...]
+IPoly = tuple[tuple[IVec, ...], int]
+
+
+def _fcanon(rows: list[IVec], k: int) -> IPoly:
+    """rows over k > 0, trimmed and reduced to canonical form."""
+    while rows and not any(rows[-1]):
+        rows.pop()
+    if not rows:
+        return (), 1
+    if k != 1:
+        g = gcd(k, *chain.from_iterable(rows))
+        if g != 1:
+            rows = [tuple([c // g for c in r]) for r in rows]
+            k //= g
+    return tuple(rows), k
+
+
+def _fscale(rows: Sequence[IVec], f: int) -> list[IVec]:
+    return [tuple([c * f for c in r]) for r in rows]
+
+
+def _fadd(a: IPoly, b: IPoly) -> IPoly:
+    """a + b: row-wise integer addition over one denominator."""
+    (ra, ka), (rb, kb) = a, b
+    if ka != kb:
+        k = lcm(ka, kb)
+        ra, rb, ka = _fscale(ra, k // ka), _fscale(rb, k // kb), k
+    if len(ra) < len(rb):
+        ra, rb = rb, ra
+    rows = list(ra)
+    for i, r in enumerate(rb):
+        rows[i] = tuple(map(add, rows[i], r))
+    return _fcanon(rows, ka)
+
+
+def _fneg(a: IPoly) -> IPoly:
+    return tuple([_ineg(r) for r in a[0]]), a[1]
+
+
+def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
+    """a * b: a convolution of the rows, one ``lcm`` (over a rational
+    radicand only) and one ``gcd`` per result."""
+    (ra, ka), (rb, kb) = a, b
+    if not ra or not rb:
+        return (), 1
+    # each nonzero row of b, with its value as an integer if it is rational
+    ys = [(j, y, None if any(y[1:]) else y[0]) for j, y in enumerate(rb) if any(y)]
+    out: list[IVec | None] = [None] * (len(ra) + len(rb) - 1)
+    deferred = []  # products over a radicand denominator k > 1
+    for i, x in enumerate(ra):
+        if not any(x):
+            continue
+        sx = None if any(x[1:]) else x[0]
+        for j, y, sy in ys:
+            if sx is not None:
+                v = tuple([sx * c for c in y])
+            elif sy is not None:
+                v = tuple([sy * c for c in x])
+            else:
+                v, k = _imul(rads, x, y)
+                if k != 1:
+                    deferred.append((i + j, v, k))
+                    continue
+            r = out[i + j]
+            out[i + j] = v if r is None else tuple(map(add, r, v))
+    zero = (0,) * len(ra[0])
+    rows = [zero if r is None else r for r in out]
+    den = 1
+    if deferred:
+        den = lcm(*[k for _, _, k in deferred])
+        rows = _fscale(rows, den)
+        for i, v, k in deferred:
+            rows[i] = tuple([c + d * (den // k) for c, d in zip(rows[i], v)])
+    return _fcanon(rows, ka * kb * den)
+
+
+def _fpoly(coeffs: Sequence[TowerElem]) -> IPoly:
+    """Trimmed coefficients of one tower as a canonical pair.  Over the lcm of
+    their canonical denominators the pair is already canonical."""
+    k = lcm(*[c._d for c in coeffs])
+    return tuple([c._n if c._d == k else tuple([x * (k // c._d) for x in c._n]) for c in coeffs]), k
+
+
+def _ftower(a: IPoly, tower: TowerDesc) -> Poly:
+    rows, k = a
+    return tuple([_elem(tower, *_canon(r, k)) for r in rows])
+
+
+def _fone(tower: TowerDesc) -> IPoly:
+    return ((1,) + (0,) * (tower.dim - 1),), 1
 
 
 def _ptrim(coeffs: Sequence[TowerElem]) -> Poly:
@@ -652,35 +751,6 @@ def _ptrim(coeffs: Sequence[TowerElem]) -> Poly:
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def _pmul(a: Poly, b: Poly, tower: TowerDesc) -> Poly:
-    if not a or not b:
-        return ()
-    # None marks a coefficient no nonzero product has reached yet
-    out: list[TowerElem | None] = [None] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if not cb.is_zero():
-                term = ca * cb
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-    zero = tower.zero()
-    return _ptrim([zero if c is None else c for c in out])
 
 
 def _pdivmod(a: Poly, b: Poly, tower: TowerDesc) -> tuple[Poly, Poly]:
@@ -733,16 +803,19 @@ class FunElem:
     """Element of K(eps) over a tower K; immutable.
 
     Held lazily as a quotient of two polynomials over K that need not be
-    coprime.  ``+``, ``-``, ``*``, ``/`` and ``inverse`` multiply out without
-    a gcd, and ``+`` over one shared denominator adds the numerators only.
-    ``==`` cross-multiplies (a.n * b.d == b.n * a.d, or the numerators alone
-    over one shared denominator); that is exact because K[eps] is an integral
-    domain, so a product of nonzero denominators is never zero.
+    coprime, each a canonical integer matrix over one denominator (see the
+    kernels above).  ``+``, ``-``, ``*``, ``/`` and ``inverse`` multiply out
+    without a polynomial gcd, and ``+`` over one shared denominator adds the
+    numerators only.  ``==`` cross-multiplies (a.n * b.d == b.n * a.d, or the
+    numerators alone over one shared denominator); that is exact because
+    K[eps] is an integral domain, so a product of nonzero denominators is
+    never zero.
 
-    The public face is the reduced form: ``num`` and ``den`` are coprime and
-    ``den`` is monic.  It costs one polynomial gcd, taken on first use and
-    cached, and ``is_constant``, the hash, the printed value and the codec all
-    read it, so none of them depends on how the value was computed.
+    The public face is the reduced form: ``num`` and ``den`` are coprime
+    polynomials of ``TowerElem`` coefficients and ``den`` is monic.  It costs
+    one polynomial gcd, taken on first use and cached, and ``is_constant``,
+    the hash, the printed value and the codec all read it, so none of them
+    depends on how the value was computed.
     """
 
     __slots__ = ("tower", "_n", "_d", "_reduced")
@@ -752,14 +825,14 @@ class FunElem:
         den = _ptrim([c.lift(tower) if c.tower != tower else c for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator in function field element")
-        _init(self, tower, num, den)
+        _init(self, tower, _fpoly(num), _fpoly(den))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FunElem is immutable")
 
     @classmethod
-    def _make(cls, tower: TowerDesc, num: Poly, den: Poly) -> "FunElem":
-        """Wrap trimmed polynomials over ``tower``, den nonzero; no checks."""
+    def _make(cls, tower: TowerDesc, num: IPoly, den: IPoly) -> "FunElem":
+        """Wrap canonical pairs over ``tower``, den nonzero; no checks."""
         out = object.__new__(cls)
         _init(out, tower, num, den)
         return out
@@ -770,13 +843,19 @@ class FunElem:
     def constant(value: TowerElem | RationalLike, tower: TowerDesc | None = None) -> "FunElem":
         if isinstance(value, (int, Fraction)):
             tower = tower or QQ
-            value = tower.rational(value)
-        tower = tower or value.tower
-        return FunElem(tower, (value,), (tower.one(),))
+            n, d = value.numerator, value.denominator
+            num = (((n,) + (0,) * (tower.dim - 1),), d) if n else ((), 1)
+        else:
+            tower = tower or value.tower
+            if value.tower != tower:
+                value = value.lift(tower)
+            num = ((value._n,), value._d) if any(value._n) else ((), 1)
+        return FunElem._make(tower, num, _fone(tower))
 
     @staticmethod
     def eps(tower: TowerDesc = QQ) -> "FunElem":
-        return FunElem(tower, (tower.zero(), tower.one()), (tower.one(),))
+        one = _fone(tower)
+        return FunElem._make(tower, (((0,) * tower.dim, one[0][0]), 1), one)
 
     def _coerce(self, other) -> "FunElem | None":
         if isinstance(other, FunElem):
@@ -788,19 +867,34 @@ class FunElem:
         return None
 
     def _common(self, other: "FunElem") -> tuple["FunElem", "FunElem", TowerDesc]:
-        if self.tower == other.tower:
-            return self, other, self.tower
-        probe, _ = common_tower(self.tower.zero(), other.tower.zero())
+        t, u = self.tower, other.tower
+        if t is u or t == u:
+            return self, other, t
+        if t.is_prefix_of(u):
+            return self._lift(u), other, u
+        if u.is_prefix_of(t):
+            return self, other._lift(t), t
+        probe, _ = common_tower(t.zero(), u.zero())
         tower = probe.tower
-        lift_a = FunElem._make(tower, _plift_into(self._n, tower), _plift_into(self._d, tower))
-        lift_b = FunElem._make(tower, _plift_into(other._n, tower), _plift_into(other._d, tower))
-        return lift_a, lift_b, tower
+        return self._into(tower), other._into(tower), tower
+
+    def _lift(self, tower: TowerDesc) -> "FunElem":
+        """This value over an extension of its tower: each row padded with zeros."""
+        pad = (0,) * (tower.dim - self.tower.dim)
+        (nr, nk), (dr, dk) = self._n, self._d
+        return FunElem._make(tower, (tuple([r + pad for r in nr]), nk), (tuple([r + pad for r in dr]), dk))
+
+    def _into(self, tower: TowerDesc) -> "FunElem":
+        """This value with every coefficient mapped into ``tower``, which must hold it."""
+        num, den = (_fpoly(_plift_into(_ftower(p, self.tower), tower)) for p in (self._n, self._d))
+        return FunElem._make(tower, num, den)
 
     # -- reduced form --------------------------------------------------------------
 
     def _canonical(self) -> tuple[Poly, Poly]:
         if self._reduced is None:
-            object.__setattr__(self, "_reduced", _reduce(self._n, self._d, self.tower))
+            tower = self.tower
+            _fset_reduced(self, _reduce(_ftower(self._n, tower), _ftower(self._d, tower), tower))
         return self._reduced
 
     @property
@@ -814,7 +908,7 @@ class FunElem:
     # -- structure -----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._n
+        return not self._n[0]
 
     def is_constant(self) -> bool:
         num, den = self._canonical()
@@ -828,14 +922,15 @@ class FunElem:
             return NotImplemented
         a, b, tower = self._common(rhs)
         if a._d == b._d:
-            return FunElem._make(tower, _padd(a._n, b._n), a._d)
-        num = _padd(_pmul(a._n, b._d, tower), _pmul(b._n, a._d, tower))
-        return FunElem._make(tower, num, _pmul(a._d, b._d, tower))
+            return FunElem._make(tower, _fadd(a._n, b._n), a._d)
+        rads = tower._rads
+        num = _fadd(_fmul(rads, a._n, b._d), _fmul(rads, b._n, a._d))
+        return FunElem._make(tower, num, _fmul(rads, a._d, b._d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FunElem._make(self.tower, _pneg(self._n), self._d)
+        return FunElem._make(self.tower, _fneg(self._n), self._d)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -854,7 +949,8 @@ class FunElem:
         if rhs is None:
             return NotImplemented
         a, b, tower = self._common(rhs)
-        return FunElem._make(tower, _pmul(a._n, b._n, tower), _pmul(a._d, b._d, tower))
+        rads = tower._rads
+        return FunElem._make(tower, _fmul(rads, a._n, b._n), _fmul(rads, a._d, b._d))
 
     __rmul__ = __mul__
 
@@ -894,7 +990,8 @@ class FunElem:
         a, b, tower = self._common(rhs)
         if a._d == b._d:
             return a._n == b._n
-        return _pmul(a._n, b._d, tower) == _pmul(b._n, a._d, tower)
+        rads = tower._rads
+        return _fmul(rads, a._n, b._d) == _fmul(rads, b._n, a._d)
 
     def __hash__(self) -> int:
         num, den = self._canonical()
@@ -928,11 +1025,17 @@ class FunElem:
         return f"({fmt(num)}) / ({fmt(den)})"
 
 
-def _init(x: FunElem, tower: TowerDesc, num: Poly, den: Poly) -> None:
-    object.__setattr__(x, "tower", tower)
-    object.__setattr__(x, "_n", num)
-    object.__setattr__(x, "_d", den)
-    object.__setattr__(x, "_reduced", None)
+_fset_tower = FunElem.tower.__set__
+_fset_n = FunElem._n.__set__
+_fset_d = FunElem._d.__set__
+_fset_reduced = FunElem._reduced.__set__
+
+
+def _init(x: FunElem, tower: TowerDesc, num: IPoly, den: IPoly) -> None:
+    _fset_tower(x, tower)
+    _fset_n(x, num)
+    _fset_d(x, den)
+    _fset_reduced(x, None)
 
 
 def _plift_into(p: Poly, tower: TowerDesc) -> Poly:

@@ -352,8 +352,16 @@ def _model_document() -> dict:
             lambda doc: doc["frame"]["matrix"][0].__setitem__(0, {"$rat": "2"}),
             "frame.matrix: columns are not orthonormal",
         ),
+        (
+            lambda doc: doc["frame"]["matrix"][0][0]["$fun"].update(den=[["0"]]),
+            "frame.matrix[0][0].den: zero denominator",
+        ),
+        (
+            lambda doc: doc["frame"]["matrix"][0][0]["$fun"].update(den=[]),
+            "frame.matrix[0][0].den: zero denominator",
+        ),
     ],
-    ids=["frame", "matrix", "generator", "generator-range", "non-orthonormal"],
+    ids=["frame", "matrix", "generator", "generator-range", "non-orthonormal", "zero-den", "empty-den"],
 )
 def test_model_check_rejects_malformed_model_descriptor(tmp_path, capsys, edit, message):
     gadget_file = tmp_path / "div.json"

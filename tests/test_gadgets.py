@@ -16,6 +16,7 @@ from rigidity_forge.gadgets import (
     NotPerpendicular,
     TOutOfRange,
     VecEq,
+    _Builder,
     build_division,
     build_kempe,
     build_perp_transfer,
@@ -147,6 +148,44 @@ def test_chain_steps_avoid_diagonal_directions():
         step = pts[t1[i + 1]] - pts[t1[i]]
         assert not step == w
         assert not step == -w
+
+
+def test_builder_point_lookup_is_linear_in_the_point_count(monkeypatch):
+    comparisons = []
+    point_eq, fraction_le = Point.__eq__, Fraction.__le__
+
+    def counting_eq(self, other):
+        comparisons.append("eq")
+        return point_eq(self, other)
+
+    def counting_le(self, other):
+        comparisons.append("le")
+        return fraction_le(self, other)
+
+    monkeypatch.setattr(Point, "__eq__", counting_eq)
+    monkeypatch.setattr(Fraction, "__le__", counting_le)
+    counts = {}
+    for span in (20, 40):
+        comparisons.clear()
+        g = build_rhombus_chain(rational_point(0, 0), rational_point(span, 0), rational_point(0, 1), rational_point(span, 1))
+        counts[span] = (len(g.points), len(comparisons))
+    # twice the points take at most twice the comparisons (a scan of every
+    # earlier point made 1,804 and 6,804)
+    assert counts[20][0] * 2 - 2 == counts[40][0] == 82
+    assert counts[40][1] <= 2 * counts[20][1]
+
+
+def test_builder_names_each_value_once_across_towers():
+    root2 = adjoin_sqrt(QQ, 2)
+    t = root2.tower
+    builder = _Builder()
+    assert builder.add_point("A", rational_point(1, 0)) == "A"
+    # the same value over a larger tower keeps the first name
+    assert builder.add_point("B", Point(t.rational(1), t.zero())) == "A"
+    # equal rational coordinates share a hash, not a name
+    assert builder.add_point("A", Point(1 + root2.root, t.zero())) == "A_2"
+    assert builder.add_point("C", Point(1 - root2.root, t.zero())) == "C"
+    assert builder.add_point("D", Point(1 + root2.root, t.zero())) == "A_2"
 
 
 def test_chain_rejects_bad_input():

@@ -219,6 +219,30 @@ def test_preservation_maps_each_point_once(monkeypatch):
         assert (len(calls), len(pairs)) == (len(gadget.points), 241) == (162, 241)
 
 
+def test_structure_maps_each_point_once(monkeypatch, sqrt2_tower):
+    tower, s2 = sqrt2_tower.tower, sqrt2_tower.root
+    us = directions(tower) + [Point(s2, tower.one())]
+    lambdas = [s2, tower.rational(2), tower.rational(F(1, 3)), tower.one() + s2]
+    origin = Point(tower.zero(), tower.zero())
+    sums = [Point(u.x + v.x, u.y + v.y) for u, v in combinations(us, 2)]
+    scaled = [Point(lam * u.x, lam * u.y) for lam in lambdas for u in us]
+    distinct = {origin, *us, *sums, *scaled}
+    calls = []
+    real_apply = ModelMap.apply
+
+    def counting_apply(self, p):
+        calls.append(p)
+        return real_apply(self, p)
+
+    monkeypatch.setattr(ModelMap, "apply", counting_apply)
+    for model in (identity_model(), eps_rotation_model()):
+        calls.clear()
+        assert verify_structure(model, lambdas, us).ok
+        # 11 directions, 55 sums and 44 multiples: 92 distinct points with the
+        # origin, where one call per use would make 254
+        assert len(calls) == len(set(calls)) == len(distinct) == 92
+
+
 # -- structure ----------------------------------------------------------------------------------
 
 

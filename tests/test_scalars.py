@@ -1,11 +1,15 @@
 """Exact arithmetic in all three carriers: rationals, towers, K(eps)."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rigidity_forge import models, scalars, suite
+from rigidity_forge.cm import Point
+from rigidity_forge.engine import Derivation, check_derivation
 from rigidity_forge.scalars import (
     QQ,
     BadGeneratorIndex,
@@ -20,7 +24,7 @@ from rigidity_forge.scalars import (
     sqrt_in_tower,
     tower_conjugate,
 )
-from rigidity_forge.scalars import _pgcd
+from rigidity_forge.scalars import _basis_bounds, _enclose, _pgcd, _ptrim, _reduce
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -621,7 +625,9 @@ def test_integer_tower_kernels_match_the_fraction_oracle(case):
     assert x == TowerElem(tower, a) and hash(x) == hash(a[0])
     assert hash(x * y) == hash(_vmul(rads, a, b)[0])
     assert x.sign() == _oracle_sign(tower, a)
-    assert x.bounds(8) == _oracle_bounds(tower, a, 8)
+    lows, highs, den = _basis_bounds(tower, 8)
+    lo, hi = _enclose(x._n, lows, highs)
+    assert (Fraction(lo, den * x._d), Fraction(hi, den * x._d)) == _oracle_bounds(tower, a, 8)
     if not x.is_zero():
         inverse = x.inverse()
         _assert_canonical(inverse)
@@ -667,3 +673,273 @@ def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
     assert created == []
     Fraction(1, 3) + Fraction(1, 6)  # the counter does see Fractions
     assert created
+
+
+# -- differential test: the integer-matrix K(eps) kernel against TowerElem polynomials ---------
+#
+# The oracle is the lazy K(eps) arithmetic the package used before polynomials
+# were held as integer matrices: tuples of TowerElem coefficients, multiplied
+# and added one TowerElem at a time.
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _ptrim(out)
+
+
+def _pneg(a):
+    return tuple(-c for c in a)
+
+
+def _pmul(a, b, tower):
+    if not a or not b:
+        return ()
+    # None marks a coefficient no nonzero product has reached yet
+    out = [None] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca.is_zero():
+            continue
+        for j, cb in enumerate(b):
+            if not cb.is_zero():
+                term = ca * cb
+                out[i + j] = term if out[i + j] is None else out[i + j] + term
+    zero = tower.zero()
+    return _ptrim([zero if c is None else c for c in out])
+
+
+class OracleFun:
+    """Lazy n/d over TowerElem coefficient tuples, with FunElem's interface."""
+
+    def __init__(self, tower, num, den):
+        self.tower = tower
+        self.n = _ptrim([c.lift(tower) for c in num])
+        self.d = _ptrim([c.lift(tower) for c in den])
+        assert self.d
+
+    @staticmethod
+    def constant(value, tower=None):
+        if isinstance(value, (int, Fraction)):
+            tower = tower or QQ
+            value = tower.rational(value)
+        tower = tower or value.tower
+        return OracleFun(tower, (value,), (tower.one(),))
+
+    @staticmethod
+    def eps(tower=QQ):
+        return OracleFun(tower, (tower.zero(), tower.one()), (tower.one(),))
+
+    def _coerce(self, other):
+        if isinstance(other, OracleFun):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return OracleFun.constant(other, self.tower)
+        if isinstance(other, TowerElem):
+            return OracleFun.constant(other)
+        return None
+
+    def _common(self, other):
+        if self.tower == other.tower:
+            return self, other, self.tower
+        tower = common_tower(self.tower.zero(), other.tower.zero())[0].tower
+
+        def into(p):
+            return tuple(common_tower(tower.zero(), c)[1] for c in p)
+
+        return OracleFun(tower, into(self.n), into(self.d)), OracleFun(tower, into(other.n), into(other.d)), tower
+
+    def reduced(self):
+        return _reduce(self.n, self.d, self.tower)
+
+    def is_zero(self):
+        return not self.n
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        a, b, tower = self._common(rhs)
+        num = _padd(_pmul(a.n, b.d, tower), _pmul(b.n, a.d, tower))
+        return OracleFun(tower, num, _pmul(a.d, b.d, tower))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return OracleFun(self.tower, _pneg(self.n), self.d)
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else rhs + (-self)
+
+    def __mul__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        a, b, tower = self._common(rhs)
+        return OracleFun(tower, _pmul(a.n, b.n, tower), _pmul(a.d, b.d, tower))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return OracleFun(self.tower, self.d, self.n)
+
+    def __truediv__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self * rhs.inverse()
+
+    def __rtruediv__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else rhs * self.inverse()
+
+    def __eq__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        a, b, tower = self._common(rhs)
+        return _pmul(a.n, b.d, tower) == _pmul(b.n, a.d, tower)
+
+    __hash__ = None
+
+
+def _oracle_hash(reduced) -> int:
+    num, den = reduced
+    if len(num) <= 1 and len(den) == 1:
+        return hash(num[0] if num else 0)
+    return hash((num, den))
+
+
+def _assert_fun_canonical(x: FunElem) -> None:
+    for rows, k in (x._n, x._d):
+        assert k > 0 and all(len(r) == x.tower.dim for r in rows)
+        assert (gcd(k, *(c for r in rows for c in r)) == 1 and any(rows[-1])) if rows else k == 1
+
+
+# towers of depth 0-3 from both families; FRACTIONAL_TOWERS[1] is Q(sqrt(1/2)),
+# so a product over it carries a radicand denominator k > 1
+FUN_TOWERS = [family[depth] for depth in range(4) for family in (FRACTIONAL_TOWERS, INTEGER_TOWERS)]
+# each tower's partners: its prefixes (lifted by padding) and, at depth <= 1,
+# the other family's towers (merged; sqrt 2 = 2 sqrt(1/2) is absorbed)
+FUN_PARTNERS = {
+    tower: [t for t in FUN_TOWERS if t.is_prefix_of(tower) or tower.depth <= 1 and t.depth <= 1]
+    for tower in FUN_TOWERS
+}
+
+
+@st.composite
+def fun_pairs(draw):
+    out = []
+    tower = draw(st.sampled_from(FUN_TOWERS))
+    for t in (tower, draw(st.sampled_from(FUN_PARTNERS[tower]))):
+        coeffs = st.lists(sparse_rationals, min_size=t.dim, max_size=t.dim).map(lambda cs, t=t: TowerElem(t, cs))
+        num = draw(st.lists(coeffs, max_size=3))
+        den = draw(st.lists(coeffs, min_size=1, max_size=3).filter(lambda p: not all(c.is_zero() for c in p)))
+        out.append((FunElem(t, num, den), OracleFun(t, num, den)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(fun_pairs())
+@example([(FunElem.eps(), OracleFun.eps()), (FunElem.constant(0), OracleFun.constant(0))])
+def test_integer_fun_kernels_match_the_tower_polynomial_oracle(case):
+    (a, oa), (b, ob) = case
+    for x, ox in case:
+        _assert_fun_canonical(x)
+        assert (x.num, x.den) == ox.reduced()
+    results = [(a + b, oa + ob), (a - b, oa - ob), (b - a, ob - oa), (a * b, oa * ob), (-a, -oa), (a + 1, oa + 1)]
+    if not b.is_zero():
+        results += [(a / b, oa / ob), ((a * b) / b, (oa * ob) / ob), (1 / b, 1 / ob)]
+    for x, ox in results:
+        _assert_fun_canonical(x)
+        assert x.tower == ox.tower
+        reduced = ox.reduced()
+        assert (x.num, x.den) == reduced
+        assert x.is_zero() == ox.is_zero()
+        assert hash(x) == _oracle_hash(reduced)
+        assert str(x) == str(FunElem(ox.tower, *reduced))
+    assert (a == b) == (oa == ob)
+    assert (a == a + 0) and (a - a).is_zero()
+    if not b.is_zero():
+        assert (a * b) / b == a
+
+
+def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
+    operands = []
+    for tower in FUN_TOWERS:
+        c = tower.rational(Fraction(-3, 4)) + tower.generator(tower.depth - 1) * Fraction(5, 6) if tower.depth else tower.rational(Fraction(2, 9))
+        eps = FunElem.eps(tower)
+        operands.append((FunElem.constant(c) + eps * c, (eps * eps + 1) / (eps * c + 3)))
+    created = []
+    real_elem = scalars._elem
+
+    def counting_elem(*args):
+        created.append(args)
+        return real_elem(*args)
+
+    monkeypatch.setattr(scalars, "_elem", counting_elem)
+    for x, y in operands:
+        x + y, x - y, x * y, y * y, x == y, x == x + 0, 2 * x, x + 1, x == 1, -y, y / x, y * y == y * y
+    assert created == []
+    operands[-1][1].num  # the counter does see the reduced form's coefficients
+    assert created
+
+
+def _oracle_negative_controls(entry):
+    """The check_derivation subjects of the negative controls, each with the
+    model builder to evaluate it under."""
+    derivation = entry.derivation
+    final = derivation.final_fact()
+    altered = Derivation(
+        derivation.gadget,
+        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + Fraction(1, 3))],
+        derivation.justifications,
+    )
+
+    class Doubled:
+        def __init__(self, model=None):
+            self.model = model
+
+        def apply(self, p):
+            q = p if self.model is None else self.model.apply(p)
+            return Point(2 * q.x, 2 * q.y)
+
+    return [
+        (derivation, lambda: Doubled()),
+        (derivation, lambda: Doubled(models.eps_rotation_model())),
+        (altered, models.identity_model),
+        (altered, models.eps_rotation_model),
+        (altered, lambda: models.eps_rotation_model(reflection=True)),
+    ]
+
+
+def test_check_derivation_verdicts_match_the_oracle_arithmetic(monkeypatch):
+    corpus = suite.replay_corpus()
+
+    def verdicts():
+        out = []
+        for entry in corpus:
+            for name, model in suite.model_family(entry.gadget):
+                if name.startswith("eps"):
+                    x = model.apply(next(iter(entry.gadget.points.values()))).x
+                    assert isinstance(x, models.FunElem)
+                v = check_derivation(entry.derivation, model)
+                out.append((entry.label, name, v.ok, v.checked, v.violated_index))
+        for subject, make in _oracle_negative_controls(corpus[0]):
+            v = check_derivation(subject, make())
+            out.append((v.ok, v.checked, v.violated_index))
+        return out
+
+    kernel = verdicts()
+    monkeypatch.setattr(models, "FunElem", OracleFun)
+    oracle = verdicts()
+    assert kernel == oracle
+    assert len(kernel) == 96 + 5
+    assert [v[2] for v in kernel[-5:]] == [0, 0, len(corpus[0].derivation.facts) - 1] + [len(corpus[0].derivation.facts) - 1] * 2
