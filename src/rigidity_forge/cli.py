@@ -38,6 +38,7 @@ from .models import (
     make_pythagorean_rotation,
     verify_preservation,
 )
+from .scalars import BadGeneratorIndex
 from .suite import run_suite
 
 
@@ -202,9 +203,10 @@ def _resolve_model(spec: str, gadget: Gadget | None) -> ModelMap:
             index = int(spec.rsplit(":", 1)[1])
         except ValueError:
             raise EngineError(f"bad generator index in model spec {spec!r}") from None
-        if not 0 <= index < gadget.tower.depth:
-            raise EngineError(f"generator index {index} out of range")
-        model = conjugation_model(gadget.tower, index)
+        try:
+            model = conjugation_model(gadget.tower, index)
+        except BadGeneratorIndex as exc:  # out of range, or no automorphism
+            raise EngineError(str(exc)) from None
         if spec.startswith("conj-rot:"):
             model = ModelMap(model.embedding, make_pythagorean_rotation(Fraction(1, 2)))
         return model

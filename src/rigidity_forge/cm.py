@@ -3,8 +3,11 @@
 ``cm3``/``cm4`` take squared distances directly and expand the bordered
 matrix with ``poly.det``, so one code path serves numeric carriers, the
 symbolic polynomial ring, and image-space checks.  Point-based wrappers
-compute the squared-distance form first.  Nothing here tolerates
-approximation.
+compute the squared-distance form first.  ``sqdist`` of two points whose
+four coordinates lie in one tower runs the integer kernel
+``scalars.tower_sqdist``; built gadgets share one ``TowerDesc`` object, so
+the tower test is an identity check.  Point and vector equality compare
+coordinates with ``==``.  Nothing here tolerates approximation.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations
 from typing import Any, Sequence
 
 from .poly import det
-from .scalars import QQ, TowerDesc
+from .scalars import QQ, TowerDesc, TowerElem, tower_sqdist
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -43,7 +46,7 @@ class Point:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
-        return _is_zero(self.x - other.x) and _is_zero(self.y - other.y)
+        return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
         return hash((self.x, self.y))
@@ -78,7 +81,7 @@ class Vec2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec2):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
         return hash((self.x, self.y))
@@ -88,8 +91,29 @@ def rational_point(x, y, tower: TowerDesc = QQ) -> Point:
     return Point(tower.rational(Fraction(x)), tower.rational(Fraction(y)))
 
 
+def _one_tower(coords: Sequence[Scalar]) -> TowerDesc | None:
+    """The tower of ``coords`` if all are ``TowerElem``s of one tower."""
+    tower = None
+    for c in coords:
+        if not isinstance(c, TowerElem):
+            return None
+        if tower is None:
+            tower = c.tower
+        elif c.tower is not tower and c.tower != tower:
+            return None
+    return tower
+
+
 def sqdist(p: Point, q: Point) -> Scalar:
-    """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier."""
+    """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier.
+
+    Four coordinates of one tower go through the integer kernel
+    ``tower_sqdist``; other carriers, and coordinates in different towers,
+    use the formula.
+    """
+    tower = _one_tower((p.x, p.y, q.x, q.y))
+    if tower is not None:
+        return tower_sqdist(tower, p.x, p.y, q.x, q.y)
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy

@@ -24,10 +24,11 @@ from .scalars import (
     TowerElem,
     adjoin_sqrt,
     cmp_with_sqrt,
-    common_tower,
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
     _frac_sqrt,
+    _map_into,
+    _merge_tower,
 )
 
 
@@ -255,33 +256,34 @@ class _Builder:
 def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], TowerDesc]:
     """Unify all coordinates into one join tower, then drop unused generators.
 
-    The join is built by folding in insertion order; a second pass maps every
-    coordinate into it (all adjunctions are then absorbed), so the emitted
-    gadget carries a single field descriptor.
+    The join folds the distinct coordinate towers in insertion order.  A
+    tower that neither contains the join nor lies in it is merged once, and
+    the generator images that merge returns map every coordinate of that
+    tower into the join, so the emitted gadget carries a single field
+    descriptor, which every coordinate shares as one object.
     """
-    acc = QQ.zero()
+    join = QQ
+    images: dict[TowerDesc, list[TowerElem] | None] = {}  # None: a prefix of the join
     for p in points.values():
         for coord in (p.x, p.y):
-            acc, _ = common_tower(acc, coord)
-    tower = acc.tower
-    unified: dict[str, Point] = {}
-    for name, p in points.items():
-        coords = []
-        for coord in (p.x, p.y):
-            anchor, mapped = common_tower(tower.zero(), coord)
-            if anchor.tower != tower:
-                raise InvalidGadget("coordinate does not embed in the join tower")
-            coords.append(mapped)
-        unified[name] = Point(coords[0], coords[1])
-    depth = 0
-    for p in unified.values():
-        for coord in (p.x, p.y):
-            depth = max(depth, coord.minimized().tower.depth)
-    tower = tower.prefix(depth)
-    out = {
-        name: Point(p.x.minimized().lift(tower), p.y.minimized().lift(tower))
-        for name, p in unified.items()
-    }
+            tower = coord.tower
+            if tower in images:
+                continue
+            if tower.is_prefix_of(join):
+                images[tower] = None
+            elif join.is_prefix_of(tower):
+                join, images[tower] = tower, None
+            else:
+                join, images[tower] = _merge_tower(join, tower)
+
+    def embed(coord: TowerElem) -> TowerElem:
+        found = images[coord.tower]
+        return coord.lift(join) if found is None else _map_into(coord, found, join)
+
+    unified = {name: (embed(p.x), embed(p.y)) for name, p in points.items()}
+    depth = max((c.minimized().tower.depth for xy in unified.values() for c in xy), default=0)
+    tower = join.prefix(depth)
+    out = {name: Point(x.minimized().lift(tower), y.minimized().lift(tower)) for name, (x, y) in unified.items()}
     return out, tower
 
 

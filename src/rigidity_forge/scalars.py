@@ -11,7 +11,11 @@ Three carriers, all with decidable equality:
   vector over one positive denominator, in canonical form (the denominator
   and the coordinates share no factor), so arithmetic takes one integer gcd
   per result and equality is a tuple comparison.  ``coords`` gives the same
-  values as ``Fraction``s.
+  values as ``Fraction``s.  ``tower_sqdist``, the squared-distance kernel,
+  takes both differences and squares (``_isq``) of four elements of one
+  tower on the integer vectors and reduces once.  ``lift`` and ``prefix``
+  return the target tower object itself, so a gadget's points share one
+  ``TowerDesc``.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -32,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -100,6 +104,13 @@ def _iadd(u: IVec, ku: int, v: IVec, kv: int) -> tuple[IVec, int]:
     return tuple([x * kv + y * ku for x, y in zip(u, v)]), ku * kv
 
 
+def _isub(u: IVec, ku: int, v: IVec, kv: int) -> tuple[IVec, int]:
+    """u/ku - v/kv."""
+    if ku == kv:
+        return tuple(map(sub, u, v)), ku
+    return tuple([x * kv - y * ku for x, y in zip(u, v)]), ku * kv
+
+
 def _ijoin(u: IVec, ku: int, v: IVec, kv: int) -> tuple[IVec, int]:
     """The coordinates of u/ku followed by those of v/kv, over one denominator."""
     if ku == kv:
@@ -128,6 +139,27 @@ def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
     lo = _iadd(*_imul(rads, al, bl), q, kp * kq * rd)
     hi = _iadd(*_imul(rads, al, bh), *_imul(rads, ah, bl))
     return _ijoin(*lo, *hi)
+
+
+def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
+    """The square of the integer vector a: (lo + hi*g)^2 = lo^2 + hi^2*r +
+    2*lo*hi*g takes three half-size products where ``_imul`` takes four."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * a[0],), 1
+    h = n >> 1
+    lo, hi = a[:h], a[h:]
+    if not any(hi):
+        s, k = _isq(rads, lo)
+        return s + (0,) * h, k
+    rn, rd = rads[h.bit_length() - 1]
+    p, kp = _isq(rads, hi)
+    q, kq = _imul(rads, p, rn)
+    k = kp * kq * rd
+    if not any(lo):
+        return q + (0,) * h, k
+    m, km = _imul(rads, lo, hi)
+    return _ijoin(*_iadd(*_isq(rads, lo), q, k), tuple([2 * c for c in m]), km)
 
 
 def _mul(rads: Rads, a: IVec, da: int, b: IVec, db: int) -> tuple[IVec, int]:
@@ -268,6 +300,8 @@ class TowerDesc:
         return 1 << len(self.gens)
 
     def prefix(self, depth: int) -> "TowerDesc":
+        if depth == len(self.gens):
+            return self
         return TowerDesc(self.gens[:depth])
 
     def is_prefix_of(self, other: "TowerDesc") -> bool:
@@ -364,8 +398,12 @@ class TowerElem:
         return Fraction(self._n[0], self._d)
 
     def lift(self, tower: TowerDesc) -> "TowerElem":
-        if self.tower == tower:
+        """This element over ``tower``, which extends its own; tagged with
+        ``tower`` itself even when the two are equal but distinct objects."""
+        if self.tower is tower:
             return self
+        if self.tower == tower:
+            return _elem(tower, self._n, self._d)
         if not self.tower.is_prefix_of(tower):
             raise ValueError("can only lift along a tower prefix")
         return _elem(tower, self._n + (0,) * (tower.dim - len(self._n)), self._d)
@@ -530,6 +568,20 @@ def _elem(tower: TowerDesc, n: IVec, d: int) -> TowerElem:
     _set_n(x, n)
     _set_d(x, d)
     return x
+
+
+def tower_sqdist(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem) -> TowerElem:
+    """(px - qx)^2 + (py - qy)^2 for four elements of ``tower``, as one element.
+
+    Both differences and both squares run on the integer vectors (``_isq``),
+    and the sum is reduced once.
+    """
+    rads = tower._rads
+    u, ku = _isub(px._n, px._d, qx._n, qx._d)
+    v, kv = _isub(py._n, py._d, qy._n, qy._d)
+    su, ksu = _isq(rads, u)
+    sv, ksv = _isq(rads, v)
+    return _elem(tower, *_canon(*_iadd(su, ku * ku * ksu, sv, kv * kv * ksv)))
 
 
 def common_tower(x: TowerElem, y: TowerElem) -> tuple[TowerElem, TowerElem]:
@@ -821,8 +873,8 @@ class FunElem:
     __slots__ = ("tower", "_n", "_d", "_reduced")
 
     def __init__(self, tower: TowerDesc, num: Sequence[TowerElem], den: Sequence[TowerElem]) -> None:
-        num = _ptrim([c.lift(tower) if c.tower != tower else c for c in num])
-        den = _ptrim([c.lift(tower) if c.tower != tower else c for c in den])
+        num = _ptrim([c.lift(tower) for c in num])
+        den = _ptrim([c.lift(tower) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator in function field element")
         _init(self, tower, _fpoly(num), _fpoly(den))
@@ -847,8 +899,7 @@ class FunElem:
             num = (((n,) + (0,) * (tower.dim - 1),), d) if n else ((), 1)
         else:
             tower = tower or value.tower
-            if value.tower != tower:
-                value = value.lift(tower)
+            value = value.lift(tower)
             num = ((value._n,), value._d) if any(value._n) else ((), 1)
         return FunElem._make(tower, num, _fone(tower))
 

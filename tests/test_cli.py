@@ -91,6 +91,25 @@ def test_model_check_rejects_bad_model_spec(tmp_path, capsys, spec, message):
     assert (code, out, err) == (1, "", f"EngineError: {message}\n")
 
 
+@pytest.mark.parametrize("spec, index", [("conj:0", 0), ("conj:1", 1), ("conj-rot:0", 0)])
+def test_model_check_rejects_conjugation_that_is_no_automorphism(tmp_path, capsys, spec, index):
+    from rigidity_forge.cm import Point
+    from rigidity_forge.gadgets import build_division
+    from rigidity_forge.scalars import QQ, adjoin_sqrt
+
+    r2 = adjoin_sqrt(QQ, 2)
+    r3 = adjoin_sqrt(r2.tower, 3)
+    tower = r3.tower
+    gadget = build_division(Point(tower.zero(), tower.zero()), Point(r2.root.lift(tower) + r3.root, tower.one()), 1 / 3)
+    # the third radicand involves both earlier generators, so neither flip extends
+    assert gadget.tower.depth == 3
+    gadget_file = tmp_path / "div.json"
+    gadget_file.write_text(codec.dumps(codec.encode_gadget(gadget)))
+    code, out, err = run(["model-check", str(gadget_file), "--model", spec], capsys)
+    message = f"generator 2 has a radicand involving generator {index}; conjugation is not an automorphism of this tower"
+    assert (code, out, err) == (1, "", f"EngineError: {message}\n")
+
+
 def test_model_check_on_gadget_file_replays_first(tmp_path, capsys):
     gadget_file = tmp_path / "kempe.json"
     run(["gadget", "kempe", "--t", "1/2", "-o", str(gadget_file)], capsys)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity_forge.cm import Point, Vec2, affinely_dependent3, cm3, cm3_points, cm4, rational_point, sqdist
 from rigidity_forge.engine import _LEMMAS, Distinct, NonzeroDist, PatternMismatch, SqDistKnown, VecEq
-from rigidity_forge.scalars import QQ, FunElem, adjoin_sqrt
+from rigidity_forge import scalars
+from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 
@@ -31,6 +32,48 @@ def test_sqdist_examples():
     t3 = adjoin_sqrt(QQ, 3)
     vertex = Point(t3.tower.rational(Fraction(1, 2)), t3.root * Fraction(1, 2))
     assert sqdist(rational_point(0, 0, t3.tower), vertex) == 1
+
+
+def _tower_points():
+    r2 = adjoin_sqrt(QQ, 2)
+    r3 = adjoin_sqrt(r2.tower, 3)
+    t = r3.tower
+    s2, s3 = r2.root.lift(t), r3.root
+    p = Point(s2 + Fraction(1, 3), s3 * s2 - 2)
+    q = Point(s3 * Fraction(5, 7), t.one() + s2)
+    return t, p, q
+
+
+def test_point_and_vector_equality_make_no_tower_subtraction(monkeypatch):
+    t, p, q = _tower_points()
+    u, v = Vec2(p.x, p.y), Vec2(q.x, q.y)
+    same = Point(p.x + 0, p.y + 0)
+    rational = rational_point(Fraction(1, 2), 3)  # over Q, compared across towers
+
+    def no_sub(self, other):
+        raise AssertionError("TowerElem.__sub__ called")
+
+    monkeypatch.setattr(TowerElem, "__sub__", no_sub)
+    monkeypatch.setattr(TowerElem, "__rsub__", no_sub)
+    assert p == same and not p == q and not p == rational
+    assert rational == rational_point(Fraction(1, 2), 3, t)
+    assert u == Vec2(same.x, same.y) and not u == v
+
+
+def test_tower_sqdist_builds_one_tower_elem(monkeypatch):
+    t, p, q = _tower_points()
+    expected = (p.x - q.x) * (p.x - q.x) + (p.y - q.y) * (p.y - q.y)
+    created = []
+    real_elem = scalars._elem
+
+    def counting_elem(*args):
+        created.append(args)
+        return real_elem(*args)
+
+    monkeypatch.setattr(scalars, "_elem", counting_elem)
+    got = sqdist(p, q)
+    assert len(created) == 1
+    assert got == expected and got.tower is t
 
 
 def test_sqdist_over_function_field():

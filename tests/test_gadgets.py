@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rigidity_forge import gadgets, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
 from rigidity_forge.gadgets import (
     AffineComb,
@@ -173,6 +174,57 @@ def test_builder_point_lookup_is_linear_in_the_point_count(monkeypatch):
     # earlier point made 1,804 and 6,804)
     assert counts[20][0] * 2 - 2 == counts[40][0] == 82
     assert counts[40][1] <= 2 * counts[20][1]
+
+
+def test_every_coordinate_shares_the_gadget_tower_object():
+    built = [entry.gadget for entry in suite.replay_corpus()]
+    built.append(build_perp_transfer(rational_point(1, 1), rational_point(1, 4), rational_point(0, 0), rational_point(3, 0)))
+    assert built[-1].tower.depth == 4
+    for gadget in built:
+        assert all(c.tower is gadget.tower for p in gadget.points.values() for c in (p.x, p.y))
+    # coordinates over two equal towers that are distinct objects
+    t, u = adjoin_sqrt(QQ, 2).tower, adjoin_sqrt(QQ, 2).tower
+    assert t == u and t is not u
+    points, tower = gadgets._minimize_points({"A": Point(t.generator(0), t.one()), "B": Point(u.generator(0), u.zero())})
+    assert tower == t and all(c.tower is tower for p in points.values() for c in (p.x, p.y))
+
+
+def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
+    r2 = adjoin_sqrt(QQ, 2)
+    r3 = adjoin_sqrt(r2.tower, 3)
+    t2, t3 = r2.tower, r3.tower
+    s2, s3 = r2.root.lift(t3), r3.root
+    merged, calls = [], []
+    real_merge, real_minimize = scalars._merge_tower, gadgets._minimize_points
+
+    def counting_merge(base, other):
+        if calls:
+            merged.append(other)
+        return real_merge(base, other)
+
+    def recording_minimize(points):
+        calls.append(points)
+        return real_minimize(points)
+
+    monkeypatch.setattr(scalars, "_merge_tower", counting_merge)
+    monkeypatch.setattr(gadgets, "_merge_tower", counting_merge, raising=False)
+    monkeypatch.setattr(gadgets, "_minimize_points", recording_minimize)
+    builds = [
+        lambda: build_division(Point(t3.zero(), t3.zero()), Point(s2 + s3, t3.one()), F(1, 3)),
+        lambda: build_perp_transfer(*(Point(t2.rational(x), y) for x, y in ((0, t2.zero()), (0, r2.root), (0, t2.zero()), (4, t2.zero())))),
+        lambda: build_translation_bridge(*(Point(x, t2.rational(y)) for x, y in ((t2.zero(), 0), (r2.root, 0), (t2.one(), 2), (t2.one() + r2.root, 2)))),
+        lambda: build_kempe(s2 + s3),
+    ]
+    total = 0
+    for build in builds:
+        calls.clear()
+        merged.clear()
+        build()
+        (points,) = calls
+        towers = {c.tower for p in points.values() for c in (p.x, p.y)}
+        assert len(merged) == len(set(merged)) and set(merged) <= towers
+        total += len(merged)
+    assert total > 0
 
 
 def test_builder_names_each_value_once_across_towers():

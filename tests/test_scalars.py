@@ -7,9 +7,10 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rigidity_forge import models, scalars, suite
+from rigidity_forge import cm, engine, gadgets, models, scalars, suite
 from rigidity_forge.cm import Point
 from rigidity_forge.engine import Derivation, check_derivation
+from rigidity_forge.gadgets import circle_intersection
 from rigidity_forge.scalars import (
     QQ,
     BadGeneratorIndex,
@@ -23,8 +24,9 @@ from rigidity_forge.scalars import (
     simplest_rational_between_sqrts,
     sqrt_in_tower,
     tower_conjugate,
+    tower_sqdist,
 )
-from rigidity_forge.scalars import _basis_bounds, _enclose, _pgcd, _ptrim, _reduce
+from rigidity_forge.scalars import _basis_bounds, _canon, _enclose, _imul, _isq, _pgcd, _ptrim, _reduce
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -653,6 +655,43 @@ def test_integer_tower_kernels_match_the_fraction_oracle(case):
             assert x.lift(bigger) == x and hash(x.lift(bigger)) == hash(x)
 
 
+def _circle_towers():
+    """Q(sqrt(2), sqrt(-21/4 + 4 sqrt(2))), the field of a circle_intersection
+    point, and its extension by sqrt(3/5)."""
+    r2 = adjoin_sqrt(QQ, 2)
+    t = r2.tower
+    point = circle_intersection(Point(t.zero(), t.zero()), 5, Point(t.one() + r2.root, t.zero()), 3)
+    nested = point.y.tower
+    assert nested.depth == 2 and not nested.gens[1].is_rational()
+    return [nested, adjoin_sqrt(nested, Fraction(3, 5)).tower]
+
+
+KERNEL_TOWERS = [tower for _, tower in DIFF_TOWERS] + _circle_towers()
+
+
+@st.composite
+def tower_quads(draw):
+    tower = draw(st.sampled_from(KERNEL_TOWERS))
+    coords = st.lists(sparse_rationals, min_size=tower.dim, max_size=tower.dim)
+    return tower, [TowerElem(tower, draw(coords)) for _ in range(4)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(tower_quads())
+def test_sqdist_kernel_matches_the_generic_formula(case):
+    tower, (px, py, qx, qy) = case
+    rads = tower._rads
+    dx, dy = px - qx, py - qy
+    got = tower_sqdist(tower, px, py, qx, qy)
+    _assert_canonical(got)
+    assert got.tower is tower
+    assert got == dx * dx + dy * dy
+    assert got.coords == _vadd(_vmul(_rads(tower), dx.coords, dx.coords), _vmul(_rads(tower), dy.coords, dy.coords))
+    assert cm.sqdist(Point(px, py), Point(qx, qy)) == got
+    for x in (px, dx, dx + py * qy):
+        assert _canon(*_isq(rads, x._n)) == _canon(*_imul(rads, x._n, x._n))
+
+
 def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
     operands = [
         (tower.rational(Fraction(-3, 4)) + tower.generator(depth - 1) * Fraction(5, 6) if depth else tower.rational(Fraction(2, 9)))
@@ -943,3 +982,60 @@ def test_check_derivation_verdicts_match_the_oracle_arithmetic(monkeypatch):
     assert kernel == oracle
     assert len(kernel) == 96 + 5
     assert [v[2] for v in kernel[-5:]] == [0, 0, len(corpus[0].derivation.facts) - 1] + [len(corpus[0].derivation.facts) - 1] * 2
+
+
+def _generic_sqdist(p, q):
+    dx, dy = p.x - q.x, p.y - q.y
+    return dx * dx + dy * dy
+
+
+def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
+    corpus = suite.replay_corpus()
+    r2 = adjoin_sqrt(QQ, 2)
+    tower, s2 = r2.tower, r2.root
+    # criterion 9's directions, multipliers and registered models
+    us = [Point(tower.rational(i), tower.rational(j)) for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]]
+    us.append(Point(s2, tower.one()))
+    lambdas = [s2, tower.rational(2), tower.rational(Fraction(1, 3)), tower.one() + s2]
+    conj = models.conjugation_model(tower, 0)
+    registered = [
+        models.identity_model(),
+        conj,
+        models.eps_rotation_model(),
+        models.eps_rotation_model(reflection=True),
+        models.ModelMap(conj.embedding, models.make_pythagorean_rotation(Fraction(1, 2))),
+    ]
+    kernel_calls = []
+    real_kernel = cm.tower_sqdist
+
+    def counting_kernel(*args):
+        kernel_calls.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(cm, "tower_sqdist", counting_kernel)
+
+    def results():
+        out = []
+        for entry in corpus:
+            gadget = entry.gadget
+            pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+            for name, model in suite.model_family(gadget):
+                v = check_derivation(entry.derivation, model)
+                out.append((entry.label, name, v.ok, v.checked, v.violated_index, models.verify_preservation(model, pairs)))
+        for subject, make in _oracle_negative_controls(corpus[0]):
+            v = check_derivation(subject, make())
+            out.append((v.ok, v.checked, v.violated_index))
+        out += [models.verify_structure(model, lambdas, us) for model in registered]
+        return out
+
+    kernel = results()
+    assert kernel_calls
+    for module in (cm, engine, gadgets, models):
+        monkeypatch.setattr(module, "sqdist", _generic_sqdist)
+    kernel_calls.clear()
+    generic = results()
+    assert not kernel_calls
+    assert kernel == generic
+    assert len(kernel) == 96 + 5 + 5
+    assert all(report.ok for report in kernel[-5:])
+    assert [v[2] for v in kernel[96:101]] == [0, 0] + [len(corpus[0].derivation.facts) - 1] * 3
