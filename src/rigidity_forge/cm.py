@@ -6,7 +6,9 @@ symbolic polynomial ring, and image-space checks.  Point-based wrappers
 compute the squared-distance form first.  ``sqdist`` of two points whose
 four coordinates lie in one tower runs the integer kernel
 ``scalars.tower_sqdist``; built gadgets share one ``TowerDesc`` object, so
-the tower test is an identity check.  Point and vector equality compare
+the tower test is an identity check.  Four ``FunElem`` coordinates of one
+tower over one denominator pair, the shape of every eps-frame image, run the
+K(eps) kernel ``scalars.fun_sqdist``.  Point and vector equality compare
 coordinates with ``==``.  Nothing here tolerates approximation.
 """
 
@@ -18,7 +20,7 @@ from itertools import combinations
 from typing import Any, Sequence
 
 from .poly import det
-from .scalars import QQ, TowerDesc, TowerElem, tower_sqdist
+from .scalars import QQ, FunElem, TowerDesc, TowerElem, fun_sqdist, tower_sqdist
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -91,11 +93,11 @@ def rational_point(x, y, tower: TowerDesc = QQ) -> Point:
     return Point(tower.rational(Fraction(x)), tower.rational(Fraction(y)))
 
 
-def _one_tower(coords: Sequence[Scalar]) -> TowerDesc | None:
-    """The tower of ``coords`` if all are ``TowerElem``s of one tower."""
+def _one_tower(coords: Sequence[Scalar], carrier: type = TowerElem) -> TowerDesc | None:
+    """The tower of ``coords`` if all are ``carrier``s of one tower."""
     tower = None
     for c in coords:
-        if not isinstance(c, TowerElem):
+        if not isinstance(c, carrier):
             return None
         if tower is None:
             tower = c.tower
@@ -108,12 +110,17 @@ def sqdist(p: Point, q: Point) -> Scalar:
     """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier.
 
     Four coordinates of one tower go through the integer kernel
-    ``tower_sqdist``; other carriers, and coordinates in different towers,
-    use the formula.
+    ``tower_sqdist``, and four ``FunElem``s of one tower over one denominator
+    pair through ``fun_sqdist``; other carriers, and coordinates in different
+    towers or over different denominators, use the formula.
     """
-    tower = _one_tower((p.x, p.y, q.x, q.y))
+    coords = (p.x, p.y, q.x, q.y)
+    tower = _one_tower(coords)
     if tower is not None:
-        return tower_sqdist(tower, p.x, p.y, q.x, q.y)
+        return tower_sqdist(tower, *coords)
+    tower = _one_tower(coords, FunElem)
+    if tower is not None and p.x._d == p.y._d == q.x._d == q.y._d:
+        return fun_sqdist(tower, *coords)
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy

@@ -23,10 +23,13 @@ Three carriers, all with decidable equality:
   cross-multiplies.  Numerator and denominator are each held as an integer
   matrix over one positive denominator (row i holds the integer coordinates
   of the coefficient of eps^i), in canonical form, so products and sums run
-  on integers and equal polynomials have equal pairs.  The reduced form
-  (coprime ``TowerElem`` polynomials, monic denominator) is what
-  ``num``/``den``, hashing, printing and the codec see; it is computed once
-  per value, on first use, and cached.
+  on integers and equal polynomials have equal pairs; a product with the
+  unit polynomial returns the other operand.  ``fun_sqdist``, the K(eps)
+  squared-distance kernel, takes both differences and the sum of their
+  squares of four elements over one denominator on the integer matrices and
+  reduces once.  The reduced form (coprime ``TowerElem`` polynomials, monic
+  denominator) is what ``num``/``den``, hashing, printing and the codec see;
+  it is computed once per value, on first use, and cached.
 """
 
 from __future__ import annotations
@@ -727,51 +730,65 @@ def _fscale(rows: Sequence[IVec], f: int) -> list[IVec]:
     return [tuple([c * f for c in r]) for r in rows]
 
 
-def _fadd(a: IPoly, b: IPoly) -> IPoly:
-    """a + b: row-wise integer addition over one denominator."""
+def _fzip(op, a: IPoly, b: IPoly) -> tuple[list[IVec], int]:
+    """The rows of a ``op`` b (``add`` or ``sub``) over one denominator, unreduced."""
     (ra, ka), (rb, kb) = a, b
     if ka != kb:
         k = lcm(ka, kb)
         ra, rb, ka = _fscale(ra, k // ka), _fscale(rb, k // kb), k
-    if len(ra) < len(rb):
-        ra, rb = rb, ra
-    rows = list(ra)
-    for i, r in enumerate(rb):
-        rows[i] = tuple(map(add, rows[i], r))
-    return _fcanon(rows, ka)
+    n = min(len(ra), len(rb))
+    rows = [tuple(map(op, x, y)) for x, y in zip(ra, rb)]
+    rows += ra[n:]
+    if len(rb) > n:
+        zero = (0,) * len(rb[0])
+        rows += [tuple(map(op, zero, y)) for y in rb[n:]]
+    return rows, ka
+
+
+def _fadd(a: IPoly, b: IPoly) -> IPoly:
+    """a + b: row-wise integer addition over one denominator."""
+    return _fcanon(*_fzip(add, a, b))
 
 
 def _fneg(a: IPoly) -> IPoly:
     return tuple([_ineg(r) for r in a[0]]), a[1]
 
 
-def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
-    """a * b: a convolution of the rows, one ``lcm`` (over a rational
-    radicand only) and one ``gcd`` per result."""
-    (ra, ka), (rb, kb) = a, b
-    if not ra or not rb:
-        return (), 1
-    # each nonzero row of b, with its value as an integer if it is rational
-    ys = [(j, y, None if any(y[1:]) else y[0]) for j, y in enumerate(rb) if any(y)]
-    out: list[IVec | None] = [None] * (len(ra) + len(rb) - 1)
-    deferred = []  # products over a radicand denominator k > 1
-    for i, x in enumerate(ra):
-        if not any(x):
-            continue
-        sx = None if any(x[1:]) else x[0]
+def _funit(a: IPoly) -> bool:
+    """a is the unit polynomial: one row (1, 0, ...) over 1."""
+    rows, k = a
+    return k == 1 and len(rows) == 1 and rows[0][0] == 1 and not any(rows[0][1:])
+
+
+def _fnonzero(rows: Sequence[IVec]) -> list[tuple[int, IVec, int | None]]:
+    """(index, row, the row as an integer if it is rational) for each nonzero row."""
+    return [(i, x, None if any(x[1:]) else x[0]) for i, x in enumerate(rows) if any(x)]
+
+
+def _facc(rads: Rads, out: list, deferred: list, xs: list, ys: list) -> None:
+    """Add the product of each row of ``xs`` with each row of ``ys`` (both
+    from ``_fnonzero``) into ``out`` at the sum of their indices; products
+    over a radicand denominator k > 1 go to ``deferred``.  A rational row
+    scales the other, and a row times itself is squared by ``_isq``."""
+    for i, x, sx in xs:
         for j, y, sy in ys:
             if sx is not None:
                 v = tuple([sx * c for c in y])
             elif sy is not None:
                 v = tuple([sy * c for c in x])
             else:
-                v, k = _imul(rads, x, y)
+                v, k = _isq(rads, x) if x is y else _imul(rads, x, y)
                 if k != 1:
                     deferred.append((i + j, v, k))
                     continue
             r = out[i + j]
             out[i + j] = v if r is None else tuple(map(add, r, v))
-    zero = (0,) * len(ra[0])
+
+
+def _fgather(out: list, deferred: list, dim: int) -> tuple[list[IVec], int]:
+    """The rows ``_facc`` summed, over one denominator: one ``lcm`` of the
+    deferred radicand denominators, if any."""
+    zero = (0,) * dim
     rows = [zero if r is None else r for r in out]
     den = 1
     if deferred:
@@ -779,7 +796,41 @@ def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
         rows = _fscale(rows, den)
         for i, v, k in deferred:
             rows[i] = tuple([c + d * (den // k) for c, d in zip(rows[i], v)])
+    return rows, den
+
+
+def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
+    """a * b: a convolution of the rows, one ``lcm`` (over a rational
+    radicand only) and one ``gcd`` per result.  A unit operand returns the
+    other, which is already canonical."""
+    (ra, ka), (rb, kb) = a, b
+    if not ra or not rb:
+        return (), 1
+    if _funit(b):
+        return a
+    if _funit(a):
+        return b
+    out: list[IVec | None] = [None] * (len(ra) + len(rb) - 1)
+    deferred: list = []
+    _facc(rads, out, deferred, _fnonzero(ra), _fnonzero(rb))
+    rows, den = _fgather(out, deferred, len(ra[0]))
     return _fcanon(rows, ka * kb * den)
+
+
+def _fsumsq(rads: Rads, polys: Sequence[Sequence[IVec]]) -> tuple[list[IVec], int]:
+    """The sum of the squares of polynomials given as integer rows over one
+    denominator, unreduced: one convolution with ``_isq`` on the diagonal and
+    each pair of distinct rows multiplied once, the first row doubled."""
+    out: list[IVec | None] = [None] * max(0, 2 * max(map(len, polys)) - 1)
+    deferred: list = []
+    for rows in polys:
+        xs = _fnonzero(rows)
+        for n, (i, x, sx) in enumerate(xs):
+            _facc(rads, out, deferred, xs[n : n + 1], xs[n : n + 1])
+            if n + 1 < len(xs):
+                x2 = tuple([2 * c for c in x])
+                _facc(rads, out, deferred, [(i, x2, None if sx is None else 2 * sx)], xs[n + 1 :])
+    return _fgather(out, deferred, 1 << len(rads))
 
 
 def _fpoly(coeffs: Sequence[TowerElem]) -> IPoly:
@@ -861,7 +912,12 @@ class FunElem:
     numerators only.  ``==`` cross-multiplies (a.n * b.d == b.n * a.d, or the
     numerators alone over one shared denominator); that is exact because
     K[eps] is an integral domain, so a product of nonzero denominators is
-    never zero.
+    never zero.  A product with the unit polynomial (a constant's
+    denominator) returns the other operand, so multiplying by a constant, and
+    each side of ``==`` against one, takes no rescaling and no gcd.
+    ``fun_sqdist`` is the squared-distance kernel for four values over one
+    denominator, the shape of every eps-frame image: one convolution that
+    squares the numerator differences, one reduction.
 
     The public face is the reduced form: ``num`` and ``den`` are coprime
     polynomials of ``TowerElem`` coefficients and ``den`` is monic.  It costs
@@ -872,9 +928,10 @@ class FunElem:
 
     __slots__ = ("tower", "_n", "_d", "_reduced")
 
-    def __init__(self, tower: TowerDesc, num: Sequence[TowerElem], den: Sequence[TowerElem]) -> None:
-        num = _ptrim([c.lift(tower) for c in num])
-        den = _ptrim([c.lift(tower) for c in den])
+    def __init__(
+        self, tower: TowerDesc, num: Sequence[TowerElem | RationalLike], den: Sequence[TowerElem | RationalLike]
+    ) -> None:
+        num, den = (_ptrim([c.lift(tower) if isinstance(c, TowerElem) else tower.rational(c) for c in p]) for p in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator in function field element")
         _init(self, tower, _fpoly(num), _fpoly(den))
@@ -1087,6 +1144,22 @@ def _init(x: FunElem, tower: TowerDesc, num: IPoly, den: IPoly) -> None:
     _fset_n(x, num)
     _fset_d(x, den)
     _fset_reduced(x, None)
+
+
+def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> FunElem:
+    """(px - qx)^2 + (py - qy)^2 for four elements of K(eps) over ``tower``
+    that share one denominator pair D, as one element over D^2.
+
+    Both differences and the sum of their squares (``_fsumsq``) run on the
+    integer numerator matrices, and the sum is reduced once.
+    """
+    rads = tower._rads
+    u, ku = _fzip(sub, px._n, qx._n)
+    v, kv = _fzip(sub, py._n, qy._n)
+    if ku != kv:  # both differences over ku * kv
+        u, v, ku = _fscale(u, kv), _fscale(v, ku), ku * kv
+    rows, k = _fsumsq(rads, (u, v))
+    return FunElem._make(tower, _fcanon(rows, ku * ku * k), _fmul(rads, px._d, px._d))
 
 
 def _plift_into(p: Poly, tower: TowerDesc) -> Poly:

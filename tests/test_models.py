@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from rigidity_forge import scalars, suite
+from rigidity_forge import cm, engine, gadgets, models, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
 from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation, replay
 from rigidity_forge.gadgets import (
@@ -428,6 +428,51 @@ def test_lazy_kfield_refutes_the_negative_controls():
     for subject, model, index in controls:
         verdict = check_derivation(subject, model)
         assert not verdict.ok and verdict.violated_index == index
+
+
+def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
+    """Every squared distance of K(eps) images runs ``fun_sqdist``, and no
+    ``sqdist`` call multiplies ``FunElem``s."""
+    corpus = suite.replay_corpus()
+    counts = {"kfield": 0, "kernel": 0, "mul": 0}
+    inside = []
+    real_sqdist, real_kernel, real_mul = cm.sqdist, cm.fun_sqdist, FunElem.__mul__
+
+    def counting_sqdist(p, q):
+        counts["kfield"] += any(isinstance(c, FunElem) for c in (p.x, p.y, q.x, q.y))
+        inside.append(True)
+        try:
+            return real_sqdist(p, q)
+        finally:
+            inside.pop()
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return real_kernel(*args)
+
+    def counting_mul(self, other):
+        counts["mul"] += bool(inside)
+        return real_mul(self, other)
+
+    for module in (engine, gadgets, models):
+        monkeypatch.setattr(module, "sqdist", counting_sqdist)
+    monkeypatch.setattr(cm, "fun_sqdist", counting_kernel)
+    monkeypatch.setattr(FunElem, "__mul__", counting_mul)
+    monkeypatch.setattr(FunElem, "__rmul__", counting_mul)
+    checks = 0
+    for entry in corpus:
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        for _, model in suite.model_family(gadget):
+            assert check_derivation(entry.derivation, model).ok
+            assert verify_preservation(model, pairs).ok
+            checks += 1
+    assert checks == 96
+    assert counts["kfield"] > 0 and counts["kernel"] == counts["kfield"] and counts["mul"] == 0
+    # the counters do see the formula, taken over two denominators
+    eps = FunElem.eps()
+    assert engine.sqdist(Point(eps, eps), Point(eps / (eps + 1), FunElem.constant(0))) == eps * eps + (eps * eps / (eps + 1)) ** 2
+    assert counts["kfield"] == counts["kernel"] + 1 and counts["mul"] == 2
 
 
 def test_model_checks_take_no_polynomial_gcd(monkeypatch):

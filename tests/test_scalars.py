@@ -3,6 +3,7 @@
 import dataclasses
 from fractions import Fraction
 from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,13 +21,28 @@ from rigidity_forge.scalars import (
     adjoin_sqrt,
     cmp_with_sqrt,
     common_tower,
+    fun_sqdist,
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
     sqrt_in_tower,
     tower_conjugate,
     tower_sqdist,
 )
-from rigidity_forge.scalars import _basis_bounds, _canon, _enclose, _imul, _isq, _pgcd, _ptrim, _reduce
+from rigidity_forge.scalars import (
+    _basis_bounds,
+    _canon,
+    _enclose,
+    _fadd,
+    _fcanon,
+    _fmul,
+    _fone,
+    _fsumsq,
+    _imul,
+    _isq,
+    _pgcd,
+    _ptrim,
+    _reduce,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -281,6 +297,19 @@ def test_function_field_across_unrelated_towers():
     assert a * b == FunElem.constant(s2 * s3)
     eps = FunElem.eps()
     assert (a + eps) * (b - eps) - a * b == (b - a) * eps - eps * eps
+
+
+def test_fun_elem_takes_rational_coefficients(sqrt2):
+    one = FunElem(QQ, [1], [1])
+    assert one == FunElem.constant(1) and hash(one) == hash(FunElem.constant(1)) == hash(1)
+    assert (one._n, one._d) == (FunElem.constant(1)._n, FunElem.constant(1)._d)
+    tower, s2 = sqrt2.tower, sqrt2.root
+    eps = FunElem.eps(tower)
+    x = FunElem(tower, [Fraction(1, 2), s2, 0], [3, Fraction(0)])
+    assert x == (FunElem.constant(Fraction(1, 2), tower) + eps * s2) / 3
+    assert x.tower is tower and hash(x) == hash((FunElem.constant(Fraction(1, 2), tower) + eps * s2) / 3)
+    with pytest.raises(ZeroDivisionError):
+        FunElem(QQ, [1], [0, Fraction(0)])
 
 
 small_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -910,6 +939,82 @@ def test_integer_fun_kernels_match_the_tower_polynomial_oracle(case):
         assert (a * b) / b == a
 
 
+SMALL_FRACTIONS = [Fraction(n, d) for n in (-7, -2, -1, 1, 3, 5) for d in (1, 2, 3)]
+
+
+@st.composite
+def fun_quads(draw):
+    """Four K(eps) values over one tower with one shared denominator; the
+    numerators have 0-3 rows, and either difference may be zero.  Each
+    coefficient has at most three nonzero coordinates."""
+    tower = draw(st.sampled_from(FUN_TOWERS))
+    coeffs = st.dictionaries(st.integers(0, tower.dim - 1), st.sampled_from(SMALL_FRACTIONS), max_size=3).map(
+        lambda cs: TowerElem(tower, [cs.get(i, 0) for i in range(tower.dim)])
+    )
+    den = draw(st.lists(coeffs, min_size=1, max_size=3).filter(lambda p: not all(c.is_zero() for c in p)))
+    px, py, qx, qy = (FunElem(tower, draw(st.lists(coeffs, max_size=3)), den) for _ in range(4))
+    zero = draw(st.sampled_from(["", "", "", "x", "y", "xy"]))
+    return tower, px, py, px if "x" in zero else qx, py if "y" in zero else qy
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(fun_quads())
+@example((FUN_TOWERS[2], FunElem.eps(FUN_TOWERS[2]), FunElem.constant(0, FUN_TOWERS[2]), FunElem.constant(1, FUN_TOWERS[2]), FunElem.eps(FUN_TOWERS[2])))
+def test_fun_sqdist_kernel_matches_the_generic_formula(case):
+    tower, px, py, qx, qy = case
+    rads = tower._rads
+    dx, dy = px - qx, py - qy
+    formula = dx * dx + dy * dy
+    got = fun_sqdist(tower, px, py, qx, qy)
+    _assert_fun_canonical(got)
+    assert got.tower is tower
+    assert (got._n, got._d) == (formula._n, formula._d)
+    assert got == formula and (got.num, got.den) == (formula.num, formula.den) and hash(got) == hash(formula)
+    with mock.patch.object(cm, "fun_sqdist", wraps=fun_sqdist) as kernel:
+        assert cm.sqdist(Point(px, py), Point(qx, qy)) == got
+    assert kernel.call_count == 1
+    # the squaring convolution against the product, alone and summed
+    for a in (px._n, dx._n, px._d, formula._n):
+        rows, k = _fsumsq(rads, (a[0],))
+        assert _fcanon(rows, a[1] * a[1] * k) == _fmul(rads, a, a)
+    if dx._n[1] == dy._n[1]:
+        rows, k = _fsumsq(rads, (dx._n[0], dy._n[0]))
+        square = (_fmul(rads, dx._n, dx._n), _fmul(rads, dy._n, dy._n))
+        assert _fcanon(rows, dx._n[1] ** 2 * k) == _fadd(*square)
+    # the unit shortcut hands back the other operand, which is canonical
+    unit = _fone(tower)
+    for a in (px._n, px._d, got._n, got._d, unit):
+        assert _fmul(rads, a, unit) == a == _fmul(rads, unit, a)
+        _assert_fun_canonical(FunElem._make(tower, a, unit))
+
+
+def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
+    kernel_calls = []
+    monkeypatch.setattr(cm, "fun_sqdist", lambda *args: kernel_calls.append(args))
+    s2, s3 = INTEGER_TOWERS[1], adjoin_sqrt(QQ, 3).tower
+    eps = FunElem.eps(s2)
+    p = Point(eps * s2.generator(0), FunElem.constant(1, s2))
+    q = Point(FunElem.constant(Fraction(1, 3), s2), eps)
+    d = eps * eps + 1
+    frame = Point(p.x / d, p.y / d)
+    cases = [
+        # one tower, unequal denominators
+        (p, Point(q.x, q.y / (eps + 1) * (eps + 1))),
+        (frame, q),
+        # equal denominator pairs, two towers
+        (frame, Point(FunElem.constant(2, s3) / (FunElem.eps(s3) ** 2 + 1), FunElem.eps(s3) / (FunElem.eps(s3) ** 2 + 1))),
+        # a tower coordinate among K(eps) ones
+        (p, Point(s2.one(), eps)),
+    ]
+    for a, b in cases:
+        dx, dy = a.x - b.x, a.y - b.y
+        assert cm.sqdist(a, b) == dx * dx + dy * dy
+    assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
+    assert kernel_calls == []
+    cm.sqdist(frame, Point(frame.y, frame.x))  # the counter does see the kernel
+    assert len(kernel_calls) == 1
+
+
 def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
     operands = []
     for tower in FUN_TOWERS:
@@ -1005,14 +1110,19 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
         models.eps_rotation_model(reflection=True),
         models.ModelMap(conj.embedding, models.make_pythagorean_rotation(Fraction(1, 2))),
     ]
-    kernel_calls = []
-    real_kernel = cm.tower_sqdist
+    kernel_calls, fun_kernel_calls = [], []
+    real_kernel, real_fun_kernel = cm.tower_sqdist, cm.fun_sqdist
 
     def counting_kernel(*args):
         kernel_calls.append(args)
         return real_kernel(*args)
 
+    def counting_fun_kernel(*args):
+        fun_kernel_calls.append(args)
+        return real_fun_kernel(*args)
+
     monkeypatch.setattr(cm, "tower_sqdist", counting_kernel)
+    monkeypatch.setattr(cm, "fun_sqdist", counting_fun_kernel)
 
     def results():
         out = []
@@ -1029,12 +1139,13 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
         return out
 
     kernel = results()
-    assert kernel_calls
+    assert kernel_calls and fun_kernel_calls
     for module in (cm, engine, gadgets, models):
         monkeypatch.setattr(module, "sqdist", _generic_sqdist)
     kernel_calls.clear()
+    fun_kernel_calls.clear()
     generic = results()
-    assert not kernel_calls
+    assert not kernel_calls and not fun_kernel_calls
     assert kernel == generic
     assert len(kernel) == 96 + 5 + 5
     assert all(report.ok for report in kernel[-5:])
