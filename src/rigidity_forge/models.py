@@ -78,12 +78,17 @@ class Embedding:
         return FunElem.constant(x)
 
     def _into_domain(self, x: TowerElem) -> TowerElem:
+        """x over the domain, by value: the common tower extends the domain,
+        and x lies in the domain iff it has no coordinate past ``domain.dim``."""
         anchor, lifted = common_tower(self.domain.zero(), x)
-        if anchor.tower != self.domain:
+        if anchor.tower == self.domain:
+            return lifted
+        coords = lifted.coords
+        if any(coords[self.domain.dim :]):
             raise OutOfDomain(
                 f"{x} does not lie in the embedding domain {self.domain}"
             )
-        return lifted
+        return TowerElem(self.domain, coords[: self.domain.dim])
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ Three carriers, all with decidable equality:
   unit polynomial returns the other operand.  ``fun_sqdist``, the K(eps)
   squared-distance kernel, takes both differences and the sum of their
   squares of four elements over one denominator on the integer matrices and
-  reduces once.  The reduced form (coprime ``TowerElem`` polynomials, monic
-  denominator) is what ``num``/``den``, hashing, printing and the codec see;
-  it is computed once per value, on first use, and cached.
+  reduces once.  The reduced form (coprime polynomials, monic denominator) is
+  computed by Euclid on the integer matrices, once per value, on first use,
+  and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
+  hashing, printing and the codec read those.
 """
 
 from __future__ import annotations
@@ -704,8 +705,9 @@ def tower_conjugate(x: TowerElem, index: int) -> TowerElem:
 # (J. von zur Gathen and J. Gerhard, "Modern Computer Algebra", ch. 6).  The
 # pair is canonical when gcd(k, every entry) == 1 and the last row is nonzero,
 # so zero is () over 1 and equal polynomials have equal pairs.  The ``_f*``
-# kernels take and return canonical pairs of one tower; ``Poly`` (a tuple of
-# ``TowerElem`` coefficients) is only built for the reduced public form.
+# kernels take and return canonical pairs of one tower, the Euclidean
+# reduction (``_freduce``) among them; ``Poly`` (a tuple of ``TowerElem``
+# coefficients) is only built by ``num``/``den``.
 # ---------------------------------------------------------------------------
 
 Poly = tuple[TowerElem, ...]
@@ -834,10 +836,9 @@ def _fsumsq(rads: Rads, polys: Sequence[Sequence[IVec]]) -> tuple[list[IVec], in
 
 
 def _fpoly(coeffs: Sequence[TowerElem]) -> IPoly:
-    """Trimmed coefficients of one tower as a canonical pair.  Over the lcm of
-    their canonical denominators the pair is already canonical."""
+    """Coefficients of one tower as a canonical pair."""
     k = lcm(*[c._d for c in coeffs])
-    return tuple([c._n if c._d == k else tuple([x * (k // c._d) for x in c._n]) for c in coeffs]), k
+    return _fcanon([c._n if c._d == k else tuple([x * (k // c._d) for x in c._n]) for c in coeffs], k)
 
 
 def _ftower(a: IPoly, tower: TowerDesc) -> Poly:
@@ -849,57 +850,36 @@ def _fone(tower: TowerDesc) -> IPoly:
     return ((1,) + (0,) * (tower.dim - 1),), 1
 
 
-def _ptrim(coeffs: Sequence[TowerElem]) -> Poly:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
+def _flead_inv(rads: Rads, a: IPoly) -> IPoly:
+    """The inverse of a's leading row, as a constant polynomial."""
+    m, km = _inv(rads, *_canon(a[0][-1], a[1]))
+    return (m,), km
 
 
-def _pdivmod(a: Poly, b: Poly, tower: TowerDesc) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [tower.zero()] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    inv_lead = b[-1].inverse()
-    while len(rem) >= len(b):
-        if rem[-1].is_zero():
-            rem.pop()
-            continue
-        k = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        q[k] = factor
-        for i, c in enumerate(b):
-            rem[k + i] = rem[k + i] - factor * c
-        rem.pop()
-    return _ptrim(q), _ptrim(rem)
+def _fdivmod(rads: Rads, a: IPoly, b: IPoly) -> tuple[IPoly, IPoly]:
+    """Quotient and remainder of a by a monic b, one leading row of a at a time."""
+    q: IPoly = ((), 1)
+    zero = (0,) * len(b[0][0])
+    while len(a[0]) >= len(b[0]):
+        t = ((zero,) * (len(a[0]) - len(b[0])) + (a[0][-1],), a[1])
+        q, a = _fadd(q, t), _fadd(a, _fneg(_fmul(rads, t, b)))
+    return q, a
 
 
-def _pgcd(a: Poly, b: Poly, tower: TowerDesc) -> Poly:
-    while b:
-        _, r = _pdivmod(a, b, tower)
-        a, b = b, r
-    if a:
-        inv_lead = a[-1].inverse()
-        a = tuple(c * inv_lead for c in a)
-    return a
-
-
-def _reduce(num: Poly, den: Poly, tower: TowerDesc) -> tuple[Poly, Poly]:
-    """num/den in lowest terms with a monic denominator (the unique form)."""
-    if not num:
-        return (), (tower.one(),)
-    if len(den) > 1:
-        g = _pgcd(num, den, tower)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g, tower)
-            den, _ = _pdivmod(den, g, tower)
-    lead = den[-1]
-    if not lead == 1:
-        inv = lead.inverse()
-        num = tuple(c * inv for c in num)
-        den = tuple(c * inv for c in den)
-    return num, den
+def _freduce(tower: TowerDesc, num: IPoly, den: IPoly) -> tuple[IPoly, IPoly]:
+    """num/den in lowest terms with a monic denominator (the unique form):
+    Euclid on monic remainders, then both divided by the monic gcd g."""
+    if not num[0]:
+        return num, _fone(tower)
+    rads = tower._rads
+    if len(den[0]) > 1:
+        a, g = num, _fmul(rads, den, _flead_inv(rads, den))
+        while (r := _fdivmod(rads, a, g)[1])[0]:
+            a, g = g, _fmul(rads, r, _flead_inv(rads, r))
+        if len(g[0]) > 1:
+            num, den = _fdivmod(rads, num, g)[0], _fdivmod(rads, den, g)[0]
+    inv = _flead_inv(rads, den)
+    return _fmul(rads, num, inv), _fmul(rads, den, inv)
 
 
 class FunElem:
@@ -920,10 +900,12 @@ class FunElem:
     squares the numerator differences, one reduction.
 
     The public face is the reduced form: ``num`` and ``den`` are coprime
-    polynomials of ``TowerElem`` coefficients and ``den`` is monic.  It costs
-    one polynomial gcd, taken on first use and cached, and ``is_constant``,
-    the hash, the printed value and the codec all read it, so none of them
-    depends on how the value was computed.
+    polynomials of ``TowerElem`` coefficients and ``den`` is monic.  It is
+    computed by Euclid on the integer matrices (``_freduce``), on first use,
+    and cached as a pair of matrices; ``num`` and ``den`` build the
+    coefficients from it.  ``is_constant``, the hash, the printed value and
+    the codec all read it, so none of them depends on how the value was
+    computed.
     """
 
     __slots__ = ("tower", "_n", "_d", "_reduced")
@@ -931,10 +913,10 @@ class FunElem:
     def __init__(
         self, tower: TowerDesc, num: Sequence[TowerElem | RationalLike], den: Sequence[TowerElem | RationalLike]
     ) -> None:
-        num, den = (_ptrim([c.lift(tower) if isinstance(c, TowerElem) else tower.rational(c) for c in p]) for p in (num, den))
-        if not den:
+        num, den = (_fpoly([c.lift(tower) if isinstance(c, TowerElem) else tower.rational(c) for c in p]) for p in (num, den))
+        if not den[0]:
             raise ZeroDivisionError("zero denominator in function field element")
-        _init(self, tower, _fpoly(num), _fpoly(den))
+        _init(self, tower, num, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FunElem is immutable")
@@ -984,34 +966,34 @@ class FunElem:
             return self, other._lift(t), t
         probe, _ = common_tower(t.zero(), u.zero())
         tower = probe.tower
-        return self._into(tower), other._into(tower), tower
+        return self._lift(tower), other._lift(tower), tower
 
     def _lift(self, tower: TowerDesc) -> "FunElem":
-        """This value over an extension of its tower: each row padded with zeros."""
-        pad = (0,) * (tower.dim - self.tower.dim)
-        (nr, nk), (dr, dk) = self._n, self._d
-        return FunElem._make(tower, (tuple([r + pad for r in nr]), nk), (tuple([r + pad for r in dr]), dk))
-
-    def _into(self, tower: TowerDesc) -> "FunElem":
-        """This value with every coefficient mapped into ``tower``, which must hold it."""
-        num, den = (_fpoly(_plift_into(_ftower(p, self.tower), tower)) for p in (self._n, self._d))
+        """This value over ``tower``, which must hold it.  Over an extension
+        of its own tower each row is padded with zeros; otherwise each row is
+        mapped into ``tower`` through ``common_tower``."""
+        if self.tower.is_prefix_of(tower):
+            pad = (0,) * (tower.dim - self.tower.dim)
+            (nr, nk), (dr, dk) = self._n, self._d
+            return FunElem._make(tower, (tuple([r + pad for r in nr]), nk), (tuple([r + pad for r in dr]), dk))
+        zero = tower.zero()
+        num, den = (_fpoly([common_tower(zero, c)[1] for c in _ftower(p, self.tower)]) for p in (self._n, self._d))
         return FunElem._make(tower, num, den)
 
     # -- reduced form --------------------------------------------------------------
 
-    def _canonical(self) -> tuple[Poly, Poly]:
+    def _canonical(self) -> tuple[IPoly, IPoly]:
         if self._reduced is None:
-            tower = self.tower
-            _fset_reduced(self, _reduce(_ftower(self._n, tower), _ftower(self._d, tower), tower))
+            _fset_reduced(self, _freduce(self.tower, self._n, self._d))
         return self._reduced
 
     @property
     def num(self) -> Poly:
-        return self._canonical()[0]
+        return _ftower(self._canonical()[0], self.tower)
 
     @property
     def den(self) -> Poly:
-        return self._canonical()[1]
+        return _ftower(self._canonical()[1], self.tower)
 
     # -- structure -----------------------------------------------------------------
 
@@ -1020,7 +1002,7 @@ class FunElem:
 
     def is_constant(self) -> bool:
         num, den = self._canonical()
-        return len(num) <= 1 and len(den) == 1
+        return len(num[0]) <= 1 and len(den[0]) == 1
 
     # -- arithmetic ------------------------------------------------------------------
 
@@ -1102,7 +1084,7 @@ class FunElem:
         return _fmul(rads, a._n, b._d) == _fmul(rads, b._n, a._d)
 
     def __hash__(self) -> int:
-        num, den = self._canonical()
+        num, den = self.num, self.den
         if self.is_constant():
             # a constant hashes like the tower element (and rational) it equals
             return hash(num[0] if num else 0)
@@ -1127,8 +1109,8 @@ class FunElem:
                     parts.append(f"({c})*eps^{i}")
             return " + ".join(parts)
 
-        num, den = self._canonical()
-        if len(den) == 1 and den[0] == 1:
+        num, den = self.num, self.den
+        if len(den) == 1:
             return fmt(num)
         return f"({fmt(num)}) / ({fmt(den)})"
 
@@ -1160,11 +1142,6 @@ def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunE
         u, v, ku = _fscale(u, kv), _fscale(v, ku), ku * kv
     rows, k = _fsumsq(rads, (u, v))
     return FunElem._make(tower, _fcanon(rows, ku * ku * k), _fmul(rads, px._d, px._d))
-
-
-def _plift_into(p: Poly, tower: TowerDesc) -> Poly:
-    """Each coefficient mapped into ``tower``, which must hold its value."""
-    return tuple(common_tower(tower.zero(), c)[1] for c in p)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .models import (
     verify_preservation,
     verify_structure,
 )
-from .scalars import QQ, TowerDesc, adjoin_sqrt, tower_conjugate, _frac_sqrt
+from .scalars import QQ, BadGeneratorIndex, TowerDesc, adjoin_sqrt, tower_conjugate, _frac_sqrt
 
 
 @dataclass
@@ -121,7 +121,7 @@ def sqrt_flavored_conjugation(tower: TowerDesc, radicand: int) -> ModelMap | Non
         try:
             if tower_conjugate(root, i) == -root:
                 return conjugation_model(domain, i)
-        except Exception:
+        except BadGeneratorIndex:
             continue
     return None
 

@@ -3,11 +3,12 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from rigidity_forge import codec, suite
-from rigidity_forge.cm import Point, rational_point
+from rigidity_forge.cm import Point, rational_point, sqdist
 from rigidity_forge.engine import replay
 from rigidity_forge.gadgets import (
     build_division,
@@ -196,3 +197,27 @@ def test_corpus_encoding_is_pinned():
     assert kinds == {"SqDistKnown", "Distinct", "NonzeroDist", "VecEq", "VecScale", "AffineComb", "DotZero"}
     text = "".join(codec.dumps(codec.encode_derivation(entry.derivation)) for entry in corpus)
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_ENCODING_SHA256
+
+
+# sha256 of the printed value and the encoding of every image coordinate and
+# every image-pair squared distance of the 16 corpus gadgets under the two
+# K(eps) models, in corpus, model and point order
+KFIELD_FACE_SHA256 = "32bc0d6c3aaeba52a2ac9ef6fc0008275c9160d66e8f5af27ef762598e29804d"
+
+
+def test_kfield_public_face_is_pinned():
+    """The reduced form of K(eps) values, as printed and encoded, byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for entry in suite.replay_corpus():
+        for name, model in suite.model_family(entry.gadget):
+            if not name.startswith("eps-"):
+                continue
+            images = [model.apply(p) for p in entry.gadget.points.values()]
+            values = [c for image in images for c in (image.x, image.y)]
+            values += [sqdist(p, q) for p, q in combinations(images, 2)]
+            for v in values:
+                digest.update(f"{v}\n{codec.dumps(codec.encode_scalar(v))}\n".encode())
+            count += len(values)
+    assert count == 1080
+    assert digest.hexdigest() == KFIELD_FACE_SHA256

@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no module imports a name it never
-uses, and every import sits at module level."""
+uses, every import sits at module level, and the package ships no function,
+class or method that only tests use."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,66 @@ def test_module_uses_every_import(module):
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_at_module_level(module):
     assert local_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, and non-dunder methods, that no
+    code outside their own body references by name or attribute and that no
+    ``__all__`` exports.  The codec's ``encode_*``/``decode_*`` functions are
+    the file formats' API, read and written outside the package, so they
+    count as exported."""
+    defs, refs, exported = [], [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
+                ]
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+    found = []
+    for qualname, node in defs:
+        module, name = qualname.split(".")[0], qualname.rsplit(".", 1)[-1]
+        if name in exported or module == "codec" and name.startswith(("encode_", "decode_")):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(ref == name and id(n) not in inside for ref, n in refs):
+            found.append(qualname)
+    return found
+
+
+def test_package_ships_no_unreferenced_code():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources) == []
+
+
+def test_unreferenced_code_check_catches_a_leftover():
+    sources = {
+        "__init__": "from .a import f\n__all__ = ['f']\n",
+        "a": (
+            "def f():\n    return g() + C().used()\n\n\n"
+            "def g():\n    return 1\n\n\n"
+            "def loop(n):\n    return loop(n - 1) if n else 0\n\n\n"
+            "class C:\n    def used(self):\n        return 0\n\n    def unused(self):\n        return self.used()\n\n"
+            "    def __repr__(self):\n        return 'C'\n"
+        ),
+        "codec": "def encode_thing(x):\n    return x\n\n\ndef decode_thing(x):\n    return x\n\n\ndef helper(x):\n    return x\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.loop", "a.C.unused", "codec.helper"]
 
 
 def test_unused_import_check_catches_a_leftover():

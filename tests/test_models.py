@@ -126,6 +126,20 @@ def test_conjugation_model_out_of_domain(sqrt3_tower):
         model.embedding.apply_scalar(s5)
 
 
+def test_conjugation_domain_membership_is_by_value(sqrt3_tower):
+    s5 = adjoin_sqrt(QQ, 5)
+    s35 = adjoin_sqrt(sqrt3_tower.tower, 5)
+    embedding = conjugation_model(s5.tower, 0).embedding
+    one = embedding.apply_scalar(sqrt3_tower.tower.one())
+    assert one == 1 and one.tower == s5.tower
+    root = embedding.apply_scalar(s35.root)
+    assert root == -s5.root and root.tower == s5.tower
+    with pytest.raises(OutOfDomain):
+        embedding.apply_scalar(sqrt3_tower.root)
+    with pytest.raises(OutOfDomain):
+        embedding.apply_scalar(s35.root + sqrt3_tower.root)
+
+
 def test_eps_rotation_on_unit_vector():
     model = eps_rotation_model()
     image = model.apply(rational_point(1, 0))
@@ -478,13 +492,13 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
 def test_model_checks_take_no_polynomial_gcd(monkeypatch):
     corpus = suite.replay_corpus()
     calls = []
-    real_gcd = scalars._pgcd
+    real_reduce = scalars._freduce
 
-    def counting_gcd(*args):
+    def counting_reduce(*args):
         calls.append(args)
-        return real_gcd(*args)
+        return real_reduce(*args)
 
-    monkeypatch.setattr(scalars, "_pgcd", counting_gcd)
+    monkeypatch.setattr(scalars, "_freduce", counting_reduce)
     checks = 0
     for entry in corpus:
         gadget = entry.gadget
@@ -495,6 +509,6 @@ def test_model_checks_take_no_polynomial_gcd(monkeypatch):
             checks += 1
     assert checks == 96
     assert calls == []
-    # the counter does see the gcd that the reduced form takes
+    # the counter does see the reduction that the printed form takes, once
     assert str((FunElem.eps() + 1) / (FunElem.eps() * FunElem.eps() - 1)) == "(1) / (-1 + (1)*eps)"
     assert len(calls) == 1

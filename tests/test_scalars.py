@@ -39,9 +39,6 @@ from rigidity_forge.scalars import (
     _fsumsq,
     _imul,
     _isq,
-    _pgcd,
-    _ptrim,
-    _reduce,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -745,9 +742,62 @@ def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
 
 # -- differential test: the integer-matrix K(eps) kernel against TowerElem polynomials ---------
 #
-# The oracle is the lazy K(eps) arithmetic the package used before polynomials
-# were held as integer matrices: tuples of TowerElem coefficients, multiplied
-# and added one TowerElem at a time.
+# The oracle is the K(eps) arithmetic the package used before polynomials were
+# held as integer matrices: tuples of TowerElem coefficients, multiplied and
+# added one TowerElem at a time, and reduced by Euclid over those tuples.
+
+
+def _ptrim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _pdivmod(a, b, tower):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [tower.zero()] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    inv_lead = b[-1].inverse()
+    while len(rem) >= len(b):
+        if rem[-1].is_zero():
+            rem.pop()
+            continue
+        k = len(rem) - len(b)
+        factor = rem[-1] * inv_lead
+        q[k] = factor
+        for i, c in enumerate(b):
+            rem[k + i] = rem[k + i] - factor * c
+        rem.pop()
+    return _ptrim(q), _ptrim(rem)
+
+
+def _pgcd(a, b, tower):
+    while b:
+        _, r = _pdivmod(a, b, tower)
+        a, b = b, r
+    if a:
+        inv_lead = a[-1].inverse()
+        a = tuple(c * inv_lead for c in a)
+    return a
+
+
+def _reduce(num, den, tower):
+    """num/den in lowest terms with a monic denominator (the unique form)."""
+    if not num:
+        return (), (tower.one(),)
+    if len(den) > 1:
+        g = _pgcd(num, den, tower)
+        if len(g) > 1:
+            num, _ = _pdivmod(num, g, tower)
+            den, _ = _pdivmod(den, g, tower)
+    lead = den[-1]
+    if not lead == 1:
+        inv = lead.inverse()
+        num = tuple(c * inv for c in num)
+        den = tuple(c * inv for c in den)
+    return num, den
 
 
 def _padd(a, b):
@@ -914,9 +964,39 @@ def fun_pairs(draw):
     return out
 
 
+def _fun_case(tower, num, den):
+    num, den = ([c if isinstance(c, TowerElem) else tower.rational(c) for c in p] for p in (num, den))
+    return FunElem(tower, num, den), OracleFun(tower, num, den)
+
+
+def _shared_factor_case():
+    """Two values over a tower with radicand denominators k > 1, each carrying
+    a common factor of degree 2 with an irrational leading coefficient."""
+    tower = FRACTIONAL_TOWERS[2]
+    r0, r1, one = tower.generator(0), tower.generator(1), tower.one()
+    c = (tower.rational(Fraction(2, 3)), r0, r1 * Fraction(3, 2) + Fraction(1, 5))
+    return [
+        _fun_case(tower, _pmul(c, (r0, one), tower), _pmul(c, (-one, r1), tower)),
+        _fun_case(tower, c, _pmul(c, _pmul(c, (r1, r0 * 2), tower), tower)),
+    ]
+
+
+def _unrelated_towers_case():
+    """A pair over Q(sqrt 3) and Q(sqrt(1/2)), each with a common factor."""
+    s3, half = adjoin_sqrt(QQ, 3).tower, FRACTIONAL_TOWERS[1]
+    r3, r = s3.generator(0), half.generator(0)
+    return [
+        _fun_case(s3, _pmul((r3, s3.one()), (-s3.one(), s3.one()), s3), _pmul((-s3.one(), s3.one()), (s3.one(), r3 * 2), s3)),
+        _fun_case(half, _pmul((half.one(), r), (r, half.rational(3)), half), (r, half.rational(3))),
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(fun_pairs())
 @example([(FunElem.eps(), OracleFun.eps()), (FunElem.constant(0), OracleFun.constant(0))])
+@example(_shared_factor_case())
+@example([_fun_case(FRACTIONAL_TOWERS[1], [], [1, FRACTIONAL_TOWERS[1].generator(0), 2]), _fun_case(QQ, [1, 2], [3, 0, 1])])
+@example(_unrelated_towers_case())
 def test_integer_fun_kernels_match_the_tower_polynomial_oracle(case):
     (a, oa), (b, ob) = case
     for x, ox in case:
@@ -1029,11 +1109,18 @@ def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
         return real_elem(*args)
 
     monkeypatch.setattr(scalars, "_elem", counting_elem)
+    results = []
     for x, y in operands:
         x + y, x - y, x * y, y * y, x == y, x == x + 0, 2 * x, x + 1, x == 1, -y, y / x, y * y == y * y
+        results += [x, y, y / x, (x * y) / y, (y * y) / (x * y), x - x]
     assert created == []
-    operands[-1][1].num  # the counter does see the reduced form's coefficients
+    # the reduction runs on the integer matrices; only num and den build coefficients
+    reduced = [x._canonical() for x in results]
+    assert [x.is_constant() for x in results] == [False, False, False, False, False, True] * len(operands)
+    assert created == []
+    results[-4].num, results[-4].den  # the counter does see the reduced form's coefficients
     assert created
+    assert (scalars._fpoly(results[-4].num), scalars._fpoly(results[-4].den)) == reduced[-4]
 
 
 def _oracle_negative_controls(entry):
