@@ -2,7 +2,10 @@
 
 All numbers travel as exact strings ("p" or "p/q"); binary floats are a
 schema violation anywhere.  Decoding re-validates structural invariants, so
-round-trips are bit-exact and tampering is detectable downstream.
+round-trips are bit-exact and tampering is detectable downstream.  ``dumps``
+is one recursive emitter whose text is byte-identical to
+``json.dumps(obj, indent=2)``: json's own encoder runs in pure Python
+whenever an indent is set.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import re
 from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, get_args, get_type_hints
 
 from .cm import Point
@@ -21,7 +25,8 @@ from .scalars import QQ, BadGeneratorIndex, FunElem, TowerDesc, TowerElem, sqrt_
 
 SCHEMA = "rigidity-forge/1"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# the whole string, ASCII digits only: (numerator, its digits, denominator)
+_RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([1-9][0-9]*))?")
 
 # digits per integer, below the interpreter's default int-string limit (4300)
 MAX_DIGITS = 4000
@@ -44,18 +49,21 @@ def _fail(location: str, message: str):
 
 
 def encode_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def decode_rational(text: Any, location: str = "rational") -> Fraction:
     if not isinstance(text, str):
         _fail(location, f"expected an exact rational string, got {type(text).__name__}")
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         _fail(location, f"not an exact rational (p or p/q): {text!r}")
-    if any(len(part) > MAX_DIGITS for part in text.lstrip("-").split("/")):
+    num, digits, den = match.groups()
+    if len(digits) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
         _fail(location, f"an integer has more than {MAX_DIGITS} digits")
-    return Fraction(text)
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 def _encode_coords(x: TowerElem) -> list[str]:
@@ -74,7 +82,7 @@ def encode_tower(tower: TowerDesc) -> dict:
 
 
 def decode_tower(obj: Any, location: str = "field") -> TowerDesc:
-    if not isinstance(obj, Mapping) or not isinstance(obj.get("gens"), list):
+    if not isinstance(obj, dict) or not isinstance(obj.get("gens"), list):
         _fail(location, "expected an object with a 'gens' list")
     if len(obj["gens"]) > MAX_TOWER_DEPTH:
         _fail(f"{location}.gens", f"{len(obj['gens'])} generators exceed the tower depth limit {MAX_TOWER_DEPTH}")
@@ -107,7 +115,7 @@ def encode_fun_elem(x: FunElem) -> dict:
 
 
 def decode_fun_elem(obj: Any, location: str = "scalar") -> FunElem:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         _fail(location, "expected a function-field element object")
     tower = decode_tower(obj.get("tower", {"gens": []}), f"{location}.tower")
 
@@ -135,7 +143,7 @@ def encode_scalar(value: Any) -> Any:
 
 
 def decode_scalar(obj: Any, location: str = "scalar") -> Any:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         _fail(location, "expected a tagged scalar object")
     if "$rat" in obj:
         return decode_rational(obj["$rat"], location)
@@ -176,7 +184,7 @@ def decode_layout(value: Any, location: str = "layout") -> Any:
         _fail(location, "binary floats are forbidden; use exact rational strings")
     if isinstance(value, list):
         return [decode_layout(v, f"{location}[{i}]") for i, v in enumerate(value)]
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         if "$rat" in value or "$tower" in value or "$fun" in value:
             return decode_scalar(value, location)
         return {k: decode_layout(v, f"{location}.{k}") for k, v in value.items()}
@@ -229,7 +237,7 @@ def encode_fact(fact: Fact) -> dict:
 
 def decode_fact(obj: Any, points: Mapping[str, Point], location: str = "fact", kinds: Mapping[str, type] = FACT_KINDS) -> Fact:
     """A fact of one of ``kinds`` whose name fields all name ``points``."""
-    if not isinstance(obj, Mapping) or not isinstance(obj.get("kind"), str):
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         _fail(location, "expected an object tagged with its kind")
     if obj["kind"] not in kinds:
         _fail(location, f"kind {obj['kind']!r} is not one of {', '.join(kinds)}")
@@ -262,7 +270,7 @@ def encode_gadget(gadget: Gadget) -> dict:
 
 
 def decode_gadget(obj: Any) -> Gadget:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         _fail("gadget", "expected a JSON object")
     if obj.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {obj.get('schema')!r}")
@@ -270,7 +278,7 @@ def decode_gadget(obj: Any) -> Gadget:
         _fail("kind", f"expected 'gadget', got {obj.get('kind')!r}")
     tower = decode_tower(obj.get("field", {}), "field")
     points_obj = obj.get("points")
-    if not isinstance(points_obj, Mapping):
+    if not isinstance(points_obj, dict):
         _fail("points", "expected an object of name -> [x, y]")
     points: dict[str, Point] = {}
     for name, pair in points_obj.items():
@@ -280,7 +288,7 @@ def decode_gadget(obj: Any) -> Gadget:
         points[name] = Point(*(_decode_coords(tower, coords, f"{loc}.{axis}") for axis, coords in zip("xy", pair)))
     certificate = []
     for i, entry in enumerate(_list(obj, "certificate")):
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, dict):
             _fail(f"certificate[{i}]", "expected {p, q, d2}")
         certificate.append(_decode_record(CertEntry, entry, points, f"certificate[{i}]"))
     sides = []
@@ -309,7 +317,7 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
     """Check that a layout is of a known kind and carries every field its
     replay script and ``layout_goal`` read; ``kind``, when given, is the kind
     its parent needs."""
-    if not isinstance(layout, Mapping):
+    if not isinstance(layout, dict):
         _fail(location, "expected a layout object")
     if kind is not None and layout.get("kind") != kind:
         _fail(f"{location}.kind", f"expected {kind!r}")
@@ -332,7 +340,7 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
         return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
     def roles(v) -> bool:
-        return isinstance(v, Mapping) and all(_is_point(v.get(r), points) for r in "ABCDEF")
+        return isinstance(v, dict) and all(_is_point(v.get(r), points) for r in "ABCDEF")
 
     if kind == "division":
         need("roles", roles, "roles A-F naming gadget points")
@@ -377,7 +385,7 @@ def encode_derivation(derivation: Derivation) -> dict:
 
 
 def decode_derivation(obj: Any) -> Derivation:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         _fail("derivation", "expected a JSON object")
     if obj.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {obj.get('schema')!r}")
@@ -388,7 +396,7 @@ def decode_derivation(obj: Any) -> Derivation:
     justs = []
     for i, step in enumerate(_list(obj, "facts")):
         loc = f"facts[{i}]"
-        if not isinstance(step, Mapping) or not {"fact", "rule", "premises"} <= set(step):
+        if not isinstance(step, dict) or not {"fact", "rule", "premises"} <= set(step):
             _fail(loc, "expected {fact, rule, premises}")
         facts.append(decode_fact(step["fact"], gadget.points, f"{loc}.fact"))
         premises = step["premises"]
@@ -424,14 +432,14 @@ def encode_model(model: ModelMap) -> dict:
 
 
 def decode_model(obj: Any) -> ModelMap:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         _fail("model", "expected a JSON object")
     if obj.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {obj.get('schema')!r}")
     if obj.get("kind") != "model":
         _fail("kind", f"expected 'model', got {obj.get('kind')!r}")
     emb_obj = obj.get("embedding")
-    if not isinstance(emb_obj, Mapping) or "kind" not in emb_obj:
+    if not isinstance(emb_obj, dict) or "kind" not in emb_obj:
         _fail("embedding", "expected a tagged embedding object")
     kind = emb_obj["kind"]
     if kind == "conjugation":
@@ -450,7 +458,7 @@ def decode_model(obj: Any) -> ModelMap:
     frame_obj = obj.get("frame")
     frame = None
     if frame_obj is not None:
-        if not isinstance(frame_obj, Mapping):
+        if not isinstance(frame_obj, dict):
             _fail("frame", "expected an object or null")
         matrix = frame_obj.get("matrix")
         if not isinstance(matrix, list) or len(matrix) != 2 or any(not isinstance(row, list) or len(row) != 2 for row in matrix):
@@ -478,12 +486,36 @@ def decode_model(obj: Any) -> ModelMap:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """``obj`` as text, byte-identical to ``json.dumps(obj, indent=2)``.
+
+    ``obj`` is what the ``encode_*`` functions produce: dicts with string
+    keys, lists, strings, ints, booleans and None.
+    """
+    return _emit(obj, "\n")
+
+
+def _emit(value: Any, newline: str) -> str:
+    """``value`` at the indentation that ``newline`` (a line break and the
+    current indentation) carries; string items are quoted in place."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict and value:
+        inner = newline + "  "
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _emit(v, inner)) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list and value:
+        inner = newline + "  "
+        items = [_quote(v) if type(v) is str else _emit(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)  # null, true, false, {} and []
 
 
 def load_document(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_reject_float, parse_int=int)
+        return json.loads(text, parse_float=_reject_float, parse_int=int, parse_constant=_reject_float)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -497,7 +529,7 @@ def _reject_float(text: str):
 def decode_document(text: str):
     """Dispatch on the document kind: gadget, derivation, or model."""
     obj = load_document(text)
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         _fail("document", "expected a JSON object")
     kind = obj.get("kind")
     decoders = {"gadget": decode_gadget, "derivation": decode_derivation, "model": decode_model}

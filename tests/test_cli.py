@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,31 @@ def test_verify_rejects_floats(tmp_path, capsys):
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert "float" in err
+
+
+@pytest.mark.parametrize("number", ["1.5", "NaN", "Infinity", "-Infinity"])
+def test_verify_rejects_floats_where_the_schema_reads_nothing(tmp_path, capsys, number):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    bad = tmp_path / "note.json"
+    bad.write_text(gadget_file.read_text().replace("{", '{\n  "note": ' + number + ",", 1))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith(f"SchemaViolation: binary float {number!r} is forbidden")
+
+
+@pytest.mark.parametrize("index, d2", [(0, "1/4\n"), (2, "١")], ids=["trailing-newline", "arabic-indic-digit"])
+def test_verify_rejects_rational_that_is_not_ascii_p_or_p_over_q(tmp_path, capsys, index, d2):
+    gadget_file = tmp_path / "div.json"
+    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    doc = json.loads(gadget_file.read_text())
+    assert Fraction(d2) == Fraction(doc["certificate"][index]["d2"])  # Fraction(str) reads the true value
+    doc["certificate"][index]["d2"] = d2
+    bad = tmp_path / "rational.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith(f"SchemaViolation: certificate[{index}].d2: not an exact rational")
 
 
 def test_replay_writes_derivation_and_model_check_reads_it(tmp_path, capsys):

@@ -56,9 +56,85 @@ def test_rational_strings_survive_exactly():
 
 
 def test_rational_rejects_decimals_and_garbage():
-    for bad in ("0.5", "1e3", "", "1/0", "1/-2", "--1", "½"):
+    for bad in ("0.5", "1e3", "", "1/0", "1/-2", "--1", "½", "1/4\n", "١٢"):
         with pytest.raises(codec.SchemaViolation):
             codec.decode_rational(bad)
+
+
+def test_rational_parser_agrees_with_fraction_of_text():
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        st.builds(
+            lambda sign, num, den: sign + num + ("" if den is None else f"/{den}"),
+            st.sampled_from(["", "-"]),
+            st.text("0123456789", min_size=1, max_size=40),
+            st.none() | st.integers(min_value=1, max_value=10**40),
+        )
+    )
+    @example("6/4")
+    @example("-0")
+    @example("007")
+    @example("-12/8")
+    @example("0/5")
+    def run(text):
+        value = codec.decode_rational(text)
+        assert type(value) is Fraction
+        assert value == Fraction(text)
+
+    run()
+
+
+def test_rational_digit_limit_boundary():
+    at_limit, past_limit = "7" * 4000, "7" * 4001
+    for text in (at_limit, "-" + at_limit, "1/" + at_limit, f"-{at_limit}/{at_limit}"):
+        assert codec.decode_rational(text) == Fraction(text)
+    for text in (past_limit, "-" + past_limit, "1/" + past_limit):
+        with pytest.raises(codec.SchemaViolation, match="more than 4000 digits"):
+            codec.decode_rational(text)
+
+
+def test_dumps_is_json_dumps_with_indent_2():
+    """The emitter against its oracle on arbitrary JSON trees."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é\u2028€😀') | st.characters(), max_size=8)
+    scalars = st.none() | st.booleans() | st.integers(min_value=-(10**80), max_value=10**80) | text
+    trees = st.recursive(
+        scalars, lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4), max_leaves=25
+    )
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(trees)
+    @example([])
+    @example({})
+    @example({"": [], "a": {}, "b": [[], {}, [[{}]]]})
+    @example(["\ud800", "\udfff\ud800", {"\x00\"\\": "\x1f\u2028"}])
+    @example([True, False, None, 0, -1, 10**3999, -(10**3999)])
+    @example("top-level string")
+    def run(tree):
+        assert codec.dumps(tree) == json.dumps(tree, indent=2)
+
+    run()
+
+
+def test_dumps_never_runs_json_pure_python_encoder(monkeypatch):
+    """json encodes with an indent in pure Python; the emitter never calls it."""
+    chain = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
+    derivations = [entry.derivation for entry in suite.replay_corpus()] + [replay(chain)]
+    documents = [codec.encode_derivation(d) for d in derivations]
+    expected = [json.dumps(doc, indent=2) for doc in documents]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({"a": [1]}, indent=2)
+    assert [codec.dumps(doc) for doc in documents] == expected
 
 
 def test_document_rejects_binary_floats():
