@@ -15,13 +15,14 @@ import re
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 from typing import Any, Mapping, get_args, get_type_hints
 
 from .cm import Point
 from .engine import Derivation, Fact, Justification, fact_key
 from .gadgets import CertEntry, Gadget, Goal, layout_goal
 from .models import Embedding, ModelMap, NonOrthogonalFrame, OrthoAffine
-from .scalars import QQ, BadGeneratorIndex, FunElem, TowerDesc, TowerElem, sqrt_in_tower
+from .scalars import QQ, BadGeneratorIndex, FunElem, TowerDesc, TowerElem, _canon, _elem, sqrt_in_tower
 
 SCHEMA = "rigidity-forge/1"
 
@@ -54,7 +55,8 @@ def encode_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def decode_rational(text: Any, location: str = "rational") -> Fraction:
+def _parse_rational(text: Any, location: str) -> tuple[int, int]:
+    """The integers p, q (q > 0, not reduced) of an exact "p" or "p/q"."""
     if not isinstance(text, str):
         _fail(location, f"expected an exact rational string, got {type(text).__name__}")
     match = _RATIONAL_RE.fullmatch(text)
@@ -63,18 +65,34 @@ def decode_rational(text: Any, location: str = "rational") -> Fraction:
     num, digits, den = match.groups()
     if len(digits) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
         _fail(location, f"an integer has more than {MAX_DIGITS} digits")
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    return int(num), 1 if den is None else int(den)
+
+
+def decode_rational(text: Any, location: str = "rational") -> Fraction:
+    p, q = _parse_rational(text, location)
+    return Fraction(p) if q == 1 else Fraction(p, q)
 
 
 def _encode_coords(x: TowerElem) -> list[str]:
-    return [encode_rational(c) for c in x.coords]
+    """Each coordinate of the integer form n/d, reduced by one gcd."""
+    d = x._d
+    if d == 1:
+        return list(map(str, x._n))
+    out = []
+    for c in x._n:
+        g = gcd(c, d)
+        out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+    return out
 
 
 def _decode_coords(tower: TowerDesc, coords: Any, location: str) -> TowerElem:
-    """A list of ``tower.dim`` exact rationals at ``location``."""
+    """A list of ``tower.dim`` exact rationals at ``location``, read straight
+    into the canonical integer form over the lcm of the denominators."""
     if not isinstance(coords, list) or len(coords) != tower.dim:
         _fail(location, f"expected {tower.dim} coordinates")
-    return TowerElem(tower, tuple(decode_rational(c, f"{location}[{i}]") for i, c in enumerate(coords)))
+    pairs = [_parse_rational(c, f"{location}[{i}]") for i, c in enumerate(coords)]
+    d = lcm(*[q for _, q in pairs])
+    return _elem(tower, *_canon(tuple([p * (d // q) for p, q in pairs]), d))
 
 
 def encode_tower(tower: TowerDesc) -> dict:

@@ -7,7 +7,10 @@ injectivity and nonzero-distance axioms are asserted when a lemma cites them,
 the two vector lemmas fire on matching distance patterns, and linear closing
 steps are validated by exact rational span membership (a conclusion is
 admitted only if its formal linear relation lies in the span of its premises'
-relations, which holds in F^2 for any assignment of the image points).  A
+relations, which holds in F^2 for any assignment of the image points).  The
+relations are integer vectors, each scaled by the denominator of its ratio,
+and membership is decided by fraction-free integer elimination on primitive
+rows (E. H. Bareiss, Math. Comp. 22, 1968), with the same verdict over Q.  A
 replayed derivation is exactly the premise closure of its goal, and each of
 its lemma conclusions holds on the gadget's own coordinates.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Mapping, Sequence, Union
 
 from .cm import Point, sqdist, _is_zero
@@ -142,54 +146,69 @@ def fact_key(fact: Fact):
     raise TypeError(f"unknown fact {fact!r}")
 
 
-def _linear_relation(fact: Fact) -> dict[str, Fraction] | None:
-    """The formal linear relation a vector fact imposes on the image points."""
-    out: dict[str, Fraction] = {}
-
-    def bump(name: str, value: Fraction) -> None:
-        out[name] = out.get(name, Fraction(0)) + value
-        if out[name] == 0:
-            del out[name]
-
+def _linear_relation(fact: Fact) -> dict[str, int] | None:
+    """The formal linear relation a vector fact imposes on the image points,
+    scaled by the denominator of its ratio to integer coefficients; a
+    coefficient that cancels is dropped."""
     if isinstance(fact, VecEq):
-        bump(fact.b, Fraction(1))
-        bump(fact.a, Fraction(-1))
-        bump(fact.d, Fraction(-1))
-        bump(fact.c, Fraction(1))
-        return out
-    if isinstance(fact, VecScale):
-        bump(fact.b, Fraction(1))
-        bump(fact.a, Fraction(-1))
-        bump(fact.d, -fact.r)
-        bump(fact.c, fact.r)
-        return out
-    if isinstance(fact, AffineComb):
-        bump(fact.c, Fraction(1))
-        bump(fact.a, -fact.t)
-        bump(fact.b, fact.t - 1)
-        return out
-    return None
+        terms = ((fact.b, 1), (fact.a, -1), (fact.d, -1), (fact.c, 1))
+    elif isinstance(fact, VecScale):
+        p, q = fact.r.numerator, fact.r.denominator
+        terms = ((fact.b, q), (fact.a, -q), (fact.d, -p), (fact.c, p))
+    elif isinstance(fact, AffineComb):
+        p, q = fact.t.numerator, fact.t.denominator
+        terms = ((fact.c, q), (fact.a, -p), (fact.b, p - q))
+    else:
+        return None
+    out: dict[str, int] = {}
+    for name, value in terms:
+        value += out.get(name, 0)
+        if value:
+            out[name] = value
+        else:
+            out.pop(name, None)
+    return out
 
 
-def _in_span(target: dict[str, Fraction], premises: Sequence[dict[str, Fraction]]) -> bool:
-    """Exact Gaussian elimination over Q on sparse name-indexed vectors."""
-    basis: list[tuple[str, dict[str, Fraction]]] = []
+def _primitive(vec: dict[str, int]) -> dict[str, int]:
+    """``vec`` divided by its content, the gcd of its entries."""
+    g = gcd(*vec.values())
+    return vec if g <= 1 else {name: value // g for name, value in vec.items()}
 
-    def reduce(vec: dict[str, Fraction]) -> dict[str, Fraction]:
-        vec = dict(vec)
-        for pivot, bvec in basis:
-            if pivot in vec:
-                factor = vec[pivot] / bvec[pivot]
-                for name, value in bvec.items():
-                    vec[name] = vec.get(name, Fraction(0)) - factor * value
-                    if vec[name] == 0:
-                        del vec[name]
+
+def _in_span(target: dict[str, int], premises: Sequence[dict[str, int]]) -> bool:
+    """Membership in the rational span by fraction-free elimination on
+    sparse name-indexed integer vectors.
+
+    Each basis row is primitive and pivots on its smallest name.  A vector
+    loses a pivot by an integer combination (scaled by bp/g, minus vp/g
+    times the row, g = gcd(bp, vp)) and is then made primitive again, so
+    entries stay bounded and the verdict is the one over Q.
+    """
+    basis: list[tuple[str, int, dict[str, int]]] = []
+
+    def reduce(vec: dict[str, int]) -> dict[str, int]:
+        for pivot, bp, row in basis:
+            vp = vec.get(pivot)
+            if vp is None:
+                continue
+            g = gcd(bp, vp)
+            m, k = bp // g, vp // g
+            vec = dict(vec) if m == 1 else {name: m * value for name, value in vec.items()}
+            for name, value in row.items():
+                value = vec.get(name, 0) - k * value
+                if value:
+                    vec[name] = value
+                else:
+                    del vec[name]
+            vec = _primitive(vec)
         return vec
 
     for premise in premises:
-        reduced = reduce(premise)
+        reduced = _primitive(reduce(premise))
         if reduced:
-            basis.append((next(iter(sorted(reduced))), reduced))
+            pivot = min(reduced)
+            basis.append((pivot, reduced[pivot], reduced))
     return not reduce(target)
 
 

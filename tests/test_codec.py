@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,7 @@ from rigidity_forge.gadgets import (
     build_translation_bridge,
 )
 from rigidity_forge.models import ModelMap, conjugation_model, eps_rotation_model, identity_model, make_pythagorean_rotation
-from rigidity_forge.scalars import QQ, adjoin_sqrt
+from rigidity_forge.scalars import QQ, TowerElem, adjoin_sqrt
 
 F = Fraction
 
@@ -85,6 +86,66 @@ def test_rational_parser_agrees_with_fraction_of_text():
         assert value == Fraction(text)
 
     run()
+
+
+def fraction_decode_coords(tower, coords):
+    """The coordinate decoder through ``Fraction`` and ``TowerElem.__init__``:
+    the reference for ``codec._decode_coords``."""
+    return TowerElem(tower, tuple(Fraction(c) for c in coords))
+
+
+def fraction_encode_coords(x):
+    """The coordinate encoder through ``TowerElem.coords``: the reference for
+    ``codec._encode_coords``."""
+    return [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in x.coords]
+
+
+def test_coordinates_decode_to_the_fraction_path_canonical_form():
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    tower = adjoin_sqrt(adjoin_sqrt(QQ, 2).tower, 3).tower
+    text = st.builds(
+        lambda sign, num, den: sign + num + ("" if den is None else f"/{den}"),
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=1, max_size=12),
+        st.none() | st.integers(min_value=1, max_value=10**12),
+    )
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.lists(text, min_size=4, max_size=4))
+    @example(["6/4", "-0", "0/5", "007"])
+    @example(["-12/8", "1/3", "5/6", "-7/10"])
+    @example(["0", "-0", "0/5", "0/1"])
+    @example(["4/2", "9/3", "-8/4", "10/5"])
+    @example(["7" * 4000, "1/" + "7" * 4000, f"-{'3' * 4000}/{'9' * 4000}", "2/" + "3" * 3999])
+    def run(coords):
+        oracle = fraction_decode_coords(tower, coords)
+        for value in (codec._decode_coords(tower, coords, "c"), codec.decode_tower_elem({"gens": [["2"], ["3", "0"]], "coords": coords})):
+            assert (value._n, value._d) == (oracle._n, oracle._d)
+            assert hash(value) == hash(oracle) and value == oracle
+            assert codec._encode_coords(value) == fraction_encode_coords(oracle)
+
+    run()
+    for text in ("6/4", "-0", "0/5", "007", "-12/8"):
+        value, oracle = codec._decode_coords(QQ, [text], "c"), fraction_decode_coords(QQ, [text])
+        assert (value._n, value._d) == (oracle._n, oracle._d)
+        assert hash(value) == hash(oracle) == hash(Fraction(text))
+
+
+def test_coordinate_codec_builds_no_fraction_on_the_corpus(count_fractions_within):
+    corpus = suite.replay_corpus()
+    documents = [codec.dumps(codec.encode_derivation(entry.derivation)) for entry in corpus]
+    this = sys.modules[__name__]
+    counts = count_fractions_within([(codec, "_encode_coords"), (codec, "_decode_coords"), (this, "fraction_decode_coords")])
+    assert [codec.dumps(codec.encode_derivation(codec.decode_derivation(codec.load_document(text)))) for text in documents] == documents
+    points = sum(len(entry.gadget.points) for entry in corpus)
+    assert counts["_decode_coords"]["calls"] >= 2 * points
+    assert counts["_encode_coords"]["calls"] >= 2 * points
+    assert counts["_decode_coords"]["fractions"] == counts["_encode_coords"]["fractions"] == 0
+    # the counter does see the Fractions of the oracle
+    this.fraction_decode_coords(QQ, ["1/2"])
+    assert counts["fraction_decode_coords"]["fractions"] > 0
 
 
 def test_rational_digit_limit_boundary():
@@ -203,7 +264,6 @@ def test_model_round_trips():
 def test_random_tower_elements_round_trip():
     from hypothesis import given, settings
     from hypothesis import strategies as st
-    from rigidity_forge.scalars import TowerElem
 
     t2 = adjoin_sqrt(QQ, 2)
     t23 = adjoin_sqrt(t2.tower, 3)

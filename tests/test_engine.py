@@ -1,6 +1,8 @@
 """Fact store seeding, deduction rules, and proof replays."""
 
 import dataclasses
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -229,6 +231,140 @@ def test_span_check_rejects_unrelated_names(division_half):
     i1 = store.add(VecEq(a="A", b="B", c="C", d="D"), "VecAlgebra")
     with pytest.raises(PatternMismatch):
         apply_rule(store, "VecAlgebra", [i1], conclusion=VecEq(a="A", b="B", c="E", d="F"))
+
+
+# -- the span rule against its Fraction oracle ------------------------------------
+
+
+def fraction_linear_relation(fact):
+    """The formal linear relation of a vector fact over ``Fraction``: the
+    reference for the integer ``engine._linear_relation``."""
+    out = {}
+
+    def bump(name, value):
+        out[name] = out.get(name, Fraction(0)) + value
+        if out[name] == 0:
+            del out[name]
+
+    if isinstance(fact, VecEq):
+        bump(fact.b, Fraction(1))
+        bump(fact.a, Fraction(-1))
+        bump(fact.d, Fraction(-1))
+        bump(fact.c, Fraction(1))
+        return out
+    if isinstance(fact, VecScale):
+        bump(fact.b, Fraction(1))
+        bump(fact.a, Fraction(-1))
+        bump(fact.d, -fact.r)
+        bump(fact.c, fact.r)
+        return out
+    if isinstance(fact, AffineComb):
+        bump(fact.c, Fraction(1))
+        bump(fact.a, -fact.t)
+        bump(fact.b, fact.t - 1)
+        return out
+    return None
+
+
+def fraction_in_span(target, premises):
+    """Gaussian elimination over Q on ``Fraction`` vectors: the reference for
+    the fraction-free ``engine._in_span``."""
+    basis = []
+
+    def reduce(vec):
+        vec = dict(vec)
+        for pivot, bvec in basis:
+            if pivot in vec:
+                factor = vec[pivot] / bvec[pivot]
+                for name, value in bvec.items():
+                    vec[name] = vec.get(name, Fraction(0)) - factor * value
+                    if vec[name] == 0:
+                        del vec[name]
+        return vec
+
+    for premise in premises:
+        reduced = reduce(premise)
+        if reduced:
+            basis.append((next(iter(sorted(reduced))), reduced))
+    return not reduce(target)
+
+
+def _ratio_denominator(fact):
+    return fact.r.denominator if isinstance(fact, VecScale) else fact.t.denominator if isinstance(fact, AffineComb) else 1
+
+
+def _integer_multiple(vec):
+    """A Fraction vector scaled by the lcm of its denominators."""
+    d = math.lcm(*(v.denominator for v in vec.values()))
+    return {name: int(v * d) for name, v in vec.items()}
+
+
+HUGE = 10**4000 - 1  # 4,000 digits, the largest integer the codec admits
+
+
+def test_integer_span_rule_matches_the_fraction_oracle():
+    """Relations and span verdicts of the integer rule against the Fraction
+    oracle on random premise sets over a small name pool, so names repeat and
+    terms cancel; ratios include 0, 1, negatives and 4,000-digit ones."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    big = st.integers(min_value=-HUGE, max_value=HUGE)
+    ratios = st.one_of(
+        st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(7, 9)]),
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+        st.builds(F, big, st.integers(min_value=1, max_value=HUGE)),
+    )
+    names = st.sampled_from("ABCDE")
+    facts = st.one_of(
+        st.builds(VecEq, a=names, b=names, c=names, d=names),
+        st.builds(VecScale, a=names, b=names, c=names, d=names, r=ratios),
+        st.builds(AffineComb, c=names, a=names, b=names, t=ratios),
+    )
+    weights = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=6, max_size=6)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(facts, max_size=6), facts, weights, names)
+    @example([VecScale("A", "B", "C", "D", F(0)), AffineComb("C", "A", "B", F(0))], AffineComb("C", "A", "B", F(1)), [F(1)] * 6, "A")
+    @example([VecEq("A", "A", "B", "B"), VecScale("A", "B", "B", "A", F(-1))], VecEq("A", "B", "C", "D"), [F(2)] * 6, "B")
+    @example([AffineComb("A", "B", "B", F(1, 3)), VecScale("A", "B", "C", "D", F(-2, 3))], VecEq("A", "B", "A", "B"), [F(1, 2)] * 6, "C")
+    @example([VecScale("A", "B", "C", "D", F(HUGE, HUGE - 2)), VecScale("C", "D", "E", "A", F(2 - HUGE, 3))], VecScale("A", "B", "E", "A", F(-HUGE, 3)), [F(1)] * 6, "D")
+    @example([AffineComb("C", "A", "B", F(HUGE, HUGE + 1 - 10**3999)), VecEq("A", "C", "B", "D")], AffineComb("C", "B", "A", F(1 - 10**3999, HUGE + 1 - 10**3999)), [F(-1)] * 6, "E")
+    def run(premises, target, weights, name):
+        for fact in premises + [target]:
+            relation, oracle = engine._linear_relation(fact), fraction_linear_relation(fact)
+            assert all(type(v) is int for v in relation.values())
+            assert relation == {k: v * _ratio_denominator(fact) for k, v in oracle.items()}
+        relations = [engine._linear_relation(f) for f in premises]
+        oracles = [fraction_linear_relation(f) for f in premises]
+        verdict = engine._in_span(engine._linear_relation(target), relations)
+        assert verdict == fraction_in_span(fraction_linear_relation(target), oracles)
+        # a rational combination of the premises lies in their span, and one
+        # unit more of a name may or may not
+        combination = {}
+        for weight, oracle in zip(weights, oracles):
+            for k, v in oracle.items():
+                combination[k] = combination.get(k, F(0)) + weight * v
+        combination = {k: v for k, v in combination.items() if v}
+        assert fraction_in_span(combination, oracles)
+        assert engine._in_span(_integer_multiple(combination), relations)
+        combination[name] = combination.get(name, F(0)) + 1
+        combination = {k: v for k, v in combination.items() if v}
+        assert engine._in_span(_integer_multiple(combination), relations) == fraction_in_span(combination, oracles)
+
+    run()
+
+
+def test_span_rule_builds_no_fraction_on_a_span80_chain(count_fractions_within):
+    gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
+    this = sys.modules[__name__]
+    counts = count_fractions_within([(engine, "_linear_relation"), (engine, "_in_span"), (this, "fraction_linear_relation")])
+    engine.recheck_derivation(replay(gadget))
+    assert counts["_linear_relation"]["calls"] > 80 and counts["_in_span"]["calls"] > 80
+    assert counts["_linear_relation"]["fractions"] == counts["_in_span"]["fractions"] == 0
+    # the counter does see the Fractions of the oracle
+    this.fraction_linear_relation(VecScale("A", "B", "C", "D", F(2, 3)))
+    assert counts["fraction_linear_relation"]["fractions"] > 0
 
 
 def test_fact_store_deduplicates(division_half):
