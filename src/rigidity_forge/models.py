@@ -8,22 +8,37 @@ into the rational function field K(eps).  Conjugations are the honest
 computable stand-in for wild homomorphisms out of the reals; they falsify any
 deduction rule that would illegitimately assume continuity or order
 preservation.
+
+Images are built on the integer form, one kernel per embedding kind and frame
+shape the package constructs.  A conjugation of a point over a prefix of its
+domain pads the integer vector and flips the signs of the coordinates that
+hold the generator.  A rational frame takes a*x + b*y + c on the integer
+vectors (``scalars.tower_frame_kernel``); a K(eps) frame over Q on one
+denominator D builds each image numerator from its rational rows, and the
+images over one tower share one lifted D, whose square ``scalars`` builds
+once (``scalars.fun_frame_kernel``).  Every other carrier takes the generic
+formula: frames with irrational or mixed entries, ``FunElem`` inputs, points
+outside a conjugation's domain prefix.  Both give the same canonical pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
-from .cm import Point, Vec2, _invert, _is_zero, sqdist
+from .cm import Point, Vec2, _invert, _is_zero, _one_tower, sqdist
 from .scalars import (
     QQ,
     FunElem,
     TowerDesc,
     TowerElem,
+    _elem,
     common_tower,
+    fun_frame_kernel,
     tower_conjugate,
+    tower_frame_kernel,
 )
 
 
@@ -59,6 +74,9 @@ class Embedding:
     kind: str
     domain: TowerDesc = QQ
     generator: int | None = None
+    # a conjugation's sign per domain coordinate: -1 where the basis element
+    # holds the flipped generator
+    _signs: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "conjugation", "function_field"):
@@ -68,13 +86,19 @@ class Embedding:
                 raise ModelError("conjugation embedding needs a generator index")
             # validates the index and that flipping extends to an automorphism
             tower_conjugate(self.domain.zero(), self.generator)
+            signs = tuple([-1 if mask >> self.generator & 1 else 1 for mask in range(self.domain.dim)])
+            object.__setattr__(self, "_signs", signs)
 
     def apply_scalar(self, x: TowerElem):
         if self.kind == "identity":
             return x
         if self.kind == "conjugation":
-            lifted = self._into_domain(x)
-            return tower_conjugate(lifted, self.generator)
+            domain = self.domain
+            if isinstance(x, TowerElem) and (x.tower is domain or x.tower.is_prefix_of(domain)):
+                # over a prefix of the domain: pad, and flip the generator's coordinates
+                n = x._n
+                return _elem(domain, tuple(map(mul, n, self._signs)) + (0,) * (domain.dim - len(n)), x._d)
+            return tower_conjugate(self._into_domain(x), self.generator)
         return FunElem.constant(x)
 
     def _into_domain(self, x: TowerElem) -> TowerElem:
@@ -98,10 +122,20 @@ class Embedding:
 
 @dataclass(frozen=True)
 class OrthoAffine:
-    """Affine map with exactly orthonormal linear part, over any carrier."""
+    """Affine map with exactly orthonormal linear part, over any carrier.
+
+    ``apply`` is the formula.  Two frame shapes also carry a kernel that maps
+    two ``TowerElem``s of one tower straight to the image point on the
+    integer form: a rational frame (every entry an ``int`` or ``Fraction``)
+    and a K(eps) frame (every matrix entry a ``FunElem`` over Q, all over one
+    denominator D, no translation), whose kernel includes the tower elements
+    into K(eps) itself.
+    """
 
     matrix: tuple[tuple, tuple]  # rows ((m00, m01), (m10, m11))
     translation: tuple | None = None
+    _kernel: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _kfield: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (m00, m01), (m10, m11) = self.matrix
@@ -110,6 +144,9 @@ class OrthoAffine:
         cross = m00 * m01 + m10 * m11
         if not (col1_sq == 1 and col2_sq == 1 and _is_zero(cross)):
             raise NonOrthogonalFrame("columns are not orthonormal under the squared-distance form")
+        fun_kernel = fun_frame_kernel(self.matrix, self.translation)
+        object.__setattr__(self, "_kernel", fun_kernel or tower_frame_kernel(self.matrix, self.translation))
+        object.__setattr__(self, "_kfield", fun_kernel is not None)
 
     def apply(self, x, y) -> tuple:
         (m00, m01), (m10, m11) = self.matrix
@@ -151,10 +188,22 @@ class ModelMap:
     frame: OrthoAffine | None = None
 
     def apply(self, p: Point) -> Point:
-        x = self.embedding.apply_scalar(p.x)
-        y = self.embedding.apply_scalar(p.y)
-        if self.frame is not None:
-            x, y = self.frame.apply(x, y)
+        """The image of ``p``.  Two tower elements of one tower go through the
+        frame's kernel, if it has one (see ``OrthoAffine``); under the
+        inclusion into K(eps) only a K(eps) frame's kernel applies, and it
+        includes them itself.  Other carriers take the formula."""
+        x, y = p.x, p.y
+        frame = self.frame
+        includes = self.embedding.kind == "function_field" and frame is not None and frame._kfield
+        if includes and _one_tower((x, y)) is not None:
+            return Point(*frame._kernel(x, y))
+        x = self.embedding.apply_scalar(x)
+        y = self.embedding.apply_scalar(y)
+        if frame is None:
+            return Point(x, y)
+        if frame._kernel is not None and _one_tower((x, y)) is not None:
+            return Point(*frame._kernel(x, y))
+        x, y = frame.apply(x, y)
         return Point(x, y)
 
     def rho(self, value: TowerElem):

@@ -15,7 +15,8 @@ Three carriers, all with decidable equality:
   takes both differences and squares (``_isq``) of four elements of one
   tower on the integer vectors and reduces once.  ``lift`` and ``prefix``
   return the target tower object itself, so a gadget's points share one
-  ``TowerDesc``.
+  ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of one tower
+  through a rational affine frame on the integer vectors.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -27,7 +28,11 @@ Three carriers, all with decidable equality:
   unit polynomial returns the other operand.  ``fun_sqdist``, the K(eps)
   squared-distance kernel, takes both differences and the sum of their
   squares of four elements over one denominator on the integer matrices and
-  reduces once.  The reduced form (coprime polynomials, monic denominator) is
+  reduces once; D^2 comes from a one-entry memo keyed by the identity of D
+  (``_fsquare``), so the images of one model, which share one D object,
+  square it once.  ``fun_frame_kernel`` maps two elements of one tower
+  through a K(eps) frame over Q into K(eps) on the integer matrices.  The
+  reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
   hashing, printing and the codec read those.
@@ -35,15 +40,18 @@ Three carriers, all with decidable equality:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 Rational = Fraction
+
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 RationalLike = Union[int, Fraction]
 
@@ -127,6 +135,16 @@ def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
     n = len(a)
     if n == 1:
         return (a[0] * b[0],), 1
+    if n == 2:
+        # (a0 + a1 g)(b0 + b1 g) with g^2 = r/rd, the halves' zero tests kept
+        a0, a1 = a
+        b0, b1 = b
+        if not a1:
+            return (a0 * b0, a0 * b1), 1
+        if not b1:
+            return (a0 * b0, a1 * b0), 1
+        (r,), rd = rads[0]
+        return (a0 * b0 * rd + a1 * b1 * r, (a0 * b1 + a1 * b0) * rd), rd
     h = n >> 1
     al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
     # prune zero halves: elements rarely use the whole radical basis
@@ -151,6 +169,14 @@ def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
     n = len(a)
     if n == 1:
         return (a[0] * a[0],), 1
+    if n == 2:
+        a0, a1 = a
+        if not a1:
+            return (a0 * a0, 0), 1
+        (r,), rd = rads[0]
+        if not a0:
+            return (a1 * a1 * r, 0), rd
+        return (a0 * a0 * rd + a1 * a1 * r, 2 * a0 * a1 * rd), rd
     h = n >> 1
     lo, hi = a[:h], a[h:]
     if not any(hi):
@@ -351,10 +377,11 @@ class TowerElem:
 
     Held as a canonical integer vector ``_n`` over a denominator ``_d`` (see
     the kernels above); ``coords`` are the rational coordinates.  The hash is
-    that of the rational coordinate.  It equals Tr(x)/[K:Q] for any tower K
-    holding x (every other basis element has trace zero), so equal values
-    hash equal across towers, and a rational value hashes like its
-    ``Fraction`` or ``int``.
+    that of the rational coordinate, taken on the integers by Python's
+    numeric-hash rule.  It equals Tr(x)/[K:Q] for any tower K holding x
+    (every other basis element has trace zero), so equal values hash equal
+    across towers, and a rational value hashes like its ``Fraction`` or
+    ``int``.
     """
 
     __slots__ = ("tower", "_n", "_d")
@@ -496,7 +523,17 @@ class TowerElem:
 
     def __hash__(self) -> int:
         n0, d = self._n[0], self._d
-        return hash(n0) if d == 1 else hash(Fraction(n0, d))
+        if d == 1:
+            return hash(n0)
+        # Python's numeric hash of the rational n0/d (as ``Fraction`` takes it)
+        g = gcd(n0, d)
+        n0, d = n0 // g, d // g
+        if d % _HASH_MODULUS:
+            h = hash(hash(abs(n0)) * pow(d, -1, _HASH_MODULUS))
+        else:
+            h = _HASH_INF
+        h = h if n0 >= 0 else -h
+        return -2 if h == -1 else h
 
     def sign(self) -> int:
         """Exact sign under the designated real embedding.
@@ -1040,7 +1077,8 @@ class FunElem:
             return NotImplemented
         a, b, tower = self._common(rhs)
         rads = tower._rads
-        return FunElem._make(tower, _fmul(rads, a._n, b._n), _fmul(rads, a._d, b._d))
+        den = _fsquare(tower, a._d) if a._d is b._d else _fmul(rads, a._d, b._d)
+        return FunElem._make(tower, _fmul(rads, a._n, b._n), den)
 
     __rmul__ = __mul__
 
@@ -1128,12 +1166,31 @@ def _init(x: FunElem, tower: TowerDesc, num: IPoly, den: IPoly) -> None:
     _fset_reduced(x, None)
 
 
+# (tower, D, D^2) of the last ``_fsquare``: the images of one model over one
+# tower share one D object, so their products and squared distances square
+# it once.  One entry, keyed by identity; it holds D, so the key stays valid.
+_last_square: tuple = (None, None, None)
+
+
+def _fsquare(tower: TowerDesc, d: IPoly) -> IPoly:
+    """``_fmul(d, d)`` over ``tower``, computed once for consecutive calls
+    with the same ``d`` object."""
+    global _last_square
+    last = _last_square
+    if last[1] is d and last[0] is tower:
+        return last[2]
+    square = _fmul(tower._rads, d, d)
+    _last_square = (tower, d, square)
+    return square
+
+
 def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> FunElem:
     """(px - qx)^2 + (py - qy)^2 for four elements of K(eps) over ``tower``
     that share one denominator pair D, as one element over D^2.
 
     Both differences and the sum of their squares (``_fsumsq``) run on the
-    integer numerator matrices, and the sum is reduced once.
+    integer numerator matrices, and the sum is reduced once; D^2 comes from
+    ``_fsquare``, so the pairs of one model's images square D once.
     """
     rads = tower._rads
     u, ku = _fzip(sub, px._n, qx._n)
@@ -1141,7 +1198,96 @@ def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunE
     if ku != kv:  # both differences over ku * kv
         u, v, ku = _fscale(u, kv), _fscale(v, ku), ku * kv
     rows, k = _fsumsq(rads, (u, v))
-    return FunElem._make(tower, _fcanon(rows, ku * ku * k), _fmul(rads, px._d, px._d))
+    return FunElem._make(tower, _fcanon(rows, ku * ku * k), _fsquare(tower, px._d))
+
+
+# ---------------------------------------------------------------------------
+# Frame kernels: the image (a*x + b*y + c, ...) of two tower elements x, y of
+# one tower under an affine frame, built on the integer form.  Each returns
+# None for frames of another shape, which take the generic formula.
+# ---------------------------------------------------------------------------
+
+FrameKernel = Callable[[TowerElem, TowerElem], tuple]
+
+
+def tower_frame_kernel(matrix, translation) -> FrameKernel | None:
+    """The kernel of a rational frame (every entry an ``int`` or
+    ``Fraction``): each image coordinate is a*x + b*y + c on the integer
+    vectors over one ``lcm``, reduced once, in x's tower."""
+    entries = [e for row in matrix for e in row] + list(translation or ())
+    if not all(isinstance(e, (int, Fraction)) for e in entries):
+        return None
+    rows = []
+    for (a, b), c in zip(matrix, translation or (0, 0)):
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        rows.append((a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator))
+
+    def image(x: TowerElem, y: TowerElem) -> tuple:
+        xn, xd, yn, yd = x._n, x._d, y._n, y._d
+        out = []
+        for pa, qa, pb, qb, pc, qc in rows:
+            ka, kb = qa * xd, qb * yd
+            den = lcm(ka, kb, qc)
+            fa, fb = pa * (den // ka), pb * (den // kb)
+            n = [fa * u + fb * v for u, v in zip(xn, yn)]
+            if pc:
+                n[0] += pc * (den // qc)
+            out.append(_elem(x.tower, *_canon(tuple(n), den)))
+        return tuple(out)
+
+    return image
+
+
+def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
+    """p*u + q*v for integer vectors of one length."""
+    if not q:
+        return tuple([p * c for c in u])
+    if not p:
+        return tuple([q * c for c in v])
+    return tuple([p * c + q * e for c, e in zip(u, v)])
+
+
+def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
+    """The kernel of a K(eps) frame: every matrix entry a ``FunElem`` over Q,
+    all on one denominator D, and no translation.  It includes x and y into
+    K(eps): each image numerator is built from the entries' rational rows and
+    the integer vectors of x and y and reduced once, over D lifted to x's
+    tower.  The images over one tower share one lifted D object (a one-entry
+    memo of this frame), so ``_fsquare`` squares it once."""
+    (m00, m01), (m10, m11) = matrix
+    entries = (m00, m01, m10, m11)
+    if translation is not None or not all(isinstance(e, FunElem) and e.tower.depth == 0 for e in entries):
+        return None
+    if not m00._d == m01._d == m10._d == m11._d:
+        return None
+    den_rows, den_k = m00._d
+    rows = []
+    for a, b in matrix:
+        (ra, ka), (rb, kb) = a._n, b._n
+        length = max(len(ra), len(rb))
+        pa = [r[0] for r in ra] + [0] * (length - len(ra))
+        pb = [r[0] for r in rb] + [0] * (length - len(rb))
+        rows.append((list(zip(pa, pb)), ka, kb))
+    lifted: tuple = (None, None)  # (tower, D over it)
+
+    def image(x: TowerElem, y: TowerElem) -> tuple:
+        nonlocal lifted
+        tower = x.tower
+        if lifted[0] is not tower:
+            pad = (0,) * (tower.dim - 1)
+            lifted = (tower, (tuple([r + pad for r in den_rows]), den_k))
+        den = lifted[1]
+        xn, xd, yn, yd = x._n, x._d, y._n, y._d
+        out = []
+        for coeffs, ka, kb in rows:
+            k1, k2 = ka * xd, kb * yd
+            k = lcm(k1, k2)
+            f1, f2 = k // k1, k // k2
+            num = _fcanon([_scaled_sum(p * f1, xn, q * f2, yn) for p, q in coeffs], k)
+            out.append(FunElem._make(tower, num, den))
+        return tuple(out)
+
+    return image
 
 
 # ---------------------------------------------------------------------------

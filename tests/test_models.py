@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidity_forge import cm, engine, gadgets, models, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
@@ -512,3 +513,299 @@ def test_model_checks_take_no_polynomial_gcd(monkeypatch):
     # the counter does see the reduction that the printed form takes, once
     assert str((FunElem.eps() + 1) / (FunElem.eps() * FunElem.eps() - 1)) == "(1) / (-1 + (1)*eps)"
     assert len(calls) == 1
+
+
+# -- image kernels against the generic formula --------------------------------------------------
+
+
+def generic_apply_scalar(embedding, x):
+    """``Embedding.apply_scalar`` by the generic formula: the value lifted into
+    the domain through ``common_tower``, then ``tower_conjugate``."""
+    if embedding.kind == "identity":
+        return x
+    if embedding.kind == "conjugation":
+        return scalars.tower_conjugate(embedding._into_domain(x), embedding.generator)
+    return FunElem.constant(x)
+
+
+def generic_apply(model, p):
+    """``ModelMap.apply`` by the generic formula: the embedding on each
+    coordinate, then the frame's ``apply``."""
+    x = generic_apply_scalar(model.embedding, p.x)
+    y = generic_apply_scalar(model.embedding, p.y)
+    if model.frame is not None:
+        x, y = model.frame.apply(x, y)
+    return Point(x, y)
+
+
+def _form(c):
+    """What must not move: the carrier, the integer pair(s) and the tower."""
+    return type(c).__name__, c._n, c._d, c.tower
+
+
+def _point_forms(p):
+    return _form(p.x), _form(p.y)
+
+
+def _structure_data():
+    """Criterion 9's directions, multipliers and five registered models."""
+    r2 = adjoin_sqrt(QQ, 2)
+    tower, s2 = r2.tower, r2.root
+    us = [Point(tower.rational(i), tower.rational(j)) for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]]
+    us.append(Point(s2, tower.one()))
+    lambdas = [s2, tower.rational(2), tower.rational(F(1, 3)), tower.one() + s2]
+    conj = conjugation_model(tower, 0)
+    registered = [
+        identity_model(),
+        conj,
+        eps_rotation_model(),
+        eps_rotation_model(reflection=True),
+        ModelMap(conj.embedding, make_pythagorean_rotation(F(1, 2))),
+    ]
+    return registered, lambdas, us
+
+
+def _altered(derivation):
+    final = derivation.final_fact()
+    return Derivation(
+        derivation.gadget,
+        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + F(1, 3))],
+        derivation.justifications,
+    )
+
+
+def _model_sweep():
+    """Images, verdicts and reports over every corpus x ``model_family`` pair,
+    criterion 9's models and the negative controls."""
+    corpus = suite.replay_corpus()
+    out = []
+    for entry in corpus:
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        for name, model in suite.model_family(gadget):
+            images = [_point_forms(model.apply(p)) for p in gadget.points.values()]
+            out.append((entry.label, name, images, check_derivation(entry.derivation, model), verify_preservation(model, pairs)))
+    registered, lambdas, us = _structure_data()
+    for model in registered:
+        out.append(([_point_forms(model.apply(u)) for u in us], verify_structure(model, lambdas, us)))
+    derivation = corpus[0].derivation
+    controls = [
+        (derivation, _Doubled()),
+        (derivation, _Doubled(eps_rotation_model())),
+        (_altered(derivation), identity_model()),
+        (_altered(derivation), eps_rotation_model()),
+    ]
+    out += [check_derivation(subject, model) for subject, model in controls]
+    return out
+
+
+def test_image_kernels_match_the_generic_formula(monkeypatch):
+    kernel = _model_sweep()
+    assert len(kernel) == 96 + 5 + 4
+    assert all(v.ok and report.ok for _, _, _, v, report in kernel[:96])
+    assert all(report.ok for _, report in kernel[96:101])
+    assert [v.violated_index for v in kernel[101:]] == [0, 0] + [len(suite.replay_corpus()[0].derivation.facts) - 1] * 2
+    monkeypatch.setattr(models.Embedding, "apply_scalar", generic_apply_scalar)
+    monkeypatch.setattr(models.ModelMap, "apply", generic_apply)
+    generic = _model_sweep()
+    # every image coordinate: the same (_n, _d) and an equal tower
+    assert kernel == generic
+
+
+def _chain(*radicands):
+    towers = [QQ]
+    for radicand in radicands:
+        tower = towers[-1]
+        result = adjoin_sqrt(tower, radicand(tower) if callable(radicand) else radicand)
+        assert not result.absorbed
+        towers.append(result.tower)
+    return towers
+
+
+# radicands with a denominator, and a radicand over the first generator, so
+# that some generators have no conjugation
+TOWER_CHAINS = [
+    _chain(F(1, 2), lambda t: t.rational(F(3, 5)) + t.generator(0), F(7, 3)),
+    _chain(2, 3, lambda t: t.one() + t.generator(0)),
+]
+SMALL = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+def _valid_generators(domain):
+    out = []
+    for i in range(domain.depth):
+        try:
+            Embedding("conjugation", domain=domain, generator=i)
+        except scalars.BadGeneratorIndex:
+            continue
+        out.append(i)
+    return out
+
+
+@st.composite
+def frame_cases(draw):
+    """A model of a frame shape the kernels cover and points over a tower that
+    its conjugation domain extends (or any tower, without a conjugation)."""
+    chain = draw(st.sampled_from(TOWER_CHAINS))
+    depth = draw(st.integers(0, len(chain) - 1))
+    tower = chain[depth]
+    domains = [(d, i) for d in chain[max(depth, 1) :] for i in _valid_generators(d)]
+    kind = draw(st.sampled_from(["identity", "function_field"] + ["conjugation"] * bool(domains)))
+    if kind == "conjugation":
+        domain, generator = draw(st.sampled_from(domains))
+        embedding = Embedding("conjugation", domain=domain, generator=generator)
+    else:
+        embedding = Embedding(kind)
+    reflection = draw(st.booleans())
+    translation = draw(st.one_of(st.none(), st.tuples(SMALL, SMALL)))
+    shape = draw(st.sampled_from(["rational", "kfield", "kfield", "kfield-translated", "kfield-two-denominators"]))
+    if shape == "rational":
+        frame = make_pythagorean_rotation(draw(SMALL), reflection=reflection, translation=translation)
+    else:
+        t = FunElem.eps() * draw(SMALL.filter(bool)) + draw(SMALL)
+        frame = make_pythagorean_rotation(t, reflection=reflection, translation=(F(1), F(0)) if shape == "kfield-translated" else None)
+    if shape == "kfield-two-denominators":
+        # m01 over a multiple of D: an equal value on another denominator
+        (m00, m01), row = frame.matrix
+        factor = draw(st.integers(2, 5))
+        (num, k), (den, kd) = m01._n, m01._d
+        scaled = FunElem._make(QQ, (tuple((c * factor,) for (c,) in num), k), (tuple((c * factor,) for (c,) in den), kd))
+        assert scaled == m01 and scaled._d != m01._d
+        frame = OrthoAffine(((m00, scaled), row))
+    coords = st.lists(SMALL, min_size=tower.dim, max_size=tower.dim).map(lambda cs: scalars.TowerElem(tower, cs))
+    points = draw(st.lists(st.builds(Point, coords, coords), min_size=1, max_size=3))
+    return ModelMap(embedding, frame), shape, points
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(frame_cases())
+def test_frame_kernels_match_the_generic_formula_on_random_frames(case):
+    model, shape, points = case
+    # a K(eps) frame with a translation or two denominators takes the formula
+    assert (model.frame._kernel is not None) == (shape in ("rational", "kfield"))
+    for p in points:
+        assert _point_forms(model.apply(p)) == _point_forms(generic_apply(model, p))
+        for c in (p.x, p.y):
+            assert _form(model.rho(c)) == _form(generic_apply_scalar(model.embedding, c))
+
+
+def test_conjugation_of_points_over_an_extension_of_the_domain():
+    s2 = adjoin_sqrt(QQ, 2)
+    wider = adjoin_sqrt(s2.tower, 3)
+    model = conjugation_model(s2.tower, 0)
+    # in the domain by value: the formula, through common_tower
+    p = Point(wider.tower.rational(F(1, 2)) + s2.root, wider.tower.one())
+    assert _point_forms(model.apply(p)) == _point_forms(generic_apply(model, p))
+    assert model.apply(p).x == F(1, 2) - s2.root
+    # outside it: OutOfDomain, not a truncated vector
+    with pytest.raises(OutOfDomain):
+        model.apply(Point(wider.root, wider.tower.one()))
+    with pytest.raises(OutOfDomain):
+        model.rho(s2.root * wider.root)
+
+
+def _eps_models_sweep():
+    """Every point of the corpus and of criterion 9 under every eps model."""
+    for entry in suite.replay_corpus():
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        for name, model in suite.model_family(gadget):
+            if name.startswith("eps"):
+                yield model, list(gadget.points.values()), pairs, entry.derivation
+    registered, _, us = _structure_data()
+    for model in registered[2:4]:
+        yield model, us, list(combinations(us, 2)), None
+
+
+def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
+    counts = {"apply": 0, "arithmetic": 0}
+    inside = []
+    real_apply = ModelMap.apply
+
+    def counting_apply(self, p):
+        counts["apply"] += 1
+        inside.append(True)
+        try:
+            return real_apply(self, p)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ModelMap, "apply", counting_apply)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        real = getattr(FunElem, name)
+
+        def counting(self, other, real=real):
+            counts["arithmetic"] += bool(inside)
+            return real(self, other)
+
+        monkeypatch.setattr(FunElem, name, counting)
+    for model, points, _, _ in _eps_models_sweep():
+        for p in points:
+            assert isinstance(model.apply(p).x, FunElem)
+    assert counts["apply"] > 0 and counts["arithmetic"] == 0
+    # the counter does see the formula: a K(eps) frame over Q(sqrt 2)
+    s2 = adjoin_sqrt(QQ, 2).root
+    model = ModelMap(Embedding("function_field"), make_pythagorean_rotation(FunElem.eps() + s2))
+    assert model.frame._kernel is None
+    model.apply(Point(s2, s2.tower.one()))
+    assert counts["arithmetic"] > 0
+
+
+def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
+    corpus = suite.replay_corpus()
+    family = [(entry, model) for entry in corpus for name, model in suite.model_family(entry.gadget) if "conjugation" in name]
+    registered, lambdas, us = _structure_data()
+    calls = []
+    real_conjugate = models.tower_conjugate
+    monkeypatch.setattr(models, "tower_conjugate", lambda x, i: calls.append(x) or real_conjugate(x, i))
+    for entry, model in family:
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        assert check_derivation(entry.derivation, model).ok
+        assert verify_preservation(model, pairs).ok
+    for model in (registered[1], registered[4]):
+        assert verify_structure(model, lambdas, us).ok
+    assert len(family) == 16 * 3 and calls == []
+    # the counter does see the formula: a point of Q(sqrt 3) in the domain
+    # Q(sqrt 2, sqrt 3) by value, where Q(sqrt 3) is no prefix of the domain
+    domain = adjoin_sqrt(adjoin_sqrt(QQ, 2).tower, 3).tower
+    s3 = adjoin_sqrt(QQ, 3).root
+    model = conjugation_model(domain, 1)
+    calls.clear()  # the one call that validated the embedding
+    image = model.apply(Point(s3, s3.tower.one()))
+    assert image.x == -domain.generator(1) and image.x.tower == domain
+    assert len(calls) == 2
+
+
+def test_eps_models_square_the_denominator_once(monkeypatch):
+    squares = []
+    real_fmul = scalars._fmul
+
+    def counting_fmul(rads, a, b):
+        if a is b:
+            squares.append(a)
+        return real_fmul(rads, a, b)
+
+    monkeypatch.setattr(scalars, "_fmul", counting_fmul)
+
+    def sweep(apply):
+        """The most lifted D objects and the most squarings of D of one model."""
+        lifted = most = 0
+        for model, points, pairs, derivation in _eps_models_sweep():
+            before = len(squares)
+            if derivation is not None:
+                assert check_derivation(derivation, model).ok
+            assert verify_preservation(model, pairs).ok
+            images = [apply(model, p) for p in points]
+            dens = {id(c._d): c._d for q in images for c in (q.x, q.y)}
+            den = next(iter(dens.values()))
+            squared = [s for s in squares[before:] if s == den]
+            lifted, most = max(lifted, len(dens)), max(most, len(squared))
+        return lifted, most
+
+    # one lifted D per model and tower, squared once
+    assert sweep(ModelMap.apply) == (1, 1)
+    # the counter does see the formula: there every image lifts its own D
+    monkeypatch.setattr(ModelMap, "apply", generic_apply)
+    lifted, most = sweep(generic_apply)
+    assert lifted > 1 and most > 1

@@ -1,6 +1,7 @@
 """Exact arithmetic in all three carriers: rationals, towers, K(eps)."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 from unittest import mock
@@ -37,6 +38,8 @@ from rigidity_forge.scalars import (
     _fmul,
     _fone,
     _fsumsq,
+    _iadd,
+    _ijoin,
     _imul,
     _isq,
 )
@@ -716,6 +719,113 @@ def test_sqdist_kernel_matches_the_generic_formula(case):
     assert cm.sqdist(Point(px, py), Point(qx, qy)) == got
     for x in (px, dx, dx + py * qy):
         assert _canon(*_isq(rads, x._n)) == _canon(*_imul(rads, x._n, x._n))
+
+
+def recursive_imul(rads, a, b):
+    """``scalars._imul`` with the recursion run down to dimension 1, as it was
+    before the dimension-2 base case: the oracle for its exact (vector, k)."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0],), 1
+    h = n >> 1
+    al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
+    if not any(ah):
+        lo, k = recursive_imul(rads, al, bl)
+        if not any(bh):
+            return lo + (0,) * h, k
+        return _ijoin(lo, k, *recursive_imul(rads, al, bh))
+    if not any(bh):
+        return _ijoin(*recursive_imul(rads, al, bl), *recursive_imul(rads, ah, bl))
+    rn, rd = rads[h.bit_length() - 1]
+    p, kp = recursive_imul(rads, ah, bh)
+    q, kq = recursive_imul(rads, p, rn)
+    lo = _iadd(*recursive_imul(rads, al, bl), q, kp * kq * rd)
+    hi = _iadd(*recursive_imul(rads, al, bh), *recursive_imul(rads, ah, bl))
+    return _ijoin(*lo, *hi)
+
+
+def recursive_isq(rads, a):
+    """``scalars._isq`` with the recursion run down to dimension 1."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * a[0],), 1
+    h = n >> 1
+    lo, hi = a[:h], a[h:]
+    if not any(hi):
+        s, k = recursive_isq(rads, lo)
+        return s + (0,) * h, k
+    rn, rd = rads[h.bit_length() - 1]
+    p, kp = recursive_isq(rads, hi)
+    q, kq = recursive_imul(rads, p, rn)
+    k = kp * kq * rd
+    if not any(lo):
+        return q + (0,) * h, k
+    m, km = recursive_imul(rads, lo, hi)
+    return _ijoin(*_iadd(*recursive_isq(rads, lo), q, k), tuple([2 * c for c in m]), km)
+
+
+sparse_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def integer_vector_pairs(draw):
+    """Two raw integer vectors over a tower of depth 1-4; radicands with a
+    denominator come from the fractional family and the circle towers."""
+    tower = draw(st.sampled_from([t for t in KERNEL_TOWERS if t.depth >= 1]))
+    vector = st.lists(sparse_ints, min_size=tower.dim, max_size=tower.dim).map(tuple)
+    return tower, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_vector_pairs())
+@example((FRACTIONAL_TOWERS[1], (0, 3), (5, 0)))
+@example((FRACTIONAL_TOWERS[1], (2, 3), (5, -7)))
+@example((FRACTIONAL_TOWERS[2], (1, 0, 0, 4), (0, 2, 6, 0)))
+def test_dimension_2_base_case_matches_the_recursive_kernels(case):
+    tower, a, b = case
+    rads = tower._rads
+    for x, y in ((a, b), (b, a), (a, a), (a[:2], b[:2])):
+        assert _imul(rads, x, y) == recursive_imul(rads, x, y)
+        assert _isq(rads, x) == recursive_isq(rads, x)
+
+
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@st.composite
+def hash_cases(draw):
+    """A canonical element of Q(sqrt 2)(sqrt 3) whose rational coordinate has
+    any sign, up to 4,000 digits, and any denominator, the hash modulus and
+    its multiples among them."""
+    big = st.integers(-(10**4000), 10**4000)
+    n0 = draw(st.one_of(st.integers(-(10**6), 10**6), big))
+    d = draw(
+        st.one_of(
+            st.integers(1, 10**6),
+            st.integers(1, 10**4000),
+            st.sampled_from([HASH_MODULUS, 2 * HASH_MODULUS, 3 * HASH_MODULUS, HASH_MODULUS**2]),
+        )
+    )
+    rest = tuple(draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3)))
+    tower = INTEGER_TOWERS[2]
+    return scalars._elem(tower, *_canon((n0,) + rest, d))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(hash_cases())
+@example(scalars._elem(INTEGER_TOWERS[2], (1, 0, 0, 0), HASH_MODULUS))
+@example(scalars._elem(INTEGER_TOWERS[2], (-1, 0, 0, 1), 2 * HASH_MODULUS))
+@example(scalars._elem(INTEGER_TOWERS[2], (HASH_MODULUS, 0, 1, 0), 2 * HASH_MODULUS))
+@example(scalars._elem(INTEGER_TOWERS[2], (-(HASH_MODULUS + 3), 0, 0, 0), 3))  # hash -1, taken as -2
+@example(scalars._elem(INTEGER_TOWERS[2], (-(10**3999), 0, 0, 1), 3 * 10**3999 + 1))
+def test_tower_hash_is_the_fraction_hash(x):
+    expected = hash(Fraction(x._n[0], x._d))
+    assert hash(x) == expected
+    # equal values hash equal across towers, and a rational value like its Fraction
+    bigger = adjoin_sqrt(x.tower, 5).tower
+    rational = x.tower.rational(Fraction(x._n[0], x._d))
+    for y in (x.lift(bigger), x.minimized(), rational, rational.minimized(), FunElem.constant(rational)):
+        assert hash(y) == expected
 
 
 def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
