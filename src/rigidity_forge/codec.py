@@ -178,16 +178,10 @@ def decode_scalar(obj: Any, location: str = "scalar") -> Any:
 
 
 def encode_layout(value: Any) -> Any:
-    if value is None or isinstance(value, (str, bool)):
+    if value is None or isinstance(value, (str, int)):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, (Fraction,)):
-        return {"$rat": encode_rational(value)}
-    if isinstance(value, TowerElem):
-        return {"$tower": encode_tower_elem(value)}
-    if isinstance(value, FunElem):
-        return {"$fun": encode_fun_elem(value)}
+    if isinstance(value, (Fraction, TowerElem, FunElem)):
+        return encode_scalar(value)
     if isinstance(value, (list, tuple)):
         return [encode_layout(v) for v in value]
     if isinstance(value, Mapping):
@@ -287,13 +281,18 @@ def encode_gadget(gadget: Gadget) -> dict:
     }
 
 
-def decode_gadget(obj: Any) -> Gadget:
+def _check_header(obj: Any, kind: str) -> None:
+    """``obj`` is a JSON object with this schema and document kind."""
     if not isinstance(obj, dict):
-        _fail("gadget", "expected a JSON object")
+        _fail(kind, "expected a JSON object")
     if obj.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {obj.get('schema')!r}")
-    if obj.get("kind") != "gadget":
-        _fail("kind", f"expected 'gadget', got {obj.get('kind')!r}")
+    if obj.get("kind") != kind:
+        _fail("kind", f"expected {kind!r}, got {obj.get('kind')!r}")
+
+
+def decode_gadget(obj: Any) -> Gadget:
+    _check_header(obj, "gadget")
     tower = decode_tower(obj.get("field", {}), "field")
     points_obj = obj.get("points")
     if not isinstance(points_obj, dict):
@@ -333,8 +332,8 @@ def decode_gadget(obj: Any) -> Gadget:
 
 def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind: str | None = None) -> None:
     """Check that a layout is of a known kind and carries every field its
-    replay script and ``layout_goal`` read; ``kind``, when given, is the kind
-    its parent needs."""
+    replay script and ``layout_goal`` read, and that each other field it
+    carries has its type; ``kind``, when given, is the kind its parent needs."""
     if not isinstance(layout, dict):
         _fail(location, "expected a layout object")
     if kind is not None and layout.get("kind") != kind:
@@ -363,11 +362,14 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
     if kind == "division":
         need("roles", roles, "roles A-F naming gadget points")
         need("t", rational, "an exact rational")
+        need("r", rational, "an exact rational")
     elif kind == "kempe":
         need("roles", roles, "roles A-F naming gadget points")
+        need("t", lambda v: rational(v) or isinstance(v, TowerElem), "an exact rational or tower scalar")
     elif kind == "chain":
         track1 = need("track1", names(), "a list of gadget point names")
         need("track2", names(len(track1)), f"{len(track1)} gadget point names")
+        need("side_sq", lambda v: v is None or rational(v), "an exact rational or null")
     elif kind == "bridge":
         subs = need("sub", lambda v: isinstance(v, list) and v, "a non-empty list of chain layouts")
         for i, sub in enumerate(subs):
@@ -376,11 +378,16 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
         need("src", names(2), "two gadget point names")
         need("dst", names(2), "two gadget point names")
         need("r", rational, "an exact rational")
+        for key in ("translated", "mirror"):
+            if key in layout:
+                need(key, lambda v: _is_point(v, points), "a gadget point name")
         for i, sub in enumerate(need("sub", lambda v: isinstance(v, list), "a list of layouts")):
             _check_layout(sub, points, f"{location}.sub[{i}]")
     elif kind == "perp":
         for key, sub_kind in (("kempe", "kempe"), ("scale_pq", "scale"), ("scale_xy", "scale")):
             _check_layout(layout.get(key), points, f"{location}.{key}", sub_kind)
+        need("r", rational, "an exact rational")
+        need("s", rational, "an exact rational")
     else:
         _fail(f"{location}.kind", f"unknown layout kind {kind!r}")
 
@@ -403,12 +410,7 @@ def encode_derivation(derivation: Derivation) -> dict:
 
 
 def decode_derivation(obj: Any) -> Derivation:
-    if not isinstance(obj, dict):
-        _fail("derivation", "expected a JSON object")
-    if obj.get("schema") != SCHEMA:
-        _fail("schema", f"expected {SCHEMA!r}, got {obj.get('schema')!r}")
-    if obj.get("kind") != "derivation":
-        _fail("kind", f"expected 'derivation', got {obj.get('kind')!r}")
+    _check_header(obj, "derivation")
     gadget = decode_gadget(obj.get("gadget"))
     facts = []
     justs = []
@@ -450,12 +452,7 @@ def encode_model(model: ModelMap) -> dict:
 
 
 def decode_model(obj: Any) -> ModelMap:
-    if not isinstance(obj, dict):
-        _fail("model", "expected a JSON object")
-    if obj.get("schema") != SCHEMA:
-        _fail("schema", f"expected {SCHEMA!r}, got {obj.get('schema')!r}")
-    if obj.get("kind") != "model":
-        _fail("kind", f"expected 'model', got {obj.get('kind')!r}")
+    _check_header(obj, "model")
     emb_obj = obj.get("embedding")
     if not isinstance(emb_obj, dict) or "kind" not in emb_obj:
         _fail("embedding", "expected a tagged embedding object")

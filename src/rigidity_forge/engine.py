@@ -423,9 +423,9 @@ def _infer_kempe_roles(dists: Mapping[frozenset, Fraction], conclusion: DotZero)
         names |= set(pair)
     rest = names - set(roles.values())
     for name in rest:
-        if dists.get(frozenset((roles["A"], name))) == 9:
+        if dists.get(frozenset((roles["A"], name))) == KEMPE_SQ_DISTANCES[("A", "F")]:
             roles["F"] = name
-        elif dists.get(frozenset((roles["B"], name))) == 4:
+        elif dists.get(frozenset((roles["B"], name))) == KEMPE_SQ_DISTANCES[("C", "B")]:
             roles["C"] = name
     if "C" not in roles or "F" not in roles:
         raise PatternMismatch("cannot recover the linkage role assignment")

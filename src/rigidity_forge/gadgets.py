@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import poly
 from .cm import Point, Vec2, _is_zero, bordered_matrix, sqdist
@@ -27,8 +27,7 @@ from .scalars import (
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
     _frac_sqrt,
-    _map_into,
-    _merge_tower,
+    tower_join,
 )
 
 
@@ -256,31 +255,19 @@ class _Builder:
 def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], TowerDesc]:
     """Unify all coordinates into one join tower, then drop unused generators.
 
-    The join folds the distinct coordinate towers in insertion order.  A
-    tower that neither contains the join nor lies in it is merged once, and
-    the generator images that merge returns map every coordinate of that
-    tower into the join, so the emitted gadget carries a single field
-    descriptor, which every coordinate shares as one object.
+    The join folds the distinct coordinate towers in insertion order through
+    ``tower_join``, once per distinct tower.  Each join extends the one
+    before, so a coordinate goes in by its tower's ``into`` and then lifts,
+    and the emitted gadget carries a single field descriptor, which every
+    coordinate shares as one object.
     """
     join = QQ
-    images: dict[TowerDesc, list[TowerElem] | None] = {}  # None: a prefix of the join
+    into: dict[TowerDesc, Callable[[TowerElem], TowerElem]] = {}
     for p in points.values():
         for coord in (p.x, p.y):
-            tower = coord.tower
-            if tower in images:
-                continue
-            if tower.is_prefix_of(join):
-                images[tower] = None
-            elif join.is_prefix_of(tower):
-                join, images[tower] = tower, None
-            else:
-                join, images[tower] = _merge_tower(join, tower)
-
-    def embed(coord: TowerElem) -> TowerElem:
-        found = images[coord.tower]
-        return coord.lift(join) if found is None else _map_into(coord, found, join)
-
-    unified = {name: (embed(p.x), embed(p.y)) for name, p in points.items()}
+            if coord.tower not in into:
+                join, into[coord.tower] = tower_join(join, coord.tower)
+    unified = {name: tuple(into[c.tower](c).lift(join) for c in (p.x, p.y)) for name, p in points.items()}
     depth = max((c.minimized().tower.depth for xy in unified.values() for c in xy), default=0)
     tower = join.prefix(depth)
     out = {name: Point(x.minimized().lift(tower), y.minimized().lift(tower)) for name, (x, y) in unified.items()}
@@ -302,8 +289,6 @@ def circle_intersection(p1: Point, s1, p2: Point, s2, branch: int = 1) -> Point:
     q = v.dot(v)
     if q.is_zero():
         raise DegenerateSegment("circle centers coincide")
-    s1 = _as_scalar(s1, q.tower)
-    s2 = _as_scalar(s2, q.tower)
     alpha = (s1 - s2 + q) / (2 * q)
     beta_sq = s1 / q - alpha * alpha
     sign = beta_sq.sign()
@@ -329,12 +314,6 @@ def second_intersection_through(p1: Point, p2: Point, known: Point) -> Point:
         raise DegenerateSegment("circle centers coincide")
     u = known - p1
     return p1 + v.scaled((2 * u.dot(v)) / q) + (-u)
-
-
-def _as_scalar(value, tower: TowerDesc) -> TowerElem:
-    if isinstance(value, TowerElem):
-        return value
-    return tower.rational(Fraction(value))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ images over one tower share one lifted D, whose square ``scalars`` builds
 once (``scalars.fun_frame_kernel``).  Every other carrier takes the generic
 formula: frames with irrational or mixed entries, ``FunElem`` inputs, points
 outside a conjugation's domain prefix.  Both give the same canonical pairs.
+The generic conjugation carries a point into its domain by
+``scalars.tower_join``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .scalars import (
     TowerDesc,
     TowerElem,
     _elem,
-    common_tower,
     fun_frame_kernel,
     tower_conjugate,
     tower_frame_kernel,
+    tower_join,
 )
 
 
@@ -102,17 +104,14 @@ class Embedding:
         return FunElem.constant(x)
 
     def _into_domain(self, x: TowerElem) -> TowerElem:
-        """x over the domain, by value: the common tower extends the domain,
-        and x lies in the domain iff it has no coordinate past ``domain.dim``."""
-        anchor, lifted = common_tower(self.domain.zero(), x)
-        if anchor.tower == self.domain:
-            return lifted
-        coords = lifted.coords
-        if any(coords[self.domain.dim :]):
-            raise OutOfDomain(
-                f"{x} does not lie in the embedding domain {self.domain}"
-            )
-        return TowerElem(self.domain, coords[: self.domain.dim])
+        """x over the domain, by value: the join (``tower_join``) extends the
+        domain, and x lies in the domain iff it has no coordinate past
+        ``domain.dim``; dropping zero coordinates keeps the pair canonical."""
+        dim = self.domain.dim
+        lifted = tower_join(self.domain, x.tower)[1](x)
+        if any(lifted._n[dim:]):
+            raise OutOfDomain(f"{x} does not lie in the embedding domain {self.domain}")
+        return _elem(self.domain, lifted._n[:dim], lifted._d)
 
 
 # ---------------------------------------------------------------------------

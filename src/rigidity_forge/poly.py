@@ -5,7 +5,9 @@ nonzero rational coefficients; graded-lexicographic order gives the canonical
 rendering.  ``det`` is the package's one determinant: a Laplace expansion
 that runs on polynomials and on every scalar carrier alike.  There is
 deliberately no factoring: identities are checked by expanding a claimed
-factored form.
+factored form.  ``Polynomial`` takes ``-`` and ``**`` from the carriers'
+operator base ``scalars._FieldOps``; it has no inverse, so a negative power
+(or a division) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .scalars import RationalLike, _as_fraction
+from .scalars import RationalLike, _as_fraction, _FieldOps
 
 Exponents = tuple[int, ...]
 
 
-class Polynomial:
+class Polynomial(_FieldOps):
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None) -> None:
@@ -30,9 +32,6 @@ class Polynomial:
                 if coeff != 0:
                     clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors -----------------------------------------------------------
 
@@ -78,18 +77,6 @@ class Polynomial:
     def __neg__(self):
         return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
@@ -103,17 +90,9 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def inverse(self):
+        """Polynomials form a ring here: negative powers and division raise."""
+        raise ValueError("negative power of a polynomial, or division by one")
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)

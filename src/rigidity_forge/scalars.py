@@ -36,6 +36,14 @@ Three carriers, all with decidable equality:
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
   hashing, printing and the codec read those.
+
+Each carrier operation is defined once.  ``_FieldOps``, the base of
+``TowerElem``, ``FunElem`` and ``poly.Polynomial``, builds ``-``, ``/``,
+``**``, their reflected forms and the immutability guard from each class's
+own ``_coerce``, ``+``, unary ``-``, ``*`` and ``inverse``.  ``tower_join``
+is the one way an element crosses into another tower: ``common_tower``,
+``adjoin_sqrt``, ``FunElem``'s arithmetic, the conjugation's domain check
+and the gadget builder's field unification all call it.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
@@ -70,6 +78,54 @@ def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+class _FieldOps:
+    """The operators every carrier (``TowerElem``, ``FunElem``,
+    ``poly.Polynomial``) derives from its own ``_coerce``, ``+``, unary
+    ``-``, ``*`` and ``inverse``, and the immutability guard.  Each carrier
+    keeps ``__radd__ = __add__`` and ``__rmul__ = __mul__`` itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard only
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs + (-self)
+
+    def __truediv__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self * rhs.inverse()
+
+    def __rtruediv__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +428,8 @@ class TowerDesc:
 QQ = TowerDesc()
 
 
-class TowerElem:
+@total_ordering
+class TowerElem(_FieldOps):
     """Exact element of a quadratic tower; immutable.
 
     Held as a canonical integer vector ``_n`` over a denominator ``_d`` (see
@@ -395,9 +452,6 @@ class TowerElem:
         _set_tower(self, tower)
         _set_n(self, tuple([q.numerator * (d // q.denominator) for q in qs]))
         _set_d(self, d)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("TowerElem is immutable")
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -462,18 +516,6 @@ class TowerElem:
     def __neg__(self):
         return _elem(self.tower, _ineg(self._n), self._d)
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
@@ -487,30 +529,6 @@ class TowerElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
         return _elem(self.tower, *_inv(self.tower._rads, self._n, self._d))
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- comparison ------------------------------------------------------------
 
@@ -559,24 +577,6 @@ class TowerElem:
         if rhs is None:
             return NotImplemented
         return (self - rhs).sign() < 0
-
-    def __le__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() >= 0
 
     # -- rendering ---------------------------------------------------------------
 
@@ -629,40 +629,43 @@ def common_tower(x: TowerElem, y: TowerElem) -> tuple[TowerElem, TowerElem]:
     """Lift two elements into a common extension (auto-lift of tower_arith)."""
     if x.tower is y.tower or x.tower == y.tower:
         return x, y
-    if x.tower.is_prefix_of(y.tower):
-        return x.lift(y.tower), y
-    if y.tower.is_prefix_of(x.tower):
-        return x, y.lift(x.tower)
-    tower, images = _merge_tower(x.tower, y.tower)
-    return x.lift(tower), _map_into(y, images, tower)
+    tower, into = tower_join(x.tower, y.tower)
+    return x.lift(tower), into(y)
 
 
-def _map_into(x: TowerElem, images: Sequence[TowerElem], tower: TowerDesc) -> TowerElem:
-    """x with generator i replaced by ``images[i]``, evaluated in ``tower``."""
-    total = tower.zero()
-    for mask, c in enumerate(x._n):
-        if c == 0:
-            continue
-        term = tower.rational(c)
-        for i, img in enumerate(images):
-            if mask >> i & 1:
-                term = term * img.lift(tower)
-        total = total + term
-    return _elem(tower, *_canon(total._n, total._d * x._d))
+def tower_join(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, Callable[[TowerElem], TowerElem]]:
+    """A tower that extends ``base`` and holds ``other``, and the map ``into``
+    of elements of ``other`` into it; elements of ``base`` go in by ``lift``.
 
-
-def _merge_tower(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, list[TowerElem]]:
-    """Extend ``base`` by the generators of ``other``; returns the extension
-    and the image of each ``other`` generator inside it."""
+    When one tower is a prefix of the other, the join is the longer one and
+    ``into`` lifts.  Otherwise ``base`` is extended by the image of each
+    generator of ``other`` in turn (``adjoin_sqrt``, which absorbs a root
+    already present), and ``into`` evaluates an element of ``other`` with
+    each generator replaced by its image.
+    """
+    if other.is_prefix_of(base):
+        return base, lambda x: x.lift(base)
+    if base.is_prefix_of(other):
+        return other, lambda x: x.lift(other)
     tower = base
     images: list[TowerElem] = []
+
+    def into(x: TowerElem) -> TowerElem:
+        total = tower.zero()
+        for mask, c in enumerate(x._n):
+            if c:
+                term = tower.rational(c)
+                for i, img in enumerate(images):
+                    if mask >> i & 1:
+                        term = term * img.lift(tower)
+                total = total + term
+        return _elem(tower, *_canon(total._n, total._d * x._d))
+
     for gen in other.gens:
-        radicand = _map_into(gen, images, tower)
-        result = adjoin_sqrt(tower, radicand)
+        result = adjoin_sqrt(tower, into(gen))
         tower = result.tower
-        images = [img.lift(tower) for img in images]
         images.append(result.root)
-    return tower, images
+    return tower, into
 
 
 @dataclass(frozen=True)
@@ -681,11 +684,8 @@ def adjoin_sqrt(tower: TowerDesc, radicand: TowerElem | RationalLike) -> AdjoinR
     if isinstance(radicand, (int, Fraction)):
         radicand = tower.rational(radicand)
     elif radicand.tower != tower:
-        if radicand.tower.is_prefix_of(tower):
-            radicand = radicand.lift(tower)
-        else:
-            tower, images = _merge_tower(tower, radicand.tower)
-            radicand = _map_into(radicand, images, tower)
+        tower, into = tower_join(tower, radicand.tower)
+        radicand = into(radicand)
     if radicand.sign() <= 0:
         raise NonPositiveRadicand(f"radicand {radicand} is not strictly positive")
     existing = sqrt_in_tower(radicand)
@@ -706,12 +706,8 @@ def sqrt_in_tower(x: TowerElem) -> TowerElem | None:
 
 
 def _frac_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    root = _sqrt((), (q.numerator,), q.denominator)
+    return None if root is None else Fraction(root[0][0], root[1])
 
 
 def tower_conjugate(x: TowerElem, index: int) -> TowerElem:
@@ -919,7 +915,7 @@ def _freduce(tower: TowerDesc, num: IPoly, den: IPoly) -> tuple[IPoly, IPoly]:
     return _fmul(rads, num, inv), _fmul(rads, den, inv)
 
 
-class FunElem:
+class FunElem(_FieldOps):
     """Element of K(eps) over a tower K; immutable.
 
     Held lazily as a quotient of two polynomials over K that need not be
@@ -954,9 +950,6 @@ class FunElem:
         if not den[0]:
             raise ZeroDivisionError("zero denominator in function field element")
         _init(self, tower, num, den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("FunElem is immutable")
 
     @classmethod
     def _make(cls, tower: TowerDesc, num: IPoly, den: IPoly) -> "FunElem":
@@ -997,24 +990,20 @@ class FunElem:
         t, u = self.tower, other.tower
         if t is u or t == u:
             return self, other, t
-        if t.is_prefix_of(u):
-            return self._lift(u), other, u
-        if u.is_prefix_of(t):
-            return self, other._lift(t), t
-        probe, _ = common_tower(t.zero(), u.zero())
-        tower = probe.tower
-        return self._lift(tower), other._lift(tower), tower
+        tower, into = tower_join(t, u)
+        return self._lift(tower, into), other._lift(tower, into), tower
 
-    def _lift(self, tower: TowerDesc) -> "FunElem":
-        """This value over ``tower``, which must hold it.  Over an extension
-        of its own tower each row is padded with zeros; otherwise each row is
-        mapped into ``tower`` through ``common_tower``."""
+    def _lift(self, tower: TowerDesc, into: Callable[[TowerElem], TowerElem]) -> "FunElem":
+        """This value over ``tower``.  Over an extension of its own tower each
+        row is padded with zeros; otherwise each coefficient is mapped by
+        ``into`` (of ``tower_join``)."""
+        if self.tower is tower:
+            return self
         if self.tower.is_prefix_of(tower):
             pad = (0,) * (tower.dim - self.tower.dim)
             (nr, nk), (dr, dk) = self._n, self._d
             return FunElem._make(tower, (tuple([r + pad for r in nr]), nk), (tuple([r + pad for r in dr]), dk))
-        zero = tower.zero()
-        num, den = (_fpoly([common_tower(zero, c)[1] for c in _ftower(p, self.tower)]) for p in (self._n, self._d))
+        num, den = (_fpoly([into(c) for c in _ftower(p, self.tower)]) for p in (self._n, self._d))
         return FunElem._make(tower, num, den)
 
     # -- reduced form --------------------------------------------------------------
@@ -1059,18 +1048,6 @@ class FunElem:
     def __neg__(self):
         return FunElem._make(self.tower, _fneg(self._n), self._d)
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
@@ -1086,30 +1063,6 @@ class FunElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero function field element")
         return FunElem._make(self.tower, self._d, self._n)
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = FunElem.constant(1, self.tower)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)

@@ -477,6 +477,64 @@ def test_verify_and_model_check_reject_layout_edits(tmp_path, capsys, edit, mess
         assert "all-true" not in out
 
 
+_GADGET_ARGS = {
+    "division": ["division", "--t", "1/2"],
+    "chain": ["chain", "--a", "0,0", "--b", "5,0", "--c", "0,1", "--d", "5,1"],
+    "kempe": ["kempe", "--t", "1"],
+    # |PQ| = 2 against |XY| = 4: scale_pq holds a mirror and a translated point
+    "perp": ["perp", "--p", "0,0", "--q", "0,-2", "--x", "0,0", "--y", "4,0"],
+}
+
+_SCALAR_TYPES = {"string": "12345", "letter": "x", "true": True, "list": [1], "fun": {"$fun": {"num": [["1"]], "den": [["1"]]}}}
+
+
+@pytest.mark.parametrize(
+    "gadget, path, what, values",
+    [
+        ("division", ("r",), "an exact rational", ("string", "letter", "true", "list", "fun")),
+        ("perp", ("r",), "an exact rational", ("string", "true", "fun")),
+        ("perp", ("s",), "an exact rational", ("letter", "list")),
+        ("chain", ("side_sq",), "an exact rational or null", ("string", "true", "fun")),
+        ("perp", ("scale_pq", "mirror"), "a gadget point name", ("letter", "true", "list")),
+        ("perp", ("scale_pq", "sub", 0, "translated"), "a gadget point name", ("letter", "true")),
+        ("kempe", ("t",), "an exact rational or tower scalar", ("letter", "true", "fun")),
+        ("perp", ("kempe", "t"), "an exact rational or tower scalar", ("string", "list")),
+    ],
+    ids=["division-r", "perp-r", "perp-s", "chain-side_sq", "scale-mirror", "scale-translated", "kempe-t", "perp-kempe-t"],
+)
+def test_verify_and_model_check_reject_layout_field_types(tmp_path, capsys, gadget, path, what, values):
+    gadget_file, deriv_file = tmp_path / "g.json", tmp_path / "d.json"
+    assert run(["gadget", *_GADGET_ARGS[gadget], "-o", str(gadget_file)], capsys)[0] == 0
+    assert run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)[0] == 0
+    location = "layout" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+    *parents, key = path
+    for value in values:
+        doc = json.loads(deriv_file.read_text())
+        target = doc["gadget"]["layout"]
+        for step in parents:
+            target = target[step]
+        assert key in target
+        target[key] = _SCALAR_TYPES[value]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
+            code, out, err = run(argv, capsys)
+            assert code == 1, (argv[0], value)
+            assert err.startswith(f"SchemaViolation: {location}: expected {what}"), (argv[0], value, err)
+            assert "all-true" not in out
+
+
+def test_kempe_layout_t_may_be_a_tower_scalar(tmp_path, capsys):
+    gadget_file, deriv_file = tmp_path / "g.json", tmp_path / "d.json"
+    run(["gadget", *_GADGET_ARGS["kempe"], "-o", str(gadget_file)], capsys)
+    run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
+    doc = json.loads(deriv_file.read_text())
+    doc["gadget"]["layout"]["t"] = {"$tower": {"gens": [["2"]], "coords": ["1", "0"]}}
+    edited = tmp_path / "tower-t.json"
+    edited.write_text(json.dumps(doc))
+    assert run(["verify", str(edited)], capsys)[0] == 0
+
+
 def test_verify_and_model_check_reject_boolean_premise_index(tmp_path, capsys):
     doc = _division_derivation(tmp_path, capsys)
     assert doc["facts"][8]["premises"][0] == 0  # false would alias it

@@ -160,6 +160,20 @@ def test_prop4_rule_on_division_facts(division_half):
     assert VecEq(a="F", b="C", c="D", d="E") in conclusions
 
 
+def test_kempe_role_inference_reads_the_linkage_pattern(monkeypatch):
+    derivation = replay(build_kempe(1))
+    step = next(i for i, j in enumerate(derivation.justifications) if j.rule == "KempeChain")
+    cited = [derivation.facts[i] for i in derivation.justifications[step].premises]
+    dists = {frozenset((f.p, f.q)): f.v for f in cited if isinstance(f, SqDistKnown)}
+    assert engine._infer_kempe_roles(dists, derivation.facts[step]) == derivation.gadget.layout["roles"]
+    # the F and C links are found by their distances in gadgets.KEMPE_SQ_DISTANCES
+    for pair in (("A", "F"), ("C", "B")):
+        monkeypatch.setitem(engine.KEMPE_SQ_DISTANCES, pair, engine.KEMPE_SQ_DISTANCES[pair] + 1)
+        with pytest.raises(PatternMismatch, match="cannot recover the linkage role assignment"):
+            engine._infer_kempe_roles(dists, derivation.facts[step])
+        monkeypatch.undo()
+
+
 def test_prop3_rejects_zero_sum():
     gadget = build_division(rational_point(0, 0), rational_point(1, 0), F(1, 2))
     store = assert_certificate(gadget)

@@ -195,19 +195,20 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
     t2, t3 = r2.tower, r3.tower
     s2, s3 = r2.root.lift(t3), r3.root
     merged, calls = [], []
-    real_merge, real_minimize = scalars._merge_tower, gadgets._minimize_points
+    real_join, real_minimize = scalars.tower_join, gadgets._minimize_points
 
-    def counting_merge(base, other):
-        if calls:
+    def counting_join(base, other):
+        # only a join where neither tower is a prefix of the other merges
+        if calls and not (base.is_prefix_of(other) or other.is_prefix_of(base)):
             merged.append(other)
-        return real_merge(base, other)
+        return real_join(base, other)
 
     def recording_minimize(points):
         calls.append(points)
         return real_minimize(points)
 
-    monkeypatch.setattr(scalars, "_merge_tower", counting_merge)
-    monkeypatch.setattr(gadgets, "_merge_tower", counting_merge, raising=False)
+    monkeypatch.setattr(scalars, "tower_join", counting_join)
+    monkeypatch.setattr(gadgets, "tower_join", counting_join)
     monkeypatch.setattr(gadgets, "_minimize_points", recording_minimize)
     builds = [
         lambda: build_division(Point(t3.zero(), t3.zero()), Point(s2 + s3, t3.one()), F(1, 3)),

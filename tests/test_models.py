@@ -520,7 +520,7 @@ def test_model_checks_take_no_polynomial_gcd(monkeypatch):
 
 def generic_apply_scalar(embedding, x):
     """``Embedding.apply_scalar`` by the generic formula: the value lifted into
-    the domain through ``common_tower``, then ``tower_conjugate``."""
+    the domain through ``tower_join``, then ``tower_conjugate``."""
     if embedding.kind == "identity":
         return x
     if embedding.kind == "conjugation":
@@ -693,7 +693,7 @@ def test_conjugation_of_points_over_an_extension_of_the_domain():
     s2 = adjoin_sqrt(QQ, 2)
     wider = adjoin_sqrt(s2.tower, 3)
     model = conjugation_model(s2.tower, 0)
-    # in the domain by value: the formula, through common_tower
+    # in the domain by value: the formula, through tower_join
     p = Point(wider.tower.rational(F(1, 2)) + s2.root, wider.tower.one())
     assert _point_forms(model.apply(p)) == _point_forms(generic_apply(model, p))
     assert model.apply(p).x == F(1, 2) - s2.root

@@ -972,12 +972,15 @@ class OracleFun:
     def _common(self, other):
         if self.tower == other.tower:
             return self, other, self.tower
-        tower = common_tower(self.tower.zero(), other.tower.zero())[0].tower
+        tower, into = scalars.tower_join(self.tower, other.tower)
 
-        def into(p):
-            return tuple(common_tower(tower.zero(), c)[1] for c in p)
+        def lift(p):
+            return tuple(c.lift(tower) for c in p)
 
-        return OracleFun(tower, into(self.n), into(self.d)), OracleFun(tower, into(other.n), into(other.d)), tower
+        def mapped(p):
+            return tuple(into(c) for c in p)
+
+        return OracleFun(tower, lift(self.n), lift(self.d)), OracleFun(tower, mapped(other.n), mapped(other.d)), tower
 
     def reduced(self):
         return _reduce(self.n, self.d, self.tower)
@@ -1347,3 +1350,122 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     assert len(kernel) == 96 + 5 + 5
     assert all(report.ok for report in kernel[-5:])
     assert [v[2] for v in kernel[96:101]] == [0, 0] + [len(corpus[0].derivation.facts) - 1] * 3
+
+
+# -- one operator base and one tower join -----------------------------------------
+
+
+def test_carriers_share_one_operator_base():
+    from rigidity_forge.poly import Polynomial
+
+    carriers = (TowerElem, FunElem, Polynomial)
+    for name in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__", "__setattr__"):
+        assert TowerElem.__dict__.get(name) is FunElem.__dict__.get(name) is Polynomial.__dict__.get(name) is None, name
+        assert getattr(TowerElem, name) is getattr(FunElem, name) is getattr(Polynomial, name), name
+    for cls in carriers:
+        assert cls.__radd__ is cls.__add__ and cls.__rmul__ is cls.__mul__
+    assert not hasattr(scalars, "_merge_tower") and not hasattr(scalars, "_map_into")
+    x = Polynomial.variable("x", ("x",))
+    for bad in (lambda: x**-1, lambda: x**-2, lambda: x / 2):
+        with pytest.raises(ValueError):
+            bad()
+    for value in (QQ.one(), FunElem.eps(), x):
+        with pytest.raises(AttributeError, match="is immutable"):
+            value.tower = QQ
+
+
+def _operator_towers():
+    r2 = adjoin_sqrt(QQ, 2)
+    r3 = adjoin_sqrt(QQ, 3)
+    r23 = adjoin_sqrt(r2.tower, 3)
+    r5 = adjoin_sqrt(r3.tower, r3.root + 2)
+    return [QQ, r2.tower, r3.tower, r23.tower, r5.tower]
+
+
+def _tower_sample(tower, coords):
+    return TowerElem(tower, [coords[i % len(coords)] for i in range(tower.dim)])
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.lists(rationals, min_size=1, max_size=8),
+    st.lists(rationals, min_size=1, max_size=8),
+    rationals,
+)
+def test_shared_operators_agree_with_the_field_definitions(i, j, xs, ys, q):
+    """Over towers that are prefixes of each other and towers that must be
+    merged, and in K(eps) over towers that must be merged: subtraction is
+    adding the negative, division is multiplying by the inverse, and the
+    reflected operators with an int or Fraction on the left agree with the
+    value coerced first."""
+    towers = _operator_towers()
+    x, y = _tower_sample(towers[i], xs), _tower_sample(towers[j], ys)
+    eps = FunElem.eps()
+    fx, fy = x + eps * y, y - eps * eps * x
+    for a, b in ((x, y), (fx, fy), (fx, y), (x, fy)):
+        assert a - b == a + (-b)
+        assert b - a == -(a - b)
+        for left in (q, 3, Fraction(-2, 7)):
+            assert left - a == a._coerce(left) - a
+            assert left - a == -(a - left)
+            assert left * a == a * left
+        if not b.is_zero():
+            assert (a / b) * b == a
+            assert a / b == a * b.inverse()
+        if not a.is_zero():
+            assert a**-2 * a**2 == 1
+            assert a**-1 == a.inverse()
+            for left in (q, 3, Fraction(-2, 7)):
+                assert left / a == a._coerce(left) * a.inverse()
+        assert a**3 == a * a * a and a**0 == 1
+
+
+def _oracle_map_into(x, images, tower):
+    """The tower join as it stood before ``tower_join``: x with generator i
+    replaced by ``images[i]``, evaluated in ``tower``."""
+    total = tower.zero()
+    for mask, c in enumerate(x._n):
+        if c == 0:
+            continue
+        term = tower.rational(c)
+        for i, img in enumerate(images):
+            if mask >> i & 1:
+                term = term * img.lift(tower)
+        total = total + term
+    return scalars._elem(tower, *_canon(total._n, total._d * x._d))
+
+
+def _oracle_merge_tower(base, other):
+    """Extend ``base`` by the generators of ``other``; the extension and the
+    image of each ``other`` generator inside it."""
+    tower = base
+    images = []
+    for gen in other.gens:
+        result = adjoin_sqrt(tower, _oracle_map_into(gen, images, tower))
+        tower = result.tower
+        images = [img.lift(tower) for img in images]
+        images.append(result.root)
+    return tower, images
+
+
+def test_tower_join_matches_the_merge_oracle():
+    r2, r3, r6 = (adjoin_sqrt(QQ, n) for n in (2, 3, 6))
+    r23 = adjoin_sqrt(r2.tower, 3)
+    r32 = adjoin_sqrt(r3.tower, 2)
+    r5 = adjoin_sqrt(r3.tower, r3.root + 2)
+    towers = [QQ, r2.tower, r3.tower, r6.tower, r23.tower, r32.tower, r5.tower, adjoin_sqrt(r23.tower, 5).tower]
+    merged = 0
+    for base in towers:
+        for other in towers:
+            tower, into = scalars.tower_join(base, other)
+            oracle_tower, images = _oracle_merge_tower(base, other)
+            assert tower == oracle_tower and base.is_prefix_of(tower)
+            assert [into(other.generator(k)) for k in range(other.depth)] == images
+            for k in range(other.dim):
+                basis = scalars._elem(other, tuple(int(m == k) for m in range(other.dim)), 1)
+                x = basis * 3 + Fraction(1, 2)
+                assert into(x) == _oracle_map_into(x, images, tower) and into(x).tower is tower
+            merged += not (base.is_prefix_of(other) or other.is_prefix_of(base))
+    assert merged == 32
