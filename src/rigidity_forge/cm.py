@@ -10,8 +10,19 @@ the tower test is an identity check.  Four ``FunElem`` coordinates of one
 tower over one denominator pair, the shape of every eps-frame image, run the
 K(eps) kernel ``scalars.fun_sqdist``.  Point and vector equality compare
 coordinates with ``==``.  Nothing here tolerates approximation.
-"""
 
+The facts are decided by three exact zero tests, one per equation shape,
+which build no carrier value on the coordinates those kernels take:
+``sqdist_is`` (a squared distance equals a constant: its unreduced
+numerator cross-multiplied with the constant), ``combination_vanishes``
+(an integer combination of points is zero) and ``form_vanishes`` (a sum of
+products of coordinate differences is zero: dot and cross products, and
+a ratio cross-multiplied).  Each runs the ``scalars`` kernel of its shape
+for one tower, or for K(eps) over one shared denominator D, where an
+equation homogeneous in D holds iff it holds on the numerators.  Every
+other carrier (coordinates over different towers or denominators,
+``Fraction``, ``Polynomial``) takes the generic formula.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -20,7 +31,22 @@ from itertools import combinations
 from typing import Any, Sequence
 
 from .poly import det
-from .scalars import QQ, FunElem, TowerDesc, TowerElem, fun_sqdist, tower_sqdist
+from .scalars import (
+    QQ,
+    FunElem,
+    TowerDesc,
+    TowerElem,
+    _funit,
+    constant_form,
+    fun_comb_vanishes,
+    fun_form_vanishes,
+    fun_sqdist,
+    fun_sqdist_is,
+    tower_comb_vanishes,
+    tower_form_vanishes,
+    tower_sqdist,
+    tower_sqdist_is,
+)
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -115,15 +141,101 @@ def sqdist(p: Point, q: Point) -> Scalar:
     towers or over different denominators, use the formula.
     """
     coords = (p.x, p.y, q.x, q.y)
-    tower = _one_tower(coords)
-    if tower is not None:
-        return tower_sqdist(tower, *coords)
-    tower = _one_tower(coords, FunElem)
-    if tower is not None and p.x._d == p.y._d == q.x._d == q.y._d:
-        return fun_sqdist(tower, *coords)
+    kind = _kernel_tower(coords)
+    if kind is not None:
+        return (tower_sqdist if kind[0] else fun_sqdist)(kind[1], *coords)
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy
+
+
+def _kernel_tower(coords: Sequence[Scalar]) -> tuple[bool, TowerDesc] | None:
+    """(True, tower) when ``coords`` are ``TowerElem``s of one tower, (False,
+    tower) when they are ``FunElem``s of one tower over one denominator pair,
+    else None: the carriers the integer kernels take."""
+    tower = _one_tower(coords)
+    if tower is not None:
+        return True, tower
+    tower = _one_tower(coords, FunElem)
+    if tower is not None and all(c._d == coords[0]._d for c in coords):
+        return False, tower
+    return None
+
+
+def sqdist_is(p: Point, q: Point, value: Scalar) -> bool:
+    """``sqdist(p, q) == value``, decided without building the distance.
+
+    For a constant value (a rational, a tower element, or a ``FunElem``
+    over the unit polynomial) over a prefix of the points' tower, the
+    unreduced numerator of the squared distance is compared with it by
+    cross-multiplication: ``tower_sqdist_is`` for four coordinates of one
+    tower, ``fun_sqdist_is`` for four ``FunElem``s over one denominator
+    pair.  Other carriers and values compare the value of ``sqdist``.
+    """
+    coords = (p.x, p.y, q.x, q.y)
+    const = constant_form(value)
+    kind = _kernel_tower(coords) if const is not None else None
+    if kind is not None:
+        tower_kernel, tower = kind
+        const_tower, m, e = const
+        if const_tower is tower or const_tower.is_prefix_of(tower):
+            return (tower_sqdist_is if tower_kernel else fun_sqdist_is)(tower, *coords, m, e)
+    return sqdist(p, q) == value
+
+
+def combination_vanishes(terms: Sequence[tuple[int, Point]]) -> bool:
+    """Whether sum(c * P) over integer coefficients c is the zero vector.
+
+    Coordinates the kernels take are summed on the integer form
+    (``tower_comb_vanishes``, ``fun_comb_vanishes``); other carriers add up
+    the carrier values.
+    """
+    xs = [(c, p.x) for c, p in terms]
+    ys = [(c, p.y) for c, p in terms]
+    kind = _kernel_tower([x for _, x in xs] + [y for _, y in ys]) if terms else None
+    if kind is not None:
+        vanishes = tower_comb_vanishes if kind[0] else fun_comb_vanishes
+        return vanishes(xs) and vanishes(ys)
+    return all(_is_zero(sum(c * x for c, x in part)) for part in (xs, ys))
+
+
+Factor = Any  # (x1, x0) for the difference x1 - x0, a constant, or None for 1
+
+
+def _factor_value(f: Factor) -> Scalar:
+    if isinstance(f, tuple):
+        return f[0] - f[1]
+    return 1 if f is None else f
+
+
+def form_vanishes(terms: Sequence[tuple[int, Factor, Factor]]) -> bool:
+    """Whether sum(s * f * g) over ``terms`` (s, f, g) is zero, a factor
+    being a difference (x1, x0) of coordinates, a constant, or None for 1;
+    every term holds the same number of differences.
+
+    Differences of coordinates the kernels take, and constants of their
+    tower (``FunElem``s over the unit polynomial, for K(eps)), are
+    multiplied on the integer form with one zero test
+    (``tower_form_vanishes``, ``fun_form_vanishes``); other carriers compute
+    the carrier value.
+    """
+    coords, consts = [], []
+    for _, f, g in terms:
+        for factor in (f, g):
+            if isinstance(factor, tuple):
+                coords.extend(factor)
+            elif factor is not None:
+                consts.append(factor)
+    kind = _kernel_tower(coords)
+    if kind is not None:
+        tower_kernel, tower = kind
+        carrier = TowerElem if tower_kernel else FunElem
+        if all(
+            isinstance(c, carrier) and (c.tower is tower or c.tower == tower) and (tower_kernel or _funit(c._d))
+            for c in consts
+        ):
+            return (tower_form_vanishes if tower_kernel else fun_form_vanishes)(tower, terms)
+    return _is_zero(sum(s * _factor_value(f) * _factor_value(g) for s, f, g in terms))
 
 
 def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:

@@ -13,6 +13,13 @@ and membership is decided by fraction-free integer elimination on primitive
 rows (E. H. Bareiss, Math. Comp. 22, 1968), with the same verdict over Q.  A
 replayed derivation is exactly the premise closure of its goal, and each of
 its lemma conclusions holds on the gadget's own coordinates.
+
+Every fact kind decides itself at a point assignment (``holds``) with one
+exact zero test on the integer form of the coordinates (see ``cm``):
+``SqDistKnown`` cross-multiplies the unreduced squared distance with its
+rational value and ``NonzeroDist`` tests it for zero (``cm.sqdist_is``);
+the vector facts read their relation from ``gadgets._linear_relation``, the
+table the span rule reads too; ``Distinct`` compares coordinates.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping, Sequence, Union
 
-from .cm import Point, sqdist, _is_zero
+from .cm import Point, sqdist_is
 from .gadgets import (
     KEMPE_IDENTITIES,
     KEMPE_NONZERO_PAIRS,
@@ -35,6 +42,7 @@ from .gadgets import (
     InvalidGadget,
     VecEq,
     VecScale,
+    _linear_relation,
     layout_goal,
 )
 from .scalars import _frac_sqrt
@@ -82,7 +90,7 @@ class SqDistKnown:
     v: Fraction
 
     def holds(self, points: Mapping[str, Point]) -> bool:
-        return sqdist(points[self.p], points[self.q]) == self.v
+        return sqdist_is(points[self.p], points[self.q], self.v)
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class NonzeroDist:
     q: str
 
     def holds(self, points: Mapping[str, Point]) -> bool:
-        return not _is_zero(sqdist(points[self.p], points[self.q]))
+        return not sqdist_is(points[self.p], points[self.q], 0)
 
 
 Fact = Union[SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero]
@@ -144,30 +152,6 @@ def fact_key(fact: Fact):
                 forms.append(w + u)
         return ("dotzero",) + min(forms)
     raise TypeError(f"unknown fact {fact!r}")
-
-
-def _linear_relation(fact: Fact) -> dict[str, int] | None:
-    """The formal linear relation a vector fact imposes on the image points,
-    scaled by the denominator of its ratio to integer coefficients; a
-    coefficient that cancels is dropped."""
-    if isinstance(fact, VecEq):
-        terms = ((fact.b, 1), (fact.a, -1), (fact.d, -1), (fact.c, 1))
-    elif isinstance(fact, VecScale):
-        p, q = fact.r.numerator, fact.r.denominator
-        terms = ((fact.b, q), (fact.a, -q), (fact.d, -p), (fact.c, p))
-    elif isinstance(fact, AffineComb):
-        p, q = fact.t.numerator, fact.t.denominator
-        terms = ((fact.c, q), (fact.a, -p), (fact.b, p - q))
-    else:
-        return None
-    out: dict[str, int] = {}
-    for name, value in terms:
-        value += out.get(name, 0)
-        if value:
-            out[name] = value
-        else:
-            out.pop(name, None)
-    return out
 
 
 def _primitive(vec: dict[str, int]) -> dict[str, int]:

@@ -7,6 +7,15 @@ entry exactly, every certified value is rational, and the goal holds for the
 identity mapping on the gadget's own coordinates.  The ``layout`` field is a
 JSON-able recipe recording how the configuration was assembled; the deduction
 engine replays proofs by walking it.
+
+The goal kinds are the vector facts.  ``_linear_relation`` is their one
+relation table: ``VecEq``, ``VecScale`` and ``AffineComb`` hold iff the
+integer combination of the points it gives vanishes
+(``cm.combination_vanishes``), and the engine's span rule reads the same
+table.  ``DotZero`` holds iff the dot product of its two differences is
+zero (``cm.form_vanishes``).  ``Gadget.validate`` compares each certificate
+entry with ``cm.sqdist_is`` and builds the distance only to report a
+mismatch.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Union
 
 from . import poly
-from .cm import Point, Vec2, _is_zero, bordered_matrix, sqdist
+from .cm import Point, Vec2, _is_zero, bordered_matrix, combination_vanishes, form_vanishes, sqdist, sqdist_is
 from .scalars import (
     QQ,
     TowerDesc,
@@ -86,7 +95,7 @@ class AffineComb:
     t: Fraction
 
     def holds(self, p: Mapping[str, Point]) -> bool:
-        return (p[self.c] - p[self.b]) == (p[self.a] - p[self.b]).scaled(self.t)
+        return _relation_holds(self, p)
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class VecEq:
     d: str
 
     def holds(self, p: Mapping[str, Point]) -> bool:
-        return (p[self.b] - p[self.a]) == (p[self.d] - p[self.c])
+        return _relation_holds(self, p)
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ class VecScale:
     r: Fraction
 
     def holds(self, p: Mapping[str, Point]) -> bool:
-        return (p[self.b] - p[self.a]) == (p[self.d] - p[self.c]).scaled(self.r)
+        return _relation_holds(self, p)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,39 @@ class DotZero:
     d: str
 
     def holds(self, p: Mapping[str, Point]) -> bool:
-        return _is_zero((p[self.b] - p[self.a]).dot(p[self.d] - p[self.c]))
+        a, b, c, d = p[self.a], p[self.b], p[self.c], p[self.d]
+        return form_vanishes([(1, (b.x, a.x), (d.x, c.x)), (1, (b.y, a.y), (d.y, c.y))])
+
+
+def _linear_relation(fact) -> dict[str, int] | None:
+    """The formal linear relation a vector fact imposes on the image points,
+    scaled by the denominator of its ratio to integer coefficients; a
+    coefficient that cancels is dropped.  None for any other fact.  The span
+    rule of the deduction engine and the vector facts' ``holds`` both read
+    it."""
+    if isinstance(fact, VecEq):
+        terms = ((fact.b, 1), (fact.a, -1), (fact.d, -1), (fact.c, 1))
+    elif isinstance(fact, VecScale):
+        p, q = fact.r.numerator, fact.r.denominator
+        terms = ((fact.b, q), (fact.a, -q), (fact.d, -p), (fact.c, p))
+    elif isinstance(fact, AffineComb):
+        p, q = fact.t.numerator, fact.t.denominator
+        terms = ((fact.c, q), (fact.a, -p), (fact.b, p - q))
+    else:
+        return None
+    out: dict[str, int] = {}
+    for name, value in terms:
+        value += out.get(name, 0)
+        if value:
+            out[name] = value
+        else:
+            out.pop(name, None)
+    return out
+
+
+def _relation_holds(fact, p: Mapping[str, Point]) -> bool:
+    """The fact's linear relation vanishes at the points."""
+    return combination_vanishes([(c, p[name]) for name, c in _linear_relation(fact).items()])
 
 
 Goal = Union[AffineComb, VecEq, VecScale, DotZero]
@@ -183,10 +224,10 @@ class Gadget:
         for entry in self.certificate:
             if entry.p not in self.points or entry.q not in self.points:
                 raise InvalidGadget(f"certificate references unknown point {entry.p}/{entry.q}")
-            got = sqdist(self.points[entry.p], self.points[entry.q])
-            if not got == entry.d2:
+            p, q = self.points[entry.p], self.points[entry.q]
+            if not sqdist_is(p, q, entry.d2):
                 raise InvalidGadget(
-                    f"certificate mismatch for ({entry.p},{entry.q}): stored {entry.d2}, got {got}"
+                    f"certificate mismatch for ({entry.p},{entry.q}): stored {entry.d2}, got {sqdist(p, q)}"
                 )
         for a, b in self.side_conditions:
             if self.points[a] == self.points[b]:

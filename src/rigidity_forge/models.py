@@ -20,17 +20,26 @@ once (``scalars.fun_frame_kernel``).  Every other carrier takes the generic
 formula: frames with irrational or mixed entries, ``FunElem`` inputs, points
 outside a conjugation's domain prefix.  Both give the same canonical pairs.
 The generic conjugation carries a point into its domain by
-``scalars.tower_join``.
+``scalars.tower_join``.  Every embedding fixes Q, so ``int`` and
+``Fraction`` values are elements of Q.
+
+The reports decide their equations with the zero tests of ``cm``, on the
+integer form where the images allow: preservation compares each image pair
+once with ``rho(v)`` (``cm.sqdist_is``), structure tests additivity as
+m(u + v) - m(u) - m(v) + m(0) = 0 (``cm.combination_vanishes``) and
+scaling by cross-multiplication (``cm.form_vanishes``), building no
+quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .cm import Point, Vec2, _invert, _is_zero, _one_tower, sqdist
+from .cm import Point, _invert, _is_zero, _one_tower, combination_vanishes, form_vanishes, sqdist, sqdist_is
 from .scalars import (
     QQ,
     FunElem,
@@ -100,6 +109,8 @@ class Embedding:
                 # over a prefix of the domain: pad, and flip the generator's coordinates
                 n = x._n
                 return _elem(domain, tuple(map(mul, n, self._signs)) + (0,) * (domain.dim - len(n)), x._d)
+            if isinstance(x, (int, Fraction)):
+                return domain.rational(x)  # every embedding fixes Q
             return tower_conjugate(self._into_domain(x), self.generator)
         return FunElem.constant(x)
 
@@ -254,19 +265,30 @@ class PreservationReport:
     checks: tuple[PairCheck, ...]
 
 
+def _as_rational(value) -> Fraction | None:
+    """``value`` as a ``Fraction`` if it is a rational, else None."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    return value.as_fraction() if value.is_rational() else None
+
+
 def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -> PreservationReport:
     """Check the squared distance of each image pair equals the embedded
     squared distance; rational values must be reproduced verbatim.  Each
-    distinct point is mapped once."""
+    distinct point is mapped once, and each image pair is compared once,
+    with ``rho(v)`` (``cm.sqdist_is``); a rational v must also have
+    ``rho(v) == v``, which by transitivity is the image distance equal to v.
+    ``int`` and ``Fraction`` coordinates are rationals."""
     image = _mapped_once(model.apply)
     checks = []
     all_ok = True
     for p, q in pairs:
         value = sqdist(p, q)
-        image_value = sqdist(image(p), image(q))
-        ok = image_value == model.rho(value)
-        if ok and value.is_rational():
-            ok = image_value == value.as_fraction()
+        target = model.rho(value)
+        ok = sqdist_is(image(p), image(q), target)
+        if ok:
+            rational = _as_rational(value)
+            ok = rational is None or target == rational
         checks.append(PairCheck((p, q), ok))
         all_ok = all_ok and ok
     return PreservationReport(ok=all_ok, checks=tuple(checks))
@@ -284,32 +306,39 @@ class StructureReport:
         return self.additivity_ok and self.theta_ok and self.homomorphism_ok
 
 
-def _extract_theta(phi_lu: Vec2, phi_u: Vec2):
-    """The unique scalar with phi(lambda u) = theta * phi(u), or None."""
-    for num, den in ((phi_lu.x, phi_u.x), (phi_lu.y, phi_u.y)):
-        if not _is_zero(den):
-            theta = num * _invert(den)
-            if phi_u.scaled(theta) == phi_lu:
-                return theta
-            return None
-    return None
+def _scales(o: Point, a: Point, b: Point, rho) -> bool:
+    """phi(lambda u) = rho * phi(u) for phi(u) = a - o != 0 and
+    phi(lambda u) = b - o, by cross-multiplying on the first coordinate c
+    where phi(u) is nonzero, den = phi(u)_c and num = phi(lambda u)_c:
+    num * phi(u) = phi(lambda u) * den, and num = rho * den."""
+    if not a.x == o.x:
+        num, den = (b.x, o.x), (a.x, o.x)
+    elif not a.y == o.y:
+        num, den = (b.y, o.y), (a.y, o.y)
+    else:
+        return False
+    # on coordinate c the first equation holds trivially; on the other it is a cross product
+    cross = [(1, (b.x, o.x), (a.y, o.y)), (-1, (b.y, o.y), (a.x, o.x))]
+    return form_vanishes(cross) and form_vanishes([(1, num, None), (-1, den, rho)])
 
 
 def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence[Point]) -> StructureReport:
     """Check the displacement map phi(u) = m(u) - m(0) is additive, scales by a
     direction-independent factor rho(lambda), and that rho is a homomorphism.
-    Each distinct point is mapped once."""
+    Each distinct point is mapped once.  Additivity is
+    m(u + v) - m(u) - m(v) + m(0) = 0 (``cm.combination_vanishes``), and
+    scaling is cross-multiplied (``_scales``); ``int`` and ``Fraction``
+    coordinates are rationals."""
     if not us:
         raise ModelError("need at least one sample direction")
-    tower = us[0].x.tower
-    origin = Point(tower.rational(0), tower.rational(0))
-    m0 = model.apply(origin)
-    phi = _mapped_once(lambda p: model.apply(p) - m0)
+    tower = us[0].x.tower if isinstance(us[0].x, TowerElem) else QQ
+    image = _mapped_once(model.apply)
+    m0 = image(Point(tower.rational(0), tower.rational(0)))
 
     additivity_ok = True
     for u, v in combinations(us, 2):
         uv = Point(u.x + v.x, u.y + v.y)
-        if not phi(uv) == phi(u) + phi(v):
+        if not combination_vanishes([(1, image(uv)), (-1, image(u)), (-1, image(v)), (1, m0)]):
             additivity_ok = False
             break
 
@@ -319,8 +348,7 @@ def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence
         rho_lam = model.rho(lam if isinstance(lam, TowerElem) else tower.rational(lam))
         for u in us:
             lu = Point(lam * u.x, lam * u.y)
-            observed = _extract_theta(phi(lu), phi(u))
-            if observed is None or not observed == rho_lam:
+            if not _scales(m0, image(u), image(lu), rho_lam):
                 theta_ok = False
                 break
         thetas.append(rho_lam)

@@ -13,7 +13,12 @@ Three carriers, all with decidable equality:
   per result and equality is a tuple comparison.  ``coords`` gives the same
   values as ``Fraction``s.  ``tower_sqdist``, the squared-distance kernel,
   takes both differences and squares (``_isq``) of four elements of one
-  tower on the integer vectors and reduces once.  ``lift`` and ``prefix``
+  tower on the integer vectors and reduces once; it wraps
+  ``tower_sqdist_num``, the unreduced result, which ``tower_sqdist_is``
+  cross-multiplies with a constant.  ``tower_comb_vanishes`` (an integer
+  combination) and ``tower_form_vanishes`` (a sum of products) are the other
+  zero tests of the facts; none of the three builds an element or reduces
+  one.  ``lift`` and ``prefix``
   return the target tower object itself, so a gadget's points share one
   ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of one tower
   through a rational affine frame on the integer vectors.
@@ -30,7 +35,11 @@ Three carriers, all with decidable equality:
   squares of four elements over one denominator on the integer matrices and
   reduces once; D^2 comes from a one-entry memo keyed by the identity of D
   (``_fsquare``), so the images of one model, which share one D object,
-  square it once.  ``fun_frame_kernel`` maps two elements of one tower
+  square it once.  ``fun_sqdist_num``, ``fun_sqdist_is``,
+  ``fun_comb_vanishes`` and ``fun_form_vanishes`` are the tower kernels'
+  counterparts on the numerators of elements over one denominator pair D;
+  ``fun_sqdist_is`` compares with a constant times D^2 from the memo.
+  ``fun_frame_kernel`` maps two elements of one tower
   through a K(eps) frame over Q into K(eps) on the integer matrices.  The
   reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
@@ -54,7 +63,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Sequence, Union
 
 Rational = Fraction
@@ -611,18 +620,69 @@ def _elem(tower: TowerDesc, n: IVec, d: int) -> TowerElem:
     return x
 
 
-def tower_sqdist(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem) -> TowerElem:
-    """(px - qx)^2 + (py - qy)^2 for four elements of ``tower``, as one element.
-
-    Both differences and both squares run on the integer vectors (``_isq``),
-    and the sum is reduced once.
-    """
-    rads = tower._rads
+def tower_sqdist_num(rads: Rads, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem) -> tuple[IVec, int]:
+    """(px - qx)^2 + (py - qy)^2 for four elements of one tower, as an
+    unreduced integer vector over a positive denominator: both differences
+    and both squares run on the integer vectors (``_isq``)."""
     u, ku = _isub(px._n, px._d, qx._n, qx._d)
     v, kv = _isub(py._n, py._d, qy._n, qy._d)
     su, ksu = _isq(rads, u)
     sv, ksv = _isq(rads, v)
-    return _elem(tower, *_canon(*_iadd(su, ku * ku * ksu, sv, kv * kv * ksv)))
+    return _iadd(su, ku * ku * ksu, sv, kv * kv * ksv)
+
+
+def tower_sqdist(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem) -> TowerElem:
+    """(px - qx)^2 + (py - qy)^2 for four elements of ``tower``, as one
+    element: ``tower_sqdist_num`` reduced once."""
+    return _elem(tower, *_canon(*tower_sqdist_num(tower._rads, px, py, qx, qy)))
+
+
+def tower_sqdist_is(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem, m: IVec, e: int) -> bool:
+    """``tower_sqdist(...) == m/e``: the unreduced numerator n/k is
+    cross-multiplied with m/e, for m over a prefix of the tower's basis (its
+    missing coordinates are zero); no element is built."""
+    n, k = tower_sqdist_num(tower._rads, px, py, qx, qy)
+    h = len(m)
+    return [x * e for x in n[:h]] == [y * k for y in m] and not any(n[h:])
+
+
+def _ivanishes(coeffs: Sequence[int], vectors: Sequence[IVec]) -> bool:
+    """sum(c * v) over integer vectors of one length is zero."""
+    return not any(sum(map(mul, coeffs, column)) for column in zip(*vectors))
+
+
+def tower_comb_vanishes(terms: Sequence[tuple[int, TowerElem]]) -> bool:
+    """sum(c * x) over integer coefficients c and elements x of one tower is
+    zero: each vector scaled to the ``lcm`` of the denominators and summed."""
+    k = lcm(*[x._d for _, x in terms])
+    return _ivanishes([c * (k // x._d) for c, x in terms], [x._n for _, x in terms])
+
+
+def _tower_factor(f) -> tuple[IVec, int]:
+    """A factor of ``tower_form_vanishes`` as an unreduced pair: a difference
+    (x1, x0) of two elements, or one element."""
+    if isinstance(f, tuple):
+        x1, x0 = f
+        return _isub(x1._n, x1._d, x0._n, x0._d)
+    return f._n, f._d
+
+
+def tower_form_vanishes(tower: TowerDesc, terms: Sequence[tuple]) -> bool:
+    """sum(s * f * g) over ``terms`` (s, f, g) is zero, each factor a
+    difference (x1, x0) or one element of ``tower``, g None for 1: products on
+    the integer vectors (``_imul``), one unreduced sum, one zero test."""
+    rads = tower._rads
+    acc = None
+    for s, f, g in terms:
+        x, k = _tower_factor(f)
+        if g is not None:
+            y, ky = _tower_factor(g)
+            x, kxy = _imul(rads, x, y)
+            k *= ky * kxy
+        if s != 1:
+            x = tuple([s * c for c in x])
+        acc = (x, k) if acc is None else _iadd(*acc, x, k)
+    return acc is None or not any(acc[0])
 
 
 def common_tower(x: TowerElem, y: TowerElem) -> tuple[TowerElem, TowerElem]:
@@ -1119,6 +1179,20 @@ def _init(x: FunElem, tower: TowerDesc, num: IPoly, den: IPoly) -> None:
     _fset_reduced(x, None)
 
 
+def constant_form(value) -> tuple[TowerDesc, IVec, int] | None:
+    """A constant as (tower, integer vector, positive denominator): an
+    ``int`` or ``Fraction`` over Q, a ``TowerElem``, or a ``FunElem`` over
+    the unit polynomial with at most one numerator row; None otherwise."""
+    if isinstance(value, TowerElem):
+        return value.tower, value._n, value._d
+    if isinstance(value, (int, Fraction)):
+        return QQ, (value.numerator,), value.denominator
+    if isinstance(value, FunElem) and _funit(value._d) and len(value._n[0]) <= 1:
+        rows, k = value._n
+        return value.tower, rows[0] if rows else (0,), k
+    return None
+
+
 # (tower, D, D^2) of the last ``_fsquare``: the images of one model over one
 # tower share one D object, so their products and squared distances square
 # it once.  One entry, keyed by identity; it holds D, so the key stays valid.
@@ -1137,21 +1211,98 @@ def _fsquare(tower: TowerDesc, d: IPoly) -> IPoly:
     return square
 
 
-def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> FunElem:
-    """(px - qx)^2 + (py - qy)^2 for four elements of K(eps) over ``tower``
-    that share one denominator pair D, as one element over D^2.
-
-    Both differences and the sum of their squares (``_fsumsq``) run on the
-    integer numerator matrices, and the sum is reduced once; D^2 comes from
-    ``_fsquare``, so the pairs of one model's images square D once.
-    """
-    rads = tower._rads
+def fun_sqdist_num(rads: Rads, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> tuple[list[IVec], int]:
+    """The numerator over D^2 of (px - qx)^2 + (py - qy)^2 for four elements
+    of K(eps) over one denominator pair D, as unreduced integer rows over a
+    positive denominator: both differences and the sum of their squares
+    (``_fsumsq``) run on the integer numerator matrices."""
     u, ku = _fzip(sub, px._n, qx._n)
     v, kv = _fzip(sub, py._n, qy._n)
     if ku != kv:  # both differences over ku * kv
         u, v, ku = _fscale(u, kv), _fscale(v, ku), ku * kv
     rows, k = _fsumsq(rads, (u, v))
-    return FunElem._make(tower, _fcanon(rows, ku * ku * k), _fsquare(tower, px._d))
+    return rows, ku * ku * k
+
+
+def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> FunElem:
+    """(px - qx)^2 + (py - qy)^2 for four elements of K(eps) over ``tower``
+    that share one denominator pair D, as one element over D^2:
+    ``fun_sqdist_num`` reduced once, over D^2 from ``_fsquare``, so the pairs
+    of one model's images square D once.
+    """
+    rows, k = fun_sqdist_num(tower._rads, px, py, qx, qy)
+    return FunElem._make(tower, _fcanon(rows, k), _fsquare(tower, px._d))
+
+
+def _frows_equal(a: Sequence[IVec], fa: int, b: Sequence[IVec], fb: int) -> bool:
+    """a * fa == b * fb row by row, for nonzero fa and fb; a missing row is
+    zero."""
+    n = min(len(a), len(b))
+    for x, y in zip(a, b):
+        if [c * fa for c in x] != [c * fb for c in y]:
+            return False
+    return not any(map(any, a[n:])) and not any(map(any, b[n:]))
+
+
+def fun_sqdist_is(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem, m: IVec, e: int) -> bool:
+    """``fun_sqdist(...) == m/e`` for the constant m/e of K (m over a prefix
+    of its basis), on the unreduced numerator: it is compared with m/e * D^2,
+    D^2 from the ``_fsquare`` memo, by cross-multiplication.  A rational
+    constant scales D^2's rows, another takes one product with them, and
+    zero needs no D^2."""
+    rows, k = fun_sqdist_num(tower._rads, px, py, qx, qy)
+    if not any(m):
+        return not any(map(any, rows))
+    square = _fsquare(tower, px._d)
+    if not any(m[1:]):
+        return _frows_equal(rows, e * square[1], square[0], k * m[0])
+    target, kt = _fmul(tower._rads, ((m + (0,) * (tower.dim - len(m)),), e), square)
+    return _frows_equal(rows, kt, target, k)
+
+
+def fun_comb_vanishes(terms: Sequence[tuple[int, FunElem]]) -> bool:
+    """sum(c * x) over integer coefficients c and elements x of K(eps) of one
+    tower over one denominator pair is zero: the numerators' rows scaled to
+    the ``lcm`` of their denominators and summed."""
+    k = lcm(*[x._n[1] for _, x in terms])
+    scaled = [(c * (k // x._n[1]), x._n[0]) for c, x in terms]
+    for i in range(max(len(rows) for _, rows in scaled)):
+        live = [(f, rows[i]) for f, rows in scaled if i < len(rows)]
+        if not _ivanishes([f for f, _ in live], [row for _, row in live]):
+            return False
+    return True
+
+
+def _fun_factor(f) -> tuple[Sequence[IVec], int]:
+    """A factor of ``fun_form_vanishes`` as unreduced numerator rows: a
+    difference (x1, x0) of two elements over D, or one constant over 1."""
+    if isinstance(f, tuple):
+        x1, x0 = f
+        return _fzip(sub, x1._n, x0._n)
+    return f._n
+
+
+def fun_form_vanishes(tower: TowerDesc, terms: Sequence[tuple]) -> bool:
+    """``tower_form_vanishes`` for K(eps): differences of elements over one
+    denominator pair D and constants over the unit polynomial, each term of
+    the same degree in D, so the equation holds iff it holds on the
+    numerators.  Each term is scaled to one denominator and all products
+    run in one convolution (``_facc``), with one zero test."""
+    rads, dim = tower._rads, tower.dim
+    one = [(0, (1,) + (0,) * (dim - 1), 1)]
+    factors = [(s, _fun_factor(f), None if g is None else _fun_factor(g)) for s, f, g in terms]
+    dens = [x[1] * (1 if y is None else y[1]) for _, x, y in factors]
+    k = lcm(*dens)
+    size = max((len(x[0]) + (0 if y is None else len(y[0]) - 1) for _, x, y in factors), default=0)
+    if size <= 0:  # every product is zero
+        return True
+    out: list[IVec | None] = [None] * size
+    deferred: list = []
+    for (s, (rows, _), y), den in zip(factors, dens):
+        f = s * (k // den)
+        _facc(rads, out, deferred, _fnonzero(rows if f == 1 else _fscale(rows, f)), one if y is None else _fnonzero(y[0]))
+    rows, _ = _fgather(out, deferred, dim)
+    return not any(map(any, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,535 @@
+"""Facts decided on the integer form.
+
+Every fact kind's ``holds``, ``verify_preservation`` and ``verify_structure``
+against the carrier-arithmetic bodies they replace (kept here as the
+oracle), and counters showing that the kernels build no carrier object.
+"""
+
+import dataclasses
+import random
+import sys
+from fractions import Fraction as F
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from rigidity_forge import cm, scalars, suite
+from rigidity_forge.cm import Point, Vec2, _invert, _is_zero, sqdist
+from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation
+from rigidity_forge.gadgets import AffineComb, DotZero, VecEq, VecScale
+from rigidity_forge.models import (
+    Embedding,
+    ModelMap,
+    PairCheck,
+    PreservationReport,
+    StructureReport,
+    _mapped_once,
+    conjugation_model,
+    eps_rotation_model,
+    identity_model,
+    make_pythagorean_rotation,
+    verify_preservation,
+    verify_structure,
+)
+from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
+
+FACT_KINDS = (SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero)
+
+
+# -- the oracle: each fact, preservation and structure by carrier arithmetic ---------------------
+
+
+def oracle_holds(fact, p):
+    if isinstance(fact, SqDistKnown):
+        return sqdist(p[fact.p], p[fact.q]) == fact.v
+    if isinstance(fact, Distinct):
+        return not (p[fact.p] == p[fact.q])
+    if isinstance(fact, NonzeroDist):
+        return not _is_zero(sqdist(p[fact.p], p[fact.q]))
+    if isinstance(fact, AffineComb):
+        return (p[fact.c] - p[fact.b]) == (p[fact.a] - p[fact.b]).scaled(fact.t)
+    if isinstance(fact, VecEq):
+        return (p[fact.b] - p[fact.a]) == (p[fact.d] - p[fact.c])
+    if isinstance(fact, VecScale):
+        return (p[fact.b] - p[fact.a]) == (p[fact.d] - p[fact.c]).scaled(fact.r)
+    assert isinstance(fact, DotZero)
+    return _is_zero((p[fact.b] - p[fact.a]).dot(p[fact.d] - p[fact.c]))
+
+
+def oracle_preservation(model, pairs):
+    image = _mapped_once(model.apply)
+    checks = []
+    all_ok = True
+    for p, q in pairs:
+        value = sqdist(p, q)
+        image_value = sqdist(image(p), image(q))
+        ok = image_value == model.rho(value)
+        if ok and value.is_rational():
+            ok = image_value == value.as_fraction()
+        checks.append(PairCheck((p, q), ok))
+        all_ok = all_ok and ok
+    return PreservationReport(ok=all_ok, checks=tuple(checks))
+
+
+def oracle_extract_theta(phi_lu, phi_u):
+    for num, den in ((phi_lu.x, phi_u.x), (phi_lu.y, phi_u.y)):
+        if not _is_zero(den):
+            theta = num * _invert(den)
+            if phi_u.scaled(theta) == phi_lu:
+                return theta
+            return None
+    return None
+
+
+def oracle_structure(model, lambdas, us):
+    tower = us[0].x.tower
+    origin = Point(tower.rational(0), tower.rational(0))
+    m0 = model.apply(origin)
+    phi = _mapped_once(lambda p: model.apply(p) - m0)
+    additivity_ok = True
+    for u, v in combinations(us, 2):
+        uv = Point(u.x + v.x, u.y + v.y)
+        if not phi(uv) == phi(u) + phi(v):
+            additivity_ok = False
+            break
+    theta_ok = True
+    thetas = []
+    for lam in lambdas:
+        rho_lam = model.rho(lam if isinstance(lam, TowerElem) else tower.rational(lam))
+        for u in us:
+            lu = Point(lam * u.x, lam * u.y)
+            observed = oracle_extract_theta(phi(lu), phi(u))
+            if observed is None or not observed == rho_lam:
+                theta_ok = False
+                break
+        thetas.append(rho_lam)
+        if not theta_ok:
+            break
+    homomorphism_ok = True
+    lam_elems = [lam if isinstance(lam, TowerElem) else tower.rational(lam) for lam in lambdas]
+    for a, b in combinations(lam_elems, 2):
+        if not model.rho(a + b) == model.rho(a) + model.rho(b) or not model.rho(a * b) == model.rho(a) * model.rho(b):
+            homomorphism_ok = False
+            break
+    return StructureReport(additivity_ok, theta_ok, homomorphism_ok, tuple(thetas))
+
+
+def oracle_holds_installed(monkeypatch):
+    for kind in FACT_KINDS:
+        monkeypatch.setattr(kind, "holds", oracle_holds)
+
+
+# -- the soundness-corpus pass -----------------------------------------------------------------
+
+
+def criterion_9_data():
+    """Criterion 9's five registered models, multipliers and directions."""
+    r2 = adjoin_sqrt(QQ, 2)
+    tower, s2 = r2.tower, r2.root
+    us = [Point(tower.rational(i), tower.rational(j)) for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]]
+    us.append(Point(s2, tower.one()))
+    lambdas = [s2, tower.rational(2), tower.rational(F(1, 3)), tower.one() + s2]
+    conj = conjugation_model(tower, 0)
+    registered = [
+        identity_model(),
+        conj,
+        eps_rotation_model(),
+        eps_rotation_model(reflection=True),
+        ModelMap(conj.embedding, make_pythagorean_rotation(F(1, 2))),
+    ]
+    return registered, lambdas, us
+
+
+class Doubling:
+    """p -> 2p after an optional model: not distance preserving."""
+
+    def __init__(self, model=None):
+        self.model = model
+
+    def apply(self, p):
+        q = p if self.model is None else self.model.apply(p)
+        return Point(2 * q.x, 2 * q.y)
+
+
+def soundness_items(preservation=verify_preservation, structure=verify_structure):
+    """What the soundness-corpus bench runs, with its models built: every
+    corpus x ``model_family`` pair (its verdict and the preservation of its
+    certificate pairs), criterion 9's structure reports, and the Doubling
+    and altered-ratio controls; one thunk per item."""
+    corpus = suite.replay_corpus()
+    items = []
+    for entry in corpus:
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        for name, model in suite.model_family(gadget):
+            items.append(lambda e=entry, n=name, m=model, ps=pairs: (e.label, n, check_derivation(e.derivation, m), preservation(m, ps)))
+    registered, lambdas, us = criterion_9_data()
+    items += [lambda m=model: structure(m, lambdas, us) for model in registered]
+    derivation = corpus[0].derivation
+    final = derivation.final_fact()
+    altered = Derivation(
+        derivation.gadget,
+        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + F(1, 3))],
+        derivation.justifications,
+    )
+    controls = [
+        (derivation, Doubling()),
+        (derivation, Doubling(eps_rotation_model())),
+        (altered, identity_model()),
+        (altered, eps_rotation_model()),
+        (altered, eps_rotation_model(reflection=True)),
+    ]
+    items += [lambda s=subject, m=model: check_derivation(s, m) for subject, model in controls]
+    return items
+
+
+def soundness_pass(*oracles):
+    return [item() for item in soundness_items(*oracles)]
+
+
+def test_kernels_give_the_oracle_verdicts_and_reports(monkeypatch):
+    kernel = soundness_pass()
+    assert len(kernel) == 96 + 5 + 5
+    assert all(v.ok and report.ok for _, _, v, report in kernel[:96])
+    assert all(report.ok for report in kernel[96:101])
+    last = len(suite.replay_corpus()[0].derivation.facts) - 1
+    assert [v.violated_index for v in kernel[101:]] == [0, 0, last, last, last]
+    oracle_holds_installed(monkeypatch)
+    # Verdict (ok, checked, violated_index, violated_fact), PreservationReport, StructureReport
+    assert kernel == soundness_pass(oracle_preservation, oracle_structure)
+
+
+# -- derandomized cases for the kernels ------------------------------------------------------------
+
+
+def _tower(*radicands):
+    tower = QQ
+    for radicand in radicands:
+        tower = adjoin_sqrt(tower, radicand(tower) if callable(radicand) else radicand).tower
+    return tower
+
+
+TOWERS = [
+    QQ,
+    _tower(F(11, 100)),
+    _tower(2, 3),
+    _tower(2, lambda t: t.one() + t.generator(0)),
+    _tower(2, 3, 5, 7),
+]
+NAMES = "ABCD"
+SMALL = st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=7))
+RATIOS = st.one_of(st.sampled_from([F(0), F(1)]), SMALL)
+
+
+def _elems(tower, seed: int, huge: bool = False):
+    """Elements of ``tower`` from a seeded generator (drawing every
+    coordinate through hypothesis would dominate the test's time): small
+    fractions, zeros, and with ``huge`` 4,000-digit entries."""
+    rng = random.Random(seed)
+
+    def coordinate():
+        roll = rng.randrange(6)
+        if roll == 0:
+            return F(0)
+        if huge and roll == 1:
+            return F(rng.choice((-1, 1)) * (10**3999 + rng.randrange(100)), rng.randint(1, 3))
+        return F(rng.randint(-6, 6), rng.randint(1, 7))
+
+    while True:
+        yield TowerElem(tower, [coordinate() for _ in range(tower.dim)])
+
+
+def _points(tower, seed: int, names, huge: bool = False):
+    elems = _elems(tower, seed, huge)
+    return {name: Point(next(elems), next(elems)) for name in names}
+
+
+@st.composite
+def fact_cases(draw):
+    """A fact over four named points of one tower (names may repeat), with
+    one point moved, or not, so that the fact holds, or for a linear
+    relation holds on x only."""
+    tower = draw(st.sampled_from(TOWERS))
+    huge = tower.depth <= 1 and draw(st.integers(0, 3)) == 0
+    points = _points(tower, draw(st.integers(0, 2**32)), NAMES, huge)
+    name = st.sampled_from(NAMES)
+    a, b, c, d = (draw(name) for _ in range(4))
+    kind = draw(st.sampled_from(FACT_KINDS))
+    if kind is SqDistKnown:
+        actual = sqdist(points[a], points[b])
+        # the rational coordinate alone equals the distance only if it is rational
+        choices = [F(0), F(-1, 3), draw(SMALL), actual.coords[0]]
+        fact = SqDistKnown(a, b, draw(st.sampled_from(choices)))
+    elif kind in (Distinct, NonzeroDist):
+        fact = kind(a, b)
+    elif kind is VecScale:
+        fact = VecScale(a, b, c, d, draw(RATIOS))
+    elif kind is AffineComb:
+        fact = AffineComb(c, a, b, draw(RATIOS))
+    else:
+        fact = kind(a, b, c, d)
+    force = draw(st.sampled_from(["no", "yes", "x only"]))
+    if force != "no":
+        p = points
+        if kind is VecEq:
+            p[d] = p[c] + (p[b] - p[a])
+        elif kind is VecScale:
+            p[b] = p[a] + (p[d] - p[c]).scaled(fact.r)
+        elif kind is AffineComb:
+            p[c] = p[b] + (p[a] - p[b]).scaled(fact.t)
+        elif kind is DotZero:
+            u = p[b] - p[a]
+            p[d] = p[c] + Vec2(-u.y, u.x).scaled(draw(SMALL))
+        elif kind in (Distinct, NonzeroDist):
+            p[b] = p[a]
+        if force == "x only" and kind in (VecEq, VecScale, AffineComb):
+            # the relation holds on x and fails on y, unless the moved point cancels
+            moved = {VecEq: d, VecScale: b, AffineComb: c}[kind]
+            p[moved] = Point(p[moved].x, p[moved].y + 1)
+    return fact, points, tower
+
+
+def _other_denominator(x: FunElem, factor: int) -> FunElem:
+    """x with numerator and denominator both scaled by ``factor``: equal,
+    over another denominator pair."""
+    (num, k), (den, kd) = x._n, x._d
+    scale = lambda rows: tuple(tuple(c * factor for c in r) for r in rows)
+    return FunElem._make(x.tower, (scale(num), k), (scale(den), kd))
+
+
+def _coords(points):
+    return [c for p in points.values() for c in (p.x, p.y)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(fact_cases(), st.sampled_from(["tower", "eps", "eps-times", "mixed", "eps-two-denominators"]))
+def test_every_fact_kind_matches_the_oracle(case, view):
+    fact, points, tower = case
+    if view == "eps-times":
+        # K(eps) values that are no frame's images: every constant row is zero
+        eps = FunElem.eps()
+        points = {n: Point(eps * p.x, eps * p.y) for n, p in points.items()}
+    elif view == "mixed":
+        # one point over an extension of the others' tower: the generic formula
+        wider = adjoin_sqrt(tower, 13).tower
+        points = dict(points, A=Point(points["A"].x.lift(wider), points["A"].y.lift(wider)))
+    elif view.startswith("eps"):
+        if tower.depth > 2:
+            tower, points = QQ, {n: Point(QQ.rational(p.x.coords[0]), QQ.rational(p.y.coords[0])) for n, p in points.items()}
+        model = eps_rotation_model(reflection=tower.depth == 1)
+        points = {n: model.apply(p) for n, p in points.items()}
+        if view == "eps-two-denominators":
+            a = points["A"]
+            points["A"] = Point(_other_denominator(a.x, 3), _other_denominator(a.y, 3))
+            assert points["A"] == a
+    takes_kernel = view in ("tower", "eps", "eps-times")
+    assert (cm._kernel_tower(_coords(points)) is not None) == takes_kernel
+    assert fact.holds(points) == oracle_holds(fact, points), (fact, view)
+
+
+@st.composite
+def value_cases(draw):
+    """Two points of one tower and a constant their squared distance is
+    compared with: the distance itself, another element, or a rational."""
+    tower = draw(st.sampled_from(TOWERS[:4]))
+    seed = draw(st.integers(0, 2**32))
+    points = _points(tower, seed, "PQ", huge=draw(st.integers(0, 4)) == 0)
+    p, q = points["P"], points["Q"]
+    actual = sqdist(p, q)
+    value = draw(st.sampled_from([actual, actual + 1, p.x, actual.coords[0], F(0), F(-2), draw(SMALL)]))
+    return p, q, value
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(value_cases(), st.booleans())
+def test_squared_distance_against_a_constant_matches_the_formula(case, eps):
+    p, q, value = case
+    if eps:
+        # preservation's comparison: K(eps) images against rho(v), a constant over 1
+        model = eps_rotation_model()
+        p, q, value = model.apply(p), model.apply(q), model.rho(value)
+        assert cm.constant_form(value) is not None
+    assert cm.sqdist_is(p, q, value) == (sqdist(p, q) == value)
+
+
+class _XYModel:
+    """One map on x and another on y, with a given rho: additive, but
+    scaling as rho only where the maps agree."""
+
+    def __init__(self, on_x, on_y, rho):
+        self.on_x, self.on_y, self.rho = on_x, on_y, rho
+
+    def apply(self, p):
+        return Point(self.on_x(p.x), self.on_y(p.y))
+
+
+class _Scaled:
+    """p -> 2p with rho(v) = 4v: preserves the scaled distance, but rho does
+    not fix Q."""
+
+    def apply(self, p):
+        return Point(2 * p.x, 2 * p.y)
+
+    def rho(self, v):
+        return 4 * v
+
+
+def _models(tower):
+    """Sound models, with and without a translation, and wrong ones."""
+    rotation = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
+    models = [identity_model(), eps_rotation_model(), ModelMap(Embedding("identity"), rotation), _Scaled()]
+    if tower.depth:
+        conj = conjugation_model(tower, tower.depth - 1)
+        flip = conj.embedding.apply_scalar
+        models += [
+            conj,
+            ModelMap(conj.embedding, rotation),
+            _XYModel(lambda x: x, flip, lambda v: v),
+            _XYModel(lambda x: x, lambda y: y, flip),
+        ]
+    return models
+
+
+@st.composite
+def structure_cases(draw):
+    tower = draw(st.sampled_from(TOWERS[:4]))
+    elems = _elems(tower, draw(st.integers(0, 2**32)))
+    # (0, 1) has no x component, so scaling is read on y
+    us = [Point(next(elems), next(elems)) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        us.append(Point(tower.zero(), tower.one()))
+    lambdas = [next(elems) for _ in range(draw(st.integers(1, 2)))]
+    return draw(st.sampled_from(_models(tower))), lambdas, draw(st.permutations(us))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(structure_cases())
+def test_structure_matches_the_oracle(case):
+    model, lambdas, us = case
+    assert verify_structure(model, lambdas, us) == oracle_structure(model, lambdas, us)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(TOWERS[:4]), st.integers(0, 2**32), st.data())
+def test_preservation_matches_the_oracle(tower, seed, data):
+    elems = _elems(tower, seed)
+    points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero())]
+    model = data.draw(st.sampled_from(_models(tower)))
+    pairs = list(combinations(points, 2)) + [(points[-1], Point(tower.zero(), tower.zero()))]
+    assert verify_preservation(model, pairs) == oracle_preservation(model, pairs)
+
+
+def test_zero_tests_read_every_coordinate_and_row():
+    """Values on which a partial comparison would be wrong."""
+    nested = TOWERS[3]  # Q(sqrt 2, sqrt(1 + sqrt 2)): not totally real
+    s2, g = nested.generator(0), nested.generator(1)
+    x = 1 + (1 - s2) * g  # x^2 is nonzero with rational coordinate 0
+    assert (x * x).coords[0] == 0 and not (x * x).is_zero()
+    points = {"P": Point(x, nested.zero()), "O": Point(nested.zero(), nested.zero())}
+    eps_points = {n: eps_rotation_model().apply(p) for n, p in points.items()}
+    for view in (points, eps_points):
+        assert NonzeroDist("P", "O").holds(view)
+        assert not SqDistKnown("P", "O", F(0)).holds(view)
+    # a zero distance of K(eps) images with fewer numerator rows than D^2
+    origin = eps_rotation_model().apply(Point(QQ.rational(0), QQ.rational(0)))
+    assert not NonzeroDist("O", "P").holds({"O": origin, "P": origin}) and SqDistKnown("O", "P", F(0)).holds({"O": origin, "P": origin})
+    # a K(eps) distance agreeing with the value on the rows of D^2 only
+    eps = FunElem.eps()
+    assert not cm.sqdist_is(Point(1 + eps * eps, FunElem.constant(0)), Point(FunElem.constant(0), FunElem.constant(0)), 1)
+    # a value over an extension of the points' tower, rational and not
+    s3 = adjoin_sqrt(QQ, 3).tower
+    p, q = Point(QQ.rational(0), QQ.rational(0)), Point(QQ.rational(3), QQ.rational(4))
+    assert cm.sqdist_is(p, q, s3.rational(25)) and not cm.sqdist_is(p, q, s3.rational(25) + s3.generator(0))
+    # constants off the unit polynomial take the formula
+    two_thirds = FunElem._make(QQ, (((2,),), 1), (((3,),), 1))
+    assert scalars.constant_form(two_thirds) is None
+    a, b = eps_rotation_model().apply(p), eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))
+    assert cm.sqdist_is(a, b, two_thirds * two_thirds) and not cm.sqdist_is(a, b, FunElem.constant(F(4, 9)) + eps)
+    one = FunElem._make(QQ, (((3,),), 1), (((3,),), 1))
+    assert cm.form_vanishes([(1, (b.x, a.x), None), (-1, (b.x, a.x), one)])
+    assert not cm.form_vanishes([(1, (b.x, a.x), None), (-1, (b.x, a.x), two_thirds)])
+
+
+# -- counters ------------------------------------------------------------------------------------
+
+
+def test_fact_kinds_build_no_carrier_objects(monkeypatch):
+    """On one-tower inputs (the gadget's coordinates and the images of
+    every model of the family), no fact kind's ``holds`` builds a
+    ``TowerElem`` or ``FunElem`` or reduces a value."""
+    cases = []
+    for entry in suite.replay_corpus():
+        for _, model in suite.model_family(entry.gadget):
+            images = {name: model.apply(p) for name, p in entry.gadget.points.items()}
+            cases.append((entry.derivation.facts, images))
+    counting, calls = [False], []
+
+    def counted(name, real):
+        def run(*args):
+            if counting[0]:
+                calls.append(name)
+            return real(*args)
+
+        return run
+
+    for name in ("_elem", "_canon", "_fcanon"):
+        monkeypatch.setattr(scalars, name, counted(name, getattr(scalars, name)))
+    make = counted("_make", FunElem._make.__func__)
+    monkeypatch.setattr(FunElem, "_make", classmethod(make))
+    kinds = set()
+    for facts, images in cases:
+        first = next(iter(images.values())).x
+        if isinstance(first, FunElem):
+            scalars._fsquare(first.tower, first._d)  # D^2, built once per model by its memo
+        counting[0] = True
+        for fact in facts:
+            kinds.add(type(fact))
+            assert fact.holds(images)
+        counting[0] = False
+    assert kinds == set(FACT_KINDS) and calls == []
+    # the counters do see the formula: one point over an extension of the tower
+    facts, images = cases[0]
+    a, wider = images["A"], adjoin_sqrt(images["A"].x.tower, 13).tower
+    images = dict(images, A=Point(a.x.lift(wider), a.y.lift(wider)))
+    counting[0] = True
+    assert all(fact.holds(images) for fact in facts)
+    assert calls
+
+
+def test_soundness_pass_takes_no_fmul_in_fun_equality(monkeypatch):
+    calls = {"all": 0, "eq": 0}
+    real, eq_code = scalars._fmul, FunElem.__eq__.__code__
+
+    def counting(rads, a, b):
+        calls["all"] += 1
+        calls["eq"] += sys._getframe(1).f_code is eq_code
+        return real(rads, a, b)
+
+    items = soundness_items()
+    monkeypatch.setattr(scalars, "_fmul", counting)
+    for item in items:
+        item()
+    assert calls["all"] > 0 and calls["eq"] == 0
+    # the counter does see __eq__ cross-multiplying over two denominators
+    eps = FunElem.eps()
+    assert eps / (eps + 1) == (2 * eps) / (2 * eps + 2)
+    assert calls["eq"] == 2
+
+
+# -- rational coordinates ------------------------------------------------------------------------
+
+
+def test_rational_coordinates_are_points_of_q():
+    """Every embedding fixes Q: points with ``int``/``Fraction`` coordinates
+    give the reports of the same points over ``QQ``."""
+    plain = [Point(F(1, 2), F(0)), Point(F(3), F(-1, 3)), Point(0, F(5, 7)), Point(F(2), 1)]
+    over_q = [Point(QQ.rational(p.x), QQ.rational(p.y)) for p in plain]
+    s2 = adjoin_sqrt(QQ, 2).tower
+    conj = conjugation_model(s2, 0)
+    lambdas = [F(2), F(-1, 3)]
+    for model in (identity_model(), eps_rotation_model(), conj, ModelMap(conj.embedding, make_pythagorean_rotation(F(1, 2)))):
+        assert [model.apply(p) for p in plain] == [model.apply(p) for p in over_q]
+        report = verify_preservation(model, list(combinations(plain, 2)))
+        assert report.ok and report == verify_preservation(model, list(combinations(over_q, 2)))
+        report = verify_structure(model, lambdas, plain)
+        assert report.ok and report == verify_structure(model, lambdas, over_q)

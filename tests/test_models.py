@@ -446,20 +446,29 @@ def test_lazy_kfield_refutes_the_negative_controls():
 
 
 def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
-    """Every squared distance of K(eps) images runs ``fun_sqdist``, and no
-    ``sqdist`` call multiplies ``FunElem``s."""
+    """Every squared distance of K(eps) images that check and preservation
+    compare runs the integer kernel ``fun_sqdist_is`` (through
+    ``cm.sqdist_is``), none is built by ``sqdist``, and none multiplies
+    ``FunElem``s."""
     corpus = suite.replay_corpus()
-    counts = {"kfield": 0, "kernel": 0, "mul": 0}
+    counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0}
     inside = []
-    real_sqdist, real_kernel, real_mul = cm.sqdist, cm.fun_sqdist, FunElem.__mul__
+    real_is, real_sqdist, real_kernel, real_mul = cm.sqdist_is, cm.sqdist, cm.fun_sqdist_is, FunElem.__mul__
 
-    def counting_sqdist(p, q):
-        counts["kfield"] += any(isinstance(c, FunElem) for c in (p.x, p.y, q.x, q.y))
+    def kfield(p, q):
+        return any(isinstance(c, FunElem) for c in (p.x, p.y, q.x, q.y))
+
+    def counting_is(p, q, value):
+        counts["kfield"] += kfield(p, q)
         inside.append(True)
         try:
-            return real_sqdist(p, q)
+            return real_is(p, q, value)
         finally:
             inside.pop()
+
+    def counting_sqdist(p, q):
+        counts["sqdist"] += kfield(p, q)
+        return real_sqdist(p, q)
 
     def counting_kernel(*args):
         counts["kernel"] += 1
@@ -470,8 +479,10 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return real_mul(self, other)
 
     for module in (engine, gadgets, models):
+        monkeypatch.setattr(module, "sqdist_is", counting_is)
+    for module in (cm, gadgets, models):
         monkeypatch.setattr(module, "sqdist", counting_sqdist)
-    monkeypatch.setattr(cm, "fun_sqdist", counting_kernel)
+    monkeypatch.setattr(cm, "fun_sqdist_is", counting_kernel)
     monkeypatch.setattr(FunElem, "__mul__", counting_mul)
     monkeypatch.setattr(FunElem, "__rmul__", counting_mul)
     checks = 0
@@ -483,11 +494,12 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
             assert verify_preservation(model, pairs).ok
             checks += 1
     assert checks == 96
-    assert counts["kfield"] > 0 and counts["kernel"] == counts["kfield"] and counts["mul"] == 0
+    assert counts["kfield"] > 0 and counts["kernel"] == counts["kfield"]
+    assert counts["sqdist"] == counts["mul"] == 0
     # the counters do see the formula, taken over two denominators
     eps = FunElem.eps()
-    assert engine.sqdist(Point(eps, eps), Point(eps / (eps + 1), FunElem.constant(0))) == eps * eps + (eps * eps / (eps + 1)) ** 2
-    assert counts["kfield"] == counts["kernel"] + 1 and counts["mul"] == 2
+    assert engine.sqdist_is(Point(eps, eps), Point(eps / (eps + 1), FunElem.constant(0)), eps * eps + (eps * eps / (eps + 1)) ** 2)
+    assert counts["kfield"] == counts["kernel"] + 1 and counts["sqdist"] == 1 and counts["mul"] == 2
 
 
 def test_model_checks_take_no_polynomial_gcd(monkeypatch):

@@ -1311,18 +1311,18 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
         models.ModelMap(conj.embedding, models.make_pythagorean_rotation(Fraction(1, 2))),
     ]
     kernel_calls, fun_kernel_calls = [], []
-    real_kernel, real_fun_kernel = cm.tower_sqdist, cm.fun_sqdist
 
-    def counting_kernel(*args):
-        kernel_calls.append(args)
-        return real_kernel(*args)
+    def counting(calls, real):
+        def kernel(*args):
+            calls.append(args)
+            return real(*args)
 
-    def counting_fun_kernel(*args):
-        fun_kernel_calls.append(args)
-        return real_fun_kernel(*args)
+        return kernel
 
-    monkeypatch.setattr(cm, "tower_sqdist", counting_kernel)
-    monkeypatch.setattr(cm, "fun_sqdist", counting_fun_kernel)
+    for name in ("tower_sqdist", "tower_sqdist_is"):
+        monkeypatch.setattr(cm, name, counting(kernel_calls, getattr(cm, name)))
+    for name in ("fun_sqdist", "fun_sqdist_is"):
+        monkeypatch.setattr(cm, name, counting(fun_kernel_calls, getattr(cm, name)))
 
     def results():
         out = []
@@ -1340,8 +1340,10 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
 
     kernel = results()
     assert kernel_calls and fun_kernel_calls
-    for module in (cm, engine, gadgets, models):
+    for module in (cm, gadgets, models):
         monkeypatch.setattr(module, "sqdist", _generic_sqdist)
+    for module in (cm, engine, gadgets, models):
+        monkeypatch.setattr(module, "sqdist_is", lambda p, q, value: _generic_sqdist(p, q) == value)
     kernel_calls.clear()
     fun_kernel_calls.clear()
     generic = results()
