@@ -14,14 +14,16 @@ coordinates with ``==``.  Nothing here tolerates approximation.
 The facts are decided by three exact zero tests, one per equation shape,
 which build no carrier value on the coordinates those kernels take:
 ``sqdist_is`` (a squared distance equals a constant: its unreduced
-numerator cross-multiplied with the constant), ``combination_vanishes``
-(an integer combination of points is zero) and ``form_vanishes`` (a sum of
-products of coordinate differences is zero: dot and cross products, and
-a ratio cross-multiplied).  Each runs the ``scalars`` kernel of its shape
-for one tower, or for K(eps) over one shared denominator D, where an
-equation homogeneous in D holds iff it holds on the numerators.  Every
-other carrier (coordinates over different towers or denominators,
-``Fraction``, ``Polynomial``) takes the generic formula.
+numerator cross-multiplied with the constant, read by ``constant_form``;
+``sqdist_is_form`` takes the constant already in that form),
+``combination_vanishes`` (an integer combination of points is zero) and
+``form_vanishes`` (a sum of products of coordinate differences is zero:
+dot and cross products, and a ratio cross-multiplied).  Each runs the
+``scalars`` kernel of its shape for one tower, or for K(eps) over one
+shared denominator D, where an equation homogeneous in D holds iff it
+holds on the numerators.  Every other carrier (coordinates over different
+towers or denominators, ``Fraction``, ``Polynomial``) takes the generic
+formula.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .poly import det
 from .scalars import (
     QQ,
     FunElem,
+    IVec,
     TowerDesc,
     TowerElem,
     _funit,
@@ -165,22 +168,35 @@ def _kernel_tower(coords: Sequence[Scalar]) -> tuple[bool, TowerDesc] | None:
 def sqdist_is(p: Point, q: Point, value: Scalar) -> bool:
     """``sqdist(p, q) == value``, decided without building the distance.
 
-    For a constant value (a rational, a tower element, or a ``FunElem``
-    over the unit polynomial) over a prefix of the points' tower, the
-    unreduced numerator of the squared distance is compared with it by
-    cross-multiplication: ``tower_sqdist_is`` for four coordinates of one
-    tower, ``fun_sqdist_is`` for four ``FunElem``s over one denominator
-    pair.  Other carriers and values compare the value of ``sqdist``.
+    A constant value (a rational, a tower element, or a ``FunElem`` over
+    the unit polynomial) is read by ``constant_form`` and compared by
+    ``sqdist_is_form``; other carriers and values, and coordinates that
+    entry point declines, compare the value of ``sqdist``.
+    """
+    const = constant_form(value)
+    if const is not None:
+        ok = sqdist_is_form(p, q, *const)
+        if ok is not None:
+            return ok
+    return sqdist(p, q) == value
+
+
+def sqdist_is_form(p: Point, q: Point, tower: TowerDesc, m: IVec, e: int) -> bool | None:
+    """``sqdist(p, q) == m/e`` for a constant in ``constant_form``: m an
+    integer vector over ``tower`` (need not be reduced) and e a positive
+    denominator.  When ``tower`` is a prefix of the points' tower, the
+    unreduced numerator of the squared distance is cross-multiplied with
+    m/e: ``tower_sqdist_is`` for four coordinates of one tower,
+    ``fun_sqdist_is`` for four ``FunElem``s over one denominator pair.
+    None for other coordinates and towers.
     """
     coords = (p.x, p.y, q.x, q.y)
-    const = constant_form(value)
-    kind = _kernel_tower(coords) if const is not None else None
+    kind = _kernel_tower(coords)
     if kind is not None:
-        tower_kernel, tower = kind
-        const_tower, m, e = const
-        if const_tower is tower or const_tower.is_prefix_of(tower):
-            return (tower_sqdist_is if tower_kernel else fun_sqdist_is)(tower, *coords, m, e)
-    return sqdist(p, q) == value
+        tower_kernel, points_tower = kind
+        if tower is points_tower or tower.is_prefix_of(points_tower):
+            return (tower_sqdist_is if tower_kernel else fun_sqdist_is)(points_tower, *coords, m, e)
+    return None
 
 
 def combination_vanishes(terms: Sequence[tuple[int, Point]]) -> bool:

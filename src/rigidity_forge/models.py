@@ -10,25 +10,40 @@ deduction rule that would illegitimately assume continuity or order
 preservation.
 
 Images are built on the integer form, one kernel per embedding kind and frame
-shape the package constructs.  A conjugation of a point over a prefix of its
-domain pads the integer vector and flips the signs of the coordinates that
-hold the generator.  A rational frame takes a*x + b*y + c on the integer
-vectors (``scalars.tower_frame_kernel``); a K(eps) frame over Q on one
-denominator D builds each image numerator from its rational rows, and the
-images over one tower share one lifted D, whose square ``scalars`` builds
-once (``scalars.fun_frame_kernel``).  Every other carrier takes the generic
+shape the package constructs.  An embedding maps an integer vector by one
+method, ``Embedding.map_vector``: identity and inclusion keep it, and a
+conjugation of an element over a prefix of its domain pads the vector and
+flips the signs of the coordinates that hold the generator.  A rational
+frame takes a*x + b*y + c on the integer vectors
+(``scalars.tower_frame_kernel``); a K(eps) frame over Q on one denominator
+D builds each image numerator from its rational rows, and the images over
+one tower share one lifted D, whose square ``scalars`` builds once
+(``scalars.fun_frame_kernel``).  Every other carrier takes the generic
 formula: frames with irrational or mixed entries, ``FunElem`` inputs, points
 outside a conjugation's domain prefix.  Both give the same canonical pairs.
 The generic conjugation carries a point into its domain by
 ``scalars.tower_join``.  Every embedding fixes Q, so ``int`` and
 ``Fraction`` values are elements of Q.
 
+A K(eps) frame over Q on one denominator D, such as the rotation at eps,
+is built and checked orthonormal on the integer numerators
+(``scalars.fun_circle_point``, ``scalars.fun_frame_orthonormal``); other
+frames take the formula.
+
 The reports decide their equations with the zero tests of ``cm``, on the
-integer form where the images allow: preservation compares each image pair
-once with ``rho(v)`` (``cm.sqdist_is``), structure tests additivity as
+integer form where the images allow.  Preservation decides a ``ModelMap``'s
+pair of one-tower points at the cost of two kernels: the source squared
+distance v stays the unreduced n/k of ``scalars.tower_sqdist_num``, rho(v)
+is ``map_vector`` of n, the image pair is compared with it by
+``cm.sqdist_is_form`` (the entry point of ``cm.sqdist_is`` for a constant
+in ``constant_form``), and a rational v must have rho(v) == v on the
+vectors; other models, towers and carriers compare with ``rho(v)`` by
+``cm.sqdist_is``.  Structure tests additivity as
 m(u + v) - m(u) - m(v) + m(0) = 0 (``cm.combination_vanishes``) and
 scaling by cross-multiplication (``cm.form_vanishes``), building no
-quotient.
+quotient.  Both map each distinct point once: an image is looked up by the
+point object, then by value, on the integer vectors while the call's
+points share one tower object (``_mapped_once``).
 """
 
 from __future__ import annotations
@@ -39,17 +54,21 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .cm import Point, _invert, _is_zero, _one_tower, combination_vanishes, form_vanishes, sqdist, sqdist_is
+from .cm import Point, _invert, _is_zero, _one_tower, combination_vanishes, form_vanishes, sqdist, sqdist_is, sqdist_is_form
 from .scalars import (
     QQ,
     FunElem,
+    IVec,
     TowerDesc,
     TowerElem,
     _elem,
+    fun_circle_point,
     fun_frame_kernel,
+    fun_frame_orthonormal,
     tower_conjugate,
     tower_frame_kernel,
     tower_join,
+    tower_sqdist_num,
 )
 
 
@@ -104,15 +123,28 @@ class Embedding:
         if self.kind == "identity":
             return x
         if self.kind == "conjugation":
-            domain = self.domain
-            if isinstance(x, TowerElem) and (x.tower is domain or x.tower.is_prefix_of(domain)):
-                # over a prefix of the domain: pad, and flip the generator's coordinates
-                n = x._n
-                return _elem(domain, tuple(map(mul, n, self._signs)) + (0,) * (domain.dim - len(n)), x._d)
+            if isinstance(x, TowerElem):
+                mapped = self.map_vector(x.tower, x._n)
+                if mapped is not None:
+                    return _elem(*mapped, x._d)
             if isinstance(x, (int, Fraction)):
-                return domain.rational(x)  # every embedding fixes Q
+                return self.domain.rational(x)  # every embedding fixes Q
             return tower_conjugate(self._into_domain(x), self.generator)
         return FunElem.constant(x)
+
+    def map_vector(self, tower: TowerDesc, n: IVec) -> tuple[TowerDesc, IVec] | None:
+        """The image of an element of ``tower`` given by its integer vector
+        n, over the same denominator: (image tower, image vector).  Identity
+        and inclusion keep n (a constant of K(eps) has the form of its tower
+        element); a conjugation of an element over a prefix of its domain
+        pads n and flips the signs of the generator's coordinates.  None for an
+        element outside a conjugation's domain prefix."""
+        if self.kind != "conjugation":
+            return tower, n
+        domain = self.domain
+        if tower is domain or tower.is_prefix_of(domain):
+            return domain, tuple(map(mul, n, self._signs)) + (0,) * (domain.dim - len(n))
+        return None
 
     def _into_domain(self, x: TowerElem) -> TowerElem:
         """x over the domain, by value: the join (``tower_join``) extends the
@@ -148,11 +180,14 @@ class OrthoAffine:
     _kfield: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (m00, m01), (m10, m11) = self.matrix
-        col1_sq = m00 * m00 + m10 * m10
-        col2_sq = m01 * m01 + m11 * m11
-        cross = m00 * m01 + m10 * m11
-        if not (col1_sq == 1 and col2_sq == 1 and _is_zero(cross)):
+        ok = fun_frame_orthonormal(self.matrix)
+        if ok is None:
+            (m00, m01), (m10, m11) = self.matrix
+            col1_sq = m00 * m00 + m10 * m10
+            col2_sq = m01 * m01 + m11 * m11
+            cross = m00 * m01 + m10 * m11
+            ok = col1_sq == 1 and col2_sq == 1 and _is_zero(cross)
+        if not ok:
             raise NonOrthogonalFrame("columns are not orthonormal under the squared-distance form")
         fun_kernel = fun_frame_kernel(self.matrix, self.translation)
         object.__setattr__(self, "_kernel", fun_kernel or tower_frame_kernel(self.matrix, self.translation))
@@ -170,14 +205,18 @@ class OrthoAffine:
 
 def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | None = None) -> OrthoAffine:
     """Rotation (or reflection) with linear part parametrized by a point of the
-    unit circle: a = (1-t^2)/(1+t^2), b = 2t/(1+t^2); exact in any carrier."""
-    one = t * 0 + 1
-    denom = one + t * t
-    if _is_zero(denom):
-        raise DegenerateParameter("1 + t^2 = 0")
-    inv = _invert(denom)
-    a = (one - t * t) * inv
-    b = (2 * t) * inv
+    unit circle: a = (1-t^2)/(1+t^2), b = 2t/(1+t^2); exact in any carrier,
+    and built on the integer form for t in K(eps) over Q
+    (``scalars.fun_circle_point``)."""
+    entries = fun_circle_point(t)
+    if entries is None:
+        one = t * 0 + 1
+        denom = one + t * t
+        if _is_zero(denom):
+            raise DegenerateParameter("1 + t^2 = 0")
+        inv = _invert(denom)
+        entries = (one - t * t) * inv, (2 * t) * inv
+    a, b = entries
     if reflection:
         rows = ((a, b), (b, -a))
     else:
@@ -241,13 +280,34 @@ def eps_rotation_model(reflection: bool = False) -> ModelMap:
 
 
 def _mapped_once(f):
-    """``f`` on points, evaluated once per distinct point."""
-    images: dict[Point, object] = {}
+    """``f`` on points, evaluated once per distinct point value.
+
+    An image is looked up by the point object first; the entry holds the
+    point, so its id stays valid for the call.  A miss looks the value up:
+    while every point has ``TowerElem`` coordinates of one tower object, by
+    their canonical integer vectors, on which equal values are equal; once a
+    point leaves that tower, by the point, every entry rekeyed so."""
+    by_id: dict[int, tuple[Point, object]] = {}
+    by_value: dict = {}
+    tower = None  # the tower of every point so far; False once they differ
 
     def image(p: Point):
-        out = images.get(p)
+        nonlocal tower, by_value
+        hit = by_id.get(id(p))
+        if hit is not None:
+            return hit[1]
+        x, y = p.x, p.y
+        if tower is not False:
+            if tower is None and isinstance(x, TowerElem):
+                tower = x.tower
+            if not (isinstance(x, TowerElem) and isinstance(y, TowerElem) and x.tower is tower and y.tower is tower):
+                tower = False
+                by_value = {q: out for q, out in by_id.values()}
+        key = p if tower is False else (x._n, x._d, y._n, y._d)
+        out = by_value.get(key)
         if out is None:
-            out = images[p] = f(p)
+            out = by_value[key] = f(p)
+        by_id[id(p)] = (p, out)
         return out
 
     return image
@@ -265,30 +325,56 @@ class PreservationReport:
     checks: tuple[PairCheck, ...]
 
 
-def _as_rational(value) -> Fraction | None:
-    """``value`` as a ``Fraction`` if it is a rational, else None."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return value.as_fraction() if value.is_rational() else None
+def _preserved_on_vectors(embedding: Embedding, image, p: Point, q: Point) -> bool | None:
+    """The pair test on the integer form, for a ``ModelMap``: the squared
+    distance v of four coordinates of one tower stays the unreduced n/k of
+    ``tower_sqdist_num``, rho(v) is ``embedding.map_vector`` of n over k,
+    the image pair is compared with it by ``cm.sqdist_is_form``, and a
+    rational v (n zero past its first coordinate) must have rho(v) == v on
+    the vectors.  None where a step does not apply."""
+    coords = (p.x, p.y, q.x, q.y)
+    tower = _one_tower(coords)
+    if tower is None:
+        return None
+    n, k = tower_sqdist_num(tower._rads, *coords)
+    mapped = embedding.map_vector(tower, n)
+    if mapped is None:
+        return None
+    m_tower, m = mapped
+    ok = sqdist_is_form(image(p), image(q), m_tower, m, k)
+    if ok is None:
+        return None
+    return ok and (any(n[1:]) or (m[0] == n[0] and not any(m[1:])))
+
+
+def _preserved(model, image, p: Point, q: Point) -> bool:
+    """The pair test by the formula: the image pair against rho(v) by
+    ``cm.sqdist_is``, and rho(v) == v for a rational v."""
+    value = sqdist(p, q)
+    target = model.rho(value)
+    if not sqdist_is(image(p), image(q), target):
+        return False
+    return not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
 
 
 def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -> PreservationReport:
     """Check the squared distance of each image pair equals the embedded
     squared distance; rational values must be reproduced verbatim.  Each
-    distinct point is mapped once, and each image pair is compared once,
-    with ``rho(v)`` (``cm.sqdist_is``); a rational v must also have
-    ``rho(v) == v``, which by transitivity is the image distance equal to v.
-    ``int`` and ``Fraction`` coordinates are rationals."""
+    distinct point is mapped once, and each image pair is compared once
+    with rho(v); a rational v must also have rho(v) == v, which by
+    transitivity is the image distance equal to v.  A ``ModelMap`` decides
+    a pair of one-tower points on the integer form
+    (``_preserved_on_vectors``), building no element; other models,
+    towers and carriers take the formula (``_preserved``).  ``int`` and
+    ``Fraction`` coordinates are rationals."""
     image = _mapped_once(model.apply)
+    embedding = model.embedding if isinstance(model, ModelMap) else None
     checks = []
     all_ok = True
     for p, q in pairs:
-        value = sqdist(p, q)
-        target = model.rho(value)
-        ok = sqdist_is(image(p), image(q), target)
-        if ok:
-            rational = _as_rational(value)
-            ok = rational is None or target == rational
+        ok = None if embedding is None else _preserved_on_vectors(embedding, image, p, q)
+        if ok is None:
+            ok = _preserved(model, image, p, q)
         checks.append(PairCheck((p, q), ok))
         all_ok = all_ok and ok
     return PreservationReport(ok=all_ok, checks=tuple(checks))

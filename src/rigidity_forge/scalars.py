@@ -40,8 +40,10 @@ Three carriers, all with decidable equality:
   counterparts on the numerators of elements over one denominator pair D;
   ``fun_sqdist_is`` compares with a constant times D^2 from the memo.
   ``fun_frame_kernel`` maps two elements of one tower
-  through a K(eps) frame over Q into K(eps) on the integer matrices.  The
-  reduced form (coprime polynomials, monic denominator) is
+  through a K(eps) frame over Q into K(eps) on the integer matrices;
+  ``fun_circle_point`` builds such a frame's entries from a parameter t
+  and ``fun_frame_orthonormal`` checks its columns, both on the numerators.
+  The reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
   hashing, printing and the codec read those.
@@ -1286,29 +1288,34 @@ def fun_form_vanishes(tower: TowerDesc, terms: Sequence[tuple]) -> bool:
     """``tower_form_vanishes`` for K(eps): differences of elements over one
     denominator pair D and constants over the unit polynomial, each term of
     the same degree in D, so the equation holds iff it holds on the
-    numerators.  Each term is scaled to one denominator and all products
-    run in one convolution (``_facc``), with one zero test."""
-    rads, dim = tower._rads, tower.dim
-    one = [(0, (1,) + (0,) * (dim - 1), 1)]
+    numerators (``_fproducts``), with one zero test."""
     factors = [(s, _fun_factor(f), None if g is None else _fun_factor(g)) for s, f, g in terms]
+    return not any(map(any, _fproducts(tower._rads, tower.dim, factors)[0]))
+
+
+def _fproducts(rads: Rads, dim: int, factors: Sequence[tuple]) -> tuple[list[IVec], int]:
+    """sum(s * x * y) over (s, x, y), each factor integer rows over a
+    positive denominator and y None for 1, as unreduced rows over a
+    positive denominator: each term scaled to one denominator and all
+    products in one convolution (``_facc``)."""
+    one = [(0, (1,) + (0,) * (dim - 1), 1)]
     dens = [x[1] * (1 if y is None else y[1]) for _, x, y in factors]
     k = lcm(*dens)
     size = max((len(x[0]) + (0 if y is None else len(y[0]) - 1) for _, x, y in factors), default=0)
-    if size <= 0:  # every product is zero
-        return True
-    out: list[IVec | None] = [None] * size
+    out: list[IVec | None] = [None] * size  # empty when every product is zero
     deferred: list = []
     for (s, (rows, _), y), den in zip(factors, dens):
         f = s * (k // den)
         _facc(rads, out, deferred, _fnonzero(rows if f == 1 else _fscale(rows, f)), one if y is None else _fnonzero(y[0]))
-    rows, _ = _fgather(out, deferred, dim)
-    return not any(map(any, rows))
+    rows, den = _fgather(out, deferred, dim)
+    return rows, k * den
 
 
 # ---------------------------------------------------------------------------
 # Frame kernels: the image (a*x + b*y + c, ...) of two tower elements x, y of
-# one tower under an affine frame, built on the integer form.  Each returns
-# None for frames of another shape, which take the generic formula.
+# one tower under an affine frame, built on the integer form, and a K(eps)
+# frame's entries and orthonormality on its numerators.  Each returns None
+# for frames of another shape, which take the generic formula.
 # ---------------------------------------------------------------------------
 
 FrameKernel = Callable[[TowerElem, TowerElem], tuple]
@@ -1351,6 +1358,11 @@ def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
     return tuple([p * c + q * e for c, e in zip(u, v)])
 
 
+def _fun_over_q(entries: Sequence) -> bool:
+    """Every entry a ``FunElem`` over Q, all on one denominator D."""
+    return all(isinstance(e, FunElem) and e.tower.depth == 0 and e._d == entries[0]._d for e in entries)
+
+
 def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
     """The kernel of a K(eps) frame: every matrix entry a ``FunElem`` over Q,
     all on one denominator D, and no translation.  It includes x and y into
@@ -1359,10 +1371,7 @@ def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
     tower.  The images over one tower share one lifted D object (a one-entry
     memo of this frame), so ``_fsquare`` squares it once."""
     (m00, m01), (m10, m11) = matrix
-    entries = (m00, m01, m10, m11)
-    if translation is not None or not all(isinstance(e, FunElem) and e.tower.depth == 0 for e in entries):
-        return None
-    if not m00._d == m01._d == m10._d == m11._d:
+    if translation is not None or not _fun_over_q((m00, m01, m10, m11)):
         return None
     den_rows, den_k = m00._d
     rows = []
@@ -1392,6 +1401,37 @@ def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
         return tuple(out)
 
     return image
+
+
+def fun_circle_point(t) -> tuple[FunElem, FunElem] | None:
+    """((1 - t^2)/(1 + t^2), 2t/(1 + t^2)) for t = N/D in K(eps) over Q,
+    built on the integer form over one shared denominator D^2 + N^2, which
+    is never zero; None for other values."""
+    if not _fun_over_q((t,)):
+        return None
+    n, d = t._n, t._d
+    den = _fcanon(*_fproducts((), 1, [(1, d, d), (1, n, n)]))
+    a = _fcanon(*_fproducts((), 1, [(1, d, d), (-1, n, n)]))
+    b = _fcanon(*_fproducts((), 1, [(2, n, d)]))
+    return FunElem._make(QQ, a, den), FunElem._make(QQ, b, den)
+
+
+def fun_frame_orthonormal(matrix) -> bool | None:
+    """Whether the columns of a K(eps) matrix are orthonormal, for every
+    entry a ``FunElem`` over Q on one denominator D, decided on the
+    numerators N: N00^2 + N10^2 - D^2, N01^2 + N11^2 - D^2 and
+    N00 N01 + N10 N11 vanish (each of degree 2 in D); None for other
+    matrices."""
+    (m00, m01), (m10, m11) = matrix
+    if not _fun_over_q((m00, m01, m10, m11)):
+        return None
+    n00, n01, n10, n11, d = m00._n, m01._n, m10._n, m11._n, m00._d
+    forms = (
+        [(1, n00, n00), (1, n10, n10), (-1, d, d)],
+        [(1, n01, n01), (1, n11, n11), (-1, d, d)],
+        [(1, n00, n01), (1, n10, n11)],
+    )
+    return not any(any(map(any, _fproducts((), 1, form)[0])) for form in forms)
 
 
 # ---------------------------------------------------------------------------

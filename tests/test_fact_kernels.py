@@ -11,15 +11,20 @@ import sys
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import cm, scalars, suite
-from rigidity_forge.cm import Point, Vec2, _invert, _is_zero, sqdist
+from rigidity_forge import cm, codec, models, scalars, suite
+from rigidity_forge.cm import Point, Vec2, _invert, _is_zero, rational_point, sqdist
 from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation
 from rigidity_forge.gadgets import AffineComb, DotZero, VecEq, VecScale
 from rigidity_forge.models import (
     Embedding,
+    ModelError,
     ModelMap,
+    NonOrthogonalFrame,
+    OrthoAffine,
+    OutOfDomain,
     PairCheck,
     PreservationReport,
     StructureReport,
@@ -31,7 +36,7 @@ from rigidity_forge.models import (
     verify_preservation,
     verify_structure,
 )
-from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
+from rigidity_forge.scalars import QQ, BadGeneratorIndex, FunElem, TowerElem, adjoin_sqrt
 
 FACT_KINDS = (SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero)
 
@@ -533,3 +538,289 @@ def test_rational_coordinates_are_points_of_q():
         assert report.ok and report == verify_preservation(model, list(combinations(over_q, 2)))
         report = verify_structure(model, lambdas, plain)
         assert report.ok and report == verify_structure(model, lambdas, over_q)
+
+
+# -- preservation on the integer form ------------------------------------------------------------
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and message of what it raises."""
+    try:
+        return run()
+    except ModelError as err:
+        return type(err), str(err)
+
+
+def _extended(tower, radicand=13):
+    return adjoin_sqrt(tower, radicand).tower
+
+
+def _irrational_frame():
+    """A rotation at 1 + sqrt(2) with a sqrt(2) translation, decoded from
+    its ``model-check`` descriptor: the generic formula."""
+    r2 = adjoin_sqrt(QQ, 2)
+    frame = make_pythagorean_rotation(1 + r2.root, translation=(r2.root, r2.tower.rational(3)))
+    return codec.decode_model(codec.encode_model(ModelMap(Embedding("identity"), frame))).frame
+
+
+def _conjugations(domain, frame):
+    """Conjugations of ``domain``, plain and with ``frame``, of each
+    generator whose flip is an automorphism."""
+    out = []
+    for generator in range(domain.depth):
+        try:
+            out += [conjugation_model(domain, generator), conjugation_model(domain, generator, frame)]
+        except BadGeneratorIndex:
+            pass
+    return out
+
+
+@st.composite
+def preservation_cases(draw):
+    """A model and pairs of points over one tower, viewed as one of: the
+    tower itself, under conjugations whose domain strictly extends it,
+    ``int``/``Fraction`` coordinates, one point over an extension (mixed
+    pairs), equal but distinct point objects, or points over an extension
+    of a conjugation's domain (which may raise)."""
+    tower = draw(st.sampled_from(TOWERS[:4]))
+    elems = _elems(tower, draw(st.integers(0, 2**32)))
+    points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero())]
+    view = draw(st.sampled_from(["tower", "wider domain", "rationals", "mixed", "equal copies", "outside domain"]))
+    rotation = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
+    if view == "wider domain":
+        family = _conjugations(_extended(tower), rotation)
+        family.append(ModelMap(family[-1].embedding, _irrational_frame()))
+    elif view == "outside domain":
+        domain = tower if tower.depth else _extended(QQ, 2)
+        family = _conjugations(domain, rotation)
+        wider = _extended(domain)
+        extra = next(elems).lift(wider) * wider.generator(wider.depth - 1)
+        points = [Point(p.x.lift(wider), p.y.lift(wider)) for p in points]
+        moved = draw(st.integers(0, 3))
+        points[moved] = Point(points[moved].x, points[moved].y + draw(st.sampled_from([0, 1])) * extra)
+    else:
+        family = [identity_model(), eps_rotation_model(), eps_rotation_model(reflection=True), _Scaled()]
+        family.append(ModelMap(Embedding("identity"), _irrational_frame()))
+        if tower.depth:
+            family += _conjugations(tower, rotation)
+            family.append(_XYModel(lambda x: x, family[-1].embedding.apply_scalar, lambda v: v))
+    if view == "rationals":
+        points = [Point(*(c.coords[0] if draw(st.booleans()) else int(c.coords[0] * 6) for c in (p.x, p.y))) for p in points]
+    elif view == "mixed":
+        wider = _extended(tower)
+        points[0] = Point(points[0].x.lift(wider), points[0].y.lift(wider))
+    elif view == "equal copies":
+        # the same values as new objects, one of them over an extension of the tower
+        wider = _extended(tower)
+        points += [Point(points[0].x, points[0].y), Point(points[1].x.lift(wider), points[1].y.lift(wider))]
+    model = draw(st.sampled_from(family))
+    pairs = list(combinations(points, 2)) + [(points[-1], points[0])]
+    return model, pairs, view
+
+
+def _first_outside(embedding, pairs):
+    """The first value outside a conjugation's domain in the order the
+    pairs are mapped: per pair the distance (rho(v) comes first), then
+    p.x, p.y, q.x, q.y."""
+    for p, q in pairs:
+        for value in (sqdist(p, q), p.x, p.y, q.x, q.y):
+            try:
+                embedding.apply_scalar(value)
+            except OutOfDomain:
+                return value
+    return None
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(preservation_cases())
+def test_preservation_views_match_the_oracle(case):
+    model, pairs, view = case
+    # the oracle reads rational coordinates as elements of QQ; the reports' pairs compare equal by value
+    over_q = [tuple(Point(*(c if isinstance(c, TowerElem) else QQ.rational(c) for c in (p.x, p.y))) for p in pair) for pair in pairs]
+    kernel, oracle = _outcome(lambda: verify_preservation(model, pairs)), _outcome(lambda: oracle_preservation(model, over_q))
+    if not isinstance(oracle, tuple):
+        assert kernel == oracle
+        return
+    # the same exception; its message names the first value mapped, and
+    # rho(v) comes before the points' images (the oracle maps the points first)
+    assert view == "outside domain" and kernel[0] is oracle[0] is OutOfDomain
+    first = _first_outside(model.embedding, pairs)
+    assert kernel[1] == f"{first} does not lie in the embedding domain {model.embedding.domain}"
+
+
+def _flipped_rational_part(model):
+    """``model`` with a mutant embedding whose ``_signs`` also flip
+    coordinate 0: it no longer fixes Q."""
+    embedding = dataclasses.replace(model.embedding)
+    object.__setattr__(embedding, "_signs", (-embedding._signs[0],) + embedding._signs[1:])
+    return ModelMap(embedding, model.frame)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(TOWERS[1:4]), st.integers(0, 2**32), st.booleans())
+def test_a_conjugation_that_moves_q_fails_as_in_the_oracle(tower, seed, framed):
+    elems = _elems(tower, seed)
+    points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero()), Point(tower.zero(), tower.zero())]
+    pairs = list(combinations(points, 2))
+    frame = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2))) if framed else None
+    mutant = _flipped_rational_part(conjugation_model(_extended(tower), tower.depth, frame))
+    report = verify_preservation(mutant, pairs)
+    assert report == oracle_preservation(mutant, pairs)
+    # every pair whose distance has a nonzero rational part fails
+    assert [check.ok for check in report.checks] == [sqdist(p, q).coords[0] == 0 for p, q in pairs]
+
+
+def test_rational_distances_are_checked_on_the_vectors(monkeypatch):
+    """With the image test passing whatever it is given, the mutant of
+    coordinate 0 still fails every pair with a nonzero rational distance,
+    through rho(v) == v on the integer vectors; the sound conjugation
+    passes them all."""
+    tower = TOWERS[2]
+    points = [rational_point(0, 0, tower), rational_point(3, 4, tower), Point(tower.generator(0), tower.zero())]
+    pairs = list(combinations(points, 2))  # distances 25, 2 and 27 - 6 sqrt(2)
+    monkeypatch.setattr(models, "sqdist_is_form", lambda *args: True)
+    sound = conjugation_model(tower, 1)
+    assert verify_preservation(sound, pairs).ok
+    report = verify_preservation(_flipped_rational_part(sound), pairs)
+    assert [check.ok for check in report.checks] == [False, False, True]
+
+
+# -- counters: preservation and the image memo ---------------------------------------------------
+
+
+def _scoped(inside, fn):
+    def run(*args):
+        inside.append(True)
+        try:
+            return fn(*args)
+        finally:
+            inside.pop()
+
+    return run
+
+
+def test_image_memo_hashes_at_most_once_per_point(monkeypatch):
+    """In a warm soundness pass, looking images up in ``verify_preservation``
+    and ``verify_structure`` takes at most one ``TowerElem`` hash per
+    distinct point mapped."""
+    inside, counts = [], {"hash": 0, "mapped": 0}
+    items = soundness_items(_scoped(inside, verify_preservation), _scoped(inside, verify_structure))
+    for item in items:
+        item()
+    real_hash, real_apply = TowerElem.__hash__, ModelMap.apply
+
+    def counting_hash(self):
+        counts["hash"] += bool(inside)
+        return real_hash(self)
+
+    def counting_apply(self, p):
+        counts["mapped"] += bool(inside)
+        return real_apply(self, p)
+
+    monkeypatch.setattr(TowerElem, "__hash__", counting_hash)
+    monkeypatch.setattr(ModelMap, "apply", counting_apply)
+    for item in items:
+        item()
+    assert counts["mapped"] > 0 and counts["hash"] <= counts["mapped"]
+    # equal but distinct points are mapped once, and the counter does see
+    # the lookup by value once a point leaves the first point's tower: each
+    # of the four point objects is hashed once (two coordinates), however
+    # often it is looked up
+    tower = TOWERS[2]
+    p, q = Point(tower.generator(0), tower.one()), rational_point(3, 4, tower)
+    wider = _extended(tower)
+    copies = [Point(p.x, p.y), Point(p.x.lift(wider), p.y.lift(wider))]
+    counts.update(hash=0, mapped=0)
+    inside.append(True)
+    assert verify_preservation(identity_model(), [(p, q), (copies[0], q), (copies[1], q), (p, q), (q, p), (copies[0], p)]).ok
+    assert counts["mapped"] == 2 and 0 < counts["hash"] <= 2 * 4
+
+
+def test_preservation_builds_no_carrier_objects(monkeypatch):
+    """For ``ModelMap`` models on one-tower coordinates, ``verify_preservation``
+    builds no ``TowerElem``, ``FunElem`` or ``Fraction`` outside
+    ``ModelMap.apply``: every pair is decided on the integer form."""
+    cases = []
+    for entry in suite.replay_corpus():
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        cases += [(model, pairs) for _, model in suite.model_family(gadget)]
+    inside, calls = [], []
+
+    def counted(name, real):
+        def run(*args, **kwargs):
+            if inside and inside[-1]:
+                calls.append(name)
+            return real(*args, **kwargs)
+
+        return run
+
+    real_apply = ModelMap.apply
+
+    def apply(self, p):
+        inside.append(False)
+        try:
+            return real_apply(self, p)
+        finally:
+            inside.pop()
+
+    for module in (scalars, models):
+        monkeypatch.setattr(module, "_elem", counted("_elem", scalars._elem))
+    monkeypatch.setattr(FunElem, "_make", classmethod(counted("_make", FunElem._make.__func__)))
+    monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
+    monkeypatch.setattr(ModelMap, "apply", apply)
+    preservation = _scoped(inside, verify_preservation)
+    for model, pairs in cases:
+        assert preservation(model, pairs).ok
+    assert len(cases) == 96 and calls == []
+    # the counters do see the formula: a pair over two towers
+    p = Point(*(c.lift(_extended(QQ)) for c in (QQ.zero(), QQ.one())))
+    assert preservation(identity_model(), [(p, rational_point(3, 4))]).ok
+    assert "_elem" in calls
+
+
+# -- K(eps) frames on the integer form --------------------------------------------------------------
+
+
+def _fmul_calls(monkeypatch):
+    calls = []
+    real = scalars._fmul
+    monkeypatch.setattr(scalars, "_fmul", lambda rads, a, b: calls.append(a) or real(rads, a, b))
+    return calls
+
+
+def test_eps_models_take_no_fmul(monkeypatch):
+    calls = _fmul_calls(monkeypatch)
+    eps_rotation_model()
+    eps_rotation_model(reflection=True)
+    assert calls == []
+    # the counter does see the formula: a frame over Q(sqrt 2)
+    make_pythagorean_rotation(FunElem.eps() + adjoin_sqrt(QQ, 2).root)
+    assert calls
+
+
+def _circle_point_formula(t):
+    one = t * 0 + 1
+    inv = (one + t * t).inverse()
+    return (one - t * t) * inv, (2 * t) * inv
+
+
+def test_k_eps_frames_match_the_formula(monkeypatch):
+    eps = FunElem.eps()
+    for t in (eps, eps / (eps + 1), 3 * eps * eps - F(1, 2), F(2, 3) + eps * 0):
+        a, b = scalars.fun_circle_point(t)
+        assert (a, b) == _circle_point_formula(t) and a._d is b._d
+        for reflection, rows in ((False, ((a, -b), (b, a))), (True, ((a, b), (b, -a)))):
+            assert scalars.fun_frame_orthonormal(rows) is True
+            assert make_pythagorean_rotation(t, reflection=reflection).matrix == rows
+        # not orthonormal: scaled by 2, the second column only, and a nonzero cross term
+        for rows in (((2 * a, -2 * b), (2 * b, 2 * a)), ((a, -2 * b), (b, 2 * a)), ((a, b), (b, a))):
+            assert scalars.fun_frame_orthonormal(rows) is False
+            with pytest.raises(NonOrthogonalFrame):
+                OrthoAffine(rows)
+    # other carriers take the formula
+    s2 = adjoin_sqrt(QQ, 2).root
+    assert scalars.fun_circle_point(eps + s2) is None and scalars.fun_frame_orthonormal(((1, 0), (0, 1))) is None
+    assert scalars.fun_frame_orthonormal(((eps, 0), (0, eps))) is None
+    with pytest.raises(NonOrthogonalFrame):
+        OrthoAffine(((eps, 0 * eps), (0 * eps, eps)))

@@ -448,8 +448,8 @@ def test_lazy_kfield_refutes_the_negative_controls():
 def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     """Every squared distance of K(eps) images that check and preservation
     compare runs the integer kernel ``fun_sqdist_is`` (through
-    ``cm.sqdist_is``), none is built by ``sqdist``, and none multiplies
-    ``FunElem``s."""
+    ``cm.sqdist_is``, or ``cm.sqdist_is_form`` for preservation), none is
+    built by ``sqdist``, and none multiplies ``FunElem``s."""
     corpus = suite.replay_corpus()
     counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0}
     inside = []
@@ -458,13 +458,16 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     def kfield(p, q):
         return any(isinstance(c, FunElem) for c in (p.x, p.y, q.x, q.y))
 
-    def counting_is(p, q, value):
-        counts["kfield"] += kfield(p, q)
-        inside.append(True)
-        try:
-            return real_is(p, q, value)
-        finally:
-            inside.pop()
+    def counting(real):
+        def run(p, q, *value):
+            counts["kfield"] += kfield(p, q)
+            inside.append(True)
+            try:
+                return real(p, q, *value)
+            finally:
+                inside.pop()
+
+        return run
 
     def counting_sqdist(p, q):
         counts["sqdist"] += kfield(p, q)
@@ -479,7 +482,8 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return real_mul(self, other)
 
     for module in (engine, gadgets, models):
-        monkeypatch.setattr(module, "sqdist_is", counting_is)
+        monkeypatch.setattr(module, "sqdist_is", counting(real_is))
+    monkeypatch.setattr(models, "sqdist_is_form", counting(cm.sqdist_is_form))
     for module in (cm, gadgets, models):
         monkeypatch.setattr(module, "sqdist", counting_sqdist)
     monkeypatch.setattr(cm, "fun_sqdist_is", counting_kernel)

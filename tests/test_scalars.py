@@ -1344,6 +1344,8 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
         monkeypatch.setattr(module, "sqdist", _generic_sqdist)
     for module in (cm, engine, gadgets, models):
         monkeypatch.setattr(module, "sqdist_is", lambda p, q, value: _generic_sqdist(p, q) == value)
+    # preservation's entry point on the integer form declines, so its pairs take the formula
+    monkeypatch.setattr(models, "sqdist_is_form", lambda *args: None)
     kernel_calls.clear()
     fun_kernel_calls.clear()
     generic = results()
