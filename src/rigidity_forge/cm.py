@@ -24,13 +24,31 @@ shared denominator D, where an equation homogeneous in D holds iff it
 holds on the numerators.  Every other carrier (coordinates over different
 towers or denominators, ``Fraction``, ``Polynomial``) takes the generic
 formula.
+
+A report that decides many facts over one point set classifies its points
+once: ``point_table`` scans every coordinate a single time and picks one
+carrier for the call.  Over Q (every coordinate a ``TowerElem`` of depth
+0) the table holds each point as plain ``int`` coordinates over one
+denominator, the ``lcm`` of its two; a squared distance with value a/b is
+then b*(dx^2 + dy^2) == a*k^2, for the difference (dx, dy) over k, and
+point equality, the integer combinations and the dot products are a few
+integer operations each.  The denominators are kept per point: one common
+denominator L of all the points would grow with their number (L^2 had 4.2
+million bits on 80 points with distinct 4,000-digit denominators).  Over one
+tower, or K(eps) over one denominator pair, the table calls the kernels
+above directly; any other point set decides each test on its own points
+with the functions above.  The facts are written once, against the table's
+tests (``same``, ``sqdist_is``, ``relation_vanishes``, ``dot_vanishes``);
+a fact given a plain mapping builds the table of that mapping.  A table
+lives for one call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Sequence
+from math import lcm
+from typing import Any, Mapping, Sequence
 
 from .poly import det
 from .scalars import (
@@ -49,6 +67,7 @@ from .scalars import (
     tower_form_vanishes,
     tower_sqdist,
     tower_sqdist_is,
+    tower_sqdist_num,
 )
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
@@ -159,9 +178,16 @@ def _kernel_tower(coords: Sequence[Scalar]) -> tuple[bool, TowerDesc] | None:
     tower = _one_tower(coords)
     if tower is not None:
         return True, tower
+    tower = _one_fun_tower(coords)
+    return None if tower is None else (False, tower)
+
+
+def _one_fun_tower(coords: Sequence[Scalar]) -> TowerDesc | None:
+    """The tower of ``coords`` if all are ``FunElem``s of one tower over one
+    denominator pair."""
     tower = _one_tower(coords, FunElem)
     if tower is not None and all(c._d == coords[0]._d for c in coords):
-        return False, tower
+        return tower
     return None
 
 
@@ -252,6 +278,170 @@ def form_vanishes(terms: Sequence[tuple[int, Factor, Factor]]) -> bool:
         ):
             return (tower_form_vanishes if tower_kernel else fun_form_vanishes)(tower, terms)
     return _is_zero(sum(s * _factor_value(f) * _factor_value(g) for s, f, g in terms))
+
+
+# ---------------------------------------------------------------------------
+# Point tables: the points of one report call, classified once
+# ---------------------------------------------------------------------------
+
+
+class PointTable:
+    """Named points whose carrier ``point_table`` picked once, indexed by
+    name as the mapping they were given, with the tests the facts are
+    written in; a difference (u1, u0) of names is the vector from u0 to u1.
+    This class serves carriers that no kernel takes for all the points
+    together, and decides each test on its own points with the functions
+    above, as a one-off caller does."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: Mapping[Any, Point]) -> None:
+        self.points = points
+
+    def __getitem__(self, name) -> Point:
+        return self.points[name]
+
+    def sqdist(self, p, q) -> Scalar:
+        return sqdist(self.points[p], self.points[q])
+
+    def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
+        """The squared distance as an unreduced integer vector over the
+        table's ``tower`` and a positive denominator, on the tower kernels;
+        None on other carriers."""
+        return None
+
+    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
+        """``sqdist(p, q) == m/e`` for a constant in ``constant_form``, or None
+        where the carrier does not take ``tower``."""
+        return sqdist_is_form(self.points[p], self.points[q], tower, m, e)
+
+    def sqdist_is(self, p, q, value: Scalar) -> bool:
+        return sqdist_is(self.points[p], self.points[q], value)
+
+    def same(self, p, q) -> bool:
+        return self.points[p] == self.points[q]
+
+    def _terms(self, relation: Mapping[Any, int]) -> list[tuple[int, Point]]:
+        return [(c, self.points[n]) for n, c in relation.items()]
+
+    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
+        """sum(c * P) over name -> integer coefficient c is the zero vector."""
+        return combination_vanishes(self._terms(relation))
+
+    def _dot_terms(self, u: tuple, w: tuple) -> list[tuple]:
+        u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
+        return [(1, (u1.x, u0.x), (w1.x, w0.x)), (1, (u1.y, u0.y), (w1.y, w0.y))]
+
+    def dot_vanishes(self, u: tuple, w: tuple) -> bool:
+        """The dot product of the differences u and w is zero."""
+        return form_vanishes(self._dot_terms(u, w))
+
+
+class _KernelTable(PointTable):
+    """Coordinates the ``scalars`` kernels take: ``TowerElem``s of one tower
+    (``towers``), or ``FunElem``s of one tower over one denominator pair."""
+
+    __slots__ = ("tower", "_towers")
+
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, towers: bool) -> None:
+        super().__init__(points)
+        self.tower = tower
+        self._towers = towers
+
+    def sqdist(self, p, q) -> Scalar:
+        a, b = self.points[p], self.points[q]
+        return (tower_sqdist if self._towers else fun_sqdist)(self.tower, a.x, a.y, b.x, b.y)
+
+    def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
+        if not self._towers:
+            return None
+        a, b = self.points[p], self.points[q]
+        return tower_sqdist_num(self.tower._rads, a.x, a.y, b.x, b.y)
+
+    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
+        if tower is self.tower or tower.is_prefix_of(self.tower):
+            a, b = self.points[p], self.points[q]
+            return (tower_sqdist_is if self._towers else fun_sqdist_is)(self.tower, a.x, a.y, b.x, b.y, m, e)
+        return None
+
+    def sqdist_is(self, p, q, value: Scalar) -> bool:
+        """A constant by ``sqdist_is_form`` where it takes the constant's
+        tower, else the value of ``sqdist``."""
+        const = constant_form(value)
+        ok = None if const is None else self.sqdist_is_form(p, q, *const)
+        return self.sqdist(p, q) == value if ok is None else ok
+
+    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
+        terms = self._terms(relation)
+        vanishes = tower_comb_vanishes if self._towers else fun_comb_vanishes
+        return not terms or (vanishes([(c, p.x) for c, p in terms]) and vanishes([(c, p.y) for c, p in terms]))
+
+    def dot_vanishes(self, u: tuple, w: tuple) -> bool:
+        return (tower_form_vanishes if self._towers else fun_form_vanishes)(self.tower, self._dot_terms(u, w))
+
+
+class _RationalTable(_KernelTable):
+    """Points of Q, each held as plain integers (X, Y, d): its coordinates
+    over their least common denominator d, so equal points have equal
+    triples.  A difference of two points lies over the denominator they
+    share, or the product of theirs, so a test costs what the few points it
+    reads cost, however many other denominators the table holds."""
+
+    __slots__ = ("_xyd",)
+
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc) -> None:
+        super().__init__(points, tower, True)
+        self._xyd = xyd = {}
+        for name, p in points.items():
+            x, y = p.x, p.y
+            d = x._d if x._d == y._d else lcm(x._d, y._d)
+            xyd[name] = (x._n[0] * (d // x._d), y._n[0] * (d // y._d), d)
+
+    def _difference(self, u: tuple) -> tuple[int, int, int]:
+        (x1, y1, d1), (x0, y0, d0) = self._xyd[u[0]], self._xyd[u[1]]
+        if d1 == d0:
+            return x1 - x0, y1 - y0, d1
+        return x1 * d0 - x0 * d1, y1 * d0 - y0 * d1, d1 * d0
+
+    def sqdist_num(self, p, q) -> tuple[IVec, int]:
+        dx, dy, k = self._difference((p, q))
+        return (dx * dx + dy * dy,), k * k
+
+    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool:
+        # a rational distance n/k equals m/e iff m has no coordinate past the first
+        (n,), k = self.sqdist_num(p, q)
+        return n * e == m[0] * k and not any(m[1:])
+
+    def same(self, p, q) -> bool:
+        return self._xyd[p] == self._xyd[q]
+
+    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
+        terms = [(c, *self._xyd[n]) for n, c in relation.items()]
+        k = lcm(*[d for _, _, _, d in terms])
+        return not sum([c * x * (k // d) for c, x, _, d in terms]) and not sum([c * y * (k // d) for c, _, y, d in terms])
+
+    def dot_vanishes(self, u: tuple, w: tuple) -> bool:
+        # the differences' positive denominators do not change whether the product is zero
+        ux, uy, _ = self._difference(u)
+        wx, wy, _ = self._difference(w)
+        return not (ux * wx + uy * wy)
+
+
+def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
+    """The table of ``points``, its carrier picked once for all of them:
+    plain integers when every coordinate is a ``TowerElem`` of Q; the tower
+    kernels for one tower; the K(eps) kernels for ``FunElem``s of one tower
+    over one denominator pair; otherwise each test on its own points
+    (``PointTable``).  A table is returned as it is."""
+    if isinstance(points, PointTable):
+        return points
+    values = points.values()
+    coords = [p.x for p in values] + [p.y for p in values]
+    tower = _one_tower(coords)
+    if tower is not None:
+        return _KernelTable(points, tower, True) if tower.gens else _RationalTable(points, tower)
+    tower = _one_fun_tower(coords)
+    return PointTable(points) if tower is None else _KernelTable(points, tower, False)
 
 
 def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:

@@ -5,7 +5,9 @@ schema violation anywhere.  Decoding re-validates structural invariants, so
 round-trips are bit-exact and tampering is detectable downstream.  ``dumps``
 is one recursive emitter whose text is byte-identical to
 ``json.dumps(obj, indent=2)``: json's own encoder runs in pure Python
-whenever an indent is set.
+whenever an indent is set, so the emitter writes null, true, false and
+empty containers itself too.  A location is formatted only for the message
+of a failure: the decoders pass it on as a function that builds it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from typing import Any, Mapping, get_args, get_type_hints
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 from .cm import Point
 from .engine import Derivation, Fact, Justification, fact_key
@@ -55,22 +57,30 @@ def encode_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _parse_rational(text: Any, location: str) -> tuple[int, int]:
-    """The integers p, q (q > 0, not reduced) of an exact "p" or "p/q"."""
+def _rational_parts(text: Any) -> tuple[int, int] | str:
+    """The integers p, q (q > 0, not reduced) of an exact "p" or "p/q", or
+    the message saying why ``text`` is not one; the caller names the
+    location only when it fails."""
     if not isinstance(text, str):
-        _fail(location, f"expected an exact rational string, got {type(text).__name__}")
+        return f"expected an exact rational string, got {type(text).__name__}"
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
-        _fail(location, f"not an exact rational (p or p/q): {text!r}")
+        return f"not an exact rational (p or p/q): {text!r}"
     num, digits, den = match.groups()
     if len(digits) > MAX_DIGITS or (den is not None and len(den) > MAX_DIGITS):
-        _fail(location, f"an integer has more than {MAX_DIGITS} digits")
+        return f"an integer has more than {MAX_DIGITS} digits"
     return int(num), 1 if den is None else int(den)
 
 
-def decode_rational(text: Any, location: str = "rational") -> Fraction:
-    p, q = _parse_rational(text, location)
+def _fraction(p: int, q: int) -> Fraction:
     return Fraction(p) if q == 1 else Fraction(p, q)
+
+
+def decode_rational(text: Any, location: str = "rational") -> Fraction:
+    parts = _rational_parts(text)
+    if type(parts) is str:
+        _fail(location, parts)
+    return _fraction(*parts)
 
 
 def _encode_coords(x: TowerElem) -> list[str]:
@@ -85,12 +95,16 @@ def _encode_coords(x: TowerElem) -> list[str]:
     return out
 
 
-def _decode_coords(tower: TowerDesc, coords: Any, location: str) -> TowerElem:
-    """A list of ``tower.dim`` exact rationals at ``location``, read straight
-    into the canonical integer form over the lcm of the denominators."""
+def _decode_coords(tower: TowerDesc, coords: Any, where: Callable[[], str]) -> TowerElem:
+    """A list of ``tower.dim`` exact rationals at the location ``where()``
+    names on failure, read straight into the canonical integer form over the
+    lcm of the denominators."""
     if not isinstance(coords, list) or len(coords) != tower.dim:
-        _fail(location, f"expected {tower.dim} coordinates")
-    pairs = [_parse_rational(c, f"{location}[{i}]") for i, c in enumerate(coords)]
+        _fail(where(), f"expected {tower.dim} coordinates")
+    pairs = [_rational_parts(c) for c in coords]
+    for i, parts in enumerate(pairs):
+        if type(parts) is str:
+            _fail(f"{where()}[{i}]", parts)
     d = lcm(*[q for _, q in pairs])
     return _elem(tower, *_canon(tuple([p * (d // q) for p, q in pairs]), d))
 
@@ -106,7 +120,7 @@ def decode_tower(obj: Any, location: str = "field") -> TowerDesc:
         _fail(f"{location}.gens", f"{len(obj['gens'])} generators exceed the tower depth limit {MAX_TOWER_DEPTH}")
     tower = QQ
     for i, coords in enumerate(obj["gens"]):
-        rad = _decode_coords(tower, coords, f"{location}.gens[{i}]")
+        rad = _decode_coords(tower, coords, lambda: f"{location}.gens[{i}]")
         if rad.sign() <= 0:
             _fail(f"{location}.gens[{i}]", "radicand is not strictly positive")
         if sqrt_in_tower(rad) is not None:
@@ -121,7 +135,7 @@ def encode_tower_elem(x: TowerElem) -> dict:
 
 def decode_tower_elem(obj: Any, location: str = "scalar") -> TowerElem:
     tower = decode_tower(obj, location)
-    return _decode_coords(tower, obj.get("coords"), f"{location}.coords")
+    return _decode_coords(tower, obj.get("coords"), lambda: f"{location}.coords")
 
 
 def encode_fun_elem(x: FunElem) -> dict:
@@ -141,7 +155,7 @@ def decode_fun_elem(obj: Any, location: str = "scalar") -> FunElem:
         coeffs = obj.get(key)
         if not isinstance(coeffs, list):
             _fail(f"{location}.{key}", "expected a coefficient list")
-        return tuple(_decode_coords(tower, coords, f"{location}.{key}[{i}]") for i, coords in enumerate(coeffs))
+        return tuple(_decode_coords(tower, coords, lambda: f"{location}.{key}[{i}]") for i, coords in enumerate(coeffs))
 
     num, den = poly("num"), poly("den")
     if all(c.is_zero() for c in den):
@@ -229,16 +243,20 @@ def _encode_record(record: Any, out: dict) -> dict:
     return out
 
 
-def _decode_record(cls: type, obj: Mapping, points: Mapping[str, Point], location: str) -> Any:
+def _decode_record(cls: type, obj: Mapping, points: Mapping[str, Point], where: Callable[[], str]) -> Any:
+    """A ``cls`` record at the location ``where()`` names on failure."""
     values = {}
     for name, rational in _FIELDS[cls]:
         if name not in obj:
-            _fail(location, f"missing field {name!r}")
+            _fail(where(), f"missing field {name!r}")
         value = obj[name]
         if rational:
-            value = decode_rational(value, f"{location}.{name}")
+            value = _rational_parts(value)
+            if type(value) is str:
+                _fail(f"{where()}.{name}", value)
+            value = _fraction(*value)
         elif not _is_point(value, points):
-            _fail(f"{location}.{name}", f"unknown point {value!r}")
+            _fail(f"{where()}.{name}", f"unknown point {value!r}")
         values[name] = value
     return cls(**values)
 
@@ -249,11 +267,15 @@ def encode_fact(fact: Fact) -> dict:
 
 def decode_fact(obj: Any, points: Mapping[str, Point], location: str = "fact", kinds: Mapping[str, type] = FACT_KINDS) -> Fact:
     """A fact of one of ``kinds`` whose name fields all name ``points``."""
+    return _decode_fact(obj, points, kinds, lambda: location)
+
+
+def _decode_fact(obj: Any, points: Mapping[str, Point], kinds: Mapping[str, type], where: Callable[[], str]) -> Fact:
     if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
-        _fail(location, "expected an object tagged with its kind")
+        _fail(where(), "expected an object tagged with its kind")
     if obj["kind"] not in kinds:
-        _fail(location, f"kind {obj['kind']!r} is not one of {', '.join(kinds)}")
-    return _decode_record(kinds[obj["kind"]], obj, points, location)
+        _fail(where(), f"kind {obj['kind']!r} is not one of {', '.join(kinds)}")
+    return _decode_record(kinds[obj["kind"]], obj, points, where)
 
 
 def _list(obj: Mapping, key: str) -> list:
@@ -299,15 +321,17 @@ def decode_gadget(obj: Any) -> Gadget:
         _fail("points", "expected an object of name -> [x, y]")
     points: dict[str, Point] = {}
     for name, pair in points_obj.items():
-        loc = f"points.{name}"
         if not isinstance(pair, list) or len(pair) != 2:
-            _fail(loc, "expected [x_coords, y_coords]")
-        points[name] = Point(*(_decode_coords(tower, coords, f"{loc}.{axis}") for axis, coords in zip("xy", pair)))
+            _fail(f"points.{name}", "expected [x_coords, y_coords]")
+        x, y = pair
+        points[name] = Point(
+            _decode_coords(tower, x, lambda: f"points.{name}.x"), _decode_coords(tower, y, lambda: f"points.{name}.y")
+        )
     certificate = []
     for i, entry in enumerate(_list(obj, "certificate")):
         if not isinstance(entry, dict):
             _fail(f"certificate[{i}]", "expected {p, q, d2}")
-        certificate.append(_decode_record(CertEntry, entry, points, f"certificate[{i}]"))
+        certificate.append(_decode_record(CertEntry, entry, points, lambda: f"certificate[{i}]"))
     sides = []
     for i, pair in enumerate(_list(obj, "side_conditions")):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -415,13 +439,12 @@ def decode_derivation(obj: Any) -> Derivation:
     facts = []
     justs = []
     for i, step in enumerate(_list(obj, "facts")):
-        loc = f"facts[{i}]"
-        if not isinstance(step, dict) or not {"fact", "rule", "premises"} <= set(step):
-            _fail(loc, "expected {fact, rule, premises}")
-        facts.append(decode_fact(step["fact"], gadget.points, f"{loc}.fact"))
+        if not isinstance(step, dict) or not ("fact" in step and "rule" in step and "premises" in step):
+            _fail(f"facts[{i}]", "expected {fact, rule, premises}")
+        facts.append(_decode_fact(step["fact"], gadget.points, FACT_KINDS, lambda: f"facts[{i}].fact"))
         premises = step["premises"]
         if not isinstance(premises, list) or any(not isinstance(p, int) or isinstance(p, bool) for p in premises):
-            _fail(f"{loc}.premises", "expected a list of fact indices")
+            _fail(f"facts[{i}].premises", "expected a list of fact indices")
         justs.append(Justification(step["rule"], tuple(premises)))
     if not facts:
         _fail("facts", "a derivation needs at least one fact")
@@ -517,15 +540,23 @@ def _emit(value: Any, newline: str) -> str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is dict and value:
+    if kind is dict:
+        if not value:
+            return "{}"
         inner = newline + "  "
         items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _emit(v, inner)) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list and value:
+    if kind is list:
+        if not value:
+            return "[]"
         inner = newline + "  "
         items = [_quote(v) if type(v) is str else _emit(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)  # null, true, false, {} and []
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)  # what no encoder produces, as json writes it
 
 
 def load_document(text: str) -> Any:

@@ -15,11 +15,15 @@ replayed derivation is exactly the premise closure of its goal, and each of
 its lemma conclusions holds on the gadget's own coordinates.
 
 Every fact kind decides itself at a point assignment (``holds``) with one
-exact zero test on the integer form of the coordinates (see ``cm``):
-``SqDistKnown`` cross-multiplies the unreduced squared distance with its
-rational value and ``NonzeroDist`` tests it for zero (``cm.sqdist_is``);
-the vector facts read their relation from ``gadgets._linear_relation``, the
-table the span rule reads too; ``Distinct`` compares coordinates.
+exact test of a ``cm.point_table``, whose carrier is picked once for all
+the points: ``SqDistKnown`` compares the squared distance with its rational
+value and ``NonzeroDist`` with zero (``sqdist_is``); the vector facts read
+their relation from ``gadgets._linear_relation``, the table the span rule
+reads too (``relation_vanishes``); ``Distinct`` compares coordinates
+(``same``).  ``check_derivation`` builds one table of the images and
+``_finish`` one of the gadget's coordinates, so a report classifies its
+points once, not once per fact; over Q every test is a few operations on
+plain integers.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping, Sequence, Union
 
-from .cm import Point, sqdist_is
+from .cm import Point, PointTable, point_table
 from .gadgets import (
     KEMPE_IDENTITIES,
     KEMPE_NONZERO_PAIRS,
@@ -89,8 +93,8 @@ class SqDistKnown:
     q: str
     v: Fraction
 
-    def holds(self, points: Mapping[str, Point]) -> bool:
-        return sqdist_is(points[self.p], points[self.q], self.v)
+    def holds(self, points: Mapping[str, Point] | PointTable) -> bool:
+        return point_table(points).sqdist_is(self.p, self.q, self.v)
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,8 @@ class Distinct:
     p: str
     q: str
 
-    def holds(self, points: Mapping[str, Point]) -> bool:
-        return not (points[self.p] == points[self.q])
+    def holds(self, points: Mapping[str, Point] | PointTable) -> bool:
+        return not point_table(points).same(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,8 @@ class NonzeroDist:
     p: str
     q: str
 
-    def holds(self, points: Mapping[str, Point]) -> bool:
-        return not sqdist_is(points[self.p], points[self.q], 0)
+    def holds(self, points: Mapping[str, Point] | PointTable) -> bool:
+        return not point_table(points).sqdist_is(self.p, self.q, 0)
 
 
 Fact = Union[SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero]
@@ -625,7 +629,7 @@ def _finish(store: FactStore, goal_id: int) -> Derivation:
         [Justification(j.rule, tuple(renumber[p] for p in j.premises)) for j in justifications],
     )
     derivation.check_wellformed()
-    points = store.gadget.points
+    points = point_table(store.gadget.points)
     for i, (fact, just) in enumerate(zip(derivation.facts, derivation.justifications)):
         if just.rule in _LEMMAS and not fact.holds(points):
             raise ReplayFailed(f"step {i} ({just.rule}) concludes {fact}, false on the gadget's coordinates")
@@ -656,7 +660,8 @@ class Verdict:
 
 
 def check_derivation(derivation: Derivation, model) -> Verdict:
-    """Evaluate every fact at the model's image coordinates; exact verdict."""
+    """Evaluate every fact at the model's image coordinates; exact verdict.
+    The images are classified once, into one ``cm.point_table``."""
     points = derivation.gadget.points
     images: dict[str, Point] = {}
     for name, point in points.items():
@@ -664,6 +669,7 @@ def check_derivation(derivation: Derivation, model) -> Verdict:
             images[name] = model.apply(point)
         except Exception as exc:
             raise ModelUndefinedAtPoint(f"model undefined at {name}: {exc}") from exc
+    images = point_table(images)
     for idx, fact in enumerate(derivation.facts):
         if not fact.holds(images):
             return Verdict(ok=False, checked=idx + 1, violated_index=idx, violated_fact=fact)

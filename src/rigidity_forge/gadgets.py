@@ -11,11 +11,12 @@ engine replays proofs by walking it.
 The goal kinds are the vector facts.  ``_linear_relation`` is their one
 relation table: ``VecEq``, ``VecScale`` and ``AffineComb`` hold iff the
 integer combination of the points it gives vanishes
-(``cm.combination_vanishes``), and the engine's span rule reads the same
-table.  ``DotZero`` holds iff the dot product of its two differences is
-zero (``cm.form_vanishes``).  ``Gadget.validate`` compares each certificate
-entry with ``cm.sqdist_is`` and builds the distance only to report a
-mismatch.
+(``relation_vanishes`` of a ``cm.point_table``), and the engine's span rule
+reads the same table.  ``DotZero`` holds iff the dot product of its two
+differences is zero (``dot_vanishes``).  ``Gadget.validate`` classifies
+the coordinates once into one point table and decides every certificate
+entry, side condition and the goal on it; it builds a distance only to
+report a mismatch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Union
 
 from . import poly
-from .cm import Point, Vec2, _is_zero, bordered_matrix, combination_vanishes, form_vanishes, sqdist, sqdist_is
+from .cm import Point, PointTable, Vec2, _is_zero, bordered_matrix, point_table, sqdist
 from .scalars import (
     QQ,
     TowerDesc,
@@ -94,8 +95,8 @@ class AffineComb:
     b: str
     t: Fraction
 
-    def holds(self, p: Mapping[str, Point]) -> bool:
-        return _relation_holds(self, p)
+    def holds(self, p: Mapping[str, Point] | PointTable) -> bool:
+        return point_table(p).relation_vanishes(_linear_relation(self))
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class VecEq:
     c: str
     d: str
 
-    def holds(self, p: Mapping[str, Point]) -> bool:
-        return _relation_holds(self, p)
+    def holds(self, p: Mapping[str, Point] | PointTable) -> bool:
+        return point_table(p).relation_vanishes(_linear_relation(self))
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ class VecScale:
     d: str
     r: Fraction
 
-    def holds(self, p: Mapping[str, Point]) -> bool:
-        return _relation_holds(self, p)
+    def holds(self, p: Mapping[str, Point] | PointTable) -> bool:
+        return point_table(p).relation_vanishes(_linear_relation(self))
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,8 @@ class DotZero:
     c: str
     d: str
 
-    def holds(self, p: Mapping[str, Point]) -> bool:
-        a, b, c, d = p[self.a], p[self.b], p[self.c], p[self.d]
-        return form_vanishes([(1, (b.x, a.x), (d.x, c.x)), (1, (b.y, a.y), (d.y, c.y))])
+    def holds(self, p: Mapping[str, Point] | PointTable) -> bool:
+        return point_table(p).dot_vanishes((self.b, self.a), (self.d, self.c))
 
 
 def _linear_relation(fact) -> dict[str, int] | None:
@@ -163,11 +163,6 @@ def _linear_relation(fact) -> dict[str, int] | None:
         else:
             out.pop(name, None)
     return out
-
-
-def _relation_holds(fact, p: Mapping[str, Point]) -> bool:
-    """The fact's linear relation vanishes at the points."""
-    return combination_vanishes([(c, p[name]) for name, c in _linear_relation(fact).items()])
 
 
 Goal = Union[AffineComb, VecEq, VecScale, DotZero]
@@ -221,18 +216,20 @@ class Gadget:
     layout: dict
 
     def validate(self) -> None:
+        """Check each certificate entry, side condition and the goal on the
+        coordinates, classified once into one ``cm.point_table``."""
+        points = point_table(self.points)
         for entry in self.certificate:
             if entry.p not in self.points or entry.q not in self.points:
                 raise InvalidGadget(f"certificate references unknown point {entry.p}/{entry.q}")
-            p, q = self.points[entry.p], self.points[entry.q]
-            if not sqdist_is(p, q, entry.d2):
+            if not points.sqdist_is(entry.p, entry.q, entry.d2):
                 raise InvalidGadget(
-                    f"certificate mismatch for ({entry.p},{entry.q}): stored {entry.d2}, got {sqdist(p, q)}"
+                    f"certificate mismatch for ({entry.p},{entry.q}): stored {entry.d2}, got {points.sqdist(entry.p, entry.q)}"
                 )
         for a, b in self.side_conditions:
-            if self.points[a] == self.points[b]:
+            if points.same(a, b):
                 raise InvalidGadget(f"side condition {a} != {b} fails on coordinates")
-        if not self.goal.holds(self.points):
+        if not self.goal.holds(points):
             raise InvalidGadget("goal fails on the gadget's own coordinates")
 
 

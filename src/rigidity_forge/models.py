@@ -31,14 +31,17 @@ is built and checked orthonormal on the integer numerators
 frames take the formula.
 
 The reports decide their equations with the zero tests of ``cm``, on the
-integer form where the images allow.  Preservation decides a ``ModelMap``'s
-pair of one-tower points at the cost of two kernels: the source squared
-distance v stays the unreduced n/k of ``scalars.tower_sqdist_num``, rho(v)
-is ``map_vector`` of n, the image pair is compared with it by
-``cm.sqdist_is_form`` (the entry point of ``cm.sqdist_is`` for a constant
-in ``constant_form``), and a rational v must have rho(v) == v on the
-vectors; other models, towers and carriers compare with ``rho(v)`` by
-``cm.sqdist_is``.  Structure tests additivity as
+integer form where the images allow.  Preservation classifies the source
+points once and their images once, each into a ``cm.point_table``, and
+decides a ``ModelMap``'s pair of points over Q or one tower at the cost of
+two kernels: the source squared distance v stays the unreduced n/k of the
+table's ``sqdist_num`` (over Q an integer over k^2), rho(v) is
+``map_vector`` of n, the image pair is compared with it by the images'
+``sqdist_is_form``, and a rational v must have rho(v) == v on the vectors;
+other models, towers and carriers compare with ``rho(v)`` by
+``sqdist_is``.  An embedding other than the identity is undefined on a
+``FunElem``, which lies in no quadratic tower (``OutOfDomain``).
+Structure tests additivity as
 m(u + v) - m(u) - m(v) + m(0) = 0 (``cm.combination_vanishes``) and
 scaling by cross-multiplication (``cm.form_vanishes``), building no
 quotient.  Both map each distinct point once: an image is looked up by the
@@ -54,7 +57,7 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .cm import Point, _invert, _is_zero, _one_tower, combination_vanishes, form_vanishes, sqdist, sqdist_is, sqdist_is_form
+from .cm import Point, PointTable, _invert, _is_zero, _one_tower, combination_vanishes, form_vanishes, point_table
 from .scalars import (
     QQ,
     FunElem,
@@ -68,7 +71,6 @@ from .scalars import (
     tower_conjugate,
     tower_frame_kernel,
     tower_join,
-    tower_sqdist_num,
 )
 
 
@@ -122,6 +124,8 @@ class Embedding:
     def apply_scalar(self, x: TowerElem):
         if self.kind == "identity":
             return x
+        if isinstance(x, FunElem):
+            raise OutOfDomain(f"{x!r} lies in K(eps), not in a quadratic tower")
         if self.kind == "conjugation":
             if isinstance(x, TowerElem):
                 mapped = self.map_vector(x.tower, x._n)
@@ -325,36 +329,37 @@ class PreservationReport:
     checks: tuple[PairCheck, ...]
 
 
-def _preserved_on_vectors(embedding: Embedding, image, p: Point, q: Point) -> bool | None:
-    """The pair test on the integer form, for a ``ModelMap``: the squared
-    distance v of four coordinates of one tower stays the unreduced n/k of
-    ``tower_sqdist_num``, rho(v) is ``embedding.map_vector`` of n over k,
-    the image pair is compared with it by ``cm.sqdist_is_form``, and a
-    rational v (n zero past its first coordinate) must have rho(v) == v on
-    the vectors.  None where a step does not apply."""
-    coords = (p.x, p.y, q.x, q.y)
-    tower = _one_tower(coords)
-    if tower is None:
-        return None
-    n, k = tower_sqdist_num(tower._rads, *coords)
-    mapped = embedding.map_vector(tower, n)
-    if mapped is None:
-        return None
-    m_tower, m = mapped
-    ok = sqdist_is_form(image(p), image(q), m_tower, m, k)
-    if ok is None:
-        return None
-    return ok and (any(n[1:]) or (m[0] == n[0] and not any(m[1:])))
-
-
-def _preserved(model, image, p: Point, q: Point) -> bool:
-    """The pair test by the formula: the image pair against rho(v) by
-    ``cm.sqdist_is``, and rho(v) == v for a rational v."""
-    value = sqdist(p, q)
+def _embedded_distance(model, embedding: Embedding | None, source: PointTable, p, q) -> tuple:
+    """rho(v) for the squared distance v of the source pair (p, q), and
+    whether a rational v is reproduced verbatim, as (form, None, kept) or
+    (None, rho(v), kept).  For a ``ModelMap`` on the tower kernels v stays
+    the unreduced n/k of ``sqdist_num`` and form is rho(v) as
+    ``embedding.map_vector`` gives it, over k; a rational v (n zero past its
+    first coordinate) is kept iff rho(v) == v on the vectors.  Other models,
+    towers and carriers compute rho(v) by the formula."""
+    num = None if embedding is None else source.sqdist_num(p, q)
+    if num is not None:
+        n, k = num
+        mapped = embedding.map_vector(source.tower, n)
+        if mapped is not None:
+            m_tower, m = mapped
+            return (m_tower, m, k), None, any(n[1:]) or (m[0] == n[0] and not any(m[1:]))
+    value = source.sqdist(p, q)
     target = model.rho(value)
-    if not sqdist_is(image(p), image(q), target):
-        return False
-    return not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
+    return None, target, not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
+
+
+def _image_distance_is(model, source: PointTable, images: PointTable, p, q, wanted: tuple) -> bool:
+    """The image pair's squared distance equals rho(v), and a rational v is
+    kept: on the integer form by ``sqdist_is_form`` where the images' table
+    takes rho(v)'s tower, else against the value rho(v)."""
+    form, target, kept = wanted
+    ok = None if form is None else images.sqdist_is_form(p, q, *form)
+    if ok is None:
+        if target is None:
+            target = model.rho(source.sqdist(p, q))
+        ok = images.sqdist_is(p, q, target)
+    return ok and kept
 
 
 def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -> PreservationReport:
@@ -362,22 +367,26 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     squared distance; rational values must be reproduced verbatim.  Each
     distinct point is mapped once, and each image pair is compared once
     with rho(v); a rational v must also have rho(v) == v, which by
-    transitivity is the image distance equal to v.  A ``ModelMap`` decides
-    a pair of one-tower points on the integer form
-    (``_preserved_on_vectors``), building no element; other models,
-    towers and carriers take the formula (``_preserved``).  ``int`` and
-    ``Fraction`` coordinates are rationals."""
+    transitivity is the image distance equal to v.  The source points and
+    their images are each classified once into a ``cm.point_table``; every
+    pair's rho(v) is taken (``_embedded_distance``) and its points mapped,
+    in the pairs' order, before the images are compared
+    (``_image_distance_is``).  ``int`` and ``Fraction`` coordinates are
+    rationals."""
     image = _mapped_once(model.apply)
     embedding = model.embedding if isinstance(model, ModelMap) else None
-    checks = []
-    all_ok = True
+    # the tables name each point object by its id; ``pairs`` holds them for the call
+    source = point_table({id(p): p for pair in pairs for p in pair})
+    wanted, images = [], {}
     for p, q in pairs:
-        ok = None if embedding is None else _preserved_on_vectors(embedding, image, p, q)
-        if ok is None:
-            ok = _preserved(model, image, p, q)
-        checks.append(PairCheck((p, q), ok))
-        all_ok = all_ok and ok
-    return PreservationReport(ok=all_ok, checks=tuple(checks))
+        wanted.append(_embedded_distance(model, embedding, source, id(p), id(q)))
+        images[id(p)] = image(p)
+        images[id(q)] = image(q)
+    images = point_table(images)
+    checks = tuple(
+        PairCheck((p, q), _image_distance_is(model, source, images, id(p), id(q), want)) for (p, q), want in zip(pairs, wanted)
+    )
+    return PreservationReport(ok=all(check.ok for check in checks), checks=checks)
 
 
 @dataclass(frozen=True)

@@ -1092,6 +1092,10 @@ class FunElem(_FieldOps):
         num, den = self._canonical()
         return len(num[0]) <= 1 and len(den[0]) == 1
 
+    def is_rational(self) -> bool:
+        rows = self._canonical()[0][0]
+        return self.is_constant() and not (rows and any(rows[0][1:]))
+
     # -- arithmetic ------------------------------------------------------------------
 
     def __add__(self, other):

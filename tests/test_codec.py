@@ -198,6 +198,88 @@ def test_dumps_never_runs_json_pure_python_encoder(monkeypatch):
     assert [codec.dumps(doc) for doc in documents] == expected
 
 
+def test_dumps_writes_literals_itself(monkeypatch):
+    """Empty containers at several depths, null, true and false are written
+    without ``json.dumps``: a replayed span-10 chain, whose axiom steps all
+    cite ``"premises": []``, takes no call at all."""
+    pt = rational_point
+    document = codec.encode_derivation(replay(build_rhombus_chain(pt(0, 0), pt(10, 0), pt(0, 1), pt(10, 1))))
+    assert sum(step["premises"] == [] for step in document["facts"]) > 40
+    trees = [
+        document,
+        None,
+        True,
+        False,
+        [],
+        {},
+        [None, True, False, [], {}],
+        {"a": {"b": {"c": [[], {}, None, False, True]}}, "e": [[[[]]], {}], "f": {"": {}}, "g": 0},
+    ]
+    expected = [json.dumps(tree, indent=2) for tree in trees]
+    calls, real = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    assert [codec.dumps(tree) for tree in trees] == expected
+    assert calls == []
+    # the counter does see the fallback, for what no encoder produces
+    assert codec.dumps([0.5]) == "[\n  0.5\n]" and len(calls) == 1
+
+
+_DELETE = object()
+_SWEEP_VALUES = (None, True, False, 0, "x", "1/0", [], {}, _DELETE)
+
+
+def _node_paths(node, path=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def test_decode_messages_are_pinned():
+    """Every single-node edit (a value of ``_SWEEP_VALUES`` or a deletion) of
+    the first corpus derivation (a division over Q(sqrt(3/4))) and of a span-5
+    chain gadget, decoded: each outcome, ``ok`` or the exception's type and
+    message, in order.  The digest is that of the decoder that formatted
+    every location on the success path too, so each message, bool premises
+    included, is the one it gave."""
+    pt = rational_point
+    texts = [
+        codec.dumps(codec.encode_derivation(suite.replay_corpus()[0].derivation)),
+        codec.dumps(codec.encode_gadget(build_rhombus_chain(pt(0, 0), pt(5, 0), pt(0, 1), pt(5, 1)))),
+    ]
+    outcomes = []
+    for text in texts:
+        for *parents, key in _node_paths(json.loads(text)):
+            for value in _SWEEP_VALUES:
+                doc = json.loads(text)
+                target = doc
+                for step in parents:
+                    target = target[step]
+                if value is _DELETE:
+                    del target[key]
+                else:
+                    target[key] = value
+                try:
+                    codec.decode_document(json.dumps(doc))
+                    outcomes.append("ok")
+                except Exception as exc:
+                    outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert (len(outcomes), sum(o != "ok" for o in outcomes), len(set(outcomes))) == (4392, 4296, 1999)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == "3caf6788db6cf674b5d560db3253be00153cf1806d9792fa6c300ec185e8e5c2"
+    for line in (
+        "SchemaViolation: facts[4].premises: expected a list of fact indices",
+        "SchemaViolation: facts[3].fact.v: expected an exact rational string, got list",
+        "SchemaViolation: facts[12].fact.a: unknown point False",
+        "SchemaViolation: certificate[10].d2: not an exact rational (p or p/q): '1/0'",
+        "SchemaViolation: certificate[0]: missing field 'd2'",
+        "SchemaViolation: points.A.x: expected 2 coordinates",
+        "SchemaViolation: points.A2.y[1]: not an exact rational (p or p/q): 'x'",
+        "SchemaViolation: field.gens[0][0]: not an exact rational (p or p/q): 'x'",
+        "EngineError: derivation is not acyclic",
+    ):
+        assert line in outcomes, line
+
+
 def test_document_rejects_binary_floats():
     with pytest.raises(codec.SchemaViolation, match="float"):
         codec.load_document('{"schema": "rigidity-forge/1", "x": 0.5}')

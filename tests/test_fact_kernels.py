@@ -2,7 +2,8 @@
 
 Every fact kind's ``holds``, ``verify_preservation`` and ``verify_structure``
 against the carrier-arithmetic bodies they replace (kept here as the
-oracle), and counters showing that the kernels build no carrier object.
+oracle), counters showing that the kernels build no carrier object, and the
+point tables: each report call classifies its points once.
 """
 
 import dataclasses
@@ -10,14 +11,16 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import cm, codec, models, scalars, suite
+import rigidity_forge
+from rigidity_forge import cm, codec, engine, models, scalars, suite
 from rigidity_forge.cm import Point, Vec2, _invert, _is_zero, rational_point, sqdist
-from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation
-from rigidity_forge.gadgets import AffineComb, DotZero, VecEq, VecScale
+from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation, recheck_derivation, replay
+from rigidity_forge.gadgets import AffineComb, DotZero, VecEq, VecScale, build_rhombus_chain, build_translation_bridge
 from rigidity_forge.models import (
     Embedding,
     ModelError,
@@ -678,7 +681,8 @@ def test_rational_distances_are_checked_on_the_vectors(monkeypatch):
     tower = TOWERS[2]
     points = [rational_point(0, 0, tower), rational_point(3, 4, tower), Point(tower.generator(0), tower.zero())]
     pairs = list(combinations(points, 2))  # distances 25, 2 and 27 - 6 sqrt(2)
-    monkeypatch.setattr(models, "sqdist_is_form", lambda *args: True)
+    # the images' point table (one tower) compares every image pair with rho(v) as equal
+    monkeypatch.setattr(cm._KernelTable, "sqdist_is_form", lambda *args: True)
     sound = conjugation_model(tower, 1)
     assert verify_preservation(sound, pairs).ok
     report = verify_preservation(_flipped_rational_part(sound), pairs)
@@ -824,3 +828,281 @@ def test_k_eps_frames_match_the_formula(monkeypatch):
     assert scalars.fun_frame_orthonormal(((eps, 0), (0, eps))) is None
     with pytest.raises(NonOrthogonalFrame):
         OrthoAffine(((eps, 0 * eps), (0 * eps, eps)))
+
+
+# -- one point table per report call -------------------------------------------------------------
+
+
+def _automorphic(tower):
+    """Identity and each generator conjugation of ``tower`` that is an automorphism."""
+    return [identity_model()] + [model for model in _conjugations(tower, None)[::2]]
+
+
+def _verdicts_and_reports(derivations, monkeypatch=None):
+    """Each derivation's ``Verdict`` and certificate ``PreservationReport``
+    under identity and every automorphic conjugation of its tower; with
+    ``monkeypatch``, by the oracle bodies."""
+    preservation = verify_preservation
+    if monkeypatch is not None:
+        oracle_holds_installed(monkeypatch)
+        preservation = oracle_preservation
+    out = []
+    for derivation in derivations:
+        gadget = derivation.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        for model in _automorphic(gadget.tower):
+            out.append((check_derivation(derivation, model), preservation(model, pairs)))
+        out.append(check_derivation(derivation, Doubling()))
+    return out
+
+
+CHAIN_SPANS = (5, 10, 20, 40, 80)
+BRIDGES = ((3, (1, 1)), (5, (1, 2)), (10, (2, 3)), (4, (1, 3)), (6, (1, 4)), (8, (3, 1)), (7, (2, 5)))
+
+
+def chain_scale_gadgets():
+    """The chain-scale workload's twelve gadgets: rational rhombus chains of
+    span 5-80 and translation bridges with irrational |AC|."""
+    pt = rational_point
+    out = [build_rhombus_chain(pt(0, 0), pt(s, 0), pt(0, 1), pt(s, 1)) for s in CHAIN_SPANS]
+    out += [build_translation_bridge(pt(0, 0), pt(s, 0), pt(x, y), pt(x + s, y)) for s, (x, y) in BRIDGES]
+    return out
+
+
+def test_chain_scale_tables_give_the_oracle_verdicts_and_reports(monkeypatch):
+    built = [replay(gadget) for gadget in chain_scale_gadgets()]
+    decoded = [codec.decode_document(codec.dumps(codec.encode_derivation(d))) for d in built]
+    towers = [d.gadget.tower.depth for d in built]
+    assert towers[1:5] == [0] * 4 and min(towers[5:]) >= 1  # span 5 adjoins a root
+    kernel = _verdicts_and_reports(built + decoded)
+    checks, controls = [x for x in kernel if isinstance(x, tuple)], [x for x in kernel if not isinstance(x, tuple)]
+    assert len(checks) > 24 and all(v.ok and v.checked > 0 and report.ok for v, report in checks)
+    assert len(controls) == 24 and all(not v.ok and v.violated_index == 0 for v in controls)
+    assert kernel == _verdicts_and_reports(built + decoded, monkeypatch)
+
+
+def radical_build_templates(seed=12345):
+    """The radical-build workload's fifteen constructions at ``seed``, from
+    the benchmark's own template list."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.workloads import radical_templates
+
+    return radical_templates(rigidity_forge, random.Random(seed))
+
+
+def test_radical_build_tables_give_the_oracle_verdicts(monkeypatch):
+    templates = radical_build_templates()
+    assert len(templates) == 15
+    derivations = [replay(build()) for _, _, build in templates]
+    kernel = _verdicts_and_reports(derivations)
+    checks = [x for x in kernel if isinstance(x, tuple)]
+    assert len(checks) > 15 and all(v.ok and report.ok for v, report in checks)
+    assert kernel == _verdicts_and_reports(derivations, monkeypatch)
+
+
+def _rationals(seed: int):
+    """Rationals from a seeded generator: zeros, small fractions, and
+    4,000-digit numerators and denominators."""
+    rng = random.Random(seed)
+    huge = lambda: 10**3999 + rng.randrange(10**6)
+    while True:
+        roll = rng.randrange(8)
+        if roll == 0:
+            yield F(0)
+        elif roll == 1:
+            yield F(rng.randint(-9, 9), huge())
+        elif roll == 2:
+            yield F(rng.choice((-1, 1)) * huge(), rng.randint(1, 12))
+        else:
+            yield F(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+@st.composite
+def rational_fact_cases(draw):
+    """A fact over named points of Q (names may repeat, so coefficients may
+    cancel), with a point moved, or not, so that it holds, holds on x only,
+    or, for ``Distinct`` and ``NonzeroDist``, shares x or y."""
+    values = _rationals(draw(st.integers(0, 2**32)))
+    points = {name: Point(QQ.rational(next(values)), QQ.rational(next(values))) for name in "ABCDE"}
+    if draw(st.booleans()):
+        points["E"] = points[draw(st.sampled_from("ABCD"))]  # a coincident point
+    name = st.sampled_from("ABCDE")
+    a, b, c, d = (draw(name) for _ in range(4))
+    kind = draw(st.sampled_from(FACT_KINDS))
+    ratio = draw(st.one_of(st.sampled_from([F(0), F(1), F(-1)]), st.builds(lambda: next(values))))
+    if kind is SqDistKnown:
+        actual = sqdist(points[a], points[b]).coords[0]
+        fact = SqDistKnown(a, b, draw(st.sampled_from([F(0), -actual, actual, actual + F(1, 10**4000), F(-1, 3)])))
+    elif kind in (Distinct, NonzeroDist):
+        fact = kind(a, b)
+    elif kind is VecScale:
+        fact = VecScale(a, b, c, d, ratio)
+    elif kind is AffineComb:
+        fact = AffineComb(c, a, b, ratio)
+    else:
+        fact = kind(a, b, c, d)
+    p = points
+    force = draw(st.sampled_from(["no", "yes", "x only", "y only"]))
+    if force != "no":
+        if kind is VecEq:
+            p[d] = p[c] + (p[b] - p[a])
+        elif kind is VecScale:
+            p[b] = p[a] + (p[d] - p[c]).scaled(fact.r)
+        elif kind is AffineComb:
+            p[c] = p[b] + (p[a] - p[b]).scaled(fact.t)
+        elif kind is DotZero:
+            u = p[b] - p[a]
+            p[d] = p[c] + Vec2(-u.y, u.x).scaled(QQ.rational(next(values)))
+        elif kind in (Distinct, NonzeroDist):
+            p[b] = p[a] if force == "yes" else Point(p[a].x, p[b].y) if force == "x only" else Point(p[b].x, p[a].y)
+        if force == "x only" and kind in (VecEq, VecScale, AffineComb):
+            moved = {VecEq: d, VecScale: b, AffineComb: c}[kind]
+            p[moved] = Point(p[moved].x, p[moved].y + 1)
+    return fact, points
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(rational_fact_cases())
+def test_rational_tables_match_the_oracle(case):
+    fact, points = case
+    table = cm.point_table(points)
+    assert type(table) is cm._RationalTable and cm.point_table(table) is table
+    assert fact.holds(table) == fact.holds(points) == oracle_holds(fact, points), fact
+
+
+def test_rational_table_reads_every_denominator():
+    """Points of Q over unequal, and 4,000-digit, denominators: each point
+    is held over the lcm of its two, and a difference over the product of
+    its points' denominators."""
+    big = 10**3999 + 7
+    p, q, r = Point(QQ.rational(F(1, 3)), QQ.rational(F(1, big))), Point(QQ.rational(F(1, 2)), QQ.rational(0)), Point(QQ.rational(1), QQ.rational(F(2, 3)))
+    table = cm.point_table({"P": p, "Q": q, "R": r})
+    d2 = F(1, 36) + F(1, big * big)
+    assert table.sqdist_is("P", "Q", d2) and not table.sqdist_is("P", "Q", d2 + F(1, 10))
+    (n,), k = table.sqdist_num("P", "Q")
+    assert table.tower is QQ and k == (3 * big * 2) ** 2 and F(n, k) == d2
+    assert table._xyd["P"] == (big, 3, 3 * big) and table._xyd["R"] == (3, 2, 3)
+    assert table.sqdist("P", "R") == sqdist(p, r) and table.sqdist("P", "R").tower is QQ
+    assert not table.same("P", "Q") and table.same("Q", "Q")
+    assert table.relation_vanishes({"P": 1, "Q": -1, "R": 0}) is False and table.relation_vanishes({})
+    half = cm.point_table({"A": rational_point(F(1, 3), F(1, 5)), "B": rational_point(F(2, 3), F(2, 5)), "O": rational_point(0, 0)})
+    assert half.relation_vanishes({"B": 1, "A": -2}) and not half.relation_vanishes({"B": 1, "A": -1})
+    assert half.dot_vanishes(("A", "O"), ("B", "A")) is False
+    # a relation over points of three denominators, and points equal on x alone over one denominator
+    points = {"A": rational_point(F(1, 2), F(1, 3)), "B": rational_point(F(1, 3), F(1, 5)), "C": rational_point(0, 0)}
+    points["D"] = points["C"] + (points["B"] - points["A"])
+    points["E"], points["G"] = rational_point(F(1, 2), F(1, 6)), rational_point(0, 1)
+    mixed = cm.point_table(points)
+    assert sorted({d for _, _, d in mixed._xyd.values()}) == [1, 6, 15, 30]
+    assert VecEq("A", "B", "C", "D").holds(mixed) and not VecEq("A", "B", "C", "E").holds(mixed)
+    assert Distinct("A", "E").holds(mixed) and Distinct("C", "G").holds(mixed) and not Distinct("A", "A").holds(mixed)
+    perp = cm.point_table({"O": rational_point(0, 0), "U": rational_point(F(1, 3), F(1, 7)), "W": rational_point(F(-1, 7), F(1, 3))})
+    assert perp.dot_vanishes(("U", "O"), ("W", "O")) and not perp.dot_vanishes(("U", "O"), ("U", "O"))
+    # an irrational constant never equals a rational distance; a rational one over a wider tower may
+    s3 = adjoin_sqrt(QQ, 3).tower
+    assert table.sqdist_is("P", "Q", s3.rational(d2)) and not table.sqdist_is("P", "Q", s3.rational(d2) + s3.generator(0))
+
+
+def test_rational_table_cost_stays_with_the_points_a_test_reads():
+    """Forty points with distinct 4,000-digit denominators: no integer the
+    table holds, and no denominator of a difference, outgrows the
+    denominators of the points it comes from."""
+    rng = random.Random(7)
+    denominator = lambda: 10**3999 + rng.randrange(10**50)
+    points = {f"P{i}": Point(QQ.rational(F(i, denominator())), QQ.rational(F(1, denominator()))) for i in range(40)}
+    table = cm.point_table(points)
+    bits = (10**3999).bit_length() + 1
+    assert max(abs(v).bit_length() for xyd in table._xyd.values() for v in xyd) <= 2 * bits
+    assert table.sqdist_num("P0", "P39")[1].bit_length() <= 8 * bits
+    facts = [SqDistKnown(f"P{i}", f"P{i + 1}", F(1)) for i in range(39)] + [VecScale("P1", "P2", "P3", "P4", F(2)), DotZero("P5", "P6", "P7", "P8")]
+    assert [fact.holds(table) for fact in facts] == [oracle_holds(fact, points) for fact in facts]
+
+
+def _classification_counts(monkeypatch):
+    """Counters of the classifying scan (``cm._one_tower``), the per-call
+    dispatch ``cm._kernel_tower`` and the tower kernel ``tower_sqdist_num``."""
+    counts = {"scan": 0, "_kernel_tower": 0, "tower_sqdist_num": 0}
+
+    def counting(name, real):
+        def run(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return run
+
+    monkeypatch.setattr(cm, "_one_tower", counting("scan", cm._one_tower))
+    monkeypatch.setattr(cm, "_kernel_tower", counting("_kernel_tower", cm._kernel_tower))
+    for module in (cm, scalars):
+        monkeypatch.setattr(module, "tower_sqdist_num", counting("tower_sqdist_num", scalars.tower_sqdist_num))
+    return counts
+
+
+def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
+    """A span-80 chain over Q: ``Gadget.validate``, replay (validate, then
+    ``_finish``), ``check_derivation``, ``recheck_derivation`` and
+    ``verify_preservation`` (source points, then images) classify their
+    points once per table and never reach the tower kernels."""
+    gadget = chain_scale_gadgets()[4]
+    derivation = replay(gadget)
+    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+    assert gadget.tower.depth == 0 and len(gadget.points) == 162 and len(derivation.facts) == 482
+    counts = _classification_counts(monkeypatch)
+    for run, tables in (
+        (gadget.validate, 1),
+        (lambda: replay(gadget), 2),
+        (lambda: check_derivation(derivation, identity_model()), 1),
+        (lambda: recheck_derivation(derivation), 1),
+        (lambda: verify_preservation(identity_model(), pairs), 2),
+    ):
+        counts.update(scan=0, _kernel_tower=0, tower_sqdist_num=0)
+        run()
+        assert counts == {"scan": tables, "_kernel_tower": 0, "tower_sqdist_num": 0}
+    # the counters do see a report over a tower (one scan, the tower kernel per pair) and a one-off test
+    bridge = chain_scale_gadgets()[5]
+    counts.update(scan=0, _kernel_tower=0, tower_sqdist_num=0)
+    bridge.validate()
+    assert counts["scan"] == 1 and counts["tower_sqdist_num"] == len(bridge.certificate) and counts["_kernel_tower"] == 0
+    cm.sqdist_is(gadget.points["A0"], gadget.points["C0"], 1)
+    assert counts["_kernel_tower"] == 1
+
+
+def test_non_rational_reports_classify_once(monkeypatch):
+    """Over a tower and over K(eps) one scan per table, and no per-fact
+    dispatch; mixed towers decide each test on its own points."""
+    entry = suite.replay_corpus()[0]
+    derivation, gadget = entry.derivation, entry.gadget
+    counts = _classification_counts(monkeypatch)
+    for model in (identity_model(), eps_rotation_model()):
+        counts.update(scan=0, _kernel_tower=0)
+        assert check_derivation(derivation, model).ok
+        assert counts["scan"] <= 2 and counts["_kernel_tower"] == 0  # K(eps): the TowerElem scan fails at once
+    wider = adjoin_sqrt(gadget.tower, 13).tower
+    points = dict(gadget.points, A=Point(gadget.points["A"].x.lift(wider), gadget.points["A"].y.lift(wider)))
+    table = cm.point_table(points)
+    assert type(table) is cm.PointTable
+    counts.update(_kernel_tower=0)
+    assert all(fact.holds(table) == oracle_holds(fact, points) for fact in derivation.facts)
+    assert counts["_kernel_tower"] > 0
+
+
+# -- K(eps) coordinates as preservation's source points ---------------------------------------------
+
+
+def test_preservation_of_k_eps_points():
+    """Points with K(eps) coordinates: the identity reproduces |PQ|^2 = 25
+    verbatim; the inclusion into K(eps) and every conjugation are undefined
+    on them and say so, naming the value."""
+    eps_model = eps_rotation_model()
+    p, q = eps_model.apply(rational_point(0, 0)), eps_model.apply(rational_point(3, 4))
+    assert isinstance(p.x, FunElem) and sqdist(p, q) == 25
+    report = verify_preservation(identity_model(), [(p, q)])
+    assert report == PreservationReport(ok=True, checks=(PairCheck((p, q), True),))
+    assert sqdist(p, q).is_rational() and not (p.x + FunElem.eps()).is_rational()
+    s2 = adjoin_sqrt(QQ, 2).tower
+    for model in (eps_model, eps_rotation_model(reflection=True), conjugation_model(s2, 0), _conjugations(s2, make_pythagorean_rotation(F(1, 2)))[1]):
+        with pytest.raises(OutOfDomain, match=r"^FunElem\(25\) lies in K\(eps\), not in a quadratic tower$"):
+            verify_preservation(model, [(p, q)])
+        with pytest.raises(OutOfDomain, match=r"^FunElem\(0\) lies in K\(eps\), not in a quadratic tower$"):
+            model.apply(p)

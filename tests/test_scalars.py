@@ -1340,12 +1340,15 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
 
     kernel = results()
     assert kernel_calls and fun_kernel_calls
-    for module in (cm, gadgets, models):
+    for module in (cm, gadgets):
         monkeypatch.setattr(module, "sqdist", _generic_sqdist)
-    for module in (cm, engine, gadgets, models):
-        monkeypatch.setattr(module, "sqdist_is", lambda p, q, value: _generic_sqdist(p, q) == value)
+    monkeypatch.setattr(cm, "sqdist_is", lambda p, q, value: _generic_sqdist(p, q) == value)
     # preservation's entry point on the integer form declines, so its pairs take the formula
-    monkeypatch.setattr(models, "sqdist_is_form", lambda *args: None)
+    monkeypatch.setattr(cm, "sqdist_is_form", lambda *args: None)
+    # every report call takes the point table that decides each test with the functions above
+    generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
+    for module in (engine, gadgets, models):
+        monkeypatch.setattr(module, "point_table", generic_table)
     kernel_calls.clear()
     fun_kernel_calls.clear()
     generic = results()
