@@ -3,44 +3,37 @@
 ``cm3``/``cm4`` take squared distances directly and expand the bordered
 matrix with ``poly.det``, so one code path serves numeric carriers, the
 symbolic polynomial ring, and image-space checks.  Point-based wrappers
-compute the squared-distance form first.  ``sqdist`` of two points whose
-four coordinates lie in one tower runs the integer kernel
-``scalars.tower_sqdist``; built gadgets share one ``TowerDesc`` object, so
-the tower test is an identity check.  Four ``FunElem`` coordinates of one
-tower over one denominator pair, the shape of every eps-frame image, run the
-K(eps) kernel ``scalars.fun_sqdist``.  Point and vector equality compare
+compute the squared-distance form first.  Point and vector equality compare
 coordinates with ``==``.  Nothing here tolerates approximation.
 
-The facts are decided by three exact zero tests, one per equation shape,
-which build no carrier value on the coordinates those kernels take:
-``sqdist_is`` (a squared distance equals a constant: its unreduced
-numerator cross-multiplied with the constant, read by ``constant_form``;
-``sqdist_is_form`` takes the constant already in that form),
-``combination_vanishes`` (an integer combination of points is zero) and
-``form_vanishes`` (a sum of products of coordinate differences is zero:
-dot and cross products, and a ratio cross-multiplied).  Each runs the
-``scalars`` kernel of its shape for one tower, or for K(eps) over one
-shared denominator D, where an equation homogeneous in D holds iff it
-holds on the numerators.  Every other carrier (coordinates over different
-towers or denominators, ``Fraction``, ``Polynomial``) takes the generic
-formula.
+The facts are decided on a ``point_table``, the one place a carrier, and so
+a kernel, is picked: it scans every coordinate of its points a single time.
+Its tests are ``same``, ``sqdist``, ``sqdist_is`` (a squared distance
+equals a constant: its unreduced numerator cross-multiplied with the
+constant, read by ``constant_form``; ``sqdist_is_form`` takes the constant
+already in that form), ``relation_vanishes`` (an integer combination of
+points is zero), ``dot_vanishes`` (the dot product of two differences is
+zero) and ``scaled_is`` (a difference b - o equals rho (a - o) on both
+coordinates).  Over one tower they run the ``scalars`` kernel of their
+shape; built gadgets share one ``TowerDesc`` object, so the tower test is
+an identity check.  ``FunElem``s of one tower over one shared denominator
+D, the shape of every eps-frame image, run the K(eps) kernels: an equation
+homogeneous in D holds iff it holds on the numerators.  Over Q (every
+coordinate a ``TowerElem`` of depth 0) the table holds each point as plain
+``int`` coordinates over one denominator, the ``lcm`` of its two; a squared
+distance with value a/b is then b*(dx^2 + dy^2) == a*k^2, for the
+difference (dx, dy) over k, and point equality, the integer combinations
+and the dot products are a few integer operations each.  The denominators
+are kept per point: one common denominator L of all the points would grow
+with their number (L^2 had 4.2 million bits on 80 points with distinct
+4,000-digit denominators).  Every other point set (coordinates over
+different towers or denominators, ``Fraction``, ``Polynomial``) takes the
+base ``PointTable``, the carrier formula, which is also the reference the
+kernels are tested against.
 
-A report that decides many facts over one point set classifies its points
-once: ``point_table`` scans every coordinate a single time and picks one
-carrier for the call.  Over Q (every coordinate a ``TowerElem`` of depth
-0) the table holds each point as plain ``int`` coordinates over one
-denominator, the ``lcm`` of its two; a squared distance with value a/b is
-then b*(dx^2 + dy^2) == a*k^2, for the difference (dx, dy) over k, and
-point equality, the integer combinations and the dot products are a few
-integer operations each.  The denominators are kept per point: one common
-denominator L of all the points would grow with their number (L^2 had 4.2
-million bits on 80 points with distinct 4,000-digit denominators).  Over one
-tower, or K(eps) over one denominator pair, the table calls the kernels
-above directly; any other point set decides each test on its own points
-with the functions above.  The facts are written once, against the table's
-tests (``same``, ``sqdist_is``, ``relation_vanishes``, ``dot_vanishes``);
-a fact given a plain mapping builds the table of that mapping.  A table
-lives for one call.
+The facts are written once, against the table's tests; a fact given a
+plain mapping, and ``sqdist`` of two points, build the table of their
+points.  A table lives for one call.
 """
 from __future__ import annotations
 
@@ -155,129 +148,9 @@ def _one_tower(coords: Sequence[Scalar], carrier: type = TowerElem) -> TowerDesc
 
 
 def sqdist(p: Point, q: Point) -> Scalar:
-    """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier.
-
-    Four coordinates of one tower go through the integer kernel
-    ``tower_sqdist``, and four ``FunElem``s of one tower over one denominator
-    pair through ``fun_sqdist``; other carriers, and coordinates in different
-    towers or over different denominators, use the formula.
-    """
-    coords = (p.x, p.y, q.x, q.y)
-    kind = _kernel_tower(coords)
-    if kind is not None:
-        return (tower_sqdist if kind[0] else fun_sqdist)(kind[1], *coords)
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
-def _kernel_tower(coords: Sequence[Scalar]) -> tuple[bool, TowerDesc] | None:
-    """(True, tower) when ``coords`` are ``TowerElem``s of one tower, (False,
-    tower) when they are ``FunElem``s of one tower over one denominator pair,
-    else None: the carriers the integer kernels take."""
-    tower = _one_tower(coords)
-    if tower is not None:
-        return True, tower
-    tower = _one_fun_tower(coords)
-    return None if tower is None else (False, tower)
-
-
-def _one_fun_tower(coords: Sequence[Scalar]) -> TowerDesc | None:
-    """The tower of ``coords`` if all are ``FunElem``s of one tower over one
-    denominator pair."""
-    tower = _one_tower(coords, FunElem)
-    if tower is not None and all(c._d == coords[0]._d for c in coords):
-        return tower
-    return None
-
-
-def sqdist_is(p: Point, q: Point, value: Scalar) -> bool:
-    """``sqdist(p, q) == value``, decided without building the distance.
-
-    A constant value (a rational, a tower element, or a ``FunElem`` over
-    the unit polynomial) is read by ``constant_form`` and compared by
-    ``sqdist_is_form``; other carriers and values, and coordinates that
-    entry point declines, compare the value of ``sqdist``.
-    """
-    const = constant_form(value)
-    if const is not None:
-        ok = sqdist_is_form(p, q, *const)
-        if ok is not None:
-            return ok
-    return sqdist(p, q) == value
-
-
-def sqdist_is_form(p: Point, q: Point, tower: TowerDesc, m: IVec, e: int) -> bool | None:
-    """``sqdist(p, q) == m/e`` for a constant in ``constant_form``: m an
-    integer vector over ``tower`` (need not be reduced) and e a positive
-    denominator.  When ``tower`` is a prefix of the points' tower, the
-    unreduced numerator of the squared distance is cross-multiplied with
-    m/e: ``tower_sqdist_is`` for four coordinates of one tower,
-    ``fun_sqdist_is`` for four ``FunElem``s over one denominator pair.
-    None for other coordinates and towers.
-    """
-    coords = (p.x, p.y, q.x, q.y)
-    kind = _kernel_tower(coords)
-    if kind is not None:
-        tower_kernel, points_tower = kind
-        if tower is points_tower or tower.is_prefix_of(points_tower):
-            return (tower_sqdist_is if tower_kernel else fun_sqdist_is)(points_tower, *coords, m, e)
-    return None
-
-
-def combination_vanishes(terms: Sequence[tuple[int, Point]]) -> bool:
-    """Whether sum(c * P) over integer coefficients c is the zero vector.
-
-    Coordinates the kernels take are summed on the integer form
-    (``tower_comb_vanishes``, ``fun_comb_vanishes``); other carriers add up
-    the carrier values.
-    """
-    xs = [(c, p.x) for c, p in terms]
-    ys = [(c, p.y) for c, p in terms]
-    kind = _kernel_tower([x for _, x in xs] + [y for _, y in ys]) if terms else None
-    if kind is not None:
-        vanishes = tower_comb_vanishes if kind[0] else fun_comb_vanishes
-        return vanishes(xs) and vanishes(ys)
-    return all(_is_zero(sum(c * x for c, x in part)) for part in (xs, ys))
-
-
-Factor = Any  # (x1, x0) for the difference x1 - x0, a constant, or None for 1
-
-
-def _factor_value(f: Factor) -> Scalar:
-    if isinstance(f, tuple):
-        return f[0] - f[1]
-    return 1 if f is None else f
-
-
-def form_vanishes(terms: Sequence[tuple[int, Factor, Factor]]) -> bool:
-    """Whether sum(s * f * g) over ``terms`` (s, f, g) is zero, a factor
-    being a difference (x1, x0) of coordinates, a constant, or None for 1;
-    every term holds the same number of differences.
-
-    Differences of coordinates the kernels take, and constants of their
-    tower (``FunElem``s over the unit polynomial, for K(eps)), are
-    multiplied on the integer form with one zero test
-    (``tower_form_vanishes``, ``fun_form_vanishes``); other carriers compute
-    the carrier value.
-    """
-    coords, consts = [], []
-    for _, f, g in terms:
-        for factor in (f, g):
-            if isinstance(factor, tuple):
-                coords.extend(factor)
-            elif factor is not None:
-                consts.append(factor)
-    kind = _kernel_tower(coords)
-    if kind is not None:
-        tower_kernel, tower = kind
-        carrier = TowerElem if tower_kernel else FunElem
-        if all(
-            isinstance(c, carrier) and (c.tower is tower or c.tower == tower) and (tower_kernel or _funit(c._d))
-            for c in consts
-        ):
-            return (tower_form_vanishes if tower_kernel else fun_form_vanishes)(tower, terms)
-    return _is_zero(sum(s * _factor_value(f) * _factor_value(g) for s, f, g in terms))
+    """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier, on
+    the kernel the pair's ``point_table`` picks."""
+    return point_table({0: p, 1: q}).sqdist(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +162,9 @@ class PointTable:
     """Named points whose carrier ``point_table`` picked once, indexed by
     name as the mapping they were given, with the tests the facts are
     written in; a difference (u1, u0) of names is the vector from u0 to u1.
-    This class serves carriers that no kernel takes for all the points
-    together, and decides each test on its own points with the functions
-    above, as a one-off caller does."""
+    This base class is the carrier formula: it picks no kernel, serves the
+    point sets that no kernel takes together, and is the reference the
+    kernel tables are tested against."""
 
     __slots__ = ("points",)
 
@@ -301,8 +174,12 @@ class PointTable:
     def __getitem__(self, name) -> Point:
         return self.points[name]
 
+    def _vec(self, u: tuple) -> Vec2:
+        return self.points[u[0]] - self.points[u[1]]
+
     def sqdist(self, p, q) -> Scalar:
-        return sqdist(self.points[p], self.points[q])
+        d = self._vec((p, q))
+        return d.dot(d)
 
     def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
         """The squared distance as an unreduced integer vector over the
@@ -313,10 +190,10 @@ class PointTable:
     def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
         """``sqdist(p, q) == m/e`` for a constant in ``constant_form``, or None
         where the carrier does not take ``tower``."""
-        return sqdist_is_form(self.points[p], self.points[q], tower, m, e)
+        return None
 
     def sqdist_is(self, p, q, value: Scalar) -> bool:
-        return sqdist_is(self.points[p], self.points[q], value)
+        return self.sqdist(p, q) == value
 
     def same(self, p, q) -> bool:
         return self.points[p] == self.points[q]
@@ -326,15 +203,16 @@ class PointTable:
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
         """sum(c * P) over name -> integer coefficient c is the zero vector."""
-        return combination_vanishes(self._terms(relation))
-
-    def _dot_terms(self, u: tuple, w: tuple) -> list[tuple]:
-        u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
-        return [(1, (u1.x, u0.x), (w1.x, w0.x)), (1, (u1.y, u0.y), (w1.y, w0.y))]
+        terms = self._terms(relation)
+        return _is_zero(sum(c * p.x for c, p in terms)) and _is_zero(sum(c * p.y for c, p in terms))
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
         """The dot product of the differences u and w is zero."""
-        return form_vanishes(self._dot_terms(u, w))
+        return _is_zero(self._vec(u).dot(self._vec(w)))
+
+    def scaled_is(self, u: tuple, w: tuple, rho: Scalar) -> bool:
+        """The difference u equals rho times the difference w."""
+        return self._vec(u) == self._vec(w).scaled(rho)
 
 
 class _KernelTable(PointTable):
@@ -377,7 +255,26 @@ class _KernelTable(PointTable):
         return not terms or (vanishes([(c, p.x) for c, p in terms]) and vanishes([(c, p.y) for c, p in terms]))
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
-        return (tower_form_vanishes if self._towers else fun_form_vanishes)(self.tower, self._dot_terms(u, w))
+        u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
+        terms = [(1, (u1.x, u0.x), (w1.x, w0.x)), (1, (u1.y, u0.y), (w1.y, w0.y))]
+        return (tower_form_vanishes if self._towers else fun_form_vanishes)(self.tower, terms)
+
+    def scaled_is(self, u: tuple, w: tuple, rho: Scalar) -> bool:
+        """u - rho * w vanishes on each coordinate, on the integer form when
+        rho is a constant of the table's tower (for K(eps), over the unit
+        polynomial); any other rho takes the formula."""
+        towers = self._towers
+        if not (
+            isinstance(rho, TowerElem if towers else FunElem)
+            and (rho.tower is self.tower or rho.tower == self.tower)
+            and (towers or _funit(rho._d))
+        ):
+            return super().scaled_is(u, w, rho)
+        vanishes = tower_form_vanishes if towers else fun_form_vanishes
+        u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
+        return vanishes(self.tower, [(1, (u1.x, u0.x), None), (-1, (w1.x, w0.x), rho)]) and vanishes(
+            self.tower, [(1, (u1.y, u0.y), None), (-1, (w1.y, w0.y), rho)]
+        )
 
 
 class _RationalTable(_KernelTable):
@@ -428,20 +325,22 @@ class _RationalTable(_KernelTable):
 
 
 def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
-    """The table of ``points``, its carrier picked once for all of them:
-    plain integers when every coordinate is a ``TowerElem`` of Q; the tower
-    kernels for one tower; the K(eps) kernels for ``FunElem``s of one tower
-    over one denominator pair; otherwise each test on its own points
-    (``PointTable``).  A table is returned as it is."""
+    """The table of ``points``, its carrier picked once for all of them, in
+    one scan of their coordinates: plain integers when every coordinate is a
+    ``TowerElem`` of Q; the tower kernels for one tower; the K(eps) kernels
+    for ``FunElem``s of one tower over one denominator pair; otherwise the
+    formula (``PointTable``).  A table is returned as it is."""
     if isinstance(points, PointTable):
         return points
     values = points.values()
     coords = [p.x for p in values] + [p.y for p in values]
-    tower = _one_tower(coords)
-    if tower is not None:
-        return _KernelTable(points, tower, True) if tower.gens else _RationalTable(points, tower)
-    tower = _one_fun_tower(coords)
-    return PointTable(points) if tower is None else _KernelTable(points, tower, False)
+    towers = not (coords and isinstance(coords[0], FunElem))
+    tower = _one_tower(coords, TowerElem if towers else FunElem)
+    if tower is None or not towers and any(c._d != coords[0]._d for c in coords):
+        return PointTable(points)
+    if not towers:
+        return _KernelTable(points, tower, False)
+    return _KernelTable(points, tower, True) if tower.gens else _RationalTable(points, tower)
 
 
 def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:

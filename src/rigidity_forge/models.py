@@ -30,23 +30,24 @@ is built and checked orthonormal on the integer numerators
 (``scalars.fun_circle_point``, ``scalars.fun_frame_orthonormal``); other
 frames take the formula.
 
-The reports decide their equations with the zero tests of ``cm``, on the
-integer form where the images allow.  Preservation classifies the source
-points once and their images once, each into a ``cm.point_table``, and
-decides a ``ModelMap``'s pair of points over Q or one tower at the cost of
-two kernels: the source squared distance v stays the unreduced n/k of the
-table's ``sqdist_num`` (over Q an integer over k^2), rho(v) is
-``map_vector`` of n, the image pair is compared with it by the images'
-``sqdist_is_form``, and a rational v must have rho(v) == v on the vectors;
-other models, towers and carriers compare with ``rho(v)`` by
-``sqdist_is``.  An embedding other than the identity is undefined on a
-``FunElem``, which lies in no quadratic tower (``OutOfDomain``).
-Structure tests additivity as
-m(u + v) - m(u) - m(v) + m(0) = 0 (``cm.combination_vanishes``) and
-scaling by cross-multiplication (``cm.form_vanishes``), building no
-quotient.  Both map each distinct point once: an image is looked up by the
-point object, then by value, on the integer vectors while the call's
-points share one tower object (``_mapped_once``).
+The reports decide their equations on ``cm.point_table``s, which pick the
+carrier, and so the integer kernel where the images allow it, once per
+table.  Preservation classifies the source points once and their images
+once, each into a ``cm.point_table``, and decides a ``ModelMap``'s pair of
+points over Q or one tower at the cost of two kernels: the source squared
+distance v stays the unreduced n/k of the table's ``sqdist_num`` (over Q an
+integer over k^2), rho(v) is ``map_vector`` of n, the image pair is
+compared with it by the images' ``sqdist_is_form``, and a rational v must
+have rho(v) == v on the vectors; other models, towers and carriers compare
+with ``rho(v)`` by ``sqdist_is``.  An embedding other than the identity is
+undefined on a ``FunElem``, which lies in no quadratic tower
+(``OutOfDomain``).  Structure decides each test on the table of the images
+it reads: additivity as m(u + v) - m(u) - m(v) + m(0) = 0
+(``relation_vanishes``), and scaling of phi(u) = a - o to
+phi(lambda u) = b - o as a != o and b - o = rho (a - o) (``scaled_is``),
+building no quotient.  Both map each distinct point once: an image is looked up by the
+point object, then by value, on the integer vectors while the call's points
+share one tower object (``_mapped_once``).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .cm import Point, PointTable, _invert, _is_zero, _one_tower, combination_vanishes, form_vanishes, point_table
+from .cm import Point, PointTable, _invert, _is_zero, _one_tower, point_table
 from .scalars import (
     QQ,
     FunElem,
@@ -403,26 +404,19 @@ class StructureReport:
 
 def _scales(o: Point, a: Point, b: Point, rho) -> bool:
     """phi(lambda u) = rho * phi(u) for phi(u) = a - o != 0 and
-    phi(lambda u) = b - o, by cross-multiplying on the first coordinate c
-    where phi(u) is nonzero, den = phi(u)_c and num = phi(lambda u)_c:
-    num * phi(u) = phi(lambda u) * den, and num = rho * den."""
-    if not a.x == o.x:
-        num, den = (b.x, o.x), (a.x, o.x)
-    elif not a.y == o.y:
-        num, den = (b.y, o.y), (a.y, o.y)
-    else:
-        return False
-    # on coordinate c the first equation holds trivially; on the other it is a cross product
-    cross = [(1, (b.x, o.x), (a.y, o.y)), (-1, (b.y, o.y), (a.x, o.x))]
-    return form_vanishes(cross) and form_vanishes([(1, num, None), (-1, den, rho)])
+    phi(lambda u) = b - o: b - o = rho (a - o) on both coordinates, on the
+    table of the three images."""
+    images = point_table({"o": o, "a": a, "b": b})
+    return not images.same("a", "o") and images.scaled_is(("b", "o"), ("a", "o"), rho)
 
 
 def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence[Point]) -> StructureReport:
     """Check the displacement map phi(u) = m(u) - m(0) is additive, scales by a
     direction-independent factor rho(lambda), and that rho is a homomorphism.
-    Each distinct point is mapped once.  Additivity is
-    m(u + v) - m(u) - m(v) + m(0) = 0 (``cm.combination_vanishes``), and
-    scaling is cross-multiplied (``_scales``); ``int`` and ``Fraction``
+    Each distinct point is mapped once, and each test is decided on the
+    ``cm.point_table`` of the images it reads.  Additivity is
+    m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling
+    is b - o = rho (a - o) (``_scales``); ``int`` and ``Fraction``
     coordinates are rationals."""
     if not us:
         raise ModelError("need at least one sample direction")
@@ -433,7 +427,8 @@ def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence
     additivity_ok = True
     for u, v in combinations(us, 2):
         uv = Point(u.x + v.x, u.y + v.y)
-        if not combination_vanishes([(1, image(uv)), (-1, image(u)), (-1, image(v)), (1, m0)]):
+        images = point_table({"u+v": image(uv), "u": image(u), "v": image(v), "0": m0})
+        if not images.relation_vanishes({"u+v": 1, "u": -1, "v": -1, "0": 1}):
             additivity_ok = False
             break
 

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,10 +306,6 @@ def _other_denominator(x: FunElem, factor: int) -> FunElem:
     return FunElem._make(x.tower, (scale(num), k), (scale(den), kd))
 
 
-def _coords(points):
-    return [c for p in points.values() for c in (p.x, p.y)]
-
-
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(fact_cases(), st.sampled_from(["tower", "eps", "eps-times", "mixed", "eps-two-denominators"]))
 def test_every_fact_kind_matches_the_oracle(case, view):
@@ -331,33 +328,53 @@ def test_every_fact_kind_matches_the_oracle(case, view):
             points["A"] = Point(_other_denominator(a.x, 3), _other_denominator(a.y, 3))
             assert points["A"] == a
     takes_kernel = view in ("tower", "eps", "eps-times")
-    assert (cm._kernel_tower(_coords(points)) is not None) == takes_kernel
+    assert (type(cm.point_table(points)) is not cm.PointTable) == takes_kernel
     assert fact.holds(points) == oracle_holds(fact, points), (fact, view)
 
 
 @st.composite
 def value_cases(draw):
-    """Two points of one tower and a constant their squared distance is
-    compared with: the distance itself, another element, or a rational."""
+    """Points of one tower, a constant their squared distance |PQ|^2 is
+    compared with (the distance itself, another element, or a rational),
+    and a factor rho that S - O is compared with times R - O (an element,
+    a rational, zero or one); R may coincide with O, a zero direction, and
+    S may be moved so that the scaling holds."""
     tower = draw(st.sampled_from(TOWERS[:4]))
     seed = draw(st.integers(0, 2**32))
-    points = _points(tower, seed, "PQ", huge=draw(st.integers(0, 4)) == 0)
+    points = _points(tower, seed, "PQORS", huge=draw(st.integers(0, 4)) == 0)
     p, q = points["P"], points["Q"]
     actual = sqdist(p, q)
     value = draw(st.sampled_from([actual, actual + 1, p.x, actual.coords[0], F(0), F(-2), draw(SMALL)]))
-    return p, q, value
+    rho = draw(st.sampled_from([q.y, tower.rational(draw(RATIOS))]))
+    if draw(st.integers(0, 3)) == 0:
+        points["R"] = points["O"]
+    if draw(st.booleans()):
+        points["S"] = points["O"] + (points["R"] - points["O"]).scaled(rho)
+    return points, value, rho
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(value_cases(), st.booleans())
-def test_squared_distance_against_a_constant_matches_the_formula(case, eps):
-    p, q, value = case
-    if eps:
+@given(value_cases(), st.sampled_from(["tower", "tower-wider-rho", "eps", "eps-off-unit-rho", "eps-wider-rho"]))
+def test_squared_distance_against_a_constant_matches_the_formula(case, view):
+    """A kernel table and the base table agree with the formula on
+    ``sqdist_is`` and ``scaled_is``, rho a constant of the points' tower or
+    not: over an extension of it, or for K(eps) off the unit polynomial."""
+    points, value, rho = case
+    if view.endswith("wider-rho"):
+        rho = rho.lift(_extended(rho.tower))
+    if view.startswith("eps"):
         # preservation's comparison: K(eps) images against rho(v), a constant over 1
         model = eps_rotation_model()
-        p, q, value = model.apply(p), model.apply(q), model.rho(value)
+        points, value, rho = {n: model.apply(p) for n, p in points.items()}, model.rho(value), model.rho(rho)
         assert cm.constant_form(value) is not None
-    assert cm.sqdist_is(p, q, value) == (sqdist(p, q) == value)
+        if view == "eps-off-unit-rho":
+            rho = _other_denominator(rho, 3)
+    kernel = cm.point_table(points)
+    assert type(kernel) is not cm.PointTable
+    p, q, o, r, s = (points[n] for n in "PQORS")
+    for table in (kernel, cm.PointTable(points)):
+        assert table.sqdist_is("P", "Q", value) == ((p - q).dot(p - q) == value)
+        assert table.scaled_is(("S", "O"), ("R", "O"), rho) == (s - o == (r - o).scaled(rho))
 
 
 class _XYModel:
@@ -382,10 +399,27 @@ class _Scaled:
         return 4 * v
 
 
+class _Rho:
+    """``model``'s map with another rho."""
+
+    def __init__(self, model, rho):
+        self.apply, self.rho = model.apply, rho
+
+
 def _models(tower):
-    """Sound models, with and without a translation, and wrong ones."""
+    """Sound models, with and without a translation, and wrong ones; and
+    sound models whose rho is no constant of the images' tower: over an
+    extension of it, or for K(eps) off the unit polynomial."""
     rotation = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
-    models = [identity_model(), eps_rotation_model(), ModelMap(Embedding("identity"), rotation), _Scaled()]
+    eps, wider = eps_rotation_model(), _extended(tower)
+    models = [
+        identity_model(),
+        eps,
+        ModelMap(Embedding("identity"), rotation),
+        _Scaled(),
+        _Rho(identity_model(), lambda v: v.lift(wider)),
+        _Rho(eps, lambda v: _other_denominator(eps.rho(v), 3)),
+    ]
     if tower.depth:
         conj = conjugation_model(tower, tower.depth - 1)
         flip = conj.embedding.apply_scalar
@@ -403,18 +437,24 @@ def structure_cases(draw):
     tower = draw(st.sampled_from(TOWERS[:4]))
     elems = _elems(tower, draw(st.integers(0, 2**32)))
     # (0, 1) has no x component, so scaling is read on y
-    us = [Point(next(elems), next(elems)) for _ in range(draw(st.integers(1, 2)))]
+    us = [Point(next(elems), next(elems)) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         us.append(Point(tower.zero(), tower.one()))
+    if draw(st.integers(0, 4)) == 0:
+        us.append(Point(tower.zero(), tower.zero()))  # a zero direction: no scaling
     lambdas = [next(elems) for _ in range(draw(st.integers(1, 2)))]
     return draw(st.sampled_from(_models(tower))), lambdas, draw(st.permutations(us))
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(structure_cases())
 def test_structure_matches_the_oracle(case):
+    """The kernel tables, the base tables, and the theta oracle agree."""
     model, lambdas, us = case
-    assert verify_structure(model, lambdas, us) == oracle_structure(model, lambdas, us)
+    report = verify_structure(model, lambdas, us)
+    with mock.patch.object(models, "point_table", cm.PointTable):
+        assert verify_structure(model, lambdas, us) == report
+    assert report == oracle_structure(model, lambdas, us)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -442,20 +482,26 @@ def test_zero_tests_read_every_coordinate_and_row():
     origin = eps_rotation_model().apply(Point(QQ.rational(0), QQ.rational(0)))
     assert not NonzeroDist("O", "P").holds({"O": origin, "P": origin}) and SqDistKnown("O", "P", F(0)).holds({"O": origin, "P": origin})
     # a K(eps) distance agreeing with the value on the rows of D^2 only
-    eps = FunElem.eps()
-    assert not cm.sqdist_is(Point(1 + eps * eps, FunElem.constant(0)), Point(FunElem.constant(0), FunElem.constant(0)), 1)
+    eps, zero = FunElem.eps(), FunElem.constant(0)
+    table = cm.point_table({"P": Point(1 + eps * eps, zero), "O": Point(zero, zero)})
+    assert type(table) is cm._KernelTable and not table.sqdist_is("P", "O", 1)
     # a value over an extension of the points' tower, rational and not
     s3 = adjoin_sqrt(QQ, 3).tower
     p, q = Point(QQ.rational(0), QQ.rational(0)), Point(QQ.rational(3), QQ.rational(4))
-    assert cm.sqdist_is(p, q, s3.rational(25)) and not cm.sqdist_is(p, q, s3.rational(25) + s3.generator(0))
-    # constants off the unit polynomial take the formula
+    table = cm.point_table({"P": p, "Q": q})
+    assert table.sqdist_is("P", "Q", s3.rational(25)) and not table.sqdist_is("P", "Q", s3.rational(25) + s3.generator(0))
+    # constants off the unit polynomial take the formula, on a kernel table as on the base table
     two_thirds = FunElem._make(QQ, (((2,),), 1), (((3,),), 1))
     assert scalars.constant_form(two_thirds) is None
-    a, b = eps_rotation_model().apply(p), eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))
-    assert cm.sqdist_is(a, b, two_thirds * two_thirds) and not cm.sqdist_is(a, b, FunElem.constant(F(4, 9)) + eps)
+    images = {"A": eps_rotation_model().apply(p), "B": eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))}
     one = FunElem._make(QQ, (((3,),), 1), (((3,),), 1))
-    assert cm.form_vanishes([(1, (b.x, a.x), None), (-1, (b.x, a.x), one)])
-    assert not cm.form_vanishes([(1, (b.x, a.x), None), (-1, (b.x, a.x), two_thirds)])
+    kernel = cm.point_table(images)
+    assert type(kernel) is cm._KernelTable
+    for table in (kernel, cm.PointTable(images)):
+        assert table.sqdist_is("A", "B", two_thirds * two_thirds) and not table.sqdist_is("A", "B", FunElem.constant(F(4, 9)) + eps)
+        assert table.scaled_is(("B", "A"), ("B", "A"), one) and table.scaled_is(("B", "A"), ("B", "A"), FunElem.constant(1))
+        assert not table.scaled_is(("B", "A"), ("B", "A"), two_thirds)
+        assert not table.scaled_is(("B", "A"), ("B", "A"), FunElem.constant(F(2, 3)))
 
 
 # -- counters ------------------------------------------------------------------------------------
@@ -1020,10 +1066,13 @@ def test_rational_table_cost_stays_with_the_points_a_test_reads():
     assert [fact.holds(table) for fact in facts] == [oracle_holds(fact, points) for fact in facts]
 
 
+CM_KERNELS = [f"{carrier}_{shape}" for carrier in ("tower", "fun") for shape in ("sqdist", "sqdist_is", "comb_vanishes", "form_vanishes")]
+
+
 def _classification_counts(monkeypatch):
-    """Counters of the classifying scan (``cm._one_tower``), the per-call
-    dispatch ``cm._kernel_tower`` and the tower kernel ``tower_sqdist_num``."""
-    counts = {"scan": 0, "_kernel_tower": 0, "tower_sqdist_num": 0}
+    """Counters of the classifying scan (``cm._one_tower``), the kernels a
+    table calls (``kernel``) and the tower kernel ``tower_sqdist_num``."""
+    counts = {"scan": 0, "kernel": 0, "tower_sqdist_num": 0}
 
     def counting(name, real):
         def run(*args):
@@ -1033,10 +1082,18 @@ def _classification_counts(monkeypatch):
         return run
 
     monkeypatch.setattr(cm, "_one_tower", counting("scan", cm._one_tower))
-    monkeypatch.setattr(cm, "_kernel_tower", counting("_kernel_tower", cm._kernel_tower))
+    for name in CM_KERNELS:
+        monkeypatch.setattr(cm, name, counting("kernel", getattr(cm, name)))
     for module in (cm, scalars):
         monkeypatch.setattr(module, "tower_sqdist_num", counting("tower_sqdist_num", scalars.tower_sqdist_num))
     return counts
+
+
+def test_point_table_is_the_one_carrier_decision():
+    """The per-call zero tests, which picked a kernel on each call, are gone."""
+    for name in ("_kernel_tower", "sqdist_is", "sqdist_is_form", "combination_vanishes", "form_vanishes", "_factor_value"):
+        assert not hasattr(cm, name), name
+    assert not hasattr(models, "combination_vanishes") and not hasattr(models, "form_vanishes")
 
 
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
@@ -1056,35 +1113,44 @@ def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
         (lambda: recheck_derivation(derivation), 1),
         (lambda: verify_preservation(identity_model(), pairs), 2),
     ):
-        counts.update(scan=0, _kernel_tower=0, tower_sqdist_num=0)
+        counts.update(scan=0, kernel=0, tower_sqdist_num=0)
         run()
-        assert counts == {"scan": tables, "_kernel_tower": 0, "tower_sqdist_num": 0}
-    # the counters do see a report over a tower (one scan, the tower kernel per pair) and a one-off test
+        assert counts == {"scan": tables, "kernel": 0, "tower_sqdist_num": 0}
+    # the counters do see a report over a tower (one scan, the tower kernel per pair) and ``sqdist``
     bridge = chain_scale_gadgets()[5]
-    counts.update(scan=0, _kernel_tower=0, tower_sqdist_num=0)
+    counts.update(scan=0, kernel=0, tower_sqdist_num=0)
     bridge.validate()
-    assert counts["scan"] == 1 and counts["tower_sqdist_num"] == len(bridge.certificate) and counts["_kernel_tower"] == 0
-    cm.sqdist_is(gadget.points["A0"], gadget.points["C0"], 1)
-    assert counts["_kernel_tower"] == 1
+    assert counts["scan"] == 1 and counts["tower_sqdist_num"] == len(bridge.certificate) and counts["kernel"] > 0
+    counts.update(scan=0, kernel=0)
+    assert sqdist(gadget.points["A0"], gadget.points["C0"]) == 1
+    assert counts["scan"] == 1 and counts["kernel"] == 1
 
 
 def test_non_rational_reports_classify_once(monkeypatch):
-    """Over a tower and over K(eps) one scan per table, and no per-fact
-    dispatch; mixed towers decide each test on its own points."""
+    """Over a tower and over K(eps) one scan per table, also for each test
+    of ``verify_structure``; mixed towers take the base table, the formula,
+    and no kernel."""
     entry = suite.replay_corpus()[0]
     derivation, gadget = entry.derivation, entry.gadget
     counts = _classification_counts(monkeypatch)
     for model in (identity_model(), eps_rotation_model()):
-        counts.update(scan=0, _kernel_tower=0)
+        counts.update(scan=0, kernel=0)
         assert check_derivation(derivation, model).ok
-        assert counts["scan"] <= 2 and counts["_kernel_tower"] == 0  # K(eps): the TowerElem scan fails at once
+        assert counts["scan"] == 1 and counts["kernel"] > 0
+    registered, lambdas, us = criterion_9_data()
+    tests = len(list(combinations(us, 2))) + len(lambdas) * len(us)
+    for model in registered:
+        counts.update(scan=0)
+        assert verify_structure(model, lambdas, us).ok
+        assert counts["scan"] == tests
     wider = adjoin_sqrt(gadget.tower, 13).tower
     points = dict(gadget.points, A=Point(gadget.points["A"].x.lift(wider), gadget.points["A"].y.lift(wider)))
     table = cm.point_table(points)
     assert type(table) is cm.PointTable
-    counts.update(_kernel_tower=0)
-    assert all(fact.holds(table) == oracle_holds(fact, points) for fact in derivation.facts)
-    assert counts["_kernel_tower"] > 0
+    expected = [oracle_holds(fact, points) for fact in derivation.facts]
+    counts.update(kernel=0, tower_sqdist_num=0)
+    assert [fact.holds(table) for fact in derivation.facts] == expected
+    assert counts["kernel"] == counts["tower_sqdist_num"] == 0
 
 
 # -- K(eps) coordinates as preservation's source points ---------------------------------------------

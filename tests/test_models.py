@@ -448,21 +448,20 @@ def test_lazy_kfield_refutes_the_negative_controls():
 def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     """Every squared distance of K(eps) images that check and preservation
     compare runs the integer kernel ``fun_sqdist_is`` (through a point
-    table's ``sqdist_is``, or its ``sqdist_is_form`` for preservation, or
-    ``cm.sqdist_is``), none is built by ``sqdist``, and none multiplies
-    ``FunElem``s.  A comparison is counted once, where it enters."""
+    table's ``sqdist_is``, or its ``sqdist_is_form`` for preservation), none
+    is built by a table's ``sqdist``, and none multiplies ``FunElem``s.  A
+    comparison is counted once, where it enters."""
     corpus = suite.replay_corpus()
     counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0}
     inside = []
-    real_is, real_sqdist, real_kernel, real_mul = cm.sqdist_is, cm.sqdist, cm.fun_sqdist_is, FunElem.__mul__
+    real_kernel, real_mul = cm.fun_sqdist_is, FunElem.__mul__
 
-    def kfield(p, q):
-        return any(isinstance(c, FunElem) for c in (p.x, p.y, q.x, q.y))
+    def kfield(table, p, q):
+        return any(isinstance(c, FunElem) for c in (table[p].x, table[p].y, table[q].x, table[q].y))
 
-    def counting(real, points=None):
+    def counting(real):
         def run(*args):
-            p, q = args[:2] if points is None else (args[0][args[1]], args[0][args[2]])
-            counts["kfield"] += kfield(p, q) and not inside
+            counts["kfield"] += kfield(*args[:3]) and not inside
             inside.append(True)
             try:
                 return real(*args)
@@ -471,10 +470,9 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
 
         return run
 
-    def counting_sqdist(real, points=None):
+    def counting_sqdist(real):
         def run(*args):
-            p, q = args if points is None else (args[0][args[1]], args[0][args[2]])
-            counts["sqdist"] += kfield(p, q)
+            counts["sqdist"] += kfield(*args)
             return real(*args)
 
         return run
@@ -487,13 +485,10 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         counts["mul"] += bool(inside)
         return real_mul(self, other)
 
-    monkeypatch.setattr(cm, "sqdist_is", counting(real_is))
     for table in (cm.PointTable, cm._KernelTable):
         for name in ("sqdist_is", "sqdist_is_form"):
-            monkeypatch.setattr(table, name, counting(table.__dict__[name], points=True))
-        monkeypatch.setattr(table, "sqdist", counting_sqdist(table.__dict__["sqdist"], points=True))
-    for module in (cm, gadgets):
-        monkeypatch.setattr(module, "sqdist", counting_sqdist(real_sqdist))
+            monkeypatch.setattr(table, name, counting(table.__dict__[name]))
+        monkeypatch.setattr(table, "sqdist", counting_sqdist(table.__dict__["sqdist"]))
     monkeypatch.setattr(cm, "fun_sqdist_is", counting_kernel)
     monkeypatch.setattr(FunElem, "__mul__", counting_mul)
     monkeypatch.setattr(FunElem, "__rmul__", counting_mul)
@@ -510,7 +505,9 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     assert counts["sqdist"] == counts["mul"] == 0
     # the counters do see the formula, taken over two denominators
     eps = FunElem.eps()
-    assert cm.sqdist_is(Point(eps, eps), Point(eps / (eps + 1), FunElem.constant(0)), eps * eps + (eps * eps / (eps + 1)) ** 2)
+    table = cm.point_table({"P": Point(eps, eps), "Q": Point(eps / (eps + 1), FunElem.constant(0))})
+    assert type(table) is cm.PointTable
+    assert table.sqdist_is("P", "Q", eps * eps + (eps * eps / (eps + 1)) ** 2)
     assert counts["kfield"] == counts["kernel"] + 1 and counts["sqdist"] == 1 and counts["mul"] == 2
 
 

@@ -1319,10 +1319,9 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
 
         return kernel
 
-    for name in ("tower_sqdist", "tower_sqdist_is"):
-        monkeypatch.setattr(cm, name, counting(kernel_calls, getattr(cm, name)))
-    for name in ("fun_sqdist", "fun_sqdist_is"):
-        monkeypatch.setattr(cm, name, counting(fun_kernel_calls, getattr(cm, name)))
+    for shape in ("sqdist", "sqdist_is", "comb_vanishes", "form_vanishes"):
+        monkeypatch.setattr(cm, f"tower_{shape}", counting(kernel_calls, getattr(cm, f"tower_{shape}")))
+        monkeypatch.setattr(cm, f"fun_{shape}", counting(fun_kernel_calls, getattr(cm, f"fun_{shape}")))
 
     def results():
         out = []
@@ -1342,12 +1341,9 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     assert kernel_calls and fun_kernel_calls
     for module in (cm, gadgets):
         monkeypatch.setattr(module, "sqdist", _generic_sqdist)
-    monkeypatch.setattr(cm, "sqdist_is", lambda p, q, value: _generic_sqdist(p, q) == value)
-    # preservation's entry point on the integer form declines, so its pairs take the formula
-    monkeypatch.setattr(cm, "sqdist_is_form", lambda *args: None)
-    # every report call takes the point table that decides each test with the functions above
+    # every report call takes the base point table, the carrier formula
     generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
-    for module in (engine, gadgets, models):
+    for module in (cm, engine, gadgets, models):
         monkeypatch.setattr(module, "point_table", generic_table)
     kernel_calls.clear()
     fun_kernel_calls.clear()
