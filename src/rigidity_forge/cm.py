@@ -8,32 +8,32 @@ coordinates with ``==``.  Nothing here tolerates approximation.
 
 The facts are decided on a ``point_table``, the one place a carrier, and so
 a kernel, is picked: it scans every coordinate of its points a single time.
-Its tests are ``same``, ``sqdist``, ``sqdist_is`` (a squared distance
-equals a constant: its unreduced numerator cross-multiplied with the
-constant, read by ``constant_form``; ``sqdist_is_form`` takes the constant
-already in that form), ``relation_vanishes`` (an integer combination of
-points is zero), ``dot_vanishes`` (the dot product of two differences is
-zero) and ``scaled_is`` (a difference b - o equals rho (a - o) on both
-coordinates).  Over one tower they run the ``scalars`` kernel of their
-shape; built gadgets share one ``TowerDesc`` object, so the tower test is
-an identity check.  ``FunElem``s of one tower over one shared denominator
-D, the shape of every eps-frame image, run the K(eps) kernels: an equation
+Its tests are ``same``, ``sqdist_is`` (a squared distance equals a
+constant: its unreduced numerator cross-multiplied with the constant, read
+by ``constant_form``; ``sqdist_is_form`` takes the constant already in that
+form), ``relation_vanishes`` (an integer combination of points is zero),
+``dot_vanishes`` (the dot product of two differences is zero) and
+``scaled_is`` (a difference b - o equals rho (a - o) on both coordinates);
+``sqdist``, a squared distance as a value, is the carrier formula on every
+table.  Over one tower the tests run the ``scalars`` kernel of their shape;
+built gadgets share one ``TowerDesc`` object, so the tower test is an
+identity check.  ``FunElem``s of one tower over one shared denominator D,
+the shape of every eps-frame image, run the K(eps) kernels: an equation
 homogeneous in D holds iff it holds on the numerators.  Over Q (every
 coordinate a ``TowerElem`` of depth 0) the table holds each point as plain
 ``int`` coordinates over one denominator, the ``lcm`` of its two; a squared
 distance with value a/b is then b*(dx^2 + dy^2) == a*k^2, for the
-difference (dx, dy) over k, and point equality, the integer combinations
-and the dot products are a few integer operations each.  The denominators
-are kept per point: one common denominator L of all the points would grow
-with their number (L^2 had 4.2 million bits on 80 points with distinct
-4,000-digit denominators).  Every other point set (coordinates over
-different towers or denominators, ``Fraction``, ``Polynomial``) takes the
-base ``PointTable``, the carrier formula, which is also the reference the
-kernels are tested against.
+difference (dx, dy) over k, and point equality and the integer combinations
+are a few integer operations each; the dot products take the tower kernel
+at depth 0.  The denominators are kept per point: one common denominator L
+of all the points would grow with their number (L^2 had 4.2 million bits on
+80 points with distinct 4,000-digit denominators).  Every other point set
+(coordinates over different towers or denominators, ``Fraction``,
+``Polynomial``) takes the base ``PointTable``, the carrier formula, which
+is also the reference the kernels are tested against.
 
 The facts are written once, against the table's tests; a fact given a
-plain mapping, and ``sqdist`` of two points, build the table of their
-points.  A table lives for one call.
+plain mapping builds the table of its points.  A table lives for one call.
 """
 from __future__ import annotations
 
@@ -54,11 +54,9 @@ from .scalars import (
     constant_form,
     fun_comb_vanishes,
     fun_form_vanishes,
-    fun_sqdist,
     fun_sqdist_is,
     tower_comb_vanishes,
     tower_form_vanishes,
-    tower_sqdist,
     tower_sqdist_is,
     tower_sqdist_num,
 )
@@ -148,9 +146,9 @@ def _one_tower(coords: Sequence[Scalar], carrier: type = TowerElem) -> TowerDesc
 
 
 def sqdist(p: Point, q: Point) -> Scalar:
-    """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier, on
-    the kernel the pair's ``point_table`` picks."""
-    return point_table({0: p, 1: q}).sqdist(0, 1)
+    """The squared-distance form (x1-y1)^2 + (x2-y2)^2 over any carrier."""
+    d = p - q
+    return d.dot(d)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +176,7 @@ class PointTable:
         return self.points[u[0]] - self.points[u[1]]
 
     def sqdist(self, p, q) -> Scalar:
-        d = self._vec((p, q))
-        return d.dot(d)
+        return sqdist(self.points[p], self.points[q])
 
     def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
         """The squared distance as an unreduced integer vector over the
@@ -226,10 +223,6 @@ class _KernelTable(PointTable):
         self.tower = tower
         self._towers = towers
 
-    def sqdist(self, p, q) -> Scalar:
-        a, b = self.points[p], self.points[q]
-        return (tower_sqdist if self._towers else fun_sqdist)(self.tower, a.x, a.y, b.x, b.y)
-
     def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
         if not self._towers:
             return None
@@ -244,7 +237,7 @@ class _KernelTable(PointTable):
 
     def sqdist_is(self, p, q, value: Scalar) -> bool:
         """A constant by ``sqdist_is_form`` where it takes the constant's
-        tower, else the value of ``sqdist``."""
+        tower, else the value of ``sqdist`` by the formula."""
         const = constant_form(value)
         ok = None if const is None else self.sqdist_is_form(p, q, *const)
         return self.sqdist(p, q) == value if ok is None else ok
@@ -252,7 +245,7 @@ class _KernelTable(PointTable):
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
         terms = self._terms(relation)
         vanishes = tower_comb_vanishes if self._towers else fun_comb_vanishes
-        return not terms or (vanishes([(c, p.x) for c, p in terms]) and vanishes([(c, p.y) for c, p in terms]))
+        return vanishes([(c, p.x) for c, p in terms]) and vanishes([(c, p.y) for c, p in terms])
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
         u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
@@ -316,12 +309,6 @@ class _RationalTable(_KernelTable):
         terms = [(c, *self._xyd[n]) for n, c in relation.items()]
         k = lcm(*[d for _, _, _, d in terms])
         return not sum([c * x * (k // d) for c, x, _, d in terms]) and not sum([c * y * (k // d) for c, _, y, d in terms])
-
-    def dot_vanishes(self, u: tuple, w: tuple) -> bool:
-        # the differences' positive denominators do not change whether the product is zero
-        ux, uy, _ = self._difference(u)
-        wx, wy, _ = self._difference(w)
-        return not (ux * wx + uy * wy)
 
 
 def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:

@@ -25,11 +25,6 @@ The generic conjugation carries a point into its domain by
 ``scalars.tower_join``.  Every embedding fixes Q, so ``int`` and
 ``Fraction`` values are elements of Q.
 
-A K(eps) frame over Q on one denominator D, such as the rotation at eps,
-is built and checked orthonormal on the integer numerators
-(``scalars.fun_circle_point``, ``scalars.fun_frame_orthonormal``); other
-frames take the formula.
-
 The reports decide their equations on ``cm.point_table``s, which pick the
 carrier, and so the integer kernel where the images allow it, once per
 table.  Preservation classifies the source points once and their images
@@ -66,9 +61,7 @@ from .scalars import (
     TowerDesc,
     TowerElem,
     _elem,
-    fun_circle_point,
     fun_frame_kernel,
-    fun_frame_orthonormal,
     tower_conjugate,
     tower_frame_kernel,
     tower_join,
@@ -185,14 +178,11 @@ class OrthoAffine:
     _kfield: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ok = fun_frame_orthonormal(self.matrix)
-        if ok is None:
-            (m00, m01), (m10, m11) = self.matrix
-            col1_sq = m00 * m00 + m10 * m10
-            col2_sq = m01 * m01 + m11 * m11
-            cross = m00 * m01 + m10 * m11
-            ok = col1_sq == 1 and col2_sq == 1 and _is_zero(cross)
-        if not ok:
+        (m00, m01), (m10, m11) = self.matrix
+        col1_sq = m00 * m00 + m10 * m10
+        col2_sq = m01 * m01 + m11 * m11
+        cross = m00 * m01 + m10 * m11
+        if not (col1_sq == 1 and col2_sq == 1 and _is_zero(cross)):
             raise NonOrthogonalFrame("columns are not orthonormal under the squared-distance form")
         fun_kernel = fun_frame_kernel(self.matrix, self.translation)
         object.__setattr__(self, "_kernel", fun_kernel or tower_frame_kernel(self.matrix, self.translation))
@@ -210,18 +200,14 @@ class OrthoAffine:
 
 def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | None = None) -> OrthoAffine:
     """Rotation (or reflection) with linear part parametrized by a point of the
-    unit circle: a = (1-t^2)/(1+t^2), b = 2t/(1+t^2); exact in any carrier,
-    and built on the integer form for t in K(eps) over Q
-    (``scalars.fun_circle_point``)."""
-    entries = fun_circle_point(t)
-    if entries is None:
-        one = t * 0 + 1
-        denom = one + t * t
-        if _is_zero(denom):
-            raise DegenerateParameter("1 + t^2 = 0")
-        inv = _invert(denom)
-        entries = (one - t * t) * inv, (2 * t) * inv
-    a, b = entries
+    unit circle: a = (1-t^2)/(1+t^2), b = 2t/(1+t^2); exact in any carrier."""
+    one = t * 0 + 1
+    denom = one + t * t
+    if _is_zero(denom):
+        raise DegenerateParameter("1 + t^2 = 0")
+    inv = _invert(denom)
+    a = (one - t * t) * inv
+    b = (2 * t) * inv
     if reflection:
         rows = ((a, b), (b, -a))
     else:

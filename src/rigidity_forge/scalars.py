@@ -11,17 +11,17 @@ Three carriers, all with decidable equality:
   vector over one positive denominator, in canonical form (the denominator
   and the coordinates share no factor), so arithmetic takes one integer gcd
   per result and equality is a tuple comparison.  ``coords`` gives the same
-  values as ``Fraction``s.  ``tower_sqdist``, the squared-distance kernel,
-  takes both differences and squares (``_isq``) of four elements of one
-  tower on the integer vectors and reduces once; it wraps
-  ``tower_sqdist_num``, the unreduced result, which ``tower_sqdist_is``
-  cross-multiplies with a constant.  ``tower_comb_vanishes`` (an integer
-  combination) and ``tower_form_vanishes`` (a sum of products) are the other
-  zero tests of the facts; none of the three builds an element or reduces
-  one.  ``lift`` and ``prefix``
-  return the target tower object itself, so a gadget's points share one
-  ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of one tower
-  through a rational affine frame on the integer vectors.
+  values as ``Fraction``s.  ``tower_sqdist_num``, the squared-distance
+  kernel, takes both differences and squares (``_isq``) of four elements of
+  one tower on the integer vectors and leaves the result unreduced;
+  ``tower_sqdist_is`` cross-multiplies it with a constant.
+  ``tower_comb_vanishes`` (an integer combination) and
+  ``tower_form_vanishes`` (a sum of products) are the other zero tests of
+  the facts; none of the three builds an element or reduces one.  A
+  squared distance as a value is the carrier formula.  ``lift`` and
+  ``prefix`` return the target tower object itself, so a gadget's points
+  share one ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of
+  one tower through a rational affine frame on the integer vectors.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -30,19 +30,14 @@ Three carriers, all with decidable equality:
   matrix over one positive denominator (row i holds the integer coordinates
   of the coefficient of eps^i), in canonical form, so products and sums run
   on integers and equal polynomials have equal pairs; a product with the
-  unit polynomial returns the other operand.  ``fun_sqdist``, the K(eps)
-  squared-distance kernel, takes both differences and the sum of their
-  squares of four elements over one denominator on the integer matrices and
-  reduces once; D^2 comes from a one-entry memo keyed by the identity of D
-  (``_fsquare``), so the images of one model, which share one D object,
-  square it once.  ``fun_sqdist_num``, ``fun_sqdist_is``,
-  ``fun_comb_vanishes`` and ``fun_form_vanishes`` are the tower kernels'
-  counterparts on the numerators of elements over one denominator pair D;
-  ``fun_sqdist_is`` compares with a constant times D^2 from the memo.
-  ``fun_frame_kernel`` maps two elements of one tower
-  through a K(eps) frame over Q into K(eps) on the integer matrices;
-  ``fun_circle_point`` builds such a frame's entries from a parameter t
-  and ``fun_frame_orthonormal`` checks its columns, both on the numerators.
+  unit polynomial returns the other operand.  D^2 comes from a one-entry
+  memo keyed by the identity of D (``_fsquare``), so the images of one
+  model, which share one D object, square it once.  ``fun_sqdist_num``,
+  ``fun_sqdist_is``, ``fun_comb_vanishes`` and ``fun_form_vanishes`` are
+  the tower kernels' counterparts on the numerators of elements over one
+  denominator pair D; ``fun_sqdist_is`` compares with a constant times D^2
+  from the memo.  ``fun_frame_kernel`` maps two elements of one tower
+  through a K(eps) frame over Q into K(eps) on the integer matrices.
   The reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
@@ -633,14 +628,8 @@ def tower_sqdist_num(rads: Rads, px: TowerElem, py: TowerElem, qx: TowerElem, qy
     return _iadd(su, ku * ku * ksu, sv, kv * kv * ksv)
 
 
-def tower_sqdist(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem) -> TowerElem:
-    """(px - qx)^2 + (py - qy)^2 for four elements of ``tower``, as one
-    element: ``tower_sqdist_num`` reduced once."""
-    return _elem(tower, *_canon(*tower_sqdist_num(tower._rads, px, py, qx, qy)))
-
-
 def tower_sqdist_is(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem, m: IVec, e: int) -> bool:
-    """``tower_sqdist(...) == m/e``: the unreduced numerator n/k is
+    """(px - qx)^2 + (py - qy)^2 == m/e: the unreduced numerator n/k is
     cross-multiplied with m/e, for m over a prefix of the tower's basis (its
     missing coordinates are zero); no element is built."""
     n, k = tower_sqdist_num(tower._rads, px, py, qx, qy)
@@ -990,9 +979,6 @@ class FunElem(_FieldOps):
     never zero.  A product with the unit polynomial (a constant's
     denominator) returns the other operand, so multiplying by a constant, and
     each side of ``==`` against one, takes no rescaling and no gcd.
-    ``fun_sqdist`` is the squared-distance kernel for four values over one
-    denominator, the shape of every eps-frame image: one convolution that
-    squares the numerator differences, one reduction.
 
     The public face is the reduced form: ``num`` and ``den`` are coprime
     polynomials of ``TowerElem`` coefficients and ``den`` is monic.  It is
@@ -1230,16 +1216,6 @@ def fun_sqdist_num(rads: Rads, px: FunElem, py: FunElem, qx: FunElem, qy: FunEle
     return rows, ku * ku * k
 
 
-def fun_sqdist(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> FunElem:
-    """(px - qx)^2 + (py - qy)^2 for four elements of K(eps) over ``tower``
-    that share one denominator pair D, as one element over D^2:
-    ``fun_sqdist_num`` reduced once, over D^2 from ``_fsquare``, so the pairs
-    of one model's images square D once.
-    """
-    rows, k = fun_sqdist_num(tower._rads, px, py, qx, qy)
-    return FunElem._make(tower, _fcanon(rows, k), _fsquare(tower, px._d))
-
-
 def _frows_equal(a: Sequence[IVec], fa: int, b: Sequence[IVec], fb: int) -> bool:
     """a * fa == b * fb row by row, for nonzero fa and fb; a missing row is
     zero."""
@@ -1251,8 +1227,9 @@ def _frows_equal(a: Sequence[IVec], fa: int, b: Sequence[IVec], fb: int) -> bool
 
 
 def fun_sqdist_is(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem, m: IVec, e: int) -> bool:
-    """``fun_sqdist(...) == m/e`` for the constant m/e of K (m over a prefix
-    of its basis), on the unreduced numerator: it is compared with m/e * D^2,
+    """(px - qx)^2 + (py - qy)^2 == m/e, for four elements of K(eps) over one
+    denominator pair D and the constant m/e of K (m over a prefix of its
+    basis), on the unreduced numerator: it is compared with m/e * D^2,
     D^2 from the ``_fsquare`` memo, by cross-multiplication.  A rational
     constant scales D^2's rows, another takes one product with them, and
     zero needs no D^2."""
@@ -1272,7 +1249,7 @@ def fun_comb_vanishes(terms: Sequence[tuple[int, FunElem]]) -> bool:
     the ``lcm`` of their denominators and summed."""
     k = lcm(*[x._n[1] for _, x in terms])
     scaled = [(c * (k // x._n[1]), x._n[0]) for c, x in terms]
-    for i in range(max(len(rows) for _, rows in scaled)):
+    for i in range(max((len(rows) for _, rows in scaled), default=0)):
         live = [(f, rows[i]) for f, rows in scaled if i < len(rows)]
         if not _ivanishes([f for f, _ in live], [row for _, row in live]):
             return False
@@ -1317,9 +1294,8 @@ def _fproducts(rads: Rads, dim: int, factors: Sequence[tuple]) -> tuple[list[IVe
 
 # ---------------------------------------------------------------------------
 # Frame kernels: the image (a*x + b*y + c, ...) of two tower elements x, y of
-# one tower under an affine frame, built on the integer form, and a K(eps)
-# frame's entries and orthonormality on its numerators.  Each returns None
-# for frames of another shape, which take the generic formula.
+# one tower under an affine frame, built on the integer form.  Each returns
+# None for frames of another shape, which take the generic formula.
 # ---------------------------------------------------------------------------
 
 FrameKernel = Callable[[TowerElem, TowerElem], tuple]
@@ -1405,37 +1381,6 @@ def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
         return tuple(out)
 
     return image
-
-
-def fun_circle_point(t) -> tuple[FunElem, FunElem] | None:
-    """((1 - t^2)/(1 + t^2), 2t/(1 + t^2)) for t = N/D in K(eps) over Q,
-    built on the integer form over one shared denominator D^2 + N^2, which
-    is never zero; None for other values."""
-    if not _fun_over_q((t,)):
-        return None
-    n, d = t._n, t._d
-    den = _fcanon(*_fproducts((), 1, [(1, d, d), (1, n, n)]))
-    a = _fcanon(*_fproducts((), 1, [(1, d, d), (-1, n, n)]))
-    b = _fcanon(*_fproducts((), 1, [(2, n, d)]))
-    return FunElem._make(QQ, a, den), FunElem._make(QQ, b, den)
-
-
-def fun_frame_orthonormal(matrix) -> bool | None:
-    """Whether the columns of a K(eps) matrix are orthonormal, for every
-    entry a ``FunElem`` over Q on one denominator D, decided on the
-    numerators N: N00^2 + N10^2 - D^2, N01^2 + N11^2 - D^2 and
-    N00 N01 + N10 N11 vanish (each of degree 2 in D); None for other
-    matrices."""
-    (m00, m01), (m10, m11) = matrix
-    if not _fun_over_q((m00, m01, m10, m11)):
-        return None
-    n00, n01, n10, n11, d = m00._n, m01._n, m10._n, m11._n, m00._d
-    forms = (
-        [(1, n00, n00), (1, n10, n10), (-1, d, d)],
-        [(1, n01, n01), (1, n11, n11), (-1, d, d)],
-        [(1, n00, n01), (1, n10, n11)],
-    )
-    return not any(any(map(any, _fproducts((), 1, form)[0])) for form in forms)
 
 
 # ---------------------------------------------------------------------------

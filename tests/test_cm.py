@@ -7,9 +7,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge.cm import Point, Vec2, affinely_dependent3, cm3, cm3_points, cm4, rational_point, sqdist
+from rigidity_forge.cm import Point, Vec2, affinely_dependent3, cm3, cm3_points, cm4, point_table, rational_point, sqdist
 from rigidity_forge.engine import _LEMMAS, Distinct, NonzeroDist, PatternMismatch, SqDistKnown, VecEq
-from rigidity_forge import scalars
 from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
@@ -60,20 +59,13 @@ def test_point_and_vector_equality_make_no_tower_subtraction(monkeypatch):
     assert u == Vec2(same.x, same.y) and not u == v
 
 
-def test_tower_sqdist_builds_one_tower_elem(monkeypatch):
+def test_tower_sqdist_is_the_formula():
     t, p, q = _tower_points()
     expected = (p.x - q.x) * (p.x - q.x) + (p.y - q.y) * (p.y - q.y)
-    created = []
-    real_elem = scalars._elem
-
-    def counting_elem(*args):
-        created.append(args)
-        return real_elem(*args)
-
-    monkeypatch.setattr(scalars, "_elem", counting_elem)
     got = sqdist(p, q)
-    assert len(created) == 1
-    assert got == expected and got.tower is t
+    assert got == expected and got.tower is t and (got._n, got._d) == (expected._n, expected._d)
+    table = point_table({"P": p, "Q": q})
+    assert table.sqdist_is("P", "Q", got) and not table.sqdist_is("P", "Q", got + 1)
 
 
 def test_sqdist_over_function_field():

@@ -417,6 +417,21 @@ def test_corpus_encoding_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_ENCODING_SHA256
 
 
+# sha256 of the model files of every ``suite.model_family`` model of the 16
+# corpus gadgets, concatenated in corpus and family order
+MODEL_FAMILY_ENCODING_SHA256 = "f1c904f183f3de59eae49e6390e3def8864e729fa247c665588b9c8584337d75"
+
+
+def test_model_family_encoding_is_pinned():
+    """The model file format, byte for byte: the K(eps) frames' entries and
+    the rational and conjugation frames, as ``model-check --model @file``
+    reads them."""
+    families = [suite.model_family(entry.gadget) for entry in suite.replay_corpus()]
+    text = "".join(codec.dumps(codec.encode_model(model)) for family in families for _, model in family)
+    assert sum(map(len, families)) == 96
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_FAMILY_ENCODING_SHA256
+
+
 # sha256 of the printed value and the encoding of every image coordinate and
 # every image-pair squared distance of the 16 corpus gadgets under the two
 # K(eps) models, in corpus, model and point order

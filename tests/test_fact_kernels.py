@@ -829,24 +829,7 @@ def test_preservation_builds_no_carrier_objects(monkeypatch):
     assert "_elem" in calls
 
 
-# -- K(eps) frames on the integer form --------------------------------------------------------------
-
-
-def _fmul_calls(monkeypatch):
-    calls = []
-    real = scalars._fmul
-    monkeypatch.setattr(scalars, "_fmul", lambda rads, a, b: calls.append(a) or real(rads, a, b))
-    return calls
-
-
-def test_eps_models_take_no_fmul(monkeypatch):
-    calls = _fmul_calls(monkeypatch)
-    eps_rotation_model()
-    eps_rotation_model(reflection=True)
-    assert calls == []
-    # the counter does see the formula: a frame over Q(sqrt 2)
-    make_pythagorean_rotation(FunElem.eps() + adjoin_sqrt(QQ, 2).root)
-    assert calls
+# -- K(eps) frames by the formula ---------------------------------------------------------------------
 
 
 def _circle_point_formula(t):
@@ -855,25 +838,24 @@ def _circle_point_formula(t):
     return (one - t * t) * inv, (2 * t) * inv
 
 
-def test_k_eps_frames_match_the_formula(monkeypatch):
+def test_k_eps_frames_match_the_formula():
     eps = FunElem.eps()
     for t in (eps, eps / (eps + 1), 3 * eps * eps - F(1, 2), F(2, 3) + eps * 0):
-        a, b = scalars.fun_circle_point(t)
-        assert (a, b) == _circle_point_formula(t) and a._d is b._d
+        a, b = _circle_point_formula(t)
         for reflection, rows in ((False, ((a, -b), (b, a))), (True, ((a, b), (b, -a)))):
-            assert scalars.fun_frame_orthonormal(rows) is True
             assert make_pythagorean_rotation(t, reflection=reflection).matrix == rows
         # not orthonormal: scaled by 2, the second column only, and a nonzero cross term
         for rows in (((2 * a, -2 * b), (2 * b, 2 * a)), ((a, -2 * b), (b, 2 * a)), ((a, b), (b, a))):
-            assert scalars.fun_frame_orthonormal(rows) is False
             with pytest.raises(NonOrthogonalFrame):
                 OrthoAffine(rows)
-    # other carriers take the formula
-    s2 = adjoin_sqrt(QQ, 2).root
-    assert scalars.fun_circle_point(eps + s2) is None and scalars.fun_frame_orthonormal(((1, 0), (0, 1))) is None
-    assert scalars.fun_frame_orthonormal(((eps, 0), (0, eps))) is None
     with pytest.raises(NonOrthogonalFrame):
         OrthoAffine(((eps, 0 * eps), (0 * eps, eps)))
+    # both eps models keep the K(eps) image kernel: every entry over one D object
+    for reflection in (False, True):
+        frame = eps_rotation_model(reflection=reflection).frame
+        entries = [e for row in frame.matrix for e in row]
+        assert frame._kfield and all(e._d is entries[0]._d for e in entries)
+    assert not OrthoAffine(((1, 0), (0, 1)))._kfield
 
 
 # -- one point table per report call -------------------------------------------------------------
@@ -1066,7 +1048,7 @@ def test_rational_table_cost_stays_with_the_points_a_test_reads():
     assert [fact.holds(table) for fact in facts] == [oracle_holds(fact, points) for fact in facts]
 
 
-CM_KERNELS = [f"{carrier}_{shape}" for carrier in ("tower", "fun") for shape in ("sqdist", "sqdist_is", "comb_vanishes", "form_vanishes")]
+CM_KERNELS = [f"{carrier}_{shape}" for carrier in ("tower", "fun") for shape in ("sqdist_is", "comb_vanishes", "form_vanishes")]
 
 
 def _classification_counts(monkeypatch):
@@ -1096,6 +1078,33 @@ def test_point_table_is_the_one_carrier_decision():
     assert not hasattr(models, "combination_vanishes") and not hasattr(models, "form_vanishes")
 
 
+def test_the_value_and_construction_kernels_are_gone():
+    """A squared distance as a value, a K(eps) frame's entries and its
+    orthonormality are the carrier formula; over Q a dot product takes the
+    tower kernel at depth 0."""
+    for name in ("tower_sqdist", "fun_sqdist", "fun_circle_point", "fun_frame_orthonormal"):
+        assert not hasattr(scalars, name), name
+    assert "sqdist" not in cm._KernelTable.__dict__ and "dot_vanishes" not in cm._RationalTable.__dict__
+
+
+def test_an_empty_relation_vanishes_on_every_table():
+    """An empty sum is zero: both comb kernels, and the corpus fact
+    VecEq(A0, A0, C0, C0), whose relation cancels to {}, under the K(eps)
+    and the conjugation models of its family."""
+    assert scalars.tower_comb_vanishes([]) and scalars.fun_comb_vanishes([])
+    entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
+    fact = entry.derivation.facts[0]
+    assert fact == VecEq("A0", "A0", "C0", "C0") and engine._linear_relation(fact) == {}
+    tables = {False: 0, True: 0}
+    for _, model in suite.model_family(entry.gadget):
+        images = cm.point_table({n: model.apply(p) for n, p in entry.gadget.points.items()})
+        if type(images) is cm._KernelTable:
+            tables[images._towers] += 1
+            assert fact.holds(images)
+        assert check_derivation(entry.derivation, model).ok
+    assert tables == {False: 2, True: 3}
+
+
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
     """A span-80 chain over Q: ``Gadget.validate``, replay (validate, then
     ``_finish``), ``check_derivation``, ``recheck_derivation`` and
@@ -1116,14 +1125,15 @@ def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
         counts.update(scan=0, kernel=0, tower_sqdist_num=0)
         run()
         assert counts == {"scan": tables, "kernel": 0, "tower_sqdist_num": 0}
-    # the counters do see a report over a tower (one scan, the tower kernel per pair) and ``sqdist``
+    # the counters do see a report over a tower (one scan, the tower kernel per pair)
     bridge = chain_scale_gadgets()[5]
     counts.update(scan=0, kernel=0, tower_sqdist_num=0)
     bridge.validate()
     assert counts["scan"] == 1 and counts["tower_sqdist_num"] == len(bridge.certificate) and counts["kernel"] > 0
+    # ``sqdist`` is the formula: it builds no table
     counts.update(scan=0, kernel=0)
     assert sqdist(gadget.points["A0"], gadget.points["C0"]) == 1
-    assert counts["scan"] == 1 and counts["kernel"] == 1
+    assert counts["scan"] == counts["kernel"] == 0
 
 
 def test_non_rational_reports_classify_once(monkeypatch):

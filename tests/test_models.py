@@ -488,7 +488,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     for table in (cm.PointTable, cm._KernelTable):
         for name in ("sqdist_is", "sqdist_is_form"):
             monkeypatch.setattr(table, name, counting(table.__dict__[name]))
-        monkeypatch.setattr(table, "sqdist", counting_sqdist(table.__dict__["sqdist"]))
+    monkeypatch.setattr(cm.PointTable, "sqdist", counting_sqdist(cm.PointTable.sqdist))
     monkeypatch.setattr(cm, "fun_sqdist_is", counting_kernel)
     monkeypatch.setattr(FunElem, "__mul__", counting_mul)
     monkeypatch.setattr(FunElem, "__rmul__", counting_mul)

@@ -4,7 +4,6 @@ import dataclasses
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,12 +21,14 @@ from rigidity_forge.scalars import (
     adjoin_sqrt,
     cmp_with_sqrt,
     common_tower,
-    fun_sqdist,
+    fun_sqdist_is,
+    fun_sqdist_num,
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
     sqrt_in_tower,
     tower_conjugate,
-    tower_sqdist,
+    tower_sqdist_is,
+    tower_sqdist_num,
 )
 from rigidity_forge.scalars import (
     _basis_bounds,
@@ -37,6 +38,7 @@ from rigidity_forge.scalars import (
     _fcanon,
     _fmul,
     _fone,
+    _fsquare,
     _fsumsq,
     _iadd,
     _ijoin,
@@ -711,12 +713,13 @@ def test_sqdist_kernel_matches_the_generic_formula(case):
     tower, (px, py, qx, qy) = case
     rads = tower._rads
     dx, dy = px - qx, py - qy
-    got = tower_sqdist(tower, px, py, qx, qy)
-    _assert_canonical(got)
-    assert got.tower is tower
-    assert got == dx * dx + dy * dy
-    assert got.coords == _vadd(_vmul(_rads(tower), dx.coords, dx.coords), _vmul(_rads(tower), dy.coords, dy.coords))
-    assert cm.sqdist(Point(px, py), Point(qx, qy)) == got
+    formula = dx * dx + dy * dy
+    _assert_canonical(formula)
+    assert _canon(*tower_sqdist_num(rads, px, py, qx, qy)) == (formula._n, formula._d)
+    assert formula.coords == _vadd(_vmul(_rads(tower), dx.coords, dx.coords), _vmul(_rads(tower), dy.coords, dy.coords))
+    # against a constant: the value itself, and the value moved by one
+    for value, holds in ((formula, True), (formula + 1, False)):
+        assert tower_sqdist_is(tower, px, py, qx, qy, value._n, value._d) is holds
     for x in (px, dx, dx + py * qy):
         assert _canon(*_isq(rads, x._n)) == _canon(*_imul(rads, x._n, x._n))
 
@@ -1150,22 +1153,29 @@ def fun_quads(draw):
     return tower, px, py, px if "x" in zero else qx, py if "y" in zero else qy
 
 
+def _eps_images(*points):
+    """The eps-rotation images of ``points`` over Q, flattened: coordinates
+    over one shared denominator 1 + eps^2."""
+    model = models.eps_rotation_model()
+    images = [model.apply(cm.rational_point(*xy)) for xy in points]
+    return [c for image in images for c in (image.x, image.y)]
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(fun_quads())
 @example((FUN_TOWERS[2], FunElem.eps(FUN_TOWERS[2]), FunElem.constant(0, FUN_TOWERS[2]), FunElem.constant(1, FUN_TOWERS[2]), FunElem.eps(FUN_TOWERS[2])))
+@example((QQ, *_eps_images((0, 0), (3, 4))))  # a nonzero constant distance, 25
 def test_fun_sqdist_kernel_matches_the_generic_formula(case):
     tower, px, py, qx, qy = case
     rads = tower._rads
     dx, dy = px - qx, py - qy
     formula = dx * dx + dy * dy
-    got = fun_sqdist(tower, px, py, qx, qy)
-    _assert_fun_canonical(got)
-    assert got.tower is tower
-    assert (got._n, got._d) == (formula._n, formula._d)
-    assert got == formula and (got.num, got.den) == (formula.num, formula.den) and hash(got) == hash(formula)
-    with mock.patch.object(cm, "fun_sqdist", wraps=fun_sqdist) as kernel:
-        assert cm.sqdist(Point(px, py), Point(qx, qy)) == got
-    assert kernel.call_count == 1
+    _assert_fun_canonical(formula)
+    assert (_fcanon(*fun_sqdist_num(rads, px, py, qx, qy)), _fsquare(tower, px._d)) == (formula._n, formula._d)
+    # against constants of K: zero, a rational, an irrational, and 25
+    generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
+    for c in (tower.zero(), tower.rational(Fraction(-2, 3)), generator * Fraction(5, 2) + 1, tower.rational(25)):
+        assert fun_sqdist_is(tower, px, py, qx, qy, c._n, c._d) == (formula == FunElem.constant(c))
     # the squaring convolution against the product, alone and summed
     for a in (px._n, dx._n, px._d, formula._n):
         rows, k = _fsumsq(rads, (a[0],))
@@ -1176,14 +1186,14 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(case):
         assert _fcanon(rows, dx._n[1] ** 2 * k) == _fadd(*square)
     # the unit shortcut hands back the other operand, which is canonical
     unit = _fone(tower)
-    for a in (px._n, px._d, got._n, got._d, unit):
+    for a in (px._n, px._d, formula._n, formula._d, unit):
         assert _fmul(rads, a, unit) == a == _fmul(rads, unit, a)
         _assert_fun_canonical(FunElem._make(tower, a, unit))
 
 
 def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
     kernel_calls = []
-    monkeypatch.setattr(cm, "fun_sqdist", lambda *args: kernel_calls.append(args))
+    monkeypatch.setattr(cm, "fun_sqdist_is", lambda *args: kernel_calls.append(args))
     s2, s3 = INTEGER_TOWERS[1], adjoin_sqrt(QQ, 3).tower
     eps = FunElem.eps(s2)
     p = Point(eps * s2.generator(0), FunElem.constant(1, s2))
@@ -1201,10 +1211,13 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
     ]
     for a, b in cases:
         dx, dy = a.x - b.x, a.y - b.y
-        assert cm.sqdist(a, b) == dx * dx + dy * dy
+        value = dx * dx + dy * dy
+        table = cm.point_table({0: a, 1: b})
+        assert type(table) is cm.PointTable
+        assert table.sqdist_is(0, 1, value) and not table.sqdist_is(0, 1, 0)
     assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
     assert kernel_calls == []
-    cm.sqdist(frame, Point(frame.y, frame.x))  # the counter does see the kernel
+    cm.point_table({0: frame, 1: Point(frame.y, frame.x)}).sqdist_is(0, 1, 0)  # the counter does see the kernel
     assert len(kernel_calls) == 1
 
 
@@ -1319,7 +1332,7 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
 
         return kernel
 
-    for shape in ("sqdist", "sqdist_is", "comb_vanishes", "form_vanishes"):
+    for shape in ("sqdist_is", "comb_vanishes", "form_vanishes"):
         monkeypatch.setattr(cm, f"tower_{shape}", counting(kernel_calls, getattr(cm, f"tower_{shape}")))
         monkeypatch.setattr(cm, f"fun_{shape}", counting(fun_kernel_calls, getattr(cm, f"fun_{shape}")))
 
