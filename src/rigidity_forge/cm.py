@@ -113,9 +113,6 @@ class Vec2:
     def dot(self, other: "Vec2") -> Scalar:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vec2") -> Scalar:
-        return self.x * other.y - self.y * other.x
-
     def is_zero(self) -> bool:
         return _is_zero(self.x) and _is_zero(self.y)
 

@@ -40,9 +40,9 @@ undefined on a ``FunElem``, which lies in no quadratic tower
 it reads: additivity as m(u + v) - m(u) - m(v) + m(0) = 0
 (``relation_vanishes``), and scaling of phi(u) = a - o to
 phi(lambda u) = b - o as a != o and b - o = rho (a - o) (``scaled_is``),
-building no quotient.  Both map each distinct point once: an image is looked up by the
-point object, then by value, on the integer vectors while the call's points
-share one tower object (``_mapped_once``).
+building no quotient.  Both map each point object once: preservation the
+first time a pair names it, structure through ``_mapped_once``, keyed by the
+object; equal points built as distinct objects are mapped apiece.
 """
 
 from __future__ import annotations
@@ -271,35 +271,16 @@ def eps_rotation_model(reflection: bool = False) -> ModelMap:
 
 
 def _mapped_once(f):
-    """``f`` on points, evaluated once per distinct point value.
-
-    An image is looked up by the point object first; the entry holds the
-    point, so its id stays valid for the call.  A miss looks the value up:
-    while every point has ``TowerElem`` coordinates of one tower object, by
-    their canonical integer vectors, on which equal values are equal; once a
-    point leaves that tower, by the point, every entry rekeyed so."""
+    """``f`` on points, evaluated once per point object: an image is looked
+    up by the point's id, and the entry holds the point, so its id stays
+    valid for the call."""
     by_id: dict[int, tuple[Point, object]] = {}
-    by_value: dict = {}
-    tower = None  # the tower of every point so far; False once they differ
 
     def image(p: Point):
-        nonlocal tower, by_value
         hit = by_id.get(id(p))
-        if hit is not None:
-            return hit[1]
-        x, y = p.x, p.y
-        if tower is not False:
-            if tower is None and isinstance(x, TowerElem):
-                tower = x.tower
-            if not (isinstance(x, TowerElem) and isinstance(y, TowerElem) and x.tower is tower and y.tower is tower):
-                tower = False
-                by_value = {q: out for q, out in by_id.values()}
-        key = p if tower is False else (x._n, x._d, y._n, y._d)
-        out = by_value.get(key)
-        if out is None:
-            out = by_value[key] = f(p)
-        by_id[id(p)] = (p, out)
-        return out
+        if hit is None:
+            hit = by_id[id(p)] = (p, f(p))
+        return hit[1]
 
     return image
 
@@ -352,7 +333,7 @@ def _image_distance_is(model, source: PointTable, images: PointTable, p, q, want
 def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -> PreservationReport:
     """Check the squared distance of each image pair equals the embedded
     squared distance; rational values must be reproduced verbatim.  Each
-    distinct point is mapped once, and each image pair is compared once
+    point object is mapped once, and each image pair is compared once
     with rho(v); a rational v must also have rho(v) == v, which by
     transitivity is the image distance equal to v.  The source points and
     their images are each classified once into a ``cm.point_table``; every
@@ -360,15 +341,15 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     in the pairs' order, before the images are compared
     (``_image_distance_is``).  ``int`` and ``Fraction`` coordinates are
     rationals."""
-    image = _mapped_once(model.apply)
     embedding = model.embedding if isinstance(model, ModelMap) else None
     # the tables name each point object by its id; ``pairs`` holds them for the call
     source = point_table({id(p): p for pair in pairs for p in pair})
     wanted, images = [], {}
     for p, q in pairs:
         wanted.append(_embedded_distance(model, embedding, source, id(p), id(q)))
-        images[id(p)] = image(p)
-        images[id(q)] = image(q)
+        for point in (p, q):
+            if id(point) not in images:
+                images[id(point)] = model.apply(point)
     images = point_table(images)
     checks = tuple(
         PairCheck((p, q), _image_distance_is(model, source, images, id(p), id(q), want)) for (p, q), want in zip(pairs, wanted)
@@ -399,7 +380,7 @@ def _scales(o: Point, a: Point, b: Point, rho) -> bool:
 def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence[Point]) -> StructureReport:
     """Check the displacement map phi(u) = m(u) - m(0) is additive, scales by a
     direction-independent factor rho(lambda), and that rho is a homomorphism.
-    Each distinct point is mapped once, and each test is decided on the
+    Each point object is mapped once, and each test is decided on the
     ``cm.point_table`` of the images it reads.  Additivity is
     m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling
     is b - o = rho (a - o) (``_scales``); ``int`` and ``Fraction``

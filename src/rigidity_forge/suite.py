@@ -126,21 +126,23 @@ def sqrt_flavored_conjugation(tower: TowerDesc, radicand: int) -> ModelMap | Non
     return None
 
 
+# the two function-field isometries: frozen, and the same for every gadget
+_EPS_MODELS = (("eps-rotation", eps_rotation_model()), ("eps-reflection", eps_rotation_model(reflection=True)))
+
+
 def model_family(gadget: Gadget) -> list[tuple[str, ModelMap]]:
     """The registered model set for a gadget: identity, the two named
     conjugations on extended domains, both function-field isometries, and a
     conjugation composed with a rotation-plus-translation frame."""
     models: list[tuple[str, ModelMap]] = [("identity", identity_model())]
-    for radicand in (3, 2):
-        conj = sqrt_flavored_conjugation(gadget.tower, radicand)
+    sqrt3 = sqrt_flavored_conjugation(gadget.tower, 3)
+    for radicand, conj in ((3, sqrt3), (2, sqrt_flavored_conjugation(gadget.tower, 2))):
         if conj is not None:
             models.append((f"sqrt{radicand}-conjugation", conj))
-    models.append(("eps-rotation", eps_rotation_model()))
-    models.append(("eps-reflection", eps_rotation_model(reflection=True)))
-    conj = sqrt_flavored_conjugation(gadget.tower, 3)
-    if conj is not None:
+    models += _EPS_MODELS
+    if sqrt3 is not None:
         frame = make_pythagorean_rotation(Fraction(1, 2), translation=(Fraction(3), Fraction(-1, 2)))
-        models.append(("conjugation-rotation", ModelMap(conj.embedding, frame)))
+        models.append(("conjugation-rotation", ModelMap(sqrt3.embedding, frame)))
     return models
 
 
@@ -358,8 +360,7 @@ def criterion_9_structure(seed: int = 0) -> CriterionResult:
     registered = [
         ("identity", identity_model()),
         ("sqrt2-conjugation", sqrt2_conj),
-        ("eps-rotation", eps_rotation_model()),
-        ("eps-reflection", eps_rotation_model(reflection=True)),
+        *_EPS_MODELS,
         (
             "conjugation-rotation",
             ModelMap(sqrt2_conj.embedding, make_pythagorean_rotation(Fraction(1, 2))),

@@ -749,10 +749,10 @@ def _scoped(inside, fn):
     return run
 
 
-def test_image_memo_hashes_at_most_once_per_point(monkeypatch):
-    """In a warm soundness pass, looking images up in ``verify_preservation``
-    and ``verify_structure`` takes at most one ``TowerElem`` hash per
-    distinct point mapped."""
+def test_images_are_looked_up_by_object_without_a_hash(monkeypatch):
+    """In a warm soundness pass, ``verify_preservation`` and
+    ``verify_structure`` map each point object once and look its image up
+    by the object: no ``TowerElem`` is hashed inside either report."""
     inside, counts = [], {"hash": 0, "mapped": 0}
     items = soundness_items(_scoped(inside, verify_preservation), _scoped(inside, verify_structure))
     for item in items:
@@ -771,11 +771,10 @@ def test_image_memo_hashes_at_most_once_per_point(monkeypatch):
     monkeypatch.setattr(ModelMap, "apply", counting_apply)
     for item in items:
         item()
-    assert counts["mapped"] > 0 and counts["hash"] <= counts["mapped"]
-    # equal but distinct points are mapped once, and the counter does see
-    # the lookup by value once a point leaves the first point's tower: each
-    # of the four point objects is hashed once (two coordinates), however
-    # often it is looked up
+    # 612 point objects mapped by preservation and 555 by structure
+    assert counts == {"hash": 0, "mapped": 1167}
+    # equal but distinct points, one of them over a wider tower, are four
+    # point objects, each mapped once however often a pair names it
     tower = TOWERS[2]
     p, q = Point(tower.generator(0), tower.one()), rational_point(3, 4, tower)
     wider = _extended(tower)
@@ -783,7 +782,7 @@ def test_image_memo_hashes_at_most_once_per_point(monkeypatch):
     counts.update(hash=0, mapped=0)
     inside.append(True)
     assert verify_preservation(identity_model(), [(p, q), (copies[0], q), (copies[1], q), (p, q), (q, p), (copies[0], p)]).ok
-    assert counts["mapped"] == 2 and 0 < counts["hash"] <= 2 * 4
+    assert counts == {"hash": 0, "mapped": 4}
 
 
 def test_preservation_builds_no_carrier_objects(monkeypatch):

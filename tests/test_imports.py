@@ -54,20 +54,21 @@ def _is_dunder(name: str) -> bool:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes, and non-dunder methods, that no
-    code outside their own body references by name or attribute and that no
-    ``__all__`` exports.  The codec's ``encode_*``/``decode_*`` functions are
-    the file formats' API, read and written outside the package, so they
-    count as exported."""
+    """Module-level functions and classes that no code outside their own
+    body references by name or attribute, and non-dunder methods that none
+    references by attribute (``x.name``; a bare name is a variable, not the
+    method), and that no ``__all__`` exports.  The codec's
+    ``encode_*``/``decode_*`` functions are the file formats' API, read and
+    written outside the package, so they count as exported."""
     defs, refs, exported = [], [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((f"{module}.{node.name}", node))
+                defs.append((f"{module}.{node.name}", node, (ast.Name, ast.Attribute)))
             if isinstance(node, ast.ClassDef):
                 defs += [
-                    (f"{module}.{node.name}.{item.name}", item)
+                    (f"{module}.{node.name}.{item.name}", item, ast.Attribute)
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
                 ]
@@ -79,12 +80,12 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 refs.append((node.attr, node))
     found = []
-    for qualname, node in defs:
+    for qualname, node, kinds in defs:
         module, name = qualname.split(".")[0], qualname.rsplit(".", 1)[-1]
         if name in exported or module == "codec" and name.startswith(("encode_", "decode_")):
             continue
         inside = {id(n) for n in ast.walk(node)}
-        if not any(ref == name and id(n) not in inside for ref, n in refs):
+        if not any(ref == name and isinstance(n, kinds) and id(n) not in inside for ref, n in refs):
             found.append(qualname)
     return found
 
@@ -102,11 +103,13 @@ def test_unreferenced_code_check_catches_a_leftover():
             "def g():\n    return 1\n\n\n"
             "def loop(n):\n    return loop(n - 1) if n else 0\n\n\n"
             "class C:\n    def used(self):\n        return 0\n\n    def unused(self):\n        return self.used()\n\n"
-            "    def __repr__(self):\n        return 'C'\n"
+            "    def named(self):\n        return 0\n\n"
+            "    def __repr__(self):\n        named = 1\n        return 'C' * named\n"
         ),
         "codec": "def encode_thing(x):\n    return x\n\n\ndef decode_thing(x):\n    return x\n\n\ndef helper(x):\n    return x\n",
     }
-    assert unreferenced_definitions(sources) == ["a.loop", "a.C.unused", "codec.helper"]
+    # a local variable of the method's name does not reference the method
+    assert unreferenced_definitions(sources) == ["a.loop", "a.C.unused", "a.C.named", "codec.helper"]
 
 
 def test_unused_import_check_catches_a_leftover():

@@ -253,9 +253,11 @@ def test_structure_maps_each_point_once(monkeypatch, sqrt2_tower):
     for model in (identity_model(), eps_rotation_model()):
         calls.clear()
         assert verify_structure(model, lambdas, us).ok
-        # 11 directions, 55 sums and 44 multiples: 92 distinct points with the
-        # origin, where one call per use would make 254
-        assert len(calls) == len(set(calls)) == len(distinct) == 92
+        # 11 directions, 55 sums and 44 multiples: 111 point objects with the
+        # origin, where one call per use would make 254; 19 of them are sums
+        # or multiples equal to another point, which leaves 92 distinct values
+        assert len(calls) == len({id(p) for p in calls}) == 111
+        assert len(set(calls)) == len(distinct) == 92
 
 
 # -- structure ----------------------------------------------------------------------------------
