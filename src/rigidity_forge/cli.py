@@ -134,6 +134,7 @@ def _cmd_gadget(args) -> int:
                 print("perp needs --p --q --x --y", file=sys.stderr)
                 return 2
             gadget = build_perp_transfer(args.p, args.q, args.x, args.y)
+        gadget.validate()
     except GadgetError as exc:
         print(f"gadget construction failed: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,11 @@ relations are integer vectors, each scaled by the denominator of its ratio,
 and membership is decided by fraction-free integer elimination on primitive
 rows (E. H. Bareiss, Math. Comp. 22, 1968), with the same verdict over Q.  A
 replayed derivation is exactly the premise closure of its goal, and each of
-its lemma conclusions holds on the gadget's own coordinates.
+its lemma conclusions holds on the gadget's own coordinates.  ``apply_rule``
+returns the store indices of its conclusions, which the replay scripts cite
+directly; the store keys each fact once, as it enters.  Replay validates the
+gadget once (``assert_certificate``) and does not re-check the form of the
+derivation it builds; ``recheck_derivation`` checks both independently.
 
 Every fact kind decides itself at a point assignment (``holds``) with one
 exact test of a ``cm.point_table``, whose carrier is picked once for all
@@ -245,38 +249,36 @@ class FactStore:
         return len(self.facts)
 
     def add(self, fact: Fact, rule: str, premises: Sequence[int] = ()) -> int:
-        key = fact_key(fact)
-        if key in self._index:
-            return self._index[key]
-        for p in premises:
-            if not 0 <= p < len(self.facts):
-                raise EngineError("premise reference out of range")
-        idx = self.append(fact, Justification(rule, tuple(premises)))
-        self._index[key] = idx
-        return idx
-
-    def append(self, fact: Fact, just: Justification) -> int:
-        """Append verbatim, without deduplication; returns the new index."""
-        self.facts.append(fact)
-        self.justifications.append(just)
-        idx = len(self.facts) - 1
-        if isinstance(fact, SqDistKnown):
-            self._sqdist.setdefault(frozenset((fact.p, fact.q)), idx)
-        return idx
-
-    def find(self, fact: Fact) -> int | None:
-        return self._index.get(fact_key(fact))
+        """Index of ``fact``, entered with its justification unless a
+        structurally equal fact is already stored."""
+        return self._enter(fact_key(fact), fact, rule, premises)
 
     def require(self, fact: Fact) -> int:
         """Index of ``fact``; a missing Distinct/NonzeroDist of two
         coordinate-distinct points is asserted as its axiom on demand."""
-        idx = self.find(fact)
-        if idx is None and isinstance(fact, (Distinct, NonzeroDist)):
+        key = fact_key(fact)
+        idx = self._index.get(key)
+        if idx is not None:
+            return idx
+        if isinstance(fact, (Distinct, NonzeroDist)):
             pts = self.gadget.points
             if fact.p in pts and fact.q in pts and not (pts[fact.p] == pts[fact.q]):
-                idx = self.add(fact, "Injectivity" if isinstance(fact, Distinct) else "NonzeroDistance")
-        if idx is None:
-            raise ReplayFailed(f"required fact missing from store: {fact}")
+                return self._enter(key, fact, "Injectivity" if isinstance(fact, Distinct) else "NonzeroDistance")
+        raise ReplayFailed(f"required fact missing from store: {fact}")
+
+    def _enter(self, key: tuple, fact: Fact, rule: str, premises: Sequence[int] = ()) -> int:
+        """``add`` with the fact's key already computed."""
+        idx = self._index.get(key)
+        if idx is not None:
+            return idx
+        for p in premises:
+            if not 0 <= p < len(self.facts):
+                raise EngineError("premise reference out of range")
+        idx = self._index[key] = len(self.facts)
+        self.facts.append(fact)
+        self.justifications.append(Justification(rule, tuple(premises)))
+        if isinstance(fact, SqDistKnown):
+            self._sqdist.setdefault(frozenset((fact.p, fact.q)), idx)
         return idx
 
     def find_sqdist(self, p: str, q: str) -> int | None:
@@ -486,13 +488,10 @@ def _conclusions(facts: Sequence[Fact], rule: str, premises: Sequence[int], conc
     return _LEMMAS[rule](facts, premises, conclusion)
 
 
-def apply_rule(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None = None) -> list[Fact]:
-    """Apply a deduction rule; returns the newly concluded fact(s), which are
-    also appended to the store with full justifications."""
-    facts = list(_conclusions(store.facts, rule, premises, conclusion))
-    for fact in facts:
-        store.add(fact, rule, premises)
-    return facts
+def apply_rule(store: FactStore, rule: str, premises: Sequence[int], conclusion: Fact | None = None) -> list[int]:
+    """Apply a deduction rule; returns the store indices of its conclusions,
+    each added to the store with its justification."""
+    return [store.add(fact, rule, premises) for fact in _conclusions(store.facts, rule, premises, conclusion)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +522,7 @@ def _replay_division_layout(store: FactStore, layout: Mapping) -> int:
         store.require(Distinct(c, d)),
     ]
     veceq = apply_rule(store, "Prop4", p4)[0]
-    conclusion = layout_goal(layout)
-    premises = [store.require(scale1), store.require(scale2), store.require(veceq)]
-    apply_rule(store, "VecAlgebra", premises, conclusion=conclusion)
-    return store.require(conclusion)
+    return apply_rule(store, "VecAlgebra", [scale1, scale2, veceq], conclusion=layout_goal(layout))[0]
 
 
 def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
@@ -534,8 +530,7 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
     track2 = layout["track2"]
     conclusion = layout_goal(layout)
     if len(track1) == 1 or track1 == track2:
-        apply_rule(store, "VecAlgebra", [], conclusion=conclusion)
-        return store.require(conclusion)
+        return apply_rule(store, "VecAlgebra", [], conclusion=conclusion)[0]
     step_ids = []
     for i in range(len(track1) - 1):
         a_i, a_next = track1[i], track1[i + 1]
@@ -548,26 +543,18 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
             store.require(NonzeroDist(a_i, c_next)),
             store.require(Distinct(c_i, a_next)),
         ]
-        veceq1, veceq2 = apply_rule(store, "Prop4", premises)
-        # f(A_i)A_{i+1} = f(C_i)C_{i+1} is the second conclusion's content
+        # f(A_i)A_{i+1} = f(C_i)C_{i+1} is the content of one of the two
+        # conclusions, which one depends on the orientation of the stored pair
+        # axioms; the span step states it and returns that conclusion's index
         step = VecEq(a=a_i, b=a_next, c=c_i, d=c_next)
-        apply_rule(
-            store,
-            "VecAlgebra",
-            [store.require(veceq1), store.require(veceq2)],
-            conclusion=step,
-        )
-        step_ids.append(store.require(step))
-    apply_rule(store, "VecAlgebra", step_ids, conclusion=conclusion)
-    return store.require(conclusion)
+        step_ids.append(apply_rule(store, "VecAlgebra", apply_rule(store, "Prop4", premises), conclusion=step)[0])
+    return apply_rule(store, "VecAlgebra", step_ids, conclusion=conclusion)[0]
 
 
 def _replay_collect_layout(store: FactStore, layout: Mapping) -> int:
     """Bridge and scale: the sub-layouts' conclusions combine linearly."""
     premises = [_replay_layout(store, sub) for sub in layout["sub"]]
-    conclusion = layout_goal(layout)
-    apply_rule(store, "VecAlgebra", premises, conclusion=conclusion)
-    return store.require(conclusion)
+    return apply_rule(store, "VecAlgebra", premises, conclusion=layout_goal(layout))[0]
 
 
 def _replay_kempe_layout(store: FactStore, layout: Mapping) -> int:
@@ -577,9 +564,7 @@ def _replay_kempe_layout(store: FactStore, layout: Mapping) -> int:
         premises.append(store.require_sqdist(roles[r1], roles[r2]))
     for r1, r2 in KEMPE_NONZERO_PAIRS:
         premises.append(store.require(NonzeroDist(roles[r1], roles[r2])))
-    conclusion = layout_goal(layout)
-    apply_rule(store, "KempeChain", premises, conclusion=conclusion)
-    return store.require(conclusion)
+    return apply_rule(store, "KempeChain", premises, conclusion=layout_goal(layout))[0]
 
 
 def _replay_perp_layout(store: FactStore, layout: Mapping) -> int:
@@ -590,11 +575,10 @@ def _replay_perp_layout(store: FactStore, layout: Mapping) -> int:
     scale_xy = store.facts[scale_xy_id]
     if scale_pq.r == 0 or scale_xy.r == 0:
         raise ReplayFailed("degenerate zero ratio in perpendicularity transfer")
-    conclusion = apply_rule(store, "Composition", [kempe_id, scale_pq_id, scale_xy_id])[0]
-    want = layout_goal(layout)
-    if fact_key(conclusion) != fact_key(want):
+    goal = apply_rule(store, "Composition", [kempe_id, scale_pq_id, scale_xy_id])[0]
+    if fact_key(store.facts[goal]) != fact_key(layout_goal(layout)):
         raise ReplayFailed("composition did not produce the expected perpendicularity")
-    return store.require(want)
+    return goal
 
 
 _REPLAYS = {
@@ -628,7 +612,6 @@ def _finish(store: FactStore, goal_id: int) -> Derivation:
         [store.facts[i] for i in order],
         [Justification(j.rule, tuple(renumber[p] for p in j.premises)) for j in justifications],
     )
-    derivation.check_wellformed()
     points = point_table(store.gadget.points)
     for i, (fact, just) in enumerate(zip(derivation.facts, derivation.justifications)):
         if just.rule in _LEMMAS and not fact.holds(points):

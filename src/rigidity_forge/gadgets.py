@@ -204,8 +204,10 @@ class CertEntry:
 class Gadget:
     """A named point configuration with its forcing data.
 
-    Treated as immutable after construction; constructors validate before
-    returning and concurrent consumers share gadgets freely.
+    Treated as immutable after construction, so concurrent consumers share
+    gadgets freely.  Constructors do not validate; each consumer of a built
+    gadget does: replay (``engine.assert_certificate``), the ``gadget``
+    subcommand before it writes, and the suite's replay corpus.
     """
 
     tower: TowerDesc
@@ -276,7 +278,7 @@ class _Builder:
 
     def finish(self, layout: dict) -> Gadget:
         points, tower = _minimize_points(self.points)
-        gadget = Gadget(
+        return Gadget(
             tower=tower,
             points=points,
             certificate=tuple(
@@ -286,8 +288,6 @@ class _Builder:
             goal=layout_goal(layout),
             layout=layout,
         )
-        gadget.validate()
-        return gadget
 
 
 def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], TowerDesc]:

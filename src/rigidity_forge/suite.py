@@ -75,6 +75,12 @@ TRANSLATION_SPANS = (Fraction(0), Fraction(2), Fraction(5), Fraction(10))  # sid
 KEMPE_TS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 4))
 
 
+def _entry(label: str, gadget: Gadget) -> CorpusEntry:
+    """A corpus entry: the built gadget validated, then replayed."""
+    gadget.validate()
+    return CorpusEntry(label, gadget, replay(gadget))
+
+
 def replay_corpus() -> list[CorpusEntry]:
     global _CORPUS
     if _CORPUS is not None:
@@ -89,21 +95,16 @@ def replay_corpus() -> list[CorpusEntry]:
     )
     for label, a, b in bases:
         for t in DIVISION_TS:
-            gadget = build_division(a, b, t)
-            entries.append(CorpusEntry(f"division[{label},t={t}]", gadget, replay(gadget)))
+            entries.append(_entry(f"division[{label},t={t}]", build_division(a, b, t)))
     side = Fraction(2)
     for span in TRANSLATION_SPANS:
         a = rational_point(0, 0)
         b = rational_point(span, 0)
         c = rational_point(0, side)
         d = rational_point(span, side)
-        gadget = build_rhombus_chain(a, b, c, d)
-        entries.append(
-            CorpusEntry(f"chain[|v|/s={span / side}]", gadget, replay(gadget))
-        )
+        entries.append(_entry(f"chain[|v|/s={span / side}]", build_rhombus_chain(a, b, c, d)))
     for t in KEMPE_TS:
-        gadget = build_kempe(t)
-        entries.append(CorpusEntry(f"kempe[t={t}]", gadget, replay(gadget)))
+        entries.append(_entry(f"kempe[t={t}]", build_kempe(t)))
     _CORPUS = entries
     return entries
 

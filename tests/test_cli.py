@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import codec, suite
+from rigidity_forge import codec, gadgets, suite
 from rigidity_forge.cli import main
 
 
@@ -363,6 +363,28 @@ def test_chain_and_bridge_and_perp_commands(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(["replay", str(perp_file)], capsys)
     assert code == 0 and "DotZero" in out
+
+
+def test_a_builder_with_a_wrong_certificate_is_caught_before_any_output(tmp_path, capsys, monkeypatch):
+    """The builders do not validate: the ``gadget`` subcommand and the suite
+    corpus validate what they build, so a wrong certificate value still ends
+    in the builder's own failure line and writes nothing."""
+    emit = gadgets._emit_division
+
+    def doubled(builder, *args, **kwargs):
+        layout = emit(builder, *args, **kwargs)
+        builder.certificate[tuple(sorted((layout["roles"]["A"], layout["roles"]["E"])))] *= 2
+        return layout
+
+    monkeypatch.setattr(gadgets, "_emit_division", doubled)
+    mismatch = "certificate mismatch for (A,E): stored 1/2, got 1/4"
+    gadget_file = tmp_path / "division.json"
+    code, out, err = run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    assert (code, out, err) == (2, "", f"gadget construction failed: {mismatch}\n")
+    assert not gadget_file.exists()
+    monkeypatch.setattr(suite, "_CORPUS", None)
+    code, out, err = run(["suite", "--seed", "0"], capsys)
+    assert (code, out, err) == (1, "seed: 0\n", f"InvalidGadget: {mismatch}\n")
 
 
 def test_exit_codes_stable_across_repeats(tmp_path, capsys):

@@ -140,9 +140,9 @@ def test_prop3_rule_on_division_facts(division_half):
         store.require_sqdist("E", "D"),
         store.require_sqdist("A", "D"),
     ]
-    (conclusion,) = apply_rule(store, "Prop3", premises)
+    (idx,) = apply_rule(store, "Prop3", premises)
     # f(E) = (1/2) f(A) + (1/2) f(D)
-    assert conclusion == VecScale(a="A", b="E", c="A", d="D", r=F(1, 2))
+    assert store.facts[idx] == VecScale(a="A", b="E", c="A", d="D", r=F(1, 2))
 
 
 def test_prop4_rule_on_division_facts(division_half):
@@ -155,7 +155,7 @@ def test_prop4_rule_on_division_facts(division_half):
         store.require(NonzeroDist("E", "F")),
         store.require(Distinct("C", "D")),
     ]
-    conclusions = apply_rule(store, "Prop4", premises)
+    conclusions = [store.facts[i] for i in apply_rule(store, "Prop4", premises)]
     assert VecEq(a="E", b="C", c="D", d="F") in conclusions
     assert VecEq(a="F", b="C", c="D", d="E") in conclusions
 
@@ -202,8 +202,7 @@ def test_vec_algebra_rejects_out_of_span(division_half):
         store.require_sqdist("E", "D"),
         store.require_sqdist("A", "D"),
     ]
-    (scale,) = apply_rule(store, "Prop3", premises)
-    idx = store.require(scale)
+    (idx,) = apply_rule(store, "Prop3", premises)
     with pytest.raises(PatternMismatch):
         apply_rule(
             store,
@@ -391,8 +390,8 @@ def test_fact_store_deduplicates(division_half):
 
 def test_sqdist_pair_index_matches_a_scan(division_half):
     store = assert_certificate(division_half)
-    # a second value for a certified pair, appended verbatim: the first one wins
-    late = store.append(SqDistKnown("E", "A", F(9)), store.justifications[0])
+    # a second value for a certified pair is a new fact: the first one wins
+    late = store.add(SqDistKnown("E", "A", F(9)), "RationalDistanceAxiom")
     names = list(division_half.points)
     for p in names:
         for q in names:
@@ -656,3 +655,75 @@ def test_recheck_rejects_forged_axiom_fact(division_half):
     tampered.facts[0] = dataclasses.replace(tampered.facts[0], v=F(7))
     with pytest.raises(ReplayFailed, match="step 0"):
         recheck_derivation(tampered)
+
+
+# -- bookkeeping: the build and replay path does each piece of it once -------------------------
+
+
+def _one_gadget_of_each_kind():
+    pt = rational_point
+    return [
+        build_division(pt(0, 0), pt(1, 0), F(1, 3)),
+        build_rhombus_chain(pt(0, 0), pt(5, 0), pt(0, 1), pt(5, 1)),
+        build_translation_bridge(pt(0, 0), pt(3, 0), pt(1, 1), pt(4, 1)),
+        build_kempe(F(2)),
+        build_perp_transfer(pt(0, 0), pt(0, F(12, 5)), pt(0, 0), pt(4, 0)),
+    ]
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, which still runs; returns the counter."""
+    real = getattr(owner, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_replay_keys_each_fact_once(monkeypatch):
+    stores = []
+    seed = engine.assert_certificate
+    monkeypatch.setattr(engine, "assert_certificate", lambda gadget: stores.append(seed(gadget)) or stores[-1])
+    division, chain = _one_gadget_of_each_kind()[:2]
+    links = len(chain.layout["track1"]) - 1
+    assert links == 6
+    keys = _counted(monkeypatch, engine, "fact_key")
+    for gadget, restated in ((division, 0), (chain, links)):
+        keys[0] = 0
+        replay(gadget)
+        # one key per fact that enters the store and two for the goal
+        # comparison; each chain link also restates its step, which the
+        # store already holds as one of the two Prop4 conclusions
+        assert keys[0] == len(stores[-1]) + 2 + restated
+
+
+def test_build_and_replay_validate_once_and_replay_trusts_its_own_form(monkeypatch):
+    validations = _counted(monkeypatch, Gadget, "validate")
+    wellformed = _counted(monkeypatch, engine.Derivation, "check_wellformed")
+    built = _one_gadget_of_each_kind()
+    assert validations[0] == 0  # the constructors leave it to the consumer
+    derivations = [replay(gadget) for gadget in built]
+    assert (validations[0], wellformed[0]) == (len(built), 0)
+    # the trusted re-check still validates the gadget and the derivation's form
+    engine.recheck_derivation(derivations[-1])
+    assert (validations[0], wellformed[0]) == (len(built) + 1, 1)
+
+
+def test_apply_rule_returns_the_store_indices_of_its_conclusions(monkeypatch):
+    apply, rules = engine.apply_rule, set()
+
+    def checked(store, rule, premises, conclusion=None):
+        ids = apply(store, rule, premises, conclusion)
+        expected = engine._conclusions(store.facts, rule, premises, conclusion)
+        assert [fact_key(store.facts[i]) for i in ids] == [fact_key(fact) for fact in expected]
+        rules.add(rule)
+        return ids
+
+    monkeypatch.setattr(engine, "apply_rule", checked)
+    for gadget in _one_gadget_of_each_kind():
+        replay(gadget)
+    assert rules == set(engine._LEMMAS)

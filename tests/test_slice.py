@@ -39,9 +39,11 @@ def padded_replay(gadget) -> Derivation:
             store.add(Distinct(p, q), "Injectivity")
             store.add(NonzeroDist(p, q), "NonzeroDistance")
     goal_id = engine._replay_layout(store, gadget.layout)
-    if goal_id != len(store) - 1:
-        store.append(store.facts[goal_id], store.justifications[goal_id])
-    derivation = Derivation(gadget, list(store.facts), list(store.justifications))
+    facts, justifications = list(store.facts), list(store.justifications)
+    if goal_id != len(facts) - 1:
+        facts.append(facts[goal_id])
+        justifications.append(justifications[goal_id])
+    derivation = Derivation(gadget, facts, justifications)
     derivation.check_wellformed()
     return derivation
 
