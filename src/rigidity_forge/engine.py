@@ -543,11 +543,10 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
             store.require(NonzeroDist(a_i, c_next)),
             store.require(Distinct(c_i, a_next)),
         ]
-        # f(A_i)A_{i+1} = f(C_i)C_{i+1} is the content of one of the two
-        # conclusions, which one depends on the orientation of the stored pair
-        # axioms; the span step states it and returns that conclusion's index
-        step = VecEq(a=a_i, b=a_next, c=c_i, d=c_next)
-        step_ids.append(apply_rule(store, "VecAlgebra", apply_rule(store, "Prop4", premises), conclusion=step)[0])
+        # f(A_i)A_{i+1} = f(C_i)C_{i+1} is one of the two conclusions, which
+        # one depending on the orientation of the stored pair axioms
+        apply_rule(store, "Prop4", premises)
+        step_ids.append(store.require(VecEq(a=a_i, b=a_next, c=c_i, d=c_next)))
     return apply_rule(store, "VecAlgebra", step_ids, conclusion=conclusion)[0]
 
 

@@ -49,7 +49,10 @@ Each carrier operation is defined once.  ``_FieldOps``, the base of
 own ``_coerce``, ``+``, unary ``-``, ``*`` and ``inverse``.  ``tower_join``
 is the one way an element crosses into another tower: ``common_tower``,
 ``adjoin_sqrt``, ``FunElem``'s arithmetic, the conjugation's domain check
-and the gadget builder's field unification all call it.
+and the gadget builder's field unification all call it.  A join of two
+towers neither of which is a prefix of the other is merged once per pair of
+tower objects, kept in a small memo keyed by their identities, and maps an
+element by one integer matrix-vector product.
 """
 
 from __future__ import annotations
@@ -689,33 +692,63 @@ def tower_join(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, Callable[[
     of elements of ``other`` into it; elements of ``base`` go in by ``lift``.
 
     When one tower is a prefix of the other, the join is the longer one and
-    ``into`` lifts.  Otherwise ``base`` is extended by the image of each
-    generator of ``other`` in turn (``adjoin_sqrt``, which absorbs a root
-    already present), and ``into`` evaluates an element of ``other`` with
-    each generator replaced by its image.
+    ``into`` lifts.  Otherwise the merge (``_merge``) is made once per pair
+    of tower objects and kept in a small memo keyed by their identities, so
+    a repeated pair returns the same join object and the same ``into``.
     """
     if other.is_prefix_of(base):
         return base, lambda x: x.lift(base)
     if base.is_prefix_of(other):
         return other, lambda x: x.lift(other)
-    tower = base
-    images: list[TowerElem] = []
+    key = (id(base), id(other))
+    entry = _joins.get(key)
+    if entry is None:
+        if len(_joins) >= _JOINS_KEPT:
+            del _joins[next(iter(_joins))]
+        entry = _joins[key] = (base, other, *_merge(base, other))
+    return entry[2], entry[3]
+
+
+# The last ``_JOINS_KEPT`` merges, oldest first, as (base, other, join,
+# into) under (id(base), id(other)): an entry holds both towers, so its key
+# names those objects for as long as it is kept.  One build merges a few
+# distinct pairs, each many times.
+_JOINS_KEPT = 32
+_joins: dict[tuple[int, int], tuple] = {}
+
+
+def _merge(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, Callable[[TowerElem], TowerElem]]:
+    """Extend ``base`` by the image of each generator of ``other`` in turn
+    (``adjoin_sqrt``, which absorbs a root already present).
+
+    The images of ``other``'s basis monomials are the columns of one integer
+    matrix over one denominator k, extended generator by generator: the
+    columns with generator i are those without it times its root, a shift
+    into the new upper half when the root is the new generator.  ``into``
+    maps an element by one integer matrix-vector product and one ``_canon``;
+    it reads the matrix as it stands, so it also maps each radicand of
+    ``other`` while the matrix grows.
+    """
+    tower, columns, k = base, [(1,) + (0,) * (base.dim - 1)], 1
+    rows = list(zip(*columns))
 
     def into(x: TowerElem) -> TowerElem:
-        total = tower.zero()
-        for mask, c in enumerate(x._n):
-            if c:
-                term = tower.rational(c)
-                for i, img in enumerate(images):
-                    if mask >> i & 1:
-                        term = term * img.lift(tower)
-                total = total + term
-        return _elem(tower, *_canon(total._n, total._d * x._d))
+        return _elem(tower, *_canon(tuple([sum(map(mul, row, x._n)) for row in rows]), k * x._d))
 
     for gen in other.gens:
         result = adjoin_sqrt(tower, into(gen))
-        tower = result.tower
-        images.append(result.root)
+        if result.absorbed:
+            rads, (r, rd) = tower._rads, (result.root._n, result.root._d)
+            products = [_imul(rads, c, r) for c in columns]
+            s = lcm(*[rd * kp for _, kp in products])
+            columns = [tuple([x * s for x in c]) for c in columns] + [
+                tuple([x * (s // (rd * kp)) for x in p]) for p, kp in products
+            ]
+            k *= s
+        else:
+            zeros = (0,) * tower.dim
+            columns = [c + zeros for c in columns] + [zeros + c for c in columns]
+        tower, rows = result.tower, list(zip(*columns))
     return tower, into
 
 

@@ -417,6 +417,50 @@ def test_corpus_encoding_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_ENCODING_SHA256
 
 
+# sha256 of the gadget encoding followed by the derivation encoding of builds
+# that join towers neither of which is a prefix of the other: the
+# chain-scale bridges (the span-3 one is also the bridge with irrational |AC|
+# that radical-build and the CLI round trip build), the depth-4 perp over Q,
+# and the perp and the bridge over Q(sqrt 2) of radical-build
+MERGING_BUILD_SHA256 = {
+    "bridge span=3 C=(1,1)": "3de4cdf4203296140c64a1c699a593cf853593ece2a1bfb65723c49dbb366ae2",
+    "bridge span=5 C=(1,2)": "65da40984b95dc7a36f0dfbccb424bed644f852da6df5f89227d65da4c5a9ec8",
+    "bridge span=10 C=(2,3)": "b6090a758b3248da2f6b009965a22d81c9208768bbc0d01a3751be25301c44f5",
+    "bridge span=4 C=(1,3)": "5d43c1d6982ac1e7856145980b0c6ad22fc4c4b5f6d5ae819c70bf6ed684b50d",
+    "bridge span=6 C=(1,4)": "cacae7838ef1ff04c3e21964672eb0d817fe28e31d7acbc773cc6b7ca412333e",
+    "bridge span=8 C=(3,1)": "0abebeaa08547089fae165f08e168e9878d1b768eecd07fe30a06937cb8d80ce",
+    "bridge span=7 C=(2,5)": "8a2ce69b5f94637b0eb6c4c2e49a0ffff8c2b87dc9a8d7c842298e2d20e35e5e",
+    "perp over Q, depth 4": "c86ad465f14b84e5050c235274b0f650e36de2a031b0d02fd91f332cd43e8b35",
+    "perp over Q(sqrt 2)": "1573db347f5cee21092c3f728c7cbcb5ef94d74daa85de2e6ecb5bdafb61bba9",
+    "bridge over Q(sqrt 2)": "d20c052ec4cd86fd9bed5502c975c0a5199072b001efe15b58d786b8d269f24e",
+}
+
+
+def merging_builds():
+    pt = rational_point
+    r2 = adjoin_sqrt(QQ, 2)
+    t = r2.tower
+    builds = {
+        f"bridge span={s} C=({x},{y})": lambda s=s, x=x, y=y: build_translation_bridge(pt(0, 0), pt(s, 0), pt(x, y), pt(x + s, y))
+        for s, (x, y) in ((3, (1, 1)), (5, (1, 2)), (10, (2, 3)), (4, (1, 3)), (6, (1, 4)), (8, (3, 1)), (7, (2, 5)))
+    }
+    builds["perp over Q, depth 4"] = lambda: build_perp_transfer(pt(1, 1), pt(1, 4), pt(0, 0), pt(3, 0))
+    builds["perp over Q(sqrt 2)"] = lambda: build_perp_transfer(
+        Point(t.zero(), t.zero()), Point(t.zero(), r2.root), Point(t.zero(), t.zero()), Point(t.rational(4), t.zero())
+    )
+    builds["bridge over Q(sqrt 2)"] = lambda: build_translation_bridge(
+        Point(t.zero(), t.zero()), Point(r2.root, t.zero()), Point(t.one(), t.rational(2)), Point(t.one() + r2.root, t.rational(2))
+    )
+    return builds
+
+
+@pytest.mark.parametrize("label", list(MERGING_BUILD_SHA256))
+def test_builds_over_merged_towers_are_pinned(label):
+    gadget = merging_builds()[label]()
+    text = codec.dumps(codec.encode_gadget(gadget)) + codec.dumps(codec.encode_derivation(replay(gadget)))
+    assert hashlib.sha256(text.encode()).hexdigest() == MERGING_BUILD_SHA256[label]
+
+
 # sha256 of the model files of every ``suite.model_family`` model of the 16
 # corpus gadgets, concatenated in corpus and family order
 MODEL_FAMILY_ENCODING_SHA256 = "f1c904f183f3de59eae49e6390e3def8864e729fa247c665588b9c8584337d75"

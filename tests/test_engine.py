@@ -368,11 +368,29 @@ def test_integer_span_rule_matches_the_fraction_oracle():
     run()
 
 
-def test_span_rule_builds_no_fraction_on_a_span80_chain(count_fractions_within):
+def test_span_rule_builds_no_fraction_on_a_span80_chain(count_fractions_within, monkeypatch):
     gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
+    stores = []
+    seed = engine.assert_certificate
+    monkeypatch.setattr(engine, "assert_certificate", lambda gadget: stores.append(seed(gadget)) or stores[-1])
     this = sys.modules[__name__]
     counts = count_fractions_within([(engine, "_linear_relation"), (engine, "_in_span"), (this, "fraction_linear_relation")])
     engine.recheck_derivation(replay(gadget))
+    # replay looks each link's step up among its Prop4 conclusions, so the
+    # span rule runs once in replay and once in the re-check, on the goal
+    assert counts["_in_span"]["calls"] == 2
+    # the span rule on each link's Prop4 conclusions in the replay's store:
+    # the 80 eliminations that replay itself no longer runs
+    (store,) = stores
+    links = {}
+    for i, just in enumerate(store.justifications):
+        if just.rule == "Prop4":
+            links.setdefault(just.premises, []).append(i)
+    track1, track2 = gadget.layout["track1"], gadget.layout["track2"]
+    assert len(links) == len(track1) - 1 == 80
+    for i, conclusions in enumerate(links.values()):
+        step = VecEq(track1[i], track1[i + 1], track2[i], track2[i + 1])
+        assert engine._conclusions(store.facts, "VecAlgebra", conclusions, step) == (step,)
     assert counts["_linear_relation"]["calls"] > 80 and counts["_in_span"]["calls"] > 80
     assert counts["_linear_relation"]["fractions"] == counts["_in_span"]["fractions"] == 0
     # the counter does see the Fractions of the oracle
@@ -696,7 +714,7 @@ def test_replay_keys_each_fact_once(monkeypatch):
         keys[0] = 0
         replay(gadget)
         # one key per fact that enters the store and two for the goal
-        # comparison; each chain link also restates its step, which the
+        # comparison; each chain link also looks its step up, which the
         # store already holds as one of the two Prop4 conclusions
         assert keys[0] == len(stores[-1]) + 2 + restated
 

@@ -194,14 +194,23 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
     r3 = adjoin_sqrt(r2.tower, 3)
     t2, t3 = r2.tower, r3.tower
     s2, s3 = r2.root.lift(t3), r3.root
-    merged, calls = [], []
-    real_join, real_minimize = scalars.tower_join, gadgets._minimize_points
+    merged, calls, requests, built = [], [], [], []
+    real_join, real_minimize, real_merge = scalars.tower_join, gadgets._minimize_points, scalars._merge
 
     def counting_join(base, other):
+        tower, into = real_join(base, other)
         # only a join where neither tower is a prefix of the other merges
-        if calls and not (base.is_prefix_of(other) or other.is_prefix_of(base)):
-            merged.append(other)
-        return real_join(base, other)
+        if not (base.is_prefix_of(other) or other.is_prefix_of(base)):
+            requests.append((base, other, tower))
+            assert len(scalars._joins) <= scalars._JOINS_KEPT
+            if calls:
+                merged.append(other)
+        return tower, into
+
+    def counting_merge(base, other):
+        tower, into = real_merge(base, other)
+        built.append((base, other, tower))
+        return tower, into
 
     def recording_minimize(points):
         calls.append(points)
@@ -209,6 +218,8 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
 
     monkeypatch.setattr(scalars, "tower_join", counting_join)
     monkeypatch.setattr(gadgets, "tower_join", counting_join)
+    monkeypatch.setattr(scalars, "_merge", counting_merge)
+    monkeypatch.setattr(scalars, "_joins", {})
     monkeypatch.setattr(gadgets, "_minimize_points", recording_minimize)
     builds = [
         lambda: build_division(Point(t3.zero(), t3.zero()), Point(s2 + s3, t3.one()), F(1, 3)),
@@ -217,15 +228,42 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
         lambda: build_kempe(s2 + s3),
     ]
     total = 0
+    repeats = []
     for build in builds:
-        calls.clear()
-        merged.clear()
+        for log in (calls, merged, requests, built):
+            log.clear()
         build()
         (points,) = calls
         towers = {c.tower for p in points.values() for c in (p.x, p.y)}
         assert len(merged) == len(set(merged)) and set(merged) <= towers
         total += len(merged)
+        # one merge per distinct pair of tower objects, made at its first request;
+        # every request is served that merge's join object, never the join of an
+        # equal but distinct pair
+        made = {(id(base), id(other)): tower for base, other, tower in built}
+        assert len(made) == len(built)
+        assert set(made) == {(id(base), id(other)) for base, other, _ in requests}
+        assert all(tower is made[id(base), id(other)] for base, other, tower in requests)
+        repeats.append(len(requests) - len(built))
     assert total > 0
+    # the perp and the bridge over Q(sqrt 2) request some of their merges again
+    assert repeats[1] > 0 and repeats[2] > 0
+    # equal but distinct towers are distinct keys
+    u, v = adjoin_sqrt(QQ, 3).tower, adjoin_sqrt(QQ, 3).tower
+    assert u == v and u is not v
+    built.clear()
+    joins = [scalars.tower_join(t2, w)[0] for w in (u, v, u, v)]
+    assert len(built) == 2 and joins[0] == joins[1] and joins[0] is not joins[1]
+    assert joins[2] is joins[0] and joins[3] is joins[1]
+    # the memo keeps at most its bound, the oldest merge leaving first
+    monkeypatch.setattr(scalars, "_JOINS_KEPT", 3)
+    scalars._joins.clear()
+    others = [adjoin_sqrt(QQ, n).tower for n in (3, 5, 7, 11)]
+    first = scalars.tower_join(t2, others[0])[0]
+    for w in others[1:]:
+        scalars.tower_join(t2, w)
+    assert len(scalars._joins) == 3 and (id(t2), id(others[0])) not in scalars._joins
+    assert scalars.tower_join(t2, others[0])[0] is not first
 
 
 def test_builder_names_each_value_once_across_towers():

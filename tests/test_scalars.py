@@ -1,6 +1,7 @@
 """Exact arithmetic in all three carriers: rationals, towers, K(eps)."""
 
 import dataclasses
+import random
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
@@ -1442,8 +1443,9 @@ def test_shared_operators_agree_with_the_field_definitions(i, j, xs, ys, q):
 
 
 def _oracle_map_into(x, images, tower):
-    """The tower join as it stood before ``tower_join``: x with generator i
-    replaced by ``images[i]``, evaluated in ``tower``."""
+    """x with generator i replaced by ``images[i]``, evaluated in ``tower``
+    by generic ``TowerElem`` arithmetic: the reference for the integer matrix
+    of ``tower_join``."""
     total = tower.zero()
     for mask, c in enumerate(x._n):
         if c == 0:
@@ -1475,6 +1477,7 @@ def test_tower_join_matches_the_merge_oracle():
     r32 = adjoin_sqrt(r3.tower, 2)
     r5 = adjoin_sqrt(r3.tower, r3.root + 2)
     towers = [QQ, r2.tower, r3.tower, r6.tower, r23.tower, r32.tower, r5.tower, adjoin_sqrt(r23.tower, 5).tower]
+    rng = random.Random(24)
     merged = 0
     for base in towers:
         for other in towers:
@@ -1486,5 +1489,21 @@ def test_tower_join_matches_the_merge_oracle():
                 basis = scalars._elem(other, tuple(int(m == k) for m in range(other.dim)), 1)
                 x = basis * 3 + Fraction(1, 2)
                 assert into(x) == _oracle_map_into(x, images, tower) and into(x).tower is tower
+            for x in _random_elements(other, rng):
+                assert into(x) == _oracle_map_into(x, images, tower) and into(x).tower is tower
             merged += not (base.is_prefix_of(other) or other.is_prefix_of(base))
     assert merged == 32
+    # an absorbed root: sqrt 8 = 2 sqrt 2 is found in Q(sqrt 2)
+    r8 = adjoin_sqrt(QQ, 8)
+    assert not r8.absorbed
+    tower, into = scalars.tower_join(r2.tower, r8.tower)
+    oracle_tower, images = _oracle_merge_tower(r2.tower, r8.tower)
+    assert tower is r2.tower and oracle_tower == tower and images == [into(r8.root)] == [2 * r2.root]
+    for x in _random_elements(r8.tower, rng):
+        assert into(x) == _oracle_map_into(x, images, tower) and into(x).tower is tower
+
+
+def _random_elements(tower, rng, count=4):
+    """Seeded elements of ``tower`` with negative and fractional coordinates."""
+    for _ in range(count):
+        yield TowerElem(tower, [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(tower.dim)])
