@@ -42,21 +42,30 @@ from .scalars import BadGeneratorIndex
 from .suite import run_suite
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """An exact rational in the files' grammar: "p" or "p/q" in ASCII digits,
+    at most ``codec.MAX_DIGITS`` digits per integer."""
+    try:
+        return codec.decode_rational(text)
+    except codec.SchemaViolation as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_point(text: str) -> Point:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'x,y' with exact rationals, got {text!r}")
-    try:
-        return rational_point(Fraction(parts[0]), Fraction(parts[1]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational coordinate in {text!r}: {exc}")
+    return rational_point(*map(_parse_fraction, parts))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
+# each gadget kind: the options it needs, and its builder on the parsed arguments
+_GADGETS = {
+    "division": (("t",), lambda o: build_division(o.a, o.b, o.t, o.r)),
+    "chain": (("a", "b", "c", "d"), lambda o: build_rhombus_chain(o.a, o.b, o.c, o.d)),
+    "bridge": (("a", "b", "c", "d"), lambda o: build_translation_bridge(o.a, o.b, o.c, o.d)),
+    "kempe": (("t",), lambda o: build_kempe(o.t)),
+    "perp": (("p", "q", "x", "y"), lambda o: build_perp_transfer(o.p, o.q, o.x, o.y)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gadget", help="build a gadget and write it as JSON")
-    g.add_argument("gadget_kind", choices=["division", "chain", "bridge", "kempe", "perp"])
+    g.add_argument("gadget_kind", choices=list(_GADGETS))
     g.add_argument("--t", type=_parse_fraction, help="division section / linkage parameter")
     g.add_argument("--r", type=_parse_fraction, help="radius override for the division gadget")
     g.add_argument("--a", type=_parse_point, default=rational_point(0, 0))
@@ -108,32 +117,12 @@ def _write_output(payload: dict, output: str | None) -> None:
 
 def _cmd_gadget(args) -> int:
     kind = args.gadget_kind
+    needed, build = _GADGETS[kind]
+    if any(getattr(args, name) is None for name in needed):
+        print(f"{kind} needs {' '.join('--' + name for name in needed)}", file=sys.stderr)
+        return 2
     try:
-        if kind == "division":
-            if args.t is None:
-                print("division needs --t", file=sys.stderr)
-                return 2
-            gadget = build_division(args.a, args.b, args.t, args.r)
-        elif kind == "chain":
-            if args.c is None or args.d is None:
-                print("chain needs --a --b --c --d", file=sys.stderr)
-                return 2
-            gadget = build_rhombus_chain(args.a, args.b, args.c, args.d)
-        elif kind == "bridge":
-            if args.c is None or args.d is None:
-                print("bridge needs --a --b --c --d", file=sys.stderr)
-                return 2
-            gadget = build_translation_bridge(args.a, args.b, args.c, args.d)
-        elif kind == "kempe":
-            if args.t is None:
-                print("kempe needs --t", file=sys.stderr)
-                return 2
-            gadget = build_kempe(args.t)
-        else:
-            if any(v is None for v in (args.p, args.q, args.x, args.y)):
-                print("perp needs --p --q --x --y", file=sys.stderr)
-                return 2
-            gadget = build_perp_transfer(args.p, args.q, args.x, args.y)
+        gadget = build(args)
         gadget.validate()
     except GadgetError as exc:
         print(f"gadget construction failed: {exc}", file=sys.stderr)

@@ -355,6 +355,16 @@ def affinely_dependent3(p1: Point, p2: Point, p3: Point) -> bool:
     return _is_zero(cm3_points(p1, p2, p3))
 
 
+def circle_point(t: Scalar) -> tuple[Scalar, Scalar]:
+    """The point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)) of the unit circle, the
+    rational parametrization, exact in t's field; raises ``ZeroDivisionError``
+    where 1 + t^2 = 0."""
+    one = t * 0 + 1
+    t2 = t * t
+    inv = _invert(one + t2)
+    return (one - t2) * inv, (2 * t) * inv
+
+
 def _invert(x: Scalar) -> Scalar:
     inv = getattr(x, "inverse", None)
     if inv is not None:

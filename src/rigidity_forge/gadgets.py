@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Union
 
 from . import poly
-from .cm import Point, PointTable, Vec2, _is_zero, bordered_matrix, point_table, sqdist
+from .cm import Point, PointTable, Vec2, _is_zero, bordered_matrix, circle_point, point_table, sqdist
 from .scalars import (
     QQ,
     TowerDesc,
@@ -249,6 +249,8 @@ class _Builder:
         self.certificate: dict[tuple[str, str], Fraction] = {}
         self.cert_order: list[tuple[str, str]] = []
         self.side_conditions: list[tuple[str, str]] = []
+        # each side condition's unordered pair, so a reversed pair is not added twice
+        self._sides: set[tuple[str, str]] = set()
 
     def add_point(self, name: str, point: Point) -> str:
         existing = self._names.get(point)
@@ -273,7 +275,9 @@ class _Builder:
         self.cert_order.append(key)
 
     def add_side(self, p: str, q: str) -> None:
-        if (p, q) not in self.side_conditions and (q, p) not in self.side_conditions:
+        key = (p, q) if p <= q else (q, p)
+        if key not in self._sides:
+            self._sides.add(key)
             self.side_conditions.append((p, q))
 
     def finish(self, layout: dict) -> Gadget:
@@ -317,11 +321,11 @@ def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], Tow
 # ---------------------------------------------------------------------------
 
 
-def circle_intersection(p1: Point, s1, p2: Point, s2, branch: int = 1) -> Point:
-    """A point at squared distance s1 from p1 and s2 from p2.
-
-    The branch picks the sign of the component along (p2-p1) rotated by +90
-    degrees.  Adjoins one square root unless the circles are tangent.
+def circle_intersection(p1: Point, s1, p2: Point, s2) -> Point:
+    """A point at squared distance s1 from p1 and s2 from p2: the one on the
+    left of the line from p1 to p2, whose component along (p2-p1) rotated by
+    +90 degrees is the positive root.  Adjoins one square root unless the
+    circles are tangent.
     """
     v = p2 - p1
     q = v.dot(v)
@@ -336,7 +340,7 @@ def circle_intersection(p1: Point, s1, p2: Point, s2, branch: int = 1) -> Point:
     if sign == 0:
         return base
     res = adjoin_sqrt(beta_sq.tower, beta_sq)
-    beta = res.root if branch >= 0 else -res.root
+    beta = res.root
     return Point(
         base.x.lift(res.tower) - beta * v.y.lift(res.tower),
         base.y.lift(res.tower) + beta * v.x.lift(res.tower),
@@ -373,10 +377,13 @@ def choose_division_radius(ab_sq: TowerElem, t: Fraction) -> Fraction:
     return simplest_rational_between_sqrts(ab_sq, hi_sq)
 
 
-def _emit_division(builder: _Builder, a: Point, b: Point, t: Fraction, r: Fraction, hint: str = "") -> dict:
-    """Emit the six-point division configuration; returns its layout."""
+def _emit_division(builder: _Builder, a: Point, b: Point, t: Fraction, r: Fraction | None = None, hint: str = "") -> dict:
+    """Emit the six-point division configuration; returns its layout.  The
+    radius is ``choose_division_radius`` unless r is given."""
+    if r is None:
+        r = choose_division_radius(sqdist(a, b), t)
     one = Fraction(1)
-    d = circle_intersection(a, ((one - t) * r) ** 2, b, (t * r) ** 2, branch=1)
+    d = circle_intersection(a, ((one - t) * r) ** 2, b, (t * r) ** 2)
     e = a + (d - a).scaled(one - t)
     f = b + (d - b).scaled(t)
     c = a + (b - a).scaled(one - t)
@@ -408,11 +415,9 @@ def build_division(a: Point, b: Point, t: Fraction, r: Fraction | None = None) -
         raise TOutOfRange(f"t = {t} is not in (0, 1)")
     if a == b:
         raise DegenerateSegment("A = B")
-    ab_sq = sqdist(a, b)
-    if r is None:
-        r = choose_division_radius(ab_sq, t)
-    else:
+    if r is not None:
         r = Fraction(r)
+        ab_sq = sqdist(a, b)
         if r <= 0 or cmp_with_sqrt(r, ab_sq) <= 0:
             raise GadgetError(f"r = {r} does not exceed |AB|")
         if t != Fraction(1, 2) and cmp_with_sqrt(r * abs(1 - 2 * t), ab_sq) >= 0:
@@ -511,21 +516,18 @@ def build_rhombus_chain(a: Point, b: Point, c: Point, d: Point) -> Gadget:
 
 
 def _emit_bridge(builder: _Builder, a: Point, b: Point, c: Point, d: Point, prefix: str) -> dict:
-    """Emit a translation bridge for arbitrary |AC|; returns layout."""
-    v = b - a
-    if not (d - c) == v:
-        raise NotATranslate("D - C differs from B - A")
+    """Emit a translation bridge for arbitrary |AC|: one chain when |AC| is
+    rational (``_emit_chain`` raises ``IrrationalSide`` before it adds a
+    point otherwise), else two chains through a point at an integer distance
+    from A and C; returns layout."""
+    try:
+        return {"kind": "bridge", "sub": [_emit_chain(builder, a, b, c, d, f"{prefix}A", f"{prefix}C")]}
+    except IrrationalSide:
+        pass
     w = c - a
-    direct = v.is_zero() or w.is_zero()
-    if not direct:
-        w2 = w.dot(w)
-        direct = w2.is_rational() and _frac_sqrt(w2.as_fraction()) is not None
-    if direct:
-        sub = _emit_chain(builder, a, b, c, d, f"{prefix}A", f"{prefix}C")
-        return {"kind": "bridge", "sub": [sub]}
     q = Fraction(least_int_above_sqrt(w.dot(w), strict=False))
-    e = circle_intersection(a, q * q, c, q * q, branch=1)
-    f = e + v
+    e = circle_intersection(a, q * q, c, q * q)
+    f = e + (b - a)
     sub1 = _emit_chain(builder, a, b, e, f, f"{prefix}A", f"{prefix}E")
     sub2 = _emit_chain(builder, e, f, c, d, f"{prefix}G", f"{prefix}C")
     return {"kind": "bridge", "sub": [sub1, sub2]}
@@ -627,11 +629,7 @@ KEMPE_IDENTITIES = _kempe_identities()
 def _kempe_points(t: TowerElem) -> dict[str, Point]:
     """The six linkage points for circle parameter t; exact in t's field."""
     tower = t.tower
-    one = tower.one()
-    t2 = t * t
-    denom = (one + t2).inverse()
-    cos = (one - t2) * denom
-    sin = (2 * t) * denom
+    cos, sin = circle_point(t)
     a = Point(tower.rational(0), tower.rational(0))
     b = Point(tower.rational(4), tower.rational(0))
     f = Point(tower.rational(3), tower.rational(0))
@@ -641,14 +639,16 @@ def _kempe_points(t: TowerElem) -> dict[str, Point]:
     return {"A": a, "B": b, "C": c, "D": d, "E": e, "F": f}
 
 
-def _emit_kempe(builder: _Builder, t, rotation: tuple | None = None, anchor: Point | None = None) -> dict:
+def _emit_kempe(builder: _Builder, t, placement: tuple | None = None) -> dict:
+    """Emit the linkage for parameter t; returns layout.  With
+    ``placement = (cos, sin, origin)`` each point p goes to origin + R p, R
+    the rotation by (cos, sin), so A (at 0) lands on origin."""
     t_elem = QQ.rational(Fraction(t)) if isinstance(t, (int, Fraction)) else t
     if t_elem.is_zero():
         raise DegenerateLinkage("t = 0 makes circle(A,4) tangent to circle(C,2) at B")
     pts = _kempe_points(t_elem)
-    if rotation is not None or anchor is not None:
-        cos0, sin0 = rotation if rotation is not None else (QQ.rational(1), QQ.rational(0))
-        origin = anchor if anchor is not None else Point(QQ.rational(0), QQ.rational(0))
+    if placement is not None:
+        cos0, sin0, origin = placement
         pts = {
             name: Point(
                 origin.x + cos0 * p.x - sin0 * p.y,
@@ -720,50 +720,27 @@ def _emit_scale(builder: _Builder, src: tuple[str, str], dst: tuple[str, str], r
         t_name = builder.add_point(f"{prefix}T", translated)
         layout["translated"] = t_name
         layout["sub"].append(_emit_bridge(builder, pa, pb, pc, translated, prefix))
-        if r < 1:
-            radius = choose_division_radius(sqdist(translated, pc), r)
-            layout["sub"].append(_emit_division(builder, translated, pc, r, radius, hint=f"{prefix}d"))
-        else:
-            t_inv = 1 / r
-            radius = choose_division_radius(sqdist(pd, pc), t_inv)
-            layout["sub"].append(_emit_division(builder, pd, pc, t_inv, radius, hint=f"{prefix}d"))
+        end, t = (translated, r) if r < 1 else (pd, 1 / r)
+        layout["sub"].append(_emit_division(builder, end, pc, t, hint=f"{prefix}d"))
         return layout
     # r < 0: realize U = C + |r|v, then C is the midpoint of D and U.
     mirrored = pc + v.scaled(-r)
     u_name = builder.add_point(f"{prefix}U", mirrored)
     layout["mirror"] = u_name
     layout["sub"].append(_emit_scale(builder, src, (c_name, u_name), -r, prefix + "m"))
-    half = Fraction(1, 2)
-    radius = choose_division_radius(sqdist(pd, mirrored), half)
-    layout["sub"].append(_emit_division(builder, pd, mirrored, half, radius, hint=f"{prefix}d"))
+    layout["sub"].append(_emit_division(builder, pd, mirrored, Fraction(1, 2), hint=f"{prefix}d"))
     return layout
-
-
-# candidate linkage parameters for the bounded rational search
-KEMPE_PARAM_CANDIDATES: tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(2),
-    Fraction(3, 4),
-    Fraction(1, 3),
-    Fraction(3),
-)
 
 
 def _solve_kempe_parameter(kappa: TowerElem) -> tuple:
     """Linkage parameter t and rational r with kappa = r * |DE(t)| exactly.
 
-    A rational component uses the first admissible rational parameter; an
-    irrational one solves 24t/(t^2+9) = |kappa|/r for t, which is a quadratic,
-    after choosing r so the target length lands strictly inside (0, 4).
+    A rational component uses t = 1, where |DE| = 12/5; an irrational one
+    solves 24t/(t^2+9) = |kappa|/r for t, which is a quadratic, after
+    choosing r so the target length lands strictly inside (0, 4).
     """
     if kappa.is_rational():
-        kappa_f = kappa.as_fraction()
-        for cand in KEMPE_PARAM_CANDIDATES:
-            de = kempe_de_length(cand)
-            if de != 0:
-                return QQ.rational(cand), kappa_f / de
-        raise UnreachableRatio("no rational linkage parameter available")
+        return QQ.rational(1), kappa.as_fraction() / kempe_de_length(Fraction(1))
     sign = kappa.sign()
     mag = kappa if sign > 0 else -kappa
     mag_sq = mag * mag
@@ -808,7 +785,7 @@ def build_perp_transfer(p: Point, q: Point, x: Point, y: Point) -> Gadget:
     q_name = builder.add_point("Q", q)
     x_name = builder.add_point("X", x)
     y_name = builder.add_point("Y", y)
-    layout_kempe = _emit_kempe(builder, t_param, rotation=(cos0, sin0), anchor=p)
+    layout_kempe = _emit_kempe(builder, t_param, placement=(cos0, sin0, p))
     roles = layout_kempe["roles"]
     s = s_xy / 4
     scale_pq = _emit_scale(builder, (roles["E"], roles["D"]), (p_name, q_name), r, "p")

@@ -53,7 +53,7 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, Sequence
 
-from .cm import Point, PointTable, _invert, _is_zero, _one_tower, point_table
+from .cm import Point, PointTable, _is_zero, _one_tower, circle_point, point_table
 from .scalars import (
     QQ,
     FunElem,
@@ -199,15 +199,12 @@ class OrthoAffine:
 
 
 def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | None = None) -> OrthoAffine:
-    """Rotation (or reflection) with linear part parametrized by a point of the
-    unit circle: a = (1-t^2)/(1+t^2), b = 2t/(1+t^2); exact in any carrier."""
-    one = t * 0 + 1
-    denom = one + t * t
-    if _is_zero(denom):
-        raise DegenerateParameter("1 + t^2 = 0")
-    inv = _invert(denom)
-    a = (one - t * t) * inv
-    b = (2 * t) * inv
+    """Rotation (or reflection) whose linear part is the point
+    (a, b) = ``cm.circle_point(t)`` of the unit circle; exact in any carrier."""
+    try:
+        a, b = circle_point(t)
+    except ZeroDivisionError:
+        raise DegenerateParameter("1 + t^2 = 0") from None
     if reflection:
         rows = ((a, b), (b, -a))
     else:

@@ -1429,56 +1429,47 @@ def cmp_with_sqrt(m: Fraction, square: TowerElem) -> int:
     return (square.tower.rational(m * m) - square).sign()
 
 
+def _last(pred: Callable[[int], bool]) -> int:
+    """The largest k >= 0 with pred(k), for a pred that holds up to some k
+    and fails beyond it; 0 when pred(0) is false.  An exponential then a
+    binary search, so it makes O(log k) calls."""
+    lo, hi = 0, 1
+    while pred(hi):
+        lo, hi = hi, 2 * hi
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def least_int_above_sqrt(square: TowerElem, strict: bool) -> int:
-    """Smallest integer n > sqrt(square) (strict) or n >= sqrt(square)."""
+    """Smallest positive integer n > sqrt(square) (strict) or n >= sqrt(square)."""
     if square.sign() < 0:
         raise ValueError("negative square")
 
-    def ok(k: int) -> bool:
+    def below(k: int) -> bool:
         c = cmp_with_sqrt(Fraction(k), square)
-        return c > 0 or (not strict and c == 0)
+        return c < 0 or (strict and c == 0)
 
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return 1 + _last(below)
 
 
 def simplest_rational_between_sqrts(lo_sq: TowerElem, hi_sq: TowerElem) -> Fraction:
     """Smallest-denominator rational in the open interval (sqrt(lo_sq), sqrt(hi_sq)),
     found by Stern-Brocot mediant search with exact tower ordering.  Each run of
-    equal-direction steps is taken at once, its length found by an exponential
-    then binary search, so the search makes O(log) comparisons."""
+    equal-direction steps is taken at once, its length found by ``_last``, so
+    the search makes O(log) comparisons."""
     if (hi_sq - lo_sq).sign() <= 0:
         raise ValueError("empty interval")
-
-    def run(a: int, b: int, c: int, d: int, inside) -> int:
-        """Largest k >= 0 with inside((a + k c) / (b + k d)), monotone in k."""
-        lo, hi = 0, 1
-        while inside(Fraction(a + hi * c, b + hi * d)):
-            lo, hi = hi, 2 * hi
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if inside(Fraction(a + mid * c, b + mid * d)):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     a, b = 0, 1  # lower bound a/b
     c, d = 1, 0  # upper bound c/d (infinity)
     while True:
-        k = run(a, b, c, d, lambda m: cmp_with_sqrt(m, lo_sq) <= 0)
+        k = _last(lambda k: cmp_with_sqrt(Fraction(a + k * c, b + k * d), lo_sq) <= 0)
         a, b = a + k * c, b + k * d
-        k = run(c, d, a, b, lambda m: cmp_with_sqrt(m, hi_sq) >= 0)
+        k = _last(lambda k: cmp_with_sqrt(Fraction(c + k * a, d + k * b), hi_sq) >= 0)
         if k == 0:  # the mediant is above sqrt(lo_sq) and below sqrt(hi_sq)
             return Fraction(a + c, b + d)
         c, d = c + k * a, d + k * b
-

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import codec, gadgets, suite
+from rigidity_forge import cli, codec, gadgets, suite
 from rigidity_forge.cli import main
 
 
@@ -339,6 +339,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "tangent" in err
     code, out, err = run(["gadget", "division", "--t", "1/3", "--r", "-3"], capsys)
     assert (code, out, err) == (2, "", "gadget construction failed: r = -3 does not exceed |AB|\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "division", "--t", "1e99999999"],
+        ["gadget", "chain", "--a", "1e999999999,0", "--c", "0,1", "--d", "1,1"],
+        ["gadget", "division", "--t", "0.5"],
+        ["gadget", "division", "--t", "1" * 4001],
+    ],
+    ids=["exponent", "point-exponent", "decimal", "4001-digits"],
+)
+def test_command_line_rationals_follow_the_file_grammar(argv, capsys, monkeypatch):
+    """The command line reads a rational as files do ("p" or "p/q", at most
+    ``codec.MAX_DIGITS`` digits per integer): anything else is a usage error
+    before any gadget is built."""
+
+    def never(*args):
+        raise AssertionError("built a gadget from a rejected option")
+
+    for name in ("build_division", "build_rhombus_chain"):
+        monkeypatch.setattr(cli, name, never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, out, _ = run(["gadget", "division", "--t", "1/2"], capsys)
+    assert code == 0 and '"kind": "division"' in out
 
 
 def test_missing_file_exits_2(capsys):

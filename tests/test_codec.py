@@ -454,6 +454,39 @@ def merging_builds():
     return builds
 
 
+# the same text form for the construction branches the pins above leave out:
+# the scale through a mirror point (r < 0) with division radius 1/4, the
+# scale by r = 1, Kempe linkages over towers, and an explicit division radius
+CONSTRUCTION_BRANCH_SHA256 = {
+    "perp mirror scale": "8303af92cc6a2b3e8b9ea9eb6ca00a0fccdaec7b6304a13c5e87edb7c3371390",
+    "perp r=1 scale": "1dc2cca43eeb75880742351796d5860f565b48284b6cc149d8afd97c06d2ec0f",
+    "kempe 1+sqrt 2": "8b06d159b38e4fff059529ac405e1d97a36a9e126cf3652736a7f2fd518a0d1f",
+    "kempe sqrt 2+sqrt 3": "a6b3a234db944a6df0d0ceacc60b281bf3c4697c61567725f9623b42b3137430",
+    "division r=3": "8d7c7613d0cd2f79db8102b29a2ef8553665645e6c287d68d24f5e36eada2b32",
+}
+
+
+def construction_branch_builds():
+    pt = rational_point
+    r2 = adjoin_sqrt(QQ, 2)
+    r3 = adjoin_sqrt(r2.tower, 3)
+    return {
+        "perp mirror scale": lambda: build_perp_transfer(pt(0, 0), pt(1, 0), pt(0, 0), pt(0, 1)),
+        "perp r=1 scale": lambda: build_perp_transfer(pt(0, 0), pt(0, Fraction(12, 5)), pt(0, 0), pt(4, 0)),
+        "kempe 1+sqrt 2": lambda: build_kempe(1 + r2.root),
+        "kempe sqrt 2+sqrt 3": lambda: build_kempe(r2.root.lift(r3.tower) + r3.root),
+        "division r=3": lambda: build_division(pt(0, 0), pt(1, 0), Fraction(1, 2), r=Fraction(3)),
+    }
+
+
+@pytest.mark.parametrize("label", list(CONSTRUCTION_BRANCH_SHA256))
+def test_construction_branches_are_pinned(label):
+    gadget = construction_branch_builds()[label]()
+    gadget.validate()
+    text = codec.dumps(codec.encode_gadget(gadget)) + codec.dumps(codec.encode_derivation(replay(gadget)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTION_BRANCH_SHA256[label]
+
+
 @pytest.mark.parametrize("label", list(MERGING_BUILD_SHA256))
 def test_builds_over_merged_towers_are_pinned(label):
     gadget = merging_builds()[label]()

@@ -279,6 +279,19 @@ def test_builder_names_each_value_once_across_towers():
     assert builder.add_point("D", Point(1 + root2.root, t.zero())) == "A_2"
 
 
+def test_builder_keeps_each_unordered_side_pair_once():
+    builder = _Builder()
+    builder.add_side("A", "B")
+    builder.add_side("B", "A")
+    builder.add_side("A", "B")
+    builder.add_side("C", "A")
+    assert builder.side_conditions == [("A", "B"), ("C", "A")]
+    # a span-2000 chain: two side conditions per rhombus, no pair twice
+    g = build_rhombus_chain(rational_point(0, 0), rational_point(2000, 0), rational_point(0, 1), rational_point(2000, 1))
+    assert len(g.side_conditions) == 4000
+    assert len({frozenset(pair) for pair in g.side_conditions}) == 4000
+
+
 def test_chain_rejects_bad_input():
     with pytest.raises(NotATranslate):
         build_rhombus_chain(rational_point(0, 0), rational_point(1, 0), rational_point(0, 1), rational_point(2, 1))

@@ -361,6 +361,54 @@ def test_least_int_above_sqrt():
     assert least_int_above_sqrt(QQ.rational(Fraction(1, 4)), strict=True) == 1
 
 
+def linear_least_int(square, strict) -> int:
+    """Reference: the smallest positive integer above sqrt(square), one step at a time."""
+    n = 1
+    while True:
+        c = cmp_with_sqrt(Fraction(n), square)
+        if c > 0 or (c == 0 and not strict):
+            return n
+        n += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=400, max_denominator=60),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+    st.booleans(),
+)
+@example(Fraction(0), Fraction(0), Fraction(0), True)
+@example(Fraction(0), Fraction(0), Fraction(0), False)
+@example(Fraction(16), Fraction(0), Fraction(0), True)
+@example(Fraction(16), Fraction(0), Fraction(0), False)
+@example(Fraction(9, 4), Fraction(0), Fraction(0), False)
+@example(Fraction(3), Fraction(2), Fraction(0), False)  # (1 + sqrt 2)^2, irrational root
+@example(Fraction(5), Fraction(0), Fraction(1), True)  # (sqrt 2 + sqrt 3)^2
+def test_least_int_above_sqrt_matches_the_linear_walk(sqrt2, sqrt23, x, s2, s6, strict):
+    # x, x + s2*sqrt(2) and x + 2*s6*sqrt(6) over Q(sqrt 2, sqrt 3): all >= 0
+    depth2 = sqrt2.root * sqrt23.root * (2 * s6)
+    squares = [QQ.rational(x), sqrt2.tower.rational(x) + sqrt2.root * s2, depth2.tower.rational(x) + depth2]
+    for square in squares:
+        assert least_int_above_sqrt(square, strict) == linear_least_int(square, strict)
+
+
+def test_least_int_above_sqrt_is_logarithmic(monkeypatch):
+    calls = []
+    real = scalars.cmp_with_sqrt
+
+    def counting(m, square):
+        calls.append(m)
+        return real(m, square)
+
+    monkeypatch.setattr(scalars, "cmp_with_sqrt", counting)
+    # |x|^2 = 10^18: the one-step walk makes 10^9 + 1 calls
+    for strict, answer in ((False, 10**9), (True, 10**9 + 1)):
+        calls.clear()
+        assert least_int_above_sqrt(QQ.rational(10**18), strict) == answer
+        assert len(calls) <= 64
+
+
 def test_simplest_rational_between_sqrts():
     # simplest rational in (1, 9/5) is 3/2
     assert simplest_rational_between_sqrts(QQ.rational(1), QQ.rational(Fraction(81, 25))) == Fraction(3, 2)
