@@ -18,8 +18,9 @@ form), ``relation_vanishes`` (an integer combination of points is zero),
 table.  Over one tower the tests run the ``scalars`` kernel of their shape;
 built gadgets share one ``TowerDesc`` object, so the tower test is an
 identity check.  ``FunElem``s of one tower over one shared denominator D,
-the shape of every eps-frame image, run the K(eps) kernels: an equation
-homogeneous in D holds iff it holds on the numerators.  Over Q (every
+the shape of every eps-frame image, run the tower kernels on numerators
+packed at eps = 2^w, w derived per table so that no test can carry
+(``_PackedTable``).  Over Q (every
 coordinate a ``TowerElem`` of depth 0) the table holds each point as plain
 ``int`` coordinates over one denominator, the ``lcm`` of its two; a squared
 distance with value a/b is then b*(dx^2 + dy^2) == a*k^2, for the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from typing import Any, Mapping, Sequence
 
@@ -51,10 +52,10 @@ from .scalars import (
     TowerDesc,
     TowerElem,
     _funit,
+    _imul,
+    _isq,
     constant_form,
-    fun_comb_vanishes,
-    fun_form_vanishes,
-    fun_sqdist_is,
+    fun_pack,
     tower_comb_vanishes,
     tower_form_vanishes,
     tower_sqdist_is,
@@ -210,26 +211,23 @@ class PointTable:
 
 
 class _KernelTable(PointTable):
-    """Coordinates the ``scalars`` kernels take: ``TowerElem``s of one tower
-    (``towers``), or ``FunElem``s of one tower over one denominator pair."""
+    """``TowerElem``s of one tower, decided by the ``scalars`` tower kernels
+    on the points of ``_coords``: here the points themselves."""
 
-    __slots__ = ("tower", "_towers")
+    __slots__ = ("tower", "_coords")
 
-    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, towers: bool) -> None:
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc) -> None:
         super().__init__(points)
-        self.tower = tower
-        self._towers = towers
+        self.tower, self._coords = tower, points
 
     def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
-        if not self._towers:
-            return None
         a, b = self.points[p], self.points[q]
         return tower_sqdist_num(self.tower._rads, a.x, a.y, b.x, b.y)
 
     def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
         if tower is self.tower or tower.is_prefix_of(self.tower):
-            a, b = self.points[p], self.points[q]
-            return (tower_sqdist_is if self._towers else fun_sqdist_is)(self.tower, a.x, a.y, b.x, b.y, m, e)
+            a, b = self._coords[p], self._coords[q]
+            return tower_sqdist_is(self.tower, a.x, a.y, b.x, b.y, m, e)
         return None
 
     def sqdist_is(self, p, q, value: Scalar) -> bool:
@@ -240,31 +238,128 @@ class _KernelTable(PointTable):
         return self.sqdist(p, q) == value if ok is None else ok
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        terms = self._terms(relation)
-        vanishes = tower_comb_vanishes if self._towers else fun_comb_vanishes
-        return vanishes([(c, p.x) for c, p in terms]) and vanishes([(c, p.y) for c, p in terms])
+        terms = [(c, self._coords[n]) for n, c in relation.items()]
+        return tower_comb_vanishes([(c, p.x) for c, p in terms]) and tower_comb_vanishes([(c, p.y) for c, p in terms])
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
-        u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
+        u1, u0, w1, w0 = (self._coords[n] for n in (*u, *w))
         terms = [(1, (u1.x, u0.x), (w1.x, w0.x)), (1, (u1.y, u0.y), (w1.y, w0.y))]
-        return (tower_form_vanishes if self._towers else fun_form_vanishes)(self.tower, terms)
+        return tower_form_vanishes(self.tower, terms)
+
+    def _constant(self, rho):
+        """rho as the kernels read it, if a constant of the table's tower; else None."""
+        return rho if isinstance(rho, TowerElem) and (rho.tower is self.tower or rho.tower == self.tower) else None
 
     def scaled_is(self, u: tuple, w: tuple, rho: Scalar) -> bool:
-        """u - rho * w vanishes on each coordinate, on the integer form when
-        rho is a constant of the table's tower (for K(eps), over the unit
-        polynomial); any other rho takes the formula."""
-        towers = self._towers
-        if not (
-            isinstance(rho, TowerElem if towers else FunElem)
-            and (rho.tower is self.tower or rho.tower == self.tower)
-            and (towers or _funit(rho._d))
-        ):
+        """u - rho * w vanishes on each coordinate, on the integer form where
+        ``_constant`` takes rho; any other rho takes the formula."""
+        r = self._constant(rho)
+        if r is None:
             return super().scaled_is(u, w, rho)
-        vanishes = tower_form_vanishes if towers else fun_form_vanishes
-        u1, u0, w1, w0 = (self.points[n] for n in (*u, *w))
-        return vanishes(self.tower, [(1, (u1.x, u0.x), None), (-1, (w1.x, w0.x), rho)]) and vanishes(
-            self.tower, [(1, (u1.y, u0.y), None), (-1, (w1.y, w0.y), rho)]
+        u1, u0, w1, w0 = (self._coords[n] for n in (*u, *w))
+        return tower_form_vanishes(self.tower, [(1, (u1.x, u0.x), None), (-1, (w1.x, w0.x), r)]) and tower_form_vanishes(
+            self.tower, [(1, (u1.y, u0.y), None), (-1, (w1.y, w0.y), r)]
         )
+
+
+class _Packed:
+    """A packed numerator: integer vector ``_n`` over ``_d``, as the tower kernels read."""
+
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, n: IVec, d: int) -> None:
+        self._n, self._d = n, d
+
+
+class _Packing(dict):
+    """Packed points by name, each packed on its first lookup (``fun_pack``)."""
+
+    __slots__ = ("points", "dim", "shifts")
+
+    def __init__(self, points: Mapping[Any, Point], dim: int, shifts: range) -> None:
+        self.points, self.dim, self.shifts = points, dim, shifts
+
+    def __missing__(self, name) -> Point:
+        p, dim, shifts = self.points[name], self.dim, self.shifts
+        packed = self[name] = Point(*[_Packed(fun_pack(c._n[0], dim, shifts), c._n[1]) for c in (p.x, p.y)])
+        return packed
+
+
+def _bits(polys) -> int:
+    """a with |P| < 2^a (``_PackedTable``) for each P of integer rows in ``polys``."""
+    top = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0)
+    return top.bit_length() + max(map(len, polys)).bit_length()
+
+
+class _PackedTable(_KernelTable):
+    """``FunElem``s of one tower over one denominator pair D, the shape of
+    every eps-frame image: an equation homogeneous in D holds iff it holds on
+    the numerators, so each numerator (integer rows over k) is packed once,
+    lazily per point, at eps = B = 2^w (``scalars.fun_pack``), D^2 once per
+    table, and the tower kernels decide every test on the packed vectors.
+
+    Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
+    tower product has rational structure constants, so a kernel returns
+    n/k = y(B), y in Q[eps]^dim the value the test asks to be zero, and
+    answers n == 0.  A nonzero integer polynomial with every coefficient
+    below B in absolute value does not vanish at B (its top term B^t exceeds
+    (B - 1)(1 + ... + B^(t-1))), so the test is exact if c*y has such
+    coefficients for some integer c > 0.  Let |x| be the largest coefficient
+    sum of a coordinate of x and (delta, C) = ``TowerDesc._product_bound``,
+    so |x + x'| <= |x| + |x'| and |delta x x'| <= C|x||x'|.  Per table,
+    |N|, |D_N| < 2^a (``_bits``) for every numerator N over k and
+    D = D_N/k_D, k < 2^kb, k_D < 2^kd, delta < 2^db, C < 2^cb; a difference
+    of numerators is U/(k k') with |U| < 2^(a+kb+1).  A constant fits if its
+    numerator and denominator are below 2^s, s = 2(a + kb) + 64 (a squared
+    distance of the points, with room); one that does not takes the formula.
+    w = max(t1, t2) + 1, t1 = db + cb + s + 2a + 6kb + 2kd + 3 and
+    t2 = 2cb + s + 2a + 8kb, is derived, not set, and bounds every shape:
+    - ``sqdist_is_form`` against m/e, c = delta^2 e (k1 k2 k3 k4 k_D)^2:
+      2 delta e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C^2 |m| |D_N|^2 < 2^t1 + 2^t2;
+    - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
+    - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:
+      2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
+    - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
+      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
+
+    __slots__ = ("width", "_budget", "_kb", "_den", "_square")
+
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Sequence[FunElem]) -> None:
+        super().__init__(points, tower)
+        den, k_d = self._den = coords[0]._d
+        polys = [x._n[0] for x in coords] + [den]
+        a, kb = _bits(polys), max([x._n[1] for x in coords]).bit_length()
+        s, (db, cb) = 2 * (a + kb) + 64, (b.bit_length() for b in tower._product_bound)
+        w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * k_d.bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
+        self._coords = _Packing(points, tower.dim, range(0, w * max(map(len, polys)), w))
+        self._budget, self._kb, self._square = s, kb, None
+
+    sqdist_num = PointTable.sqdist_num
+
+    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
+        """Against m/e * D^2; None for a constant that does not fit."""
+        if not (tower is self.tower or tower.is_prefix_of(self.tower)) or max(max(map(abs, m)), e).bit_length() > self._budget:
+            return None
+        rads, dim = self.tower._rads, self.tower.dim
+        if self._square is None:
+            self._square = _isq(rads, fun_pack(self._den[0], dim, self._coords.shifts))
+        (square, k), k_d = self._square, self._den[1]
+        target, kt = _imul(rads, m + (0,) * (dim - len(m)), square)
+        return super().sqdist_is_form(p, q, tower, target, kt * k * k_d * k_d * e)
+
+    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
+        if sum(map(abs, relation.values())).bit_length() + len(relation) * self._kb > self._budget:
+            return PointTable.relation_vanishes(self, relation)
+        return super().relation_vanishes(relation)
+
+    def _constant(self, rho):
+        """rho packed, if a fitting constant of the tower over 1; else None."""
+        if not (isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d)):
+            return None
+        (rows, k), shifts = rho._n, self._coords.shifts
+        if len(rows) > len(shifts) or max(_bits([rows]), k.bit_length()) > self._budget:
+            return None
+        return _Packed(fun_pack(rows, self.tower.dim, shifts), k)
 
 
 class _RationalTable(_KernelTable):
@@ -277,7 +372,7 @@ class _RationalTable(_KernelTable):
     __slots__ = ("_xyd",)
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc) -> None:
-        super().__init__(points, tower, True)
+        super().__init__(points, tower)
         self._xyd = xyd = {}
         for name, p in points.items():
             x, y = p.x, p.y
@@ -311,9 +406,9 @@ class _RationalTable(_KernelTable):
 def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
     """The table of ``points``, its carrier picked once for all of them, in
     one scan of their coordinates: plain integers when every coordinate is a
-    ``TowerElem`` of Q; the tower kernels for one tower; the K(eps) kernels
-    for ``FunElem``s of one tower over one denominator pair; otherwise the
-    formula (``PointTable``).  A table is returned as it is."""
+    ``TowerElem`` of Q; the tower kernels for one tower, and on packed
+    numerators for ``FunElem``s of one tower over one denominator pair;
+    otherwise the formula (``PointTable``).  A table is returned as it is."""
     if isinstance(points, PointTable):
         return points
     values = points.values()
@@ -323,8 +418,8 @@ def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
     if tower is None or not towers and any(c._d != coords[0]._d for c in coords):
         return PointTable(points)
     if not towers:
-        return _KernelTable(points, tower, False)
-    return _KernelTable(points, tower, True) if tower.gens else _RationalTable(points, tower)
+        return _PackedTable(points, tower, coords)
+    return _KernelTable(points, tower) if tower.gens else _RationalTable(points, tower)
 
 
 def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:

@@ -17,13 +17,13 @@ flips the signs of the coordinates that hold the generator.  A rational
 frame takes a*x + b*y + c on the integer vectors
 (``scalars.tower_frame_kernel``); a K(eps) frame over Q on one denominator
 D builds each image numerator from its rational rows, and the images over
-one tower share one lifted D, whose square ``scalars`` builds once
-(``scalars.fun_frame_kernel``).  Every other carrier takes the generic
-formula: frames with irrational or mixed entries, ``FunElem`` inputs, points
-outside a conjugation's domain prefix.  Both give the same canonical pairs.
-The generic conjugation carries a point into its domain by
-``scalars.tower_join``.  Every embedding fixes Q, so ``int`` and
-``Fraction`` values are elements of Q.
+one tower share one lifted D (``scalars.fun_frame_kernel``), which their
+point table packs and squares once (``cm._PackedTable``).  Every other
+carrier takes the generic formula: frames with irrational or mixed entries,
+``FunElem`` inputs, points outside a conjugation's domain prefix.  Both
+give the same canonical pairs.  The generic conjugation carries a point
+into its domain by ``scalars.tower_join``.  Every embedding fixes Q, so
+``int`` and ``Fraction`` values are elements of Q.
 
 The reports decide their equations on ``cm.point_table``s, which pick the
 carrier, and so the integer kernel where the images allow it, once per

@@ -32,12 +32,11 @@ Three carriers, all with decidable equality:
   on integers and equal polynomials have equal pairs; a product with the
   unit polynomial returns the other operand.  D^2 comes from a one-entry
   memo keyed by the identity of D (``_fsquare``), so the images of one
-  model, which share one D object, square it once.  ``fun_sqdist_num``,
-  ``fun_sqdist_is``, ``fun_comb_vanishes`` and ``fun_form_vanishes`` are
-  the tower kernels' counterparts on the numerators of elements over one
-  denominator pair D; ``fun_sqdist_is`` compares with a constant times D^2
-  from the memo.  ``fun_frame_kernel`` maps two elements of one tower
-  through a K(eps) frame over Q into K(eps) on the integer matrices.
+  model, which share one D object, square it once.  No fact test has a
+  K(eps) kernel: ``cm`` runs the tower kernels on numerators that
+  ``fun_pack`` evaluates at eps = 2^w (Kronecker substitution).
+  ``fun_frame_kernel`` maps two elements of one tower through a K(eps)
+  frame over Q into K(eps) on the integer matrices.
   The reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
@@ -63,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import add, mul, neg, sub
+from operator import add, lshift, mul, neg, sub
 from typing import Callable, Sequence, Union
 
 Rational = Fraction
@@ -406,6 +405,17 @@ class TowerDesc:
     def _rads(self) -> Rads:
         """The radicands as (integer vector, denominator) pairs."""
         return tuple((g._n, g._d) for g in self.gens)
+
+    @cached_property
+    def _product_bound(self) -> tuple[int, int]:
+        """(delta, c): for x, y in Z[eps]^dim, delta*x*y is integral and
+        |delta*x*y| <= c|x||y|, |x| the largest coefficient sum of a
+        coordinate: with e_S*e_T = sum(s_STU e_U), delta is the common
+        denominator of the s_STU and c = max over U of sum |delta*s_STU|."""
+        basis = [tuple([int(i == j) for j in range(self.dim)]) for i in range(self.dim)]
+        products = [_canon(*_imul(self._rads, a, b)) for a in basis for b in basis]
+        delta = lcm(*[k for _, k in products])
+        return delta, max(sum([abs(v[u]) * (delta // k) for v, k in products]) for u in range(self.dim))
 
     def zero(self) -> "TowerElem":
         return _elem(self, (0,) * self.dim, 1)
@@ -849,24 +859,15 @@ def _fscale(rows: Sequence[IVec], f: int) -> list[IVec]:
     return [tuple([c * f for c in r]) for r in rows]
 
 
-def _fzip(op, a: IPoly, b: IPoly) -> tuple[list[IVec], int]:
-    """The rows of a ``op`` b (``add`` or ``sub``) over one denominator, unreduced."""
+def _fadd(a: IPoly, b: IPoly) -> IPoly:
+    """a + b: row-wise integer addition over one denominator."""
     (ra, ka), (rb, kb) = a, b
     if ka != kb:
         k = lcm(ka, kb)
         ra, rb, ka = _fscale(ra, k // ka), _fscale(rb, k // kb), k
-    n = min(len(ra), len(rb))
-    rows = [tuple(map(op, x, y)) for x, y in zip(ra, rb)]
-    rows += ra[n:]
-    if len(rb) > n:
-        zero = (0,) * len(rb[0])
-        rows += [tuple(map(op, zero, y)) for y in rb[n:]]
-    return rows, ka
-
-
-def _fadd(a: IPoly, b: IPoly) -> IPoly:
-    """a + b: row-wise integer addition over one denominator."""
-    return _fcanon(*_fzip(add, a, b))
+    rows = [tuple(map(add, x, y)) for x, y in zip(ra, rb)]
+    n = len(rows)
+    return _fcanon(rows + list(ra[n:]) + list(rb[n:]), ka)
 
 
 def _fneg(a: IPoly) -> IPoly:
@@ -934,22 +935,6 @@ def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
     _facc(rads, out, deferred, _fnonzero(ra), _fnonzero(rb))
     rows, den = _fgather(out, deferred, len(ra[0]))
     return _fcanon(rows, ka * kb * den)
-
-
-def _fsumsq(rads: Rads, polys: Sequence[Sequence[IVec]]) -> tuple[list[IVec], int]:
-    """The sum of the squares of polynomials given as integer rows over one
-    denominator, unreduced: one convolution with ``_isq`` on the diagonal and
-    each pair of distinct rows multiplied once, the first row doubled."""
-    out: list[IVec | None] = [None] * max(0, 2 * max(map(len, polys)) - 1)
-    deferred: list = []
-    for rows in polys:
-        xs = _fnonzero(rows)
-        for n, (i, x, sx) in enumerate(xs):
-            _facc(rads, out, deferred, xs[n : n + 1], xs[n : n + 1])
-            if n + 1 < len(xs):
-                x2 = tuple([2 * c for c in x])
-                _facc(rads, out, deferred, [(i, x2, None if sx is None else 2 * sx)], xs[n + 1 :])
-    return _fgather(out, deferred, 1 << len(rads))
 
 
 def _fpoly(coeffs: Sequence[TowerElem]) -> IPoly:
@@ -1219,8 +1204,8 @@ def constant_form(value) -> tuple[TowerDesc, IVec, int] | None:
 
 
 # (tower, D, D^2) of the last ``_fsquare``: the images of one model over one
-# tower share one D object, so their products and squared distances square
-# it once.  One entry, keyed by identity; it holds D, so the key stays valid.
+# tower share one D object, so their products square it once.  One entry,
+# keyed by identity; it holds D, so the key stays valid.
 _last_square: tuple = (None, None, None)
 
 
@@ -1236,93 +1221,13 @@ def _fsquare(tower: TowerDesc, d: IPoly) -> IPoly:
     return square
 
 
-def fun_sqdist_num(rads: Rads, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem) -> tuple[list[IVec], int]:
-    """The numerator over D^2 of (px - qx)^2 + (py - qy)^2 for four elements
-    of K(eps) over one denominator pair D, as unreduced integer rows over a
-    positive denominator: both differences and the sum of their squares
-    (``_fsumsq``) run on the integer numerator matrices."""
-    u, ku = _fzip(sub, px._n, qx._n)
-    v, kv = _fzip(sub, py._n, qy._n)
-    if ku != kv:  # both differences over ku * kv
-        u, v, ku = _fscale(u, kv), _fscale(v, ku), ku * kv
-    rows, k = _fsumsq(rads, (u, v))
-    return rows, ku * ku * k
-
-
-def _frows_equal(a: Sequence[IVec], fa: int, b: Sequence[IVec], fb: int) -> bool:
-    """a * fa == b * fb row by row, for nonzero fa and fb; a missing row is
-    zero."""
-    n = min(len(a), len(b))
-    for x, y in zip(a, b):
-        if [c * fa for c in x] != [c * fb for c in y]:
-            return False
-    return not any(map(any, a[n:])) and not any(map(any, b[n:]))
-
-
-def fun_sqdist_is(tower: TowerDesc, px: FunElem, py: FunElem, qx: FunElem, qy: FunElem, m: IVec, e: int) -> bool:
-    """(px - qx)^2 + (py - qy)^2 == m/e, for four elements of K(eps) over one
-    denominator pair D and the constant m/e of K (m over a prefix of its
-    basis), on the unreduced numerator: it is compared with m/e * D^2,
-    D^2 from the ``_fsquare`` memo, by cross-multiplication.  A rational
-    constant scales D^2's rows, another takes one product with them, and
-    zero needs no D^2."""
-    rows, k = fun_sqdist_num(tower._rads, px, py, qx, qy)
-    if not any(m):
-        return not any(map(any, rows))
-    square = _fsquare(tower, px._d)
-    if not any(m[1:]):
-        return _frows_equal(rows, e * square[1], square[0], k * m[0])
-    target, kt = _fmul(tower._rads, ((m + (0,) * (tower.dim - len(m)),), e), square)
-    return _frows_equal(rows, kt, target, k)
-
-
-def fun_comb_vanishes(terms: Sequence[tuple[int, FunElem]]) -> bool:
-    """sum(c * x) over integer coefficients c and elements x of K(eps) of one
-    tower over one denominator pair is zero: the numerators' rows scaled to
-    the ``lcm`` of their denominators and summed."""
-    k = lcm(*[x._n[1] for _, x in terms])
-    scaled = [(c * (k // x._n[1]), x._n[0]) for c, x in terms]
-    for i in range(max((len(rows) for _, rows in scaled), default=0)):
-        live = [(f, rows[i]) for f, rows in scaled if i < len(rows)]
-        if not _ivanishes([f for f, _ in live], [row for _, row in live]):
-            return False
-    return True
-
-
-def _fun_factor(f) -> tuple[Sequence[IVec], int]:
-    """A factor of ``fun_form_vanishes`` as unreduced numerator rows: a
-    difference (x1, x0) of two elements over D, or one constant over 1."""
-    if isinstance(f, tuple):
-        x1, x0 = f
-        return _fzip(sub, x1._n, x0._n)
-    return f._n
-
-
-def fun_form_vanishes(tower: TowerDesc, terms: Sequence[tuple]) -> bool:
-    """``tower_form_vanishes`` for K(eps): differences of elements over one
-    denominator pair D and constants over the unit polynomial, each term of
-    the same degree in D, so the equation holds iff it holds on the
-    numerators (``_fproducts``), with one zero test."""
-    factors = [(s, _fun_factor(f), None if g is None else _fun_factor(g)) for s, f, g in terms]
-    return not any(map(any, _fproducts(tower._rads, tower.dim, factors)[0]))
-
-
-def _fproducts(rads: Rads, dim: int, factors: Sequence[tuple]) -> tuple[list[IVec], int]:
-    """sum(s * x * y) over (s, x, y), each factor integer rows over a
-    positive denominator and y None for 1, as unreduced rows over a
-    positive denominator: each term scaled to one denominator and all
-    products in one convolution (``_facc``)."""
-    one = [(0, (1,) + (0,) * (dim - 1), 1)]
-    dens = [x[1] * (1 if y is None else y[1]) for _, x, y in factors]
-    k = lcm(*dens)
-    size = max((len(x[0]) + (0 if y is None else len(y[0]) - 1) for _, x, y in factors), default=0)
-    out: list[IVec | None] = [None] * size  # empty when every product is zero
-    deferred: list = []
-    for (s, (rows, _), y), den in zip(factors, dens):
-        f = s * (k // den)
-        _facc(rads, out, deferred, _fnonzero(rows if f == 1 else _fscale(rows, f)), one if y is None else _fnonzero(y[0]))
-    rows, den = _fgather(out, deferred, dim)
-    return rows, k * den
+def fun_pack(rows: Sequence[IVec], dim: int, shifts: range) -> IVec:
+    """Kronecker substitution (von zur Gathen & Gerhard, "Modern Computer
+    Algebra", sec. 8.4): integer rows r_i at eps = 2^w, coordinate j being
+    sum(r_i[j] << w*i), for ``shifts`` = range(0, w*L', w) with L' >= L."""
+    if not rows:
+        return (0,) * dim
+    return tuple([sum(map(lshift, column, shifts)) for column in zip(*rows)])
 
 
 # ---------------------------------------------------------------------------

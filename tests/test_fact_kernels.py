@@ -484,7 +484,7 @@ def test_zero_tests_read_every_coordinate_and_row():
     # a K(eps) distance agreeing with the value on the rows of D^2 only
     eps, zero = FunElem.eps(), FunElem.constant(0)
     table = cm.point_table({"P": Point(1 + eps * eps, zero), "O": Point(zero, zero)})
-    assert type(table) is cm._KernelTable and not table.sqdist_is("P", "O", 1)
+    assert type(table) is cm._PackedTable and not table.sqdist_is("P", "O", 1)
     # a value over an extension of the points' tower, rational and not
     s3 = adjoin_sqrt(QQ, 3).tower
     p, q = Point(QQ.rational(0), QQ.rational(0)), Point(QQ.rational(3), QQ.rational(4))
@@ -496,7 +496,7 @@ def test_zero_tests_read_every_coordinate_and_row():
     images = {"A": eps_rotation_model().apply(p), "B": eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))}
     one = FunElem._make(QQ, (((3,),), 1), (((3,),), 1))
     kernel = cm.point_table(images)
-    assert type(kernel) is cm._KernelTable
+    assert type(kernel) is cm._PackedTable
     for table in (kernel, cm.PointTable(images)):
         assert table.sqdist_is("A", "B", two_thirds * two_thirds) and not table.sqdist_is("A", "B", FunElem.constant(F(4, 9)) + eps)
         assert table.scaled_is(("B", "A"), ("B", "A"), one) and table.scaled_is(("B", "A"), ("B", "A"), FunElem.constant(1))
@@ -1047,7 +1047,7 @@ def test_rational_table_cost_stays_with_the_points_a_test_reads():
     assert [fact.holds(table) for fact in facts] == [oracle_holds(fact, points) for fact in facts]
 
 
-CM_KERNELS = [f"{carrier}_{shape}" for carrier in ("tower", "fun") for shape in ("sqdist_is", "comb_vanishes", "form_vanishes")]
+CM_KERNELS = [f"tower_{shape}" for shape in ("sqdist_is", "comb_vanishes", "form_vanishes")]
 
 
 def _classification_counts(monkeypatch):
@@ -1084,24 +1084,29 @@ def test_the_value_and_construction_kernels_are_gone():
     for name in ("tower_sqdist", "fun_sqdist", "fun_circle_point", "fun_frame_orthonormal"):
         assert not hasattr(scalars, name), name
     assert "sqdist" not in cm._KernelTable.__dict__ and "dot_vanishes" not in cm._RationalTable.__dict__
+    # K(eps) facts run the tower kernels on packed numerators: no K(eps) fact
+    # kernel is left, and a kernel table has no carrier flag
+    for name in ("fun_sqdist_num", "fun_sqdist_is", "_fsumsq", "_frows_equal", "fun_comb_vanishes", "_fun_factor", "fun_form_vanishes", "_fproducts"):
+        assert not hasattr(scalars, name), name
+    assert "_towers" not in cm._KernelTable.__slots__
 
 
 def test_an_empty_relation_vanishes_on_every_table():
-    """An empty sum is zero: both comb kernels, and the corpus fact
+    """An empty sum is zero: the comb kernel, and the corpus fact
     VecEq(A0, A0, C0, C0), whose relation cancels to {}, under the K(eps)
-    and the conjugation models of its family."""
-    assert scalars.tower_comb_vanishes([]) and scalars.fun_comb_vanishes([])
+    (packed) and the conjugation models of its family."""
+    assert scalars.tower_comb_vanishes([])
     entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
     fact = entry.derivation.facts[0]
     assert fact == VecEq("A0", "A0", "C0", "C0") and engine._linear_relation(fact) == {}
-    tables = {False: 0, True: 0}
+    tables = {cm._PackedTable: 0, cm._KernelTable: 0}
     for _, model in suite.model_family(entry.gadget):
         images = cm.point_table({n: model.apply(p) for n, p in entry.gadget.points.items()})
-        if type(images) is cm._KernelTable:
-            tables[images._towers] += 1
-            assert fact.holds(images)
+        if type(images) in tables:
+            tables[type(images)] += 1
+            assert fact.holds(images) and images.relation_vanishes({})
         assert check_derivation(entry.derivation, model).ok
-    assert tables == {False: 2, True: 3}
+    assert tables == {cm._PackedTable: 2, cm._KernelTable: 3}
 
 
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
@@ -1181,3 +1186,165 @@ def test_preservation_of_k_eps_points():
             verify_preservation(model, [(p, q)])
         with pytest.raises(OutOfDomain, match=r"^FunElem\(0\) lies in K\(eps\), not in a quadratic tower$"):
             model.apply(p)
+
+
+# -- the packed K(eps) table ----------------------------------------------------------------------
+
+
+def _fun_coefficient(tower, rng):
+    """A coefficient of ``tower``: each coordinate zero, small, or up to
+    10^40 in absolute value, over a denominator of 2 to 7."""
+
+    def coordinate():
+        roll = rng.randrange(5)
+        if roll == 0:
+            return F(0)
+        size = 10**40 if roll == 1 else 7
+        return F(rng.randint(-size, size), rng.randint(2, 7))
+
+    return TowerElem(tower, [coordinate() for _ in range(tower.dim)])
+
+
+@st.composite
+def packed_cases(draw):
+    """K(eps) points over one tower of ``TOWERS`` (the non-totally-real
+    Q(sqrt 2, sqrt(1 + sqrt 2)) among them) and one denominator D of 1-3
+    rows: O, A and B with numerators of 0-3 rows, often fewer than D^2 has,
+    and points made to pass each test: S = 2A - B, Q = O + (A - O) turned
+    by a right angle, R = O + rho (A - O) and T = A + (c1, c2)."""
+    tower = draw(st.sampled_from(TOWERS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coefficient = lambda: _fun_coefficient(tower, rng)
+    lead = coefficient()
+    while lead.is_zero():
+        lead = coefficient()
+    den = [coefficient() for _ in range(rng.randint(0, 2))] + [lead]
+    o, a, b = (Point(*(FunElem(tower, [coefficient() for _ in range(rng.randint(0, 3))], den) for _ in "xy")) for _ in "OAB")
+    c1, c2 = coefficient(), coefficient()
+    rho = FunElem.constant(coefficient()) + (FunElem.eps(tower) * c1 if rng.randrange(2) else 0)
+    points = {
+        "O": o,
+        "A": a,
+        "B": b,
+        "S": Point(2 * a.x - b.x, 2 * a.y - b.y),
+        "Q": Point(o.x - (a.y - o.y), o.y + (a.x - o.x)),
+        "R": Point(o.x + rho * (a.x - o.x), o.y + rho * (a.y - o.y)),
+        "T": Point(a.x + c1, a.y + c2),
+    }
+    return points, rho, c1, c2
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(packed_cases())
+def test_packed_table_matches_the_formula(case):
+    """The packed table and the base table, the carrier formula, agree on
+    ``sqdist_is`` (constants zero, rational, of the tower, and off the unit
+    polynomial), ``relation_vanishes`` (the empty relation and coefficients
+    too large for the width among them), ``dot_vanishes`` and
+    ``scaled_is``; each test has cases that hold."""
+    points, rho, c1, c2 = case
+    tower = points["O"].x.tower
+    packed, formula = cm.point_table(points), cm.PointTable(points)
+    assert type(packed) is cm._PackedTable
+    distance = c1 * c1 + c2 * c2
+    generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
+    constants = [0, F(-2, 3), generator * F(5, 2) + 1, distance, FunElem.constant(distance), FunElem(tower, [distance * 3], [3])]
+    assert scalars.constant_form(constants[-1]) is None
+    for p, q in (("A", "T"), ("O", "A"), ("A", "A"), ("S", "B"), ("Q", "R")):
+        for c in constants:
+            assert packed.sqdist_is(p, q, c) == formula.sqdist_is(p, q, c), (p, q, c)
+    assert packed.sqdist_is("A", "T", distance) and packed.sqdist_is("A", "A", 0)
+    huge = 10**40
+    relations = [{}, {"S": 1, "A": -2, "B": 1}, {"S": huge, "A": -2 * huge, "B": huge}, {"O": 3, "A": -1, "B": 2}, {"T": 1, "A": -1}, {"Q": 1}]
+    for relation in relations:
+        assert packed.relation_vanishes(relation) == formula.relation_vanishes(relation), relation
+    assert all(packed.relation_vanishes(relation) for relation in relations[:3])
+    for u, w in ((("A", "O"), ("Q", "O")), (("A", "O"), ("B", "O")), (("S", "B"), ("T", "A")), (("R", "O"), ("R", "O"))):
+        assert packed.dot_vanishes(u, w) == formula.dot_vanishes(u, w), (u, w)
+    assert packed.dot_vanishes(("A", "O"), ("Q", "O"))
+    rhos = [rho, FunElem.constant(c1), FunElem.constant(huge * huge), FunElem(tower, [c2 * 3], [3]), c1, rho + FunElem.eps(tower) ** 3]
+    for r in rhos:
+        for u, w in ((("R", "O"), ("A", "O")), (("T", "A"), ("B", "O")), (("O", "O"), ("A", "O"))):
+            assert packed.scaled_is(u, w, r) == formula.scaled_is(u, w, r), (u, w, r)
+    assert packed.scaled_is(("R", "O"), ("A", "O"), rho)
+
+
+def test_packed_verdicts_and_reports_match_the_formula_tables():
+    """``check_derivation`` and ``verify_preservation`` on every corpus x
+    ``model_family`` pair and on the negative controls (Doubling, and the
+    altered final ratio under identity and the eps models) give the same
+    ``Verdict`` and ``PreservationReport`` when every table is the base
+    ``PointTable``, the carrier formula."""
+    items = soundness_items()
+    del items[96:101]  # the structure reports: ``test_structure_matches_the_oracle``
+    built = []
+    real_init = cm._PackedTable.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    with mock.patch.object(cm._PackedTable, "__init__", counting_init):
+        packed = [item() for item in items]
+    assert len(packed) == 96 + 5 and len(built) > 0
+    generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
+    with mock.patch.object(engine, "point_table", generic_table), mock.patch.object(models, "point_table", generic_table):
+        with mock.patch("rigidity_forge.gadgets.point_table", generic_table), mock.patch.object(cm._PackedTable, "__init__", counting_init):
+            built.clear()
+            assert [item() for item in items] == packed
+            assert built == []
+
+
+def test_the_width_is_load_bearing():
+    """A nonzero numerator that vanishes when packed at a narrower width
+    than the table's: 2^v - eps at B = 2^v, and |PO|^2 = eps^2 against the
+    constant 2^(2v), for every v whose constant fits the table.  The derived
+    width packs each to a nonzero value, and the table refutes the fact."""
+    zero = FunElem.constant(0)
+    for v in range(1, 130):
+        p = Point(FunElem(QQ, [2**v, -1], [1]), zero)
+        table = cm.point_table({"P": p, "O": Point(zero, zero)})
+        rows = p.x._n[0]
+        assert scalars.fun_pack(rows, 1, range(0, 2 * v, v)) == (0,)
+        assert table.width > v and scalars.fun_pack(rows, 1, range(0, 2 * table.width, table.width)) != (0,)
+        assert not table.relation_vanishes({"P": 1, "O": -1}) and not table.same("P", "O")
+    eps = FunElem.eps()
+    table = cm.point_table({"P": Point(eps, zero), "O": Point(zero, zero)})
+    fitting = [v for v in range(1, 200) if (1 << 2 * v).bit_length() <= table._budget]
+    assert type(table) is cm._PackedTable and len(fitting) > 30
+    for v in fitting:
+        assert table.sqdist_is_form("P", "O", QQ, (1 << 2 * v,), 1) is False
+        assert not table.sqdist_is("P", "O", 1 << 2 * v)
+    assert table.sqdist_is("P", "O", eps * eps)
+
+
+def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
+    """A per-call constant that does not fit the table (a distance's form,
+    a relation's coefficients, a factor rho) takes the carrier formula and
+    gets the formula's verdict; no tower kernel runs for it."""
+    model = eps_rotation_model()
+    points = {"P": model.apply(rational_point(3, 4)), "O": model.apply(rational_point(0, 0))}
+    points["Q"] = model.apply(rational_point(3, 4))
+    table = cm.point_table(points)
+    assert type(table) is cm._PackedTable
+    t = table._budget + 1
+    calls = []
+    for name in CM_KERNELS:
+        real = getattr(cm, name)
+        monkeypatch.setattr(cm, name, lambda *args, real=real: calls.append(args) or real(*args))
+    def kernel_calls(test):
+        """The test's result and how many tower kernel calls it made."""
+        before = len(calls)
+        return test(), len(calls) - before
+
+    huge = 1 << t
+    # 25 in an unreduced form too large for the width: no verdict on the packed form
+    assert kernel_calls(lambda: table.sqdist_is_form("P", "O", QQ, (25 * huge,), huge)) == (None, 0)
+    assert kernel_calls(lambda: table.sqdist_is("P", "O", FunElem.constant(25))) == (True, 1)
+    assert kernel_calls(lambda: table.sqdist_is("P", "O", huge)) == (False, 0)
+    assert kernel_calls(lambda: table.relation_vanishes({"P": huge, "Q": -huge})) == (True, 0)
+    assert kernel_calls(lambda: table.relation_vanishes({"P": huge, "O": -huge})) == (False, 0)
+    assert kernel_calls(lambda: table.relation_vanishes({"P": 1, "Q": -1})) == (True, 2)
+    assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(huge))) == (False, 0)
+    assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(1))) == (True, 2)
+    assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(huge) / huge)) == (True, 0)  # off the unit polynomial

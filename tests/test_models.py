@@ -449,14 +449,15 @@ def test_lazy_kfield_refutes_the_negative_controls():
 
 def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     """Every squared distance of K(eps) images that check and preservation
-    compare runs the integer kernel ``fun_sqdist_is`` (through a point
-    table's ``sqdist_is``, or its ``sqdist_is_form`` for preservation), none
-    is built by a table's ``sqdist``, and none multiplies ``FunElem``s.  A
-    comparison is counted once, where it enters."""
+    compare runs the tower kernel ``tower_sqdist_is`` on packed numerators
+    (through a point table's ``sqdist_is``, or its ``sqdist_is_form`` for
+    preservation), none is built by a table's ``sqdist``, and none
+    multiplies ``FunElem``s.  A comparison is counted once, where it
+    enters."""
     corpus = suite.replay_corpus()
     counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0}
     inside = []
-    real_kernel, real_mul = cm.fun_sqdist_is, FunElem.__mul__
+    real_kernel, real_mul = cm.tower_sqdist_is, FunElem.__mul__
 
     def kfield(table, p, q):
         return any(isinstance(c, FunElem) for c in (table[p].x, table[p].y, table[q].x, table[q].y))
@@ -480,18 +481,19 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return run
 
     def counting_kernel(*args):
-        counts["kernel"] += 1
+        counts["kernel"] += isinstance(args[1], cm._Packed)
         return real_kernel(*args)
 
     def counting_mul(self, other):
         counts["mul"] += bool(inside)
         return real_mul(self, other)
 
-    for table in (cm.PointTable, cm._KernelTable):
+    for table in (cm.PointTable, cm._KernelTable, cm._PackedTable):
         for name in ("sqdist_is", "sqdist_is_form"):
-            monkeypatch.setattr(table, name, counting(table.__dict__[name]))
+            if name in table.__dict__:
+                monkeypatch.setattr(table, name, counting(table.__dict__[name]))
     monkeypatch.setattr(cm.PointTable, "sqdist", counting_sqdist(cm.PointTable.sqdist))
-    monkeypatch.setattr(cm, "fun_sqdist_is", counting_kernel)
+    monkeypatch.setattr(cm, "tower_sqdist_is", counting_kernel)
     monkeypatch.setattr(FunElem, "__mul__", counting_mul)
     monkeypatch.setattr(FunElem, "__rmul__", counting_mul)
     checks = 0
@@ -801,21 +803,35 @@ def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
 
 
 def test_eps_models_square_the_denominator_once(monkeypatch):
-    squares = []
-    real_fmul = scalars._fmul
+    """The images of one eps model share one lifted D.  Each packed image
+    table squares D at most once, on its packed vector, and no squared
+    distance squares D by ``FunElem`` multiplication."""
+    squares, packed, tables = [], [], []
+    real_fmul, real_isq, real_init = scalars._fmul, cm._isq, cm._PackedTable.__init__
 
     def counting_fmul(rads, a, b):
         if a is b:
             squares.append(a)
         return real_fmul(rads, a, b)
 
+    def counting_isq(rads, a):
+        packed.append(a)
+        return real_isq(rads, a)
+
+    def counting_init(self, *args):
+        tables.append(self)
+        real_init(self, *args)
+
     monkeypatch.setattr(scalars, "_fmul", counting_fmul)
+    monkeypatch.setattr(cm, "_isq", counting_isq)
+    monkeypatch.setattr(cm._PackedTable, "__init__", counting_init)
 
     def sweep(apply):
-        """The most lifted D objects and the most squarings of D of one model."""
-        lifted = most = 0
+        """The most lifted D objects and the most squarings of D of one
+        model, by ``_fmul`` and on packed vectors, and the tables built."""
+        lifted = most = most_packed = made = 0
         for model, points, pairs, derivation in _eps_models_sweep():
-            before = len(squares)
+            before, packed_before, tables_before = len(squares), len(packed), len(tables)
             if derivation is not None:
                 assert check_derivation(derivation, model).ok
             assert verify_preservation(model, pairs).ok
@@ -824,11 +840,19 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
             den = next(iter(dens.values()))
             squared = [s for s in squares[before:] if s == den]
             lifted, most = max(lifted, len(dens)), max(most, len(squared))
-        return lifted, most
+            most_packed, made = max(most_packed, len(packed) - packed_before), max(made, len(tables) - tables_before)
+            assert len(packed) - packed_before <= len(tables) - tables_before
+        return lifted, most, most_packed, made
 
-    # one lifted D per model and tower, squared once
-    assert sweep(ModelMap.apply) == (1, 1)
-    # the counter does see the formula: there every image lifts its own D
+    # one lifted D per model and tower, squared once per image table (check
+    # and preservation each build one), never by ``_fmul``
+    assert sweep(ModelMap.apply) == (1, 0, 2, 2)
+    # the counters do see the formula, where every image lifts its own D,
+    # and a ``FunElem`` product squaring D
     monkeypatch.setattr(ModelMap, "apply", generic_apply)
-    lifted, most = sweep(generic_apply)
-    assert lifted > 1 and most > 1
+    lifted, _, most_packed, _ = sweep(generic_apply)
+    assert lifted > 1 and most_packed >= 1
+    x = 1 / (FunElem.eps() + 3)
+    before = len(squares)
+    x * x
+    assert any(s is x._d for s in squares[before:])

@@ -22,8 +22,7 @@ from rigidity_forge.scalars import (
     adjoin_sqrt,
     cmp_with_sqrt,
     common_tower,
-    fun_sqdist_is,
-    fun_sqdist_num,
+    fun_pack,
     least_int_above_sqrt,
     simplest_rational_between_sqrts,
     sqrt_in_tower,
@@ -35,12 +34,9 @@ from rigidity_forge.scalars import (
     _basis_bounds,
     _canon,
     _enclose,
-    _fadd,
-    _fcanon,
     _fmul,
     _fone,
     _fsquare,
-    _fsumsq,
     _iadd,
     _ijoin,
     _imul,
@@ -1215,24 +1211,31 @@ def _eps_images(*points):
 @example((FUN_TOWERS[2], FunElem.eps(FUN_TOWERS[2]), FunElem.constant(0, FUN_TOWERS[2]), FunElem.constant(1, FUN_TOWERS[2]), FunElem.eps(FUN_TOWERS[2])))
 @example((QQ, *_eps_images((0, 0), (3, 4))))  # a nonzero constant distance, 25
 def test_fun_sqdist_kernel_matches_the_generic_formula(case):
+    """The packed squared distance of a K(eps) table is the packed numerator
+    of the formula over D^2, and its constant tests are the formula's."""
     tower, px, py, qx, qy = case
     rads = tower._rads
     dx, dy = px - qx, py - qy
     formula = dx * dx + dy * dy
     _assert_fun_canonical(formula)
-    assert (_fcanon(*fun_sqdist_num(rads, px, py, qx, qy)), _fsquare(tower, px._d)) == (formula._n, formula._d)
+    table = cm.point_table({"P": Point(px, py), "Q": Point(qx, qy)})
+    assert type(table) is cm._PackedTable and formula._d == _fsquare(tower, px._d)
+
+    def pack(a):
+        return fun_pack(a[0], tower.dim, range(0, table.width * max(len(a[0]), 1), table.width))
+
+    a, b = table._coords["P"], table._coords["Q"]
+    n, k = tower_sqdist_num(rads, a.x, a.y, b.x, b.y)
+    assert [c * formula._n[1] for c in n] == [c * k for c in pack(formula._n)]
     # against constants of K: zero, a rational, an irrational, and 25
     generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
     for c in (tower.zero(), tower.rational(Fraction(-2, 3)), generator * Fraction(5, 2) + 1, tower.rational(25)):
-        assert fun_sqdist_is(tower, px, py, qx, qy, c._n, c._d) == (formula == FunElem.constant(c))
-    # the squaring convolution against the product, alone and summed
+        assert table.sqdist_is_form("P", "Q", tower, c._n, c._d) == (formula == FunElem.constant(c))
+    # Kronecker squaring is the convolution: ``_isq`` of a packed polynomial is its packed ``_fmul`` square
     for a in (px._n, dx._n, px._d, formula._n):
-        rows, k = _fsumsq(rads, (a[0],))
-        assert _fcanon(rows, a[1] * a[1] * k) == _fmul(rads, a, a)
-    if dx._n[1] == dy._n[1]:
-        rows, k = _fsumsq(rads, (dx._n[0], dy._n[0]))
-        square = (_fmul(rads, dx._n, dx._n), _fmul(rads, dy._n, dy._n))
-        assert _fcanon(rows, dx._n[1] ** 2 * k) == _fadd(*square)
+        sq, k = _isq(rads, pack(a))
+        product = _fmul(rads, a, a)
+        assert [c * product[1] for c in sq] == [c * k * a[1] * a[1] for c in pack(product)]
     # the unit shortcut hands back the other operand, which is canonical
     unit = _fone(tower)
     for a in (px._n, px._d, formula._n, formula._d, unit):
@@ -1242,7 +1245,7 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(case):
 
 def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
     kernel_calls = []
-    monkeypatch.setattr(cm, "fun_sqdist_is", lambda *args: kernel_calls.append(args))
+    monkeypatch.setattr(cm, "tower_sqdist_is", lambda *args: kernel_calls.append(args))
     s2, s3 = INTEGER_TOWERS[1], adjoin_sqrt(QQ, 3).tower
     eps = FunElem.eps(s2)
     p = Point(eps * s2.generator(0), FunElem.constant(1, s2))
@@ -1267,7 +1270,7 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
     assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
     assert kernel_calls == []
     cm.point_table({0: frame, 1: Point(frame.y, frame.x)}).sqdist_is(0, 1, 0)  # the counter does see the kernel
-    assert len(kernel_calls) == 1
+    assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][1], cm._Packed)
 
 
 def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
@@ -1377,16 +1380,21 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     ]
     kernel_calls, fun_kernel_calls = [], []
 
-    def counting(calls, real):
+    def packed(arg):
+        """The argument holds a packed K(eps) numerator."""
+        if isinstance(arg, (tuple, list)):
+            return any(packed(a) for a in arg)
+        return isinstance(arg, cm._Packed)
+
+    def counting(real):
         def kernel(*args):
-            calls.append(args)
+            (fun_kernel_calls if packed(args) else kernel_calls).append(args)
             return real(*args)
 
         return kernel
 
     for shape in ("sqdist_is", "comb_vanishes", "form_vanishes"):
-        monkeypatch.setattr(cm, f"tower_{shape}", counting(kernel_calls, getattr(cm, f"tower_{shape}")))
-        monkeypatch.setattr(cm, f"fun_{shape}", counting(fun_kernel_calls, getattr(cm, f"fun_{shape}")))
+        monkeypatch.setattr(cm, f"tower_{shape}", counting(getattr(cm, f"tower_{shape}")))
 
     def results():
         out = []
