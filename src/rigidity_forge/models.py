@@ -36,13 +36,15 @@ compared with it by the images' ``sqdist_is_form``, and a rational v must
 have rho(v) == v on the vectors; other models, towers and carriers compare
 with ``rho(v)`` by ``sqdist_is``.  An embedding other than the identity is
 undefined on a ``FunElem``, which lies in no quadratic tower
-(``OutOfDomain``).  Structure decides each test on the table of the images
-it reads: additivity as m(u + v) - m(u) - m(v) + m(0) = 0
-(``relation_vanishes``), and scaling of phi(u) = a - o to
-phi(lambda u) = b - o as a != o and b - o = rho (a - o) (``scaled_is``),
-building no quotient.  Both map each point object once: preservation the
-first time a pair names it, structure through ``_mapped_once``, keyed by the
-object; equal points built as distinct objects are mapped apiece.
+(``OutOfDomain``).  Structure names its sample points once (the origin,
+the directions u, the sums u + v and the multiples lambda u), maps each
+point object once, keyed by the object, and decides every test on the one
+``cm.point_table`` of the images: additivity as
+m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling of
+phi(u) = a - o to phi(lambda u) = b - o as a != o, once per direction, and
+b - o = rho (a - o) (``scaled_is``), building no quotient.  Both reports
+map a point object the first time they meet it; equal points built as
+distinct objects are mapped apiece.
 """
 
 from __future__ import annotations
@@ -267,21 +269,6 @@ def eps_rotation_model(reflection: bool = False) -> ModelMap:
 # ---------------------------------------------------------------------------
 
 
-def _mapped_once(f):
-    """``f`` on points, evaluated once per point object: an image is looked
-    up by the point's id, and the entry holds the point, so its id stays
-    valid for the call."""
-    by_id: dict[int, tuple[Point, object]] = {}
-
-    def image(p: Point):
-        hit = by_id.get(id(p))
-        if hit is None:
-            hit = by_id[id(p)] = (p, f(p))
-        return hit[1]
-
-    return image
-
-
 @dataclass(frozen=True)
 class PairCheck:
     pair: tuple[Point, Point]
@@ -366,58 +353,52 @@ class StructureReport:
         return self.additivity_ok and self.theta_ok and self.homomorphism_ok
 
 
-def _scales(o: Point, a: Point, b: Point, rho) -> bool:
-    """phi(lambda u) = rho * phi(u) for phi(u) = a - o != 0 and
-    phi(lambda u) = b - o: b - o = rho (a - o) on both coordinates, on the
-    table of the three images."""
-    images = point_table({"o": o, "a": a, "b": b})
-    return not images.same("a", "o") and images.scaled_is(("b", "o"), ("a", "o"), rho)
-
-
 def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence[Point]) -> StructureReport:
     """Check the displacement map phi(u) = m(u) - m(0) is additive, scales by a
     direction-independent factor rho(lambda), and that rho is a homomorphism.
-    Each point object is mapped once, and each test is decided on the
-    ``cm.point_table`` of the images it reads.  Additivity is
+    The sample points are built once, under names: the origin, the
+    directions u, the sums u + v of each pair and the multiples lambda u.
+    Each point object is mapped once, all of them before any test, so a
+    model undefined at any sample point raises, even where an earlier test
+    would decide the report.  Every test is decided, in order and with its
+    early exit, on the one ``cm.point_table`` of the images: additivity as
     m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling
-    is b - o = rho (a - o) (``_scales``); ``int`` and ``Fraction``
-    coordinates are rationals."""
+    of phi(u) = a - o to phi(lambda u) = b - o as a != o, decided once per
+    direction, and b - o = rho (a - o) (``scaled_is``).  ``int`` and
+    ``Fraction`` coordinates are rationals."""
     if not us:
         raise ModelError("need at least one sample direction")
     tower = us[0].x.tower if isinstance(us[0].x, TowerElem) else QQ
-    image = _mapped_once(model.apply)
-    m0 = image(Point(tower.rational(0), tower.rational(0)))
+    lams = [lam if isinstance(lam, TowerElem) else tower.rational(lam) for lam in lambdas]
+    directions = range(len(us))
+    pairs = list(combinations(directions, 2))
+    points = {"o": Point(tower.rational(0), tower.rational(0))}
+    points.update((("u", i), u) for i, u in enumerate(us))
+    points.update((("u+v", i, j), Point(us[i].x + us[j].x, us[i].y + us[j].y)) for i, j in pairs)
+    points.update((("lu", k, i), Point(lam * u.x, lam * u.y)) for k, lam in enumerate(lambdas) for i, u in enumerate(us))
+    # images by point object; ``points`` holds the objects for the call
+    mapped = {}
+    for p in points.values():
+        if id(p) not in mapped:
+            mapped[id(p)] = model.apply(p)
+    images = point_table({name: mapped[id(p)] for name, p in points.items()})
 
-    additivity_ok = True
-    for u, v in combinations(us, 2):
-        uv = Point(u.x + v.x, u.y + v.y)
-        images = point_table({"u+v": image(uv), "u": image(u), "v": image(v), "0": m0})
-        if not images.relation_vanishes({"u+v": 1, "u": -1, "v": -1, "0": 1}):
-            additivity_ok = False
-            break
+    additivity_ok = all(images.relation_vanishes({("u+v", i, j): 1, ("u", i): -1, ("u", j): -1, "o": 1}) for i, j in pairs)
 
     theta_ok = True
     thetas = []
-    for lam in lambdas:
-        rho_lam = model.rho(lam if isinstance(lam, TowerElem) else tower.rational(lam))
-        for u in us:
-            lu = Point(lam * u.x, lam * u.y)
-            if not _scales(m0, image(u), image(lu), rho_lam):
-                theta_ok = False
-                break
+    moved = all(not images.same(("u", i), "o") for i in directions)
+    for k, lam in enumerate(lams):
+        rho_lam = model.rho(lam)
         thetas.append(rho_lam)
-        if not theta_ok:
+        if not (moved and all(images.scaled_is((("lu", k, i), "o"), (("u", i), "o"), rho_lam) for i in directions)):
+            theta_ok = False
             break
 
-    homomorphism_ok = True
-    lam_elems = [lam if isinstance(lam, TowerElem) else tower.rational(lam) for lam in lambdas]
-    for a, b in combinations(lam_elems, 2):
-        if not model.rho(a + b) == model.rho(a) + model.rho(b):
-            homomorphism_ok = False
-            break
-        if not model.rho(a * b) == model.rho(a) * model.rho(b):
-            homomorphism_ok = False
-            break
+    homomorphism_ok = all(
+        model.rho(a + b) == model.rho(a) + model.rho(b) and model.rho(a * b) == model.rho(a) * model.rho(b)
+        for a, b in combinations(lams, 2)
+    )
 
     return StructureReport(
         additivity_ok=additivity_ok,

@@ -41,7 +41,7 @@ from .models import (
     verify_preservation,
     verify_structure,
 )
-from .scalars import QQ, BadGeneratorIndex, TowerDesc, adjoin_sqrt, tower_conjugate, _frac_sqrt
+from .scalars import QQ, BadGeneratorIndex, TowerDesc, TowerElem, adjoin_sqrt, tower_conjugate, _frac_sqrt
 
 
 @dataclass
@@ -347,10 +347,12 @@ def criterion_8_oracle_agreement(seed: int = 0) -> CriterionResult:
     return CriterionResult(8, "oracle agreement", True, "1000 collinearity trials; 100 x 4 determinant evaluations")
 
 
-def criterion_9_structure(seed: int = 0) -> CriterionResult:
+def criterion_9_sample() -> tuple[list[tuple[str, ModelMap]], list[TowerElem], list[Point]]:
+    """Criterion 9's sample over Q(sqrt 2): the five registered models by
+    name, the multipliers lambda (sqrt 2 first) and the ten rational
+    directions with (sqrt 2, 1)."""
     root2 = adjoin_sqrt(QQ, 2)
-    tower = root2.tower
-    s2 = root2.root
+    tower, s2 = root2.tower, root2.root
     us = [
         Point(tower.rational(i), tower.rational(j))
         for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]
@@ -367,6 +369,12 @@ def criterion_9_structure(seed: int = 0) -> CriterionResult:
             ModelMap(sqrt2_conj.embedding, make_pythagorean_rotation(Fraction(1, 2))),
         ),
     ]
+    return registered, lambdas, us
+
+
+def criterion_9_structure(seed: int = 0) -> CriterionResult:
+    registered, lambdas, us = criterion_9_sample()
+    s2 = lambdas[0]
     problems = []
     for name, model in registered:
         report = verify_structure(model, lambdas, us)

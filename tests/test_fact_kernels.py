@@ -32,7 +32,6 @@ from rigidity_forge.models import (
     PairCheck,
     PreservationReport,
     StructureReport,
-    _mapped_once,
     conjugation_model,
     eps_rotation_model,
     identity_model,
@@ -46,6 +45,21 @@ FACT_KINDS = (SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, D
 
 
 # -- the oracle: each fact, preservation and structure by carrier arithmetic ---------------------
+
+
+def _mapped_once(f):
+    """``f`` on points, evaluated once per point object: an image is looked
+    up by the point's id, and the entry holds the point, so its id stays
+    valid for the call."""
+    by_id = {}
+
+    def image(p):
+        hit = by_id.get(id(p))
+        if hit is None:
+            hit = by_id[id(p)] = (p, f(p))
+        return hit[1]
+
+    return image
 
 
 def oracle_holds(fact, p):
@@ -133,20 +147,8 @@ def oracle_holds_installed(monkeypatch):
 
 def criterion_9_data():
     """Criterion 9's five registered models, multipliers and directions."""
-    r2 = adjoin_sqrt(QQ, 2)
-    tower, s2 = r2.tower, r2.root
-    us = [Point(tower.rational(i), tower.rational(j)) for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]]
-    us.append(Point(s2, tower.one()))
-    lambdas = [s2, tower.rational(2), tower.rational(F(1, 3)), tower.one() + s2]
-    conj = conjugation_model(tower, 0)
-    registered = [
-        identity_model(),
-        conj,
-        eps_rotation_model(),
-        eps_rotation_model(reflection=True),
-        ModelMap(conj.embedding, make_pythagorean_rotation(F(1, 2))),
-    ]
-    return registered, lambdas, us
+    registered, lambdas, us = suite.criterion_9_sample()
+    return [model for _, model in registered], lambdas, us
 
 
 class Doubling:
@@ -455,6 +457,96 @@ def test_structure_matches_the_oracle(case):
     with mock.patch.object(models, "point_table", cm.PointTable):
         assert verify_structure(model, lambdas, us) == report
     assert report == oracle_structure(model, lambdas, us)
+
+
+class _Homogeneous:
+    """(x, y) -> (x, y^3 / (x^2 + y^2)) with rho the identity: it scales
+    every direction by lambda, but is not additive."""
+
+    def apply(self, p):
+        if p.x.is_zero() and p.y.is_zero():
+            return p
+        return Point(p.x, p.y * p.y * p.y / (p.x * p.x + p.y * p.y))
+
+    def rho(self, v):
+        return v
+
+
+class _Partial:
+    """``model``'s map, undefined at the point ``hole``."""
+
+    def __init__(self, model, hole):
+        self.model, self.hole, self.rho = model, hole, model.rho
+
+    def apply(self, p):
+        if p == self.hole:
+            raise OutOfDomain(f"{p} is outside the model's domain")
+        return self.model.apply(p)
+
+
+def _structure_edge_cases():
+    """Criterion 9's sample with a test that fails or a direction that
+    decides the report early, or with images on two towers: (model,
+    lambdas, us) and the report's (additivity_ok, theta_ok,
+    homomorphism_ok, number of thetas)."""
+    registered, lambdas, us = criterion_9_data()
+    identity, conj = registered[0], registered[1]
+    tower = us[0].x.tower
+    zero = Point(tower.zero(), tower.zero())
+    wider = adjoin_sqrt(tower, 13).tower
+    lifted = Point(us[-1].x.lift(wider), us[-1].y.lift(wider))
+    return {
+        "additivity-only": ((_Homogeneous(), lambdas, us), (False, True, True, 4)),
+        "theta-at-the-second-lambda": ((_Rho(identity, conj.rho), [lambdas[1], lambdas[0]], us), (True, False, True, 2)),
+        "zero-direction": ((identity, lambdas, us[:3] + [zero] + us[3:]), (True, False, True, 1)),
+        "zero-direction-no-lambda": ((identity, [], [zero] + us), (True, True, True, 0)),
+        "mixed-carriers": ((identity, lambdas, us + [lifted]), (True, True, True, 4)),
+        "mixed-carriers-eps": ((registered[2], lambdas[1:3], us[:4] + [lifted]), (True, True, True, 2)),
+    }
+
+
+STRUCTURE_EDGE_CASES = _structure_edge_cases()
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_EDGE_CASES))
+def test_structure_edge_cases_match_the_oracle(case, monkeypatch):
+    """Each report, decided on one table, equals the base table's and the
+    oracle's; images on two towers make that one table the base table."""
+    (model, lambdas, us), flags = STRUCTURE_EDGE_CASES[case]
+    tables, real_table = [], models.point_table
+    monkeypatch.setattr(models, "point_table", lambda points: tables.append(real_table(points)) or tables[-1])
+    report = verify_structure(model, lambdas, us)
+    assert (report.additivity_ok, report.theta_ok, report.homomorphism_ok, len(report.thetas)) == flags
+    assert len(tables) == 1 and (type(tables[0]) is cm.PointTable) == case.startswith("mixed")
+    monkeypatch.setattr(models, "point_table", cm.PointTable)
+    assert verify_structure(model, lambdas, us) == report == oracle_structure(model, lambdas, us)
+
+
+def test_structure_maps_every_point_before_any_test():
+    """A model undefined at one multiple lambda u raises, though a zero
+    direction decides the report at the first lambda, before the oracle,
+    which maps points as the tests read them, reaches that point."""
+    registered, lambdas, us = criterion_9_data()
+    tower = us[0].x.tower
+    us = [Point(tower.zero(), tower.zero())] + us
+    model = _Partial(registered[0], Point(lambdas[1] * us[-1].x, lambdas[1] * us[-1].y))
+    assert oracle_structure(model, lambdas, us) == StructureReport(True, False, True, (lambdas[0],))
+    with pytest.raises(OutOfDomain, match="outside the model's domain"):
+        verify_structure(model, lambdas, us)
+
+
+def test_eps_structure_packs_each_image_once(monkeypatch):
+    """An eps-model report packs its 111 images into one table, each image
+    once (two ``fun_pack`` calls), and packs rho once per ``scaled_is``
+    call: at most 266 calls, where one table per test made 748."""
+    registered, lambdas, us = criterion_9_data()
+    calls, real_pack = [], cm.fun_pack
+    monkeypatch.setattr(cm, "fun_pack", lambda *args: calls.append(args) or real_pack(*args))
+    images = 1 + len(us) + len(list(combinations(us, 2))) + len(lambdas) * len(us)
+    for model in registered[2:4]:
+        calls.clear()
+        assert verify_structure(model, lambdas, us).ok
+        assert images == 111 and len(calls) <= 2 * images + len(lambdas) * len(us) == 266
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -1141,9 +1233,9 @@ def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
 
 
 def test_non_rational_reports_classify_once(monkeypatch):
-    """Over a tower and over K(eps) one scan per table, also for each test
-    of ``verify_structure``; mixed towers take the base table, the formula,
-    and no kernel."""
+    """Over a tower and over K(eps) one scan per table, and one table per
+    ``verify_structure`` report for all its tests; mixed towers take the
+    base table, the formula, and no kernel."""
     entry = suite.replay_corpus()[0]
     derivation, gadget = entry.derivation, entry.gadget
     counts = _classification_counts(monkeypatch)
@@ -1152,11 +1244,10 @@ def test_non_rational_reports_classify_once(monkeypatch):
         assert check_derivation(derivation, model).ok
         assert counts["scan"] == 1 and counts["kernel"] > 0
     registered, lambdas, us = criterion_9_data()
-    tests = len(list(combinations(us, 2))) + len(lambdas) * len(us)
     for model in registered:
         counts.update(scan=0)
         assert verify_structure(model, lambdas, us).ok
-        assert counts["scan"] == tests
+        assert counts["scan"] == 1
     wider = adjoin_sqrt(gadget.tower, 13).tower
     points = dict(gadget.points, A=Point(gadget.points["A"].x.lift(wider), gadget.points["A"].y.lift(wider)))
     table = cm.point_table(points)

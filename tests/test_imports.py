@@ -1,6 +1,8 @@
 """Static hygiene of the package source: no module imports a name it never
-uses, every import sits at module level, and the package ships no function,
-class or method that only tests use."""
+uses, every import sits at module level, the package ships no function,
+class or method that only tests use, and every module under ``src/`` and
+``tests/`` is written in the grammar of Python 3.10, the oldest version
+``pyproject.toml`` admits."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,19 @@ import rigidity_forge
 
 PACKAGE = Path(rigidity_forge.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+OLDEST_PYTHON = (3, 10)
+
+
+def newer_grammar(source: str, name: str) -> str | None:
+    """The first syntax error of ``source`` under the ``OLDEST_PYTHON``
+    grammar, or None.  The grammar alone: names a newer standard library
+    adds are not checked."""
+    try:
+        ast.parse(source, name, feature_version=OLDEST_PYTHON)
+    except SyntaxError as err:
+        return f"{name}:{err.lineno}: {err.msg}"
+    return None
 
 
 def unused_imports(source: str) -> list[str]:
@@ -116,3 +131,15 @@ def test_unused_import_check_catches_a_leftover():
     source = "from fractions import Fraction\nimport json\nfrom typing import Any\n\n\ndef f(x: Any):\n    return json.dumps(x)\n"
     assert unused_imports(source) == ["Fraction (line 1)"]
     assert local_imports("def f():\n    import json\n    return json\n") == ["f (line 2)"]
+
+
+def test_sources_parse_with_the_oldest_supported_grammar():
+    modules = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(modules) > len(MODULES)
+    errors = [newer_grammar(m.read_text(encoding="utf-8"), str(m.relative_to(ROOT))) for m in modules]
+    assert [e for e in errors if e is not None] == []
+
+
+def test_grammar_check_catches_newer_syntax():
+    assert "only supported in Python 3.11" in newer_grammar("try:\n    pass\nexcept* ValueError:\n    pass\n", "m.py")
+    assert newer_grammar("match x:\n    case 1:\n        pass\n", "m.py") is None

@@ -264,8 +264,9 @@ def test_structure_maps_each_point_once(monkeypatch, sqrt2_tower):
 
 
 def directions(tower):
-    pts = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]
-    return [Point(tower.rational(i), tower.rational(j)) for i, j in pts]
+    """Criterion 9's ten rational directions, over ``tower``."""
+    _, _, us = suite.criterion_9_sample()
+    return [Point(tower.rational(u.x.as_fraction()), tower.rational(u.y.as_fraction())) for u in us[:10]]
 
 
 def test_structure_identity_theta_is_lambda(sqrt2_tower):
@@ -574,20 +575,8 @@ def _point_forms(p):
 
 def _structure_data():
     """Criterion 9's directions, multipliers and five registered models."""
-    r2 = adjoin_sqrt(QQ, 2)
-    tower, s2 = r2.tower, r2.root
-    us = [Point(tower.rational(i), tower.rational(j)) for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]]
-    us.append(Point(s2, tower.one()))
-    lambdas = [s2, tower.rational(2), tower.rational(F(1, 3)), tower.one() + s2]
-    conj = conjugation_model(tower, 0)
-    registered = [
-        identity_model(),
-        conj,
-        eps_rotation_model(),
-        eps_rotation_model(reflection=True),
-        ModelMap(conj.embedding, make_pythagorean_rotation(F(1, 2))),
-    ]
-    return registered, lambdas, us
+    registered, lambdas, us = suite.criterion_9_sample()
+    return [model for _, model in registered], lambdas, us
 
 
 def _altered(derivation):

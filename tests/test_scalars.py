@@ -1364,20 +1364,8 @@ def _generic_sqdist(p, q):
 
 def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     corpus = suite.replay_corpus()
-    r2 = adjoin_sqrt(QQ, 2)
-    tower, s2 = r2.tower, r2.root
-    # criterion 9's directions, multipliers and registered models
-    us = [Point(tower.rational(i), tower.rational(j)) for i, j in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (5, 2), (7, 1)]]
-    us.append(Point(s2, tower.one()))
-    lambdas = [s2, tower.rational(2), tower.rational(Fraction(1, 3)), tower.one() + s2]
-    conj = models.conjugation_model(tower, 0)
-    registered = [
-        models.identity_model(),
-        conj,
-        models.eps_rotation_model(),
-        models.eps_rotation_model(reflection=True),
-        models.ModelMap(conj.embedding, models.make_pythagorean_rotation(Fraction(1, 2))),
-    ]
+    registered, lambdas, us = suite.criterion_9_sample()
+    registered = [model for _, model in registered]
     kernel_calls, fun_kernel_calls = [], []
 
     def packed(arg):
