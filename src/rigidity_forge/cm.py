@@ -322,7 +322,7 @@ class _PackedTable(_KernelTable):
     - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
       sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
 
-    __slots__ = ("width", "_budget", "_kb", "_den", "_square")
+    __slots__ = ("width", "_budget", "_kb", "_den", "_square", "_rho")
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Sequence[FunElem]) -> None:
         super().__init__(points, tower)
@@ -332,7 +332,7 @@ class _PackedTable(_KernelTable):
         s, (db, cb) = 2 * (a + kb) + 64, (b.bit_length() for b in tower._product_bound)
         w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * k_d.bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
         self._coords = _Packing(points, tower.dim, range(0, w * max(map(len, polys)), w))
-        self._budget, self._kb, self._square = s, kb, None
+        self._budget, self._kb, self._square, self._rho = s, kb, None, (None, None)
 
     sqdist_num = PointTable.sqdist_num
 
@@ -353,13 +353,17 @@ class _PackedTable(_KernelTable):
         return super().relation_vanishes(relation)
 
     def _constant(self, rho):
-        """rho packed, if a fitting constant of the tower over 1; else None."""
-        if not (isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d)):
-            return None
-        (rows, k), shifts = rho._n, self._coords.shifts
-        if len(rows) > len(shifts) or max(_bits([rows]), k.bit_length()) > self._budget:
-            return None
-        return _Packed(fun_pack(rows, self.tower.dim, shifts), k)
+        """rho packed, if a fitting constant of the tower over 1; else None.
+        The last rho is kept with its packing, so a run of tests with one
+        rho packs it once."""
+        if self._rho[0] is not rho:
+            packed = None
+            if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d):
+                (rows, k), shifts = rho._n, self._coords.shifts
+                if len(rows) <= len(shifts) and max(_bits([rows]), k.bit_length()) <= self._budget:
+                    packed = _Packed(fun_pack(rows, self.tower.dim, shifts), k)
+            self._rho = (rho, packed)
+        return self._rho[1]
 
 
 class _RationalTable(_KernelTable):

@@ -309,10 +309,10 @@ def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], Tow
         for coord in (p.x, p.y):
             if coord.tower not in into:
                 join, into[coord.tower] = tower_join(join, coord.tower)
-    unified = {name: tuple(into[c.tower](c).lift(join) for c in (p.x, p.y)) for name, p in points.items()}
-    depth = max((c.minimized().tower.depth for xy in unified.values() for c in xy), default=0)
+    unified = {name: tuple(into[c.tower](c).lift(join).minimized() for c in (p.x, p.y)) for name, p in points.items()}
+    depth = max((c.tower.depth for xy in unified.values() for c in xy), default=0)
     tower = join.prefix(depth)
-    out = {name: Point(x.minimized().lift(tower), y.minimized().lift(tower)) for name, (x, y) in unified.items()}
+    out = {name: Point(x.lift(tower), y.lift(tower)) for name, (x, y) in unified.items()}
     return out, tower
 
 

@@ -101,6 +101,9 @@ class Polynomial(_FieldOps):
         return self.terms == rhs.terms
 
     def __hash__(self) -> int:
+        if not any(map(any, self.terms)):
+            # a constant (zero included) hashes like the rational it equals
+            return hash(self.terms.get((0,) * len(self.vars), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- substitution and evaluation -------------------------------------------------

@@ -29,12 +29,11 @@ Three carriers, all with decidable equality:
   cross-multiplies.  Numerator and denominator are each held as an integer
   matrix over one positive denominator (row i holds the integer coordinates
   of the coefficient of eps^i), in canonical form, so products and sums run
-  on integers and equal polynomials have equal pairs; a product with the
-  unit polynomial returns the other operand.  D^2 comes from a one-entry
-  memo keyed by the identity of D (``_fsquare``), so the images of one
-  model, which share one D object, square it once.  No fact test has a
-  K(eps) kernel: ``cm`` runs the tower kernels on numerators that
-  ``fun_pack`` evaluates at eps = 2^w (Kronecker substitution).
+  on integers and equal polynomials have equal pairs; a product is one
+  convolution of the rows, and a product with the unit polynomial returns
+  the other operand.  No fact test has a K(eps) kernel: ``cm`` runs the
+  tower kernels on numerators that ``fun_pack`` evaluates at eps = 2^w
+  (Kronecker substitution).
   ``fun_frame_kernel`` maps two elements of one tower through a K(eps)
   frame over Q into K(eps) on the integer matrices.
   The reduced form (coprime polynomials, monic denominator) is
@@ -880,49 +879,10 @@ def _funit(a: IPoly) -> bool:
     return k == 1 and len(rows) == 1 and rows[0][0] == 1 and not any(rows[0][1:])
 
 
-def _fnonzero(rows: Sequence[IVec]) -> list[tuple[int, IVec, int | None]]:
-    """(index, row, the row as an integer if it is rational) for each nonzero row."""
-    return [(i, x, None if any(x[1:]) else x[0]) for i, x in enumerate(rows) if any(x)]
-
-
-def _facc(rads: Rads, out: list, deferred: list, xs: list, ys: list) -> None:
-    """Add the product of each row of ``xs`` with each row of ``ys`` (both
-    from ``_fnonzero``) into ``out`` at the sum of their indices; products
-    over a radicand denominator k > 1 go to ``deferred``.  A rational row
-    scales the other, and a row times itself is squared by ``_isq``."""
-    for i, x, sx in xs:
-        for j, y, sy in ys:
-            if sx is not None:
-                v = tuple([sx * c for c in y])
-            elif sy is not None:
-                v = tuple([sy * c for c in x])
-            else:
-                v, k = _isq(rads, x) if x is y else _imul(rads, x, y)
-                if k != 1:
-                    deferred.append((i + j, v, k))
-                    continue
-            r = out[i + j]
-            out[i + j] = v if r is None else tuple(map(add, r, v))
-
-
-def _fgather(out: list, deferred: list, dim: int) -> tuple[list[IVec], int]:
-    """The rows ``_facc`` summed, over one denominator: one ``lcm`` of the
-    deferred radicand denominators, if any."""
-    zero = (0,) * dim
-    rows = [zero if r is None else r for r in out]
-    den = 1
-    if deferred:
-        den = lcm(*[k for _, _, k in deferred])
-        rows = _fscale(rows, den)
-        for i, v, k in deferred:
-            rows[i] = tuple([c + d * (den // k) for c, d in zip(rows[i], v)])
-    return rows, den
-
-
 def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
-    """a * b: a convolution of the rows, one ``lcm`` (over a rational
-    radicand only) and one ``gcd`` per result.  A unit operand returns the
-    other, which is already canonical."""
+    """a * b: a convolution of the rows (each pair's ``_imul`` product added
+    into slot i + j), the slots over one ``lcm`` and one ``gcd`` per result.
+    A unit operand returns the other, which is already canonical."""
     (ra, ka), (rb, kb) = a, b
     if not ra or not rb:
         return (), 1
@@ -930,11 +890,12 @@ def _fmul(rads: Rads, a: IPoly, b: IPoly) -> IPoly:
         return a
     if _funit(a):
         return b
-    out: list[IVec | None] = [None] * (len(ra) + len(rb) - 1)
-    deferred: list = []
-    _facc(rads, out, deferred, _fnonzero(ra), _fnonzero(rb))
-    rows, den = _fgather(out, deferred, len(ra[0]))
-    return _fcanon(rows, ka * kb * den)
+    out = [((0,) * len(ra[0]), 1)] * (len(ra) + len(rb) - 1)
+    for i, x in enumerate(ra):
+        for j, y in enumerate(rb):
+            out[i + j] = _iadd(*out[i + j], *_imul(rads, x, y))
+    den = lcm(*[k for _, k in out])
+    return _fcanon([r if k == den else tuple([c * (den // k) for c in r]) for r, k in out], ka * kb * den)
 
 
 def _fpoly(coeffs: Sequence[TowerElem]) -> IPoly:
@@ -1124,8 +1085,7 @@ class FunElem(_FieldOps):
             return NotImplemented
         a, b, tower = self._common(rhs)
         rads = tower._rads
-        den = _fsquare(tower, a._d) if a._d is b._d else _fmul(rads, a._d, b._d)
-        return FunElem._make(tower, _fmul(rads, a._n, b._n), den)
+        return FunElem._make(tower, _fmul(rads, a._n, b._n), _fmul(rads, a._d, b._d))
 
     __rmul__ = __mul__
 
@@ -1203,24 +1163,6 @@ def constant_form(value) -> tuple[TowerDesc, IVec, int] | None:
     return None
 
 
-# (tower, D, D^2) of the last ``_fsquare``: the images of one model over one
-# tower share one D object, so their products square it once.  One entry,
-# keyed by identity; it holds D, so the key stays valid.
-_last_square: tuple = (None, None, None)
-
-
-def _fsquare(tower: TowerDesc, d: IPoly) -> IPoly:
-    """``_fmul(d, d)`` over ``tower``, computed once for consecutive calls
-    with the same ``d`` object."""
-    global _last_square
-    last = _last_square
-    if last[1] is d and last[0] is tower:
-        return last[2]
-    square = _fmul(tower._rads, d, d)
-    _last_square = (tower, d, square)
-    return square
-
-
 def fun_pack(rows: Sequence[IVec], dim: int, shifts: range) -> IVec:
     """Kronecker substitution (von zur Gathen & Gerhard, "Modern Computer
     Algebra", sec. 8.4): integer rows r_i at eps = 2^w, coordinate j being
@@ -1287,7 +1229,8 @@ def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
     K(eps): each image numerator is built from the entries' rational rows and
     the integer vectors of x and y and reduced once, over D lifted to x's
     tower.  The images over one tower share one lifted D object (a one-entry
-    memo of this frame), so ``_fsquare`` squares it once."""
+    memo of this frame), so no image rebuilds D, and ``cm.point_table``'s
+    one-denominator check and the packed table read one D object."""
     (m00, m01), (m10, m11) = matrix
     if translation is not None or not _fun_over_q((m00, m01, m10, m11)):
         return None

@@ -517,28 +517,33 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
 
 
 def test_model_checks_take_no_polynomial_gcd(monkeypatch):
+    """The 96 corpus x family checks take no polynomial gcd and no K(eps)
+    product: every K(eps) fact runs the tower kernels on packed numerators."""
     corpus = suite.replay_corpus()
-    calls = []
-    real_reduce = scalars._freduce
+    calls = {"_freduce": [], "_fmul": []}
 
-    def counting_reduce(*args):
-        calls.append(args)
-        return real_reduce(*args)
+    def counted(name):
+        real = getattr(scalars, name)
 
-    monkeypatch.setattr(scalars, "_freduce", counting_reduce)
-    checks = 0
-    for entry in corpus:
+        def run(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scalars, name, run)
+
+    counted("_freduce")
+    checks = [(entry, model) for entry in corpus for _, model in suite.model_family(entry.gadget)]
+    counted("_fmul")
+    for entry, model in checks:
         gadget = entry.gadget
         pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
-        for _, model in suite.model_family(gadget):
-            assert check_derivation(entry.derivation, model).ok
-            assert verify_preservation(model, pairs).ok
-            checks += 1
-    assert checks == 96
-    assert calls == []
-    # the counter does see the reduction that the printed form takes, once
+        assert check_derivation(entry.derivation, model).ok
+        assert verify_preservation(model, pairs).ok
+    assert len(checks) == 96
+    assert calls == {"_freduce": [], "_fmul": []}
+    # the counters do see the products and the reduction that the printed form takes, once
     assert str((FunElem.eps() + 1) / (FunElem.eps() * FunElem.eps() - 1)) == "(1) / (-1 + (1)*eps)"
-    assert len(calls) == 1
+    assert len(calls["_freduce"]) == 1 and calls["_fmul"]
 
 
 # -- image kernels against the generic formula --------------------------------------------------

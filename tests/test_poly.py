@@ -61,6 +61,15 @@ def test_difference_of_squares_in_one_variable():
     assert (x + 1) * (x - 1) == x * x - 1
 
 
+def test_equal_values_hash_equal(symbols):
+    """A constant polynomial, zero included, hashes like the rational it equals."""
+    a = symbols[0]
+    three, zero = a * 0 + 3, a - a
+    assert three == 3 and zero == 0 and a * 0 + Fraction(1, 2) == Fraction(1, 2)
+    assert hash(three) == hash(3) and hash(zero) == hash(0) and hash(a * 0 + Fraction(1, 2)) == hash(Fraction(1, 2))
+    assert len({three, 3}) == 1 and len({zero, 0}) == 1 and len({a, a + 0, 3}) == 2
+
+
 def test_context_mismatch_is_rejected():
     (x,) = variables("x")
     (y,) = variables("y")

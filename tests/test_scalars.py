@@ -36,7 +36,6 @@ from rigidity_forge.scalars import (
     _enclose,
     _fmul,
     _fone,
-    _fsquare,
     _iadd,
     _ijoin,
     _imul,
@@ -1219,7 +1218,7 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(case):
     formula = dx * dx + dy * dy
     _assert_fun_canonical(formula)
     table = cm.point_table({"P": Point(px, py), "Q": Point(qx, qy)})
-    assert type(table) is cm._PackedTable and formula._d == _fsquare(tower, px._d)
+    assert type(table) is cm._PackedTable and formula._d == _fmul(rads, px._d, px._d)
 
     def pack(a):
         return fun_pack(a[0], tower.dim, range(0, table.width * max(len(a[0]), 1), table.width))
