@@ -9,18 +9,20 @@ coordinates with ``==``.  Nothing here tolerates approximation.
 The facts are decided on a ``point_table``, the one place a carrier, and so
 a kernel, is picked: it scans every coordinate of its points a single time.
 Its tests are ``same``, ``sqdist_is`` (a squared distance equals a
-constant: its unreduced numerator cross-multiplied with the constant, read
-by ``constant_form``; ``sqdist_is_form`` takes the constant already in that
-form), ``relation_vanishes`` (an integer combination of points is zero),
+value: a rational m/e goes to ``sqdist_is_form(p, q, m, e)``, the
+unreduced numerator cross-multiplied with m/e on the table's kernel, and
+any other value, or one the kernel does not take, to the formula),
+``relation_vanishes`` (an integer combination of points is zero),
 ``dot_vanishes`` (the dot product of two differences is zero) and
 ``scaled_is`` (a difference b - o equals rho (a - o) on both coordinates);
 ``sqdist``, a squared distance as a value, is the carrier formula on every
-table.  Over one tower the tests run the ``scalars`` kernel of their shape;
-built gadgets share one ``TowerDesc`` object, so the tower test is an
-identity check.  ``FunElem``s of one tower over one shared denominator D,
-the shape of every eps-frame image, run the tower kernels on numerators
-packed at eps = 2^w, w derived per table so that no test can carry
-(``_PackedTable``).  Over Q (every
+table.  Over one tower the tests are methods of ``_KernelTable`` on the
+integer vectors, each a few ``scalars`` kernels (``_isub``, ``_iadd``,
+``_imul``, ``_isq``); built gadgets share one ``TowerDesc`` object, so the
+tower test is an identity check.  ``FunElem``s of one tower over one
+shared denominator D, the shape of every eps-frame image, run the same
+methods on numerators packed at eps = 2^w, w derived per table so that no
+test can carry (``_PackedTable``).  Over Q (every
 coordinate a ``TowerElem`` of depth 0) the table holds each point as plain
 ``int`` coordinates over one denominator, the ``lcm`` of its two; a squared
 distance with value a/b is then b*(dx^2 + dy^2) == a*k^2, for the
@@ -42,25 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
+from operator import mul
 from typing import Any, Mapping, Sequence
 
 from .poly import det
-from .scalars import (
-    QQ,
-    FunElem,
-    IVec,
-    TowerDesc,
-    TowerElem,
-    _funit,
-    _imul,
-    _isq,
-    constant_form,
-    fun_pack,
-    tower_comb_vanishes,
-    tower_form_vanishes,
-    tower_sqdist_is,
-    tower_sqdist_num,
-)
+from .scalars import QQ, FunElem, IVec, TowerDesc, TowerElem, _funit, _iadd, _imul, _isq, _isub, fun_pack
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -182,13 +170,16 @@ class PointTable:
         None on other carriers."""
         return None
 
-    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
-        """``sqdist(p, q) == m/e`` for a constant in ``constant_form``, or None
-        where the carrier does not take ``tower``."""
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool | None:
+        """``sqdist(p, q) == m/e`` for integers m and e > 0 on the table's
+        kernel, or None where it has none (here) or m/e does not fit it."""
         return None
 
     def sqdist_is(self, p, q, value: Scalar) -> bool:
-        return self.sqdist(p, q) == value
+        """A rational value by ``sqdist_is_form``; any other value, or one
+        the kernel does not take, against the formula."""
+        ok = self.sqdist_is_form(p, q, value.numerator, value.denominator) if isinstance(value, (int, Fraction)) else None
+        return self.sqdist(p, q) == value if ok is None else ok
 
     def same(self, p, q) -> bool:
         return self.points[p] == self.points[q]
@@ -211,8 +202,10 @@ class PointTable:
 
 
 class _KernelTable(PointTable):
-    """``TowerElem``s of one tower, decided by the ``scalars`` tower kernels
-    on the points of ``_coords``: here the points themselves."""
+    """``TowerElem``s of one tower, decided on the integer vectors of the
+    points of ``_coords`` (here the points themselves) by the ``scalars``
+    kernels ``_isub``, ``_iadd``, ``_imul`` and ``_isq``; no test builds an
+    element or reduces one."""
 
     __slots__ = ("tower", "_coords")
 
@@ -220,31 +213,41 @@ class _KernelTable(PointTable):
         super().__init__(points)
         self.tower, self._coords = tower, points
 
-    def sqdist_num(self, p, q) -> tuple[IVec, int] | None:
-        a, b = self.points[p], self.points[q]
-        return tower_sqdist_num(self.tower._rads, a.x, a.y, b.x, b.y)
+    def _ivec(self, u: tuple) -> tuple[tuple[IVec, int], tuple[IVec, int]]:
+        """The difference u as an unreduced integer pair per coordinate."""
+        a, b = self._coords[u[0]], self._coords[u[1]]
+        return _isub(a.x._n, a.x._d, b.x._n, b.x._d), _isub(a.y._n, a.y._d, b.y._n, b.y._d)
 
-    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
-        if tower is self.tower or tower.is_prefix_of(self.tower):
-            a, b = self._coords[p], self._coords[q]
-            return tower_sqdist_is(self.tower, a.x, a.y, b.x, b.y, m, e)
-        return None
+    def sqdist_num(self, p, q) -> tuple[IVec, int]:
+        rads = self.tower._rads
+        (u, ku), (v, kv) = self._ivec((p, q))
+        su, ksu = _isq(rads, u)
+        sv, ksv = _isq(rads, v)
+        return _iadd(su, ku * ku * ksu, sv, kv * kv * ksv)
 
-    def sqdist_is(self, p, q, value: Scalar) -> bool:
-        """A constant by ``sqdist_is_form`` where it takes the constant's
-        tower, else the value of ``sqdist`` by the formula."""
-        const = constant_form(value)
-        ok = None if const is None else self.sqdist_is_form(p, q, *const)
-        return self.sqdist(p, q) == value if ok is None else ok
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool | None:
+        # n/k cross-multiplied with m/e; a rational has no coordinate past the first
+        n, k = self.sqdist_num(p, q)
+        return n[0] * e == m * k and not any(n[1:])
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        terms = [(c, self._coords[n]) for n, c in relation.items()]
-        return tower_comb_vanishes([(c, p.x) for c, p in terms]) and tower_comb_vanishes([(c, p.y) for c, p in terms])
+        """Per coordinate, each vector scaled to the ``lcm`` of the
+        denominators and summed."""
+        points = [(c, self._coords[n]) for n, c in relation.items()]
+        for terms in ([(c, p.x) for c, p in points], [(c, p.y) for c, p in points]):
+            k = lcm(*[x._d for _, x in terms])
+            coeffs = [c * (k // x._d) for c, x in terms]
+            if any(sum(map(mul, coeffs, column)) for column in zip(*[x._n for _, x in terms])):
+                return False
+        return True
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
-        u1, u0, w1, w0 = (self._coords[n] for n in (*u, *w))
-        terms = [(1, (u1.x, u0.x), (w1.x, w0.x)), (1, (u1.y, u0.y), (w1.y, w0.y))]
-        return tower_form_vanishes(self.tower, terms)
+        rads = self.tower._rads
+        (ux, kux), (uy, kuy) = self._ivec(u)
+        (wx, kwx), (wy, kwy) = self._ivec(w)
+        x, kx = _imul(rads, ux, wx)
+        y, ky = _imul(rads, uy, wy)
+        return not any(_iadd(x, kx * kux * kwx, y, ky * kuy * kwy)[0])
 
     def _constant(self, rho):
         """rho as the kernels read it, if a constant of the table's tower; else None."""
@@ -256,10 +259,12 @@ class _KernelTable(PointTable):
         r = self._constant(rho)
         if r is None:
             return super().scaled_is(u, w, rho)
-        u1, u0, w1, w0 = (self._coords[n] for n in (*u, *w))
-        return tower_form_vanishes(self.tower, [(1, (u1.x, u0.x), None), (-1, (w1.x, w0.x), r)]) and tower_form_vanishes(
-            self.tower, [(1, (u1.y, u0.y), None), (-1, (w1.y, w0.y), r)]
-        )
+        rads = self.tower._rads
+        for (a, ka), (b, kb) in zip(self._ivec(u), self._ivec(w)):
+            c, kc = _imul(rads, b, r._n)
+            if any(_isub(a, ka, c, kb * kc * r._d)[0]):
+                return False
+        return True
 
 
 class _Packed:
@@ -296,7 +301,8 @@ class _PackedTable(_KernelTable):
     every eps-frame image: an equation homogeneous in D holds iff it holds on
     the numerators, so each numerator (integer rows over k) is packed once,
     lazily per point, at eps = B = 2^w (``scalars.fun_pack``), D^2 once per
-    table, and the tower kernels decide every test on the packed vectors.
+    table, and the ``_KernelTable`` tests decide every test on the packed
+    vectors.
 
     Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
     tower product has rational structure constants, so a kernel returns
@@ -314,8 +320,10 @@ class _PackedTable(_KernelTable):
     distance of the points, with room); one that does not takes the formula.
     w = max(t1, t2) + 1, t1 = db + cb + s + 2a + 6kb + 2kd + 3 and
     t2 = 2cb + s + 2a + 8kb, is derived, not set, and bounds every shape:
-    - ``sqdist_is_form`` against m/e, c = delta^2 e (k1 k2 k3 k4 k_D)^2:
-      2 delta e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C^2 |m| |D_N|^2 < 2^t1 + 2^t2;
+    - ``sqdist_is_form`` against a rational m/e, |m| and e integers that
+      fit, so the product by D^2 is the scalar multiple m D_N^2 and
+      c = delta (k1 k2 k3 k4)^2:
+      2 e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C |m| |D_N|^2 < 2^t1 + 2^t2;
     - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
     - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:
       2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
@@ -336,16 +344,17 @@ class _PackedTable(_KernelTable):
 
     sqdist_num = PointTable.sqdist_num
 
-    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool | None:
-        """Against m/e * D^2; None for a constant that does not fit."""
-        if not (tower is self.tower or tower.is_prefix_of(self.tower)) or max(max(map(abs, m)), e).bit_length() > self._budget:
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool | None:
+        """The packed n/k_n against m/e * D^2, D^2 = square/(k k_D^2), on
+        every coordinate; None for a constant that does not fit."""
+        if max(abs(m), e).bit_length() > self._budget:
             return None
-        rads, dim = self.tower._rads, self.tower.dim
         if self._square is None:
-            self._square = _isq(rads, fun_pack(self._den[0], dim, self._coords.shifts))
+            self._square = _isq(self.tower._rads, fun_pack(self._den[0], self.tower.dim, self._coords.shifts))
         (square, k), k_d = self._square, self._den[1]
-        target, kt = _imul(rads, m + (0,) * (dim - len(m)), square)
-        return super().sqdist_is_form(p, q, tower, target, kt * k * k_d * k_d * e)
+        n, k_n = _KernelTable.sqdist_num(self, p, q)
+        f, g = e * k * k_d * k_d, m * k_n
+        return all(x * f == y * g for x, y in zip(n, square))
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
         if sum(map(abs, relation.values())).bit_length() + len(relation) * self._kb > self._budget:
@@ -393,10 +402,9 @@ class _RationalTable(_KernelTable):
         dx, dy, k = self._difference((p, q))
         return (dx * dx + dy * dy,), k * k
 
-    def sqdist_is_form(self, p, q, tower: TowerDesc, m: IVec, e: int) -> bool:
-        # a rational distance n/k equals m/e iff m has no coordinate past the first
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
         (n,), k = self.sqdist_num(p, q)
-        return n * e == m[0] * k and not any(m[1:])
+        return n * e == m * k
 
     def same(self, p, q) -> bool:
         return self._xyd[p] == self._xyd[q]

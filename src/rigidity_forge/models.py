@@ -31,20 +31,20 @@ table.  Preservation classifies the source points once and their images
 once, each into a ``cm.point_table``, and decides a ``ModelMap``'s pair of
 points over Q or one tower at the cost of two kernels: the source squared
 distance v stays the unreduced n/k of the table's ``sqdist_num`` (over Q an
-integer over k^2), rho(v) is ``map_vector`` of n, the image pair is
-compared with it by the images' ``sqdist_is_form``, and a rational v must
-have rho(v) == v on the vectors; other models, towers and carriers compare
-with ``rho(v)`` by ``sqdist_is``.  An embedding other than the identity is
-undefined on a ``FunElem``, which lies in no quadratic tower
-(``OutOfDomain``).  Structure names its sample points once (the origin,
-the directions u, the sums u + v and the multiples lambda u), maps each
-point object once, keyed by the object, and decides every test on the one
-``cm.point_table`` of the images: additivity as
-m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling of
-phi(u) = a - o to phi(lambda u) = b - o as a != o, once per direction, and
-b - o = rho (a - o) (``scaled_is``), building no quotient.  Both reports
-map a point object the first time they meet it; equal points built as
-distinct objects are mapped apiece.
+integer over k^2); a rational v must have rho(v) == v, ``map_vector``
+leaving n unchanged, and the image pair is compared with v, the integers
+(n[0], k), by the images' ``sqdist_is_form``.  An irrational v, and other
+models, towers and carriers, compare with ``rho(v)`` by ``sqdist_is``.
+An embedding other than the identity is undefined on a ``FunElem``, which
+lies in no quadratic tower (``OutOfDomain``).  Structure names its sample
+points once (the origin, the directions u, the sums u + v and the
+multiples lambda u), maps each point object once, keyed by the object, and
+decides every test on the one ``cm.point_table`` of the images:
+additivity as m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``),
+and scaling of phi(u) = a - o to phi(lambda u) = b - o as a != o, once per
+direction, and b - o = rho (a - o) (``scaled_is``), building no quotient.
+Both reports map a point object the first time they meet it; equal points
+built as distinct objects are mapped apiece.
 """
 
 from __future__ import annotations
@@ -285,17 +285,18 @@ def _embedded_distance(model, embedding: Embedding | None, source: PointTable, p
     """rho(v) for the squared distance v of the source pair (p, q), and
     whether a rational v is reproduced verbatim, as (form, None, kept) or
     (None, rho(v), kept).  For a ``ModelMap`` on the tower kernels v stays
-    the unreduced n/k of ``sqdist_num`` and form is rho(v) as
-    ``embedding.map_vector`` gives it, over k; a rational v (n zero past its
-    first coordinate) is kept iff rho(v) == v on the vectors.  Other models,
-    towers and carriers compute rho(v) by the formula."""
+    the unreduced n/k of ``sqdist_num``; a rational v (n zero past its first
+    coordinate) is kept iff ``embedding.map_vector`` leaves n unchanged, and
+    form is v itself, the integers (n[0], k), which is rho(v) where it is
+    kept.  An irrational v, and other models, towers and carriers, compute
+    rho(v) by the formula."""
     num = None if embedding is None else source.sqdist_num(p, q)
-    if num is not None:
+    if num is not None and not any(num[0][1:]):
         n, k = num
         mapped = embedding.map_vector(source.tower, n)
         if mapped is not None:
-            m_tower, m = mapped
-            return (m_tower, m, k), None, any(n[1:]) or (m[0] == n[0] and not any(m[1:]))
+            m = mapped[1]
+            return (n[0], k), None, m[0] == n[0] and not any(m[1:])
     value = source.sqdist(p, q)
     target = model.rho(value)
     return None, target, not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
@@ -303,8 +304,9 @@ def _embedded_distance(model, embedding: Embedding | None, source: PointTable, p
 
 def _image_distance_is(model, source: PointTable, images: PointTable, p, q, wanted: tuple) -> bool:
     """The image pair's squared distance equals rho(v), and a rational v is
-    kept: on the integer form by ``sqdist_is_form`` where the images' table
-    takes rho(v)'s tower, else against the value rho(v)."""
+    kept: against the integers (m, e) of v by ``sqdist_is_form`` where the
+    images' table has a kernel that takes them, else against the value
+    rho(v)."""
     form, target, kept = wanted
     ok = None if form is None else images.sqdist_is_form(p, q, *form)
     if ok is None:

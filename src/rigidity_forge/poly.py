@@ -94,17 +94,26 @@ class Polynomial(_FieldOps):
         """Polynomials form a ring here: negative powers and division raise."""
         raise ValueError("negative power of a polynomial, or division by one")
 
+    def _value(self) -> Fraction | int | None:
+        """The rational a constant (zero included) equals; None otherwise."""
+        if any(map(any, self.terms)):
+            return None
+        return self.terms.get((0,) * len(self.vars), 0)
+
     def __eq__(self, other) -> bool:
+        if isinstance(other, Polynomial) and other.vars != self.vars:
+            # across contexts only constants compare, by their rational value
+            value = self._value()
+            return value is not None and value == other._value()
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         return self.terms == rhs.terms
 
     def __hash__(self) -> int:
-        if not any(map(any, self.terms)):
-            # a constant (zero included) hashes like the rational it equals
-            return hash(self.terms.get((0,) * len(self.vars), 0))
-        return hash((self.vars, frozenset(self.terms.items())))
+        # a constant hashes like the rational it equals
+        value = self._value()
+        return hash((self.vars, frozenset(self.terms.items()))) if value is None else hash(value)
 
     # -- substitution and evaluation -------------------------------------------------
 

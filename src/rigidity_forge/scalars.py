@@ -11,16 +11,11 @@ Three carriers, all with decidable equality:
   vector over one positive denominator, in canonical form (the denominator
   and the coordinates share no factor), so arithmetic takes one integer gcd
   per result and equality is a tuple comparison.  ``coords`` gives the same
-  values as ``Fraction``s.  ``tower_sqdist_num``, the squared-distance
-  kernel, takes both differences and squares (``_isq``) of four elements of
-  one tower on the integer vectors and leaves the result unreduced;
-  ``tower_sqdist_is`` cross-multiplies it with a constant.
-  ``tower_comb_vanishes`` (an integer combination) and
-  ``tower_form_vanishes`` (a sum of products) are the other zero tests of
-  the facts; none of the three builds an element or reduces one.  A
-  squared distance as a value is the carrier formula.  ``lift`` and
-  ``prefix`` return the target tower object itself, so a gadget's points
-  share one ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of
+  values as ``Fraction``s.  The unreduced kernels on the integer vectors
+  (``_iadd``, ``_isub``, ``_imul``, ``_isq``) are what ``cm``'s point
+  tables decide the facts with; a squared distance as a value is the
+  carrier formula.  ``lift`` and ``prefix`` return the target tower object
+  itself, so a gadget's points share one ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of
   one tower through a rational affine frame on the integer vectors.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
@@ -629,65 +624,6 @@ def _elem(tower: TowerDesc, n: IVec, d: int) -> TowerElem:
     return x
 
 
-def tower_sqdist_num(rads: Rads, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem) -> tuple[IVec, int]:
-    """(px - qx)^2 + (py - qy)^2 for four elements of one tower, as an
-    unreduced integer vector over a positive denominator: both differences
-    and both squares run on the integer vectors (``_isq``)."""
-    u, ku = _isub(px._n, px._d, qx._n, qx._d)
-    v, kv = _isub(py._n, py._d, qy._n, qy._d)
-    su, ksu = _isq(rads, u)
-    sv, ksv = _isq(rads, v)
-    return _iadd(su, ku * ku * ksu, sv, kv * kv * ksv)
-
-
-def tower_sqdist_is(tower: TowerDesc, px: TowerElem, py: TowerElem, qx: TowerElem, qy: TowerElem, m: IVec, e: int) -> bool:
-    """(px - qx)^2 + (py - qy)^2 == m/e: the unreduced numerator n/k is
-    cross-multiplied with m/e, for m over a prefix of the tower's basis (its
-    missing coordinates are zero); no element is built."""
-    n, k = tower_sqdist_num(tower._rads, px, py, qx, qy)
-    h = len(m)
-    return [x * e for x in n[:h]] == [y * k for y in m] and not any(n[h:])
-
-
-def _ivanishes(coeffs: Sequence[int], vectors: Sequence[IVec]) -> bool:
-    """sum(c * v) over integer vectors of one length is zero."""
-    return not any(sum(map(mul, coeffs, column)) for column in zip(*vectors))
-
-
-def tower_comb_vanishes(terms: Sequence[tuple[int, TowerElem]]) -> bool:
-    """sum(c * x) over integer coefficients c and elements x of one tower is
-    zero: each vector scaled to the ``lcm`` of the denominators and summed."""
-    k = lcm(*[x._d for _, x in terms])
-    return _ivanishes([c * (k // x._d) for c, x in terms], [x._n for _, x in terms])
-
-
-def _tower_factor(f) -> tuple[IVec, int]:
-    """A factor of ``tower_form_vanishes`` as an unreduced pair: a difference
-    (x1, x0) of two elements, or one element."""
-    if isinstance(f, tuple):
-        x1, x0 = f
-        return _isub(x1._n, x1._d, x0._n, x0._d)
-    return f._n, f._d
-
-
-def tower_form_vanishes(tower: TowerDesc, terms: Sequence[tuple]) -> bool:
-    """sum(s * f * g) over ``terms`` (s, f, g) is zero, each factor a
-    difference (x1, x0) or one element of ``tower``, g None for 1: products on
-    the integer vectors (``_imul``), one unreduced sum, one zero test."""
-    rads = tower._rads
-    acc = None
-    for s, f, g in terms:
-        x, k = _tower_factor(f)
-        if g is not None:
-            y, ky = _tower_factor(g)
-            x, kxy = _imul(rads, x, y)
-            k *= ky * kxy
-        if s != 1:
-            x = tuple([s * c for c in x])
-        acc = (x, k) if acc is None else _iadd(*acc, x, k)
-    return acc is None or not any(acc[0])
-
-
 def common_tower(x: TowerElem, y: TowerElem) -> tuple[TowerElem, TowerElem]:
     """Lift two elements into a common extension (auto-lift of tower_arith)."""
     if x.tower is y.tower or x.tower == y.tower:
@@ -1147,20 +1083,6 @@ def _init(x: FunElem, tower: TowerDesc, num: IPoly, den: IPoly) -> None:
     _fset_n(x, num)
     _fset_d(x, den)
     _fset_reduced(x, None)
-
-
-def constant_form(value) -> tuple[TowerDesc, IVec, int] | None:
-    """A constant as (tower, integer vector, positive denominator): an
-    ``int`` or ``Fraction`` over Q, a ``TowerElem``, or a ``FunElem`` over
-    the unit polynomial with at most one numerator row; None otherwise."""
-    if isinstance(value, TowerElem):
-        return value.tower, value._n, value._d
-    if isinstance(value, (int, Fraction)):
-        return QQ, (value.numerator,), value.denominator
-    if isinstance(value, FunElem) and _funit(value._d) and len(value._n[0]) <= 1:
-        rows, k = value._n
-        return value.tower, rows[0] if rows else (0,), k
-    return None
 
 
 def fun_pack(rows: Sequence[IVec], dim: int, shifts: range) -> IVec:

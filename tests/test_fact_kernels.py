@@ -365,14 +365,16 @@ def test_squared_distance_against_a_constant_matches_the_formula(case, view):
     if view.endswith("wider-rho"):
         rho = rho.lift(_extended(rho.tower))
     if view.startswith("eps"):
-        # preservation's comparison: K(eps) images against rho(v), a constant over 1
+        # preservation's comparison: K(eps) images against a rational v itself, else rho(v), a constant over 1
         model = eps_rotation_model()
-        points, value, rho = {n: model.apply(p) for n, p in points.items()}, model.rho(value), model.rho(rho)
-        assert cm.constant_form(value) is not None
+        points, rho = {n: model.apply(p) for n, p in points.items()}, model.rho(rho)
+        value = value if isinstance(value, F) else model.rho(value)
         if view == "eps-off-unit-rho":
             rho = _other_denominator(rho, 3)
     kernel = cm.point_table(points)
     assert type(kernel) is not cm.PointTable
+    # a rational is decided on the kernel's integer form
+    assert not isinstance(value, F) or kernel.sqdist_is_form("P", "Q", value.numerator, value.denominator) is not None
     p, q, o, r, s = (points[n] for n in "PQORS")
     for table in (kernel, cm.PointTable(points)):
         assert table.sqdist_is("P", "Q", value) == ((p - q).dot(p - q) == value)
@@ -585,7 +587,7 @@ def test_zero_tests_read_every_coordinate_and_row():
     assert table.sqdist_is("P", "Q", s3.rational(25)) and not table.sqdist_is("P", "Q", s3.rational(25) + s3.generator(0))
     # constants off the unit polynomial take the formula, on a kernel table as on the base table
     two_thirds = FunElem._make(QQ, (((2,),), 1), (((3,),), 1))
-    assert scalars.constant_form(two_thirds) is None
+    assert two_thirds == F(2, 3) and not scalars._funit(two_thirds._d)
     images = {"A": eps_rotation_model().apply(p), "B": eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))}
     one = FunElem._make(QQ, (((3,),), 1), (((3,),), 1))
     kernel = cm.point_table(images)
@@ -817,8 +819,10 @@ def test_rational_distances_are_checked_on_the_vectors(monkeypatch):
     tower = TOWERS[2]
     points = [rational_point(0, 0, tower), rational_point(3, 4, tower), Point(tower.generator(0), tower.zero())]
     pairs = list(combinations(points, 2))  # distances 25, 2 and 27 - 6 sqrt(2)
-    # the images' point table (one tower) compares every image pair with rho(v) as equal
+    # the images' point table (one tower) compares every image pair with rho(v) as equal,
+    # on the integer form (a rational v) and against the value (an irrational v)
     monkeypatch.setattr(cm._KernelTable, "sqdist_is_form", lambda *args: True)
+    monkeypatch.setattr(cm.PointTable, "sqdist_is", lambda *args: True)
     sound = conjugation_model(tower, 1)
     assert verify_preservation(sound, pairs).ok
     report = verify_preservation(_flipped_rational_part(sound), pairs)
@@ -1137,13 +1141,14 @@ def test_rational_table_cost_stays_with_the_points_a_test_reads():
     assert [fact.holds(table) for fact in facts] == [oracle_holds(fact, points) for fact in facts]
 
 
-CM_KERNELS = [f"tower_{shape}" for shape in ("sqdist_is", "comb_vanishes", "form_vanishes")]
+CM_KERNELS = ("sqdist_is_form", "relation_vanishes", "dot_vanishes", "scaled_is")
 
 
 def _classification_counts(monkeypatch):
-    """Counters of the classifying scan (``cm._one_tower``), the kernels a
-    table calls (``kernel``) and the tower kernel ``tower_sqdist_num``."""
-    counts = {"scan": 0, "kernel": 0, "tower_sqdist_num": 0}
+    """Counters of the classifying scan (``cm._one_tower``), the tests of
+    the tower kernel table (``kernel``, ``cm._KernelTable``'s methods) and
+    its squared-distance kernel ``sqdist_num``."""
+    counts = {"scan": 0, "kernel": 0, "sqdist_num": 0}
 
     def counting(name, real):
         def run(*args):
@@ -1154,9 +1159,8 @@ def _classification_counts(monkeypatch):
 
     monkeypatch.setattr(cm, "_one_tower", counting("scan", cm._one_tower))
     for name in CM_KERNELS:
-        monkeypatch.setattr(cm, name, counting("kernel", getattr(cm, name)))
-    for module in (cm, scalars):
-        monkeypatch.setattr(module, "tower_sqdist_num", counting("tower_sqdist_num", scalars.tower_sqdist_num))
+        monkeypatch.setattr(cm._KernelTable, name, counting("kernel", getattr(cm._KernelTable, name)))
+    monkeypatch.setattr(cm._KernelTable, "sqdist_num", counting("sqdist_num", cm._KernelTable.sqdist_num))
     return counts
 
 
@@ -1179,13 +1183,18 @@ def test_the_value_and_construction_kernels_are_gone():
     for name in ("fun_sqdist_num", "fun_sqdist_is", "_fsumsq", "_frows_equal", "fun_comb_vanishes", "_fun_factor", "fun_form_vanishes", "_fproducts"):
         assert not hasattr(scalars, name), name
     assert "_towers" not in cm._KernelTable.__slots__
+    # the tower fact kernels are the kernel table's methods, against rationals only
+    for name in ("tower_sqdist_num", "tower_sqdist_is", "_ivanishes", "tower_comb_vanishes", "_tower_factor", "tower_form_vanishes", "constant_form"):
+        assert not hasattr(scalars, name) and not hasattr(cm, name), name
+    assert "sqdist_is" in cm.PointTable.__dict__ and not any("sqdist_is" in t.__dict__ for t in (cm._KernelTable, cm._PackedTable, cm._RationalTable))
 
 
 def test_an_empty_relation_vanishes_on_every_table():
     """An empty sum is zero: the comb kernel, and the corpus fact
     VecEq(A0, A0, C0, C0), whose relation cancels to {}, under the K(eps)
     (packed) and the conjugation models of its family."""
-    assert scalars.tower_comb_vanishes([])
+    points = {"A": rational_point(1, 2)}
+    assert all(table.relation_vanishes({}) for table in (cm.PointTable(points), cm._KernelTable(points, QQ), cm.point_table(points)))
     entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
     fact = entry.derivation.facts[0]
     assert fact == VecEq("A0", "A0", "C0", "C0") and engine._linear_relation(fact) == {}
@@ -1216,14 +1225,14 @@ def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
         (lambda: recheck_derivation(derivation), 1),
         (lambda: verify_preservation(identity_model(), pairs), 2),
     ):
-        counts.update(scan=0, kernel=0, tower_sqdist_num=0)
+        counts.update(scan=0, kernel=0, sqdist_num=0)
         run()
-        assert counts == {"scan": tables, "kernel": 0, "tower_sqdist_num": 0}
+        assert counts == {"scan": tables, "kernel": 0, "sqdist_num": 0}
     # the counters do see a report over a tower (one scan, the tower kernel per pair)
     bridge = chain_scale_gadgets()[5]
-    counts.update(scan=0, kernel=0, tower_sqdist_num=0)
+    counts.update(scan=0, kernel=0, sqdist_num=0)
     bridge.validate()
-    assert counts["scan"] == 1 and counts["tower_sqdist_num"] == len(bridge.certificate) and counts["kernel"] > 0
+    assert counts["scan"] == 1 and counts["sqdist_num"] == len(bridge.certificate) and counts["kernel"] > 0
     # ``sqdist`` is the formula: it builds no table
     counts.update(scan=0, kernel=0)
     assert sqdist(gadget.points["A0"], gadget.points["C0"]) == 1
@@ -1251,9 +1260,9 @@ def test_non_rational_reports_classify_once(monkeypatch):
     table = cm.point_table(points)
     assert type(table) is cm.PointTable
     expected = [oracle_holds(fact, points) for fact in derivation.facts]
-    counts.update(kernel=0, tower_sqdist_num=0)
+    counts.update(kernel=0, sqdist_num=0)
     assert [fact.holds(table) for fact in derivation.facts] == expected
-    assert counts["kernel"] == counts["tower_sqdist_num"] == 0
+    assert counts["kernel"] == counts["sqdist_num"] == 0
 
 
 # -- K(eps) coordinates as preservation's source points ---------------------------------------------
@@ -1338,7 +1347,8 @@ def test_packed_table_matches_the_formula(case):
     distance = c1 * c1 + c2 * c2
     generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
     constants = [0, F(-2, 3), generator * F(5, 2) + 1, distance, FunElem.constant(distance), FunElem(tower, [distance * 3], [3])]
-    assert scalars.constant_form(constants[-1]) is None
+    constants += [distance.as_fraction()] if distance.is_rational() else []
+    assert not scalars._funit(constants[5]._d)
     for p, q in (("A", "T"), ("O", "A"), ("A", "A"), ("S", "B"), ("Q", "R")):
         for c in constants:
             assert packed.sqdist_is(p, q, c) == formula.sqdist_is(p, q, c), (p, q, c)
@@ -1402,7 +1412,7 @@ def test_the_width_is_load_bearing():
     fitting = [v for v in range(1, 200) if (1 << 2 * v).bit_length() <= table._budget]
     assert type(table) is cm._PackedTable and len(fitting) > 30
     for v in fitting:
-        assert table.sqdist_is_form("P", "O", QQ, (1 << 2 * v,), 1) is False
+        assert table.sqdist_is_form("P", "O", 1 << 2 * v, 1) is False
         assert not table.sqdist_is("P", "O", 1 << 2 * v)
     assert table.sqdist_is("P", "O", eps * eps)
 
@@ -1410,7 +1420,8 @@ def test_the_width_is_load_bearing():
 def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
     """A per-call constant that does not fit the table (a distance's form,
     a relation's coefficients, a factor rho) takes the carrier formula and
-    gets the formula's verdict; no tower kernel runs for it."""
+    gets the formula's verdict; no integer kernel of the table runs for it:
+    neither a difference (``_ivec``) nor a relation."""
     model = eps_rotation_model()
     points = {"P": model.apply(rational_point(3, 4)), "O": model.apply(rational_point(0, 0))}
     points["Q"] = model.apply(rational_point(3, 4))
@@ -1418,22 +1429,24 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
     assert type(table) is cm._PackedTable
     t = table._budget + 1
     calls = []
-    for name in CM_KERNELS:
-        real = getattr(cm, name)
-        monkeypatch.setattr(cm, name, lambda *args, real=real: calls.append(args) or real(*args))
+    for name in ("_ivec", "relation_vanishes"):
+        real = getattr(cm._KernelTable, name)
+        monkeypatch.setattr(cm._KernelTable, name, lambda *args, real=real: calls.append(args) or real(*args))
+
     def kernel_calls(test):
-        """The test's result and how many tower kernel calls it made."""
+        """The test's result and how many integer kernel calls it made."""
         before = len(calls)
         return test(), len(calls) - before
 
     huge = 1 << t
     # 25 in an unreduced form too large for the width: no verdict on the packed form
-    assert kernel_calls(lambda: table.sqdist_is_form("P", "O", QQ, (25 * huge,), huge)) == (None, 0)
-    assert kernel_calls(lambda: table.sqdist_is("P", "O", FunElem.constant(25))) == (True, 1)
+    assert kernel_calls(lambda: table.sqdist_is_form("P", "O", 25 * huge, huge)) == (None, 0)
+    assert kernel_calls(lambda: table.sqdist_is("P", "O", 25)) == (True, 1)
+    assert kernel_calls(lambda: table.sqdist_is("P", "O", FunElem.constant(25))) == (True, 0)  # not a rational: the formula
     assert kernel_calls(lambda: table.sqdist_is("P", "O", huge)) == (False, 0)
     assert kernel_calls(lambda: table.relation_vanishes({"P": huge, "Q": -huge})) == (True, 0)
     assert kernel_calls(lambda: table.relation_vanishes({"P": huge, "O": -huge})) == (False, 0)
-    assert kernel_calls(lambda: table.relation_vanishes({"P": 1, "Q": -1})) == (True, 2)
+    assert kernel_calls(lambda: table.relation_vanishes({"P": 1, "Q": -1})) == (True, 1)
     assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(huge))) == (False, 0)
     assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(1))) == (True, 2)
     assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(huge) / huge)) == (True, 0)  # off the unit polynomial

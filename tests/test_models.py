@@ -450,7 +450,7 @@ def test_lazy_kfield_refutes_the_negative_controls():
 
 def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     """Every squared distance of K(eps) images that check and preservation
-    compare runs the tower kernel ``tower_sqdist_is`` on packed numerators
+    compare runs the kernel table's ``sqdist_num`` on packed numerators
     (through a point table's ``sqdist_is``, or its ``sqdist_is_form`` for
     preservation), none is built by a table's ``sqdist``, and none
     multiplies ``FunElem``s.  A comparison is counted once, where it
@@ -458,7 +458,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     corpus = suite.replay_corpus()
     counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0}
     inside = []
-    real_kernel, real_mul = cm.tower_sqdist_is, FunElem.__mul__
+    real_kernel, real_mul = cm._KernelTable.sqdist_num, FunElem.__mul__
 
     def kfield(table, p, q):
         return any(isinstance(c, FunElem) for c in (table[p].x, table[p].y, table[q].x, table[q].y))
@@ -481,9 +481,9 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
 
         return run
 
-    def counting_kernel(*args):
-        counts["kernel"] += isinstance(args[1], cm._Packed)
-        return real_kernel(*args)
+    def counting_kernel(table, p, q):
+        counts["kernel"] += isinstance(table._coords[p].x, cm._Packed)
+        return real_kernel(table, p, q)
 
     def counting_mul(self, other):
         counts["mul"] += bool(inside)
@@ -494,7 +494,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
             if name in table.__dict__:
                 monkeypatch.setattr(table, name, counting(table.__dict__[name]))
     monkeypatch.setattr(cm.PointTable, "sqdist", counting_sqdist(cm.PointTable.sqdist))
-    monkeypatch.setattr(cm, "tower_sqdist_is", counting_kernel)
+    monkeypatch.setattr(cm._KernelTable, "sqdist_num", counting_kernel)
     monkeypatch.setattr(FunElem, "__mul__", counting_mul)
     monkeypatch.setattr(FunElem, "__rmul__", counting_mul)
     checks = 0
@@ -518,9 +518,14 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
 
 def test_model_checks_take_no_polynomial_gcd(monkeypatch):
     """The 96 corpus x family checks take no polynomial gcd and no K(eps)
-    product: every K(eps) fact runs the tower kernels on packed numerators."""
+    product: every K(eps) fact runs the tower kernels on packed numerators.
+    Nor do they, or their preservation reports, build a squared distance by
+    the formula (``PointTable.sqdist``): every distance they compare is
+    rational, decided on a kernel's integer form."""
     corpus = suite.replay_corpus()
-    calls = {"_freduce": [], "_fmul": []}
+    calls = {"_freduce": [], "_fmul": [], "sqdist": []}
+    real_sqdist = cm.PointTable.sqdist
+    monkeypatch.setattr(cm.PointTable, "sqdist", lambda *args: calls["sqdist"].append(args[1:]) or real_sqdist(*args))
 
     def counted(name):
         real = getattr(scalars, name)
@@ -540,10 +545,15 @@ def test_model_checks_take_no_polynomial_gcd(monkeypatch):
         assert check_derivation(entry.derivation, model).ok
         assert verify_preservation(model, pairs).ok
     assert len(checks) == 96
-    assert calls == {"_freduce": [], "_fmul": []}
+    assert calls == {"_freduce": [], "_fmul": [], "sqdist": []}
     # the counters do see the products and the reduction that the printed form takes, once
     assert str((FunElem.eps() + 1) / (FunElem.eps() * FunElem.eps() - 1)) == "(1) / (-1 + (1)*eps)"
     assert len(calls["_freduce"]) == 1 and calls["_fmul"]
+    # and the formula that an irrational constant takes
+    gadget = checks[0][0].gadget
+    table = cm.point_table(gadget.points)
+    assert type(table) is cm._KernelTable and gadget.tower.depth > 0
+    assert not table.sqdist_is("A", "B", gadget.tower.generator(0)) and calls["sqdist"] == [("A", "B")]
 
 
 # -- image kernels against the generic formula --------------------------------------------------
@@ -798,9 +808,13 @@ def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
 
 def test_eps_models_square_the_denominator_once(monkeypatch):
     """The images of one eps model share one lifted D.  Each packed image
-    table squares D at most once, on its packed vector, and no squared
-    distance squares D by ``FunElem`` multiplication."""
-    squares, packed, tables = [], [], []
+    table squares D at most once, on its packed vector, and no rational
+    squared distance squares D by ``FunElem`` multiplication; an irrational
+    one (criterion 9's pairs with (sqrt 2, 1)) takes rho(v) by the formula,
+    which squares D at most once per coordinate of the pair.  ``_isq`` also
+    squares the differences of a distance; only squarings of a packed D
+    count."""
+    squares, packed, tables, packed_dens = [], [], [], []
     real_fmul, real_isq, real_init = scalars._fmul, cm._isq, cm._PackedTable.__init__
 
     def counting_fmul(rads, a, b):
@@ -809,12 +823,14 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
         return real_fmul(rads, a, b)
 
     def counting_isq(rads, a):
-        packed.append(a)
+        if a in packed_dens:
+            packed.append(a)
         return real_isq(rads, a)
 
     def counting_init(self, *args):
         tables.append(self)
         real_init(self, *args)
+        packed_dens.append(scalars.fun_pack(self._den[0], self.tower.dim, self._coords.shifts))
 
     monkeypatch.setattr(scalars, "_fmul", counting_fmul)
     monkeypatch.setattr(cm, "_isq", counting_isq)
@@ -822,7 +838,8 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
 
     def sweep(apply):
         """The most lifted D objects and the most squarings of D of one
-        model, by ``_fmul`` and on packed vectors, and the tables built."""
+        model, by ``_fmul`` past two per irrational pair and on packed
+        vectors, and the tables built."""
         lifted = most = most_packed = made = 0
         for model, points, pairs, derivation in _eps_models_sweep():
             before, packed_before, tables_before = len(squares), len(packed), len(tables)
@@ -833,7 +850,8 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
             dens = {id(c._d): c._d for q in images for c in (q.x, q.y)}
             den = next(iter(dens.values()))
             squared = [s for s in squares[before:] if s == den]
-            lifted, most = max(lifted, len(dens)), max(most, len(squared))
+            irrational = sum(not sqdist(p, q).is_rational() for p, q in pairs)
+            lifted, most = max(lifted, len(dens)), max(most, len(squared) - 2 * irrational)
             most_packed, made = max(most_packed, len(packed) - packed_before), max(made, len(tables) - tables_before)
             assert len(packed) - packed_before <= len(tables) - tables_before
         return lifted, most, most_packed, made

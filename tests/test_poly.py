@@ -77,6 +77,18 @@ def test_context_mismatch_is_rejected():
         x + y
 
 
+def test_equality_across_contexts_does_not_raise():
+    """Polynomials of two contexts are equal iff both are constants of one
+    rational value; comparing them never raises, arithmetic across them does."""
+    a, b = Polynomial.constant(3, ("a",)), Polynomial.constant(3, ("b",))
+    assert a == b and len({a, b}) == 1 and a != Polynomial.constant(Fraction(1, 2), ("b",))
+    (x,) = variables("x")
+    (y,) = variables("y")
+    assert not x == y and x != y and not x == b and not b == x
+    with pytest.raises(ValueError):
+        x + y
+
+
 # -- determinants ---------------------------------------------------------------
 
 

@@ -27,8 +27,6 @@ from rigidity_forge.scalars import (
     simplest_rational_between_sqrts,
     sqrt_in_tower,
     tower_conjugate,
-    tower_sqdist_is,
-    tower_sqdist_num,
 )
 from rigidity_forge.scalars import (
     _basis_bounds,
@@ -754,16 +752,26 @@ def tower_quads(draw):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(tower_quads())
 def test_sqdist_kernel_matches_the_generic_formula(case):
+    """A kernel table's squared distance is the formula's, and so are its
+    verdicts against rationals on the integer form (``sqdist_is_form``) and
+    against the irrational value (``sqdist_is``)."""
     tower, (px, py, qx, qy) = case
     rads = tower._rads
     dx, dy = px - qx, py - qy
     formula = dx * dx + dy * dy
     _assert_canonical(formula)
-    assert _canon(*tower_sqdist_num(rads, px, py, qx, qy)) == (formula._n, formula._d)
+    points = {"P": Point(px, py), "Q": Point(qx, qy)}
+    table = cm._KernelTable(points, tower)
+    assert _canon(*table.sqdist_num("P", "Q")) == (formula._n, formula._d)
     assert formula.coords == _vadd(_vmul(_rads(tower), dx.coords, dx.coords), _vmul(_rads(tower), dy.coords, dy.coords))
-    # against a constant: the value itself, and the value moved by one
+    # against a rational: the value's first coordinate, and it moved by one; the base table has no kernel
+    first = formula.coords[0]
+    for value, holds in ((first, formula.is_rational()), (first + 1, False)):
+        assert table.sqdist_is_form("P", "Q", value.numerator, value.denominator) is holds
+        assert cm.PointTable(points).sqdist_is_form("P", "Q", value.numerator, value.denominator) is None
+    # against the value itself, and the value moved by one
     for value, holds in ((formula, True), (formula + 1, False)):
-        assert tower_sqdist_is(tower, px, py, qx, qy, value._n, value._d) is holds
+        assert table.sqdist_is("P", "Q", value) is holds
     for x in (px, dx, dx + py * qy):
         assert _canon(*_isq(rads, x._n)) == _canon(*_imul(rads, x._n, x._n))
 
@@ -1223,13 +1231,15 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(case):
     def pack(a):
         return fun_pack(a[0], tower.dim, range(0, table.width * max(len(a[0]), 1), table.width))
 
-    a, b = table._coords["P"], table._coords["Q"]
-    n, k = tower_sqdist_num(rads, a.x, a.y, b.x, b.y)
+    n, k = cm._KernelTable.sqdist_num(table, "P", "Q")
     assert [c * formula._n[1] for c in n] == [c * k for c in pack(formula._n)]
-    # against constants of K: zero, a rational, an irrational, and 25
+    # against rationals on the integer form: zero, -2/3 and 25
+    for c in (Fraction(0), Fraction(-2, 3), Fraction(25)):
+        assert table.sqdist_is_form("P", "Q", c.numerator, c.denominator) == (formula == FunElem.constant(c, tower))
+    # against a constant of K, irrational where K is, by the formula
     generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
-    for c in (tower.zero(), tower.rational(Fraction(-2, 3)), generator * Fraction(5, 2) + 1, tower.rational(25)):
-        assert table.sqdist_is_form("P", "Q", tower, c._n, c._d) == (formula == FunElem.constant(c))
+    c = FunElem.constant(generator * Fraction(5, 2) + 1)
+    assert table.sqdist_is("P", "Q", c) == (formula == c)
     # Kronecker squaring is the convolution: ``_isq`` of a packed polynomial is its packed ``_fmul`` square
     for a in (px._n, dx._n, px._d, formula._n):
         sq, k = _isq(rads, pack(a))
@@ -1243,8 +1253,8 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(case):
 
 
 def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
-    kernel_calls = []
-    monkeypatch.setattr(cm, "tower_sqdist_is", lambda *args: kernel_calls.append(args))
+    kernel_calls, real = [], cm._KernelTable.sqdist_num
+    monkeypatch.setattr(cm._KernelTable, "sqdist_num", lambda *args: kernel_calls.append(args) or real(*args))
     s2, s3 = INTEGER_TOWERS[1], adjoin_sqrt(QQ, 3).tower
     eps = FunElem.eps(s2)
     p = Point(eps * s2.generator(0), FunElem.constant(1, s2))
@@ -1269,7 +1279,7 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
     assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
     assert kernel_calls == []
     cm.point_table({0: frame, 1: Point(frame.y, frame.x)}).sqdist_is(0, 1, 0)  # the counter does see the kernel
-    assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][1], cm._Packed)
+    assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][0]._coords[0].x, cm._Packed)
 
 
 def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
@@ -1367,21 +1377,17 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     registered = [model for _, model in registered]
     kernel_calls, fun_kernel_calls = [], []
 
-    def packed(arg):
-        """The argument holds a packed K(eps) numerator."""
-        if isinstance(arg, (tuple, list)):
-            return any(packed(a) for a in arg)
-        return isinstance(arg, cm._Packed)
-
     def counting(real):
-        def kernel(*args):
-            (fun_kernel_calls if packed(args) else kernel_calls).append(args)
-            return real(*args)
+        """The kernel tables' integer tests, apart on packed K(eps) numerators."""
+
+        def kernel(table, *args):
+            (fun_kernel_calls if isinstance(table, cm._PackedTable) else kernel_calls).append(args)
+            return real(table, *args)
 
         return kernel
 
-    for shape in ("sqdist_is", "comb_vanishes", "form_vanishes"):
-        monkeypatch.setattr(cm, f"tower_{shape}", counting(getattr(cm, f"tower_{shape}")))
+    for name in ("_ivec", "relation_vanishes"):
+        monkeypatch.setattr(cm._KernelTable, name, counting(getattr(cm._KernelTable, name)))
 
     def results():
         out = []
