@@ -322,7 +322,7 @@ class _PackedTable(_KernelTable):
     t2 = 2cb + s + 2a + 8kb, is derived, not set, and bounds every shape:
     - ``sqdist_is_form`` against a rational m/e, |m| and e integers that
       fit, so the product by D^2 is the scalar multiple m D_N^2 and
-      c = delta (k1 k2 k3 k4)^2:
+      c = delta e (k1 k2 k3 k4 k_D)^2:
       2 e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C |m| |D_N|^2 < 2^t1 + 2^t2;
     - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
     - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:

@@ -811,11 +811,12 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
     table squares D at most once, on its packed vector, and no rational
     squared distance squares D by ``FunElem`` multiplication; an irrational
     one (criterion 9's pairs with (sqrt 2, 1)) takes rho(v) by the formula,
-    which squares D at most once per coordinate of the pair.  ``_isq`` also
-    squares the differences of a distance; only squarings of a packed D
-    count."""
-    squares, packed, tables, packed_dens = [], [], [], []
-    real_fmul, real_isq, real_init = scalars._fmul, cm._isq, cm._PackedTable.__init__
+    which squares D exactly twice, once per coordinate of the pair.  Each
+    ``_fmul`` squaring of D is charged to the ``sqdist_is`` comparison it
+    happens in.  ``_isq`` also squares the differences of a distance; only
+    squarings of a packed D count."""
+    squares, packed, tables, packed_dens, compared = [], [], [], [], []
+    real_fmul, real_isq, real_init, real_sqdist_is = scalars._fmul, cm._isq, cm._PackedTable.__init__, cm.PointTable.sqdist_is
 
     def counting_fmul(rads, a, b):
         if a is b:
@@ -832,37 +833,50 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
         real_init(self, *args)
         packed_dens.append(scalars.fun_pack(self._den[0], self.tower.dim, self._coords.shifts))
 
+    def counting_sqdist_is(table, p, q, value):
+        start = len(squares)
+        ok = real_sqdist_is(table, p, q, value)
+        compared.append(((p, q), start, len(squares)))
+        return ok
+
     monkeypatch.setattr(scalars, "_fmul", counting_fmul)
     monkeypatch.setattr(cm, "_isq", counting_isq)
     monkeypatch.setattr(cm._PackedTable, "__init__", counting_init)
+    monkeypatch.setattr(cm.PointTable, "sqdist_is", counting_sqdist_is)
 
     def sweep(apply):
-        """The most lifted D objects and the most squarings of D of one
-        model, by ``_fmul`` past two per irrational pair and on packed
-        vectors, and the tables built."""
+        """The most lifted D objects of one model, the most squarings of D
+        by ``_fmul`` of one model outside its irrational pairs' comparisons,
+        the squarings in each irrational pair's comparison, the most
+        squarings on packed vectors of one model, and the tables built."""
         lifted = most = most_packed = made = 0
+        irrational_squarings = []
         for model, points, pairs, derivation in _eps_models_sweep():
-            before, packed_before, tables_before = len(squares), len(packed), len(tables)
+            before, packed_before, tables_before, compared_before = len(squares), len(packed), len(tables), len(compared)
+            irrational = {(id(p), id(q)) for p, q in pairs if not sqdist(p, q).is_rational()}
             if derivation is not None:
                 assert check_derivation(derivation, model).ok
             assert verify_preservation(model, pairs).ok
             images = [apply(model, p) for p in points]
             dens = {id(c._d): c._d for q in images for c in (q.x, q.y)}
             den = next(iter(dens.values()))
-            squared = [s for s in squares[before:] if s == den]
-            irrational = sum(not sqdist(p, q).is_rational() for p, q in pairs)
-            lifted, most = max(lifted, len(dens)), max(most, len(squared) - 2 * irrational)
+            squared = sum(s == den for s in squares[before:])
+            per_pair = [sum(s == den for s in squares[a:b]) for pair, a, b in compared[compared_before:] if pair in irrational]
+            assert len(per_pair) == len(irrational)
+            irrational_squarings += per_pair
+            lifted, most = max(lifted, len(dens)), max(most, squared - sum(per_pair))
             most_packed, made = max(most_packed, len(packed) - packed_before), max(made, len(tables) - tables_before)
             assert len(packed) - packed_before <= len(tables) - tables_before
-        return lifted, most, most_packed, made
+        return lifted, most, irrational_squarings, most_packed, made
 
     # one lifted D per model and tower, squared once per image table (check
-    # and preservation each build one), never by ``_fmul``
-    assert sweep(ModelMap.apply) == (1, 0, 2, 2)
+    # and preservation each build one), never by ``_fmul`` outside the 9
+    # irrational pairs of each of criterion 9's two eps models, twice in each
+    assert sweep(ModelMap.apply) == (1, 0, [2] * 18, 2, 2)
     # the counters do see the formula, where every image lifts its own D,
     # and a ``FunElem`` product squaring D
     monkeypatch.setattr(ModelMap, "apply", generic_apply)
-    lifted, _, most_packed, _ = sweep(generic_apply)
+    lifted, _, _, most_packed, _ = sweep(generic_apply)
     assert lifted > 1 and most_packed >= 1
     x = 1 / (FunElem.eps() + 3)
     before = len(squares)
