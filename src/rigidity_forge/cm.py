@@ -8,10 +8,11 @@ coordinates with ``==``.  Nothing here tolerates approximation.
 
 The facts are decided on a ``point_table``, the one place a carrier, and so
 a kernel, is picked: it scans every coordinate of its points a single time.
-Its tests are ``same``, ``sqdist_is`` (a squared distance equals a
-value: a rational m/e goes to ``sqdist_is_form(p, q, m, e)``, the
-unreduced numerator cross-multiplied with m/e on the table's kernel, and
-any other value, or one the kernel does not take, to the formula),
+Every test answers on every table.  They are ``same``, ``sqdist_is`` (a
+squared distance equals a value: a rational m/e goes to
+``sqdist_is_form(p, q, m, e)``, the unreduced numerator cross-multiplied
+with m/e on the table's kernel, or the formula where m/e does not fit the
+kernel or the table has none, and any other value to the formula),
 ``relation_vanishes`` (an integer combination of points is zero),
 ``dot_vanishes`` (the dot product of two differences is zero) and
 ``scaled_is`` (a difference b - o equals rho (a - o) on both coordinates);
@@ -73,14 +74,6 @@ class Point:
     def __add__(self, other: "Vec2") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
 
 @dataclass(frozen=True)
 class Vec2:
@@ -104,14 +97,6 @@ class Vec2:
 
     def is_zero(self) -> bool:
         return _is_zero(self.x) and _is_zero(self.y)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vec2):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
 
 def rational_point(x, y, tower: TowerDesc = QQ) -> Point:
@@ -170,16 +155,17 @@ class PointTable:
         None on other carriers."""
         return None
 
-    def sqdist_is_form(self, p, q, m: int, e: int) -> bool | None:
-        """``sqdist(p, q) == m/e`` for integers m and e > 0 on the table's
-        kernel, or None where it has none (here) or m/e does not fit it."""
-        return None
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
+        """``sqdist(p, q) == m/e`` for integers m and e > 0: here the
+        formula, cross-multiplied; on the table's kernel where it has one."""
+        return self.sqdist(p, q) * e == m
 
     def sqdist_is(self, p, q, value: Scalar) -> bool:
-        """A rational value by ``sqdist_is_form``; any other value, or one
-        the kernel does not take, against the formula."""
-        ok = self.sqdist_is_form(p, q, value.numerator, value.denominator) if isinstance(value, (int, Fraction)) else None
-        return self.sqdist(p, q) == value if ok is None else ok
+        """A rational value by ``sqdist_is_form``; any other value against
+        the formula."""
+        if isinstance(value, (int, Fraction)):
+            return self.sqdist_is_form(p, q, value.numerator, value.denominator)
+        return self.sqdist(p, q) == value
 
     def same(self, p, q) -> bool:
         return self.points[p] == self.points[q]
@@ -225,7 +211,7 @@ class _KernelTable(PointTable):
         sv, ksv = _isq(rads, v)
         return _iadd(su, ku * ku * ksu, sv, kv * kv * ksv)
 
-    def sqdist_is_form(self, p, q, m: int, e: int) -> bool | None:
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
         # n/k cross-multiplied with m/e; a rational has no coordinate past the first
         n, k = self.sqdist_num(p, q)
         return n[0] * e == m * k and not any(n[1:])
@@ -276,20 +262,6 @@ class _Packed:
         self._n, self._d = n, d
 
 
-class _Packing(dict):
-    """Packed points by name, each packed on its first lookup (``fun_pack``)."""
-
-    __slots__ = ("points", "dim", "shifts")
-
-    def __init__(self, points: Mapping[Any, Point], dim: int, shifts: range) -> None:
-        self.points, self.dim, self.shifts = points, dim, shifts
-
-    def __missing__(self, name) -> Point:
-        p, dim, shifts = self.points[name], self.dim, self.shifts
-        packed = self[name] = Point(*[_Packed(fun_pack(c._n[0], dim, shifts), c._n[1]) for c in (p.x, p.y)])
-        return packed
-
-
 def _bits(polys) -> int:
     """a with |P| < 2^a (``_PackedTable``) for each P of integer rows in ``polys``."""
     top = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0)
@@ -300,9 +272,9 @@ class _PackedTable(_KernelTable):
     """``FunElem``s of one tower over one denominator pair D, the shape of
     every eps-frame image: an equation homogeneous in D holds iff it holds on
     the numerators, so each numerator (integer rows over k) is packed once,
-    lazily per point, at eps = B = 2^w (``scalars.fun_pack``), D^2 once per
-    table, and the ``_KernelTable`` tests decide every test on the packed
-    vectors.
+    when the table is built, at eps = B = 2^w (``scalars.fun_pack``), D^2
+    once per table, and the ``_KernelTable`` tests decide every test on the
+    packed vectors.
 
     Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
     tower product has rational structure constants, so a kernel returns
@@ -330,7 +302,7 @@ class _PackedTable(_KernelTable):
     - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
       sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
 
-    __slots__ = ("width", "_budget", "_kb", "_den", "_square", "_rho")
+    __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square", "_rho")
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Sequence[FunElem]) -> None:
         super().__init__(points, tower)
@@ -339,18 +311,21 @@ class _PackedTable(_KernelTable):
         a, kb = _bits(polys), max([x._n[1] for x in coords]).bit_length()
         s, (db, cb) = 2 * (a + kb) + 64, (b.bit_length() for b in tower._product_bound)
         w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * k_d.bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
-        self._coords = _Packing(points, tower.dim, range(0, w * max(map(len, polys)), w))
+        shifts = self._shifts = range(0, w * max(map(len, polys)), w)
+        self._coords = {
+            name: Point(*[_Packed(fun_pack(c._n[0], tower.dim, shifts), c._n[1]) for c in (p.x, p.y)]) for name, p in points.items()
+        }
         self._budget, self._kb, self._square, self._rho = s, kb, None, (None, None)
 
     sqdist_num = PointTable.sqdist_num
 
-    def sqdist_is_form(self, p, q, m: int, e: int) -> bool | None:
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
         """The packed n/k_n against m/e * D^2, D^2 = square/(k k_D^2), on
-        every coordinate; None for a constant that does not fit."""
+        every coordinate; a constant that does not fit takes the formula."""
         if max(abs(m), e).bit_length() > self._budget:
-            return None
+            return PointTable.sqdist_is_form(self, p, q, m, e)
         if self._square is None:
-            self._square = _isq(self.tower._rads, fun_pack(self._den[0], self.tower.dim, self._coords.shifts))
+            self._square = _isq(self.tower._rads, fun_pack(self._den[0], self.tower.dim, self._shifts))
         (square, k), k_d = self._square, self._den[1]
         n, k_n = _KernelTable.sqdist_num(self, p, q)
         f, g = e * k * k_d * k_d, m * k_n
@@ -368,7 +343,7 @@ class _PackedTable(_KernelTable):
         if self._rho[0] is not rho:
             packed = None
             if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d):
-                (rows, k), shifts = rho._n, self._coords.shifts
+                (rows, k), shifts = rho._n, self._shifts
                 if len(rows) <= len(shifts) and max(_bits([rows]), k.bit_length()) <= self._budget:
                     packed = _Packed(fun_pack(rows, self.tower.dim, shifts), k)
             self._rho = (rho, packed)

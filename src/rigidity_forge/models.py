@@ -33,8 +33,9 @@ points over Q or one tower at the cost of two kernels: the source squared
 distance v stays the unreduced n/k of the table's ``sqdist_num`` (over Q an
 integer over k^2); a rational v must have rho(v) == v, ``map_vector``
 leaving n unchanged, and the image pair is compared with v, the integers
-(n[0], k), by the images' ``sqdist_is_form``.  An irrational v, and other
-models, towers and carriers, compare with ``rho(v)`` by ``sqdist_is``.
+(n[0], k), by the images' ``sqdist_is_form``.  Any other v is built once,
+from n/k where the source table has it, and compared with ``rho(v)`` by
+``sqdist_is``; every table's tests answer, so preservation has no fallback.
 An embedding other than the identity is undefined on a ``FunElem``, which
 lies in no quadratic tower (``OutOfDomain``).  Structure names its sample
 points once (the origin, the directions u, the sums u + v and the
@@ -62,6 +63,7 @@ from .scalars import (
     IVec,
     TowerDesc,
     TowerElem,
+    _canon,
     _elem,
     fun_frame_kernel,
     tower_conjugate,
@@ -282,38 +284,24 @@ class PreservationReport:
 
 
 def _embedded_distance(model, embedding: Embedding | None, source: PointTable, p, q) -> tuple:
-    """rho(v) for the squared distance v of the source pair (p, q), and
-    whether a rational v is reproduced verbatim, as (form, None, kept) or
-    (None, rho(v), kept).  For a ``ModelMap`` on the tower kernels v stays
-    the unreduced n/k of ``sqdist_num``; a rational v (n zero past its first
-    coordinate) is kept iff ``embedding.map_vector`` leaves n unchanged, and
-    form is v itself, the integers (n[0], k), which is rho(v) where it is
-    kept.  An irrational v, and other models, towers and carriers, compute
-    rho(v) by the formula."""
+    """What the images of the source pair (p, q) must have as squared
+    distance, for its squared distance v, and whether a rational v is
+    reproduced verbatim: ((n[0], k), kept) or (rho(v), kept).  For a
+    ``ModelMap`` on the tower kernels v stays the unreduced n/k of
+    ``sqdist_num``; a rational v (n zero past its first coordinate) is kept
+    iff ``embedding.map_vector`` leaves n unchanged, and the integers
+    (n[0], k), v itself, are then rho(v).  Any other v is built once, from
+    n/k where the table has it, else by the formula, and mapped by rho."""
     num = None if embedding is None else source.sqdist_num(p, q)
     if num is not None and not any(num[0][1:]):
         n, k = num
         mapped = embedding.map_vector(source.tower, n)
         if mapped is not None:
             m = mapped[1]
-            return (n[0], k), None, m[0] == n[0] and not any(m[1:])
-    value = source.sqdist(p, q)
+            return (n[0], k), m[0] == n[0] and not any(m[1:])
+    value = source.sqdist(p, q) if num is None else _elem(source.tower, *_canon(*num))
     target = model.rho(value)
-    return None, target, not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
-
-
-def _image_distance_is(model, source: PointTable, images: PointTable, p, q, wanted: tuple) -> bool:
-    """The image pair's squared distance equals rho(v), and a rational v is
-    kept: against the integers (m, e) of v by ``sqdist_is_form`` where the
-    images' table has a kernel that takes them, else against the value
-    rho(v)."""
-    form, target, kept = wanted
-    ok = None if form is None else images.sqdist_is_form(p, q, *form)
-    if ok is None:
-        if target is None:
-            target = model.rho(source.sqdist(p, q))
-        ok = images.sqdist_is(p, q, target)
-    return ok and kept
+    return target, not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
 
 
 def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -> PreservationReport:
@@ -324,9 +312,9 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     transitivity is the image distance equal to v.  The source points and
     their images are each classified once into a ``cm.point_table``; every
     pair's rho(v) is taken (``_embedded_distance``) and its points mapped,
-    in the pairs' order, before the images are compared
-    (``_image_distance_is``).  ``int`` and ``Fraction`` coordinates are
-    rationals."""
+    in the pairs' order, before the images are compared: against the
+    integers of a rational v by ``sqdist_is_form``, else against rho(v) by
+    ``sqdist_is``.  ``int`` and ``Fraction`` coordinates are rationals."""
     embedding = model.embedding if isinstance(model, ModelMap) else None
     # the tables name each point object by its id; ``pairs`` holds them for the call
     source = point_table({id(p): p for pair in pairs for p in pair})
@@ -338,7 +326,8 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
                 images[id(point)] = model.apply(point)
     images = point_table(images)
     checks = tuple(
-        PairCheck((p, q), _image_distance_is(model, source, images, id(p), id(q), want)) for (p, q), want in zip(pairs, wanted)
+        PairCheck((p, q), (images.sqdist_is_form(id(p), id(q), *v) if type(v) is tuple else images.sqdist_is(id(p), id(q), v)) and kept)
+        for (p, q), (v, kept) in zip(pairs, wanted)
     )
     return PreservationReport(ok=all(check.ok for check in checks), checks=checks)
 

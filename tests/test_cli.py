@@ -156,6 +156,22 @@ def test_model_check_via_descriptor_file(tmp_path, capsys):
     assert "all-true" in out
 
 
+def test_model_check_names_the_point_a_model_is_undefined_at(tmp_path, capsys):
+    """A conjugation of Q(sqrt 3) meets the division gadget's field
+    Q(sqrt(5/12)) at D: the model is undefined there, and the CLI says so
+    with exit 1."""
+    from rigidity_forge.models import conjugation_model
+    from rigidity_forge.scalars import QQ, adjoin_sqrt
+
+    gadget_file = tmp_path / "div.json"
+    assert run(["gadget", "division", "--t", "1/3", "-o", str(gadget_file)], capsys)[0] == 0
+    model_file = tmp_path / "m.json"
+    model_file.write_text(codec.dumps(codec.encode_model(conjugation_model(adjoin_sqrt(QQ, 3).tower, 0))))
+    code, out, err = run(["model-check", str(gadget_file), "--model", f"@{model_file}"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "ModelUndefinedAtPoint: model undefined at D: r0 does not lie in the embedding domain Q(sqrt(3))\n"
+
+
 EXPECTED_IDENTITIES = """\
 ok  det(A,B,E,F) = -2*(e - 16 + 3c)^2
      expanded: -18*c^2 - 12*c*e - 2*e^2 + 192*c + 64*e - 512
@@ -339,6 +355,42 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "tangent" in err
     code, out, err = run(["gadget", "division", "--t", "1/3", "--r", "-3"], capsys)
     assert (code, out, err) == (2, "", "gadget construction failed: r = -3 does not exceed |AB|\n")
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        (["0,0", "0,0", "0,0", "4,0"], gadgets.CoincidentInputs, "P = Q or X = Y"),
+        (["0,0", "1,1", "0,0", "1,-1"], gadgets.UnreachableRatio, "|XY| must be rational to anchor the linkage"),
+    ],
+    ids=["coincident", "irrational-anchor"],
+)
+def test_perp_inputs_the_builder_rejects_exit_2(points, error, message, capsys, monkeypatch):
+    raised = []
+
+    def build(*args):
+        try:
+            return gadgets.build_perp_transfer(*args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(cli, "build_perp_transfer", build)
+    argv = ["gadget", "perp"] + [arg for flag, point in zip(("--p", "--q", "--x", "--y"), points) for arg in (flag, point)]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"gadget construction failed: {message}\n")
+    assert raised == [error]
+
+
+def test_a_point_with_a_negative_first_coordinate_is_written_with_equals(capsys):
+    """argparse reads "-4,3" after a space as an option, a usage error;
+    "--y=-4,3" passes it as the value."""
+    code, out, _ = run(["gadget", "perp", "--p", "0,0", "--q", "3,4", "--x", "0,0", "--y=-4,3"], capsys)
+    assert code == 0 and '"kind": "perp"' in out
+    with pytest.raises(SystemExit) as exc:
+        main(["gadget", "perp", "--p", "0,0", "--q", "3,4", "--x", "0,0", "--y", "-4,3"])
+    assert exc.value.code == 2
+    assert "argument --y: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity_forge.cm import Point, Vec2, affinely_dependent3, cm3, cm3_points, cm4, point_table, rational_point, sqdist
 from rigidity_forge.engine import _LEMMAS, Distinct, NonzeroDist, PatternMismatch, SqDistKnown, VecEq
-from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
+from rigidity_forge.scalars import QQ, FunElem, TowerDesc, TowerElem, adjoin_sqrt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 
@@ -57,6 +57,20 @@ def test_point_and_vector_equality_make_no_tower_subtraction(monkeypatch):
     assert p == same and not p == q and not p == rational
     assert rational == rational_point(Fraction(1, 2), 3, t)
     assert u == Vec2(same.x, same.y) and not u == v
+
+
+def test_points_and_vectors_compare_and_hash_by_value():
+    """Equal points over two distinct but equal tower objects compare and
+    hash equal, and so do their vectors; a point never equals a vector."""
+    t, p, _ = _tower_points()
+    twin = TowerDesc(t.gens)
+    assert twin is not t and twin == t
+    q = Point(p.x.lift(twin), p.y.lift(twin))
+    assert q.x.tower is twin and q == p and hash(q) == hash(p)
+    u, w = Vec2(p.x, p.y), Vec2(q.x, q.y)
+    assert u == w and hash(u) == hash(w)
+    assert (p == u) is False and (u == p) is False and p != u
+    assert len({p, q, u, w}) == 2
 
 
 def test_tower_sqdist_is_the_formula():

@@ -1439,8 +1439,8 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
         return test(), len(calls) - before
 
     huge = 1 << t
-    # 25 in an unreduced form too large for the width: no verdict on the packed form
-    assert kernel_calls(lambda: table.sqdist_is_form("P", "O", 25 * huge, huge)) == (None, 0)
+    # 25 in an unreduced form too large for the width: the formula's verdict, not the packed form's
+    assert kernel_calls(lambda: table.sqdist_is_form("P", "O", 25 * huge, huge)) == (True, 0)
     assert kernel_calls(lambda: table.sqdist_is("P", "O", 25)) == (True, 1)
     assert kernel_calls(lambda: table.sqdist_is("P", "O", FunElem.constant(25))) == (True, 0)  # not a rational: the formula
     assert kernel_calls(lambda: table.sqdist_is("P", "O", huge)) == (False, 0)

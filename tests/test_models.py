@@ -831,7 +831,7 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
     def counting_init(self, *args):
         tables.append(self)
         real_init(self, *args)
-        packed_dens.append(scalars.fun_pack(self._den[0], self.tower.dim, self._coords.shifts))
+        packed_dens.append(scalars.fun_pack(self._den[0], self.tower.dim, self._shifts))
 
     def counting_sqdist_is(table, p, q, value):
         start = len(squares)

@@ -764,11 +764,11 @@ def test_sqdist_kernel_matches_the_generic_formula(case):
     table = cm._KernelTable(points, tower)
     assert _canon(*table.sqdist_num("P", "Q")) == (formula._n, formula._d)
     assert formula.coords == _vadd(_vmul(_rads(tower), dx.coords, dx.coords), _vmul(_rads(tower), dy.coords, dy.coords))
-    # against a rational: the value's first coordinate, and it moved by one; the base table has no kernel
+    # against a rational: the value's first coordinate, and it moved by one; the base table, by the formula
     first = formula.coords[0]
     for value, holds in ((first, formula.is_rational()), (first + 1, False)):
         assert table.sqdist_is_form("P", "Q", value.numerator, value.denominator) is holds
-        assert cm.PointTable(points).sqdist_is_form("P", "Q", value.numerator, value.denominator) is None
+        assert cm.PointTable(points).sqdist_is_form("P", "Q", value.numerator, value.denominator) is holds
     # against the value itself, and the value moved by one
     for value, holds in ((formula, True), (formula + 1, False)):
         assert table.sqdist_is("P", "Q", value) is holds
