@@ -36,6 +36,13 @@ of all the points would grow with their number (L^2 had 4.2 million bits on
 ``Polynomial``) takes the base ``PointTable``, the carrier formula, which
 is also the reference the kernels are tested against.
 
+A kernel table is also built from forms (``form_table``, and
+``_PackedTable`` given a packing): ``models.ModelMap.image_table`` hands it
+each image's unreduced integer form, with no image element built and no
+coordinate classified; its ``points`` map an image by ``apply`` only when
+a formula fallback reads one.  Every kernel table compares two points by
+cross-multiplying (``same``), as these forms need not be canonical.
+
 The facts are written once, against the table's tests; a fact given a
 plain mapping builds the table of its points.  A table lives for one call.
 """
@@ -46,10 +53,10 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import mul
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
-from .scalars import QQ, FunElem, IVec, TowerDesc, TowerElem, _funit, _iadd, _imul, _isq, _isub, fun_pack
+from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _funit, _iadd, _imul, _isq, _isub, fun_pack
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -189,15 +196,22 @@ class PointTable:
 
 class _KernelTable(PointTable):
     """``TowerElem``s of one tower, decided on the integer vectors of the
-    points of ``_coords`` (here the points themselves) by the ``scalars``
-    kernels ``_isub``, ``_iadd``, ``_imul`` and ``_isq``; no test builds an
-    element or reduces one."""
+    points of ``_coords`` by the ``scalars`` kernels ``_isub``, ``_iadd``,
+    ``_imul`` and ``_isq``; no test builds an element or reduces one.
+    ``_coords`` are the points themselves, or, for a table built from
+    forms, each point's unreduced integer form (``_Form`` coordinates) that
+    ``points`` are the values of.  Two points are the same iff their
+    difference vanishes (``same``), as forms need not be canonical."""
 
     __slots__ = ("tower", "_coords")
 
-    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc) -> None:
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
         super().__init__(points)
-        self.tower, self._coords = tower, points
+        self.tower, self._coords = tower, points if coords is None else coords
+
+    def same(self, p, q) -> bool:
+        (x, _), (y, _) = self._ivec((p, q))
+        return not any(x) and not any(y)
 
     def _ivec(self, u: tuple) -> tuple[tuple[IVec, int], tuple[IVec, int]]:
         """The difference u as an unreduced integer pair per coordinate."""
@@ -253,8 +267,9 @@ class _KernelTable(PointTable):
         return True
 
 
-class _Packed:
-    """A packed numerator: integer vector ``_n`` over ``_d``, as the tower kernels read."""
+class _Form:
+    """An integer vector ``_n`` over ``_d``, as the tower kernels read it: an
+    image's unreduced form, or a packed numerator."""
 
     __slots__ = ("_n", "_d")
 
@@ -262,10 +277,10 @@ class _Packed:
         self._n, self._d = n, d
 
 
-def _bits(polys) -> int:
-    """a with |P| < 2^a (``_PackedTable``) for each P of integer rows in ``polys``."""
-    top = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0)
-    return top.bit_length() + max(map(len, polys)).bit_length()
+def _bits(top: int, rows: int) -> int:
+    """a with |P| < 2^a (``_PackedTable``) for every P of at most ``rows``
+    integer rows whose coefficients are at most ``top`` in absolute value."""
+    return top.bit_length() + rows.bit_length()
 
 
 class _PackedTable(_KernelTable):
@@ -274,7 +289,12 @@ class _PackedTable(_KernelTable):
     the numerators, so each numerator (integer rows over k) is packed once,
     when the table is built, at eps = B = 2^w (``scalars.fun_pack``), D^2
     once per table, and the ``_KernelTable`` tests decide every test on the
-    packed vectors.
+    packed vectors.  The table is given the bounds of its numerators and D:
+    ``top``, the largest |coefficient|, ``rows``, the most rows, and ``k``,
+    the largest numerator denominator; then ``pack(shifts)`` gives each
+    point's packed coordinates.  ``point_table`` reads them off canonical
+    ``FunElem``s; ``models`` bounds the unreduced forms of eps-frame images
+    and packs those.
 
     Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
     tower product has rational structure constants, so a kernel returns
@@ -287,15 +307,19 @@ class _PackedTable(_KernelTable):
     so |x + x'| <= |x| + |x'| and |delta x x'| <= C|x||x'|.  Per table,
     |N|, |D_N| < 2^a (``_bits``) for every numerator N over k and
     D = D_N/k_D, k < 2^kb, k_D < 2^kd, delta < 2^db, C < 2^cb; a difference
-    of numerators is U/(k k') with |U| < 2^(a+kb+1).  A constant fits if its
-    numerator and denominator are below 2^s, s = 2(a + kb) + 64 (a squared
-    distance of the points, with room); one that does not takes the formula.
-    w = max(t1, t2) + 1, t1 = db + cb + s + 2a + 6kb + 2kd + 3 and
-    t2 = 2cb + s + 2a + 8kb, is derived, not set, and bounds every shape:
+    of numerators is U/(k k') with |U| < 2^(a+kb+1).  The proof reads only
+    these bounds: N/k need not be reduced, so an unreduced form whose
+    coefficients and denominator are bounded by a and kb is packed as it is.
+    A constant fits if its numerator and denominator are below 2^s,
+    s = 2(a + kb) + 64 (a squared distance of the points, with room); one
+    that does not takes the formula.  w = max(t1, t2) + 1,
+    t1 = db + cb + s + 2a + 6kb + 2kd + 3 and t2 = 2cb + s + 2a + 8kb, is
+    derived, not set, and bounds every shape:
     - ``sqdist_is_form`` against a rational m/e, |m| and e integers that
       fit, so the product by D^2 is the scalar multiple m D_N^2 and
       c = delta e (k1 k2 k3 k4 k_D)^2:
       2 e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C |m| |D_N|^2 < 2^t1 + 2^t2;
+    - ``same``, c = k k': |U| < 2^(a+kb+1);
     - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
     - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:
       2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
@@ -304,18 +328,13 @@ class _PackedTable(_KernelTable):
 
     __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square", "_rho")
 
-    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Sequence[FunElem]) -> None:
-        super().__init__(points, tower)
-        den, k_d = self._den = coords[0]._d
-        polys = [x._n[0] for x in coords] + [den]
-        a, kb = _bits(polys), max([x._n[1] for x in coords]).bit_length()
+    def __init__(self, points: Mapping, tower: TowerDesc, den: IPoly, top: int, rows: int, k: int, pack: Callable) -> None:
+        a, kb = _bits(top, rows), k.bit_length()
         s, (db, cb) = 2 * (a + kb) + 64, (b.bit_length() for b in tower._product_bound)
-        w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * k_d.bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
-        shifts = self._shifts = range(0, w * max(map(len, polys)), w)
-        self._coords = {
-            name: Point(*[_Packed(fun_pack(c._n[0], tower.dim, shifts), c._n[1]) for c in (p.x, p.y)]) for name, p in points.items()
-        }
-        self._budget, self._kb, self._square, self._rho = s, kb, None, (None, None)
+        w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * den[1].bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
+        shifts = self._shifts = range(0, w * rows, w)
+        super().__init__(points, tower, pack(shifts))
+        self._den, self._budget, self._kb, self._square, self._rho = den, s, kb, None, (None, None)
 
     sqdist_num = PointTable.sqdist_num
 
@@ -344,8 +363,9 @@ class _PackedTable(_KernelTable):
             packed = None
             if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d):
                 (rows, k), shifts = rho._n, self._shifts
-                if len(rows) <= len(shifts) and max(_bits([rows]), k.bit_length()) <= self._budget:
-                    packed = _Packed(fun_pack(rows, self.tower.dim, shifts), k)
+                top = max(map(abs, chain.from_iterable(rows)), default=0)
+                if len(rows) <= len(shifts) and max(_bits(top, len(rows)), k.bit_length()) <= self._budget:
+                    packed = _Form(fun_pack(rows, self.tower.dim, shifts), k)
             self._rho = (rho, packed)
         return self._rho[1]
 
@@ -359,10 +379,10 @@ class _RationalTable(_KernelTable):
 
     __slots__ = ("_xyd",)
 
-    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc) -> None:
-        super().__init__(points, tower)
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
+        super().__init__(points, tower, coords)
         self._xyd = xyd = {}
-        for name, p in points.items():
+        for name, p in self._coords.items():
             x, y = p.x, p.y
             d = x._d if x._d == y._d else lcm(x._d, y._d)
             xyd[name] = (x._n[0] * (d // x._d), y._n[0] * (d // y._d), d)
@@ -382,7 +402,8 @@ class _RationalTable(_KernelTable):
         return n * e == m * k
 
     def same(self, p, q) -> bool:
-        return self._xyd[p] == self._xyd[q]
+        dx, dy, _ = self._difference((p, q))
+        return not dx and not dy
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
         terms = [(c, *self._xyd[n]) for n, c in relation.items()]
@@ -405,8 +426,18 @@ def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
     if tower is None or not towers and any(c._d != coords[0]._d for c in coords):
         return PointTable(points)
     if not towers:
-        return _PackedTable(points, tower, coords)
-    return _KernelTable(points, tower) if tower.gens else _RationalTable(points, tower)
+        polys, dim = [x._n[0] for x in coords] + [coords[0]._d[0]], tower.dim
+        top, k = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0), max([x._n[1] for x in coords])
+        pack = lambda shifts: {name: Point(*[_Form(fun_pack(c._n[0], dim, shifts), c._n[1]) for c in (p.x, p.y)]) for name, p in points.items()}
+        return _PackedTable(points, tower, coords[0]._d, top, max(map(len, polys)), k, pack)
+    return form_table(points, tower)
+
+
+def form_table(points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> _KernelTable:
+    """The kernel table of points over ``tower``: the tower kernels, or plain
+    integers over Q; with ``coords``, the points' integer forms (``_Form``
+    coordinates over ``tower``), which need not be canonical."""
+    return _KernelTable(points, tower, coords) if tower.gens else _RationalTable(points, tower, coords)
 
 
 def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:

@@ -77,9 +77,13 @@ def _fraction(p: int, q: int) -> Fraction:
 
 
 def decode_rational(text: Any, location: str = "rational") -> Fraction:
+    return _rational(text, lambda: location)
+
+
+def _rational(text: Any, where: Callable[[], str]) -> Fraction:
     parts = _rational_parts(text)
     if type(parts) is str:
-        _fail(location, parts)
+        _fail(where(), parts)
     return _fraction(*parts)
 
 
@@ -114,17 +118,21 @@ def encode_tower(tower: TowerDesc) -> dict:
 
 
 def decode_tower(obj: Any, location: str = "field") -> TowerDesc:
+    return _decode_tower(obj, lambda: location)
+
+
+def _decode_tower(obj: Any, where: Callable[[], str]) -> TowerDesc:
     if not isinstance(obj, dict) or not isinstance(obj.get("gens"), list):
-        _fail(location, "expected an object with a 'gens' list")
+        _fail(where(), "expected an object with a 'gens' list")
     if len(obj["gens"]) > MAX_TOWER_DEPTH:
-        _fail(f"{location}.gens", f"{len(obj['gens'])} generators exceed the tower depth limit {MAX_TOWER_DEPTH}")
+        _fail(f"{where()}.gens", f"{len(obj['gens'])} generators exceed the tower depth limit {MAX_TOWER_DEPTH}")
     tower = QQ
     for i, coords in enumerate(obj["gens"]):
-        rad = _decode_coords(tower, coords, lambda: f"{location}.gens[{i}]")
+        rad = _decode_coords(tower, coords, lambda: f"{where()}.gens[{i}]")
         if rad.sign() <= 0:
-            _fail(f"{location}.gens[{i}]", "radicand is not strictly positive")
+            _fail(f"{where()}.gens[{i}]", "radicand is not strictly positive")
         if sqrt_in_tower(rad) is not None:
-            _fail(f"{location}.gens[{i}]", "radicand is already a square in the tower below")
+            _fail(f"{where()}.gens[{i}]", "radicand is already a square in the tower below")
         tower = TowerDesc(tower.gens + (rad,))
     return tower
 
@@ -134,8 +142,12 @@ def encode_tower_elem(x: TowerElem) -> dict:
 
 
 def decode_tower_elem(obj: Any, location: str = "scalar") -> TowerElem:
-    tower = decode_tower(obj, location)
-    return _decode_coords(tower, obj.get("coords"), lambda: f"{location}.coords")
+    return _decode_tower_elem(obj, lambda: location)
+
+
+def _decode_tower_elem(obj: Any, where: Callable[[], str]) -> TowerElem:
+    tower = _decode_tower(obj, where)
+    return _decode_coords(tower, obj.get("coords"), lambda: f"{where()}.coords")
 
 
 def encode_fun_elem(x: FunElem) -> dict:
@@ -147,19 +159,23 @@ def encode_fun_elem(x: FunElem) -> dict:
 
 
 def decode_fun_elem(obj: Any, location: str = "scalar") -> FunElem:
+    return _decode_fun_elem(obj, lambda: location)
+
+
+def _decode_fun_elem(obj: Any, where: Callable[[], str]) -> FunElem:
     if not isinstance(obj, dict):
-        _fail(location, "expected a function-field element object")
-    tower = decode_tower(obj.get("tower", {"gens": []}), f"{location}.tower")
+        _fail(where(), "expected a function-field element object")
+    tower = _decode_tower(obj.get("tower", {"gens": []}), lambda: f"{where()}.tower")
 
     def poly(key: str):
         coeffs = obj.get(key)
         if not isinstance(coeffs, list):
-            _fail(f"{location}.{key}", "expected a coefficient list")
-        return tuple(_decode_coords(tower, coords, lambda: f"{location}.{key}[{i}]") for i, coords in enumerate(coeffs))
+            _fail(f"{where()}.{key}", "expected a coefficient list")
+        return tuple(_decode_coords(tower, coords, lambda: f"{where()}.{key}[{i}]") for i, coords in enumerate(coeffs))
 
     num, den = poly("num"), poly("den")
     if all(c.is_zero() for c in den):
-        _fail(f"{location}.den", "zero denominator")
+        _fail(f"{where()}.den", "zero denominator")
     return FunElem(tower, num, den)
 
 
@@ -175,15 +191,20 @@ def encode_scalar(value: Any) -> Any:
 
 
 def decode_scalar(obj: Any, location: str = "scalar") -> Any:
+    return _decode_scalar(obj, lambda: location)
+
+
+def _decode_scalar(obj: Any, where: Callable[[], str]) -> Any:
+    """A tagged scalar at the location ``where()`` names on failure."""
     if not isinstance(obj, dict):
-        _fail(location, "expected a tagged scalar object")
+        _fail(where(), "expected a tagged scalar object")
     if "$rat" in obj:
-        return decode_rational(obj["$rat"], location)
+        return _rational(obj["$rat"], where)
     if "$tower" in obj:
-        return decode_tower_elem(obj["$tower"], location)
+        return _decode_tower_elem(obj["$tower"], where)
     if "$fun" in obj:
-        return decode_fun_elem(obj["$fun"], location)
-    _fail(location, f"unknown scalar tag in {sorted(obj)}")
+        return _decode_fun_elem(obj["$fun"], where)
+    _fail(where(), f"unknown scalar tag in {sorted(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +225,22 @@ def encode_layout(value: Any) -> Any:
 
 
 def decode_layout(value: Any, location: str = "layout") -> Any:
+    return _decode_layout(value, lambda: location)
+
+
+def _decode_layout(value: Any, where: Callable[[], str]) -> Any:
+    """A layout value at the location ``where()`` names on failure."""
     if value is None or isinstance(value, (str, bool, int)):
         return value
     if isinstance(value, float):
-        _fail(location, "binary floats are forbidden; use exact rational strings")
+        _fail(where(), "binary floats are forbidden; use exact rational strings")
     if isinstance(value, list):
-        return [decode_layout(v, f"{location}[{i}]") for i, v in enumerate(value)]
+        return [_decode_layout(v, lambda i=i: f"{where()}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, dict):
         if "$rat" in value or "$tower" in value or "$fun" in value:
-            return decode_scalar(value, location)
-        return {k: decode_layout(v, f"{location}.{k}") for k, v in value.items()}
-    _fail(location, f"unsupported layout value {value!r}")
+            return _decode_scalar(value, where)
+        return {k: _decode_layout(v, lambda k=k: f"{where()}.{k}") for k, v in value.items()}
+    _fail(where(), f"unsupported layout value {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +366,8 @@ def decode_gadget(obj: Any) -> Gadget:
             _fail(f"side_conditions[{i}]", f"unknown point in {pair}")
         sides.append((pair[0], pair[1]))
     goal = decode_fact(obj.get("goal"), points, "goal", GOAL_KINDS)
-    layout = decode_layout(obj.get("layout", {}), "layout")
-    _check_layout(layout, points, "layout")
+    layout = _decode_layout(obj.get("layout", {}), lambda: "layout")
+    _check_layout(layout, points, lambda: "layout")
     if fact_key(goal) != fact_key(layout_goal(layout)):
         _fail("goal", f"{goal} is not the conclusion of the {layout['kind']} layout")
     return Gadget(
@@ -354,19 +380,20 @@ def decode_gadget(obj: Any) -> Gadget:
     )
 
 
-def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind: str | None = None) -> None:
-    """Check that a layout is of a known kind and carries every field its
-    replay script and ``layout_goal`` read, and that each other field it
-    carries has its type; ``kind``, when given, is the kind its parent needs."""
+def _check_layout(layout: Any, points: Mapping[str, Point], where: Callable[[], str], kind: str | None = None) -> None:
+    """Check that a layout at the location ``where()`` is of a known kind
+    and carries every field its replay script and ``layout_goal`` read, and
+    that each other field it carries has its type; ``kind``, when given, is
+    the kind its parent needs."""
     if not isinstance(layout, dict):
-        _fail(location, "expected a layout object")
+        _fail(where(), "expected a layout object")
     if kind is not None and layout.get("kind") != kind:
-        _fail(f"{location}.kind", f"expected {kind!r}")
+        _fail(f"{where()}.kind", f"expected {kind!r}")
     kind = layout.get("kind")
 
     def need(key: str, ok, what: str) -> Any:
         if key not in layout or not ok(layout[key]):
-            _fail(f"{location}.{key}", f"expected {what}")
+            _fail(f"{where()}.{key}", f"expected {what}")
         return layout[key]
 
     def names(count: int | None = None):
@@ -397,7 +424,7 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
     elif kind == "bridge":
         subs = need("sub", lambda v: isinstance(v, list) and v, "a non-empty list of chain layouts")
         for i, sub in enumerate(subs):
-            _check_layout(sub, points, f"{location}.sub[{i}]", "chain")
+            _check_layout(sub, points, lambda i=i: f"{where()}.sub[{i}]", "chain")
     elif kind == "scale":
         need("src", names(2), "two gadget point names")
         need("dst", names(2), "two gadget point names")
@@ -406,14 +433,14 @@ def _check_layout(layout: Any, points: Mapping[str, Point], location: str, kind:
             if key in layout:
                 need(key, lambda v: _is_point(v, points), "a gadget point name")
         for i, sub in enumerate(need("sub", lambda v: isinstance(v, list), "a list of layouts")):
-            _check_layout(sub, points, f"{location}.sub[{i}]")
+            _check_layout(sub, points, lambda i=i: f"{where()}.sub[{i}]")
     elif kind == "perp":
         for key, sub_kind in (("kempe", "kempe"), ("scale_pq", "scale"), ("scale_xy", "scale")):
-            _check_layout(layout.get(key), points, f"{location}.{key}", sub_kind)
+            _check_layout(layout.get(key), points, lambda key=key: f"{where()}.{key}", sub_kind)
         need("r", rational, "an exact rational")
         need("s", rational, "an exact rational")
     else:
-        _fail(f"{location}.kind", f"unknown layout kind {kind!r}")
+        _fail(f"{where()}.kind", f"unknown layout kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +529,7 @@ def decode_model(obj: Any) -> ModelMap:
         if not isinstance(matrix, list) or len(matrix) != 2 or any(not isinstance(row, list) or len(row) != 2 for row in matrix):
             _fail("frame.matrix", "expected a 2x2 matrix")
         rows = tuple(
-            tuple(decode_scalar(entry, f"frame.matrix[{i}][{j}]") for j, entry in enumerate(row))
+            tuple(_decode_scalar(entry, lambda i=i, j=j: f"frame.matrix[{i}][{j}]") for j, entry in enumerate(row))
             for i, row in enumerate(matrix)
         )
         translation = frame_obj.get("translation")
@@ -510,7 +537,7 @@ def decode_model(obj: Any) -> ModelMap:
         if translation is not None:
             if not isinstance(translation, list) or len(translation) != 2:
                 _fail("frame.translation", "expected two scalars")
-            trans = tuple(decode_scalar(entry, f"frame.translation[{i}]") for i, entry in enumerate(translation))
+            trans = tuple(_decode_scalar(entry, lambda i=i: f"frame.translation[{i}]") for i, entry in enumerate(translation))
         try:
             frame = OrthoAffine(matrix=rows, translation=trans)
         except NonOrthogonalFrame as exc:

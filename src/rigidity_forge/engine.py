@@ -24,10 +24,11 @@ the points: ``SqDistKnown`` compares the squared distance with its rational
 value and ``NonzeroDist`` with zero (``sqdist_is``); the vector facts read
 their relation from ``gadgets._linear_relation``, the table the span rule
 reads too (``relation_vanishes``); ``Distinct`` compares coordinates
-(``same``).  ``check_derivation`` builds one table of the images and
-``_finish`` one of the gadget's coordinates, so a report classifies its
-points once, not once per fact; over Q every test is a few operations on
-plain integers.
+(``same``).  ``check_derivation`` takes one table of the images, from a
+model's ``image_table`` method where it has one and from ``cm.point_table``
+otherwise, and ``_finish`` one of the gadget's coordinates, so a report
+classifies its points once, not once per fact; over Q every test is a few
+operations on plain integers.
 """
 
 from __future__ import annotations
@@ -641,17 +642,35 @@ class Verdict:
         return self.ok
 
 
-def check_derivation(derivation: Derivation, model) -> Verdict:
-    """Evaluate every fact at the model's image coordinates; exact verdict.
-    The images are classified once, into one ``cm.point_table``."""
-    points = derivation.gadget.points
-    images: dict[str, Point] = {}
+def _images(model, points: Mapping[str, Point]) -> dict[str, Point]:
+    """The image of each named point by ``model.apply``, in order."""
+    images = {}
     for name, point in points.items():
         try:
             images[name] = model.apply(point)
         except Exception as exc:
             raise ModelUndefinedAtPoint(f"model undefined at {name}: {exc}") from exc
-    images = point_table(images)
+    return images
+
+
+def check_derivation(derivation: Derivation, model) -> Verdict:
+    """Evaluate every fact at the model's image coordinates; exact verdict.
+    A model with an ``image_table`` method (``models.ModelMap``) gives the
+    images' one table; any other model maps each point by ``apply``, and
+    the images are classified once, into one ``cm.point_table``.  A model
+    undefined at a point raises ``ModelUndefinedAtPoint`` naming the first
+    such point: where ``image_table`` fails, the points are mapped by
+    ``apply`` in order to find it."""
+    points = derivation.gadget.points
+    tabulate = getattr(model, "image_table", None)
+    if tabulate is None:
+        images = point_table(_images(model, points))
+    else:
+        try:
+            images = tabulate(points)
+        except Exception:
+            _images(model, points)  # raises at the first point the model is undefined at
+            raise
     for idx, fact in enumerate(derivation.facts):
         if not fact.holds(images):
             return Verdict(ok=False, checked=idx + 1, violated_index=idx, violated_fact=fact)

@@ -9,43 +9,48 @@ computable stand-in for wild homomorphisms out of the reals; they falsify any
 deduction rule that would illegitimately assume continuity or order
 preservation.
 
-Images are built on the integer form, one kernel per embedding kind and frame
-shape the package constructs.  An embedding maps an integer vector by one
-method, ``Embedding.map_vector``: identity and inclusion keep it, and a
-conjugation of an element over a prefix of its domain pads the vector and
-flips the signs of the coordinates that hold the generator.  A rational
-frame takes a*x + b*y + c on the integer vectors
-(``scalars.tower_frame_kernel``); a K(eps) frame over Q on one denominator
-D builds each image numerator from its rational rows, and the images over
-one tower share one lifted D (``scalars.fun_frame_kernel``), which their
-point table packs and squares once (``cm._PackedTable``).  Every other
-carrier takes the generic formula: frames with irrational or mixed entries,
-``FunElem`` inputs, points outside a conjugation's domain prefix.  Both
-give the same canonical pairs.  The generic conjugation carries a point
-into its domain by ``scalars.tower_join``.  Every embedding fixes Q, so
-``int`` and ``Fraction`` values are elements of Q.
+Images are built on the integer form, for two ``TowerElem``s of one tower.
+An embedding maps an integer vector by one method,
+``Embedding.vector_map``: identity and inclusion keep it, and a conjugation
+of an element over a prefix of its domain pads the vector and flips the
+signs of the coordinates that hold the generator.  A frame maps the
+vectors by its integer rows (``scalars.frame_rows`` and ``frame_form``): a
+rational frame takes a*x + b*y + c over one ``lcm``; a K(eps) frame over Q
+on one denominator D builds each image numerator from its rational rows,
+over D lifted to the points' tower, one lifted D object per frame and
+tower.  ``ModelMap.apply`` reduces and wraps one image's form;
+``ModelMap.image_table`` hands the forms of a whole point set, unreduced, to
+their ``cm`` table (``cm.form_table``, and for a K(eps) frame
+``cm._PackedTable``, which packs the frame's rows once at its width and
+each image numerator as it is), so a check builds and classifies no image.
+The forms do not apply to frames with irrational or mixed entries,
+``FunElem`` inputs, rational coordinates, mixed towers or points outside a
+conjugation's domain prefix: there ``apply`` takes the generic formula, and
+``image_table`` maps each point by ``apply`` into ``cm.point_table``.  Both
+give the same canonical pairs.  The generic conjugation carries a point into its
+domain by ``scalars.tower_join``.  Every embedding fixes Q, so ``int`` and
+``Fraction`` values are elements of Q.
 
-The reports decide their equations on ``cm.point_table``s, which pick the
-carrier, and so the integer kernel where the images allow it, once per
-table.  Preservation classifies the source points once and their images
-once, each into a ``cm.point_table``, and decides a ``ModelMap``'s pair of
-points over Q or one tower at the cost of two kernels: the source squared
-distance v stays the unreduced n/k of the table's ``sqdist_num`` (over Q an
-integer over k^2); a rational v must have rho(v) == v, ``map_vector``
-leaving n unchanged, and the image pair is compared with v, the integers
-(n[0], k), by the images' ``sqdist_is_form``.  Any other v is built once,
-from n/k where the source table has it, and compared with ``rho(v)`` by
-``sqdist_is``; every table's tests answer, so preservation has no fallback.
-An embedding other than the identity is undefined on a ``FunElem``, which
-lies in no quadratic tower (``OutOfDomain``).  Structure names its sample
-points once (the origin, the directions u, the sums u + v and the
-multiples lambda u), maps each point object once, keyed by the object, and
-decides every test on the one ``cm.point_table`` of the images:
-additivity as m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``),
-and scaling of phi(u) = a - o to phi(lambda u) = b - o as a != o, once per
-direction, and b - o = rho (a - o) (``scaled_is``), building no quotient.
-Both reports map a point object the first time they meet it; equal points
-built as distinct objects are mapped apiece.
+The reports decide their equations on one table of the source points and
+one of the images.  Preservation decides a ``ModelMap``'s pair of points
+over Q or one tower at the cost of two kernels: the source squared distance
+v stays the unreduced n/k of the table's ``sqdist_num`` (over Q an integer
+over k^2); a rational v must have rho(v) == v, ``vector_map`` leaving n
+unchanged, and the image pair is compared with v, the integers (n[0], k),
+by the images' ``sqdist_is_form``.  Any other v is built once, from n/k
+where the source table has it, and compared with ``rho(v)`` by
+``sqdist_is``, the formula on the images; every table's tests answer, so
+preservation has no fallback.  An embedding other than the identity is
+undefined on a ``FunElem``, which lies in no quadratic tower
+(``OutOfDomain``).  Structure names its sample points
+once (the origin, the directions u, the sums u + v and the multiples
+lambda u), gives each point object one image before any test, and decides
+every test on the one table of the images: additivity as
+m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling of
+phi(u) = a - o to phi(lambda u) = b - o as a != o, once per direction, and
+b - o = rho (a - o) (``scaled_is``), building no quotient.  Both reports
+give a point object its form, or map it by ``apply``, the first time they
+meet it; equal points built as distinct objects are mapped apiece.
 """
 
 from __future__ import annotations
@@ -54,22 +59,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .cm import Point, PointTable, _is_zero, _one_tower, circle_point, point_table
+from .cm import Point, PointTable, _Form, _is_zero, _one_tower, _PackedTable, circle_point, form_table, point_table
 from .scalars import (
     QQ,
     FunElem,
+    IPoly,
     IVec,
     TowerDesc,
     TowerElem,
     _canon,
     _elem,
-    fun_frame_kernel,
+    _fcanon,
+    frame_form,
+    frame_rows,
+    frame_scales,
+    fun_pack,
     tower_conjugate,
-    tower_frame_kernel,
     tower_join,
 )
+
+
+def _kept(n: IVec) -> IVec:
+    return n
 
 
 class ModelError(ValueError):
@@ -126,26 +139,28 @@ class Embedding:
             raise OutOfDomain(f"{x!r} lies in K(eps), not in a quadratic tower")
         if self.kind == "conjugation":
             if isinstance(x, TowerElem):
-                mapped = self.map_vector(x.tower, x._n)
-                if mapped is not None:
-                    return _elem(*mapped, x._d)
+                mapping = self.vector_map(x.tower)
+                if mapping is not None:
+                    return _elem(mapping[0], mapping[1](x._n), x._d)
             if isinstance(x, (int, Fraction)):
                 return self.domain.rational(x)  # every embedding fixes Q
             return tower_conjugate(self._into_domain(x), self.generator)
         return FunElem.constant(x)
 
-    def map_vector(self, tower: TowerDesc, n: IVec) -> tuple[TowerDesc, IVec] | None:
-        """The image of an element of ``tower`` given by its integer vector
-        n, over the same denominator: (image tower, image vector).  Identity
-        and inclusion keep n (a constant of K(eps) has the form of its tower
-        element); a conjugation of an element over a prefix of its domain
-        pads n and flips the signs of the generator's coordinates.  None for an
-        element outside a conjugation's domain prefix."""
+    def vector_map(self, tower: TowerDesc) -> tuple[TowerDesc, Callable[[IVec], IVec]] | None:
+        """How the embedding maps an element of ``tower`` given by its
+        integer vector, over the same denominator: (image tower, the map of
+        vectors).  Identity and inclusion keep the vector (a constant of
+        K(eps) has the form of its tower element); a conjugation of an
+        element over a prefix of its domain pads it and flips the signs of
+        the generator's coordinates.  None for a tower outside a
+        conjugation's domain prefix."""
         if self.kind != "conjugation":
-            return tower, n
+            return tower, _kept
         domain = self.domain
         if tower is domain or tower.is_prefix_of(domain):
-            return domain, tuple(map(mul, n, self._signs)) + (0,) * (domain.dim - len(n))
+            signs, pad = self._signs, (0,) * (domain.dim - tower.dim)
+            return domain, lambda n: tuple(map(mul, n, signs)) + pad
         return None
 
     def _into_domain(self, x: TowerElem) -> TowerElem:
@@ -168,18 +183,24 @@ class Embedding:
 class OrthoAffine:
     """Affine map with exactly orthonormal linear part, over any carrier.
 
-    ``apply`` is the formula.  Two frame shapes also carry a kernel that maps
-    two ``TowerElem``s of one tower straight to the image point on the
-    integer form: a rational frame (every entry an ``int`` or ``Fraction``)
-    and a K(eps) frame (every matrix entry a ``FunElem`` over Q, all over one
-    denominator D, no translation), whose kernel includes the tower elements
-    into K(eps) itself.
+    ``apply`` is the formula.  Two frame shapes also carry integer rows,
+    ``_kernel``, that map two ``TowerElem``s of one tower straight to the
+    integer form of the image (``scalars.frame_form``): a rational frame (every
+    entry an ``int`` or ``Fraction``) and a K(eps) frame (``_kfield``: every
+    matrix entry a ``FunElem`` over Q, all over one denominator D, no
+    translation), whose images lie over D lifted to the points' tower
+    (``_lifted``).  Each row is one image coordinate: the pairs (p_i, q_i)
+    of integer coefficients of eps^i in m_r0 and m_r1 over their
+    denominators k_a and k_b, and the translation c = p_c/q_c.
     """
 
     matrix: tuple[tuple, tuple]  # rows ((m00, m01), (m10, m11))
     translation: tuple | None = None
-    _kernel: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _kfield: bool = field(default=False, init=False, repr=False, compare=False)
+    # a K(eps) frame's D lifted to the last tower its images were over, a
+    # one-entry memo [tower, (rows, k)], so the images over one tower share one D
+    _den: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (m00, m01), (m10, m11) = self.matrix
@@ -188,9 +209,10 @@ class OrthoAffine:
         cross = m00 * m01 + m10 * m11
         if not (col1_sq == 1 and col2_sq == 1 and _is_zero(cross)):
             raise NonOrthogonalFrame("columns are not orthonormal under the squared-distance form")
-        fun_kernel = fun_frame_kernel(self.matrix, self.translation)
-        object.__setattr__(self, "_kernel", fun_kernel or tower_frame_kernel(self.matrix, self.translation))
-        object.__setattr__(self, "_kfield", fun_kernel is not None)
+        shape = frame_rows(self.matrix, self.translation)
+        if shape is not None:
+            object.__setattr__(self, "_kernel", shape[0])
+            object.__setattr__(self, "_kfield", shape[1])
 
     def apply(self, x, y) -> tuple:
         (m00, m01), (m10, m11) = self.matrix
@@ -200,6 +222,15 @@ class OrthoAffine:
             out_x = out_x + self.translation[0]
             out_y = out_y + self.translation[1]
         return out_x, out_y
+
+    def _lifted(self, tower: TowerDesc) -> IPoly:
+        """A K(eps) frame's D over ``tower``: its rational rows padded."""
+        memo = self._den
+        if memo[0] is not tower:
+            rows, k = self.matrix[0][0]._d
+            pad = (0,) * (tower.dim - 1)
+            memo[:] = tower, (tuple([r + pad for r in rows]), k)
+        return memo[1]
 
 
 def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | None = None) -> OrthoAffine:
@@ -221,34 +252,165 @@ def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | 
 # ---------------------------------------------------------------------------
 
 
+class _Images(dict):
+    """The images of a table built from forms, by name, each mapped by
+    ``apply`` the first time it is read; only the table's formula fallbacks
+    read them."""
+
+    def __init__(self, apply: Callable[[Point], Point], points: Mapping[Any, Point]) -> None:
+        super().__init__()
+        self._apply, self._points = apply, points
+
+    def __missing__(self, name) -> Point:
+        image = self[name] = self._apply(self._points[name])
+        return image
+
+
 @dataclass(frozen=True)
 class ModelMap:
-    """Embedding applied coordinatewise, then an orthogonal-affine frame."""
+    """Embedding applied coordinatewise, then an orthogonal-affine frame.
+
+    The images of two ``TowerElem``s of one tower that ``Embedding.vector_map``
+    takes are built on the integer form (``_forms``): with no frame under a
+    conjugation, through a frame's integer rows otherwise, and under the
+    inclusion into K(eps) only through a K(eps) frame's.  ``apply`` reduces
+    and wraps one image's form; ``image_table`` hands the forms of a point
+    set to their ``cm`` table as they are, and maps the points by ``apply``
+    where the forms do not apply.
+    """
 
     embedding: Embedding
     frame: OrthoAffine | None = None
+    _forms: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        frame, kind = self.frame, self.embedding.kind
+        forms = kind == "conjugation" if frame is None else frame._kernel is not None and (frame._kfield or kind != "function_field")
+        object.__setattr__(self, "_forms", forms)
 
     def apply(self, p: Point) -> Point:
-        """The image of ``p``.  Two tower elements of one tower go through the
-        frame's kernel, if it has one (see ``OrthoAffine``); under the
-        inclusion into K(eps) only a K(eps) frame's kernel applies, and it
-        includes them itself.  Other carriers take the formula."""
+        """The image of ``p``: its integer form (``_image``) where the model
+        takes one; after the embedding, if the coordinates then lie in one
+        tower, through the frame's integer rows; otherwise the formula."""
         x, y = p.x, p.y
-        frame = self.frame
-        includes = self.embedding.kind == "function_field" and frame is not None and frame._kfield
-        if includes and _one_tower((x, y)) is not None:
-            return Point(*frame._kernel(x, y))
-        x = self.embedding.apply_scalar(x)
-        y = self.embedding.apply_scalar(y)
+        frame, embedding = self.frame, self.embedding
+        if self._forms:
+            tower = _one_tower((x, y))
+            mapping = None if tower is None else embedding.vector_map(tower)
+            if mapping is not None:
+                image_tower, vector = mapping
+                return _image(frame, image_tower, vector(x._n), x._d, vector(y._n), y._d)
+        x = embedding.apply_scalar(x)
+        y = embedding.apply_scalar(y)
         if frame is None:
             return Point(x, y)
         if frame._kernel is not None and _one_tower((x, y)) is not None:
-            return Point(*frame._kernel(x, y))
+            return _image(frame, x.tower, x._n, x._d, y._n, y._d)
         x, y = frame.apply(x, y)
         return Point(x, y)
 
     def rho(self, value: TowerElem):
         return self.embedding.apply_scalar(value)
+
+    def image_table(self, points: Mapping[Any, Point] | PointTable) -> PointTable:
+        """The ``cm`` table of the images of ``points`` (by name, or their own
+        table), each point object mapped once.  The identity with no frame
+        has the points' own table.  Where the forms apply, the table is built
+        from the images' integer forms with no image element built, and its
+        ``points`` map an image by ``apply`` when first read.  Elsewhere
+        (mixed towers, ``FunElem`` or rational coordinates, points outside a
+        conjugation's domain prefix, a frame without integer rows) each
+        point is mapped by ``apply``, in order (``_mapped_table``)."""
+        if self.frame is None and self.embedding.kind == "identity":
+            return point_table(points)
+        if isinstance(points, PointTable):
+            points = points.points
+        values = points.values()
+        tower = _one_tower([p.x for p in values] + [p.y for p in values]) if self._forms else None
+        mapping = None if tower is None else self.embedding.vector_map(tower)
+        if mapping is None:
+            return _mapped_table(self.apply, points)
+        (image_tower, vector), frame, vectors = mapping, self.frame, {}
+        for p in values:
+            if id(p) not in vectors:
+                x, y = p.x, p.y
+                vectors[id(p)] = (vector(x._n), x._d, vector(y._n), y._d)
+        images = _Images(self.apply, points)
+        if frame is not None and frame._kfield:
+            return _packed_table(frame, image_tower, points, images, vectors)
+        if frame is None:
+            forms = {key: Point(_Form(xn, xd), _Form(yn, yd)) for key, (xn, xd, yn, yd) in vectors.items()}
+        else:
+            forms = {key: Point(*[_Form(*_tower_form(row, *v)) for row in frame._kernel]) for key, v in vectors.items()}
+        return form_table(images, image_tower, {name: forms[id(p)] for name, p in points.items()})
+
+
+def _mapped_table(apply: Callable[[Point], Point], points: Mapping[Any, Point] | PointTable) -> PointTable:
+    """The ``cm.point_table`` of the images of ``points`` (by name, or their
+    own table) by ``apply``, each point object mapped once, in order, all
+    before the table is built."""
+    if isinstance(points, PointTable):
+        points = points.points
+    mapped = {}
+    for p in points.values():
+        if id(p) not in mapped:
+            mapped[id(p)] = apply(p)
+    return point_table({name: mapped[id(p)] for name, p in points.items()})
+
+
+def _image_table(model, points: Mapping[Any, Point] | PointTable) -> PointTable:
+    """A ``ModelMap``'s ``image_table``; any other model's images by ``apply``."""
+    if isinstance(model, ModelMap):
+        return model.image_table(points)
+    return _mapped_table(model.apply, points)
+
+
+def _image(frame: OrthoAffine | None, tower: TowerDesc, xn: IVec, xd: int, yn: IVec, yd: int) -> Point:
+    """The image of the point (xn/xd, yn/yd) of ``tower``, the embedding
+    applied, under ``frame``: each coordinate's form (``scalars.frame_form``)
+    reduced once and wrapped, over ``tower`` or, for a K(eps) frame, over
+    its D lifted to ``tower``."""
+    if frame is None:
+        return Point(_elem(tower, xn, xd), _elem(tower, yn, yd))
+    if frame._kfield:
+        den = frame._lifted(tower)
+        forms = [frame_form(row, row[0], xn, yn, frame_scales(row, xd, yd)) for row in frame._kernel]
+        return Point(*[FunElem._make(tower, _fcanon(out, k), den) for out, k in forms])
+    return Point(*[_elem(tower, *_canon(*_tower_form(row, xn, xd, yn, yd))) for row in frame._kernel])
+
+
+def _tower_form(row: tuple, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
+    """A rational frame row's image coordinate on the integer form."""
+    out, k = frame_form(row, row[0], xn, yn, frame_scales(row, xd, yd))
+    return out[0], k
+
+
+def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Point], images: _Images, vectors: dict) -> PointTable:
+    """The packed table of the images of ``points`` under a K(eps) frame,
+    each point's form (``scalars.frame_form``) packed as it is: the frame's rows
+    are packed once, at the table's width, for coefficient pairs of one
+    integer each.  The width's bounds come from the forms' scales
+    (``scalars.frame_scales``): a coefficient of a numerator is at most
+    f1 max|p_i| max|xn_j| + f2 max|q_i| max|yn_j|, and k the unreduced lcm."""
+    den = frame._lifted(tower)
+    top, k_max, scales = max(abs(c) for r in den[0] for c in r), 1, {}
+    peaks = [(max(abs(p) for p, _ in row[0]), max(abs(q) for _, q in row[0])) for row in frame._kernel]
+    for key, (xn, xd, yn, yd) in vectors.items():
+        x_top, y_top = max(map(abs, xn)), max(map(abs, yn))
+        scales[key] = per_row = [frame_scales(row, xd, yd) for row in frame._kernel]
+        for (f1, f2, k), (p_top, q_top) in zip(per_row, peaks):
+            top, k_max = max(top, f1 * p_top * x_top + f2 * q_top * y_top), max(k_max, k)
+
+    def pack(shifts: range) -> dict:
+        rows = [(row, [fun_pack(row[0], 2, shifts)]) for row in frame._kernel]
+        forms = {}
+        for key, (xn, _, yn, _) in vectors.items():
+            out = [frame_form(row, pairs, xn, yn, scaled) for (row, pairs), scaled in zip(rows, scales[key])]
+            forms[key] = Point(*[_Form(vecs[0], k) for vecs, k in out])
+        return {name: forms[id(p)] for name, p in points.items()}
+
+    rows = max(len(den[0]), *[len(row[0]) for row in frame._kernel])
+    return _PackedTable(images, tower, den, top, rows, k_max, pack)
 
 
 def identity_model() -> ModelMap:
@@ -289,15 +451,15 @@ def _embedded_distance(model, embedding: Embedding | None, source: PointTable, p
     reproduced verbatim: ((n[0], k), kept) or (rho(v), kept).  For a
     ``ModelMap`` on the tower kernels v stays the unreduced n/k of
     ``sqdist_num``; a rational v (n zero past its first coordinate) is kept
-    iff ``embedding.map_vector`` leaves n unchanged, and the integers
+    iff ``embedding.vector_map`` leaves n unchanged, and the integers
     (n[0], k), v itself, are then rho(v).  Any other v is built once, from
     n/k where the table has it, else by the formula, and mapped by rho."""
     num = None if embedding is None else source.sqdist_num(p, q)
     if num is not None and not any(num[0][1:]):
         n, k = num
-        mapped = embedding.map_vector(source.tower, n)
-        if mapped is not None:
-            m = mapped[1]
+        mapping = embedding.vector_map(source.tower)
+        if mapping is not None:
+            m = mapping[1](n)
             return (n[0], k), m[0] == n[0] and not any(m[1:])
     value = source.sqdist(p, q) if num is None else _elem(source.tower, *_canon(*num))
     target = model.rho(value)
@@ -309,22 +471,19 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     squared distance; rational values must be reproduced verbatim.  Each
     point object is mapped once, and each image pair is compared once
     with rho(v); a rational v must also have rho(v) == v, which by
-    transitivity is the image distance equal to v.  The source points and
-    their images are each classified once into a ``cm.point_table``; every
-    pair's rho(v) is taken (``_embedded_distance``) and its points mapped,
-    in the pairs' order, before the images are compared: against the
-    integers of a rational v by ``sqdist_is_form``, else against rho(v) by
-    ``sqdist_is``.  ``int`` and ``Fraction`` coordinates are rationals."""
+    transitivity is the image distance equal to v.  The source points are
+    classified once into a ``cm.point_table``; every pair's rho(v) is taken
+    (``_embedded_distance``), and then the images go into one table
+    (``ModelMap.image_table``, the source table itself under the identity;
+    any other model maps each point by ``apply``).  The images are then
+    compared: against the integers of a rational v by ``sqdist_is_form``,
+    else against rho(v) by ``sqdist_is``.  ``int`` and ``Fraction``
+    coordinates are rationals."""
     embedding = model.embedding if isinstance(model, ModelMap) else None
     # the tables name each point object by its id; ``pairs`` holds them for the call
     source = point_table({id(p): p for pair in pairs for p in pair})
-    wanted, images = [], {}
-    for p, q in pairs:
-        wanted.append(_embedded_distance(model, embedding, source, id(p), id(q)))
-        for point in (p, q):
-            if id(point) not in images:
-                images[id(point)] = model.apply(point)
-    images = point_table(images)
+    wanted = [_embedded_distance(model, embedding, source, id(p), id(q)) for p, q in pairs]
+    images = _image_table(model, source)
     checks = tuple(
         PairCheck((p, q), (images.sqdist_is_form(id(p), id(q), *v) if type(v) is tuple else images.sqdist_is(id(p), id(q), v)) and kept)
         for (p, q), (v, kept) in zip(pairs, wanted)
@@ -349,10 +508,11 @@ def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence
     direction-independent factor rho(lambda), and that rho is a homomorphism.
     The sample points are built once, under names: the origin, the
     directions u, the sums u + v of each pair and the multiples lambda u.
-    Each point object is mapped once, all of them before any test, so a
+    Each point object gets one image, all of them before any test
+    (``ModelMap.image_table``; any other model maps it by ``apply``), so a
     model undefined at any sample point raises, even where an earlier test
-    would decide the report.  Every test is decided, in order and with its
-    early exit, on the one ``cm.point_table`` of the images: additivity as
+    would decide the report.  Every test is decided, in order and with its early
+    exit, on the one table of the images: additivity as
     m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling
     of phi(u) = a - o to phi(lambda u) = b - o as a != o, decided once per
     direction, and b - o = rho (a - o) (``scaled_is``).  ``int`` and
@@ -367,12 +527,7 @@ def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence
     points.update((("u", i), u) for i, u in enumerate(us))
     points.update((("u+v", i, j), Point(us[i].x + us[j].x, us[i].y + us[j].y)) for i, j in pairs)
     points.update((("lu", k, i), Point(lam * u.x, lam * u.y)) for k, lam in enumerate(lambdas) for i, u in enumerate(us))
-    # images by point object; ``points`` holds the objects for the call
-    mapped = {}
-    for p in points.values():
-        if id(p) not in mapped:
-            mapped[id(p)] = model.apply(p)
-    images = point_table({name: mapped[id(p)] for name, p in points.items()})
+    images = _image_table(model, points)
 
     additivity_ok = all(images.relation_vanishes({("u+v", i, j): 1, ("u", i): -1, ("u", j): -1, "o": 1}) for i, j in pairs)
 

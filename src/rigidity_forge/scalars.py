@@ -15,8 +15,7 @@ Three carriers, all with decidable equality:
   (``_iadd``, ``_isub``, ``_imul``, ``_isq``) are what ``cm``'s point
   tables decide the facts with; a squared distance as a value is the
   carrier formula.  ``lift`` and ``prefix`` return the target tower object
-  itself, so a gadget's points share one ``TowerDesc``.  ``tower_frame_kernel`` maps two elements of
-  one tower through a rational affine frame on the integer vectors.
+  itself, so a gadget's points share one ``TowerDesc``.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -29,8 +28,6 @@ Three carriers, all with decidable equality:
   the other operand.  No fact test has a K(eps) kernel: ``cm`` runs the
   tower kernels on numerators that ``fun_pack`` evaluates at eps = 2^w
   (Kronecker substitution).
-  ``fun_frame_kernel`` maps two elements of one tower through a K(eps)
-  frame over Q into K(eps) on the integer matrices.
   The reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
@@ -1095,40 +1092,40 @@ def fun_pack(rows: Sequence[IVec], dim: int, shifts: range) -> IVec:
 
 
 # ---------------------------------------------------------------------------
-# Frame kernels: the image (a*x + b*y + c, ...) of two tower elements x, y of
-# one tower under an affine frame, built on the integer form.  Each returns
-# None for frames of another shape, which take the generic formula.
+# Frame forms: the image (a*x + b*y + c, ...) of two tower elements x, y of
+# one tower under an affine frame, on the integer form and unreduced.  A
+# frame of another shape has no rows and takes the generic formula.
 # ---------------------------------------------------------------------------
 
-FrameKernel = Callable[[TowerElem, TowerElem], tuple]
+FrameRow = tuple[tuple[tuple[int, int], ...], int, int, int, int]
 
 
-def tower_frame_kernel(matrix, translation) -> FrameKernel | None:
-    """The kernel of a rational frame (every entry an ``int`` or
-    ``Fraction``): each image coordinate is a*x + b*y + c on the integer
-    vectors over one ``lcm``, reduced once, in x's tower."""
-    entries = [e for row in matrix for e in row] + list(translation or ())
-    if not all(isinstance(e, (int, Fraction)) for e in entries):
+def frame_rows(matrix, translation) -> tuple[tuple[FrameRow, ...], bool] | None:
+    """The integer rows of a frame, one per image coordinate, and whether
+    they map into K(eps): a row is the pairs (p_i, q_i), the integer
+    coefficients of eps^i in the row's two entries over their denominators
+    k_a and k_b, then k_a, k_b and the translation c = p_c/q_c.  A rational
+    frame (every entry an ``int`` or ``Fraction``) has one pair per row; a
+    K(eps) frame (every matrix entry a ``FunElem`` over Q, all on one
+    denominator D, no translation) one per power of eps, and its images lie
+    over D.  None for any other frame."""
+    entries = [e for row in matrix for e in row]
+    if translation is None and all(isinstance(e, FunElem) and e.tower.depth == 0 and e._d == entries[0]._d for e in entries):
+        rows = []
+        for a, b in matrix:
+            (ra, ka), (rb, kb) = a._n, b._n
+            length = max(len(ra), len(rb))
+            pa = [r[0] for r in ra] + [0] * (length - len(ra))
+            pb = [r[0] for r in rb] + [0] * (length - len(rb))
+            rows.append((tuple(zip(pa, pb)), ka, kb, 0, 1))
+        return tuple(rows), True
+    if not all(isinstance(e, (int, Fraction)) for e in entries + list(translation or ())):
         return None
     rows = []
     for (a, b), c in zip(matrix, translation or (0, 0)):
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        rows.append((a.numerator, a.denominator, b.numerator, b.denominator, c.numerator, c.denominator))
-
-    def image(x: TowerElem, y: TowerElem) -> tuple:
-        xn, xd, yn, yd = x._n, x._d, y._n, y._d
-        out = []
-        for pa, qa, pb, qb, pc, qc in rows:
-            ka, kb = qa * xd, qb * yd
-            den = lcm(ka, kb, qc)
-            fa, fb = pa * (den // ka), pb * (den // kb)
-            n = [fa * u + fb * v for u, v in zip(xn, yn)]
-            if pc:
-                n[0] += pc * (den // qc)
-            out.append(_elem(x.tower, *_canon(tuple(n), den)))
-        return tuple(out)
-
-    return image
+        rows.append((((a.numerator, b.numerator),), a.denominator, b.denominator, c.numerator, c.denominator))
+    return tuple(rows), False
 
 
 def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
@@ -1140,50 +1137,27 @@ def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
     return tuple([p * c + q * e for c, e in zip(u, v)])
 
 
-def _fun_over_q(entries: Sequence) -> bool:
-    """Every entry a ``FunElem`` over Q, all on one denominator D."""
-    return all(isinstance(e, FunElem) and e.tower.depth == 0 and e._d == entries[0]._d for e in entries)
+def frame_scales(row: FrameRow, xd: int, yd: int) -> tuple[int, int, int]:
+    """(f1, f2, k): a frame row's terms in x = xn/xd and y = yn/yd, and its
+    translation, over one ``lcm`` k, the two terms scaled by f1 and f2."""
+    _, ka, kb, _, qc = row
+    k1, k2 = ka * xd, kb * yd
+    k = lcm(k1, k2, qc)
+    return k // k1, k // k2, k
 
 
-def fun_frame_kernel(matrix, translation) -> FrameKernel | None:
-    """The kernel of a K(eps) frame: every matrix entry a ``FunElem`` over Q,
-    all on one denominator D, and no translation.  It includes x and y into
-    K(eps): each image numerator is built from the entries' rational rows and
-    the integer vectors of x and y and reduced once, over D lifted to x's
-    tower.  The images over one tower share one lifted D object (a one-entry
-    memo of this frame), so no image rebuilds D, and ``cm.point_table``'s
-    one-denominator check and the packed table read one D object."""
-    (m00, m01), (m10, m11) = matrix
-    if translation is not None or not _fun_over_q((m00, m01, m10, m11)):
-        return None
-    den_rows, den_k = m00._d
-    rows = []
-    for a, b in matrix:
-        (ra, ka), (rb, kb) = a._n, b._n
-        length = max(len(ra), len(rb))
-        pa = [r[0] for r in ra] + [0] * (length - len(ra))
-        pb = [r[0] for r in rb] + [0] * (length - len(rb))
-        rows.append((list(zip(pa, pb)), ka, kb))
-    lifted: tuple = (None, None)  # (tower, D over it)
-
-    def image(x: TowerElem, y: TowerElem) -> tuple:
-        nonlocal lifted
-        tower = x.tower
-        if lifted[0] is not tower:
-            pad = (0,) * (tower.dim - 1)
-            lifted = (tower, (tuple([r + pad for r in den_rows]), den_k))
-        den = lifted[1]
-        xn, xd, yn, yd = x._n, x._d, y._n, y._d
-        out = []
-        for coeffs, ka, kb in rows:
-            k1, k2 = ka * xd, kb * yd
-            k = lcm(k1, k2)
-            f1, f2 = k // k1, k // k2
-            num = _fcanon([_scaled_sum(p * f1, xn, q * f2, yn) for p, q in coeffs], k)
-            out.append(FunElem._make(tower, num, den))
-        return tuple(out)
-
-    return image
+def frame_form(row: FrameRow, pairs: Sequence[tuple[int, int]], xn: IVec, yn: IVec, scales: tuple[int, int, int]) -> tuple[list[IVec], int]:
+    """A frame row's image coordinate of (xn/xd, yn/yd), unreduced, for its
+    ``scales`` (f1, f2, k) = ``frame_scales(row, xd, yd)``: the vector
+    f1*p*xn + f2*q*yn per coefficient pair (p, q) of ``pairs`` (the row's
+    own, or its two polynomials evaluated at one point), the translation
+    added to the first, over k."""
+    f1, f2, k = scales
+    out = [_scaled_sum(p * f1, xn, q * f2, yn) for p, q in pairs]
+    pc, qc = row[3], row[4]
+    if pc:
+        out[0] = (out[0][0] + pc * (k // qc),) + out[0][1:]
+    return out, k
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,38 @@ def test_decode_messages_are_pinned():
         assert line in outcomes, line
 
 
+def test_a_float_deep_in_a_layout_names_its_location():
+    """Locations are formatted only for a failure's message: a float at
+    ``layout.sub[0].side_sq`` of a bridge, handed to ``decode_gadget`` as a
+    dict (no JSON text, so the document-level float check does not run),
+    still fails naming the whole path."""
+    pt = rational_point
+    doc = json.loads(codec.dumps(codec.encode_gadget(build_translation_bridge(pt(0, 0), pt(3, 0), pt(1, 1), pt(4, 1)))))
+    assert doc["layout"]["kind"] == "bridge" and "side_sq" in doc["layout"]["sub"][0]
+    doc["layout"]["sub"][0]["side_sq"] = 0.5
+    with pytest.raises(codec.SchemaViolation) as err:
+        codec.decode_gadget(doc)
+    assert str(err.value) == "layout.sub[0].side_sq: binary floats are forbidden; use exact rational strings"
+
+
+def test_nested_model_scalars_name_their_location():
+    """The frame entries and a K(eps) entry's tower take their location as
+    a function, formatted only on failure: a bad radicand in the tower of
+    ``frame.matrix[1][0]`` and a float in ``frame.translation[1]`` of model
+    dicts still name the whole path."""
+    doc = json.loads(codec.dumps(codec.encode_model(eps_rotation_model())))
+    assert codec.decode_model(json.loads(json.dumps(doc))) == eps_rotation_model()
+    doc["frame"]["matrix"][1][0]["$fun"]["tower"] = {"gens": [["-3"]]}
+    with pytest.raises(codec.SchemaViolation) as err:
+        codec.decode_model(doc)
+    assert str(err.value) == "frame.matrix[1][0].tower.gens[0]: radicand is not strictly positive"
+    doc = json.loads(codec.dumps(codec.encode_model(ModelMap(identity_model().embedding, make_pythagorean_rotation(Fraction(1, 2), translation=(Fraction(1), Fraction(2)))))))
+    doc["frame"]["translation"][1] = {"$rat": 0.5}
+    with pytest.raises(codec.SchemaViolation) as err:
+        codec.decode_model(doc)
+    assert str(err.value).startswith("frame.translation[1]: expected an exact rational string")
+
+
 def test_document_rejects_binary_floats():
     with pytest.raises(codec.SchemaViolation, match="float"):
         codec.load_document('{"schema": "rigidity-forge/1", "x": 0.5}')

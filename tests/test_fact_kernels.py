@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rigidity_forge
-from rigidity_forge import cm, codec, engine, models, scalars, suite
+from rigidity_forge import cm, codec, engine, gadgets, models, scalars, suite
 from rigidity_forge.cm import Point, Vec2, _invert, _is_zero, rational_point, sqdist
 from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation, recheck_derivation, replay
 from rigidity_forge.gadgets import AffineComb, DotZero, VecEq, VecScale, build_rhombus_chain, build_translation_bridge
@@ -845,13 +845,17 @@ def _scoped(inside, fn):
 
 def test_images_are_looked_up_by_object_without_a_hash(monkeypatch):
     """In a warm soundness pass, ``verify_preservation`` and
-    ``verify_structure`` map each point object once and look its image up
-    by the object: no ``TowerElem`` is hashed inside either report."""
-    inside, counts = [], {"hash": 0, "mapped": 0}
+    ``verify_structure`` give each point object one integer form, looked up
+    by the object, and map none by ``apply``: no ``TowerElem`` is hashed
+    inside either report.  The identity takes the points' own table and
+    computes no form; the fallback maps each point object once by
+    ``apply``."""
+    inside, counts = [], {"hash": 0, "mapped": 0, "formed": 0}
     items = soundness_items(_scoped(inside, verify_preservation), _scoped(inside, verify_structure))
     for item in items:
         item()
-    real_hash, real_apply = TowerElem.__hash__, ModelMap.apply
+    real_hash, real_apply, real_map, real_table = TowerElem.__hash__, ModelMap.apply, Embedding.vector_map, ModelMap.image_table
+    tabling = []
 
     def counting_hash(self):
         counts["hash"] += bool(inside)
@@ -861,28 +865,46 @@ def test_images_are_looked_up_by_object_without_a_hash(monkeypatch):
         counts["mapped"] += bool(inside)
         return real_apply(self, p)
 
+    def counting_map(self, tower):
+        mapping = real_map(self, tower)
+        if mapping is None or not (tabling and inside):
+            return mapping
+        image_tower, vector = mapping
+        return image_tower, lambda n: counts.update(formed=counts["formed"] + 1) or vector(n)
+
     monkeypatch.setattr(TowerElem, "__hash__", counting_hash)
     monkeypatch.setattr(ModelMap, "apply", counting_apply)
+    monkeypatch.setattr(Embedding, "vector_map", counting_map)
+    monkeypatch.setattr(ModelMap, "image_table", _scoped(tabling, real_table))
     for item in items:
         item()
-    # 612 point objects mapped by preservation and 555 by structure
-    assert counts == {"hash": 0, "mapped": 1167}
+    # 612 point objects in the preservation reports (102 of them under the
+    # identity) and 555 in the structure reports (111 under the identity):
+    # 954 forms, each of two vectors
+    assert counts == {"hash": 0, "mapped": 0, "formed": 2 * 954}
     # equal but distinct points, one of them over a wider tower, are four
     # point objects, each mapped once however often a pair names it
     tower = TOWERS[2]
     p, q = Point(tower.generator(0), tower.one()), rational_point(3, 4, tower)
     wider = _extended(tower)
     copies = [Point(p.x, p.y), Point(p.x.lift(wider), p.y.lift(wider))]
-    counts.update(hash=0, mapped=0)
+    pairs = [(p, q), (copies[0], q), (copies[1], q), (p, q), (q, p), (copies[0], p)]
     inside.append(True)
-    assert verify_preservation(identity_model(), [(p, q), (copies[0], q), (copies[1], q), (p, q), (q, p), (copies[0], p)]).ok
-    assert counts == {"hash": 0, "mapped": 4}
+    for model, pairs, mapped, formed in (
+        (identity_model(), pairs, 0, 0),  # the points' own table
+        (conjugation_model(tower, 1), pairs, 4, 3),  # two towers: ``apply``, which forms the three over ``tower``
+        (conjugation_model(tower, 1), pairs[:2] + pairs[3:], 3, 3),  # one tower: three forms; the irrational distance's formula maps the three images
+    ):
+        counts.update(hash=0, mapped=0, formed=0)
+        assert verify_preservation(model, pairs).ok
+        assert counts == {"hash": 0, "mapped": mapped, "formed": 2 * formed}
 
 
 def test_preservation_builds_no_carrier_objects(monkeypatch):
     """For ``ModelMap`` models on one-tower coordinates, ``verify_preservation``
-    builds no ``TowerElem``, ``FunElem`` or ``Fraction`` outside
-    ``ModelMap.apply``: every pair is decided on the integer form."""
+    builds no ``TowerElem``, ``FunElem`` or ``Fraction``, the images
+    included: every pair is decided on the integer form, and every image
+    table is built from the images' forms."""
     cases = []
     for entry in suite.replay_corpus():
         gadget = entry.gadget
@@ -898,28 +920,23 @@ def test_preservation_builds_no_carrier_objects(monkeypatch):
 
         return run
 
-    real_apply = ModelMap.apply
-
-    def apply(self, p):
-        inside.append(False)
-        try:
-            return real_apply(self, p)
-        finally:
-            inside.pop()
-
     for module in (scalars, models):
         monkeypatch.setattr(module, "_elem", counted("_elem", scalars._elem))
     monkeypatch.setattr(FunElem, "_make", classmethod(counted("_make", FunElem._make.__func__)))
     monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
-    monkeypatch.setattr(ModelMap, "apply", apply)
+    monkeypatch.setattr(ModelMap, "apply", counted("apply", ModelMap.apply))
     preservation = _scoped(inside, verify_preservation)
     for model, pairs in cases:
         assert preservation(model, pairs).ok
     assert len(cases) == 96 and calls == []
-    # the counters do see the formula: a pair over two towers
+    # the counters do see the formula: a pair over two towers, whose images
+    # a conjugation builds by ``apply``
     p = Point(*(c.lift(_extended(QQ)) for c in (QQ.zero(), QQ.one())))
     assert preservation(identity_model(), [(p, rational_point(3, 4))]).ok
-    assert "_elem" in calls
+    assert "_elem" in calls and "apply" not in calls
+    calls.clear()
+    assert preservation(conjugation_model(_extended(QQ), 0), [(p, rational_point(3, 4))]).ok
+    assert calls.count("apply") == 2 and "_elem" in calls
 
 
 # -- K(eps) frames by the formula ---------------------------------------------------------------------
@@ -1145,9 +1162,10 @@ CM_KERNELS = ("sqdist_is_form", "relation_vanishes", "dot_vanishes", "scaled_is"
 
 
 def _classification_counts(monkeypatch):
-    """Counters of the classifying scan (``cm._one_tower``), the tests of
-    the tower kernel table (``kernel``, ``cm._KernelTable``'s methods) and
-    its squared-distance kernel ``sqdist_num``."""
+    """Counters of the classifying scan (``cm._one_tower``, which
+    ``cm.point_table`` and ``ModelMap.image_table`` run), the tests of the
+    tower kernel table (``kernel``, ``cm._KernelTable``'s methods) and its
+    squared-distance kernel ``sqdist_num``."""
     counts = {"scan": 0, "kernel": 0, "sqdist_num": 0}
 
     def counting(name, real):
@@ -1157,7 +1175,9 @@ def _classification_counts(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(cm, "_one_tower", counting("scan", cm._one_tower))
+    scan = counting("scan", cm._one_tower)
+    for module in (cm, models):
+        monkeypatch.setattr(module, "_one_tower", scan)
     for name in CM_KERNELS:
         monkeypatch.setattr(cm._KernelTable, name, counting("kernel", getattr(cm._KernelTable, name)))
     monkeypatch.setattr(cm._KernelTable, "sqdist_num", counting("sqdist_num", cm._KernelTable.sqdist_num))
@@ -1211,8 +1231,9 @@ def test_an_empty_relation_vanishes_on_every_table():
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
     """A span-80 chain over Q: ``Gadget.validate``, replay (validate, then
     ``_finish``), ``check_derivation``, ``recheck_derivation`` and
-    ``verify_preservation`` (source points, then images) classify their
-    points once per table and never reach the tower kernels."""
+    ``verify_preservation`` (the source points, whose table is the
+    identity's image table) classify their points once per table and never
+    reach the tower kernels."""
     gadget = chain_scale_gadgets()[4]
     derivation = replay(gadget)
     pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
@@ -1223,7 +1244,7 @@ def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
         (lambda: replay(gadget), 2),
         (lambda: check_derivation(derivation, identity_model()), 1),
         (lambda: recheck_derivation(derivation), 1),
-        (lambda: verify_preservation(identity_model(), pairs), 2),
+        (lambda: verify_preservation(identity_model(), pairs), 1),
     ):
         counts.update(scan=0, kernel=0, sqdist_num=0)
         run()
@@ -1372,8 +1393,9 @@ def test_packed_verdicts_and_reports_match_the_formula_tables():
     """``check_derivation`` and ``verify_preservation`` on every corpus x
     ``model_family`` pair and on the negative controls (Doubling, and the
     altered final ratio under identity and the eps models) give the same
-    ``Verdict`` and ``PreservationReport`` when every table is the base
-    ``PointTable``, the carrier formula."""
+    ``Verdict`` and ``PreservationReport`` when every image is mapped by
+    ``apply`` and every table is the base ``PointTable``, the carrier
+    formula."""
     items = soundness_items()
     del items[96:101]  # the structure reports: ``test_structure_matches_the_oracle``
     built = []
@@ -1387,11 +1409,13 @@ def test_packed_verdicts_and_reports_match_the_formula_tables():
         packed = [item() for item in items]
     assert len(packed) == 96 + 5 and len(built) > 0
     generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
+    no_forms = lambda model, points: models._mapped_table(model.apply, points)  # every image mapped by ``apply``
     with mock.patch.object(engine, "point_table", generic_table), mock.patch.object(models, "point_table", generic_table):
         with mock.patch("rigidity_forge.gadgets.point_table", generic_table), mock.patch.object(cm._PackedTable, "__init__", counting_init):
-            built.clear()
-            assert [item() for item in items] == packed
-            assert built == []
+            with mock.patch.object(ModelMap, "image_table", no_forms):
+                built.clear()
+                assert [item() for item in items] == packed
+                assert built == []
 
 
 def test_the_width_is_load_bearing():
@@ -1450,3 +1474,156 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
     assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(huge))) == (False, 0)
     assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(1))) == (True, 2)
     assert kernel_calls(lambda: table.scaled_is(("P", "O"), ("P", "O"), FunElem.constant(huge) / huge)) == (True, 0)  # off the unit polynomial
+
+
+# -- image tables built from forms -----------------------------------------------------------------
+
+
+def _q_moving_reports():
+    """Preservation reports of Q-moving conjugation mutants (as in
+    ``test_a_conjugation_that_moves_q_fails_as_in_the_oracle``), framed and
+    not, over three towers."""
+    reports = []
+    for tower in TOWERS[1:4]:
+        for seed, framed in ((0, False), (1, True)):
+            elems = _elems(tower, seed)
+            points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero()), Point(tower.zero(), tower.zero())]
+            frame = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2))) if framed else None
+            mutant = _flipped_rational_part(conjugation_model(_extended(tower), tower.depth, frame))
+            reports.append(verify_preservation(mutant, list(combinations(points, 2))))
+    return reports
+
+
+def test_form_tables_give_the_apply_tables_verdicts_and_reports(monkeypatch):
+    """Every report whose image table a ``ModelMap`` builds from forms (the
+    corpus x ``model_family`` checks and their preservation reports,
+    criterion 9's five structure reports, the two negative controls and
+    Q-moving mutants) equals the report on ``cm.point_table`` of the
+    images ``apply`` builds."""
+    forms = soundness_pass() + _q_moving_reports()
+    assert len(forms) == 96 + 5 + 5 + 6
+    assert not any(report.ok for report in forms[-6:]) and sum(not check.ok for report in forms[-6:] for check in report.checks) > 6
+    monkeypatch.setattr(ModelMap, "image_table", lambda model, points: models._mapped_table(model.apply, points))
+    assert soundness_pass() + _q_moving_reports() == forms
+
+
+def test_form_tables_answer_every_test_as_the_apply_tables():
+    """On every point pair of the 16 corpus gadgets under the 6 models of
+    their family, and for every fact of their derivations, the table built
+    from forms and ``cm.point_table`` of the ``apply`` images (the same
+    carrier) give the same answer: every fact, ``same``, and ``sqdist_is``
+    against the formula's value."""
+    answers = 0
+    for entry in suite.replay_corpus():
+        points = entry.gadget.points
+        for kind, model in suite.model_family(entry.gadget):
+            forms = model.image_table(points)
+            images = cm.point_table({name: model.apply(p) for name, p in points.items()})
+            assert type(forms) is type(images) and forms is not images
+            built_from_forms = kind != "identity"
+            assert built_from_forms == isinstance(forms.points, models._Images) and (not forms.points or not built_from_forms)
+            for fact in entry.derivation.facts:
+                assert fact.holds(forms) == fact.holds(images) is True, fact
+            for p, q in combinations(points, 2):
+                value = images.sqdist(p, q)
+                assert forms.same(p, q) == images.same(p, q) is False
+                assert forms.sqdist_is(p, q, value) == images.sqdist_is(p, q, value) is True
+            answers += len(entry.derivation.facts) + 2 * len(list(combinations(points, 2)))
+            # every fact and ``same`` came from the forms; ``sqdist_is`` against
+            # a value that is not an ``int`` or ``Fraction`` takes the formula,
+            # on the images ``apply`` maps, each once
+            assert not built_from_forms or list(forms.points) == list(points)
+            assert [forms[name] for name in points] == [images[name] for name in points]
+    assert answers == 5418
+    # equal points as distinct objects, under a rational frame whose forms are
+    # not canonical: ``same`` cross-multiplies, on Q, over a tower and packed
+    for tower in TOWERS[:3]:
+        a, b = Point(tower.rational(F(1, 3)), tower.rational(F(1, 6))), Point(tower.rational(F(2, 6)), tower.rational(F(-1, 2)))
+        points = {"A": a, "B": b, "C": Point(a.x, a.y)}
+        for model in (ModelMap(Embedding("identity"), make_pythagorean_rotation(F(1, 2), translation=(F(1, 3), F(0)))), eps_rotation_model()):
+            table = model.image_table(points)
+            assert table.same("A", "C") and not table.same("A", "B")
+            assert type(table) is (cm._PackedTable if model.embedding.kind == "function_field" else cm._RationalTable if tower is QQ else cm._KernelTable)
+
+
+def _eps_form_cases():
+    """(model, points) for every eps table of the corpus and of criterion 9,
+    and for points with 4,000-digit coordinates over three towers."""
+    cases = [(model, entry.gadget.points) for entry in suite.replay_corpus() for name, model in suite.model_family(entry.gadget) if name.startswith("eps")]
+    registered, lambdas, us = criterion_9_data()
+    sample = {("u", i): u for i, u in enumerate(us)}
+    sample.update((("lu", k, i), Point(lam * u.x, lam * u.y)) for k, lam in enumerate(lambdas) for i, u in enumerate(us))
+    cases += [(model, sample) for model in registered[2:4]]
+    for seed, tower in enumerate(TOWERS[:3]):
+        cases += [(model, _points(tower, seed, "ABCDE", huge=True)) for model in registered[2:4]]
+    return cases
+
+
+def test_the_width_bounds_of_forms_cover_the_reduced_images():
+    """For every eps table built from forms, the bounds it derives its width
+    from, a (coefficients) and kb (denominators), are at least ``cm._bits``
+    and the largest k of the reduced rows ``apply`` builds, so the width is
+    at least the one ``cm.point_table`` of those images derives."""
+    cases = _eps_form_cases()
+    assert len(cases) == 32 + 2 + 6
+    for model, points in cases:
+        table = model.image_table(points)
+        assert type(table) is cm._PackedTable
+        a, kb = (table._budget - 64) // 2 - table._kb, table._kb
+        coords = [c for p in points.values() for c in (lambda q: (q.x, q.y))(model.apply(p))]
+        polys = [c._n[0] for c in coords] + [coords[0]._d[0]]
+        top = max(abs(v) for rows in polys for row in rows for v in row)
+        assert a >= cm._bits(top, max(map(len, polys))) and kb >= max(c._n[1] for c in coords).bit_length()
+        assert table.width >= cm.point_table({name: model.apply(p) for name, p in points.items()}).width
+
+
+def test_checks_and_reports_build_no_image(monkeypatch):
+    """Over the 96 corpus checks and their preservation reports
+    ``ModelMap.apply`` runs 0 times and no ``TowerElem``, ``FunElem`` or
+    ``Fraction`` is built; criterion 9's five structure reports run no
+    ``apply`` either, and their image tables build nothing (the sample
+    points and rho are built outside them).  A model without
+    ``image_table`` (the Doubling control) and a conjugation undefined on
+    the gadget's field (a ``model-check`` of ``gadget division --t 1/3``
+    under a conjugation of Q(sqrt 3)) take the ``apply`` loop, and the
+    latter names the first point it is undefined at."""
+    corpus = suite.replay_corpus()
+    checks = []
+    for entry in corpus:
+        gadget = entry.gadget
+        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        checks += [(entry.derivation, model, pairs) for _, model in suite.model_family(gadget)]
+    registered, lambdas, us = criterion_9_data()
+    inside, calls = [], []
+
+    def counted(name, real):
+        def run(*args, **kwargs):
+            if name == "apply" or inside:
+                calls.append(name)
+            return real(*args, **kwargs)
+
+        return run
+
+    for module in (scalars, models):
+        monkeypatch.setattr(module, "_elem", counted("_elem", scalars._elem))
+    monkeypatch.setattr(FunElem, "_make", classmethod(counted("_make", FunElem._make.__func__)))
+    monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
+    monkeypatch.setattr(ModelMap, "apply", counted("apply", ModelMap.apply))
+    for derivation, model, pairs in checks:
+        inside.append(True)
+        assert check_derivation(derivation, model).ok and verify_preservation(model, pairs).ok
+        inside.pop()
+    assert len(checks) == 96 and calls == []
+    monkeypatch.setattr(ModelMap, "image_table", _scoped(inside, ModelMap.image_table))
+    assert all(verify_structure(model, lambdas, us).ok for model in registered) and calls == []
+    # the counters do see the ``apply`` loop
+    doubled = []
+    doubling = Doubling()
+    doubling.apply = lambda p, real=doubling.apply: doubled.append(p) or real(p)
+    assert check_derivation(corpus[0].derivation, doubling).violated_index == 0 and len(doubled) == len(corpus[0].gadget.points)
+    division = replay(gadgets.build_division(rational_point(0, 0), rational_point(1, 0), F(1, 3)))
+    with pytest.raises(engine.ModelUndefinedAtPoint, match=r"^model undefined at D: r0 does not lie in the embedding domain Q\(sqrt\(3\)\)$"):
+        check_derivation(division, conjugation_model(adjoin_sqrt(QQ, 3).tower, 0))
+    # the table's ``apply`` loop stops at D; ``check_derivation`` then maps
+    # the points again, in order, to name the point
+    assert calls.count("apply") == 2 * (list(division.gadget.points).index("D") + 1)

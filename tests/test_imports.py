@@ -133,6 +133,37 @@ def test_unused_import_check_catches_a_leftover():
     assert local_imports("def f():\n    import json\n    return json\n") == ["f (line 2)"]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The package modules a module's source imports: ``from .x import``,
+    ``from . import x`` and ``import rigidity_forge.x``, by the name x."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rigidity_forge."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("rigidity_forge.")}
+    return found
+
+
+# the modules below ``models``: the checker takes an image table from any
+# model that has one, so it reads no model class
+BELOW_MODELS = ("scalars", "poly", "cm", "gadgets", "engine")
+
+
+def test_the_checker_imports_nothing_from_models():
+    for name in BELOW_MODELS:
+        assert "models" not in imported_modules((PACKAGE / f"{name}.py").read_text(encoding="utf-8")), name
+
+
+def test_import_direction_check_catches_an_engine_that_imports_models():
+    engine = (PACKAGE / "engine.py").read_text(encoding="utf-8")
+    assert imported_modules(engine) >= {"cm", "gadgets"}
+    for line in ("from .models import ModelMap\n", "from . import models\n", "import rigidity_forge.models\n", "from rigidity_forge.models import ModelMap\n"):
+        assert "models" in imported_modules(line + engine), line
+
+
 def test_sources_parse_with_the_oldest_supported_grammar():
     modules = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert len(modules) > len(MODULES)

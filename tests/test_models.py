@@ -216,22 +216,56 @@ def test_preservation_detects_scaling():
     assert not report.ok
 
 
-def test_preservation_maps_each_point_once(monkeypatch):
-    gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
-    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
-    calls = []
-    real_apply = ModelMap.apply
+def _counting_forms(monkeypatch):
+    """Counters of ``ModelMap.apply`` calls, of the integer vectors the
+    embedding maps while ``ModelMap.image_table`` runs (two per point form:
+    x and y), of the point sets (or source tables) handed to it and of the
+    tables it gives."""
+    calls, inside = {"apply": [], "vectors": [], "tables": [], "images": []}, []
+    real_apply, real_map, real_table = ModelMap.apply, Embedding.vector_map, ModelMap.image_table
 
     def counting_apply(self, p):
-        calls.append(p)
+        calls["apply"].append(p)
         return real_apply(self, p)
 
+    def counting_map(self, tower):
+        mapping = real_map(self, tower)
+        if mapping is None or not inside:
+            return mapping
+        image_tower, vector = mapping
+        return image_tower, lambda n: calls["vectors"].append(n) or vector(n)
+
+    def counting_table(self, points):
+        calls["tables"].append(points)
+        inside.append(True)
+        try:
+            calls["images"].append(real_table(self, points))
+            return calls["images"][-1]
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(ModelMap, "apply", counting_apply)
-    for model in (identity_model(), eps_rotation_model()):
-        calls.clear()
+    monkeypatch.setattr(Embedding, "vector_map", counting_map)
+    monkeypatch.setattr(ModelMap, "image_table", counting_table)
+    return calls
+
+
+def test_preservation_maps_each_point_once(monkeypatch):
+    """Each point's form is computed once, not once per endpoint, and no
+    image is built by ``apply``; the identity's image table is the source
+    points' own table, with no form computed."""
+    gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
+    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+    calls = _counting_forms(monkeypatch)
+    for model, formed in ((identity_model(), 0), (eps_rotation_model(), 162), (conjugation_model(adjoin_sqrt(QQ, 2).tower, 0), 162)):
+        for counted in calls.values():
+            counted.clear()
         assert verify_preservation(model, pairs).ok
-        # 162 points in 241 pairs: one call per point, not one per endpoint
-        assert (len(calls), len(pairs)) == (len(gadget.points), 241) == (162, 241)
+        # 162 points in 241 pairs: one form per point, not one per endpoint
+        (source,), (images,) = calls["tables"], calls["images"]
+        assert (len(source.points), len(pairs)) == (len(gadget.points), 241) == (162, 241)
+        assert calls["apply"] == [] and len(calls["vectors"]) == 2 * formed
+        assert (images is source) == (formed == 0)
 
 
 def test_structure_maps_each_point_once(monkeypatch, sqrt2_tower):
@@ -242,22 +276,31 @@ def test_structure_maps_each_point_once(monkeypatch, sqrt2_tower):
     sums = [Point(u.x + v.x, u.y + v.y) for u, v in combinations(us, 2)]
     scaled = [Point(lam * u.x, lam * u.y) for lam in lambdas for u in us]
     distinct = {origin, *us, *sums, *scaled}
-    calls = []
-    real_apply = ModelMap.apply
-
-    def counting_apply(self, p):
-        calls.append(p)
-        return real_apply(self, p)
-
-    monkeypatch.setattr(ModelMap, "apply", counting_apply)
-    for model in (identity_model(), eps_rotation_model()):
-        calls.clear()
+    calls = _counting_forms(monkeypatch)
+    for model, formed in ((identity_model(), 0), (eps_rotation_model(), 111), (conjugation_model(tower, 0), 111)):
+        for counted in calls.values():
+            counted.clear()
         assert verify_structure(model, lambdas, us).ok
         # 11 directions, 55 sums and 44 multiples: 111 point objects with the
-        # origin, where one call per use would make 254; 19 of them are sums
-        # or multiples equal to another point, which leaves 92 distinct values
-        assert len(calls) == len({id(p) for p in calls}) == 111
-        assert len(set(calls)) == len(distinct) == 92
+        # origin, where one form per use would make 254; 19 of them are sums
+        # or multiples equal to another point, which leaves 92 distinct
+        # values, and each of the 111 objects gets its own form
+        (points,) = calls["tables"]
+        objects = list({id(p): p for p in points.values()}.values())
+        assert len(points) == len(objects) == 111 and len(set(objects)) == len(distinct) == 92
+        assert calls["apply"] == [] and len(calls["vectors"]) == 2 * formed
+    # a direction given twice is one point object under two names: one form
+    for counted in calls.values():
+        counted.clear()
+    assert verify_structure(conjugation_model(tower, 0), lambdas, us + [us[0]]).ok
+    (points,) = calls["tables"]
+    assert len(points) == 1 + 12 + 66 + 48 and len(calls["vectors"]) == 2 * (len(points) - 1)
+    # and a model without ``image_table`` maps that object once by ``apply``
+    for counted in calls.values():
+        counted.clear()
+    model = conjugation_model(tower, 0)
+    assert verify_structure(dataclasses.make_dataclass("Mapped", ["apply", "rho"])(model.apply, model.rho), lambdas, us + [us[0]]).ok
+    assert len(calls["apply"]) == len({id(p) for p in calls["apply"]}) == 1 + 12 + 66 + 48 - 1 and calls["tables"] == []
 
 
 # -- structure ----------------------------------------------------------------------------------
@@ -453,14 +496,17 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     compare runs the kernel table's ``sqdist_num`` on packed numerators
     (through a point table's ``sqdist_is``, or its ``sqdist_is_form`` for
     preservation), none is built by a table's ``sqdist``, and none
-    multiplies ``FunElem``s.  A comparison is counted once, where it
-    enters."""
+    multiplies ``FunElem``s; no image is built by ``apply``.  A comparison
+    is counted once, where it enters.  An image table built from forms is
+    K(eps) iff it is packed; it is not read for its images."""
     corpus = suite.replay_corpus()
-    counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0}
+    counts = {"kfield": 0, "kernel": 0, "sqdist": 0, "mul": 0, "apply": 0}
     inside = []
-    real_kernel, real_mul = cm._KernelTable.sqdist_num, FunElem.__mul__
+    real_kernel, real_mul, real_apply = cm._KernelTable.sqdist_num, FunElem.__mul__, ModelMap.apply
 
     def kfield(table, p, q):
+        if isinstance(table, cm._KernelTable):
+            return isinstance(table, cm._PackedTable)
         return any(isinstance(c, FunElem) for c in (table[p].x, table[p].y, table[q].x, table[q].y))
 
     def counting(real):
@@ -482,8 +528,12 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return run
 
     def counting_kernel(table, p, q):
-        counts["kernel"] += isinstance(table._coords[p].x, cm._Packed)
+        counts["kernel"] += isinstance(table, cm._PackedTable) and isinstance(table._coords[p].x, cm._Form)
         return real_kernel(table, p, q)
+
+    def counting_apply(self, p):
+        counts["apply"] += 1
+        return real_apply(self, p)
 
     def counting_mul(self, other):
         counts["mul"] += bool(inside)
@@ -497,6 +547,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     monkeypatch.setattr(cm._KernelTable, "sqdist_num", counting_kernel)
     monkeypatch.setattr(FunElem, "__mul__", counting_mul)
     monkeypatch.setattr(FunElem, "__rmul__", counting_mul)
+    monkeypatch.setattr(ModelMap, "apply", counting_apply)
     checks = 0
     for entry in corpus:
         gadget = entry.gadget
@@ -507,7 +558,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
             checks += 1
     assert checks == 96
     assert counts["kfield"] > 0 and counts["kernel"] == counts["kfield"]
-    assert counts["sqdist"] == counts["mul"] == 0
+    assert counts["sqdist"] == counts["mul"] == counts["apply"] == 0
     # the counters do see the formula, taken over two denominators
     eps = FunElem.eps()
     table = cm.point_table({"P": Point(eps, eps), "Q": Point(eps / (eps + 1), FunElem.constant(0))})

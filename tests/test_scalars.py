@@ -1279,7 +1279,7 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
     assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
     assert kernel_calls == []
     cm.point_table({0: frame, 1: Point(frame.y, frame.x)}).sqdist_is(0, 1, 0)  # the counter does see the kernel
-    assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][0]._coords[0].x, cm._Packed)
+    assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][0]._coords[0].x, cm._Form)
 
 
 def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
@@ -1407,10 +1407,12 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     assert kernel_calls and fun_kernel_calls
     for module in (cm, gadgets):
         monkeypatch.setattr(module, "sqdist", _generic_sqdist)
-    # every report call takes the base point table, the carrier formula
+    # every report call maps its points by ``apply`` and takes the base
+    # point table, the carrier formula
     generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
     for module in (cm, engine, gadgets, models):
         monkeypatch.setattr(module, "point_table", generic_table)
+    monkeypatch.setattr(models.ModelMap, "image_table", lambda model, points: models._mapped_table(model.apply, points))
     kernel_calls.clear()
     fun_kernel_calls.clear()
     generic = results()
