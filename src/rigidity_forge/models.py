@@ -9,27 +9,26 @@ computable stand-in for wild homomorphisms out of the reals; they falsify any
 deduction rule that would illegitimately assume continuity or order
 preservation.
 
-Images are built on the integer form, for two ``TowerElem``s of one tower.
-An embedding maps an integer vector by one method,
+``ModelMap.apply`` is the formula: the embedding on each coordinate, then
+the frame.  ``ModelMap.image_table`` is the one path that builds images on
+the integer form, for points whose coordinates are ``TowerElem``s of one
+tower.  An embedding maps an integer vector by one method,
 ``Embedding.vector_map``: identity and inclusion keep it, and a conjugation
 of an element over a prefix of its domain pads the vector and flips the
 signs of the coordinates that hold the generator.  A frame maps the
 vectors by its integer rows (``scalars.frame_rows`` and ``frame_form``): a
 rational frame takes a*x + b*y + c over one ``lcm``; a K(eps) frame over Q
 on one denominator D builds each image numerator from its rational rows,
-over D lifted to the points' tower, one lifted D object per frame and
-tower.  ``ModelMap.apply`` reduces and wraps one image's form;
-``ModelMap.image_table`` hands the forms of a whole point set, unreduced, to
-their ``cm`` table (``cm.form_table``, and for a K(eps) frame
-``cm._PackedTable``, which packs the frame's rows once at its width and
-each image numerator as it is), so a check builds and classifies no image.
-The forms do not apply to frames with irrational or mixed entries,
-``FunElem`` inputs, rational coordinates, mixed towers or points outside a
-conjugation's domain prefix: there ``apply`` takes the generic formula, and
-``image_table`` maps each point by ``apply`` into ``cm.point_table``.  Both
-give the same canonical pairs.  The generic conjugation carries a point into its
-domain by ``scalars.tower_join``.  Every embedding fixes Q, so ``int`` and
-``Fraction`` values are elements of Q.
+over D lifted to the points' tower.  ``image_table`` hands the forms of a
+whole point set, unreduced, to their ``cm`` table (``cm.form_table``, and
+for a K(eps) frame ``cm._PackedTable``, which packs the frame's rows once
+at its width and each image numerator as it is), so a check builds and
+classifies no image.  The forms do not apply to frames with irrational or
+mixed entries, ``FunElem`` inputs, rational coordinates, mixed towers or
+points outside a conjugation's domain prefix: there ``image_table`` maps
+each point by ``apply`` into ``cm.point_table``.  The generic conjugation
+carries a point into its domain by ``scalars.tower_join``.  Every embedding
+fixes Q, so ``int`` and ``Fraction`` values are elements of Q.
 
 The reports decide their equations on one table of the source points and
 one of the images.  Preservation decides a ``ModelMap``'s pair of points
@@ -61,17 +60,15 @@ from itertools import combinations
 from operator import mul
 from typing import Any, Callable, Mapping, Sequence
 
-from .cm import Point, PointTable, _Form, _is_zero, _one_tower, _PackedTable, circle_point, form_table, point_table
+from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, _PackedTable, circle_point, form_table, point_table
 from .scalars import (
     QQ,
     FunElem,
-    IPoly,
     IVec,
     TowerDesc,
     TowerElem,
     _canon,
     _elem,
-    _fcanon,
     frame_form,
     frame_rows,
     frame_scales,
@@ -188,19 +185,16 @@ class OrthoAffine:
     integer form of the image (``scalars.frame_form``): a rational frame (every
     entry an ``int`` or ``Fraction``) and a K(eps) frame (``_kfield``: every
     matrix entry a ``FunElem`` over Q, all over one denominator D, no
-    translation), whose images lie over D lifted to the points' tower
-    (``_lifted``).  Each row is one image coordinate: the pairs (p_i, q_i)
-    of integer coefficients of eps^i in m_r0 and m_r1 over their
-    denominators k_a and k_b, and the translation c = p_c/q_c.
+    translation), whose images lie over D lifted to the points' tower.
+    Each row is one image coordinate: the pairs (p_i, q_i) of integer
+    coefficients of eps^i in m_r0 and m_r1 over their denominators k_a and
+    k_b, and the translation c = p_c/q_c.
     """
 
     matrix: tuple[tuple, tuple]  # rows ((m00, m01), (m10, m11))
     translation: tuple | None = None
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _kfield: bool = field(default=False, init=False, repr=False, compare=False)
-    # a K(eps) frame's D lifted to the last tower its images were over, a
-    # one-entry memo [tower, (rows, k)], so the images over one tower share one D
-    _den: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (m00, m01), (m10, m11) = self.matrix
@@ -222,15 +216,6 @@ class OrthoAffine:
             out_x = out_x + self.translation[0]
             out_y = out_y + self.translation[1]
         return out_x, out_y
-
-    def _lifted(self, tower: TowerDesc) -> IPoly:
-        """A K(eps) frame's D over ``tower``: its rational rows padded."""
-        memo = self._den
-        if memo[0] is not tower:
-            rows, k = self.matrix[0][0]._d
-            pad = (0,) * (tower.dim - 1)
-            memo[:] = tower, (tuple([r + pad for r in rows]), k)
-        return memo[1]
 
 
 def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | None = None) -> OrthoAffine:
@@ -273,10 +258,10 @@ class ModelMap:
     The images of two ``TowerElem``s of one tower that ``Embedding.vector_map``
     takes are built on the integer form (``_forms``): with no frame under a
     conjugation, through a frame's integer rows otherwise, and under the
-    inclusion into K(eps) only through a K(eps) frame's.  ``apply`` reduces
-    and wraps one image's form; ``image_table`` hands the forms of a point
-    set to their ``cm`` table as they are, and maps the points by ``apply``
-    where the forms do not apply.
+    inclusion into K(eps) only through a K(eps) frame's.  ``image_table`` is
+    the one path that builds them: it hands the forms of a point set to
+    their ``cm`` table as they are, and maps the points by ``apply``, the
+    formula, where the forms do not apply.
     """
 
     embedding: Embedding
@@ -289,25 +274,10 @@ class ModelMap:
         object.__setattr__(self, "_forms", forms)
 
     def apply(self, p: Point) -> Point:
-        """The image of ``p``: its integer form (``_image``) where the model
-        takes one; after the embedding, if the coordinates then lie in one
-        tower, through the frame's integer rows; otherwise the formula."""
-        x, y = p.x, p.y
-        frame, embedding = self.frame, self.embedding
-        if self._forms:
-            tower = _one_tower((x, y))
-            mapping = None if tower is None else embedding.vector_map(tower)
-            if mapping is not None:
-                image_tower, vector = mapping
-                return _image(frame, image_tower, vector(x._n), x._d, vector(y._n), y._d)
-        x = embedding.apply_scalar(x)
-        y = embedding.apply_scalar(y)
-        if frame is None:
-            return Point(x, y)
-        if frame._kernel is not None and _one_tower((x, y)) is not None:
-            return _image(frame, x.tower, x._n, x._d, y._n, y._d)
-        x, y = frame.apply(x, y)
-        return Point(x, y)
+        """The image of ``p`` by the formula: the embedding on each
+        coordinate, then the frame's ``apply``."""
+        x, y = self.embedding.apply_scalar(p.x), self.embedding.apply_scalar(p.y)
+        return Point(x, y) if self.frame is None else Point(*self.frame.apply(x, y))
 
     def rho(self, value: TowerElem):
         return self.embedding.apply_scalar(value)
@@ -365,20 +335,6 @@ def _image_table(model, points: Mapping[Any, Point] | PointTable) -> PointTable:
     return _mapped_table(model.apply, points)
 
 
-def _image(frame: OrthoAffine | None, tower: TowerDesc, xn: IVec, xd: int, yn: IVec, yd: int) -> Point:
-    """The image of the point (xn/xd, yn/yd) of ``tower``, the embedding
-    applied, under ``frame``: each coordinate's form (``scalars.frame_form``)
-    reduced once and wrapped, over ``tower`` or, for a K(eps) frame, over
-    its D lifted to ``tower``."""
-    if frame is None:
-        return Point(_elem(tower, xn, xd), _elem(tower, yn, yd))
-    if frame._kfield:
-        den = frame._lifted(tower)
-        forms = [frame_form(row, row[0], xn, yn, frame_scales(row, xd, yd)) for row in frame._kernel]
-        return Point(*[FunElem._make(tower, _fcanon(out, k), den) for out, k in forms])
-    return Point(*[_elem(tower, *_canon(*_tower_form(row, xn, xd, yn, yd))) for row in frame._kernel])
-
-
 def _tower_form(row: tuple, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
     """A rational frame row's image coordinate on the integer form."""
     out, k = frame_form(row, row[0], xn, yn, frame_scales(row, xd, yd))
@@ -392,7 +348,9 @@ def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Poi
     integer each.  The width's bounds come from the forms' scales
     (``scalars.frame_scales``): a coefficient of a numerator is at most
     f1 max|p_i| max|xn_j| + f2 max|q_i| max|yn_j|, and k the unreduced lcm."""
-    den = frame._lifted(tower)
+    rows, k = frame.matrix[0][0]._d
+    pad = (0,) * (tower.dim - 1)
+    den = (tuple([r + pad for r in rows]), k)
     top, k_max, scales = max(abs(c) for r in den[0] for c in r), 1, {}
     peaks = [(max(abs(p) for p, _ in row[0]), max(abs(q) for _, q in row[0])) for row in frame._kernel]
     for key, (xn, xd, yn, yd) in vectors.items():
@@ -445,22 +403,21 @@ class PreservationReport:
     checks: tuple[PairCheck, ...]
 
 
-def _embedded_distance(model, embedding: Embedding | None, source: PointTable, p, q) -> tuple:
+def _embedded_distance(model, mapping, source: PointTable, p, q) -> tuple:
     """What the images of the source pair (p, q) must have as squared
     distance, for its squared distance v, and whether a rational v is
-    reproduced verbatim: ((n[0], k), kept) or (rho(v), kept).  For a
-    ``ModelMap`` on the tower kernels v stays the unreduced n/k of
-    ``sqdist_num``; a rational v (n zero past its first coordinate) is kept
-    iff ``embedding.vector_map`` leaves n unchanged, and the integers
-    (n[0], k), v itself, are then rho(v).  Any other v is built once, from
-    n/k where the table has it, else by the formula, and mapped by rho."""
-    num = None if embedding is None else source.sqdist_num(p, q)
+    reproduced verbatim: ((n[0], k), kept) or (rho(v), kept).  Given
+    ``mapping``, the model's ``Embedding.vector_map`` of the source table's
+    tower, v stays the unreduced n/k of ``sqdist_num``; a rational v (n zero
+    past its first coordinate) is kept iff the mapping leaves n unchanged,
+    and the integers (n[0], k), v itself, are then rho(v).  Any other v is
+    built once, from n/k where the mapping is given, else by the formula,
+    and mapped by rho."""
+    num = None if mapping is None else source.sqdist_num(p, q)
     if num is not None and not any(num[0][1:]):
         n, k = num
-        mapping = embedding.vector_map(source.tower)
-        if mapping is not None:
-            m = mapping[1](n)
-            return (n[0], k), m[0] == n[0] and not any(m[1:])
+        m = mapping[1](n)
+        return (n[0], k), m[0] == n[0] and not any(m[1:])
     value = source.sqdist(p, q) if num is None else _elem(source.tower, *_canon(*num))
     target = model.rho(value)
     return target, not (isinstance(value, (int, Fraction)) or value.is_rational()) or target == value
@@ -473,16 +430,18 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     with rho(v); a rational v must also have rho(v) == v, which by
     transitivity is the image distance equal to v.  The source points are
     classified once into a ``cm.point_table``; every pair's rho(v) is taken
-    (``_embedded_distance``), and then the images go into one table
+    (``_embedded_distance``, with the embedding's ``vector_map`` of the
+    source tower taken once per call), and then the images go into one table
     (``ModelMap.image_table``, the source table itself under the identity;
     any other model maps each point by ``apply``).  The images are then
     compared: against the integers of a rational v by ``sqdist_is_form``,
     else against rho(v) by ``sqdist_is``.  ``int`` and ``Fraction``
     coordinates are rationals."""
-    embedding = model.embedding if isinstance(model, ModelMap) else None
     # the tables name each point object by its id; ``pairs`` holds them for the call
     source = point_table({id(p): p for pair in pairs for p in pair})
-    wanted = [_embedded_distance(model, embedding, source, id(p), id(q)) for p, q in pairs]
+    kernel = isinstance(model, ModelMap) and isinstance(source, _KernelTable)
+    mapping = model.embedding.vector_map(source.tower) if kernel else None
+    wanted = [_embedded_distance(model, mapping, source, id(p), id(q)) for p, q in pairs]
     images = _image_table(model, source)
     checks = tuple(
         PairCheck((p, q), (images.sqdist_is_form(id(p), id(q), *v) if type(v) is tuple else images.sqdist_is(id(p), id(q), v)) and kept)

@@ -217,11 +217,11 @@ def test_preservation_detects_scaling():
 
 
 def _counting_forms(monkeypatch):
-    """Counters of ``ModelMap.apply`` calls, of the integer vectors the
-    embedding maps while ``ModelMap.image_table`` runs (two per point form:
-    x and y), of the point sets (or source tables) handed to it and of the
-    tables it gives."""
-    calls, inside = {"apply": [], "vectors": [], "tables": [], "images": []}, []
+    """Counters of ``ModelMap.apply`` calls, of ``Embedding.vector_map``
+    calls, of the integer vectors the embedding maps while
+    ``ModelMap.image_table`` runs (two per point form: x and y), of the
+    point sets (or source tables) handed to it and of the tables it gives."""
+    calls, inside = {"apply": [], "maps": [], "vectors": [], "tables": [], "images": []}, []
     real_apply, real_map, real_table = ModelMap.apply, Embedding.vector_map, ModelMap.image_table
 
     def counting_apply(self, p):
@@ -229,6 +229,7 @@ def _counting_forms(monkeypatch):
         return real_apply(self, p)
 
     def counting_map(self, tower):
+        calls["maps"].append(tower)
         mapping = real_map(self, tower)
         if mapping is None or not inside:
             return mapping
@@ -266,6 +267,8 @@ def test_preservation_maps_each_point_once(monkeypatch):
         assert (len(source.points), len(pairs)) == (len(gadget.points), 241) == (162, 241)
         assert calls["apply"] == [] and len(calls["vectors"]) == 2 * formed
         assert (images is source) == (formed == 0)
+        # one vector map for the 241 source distances, and one for the forms
+        assert len(calls["maps"]) == 1 + (formed > 0)
 
 
 def test_structure_maps_each_point_once(monkeypatch, sqrt2_tower):
@@ -679,7 +682,18 @@ def _model_sweep():
     return out
 
 
+def _formula_table(model, points):
+    """The base ``cm.PointTable`` of the images of ``points`` (by name, or
+    their own table) by the generic formula."""
+    if isinstance(points, cm.PointTable):
+        points = points.points
+    return cm.PointTable({name: generic_apply(model, p) for name, p in points.items()})
+
+
 def test_image_kernels_match_the_generic_formula(monkeypatch):
+    """Every image, verdict and report of the sweep is the same when each
+    image is mapped by the generic formula and every image table is the
+    base ``cm.PointTable`` of those images."""
     kernel = _model_sweep()
     assert len(kernel) == 96 + 5 + 4
     assert all(v.ok and report.ok for _, _, _, v, report in kernel[:96])
@@ -687,6 +701,7 @@ def test_image_kernels_match_the_generic_formula(monkeypatch):
     assert [v.violated_index for v in kernel[101:]] == [0, 0] + [len(suite.replay_corpus()[0].derivation.facts) - 1] * 2
     monkeypatch.setattr(models.Embedding, "apply_scalar", generic_apply_scalar)
     monkeypatch.setattr(models.ModelMap, "apply", generic_apply)
+    monkeypatch.setattr(models.ModelMap, "image_table", _formula_table)
     generic = _model_sweep()
     # every image coordinate: the same (_n, _d) and an equal tower
     assert kernel == generic
@@ -760,11 +775,51 @@ def frame_cases(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(frame_cases())
 def test_frame_kernels_match_the_generic_formula_on_random_frames(case):
+    """The image table of random frames answers every test as the base
+    ``cm.PointTable`` of the formula images does; named points: the origin,
+    the drawn points i, the sums ("s", i) of each with the next, and their
+    multiples ("l", k, i) by a rational and, over a radical, an irrational
+    lambda_k, scaled by ``model.rho``."""
     model, shape, points = case
     # a K(eps) frame with a translation or two denominators takes the formula
     assert (model.frame._kernel is not None) == (shape in ("rational", "kfield"))
+    tower, n = points[0].x.tower, len(points)
+    lams = [tower.rational(F(-2, 3))] + ([tower.one() + tower.generator(tower.depth - 1)] if tower.depth else [])
+    named = {"o": Point(tower.zero(), tower.zero())}
+    named.update(enumerate(points))
+    named.update((("s", i), Point(p.x + points[(i + 1) % n].x, p.y + points[(i + 1) % n].y)) for i, p in enumerate(points))
+    named.update((("l", k, i), Point(lam * p.x, lam * p.y)) for k, lam in enumerate(lams) for i, p in enumerate(points))
+    table, formula = model.image_table(named), _formula_table(model, named)
+    for a, b in combinations(named, 2):
+        assert table.same(a, b) == formula.same(a, b), (a, b)
+    for i in range(n):
+        j = (i + 1) % n
+        # m(p_i + p_j) - m(p_i) - m(p_j) + m(0), with j == i for one point,
+        # and without m(0): minus the translation
+        additive = {("s", i): 1, "o": 1, i: -1}
+        additive[j] = additive.get(j, 0) - 1
+        translated = {name: c for name, c in additive.items() if name != "o"}
+        for a, b in (("o", i), (i, j), (("s", i), ("l", 0, i))):
+            # rho of the source value: a rational, as a ``Fraction``, is the
+            # formula's value and its successor is not; any other value takes
+            # the formula on the images
+            v = sqdist(named[a], named[b])
+            if v.is_rational():
+                value = v.as_fraction()
+                assert formula.sqdist(a, b) == value and table.sqdist_is(a, b, value) and not table.sqdist_is(a, b, value + 1)
+            else:
+                assert table.sqdist_is(a, b, model.rho(v))
+        for relation in (additive, translated, {("s", i): 1, i: -1, "o": -1}, {i: 2, j: -1, "o": -1}):
+            assert table.relation_vanishes(relation) == formula.relation_vanishes(relation), relation
+        for u, w in (((i, "o"), (j, "o")), ((("s", i), i), (j, "o"))):
+            assert table.dot_vanishes(u, w) == formula.dot_vanishes(u, w), (u, w)
+        for k, lam in enumerate(lams):
+            for rho in (model.rho(lam), model.rho(lam + 1)):
+                for u in ((("l", k, i), "o"), (("l", k, i), j)):
+                    assert table.scaled_is(u, (i, "o"), rho) == formula.scaled_is(u, (i, "o"), rho), (u, rho)
+            assert table.scaled_is((("l", k, i), "o"), (i, "o"), model.rho(lam))
+        assert table.relation_vanishes(additive)
     for p in points:
-        assert _point_forms(model.apply(p)) == _point_forms(generic_apply(model, p))
         for c in (p.x, p.y):
             assert _form(model.rho(c)) == _form(generic_apply_scalar(model.embedding, c))
 
@@ -798,19 +853,21 @@ def _eps_models_sweep():
 
 
 def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
-    counts = {"apply": 0, "arithmetic": 0}
+    """Building the image table of every point set of the eps sweep takes no
+    ``FunElem`` arithmetic: the tables are packed from the images' forms."""
+    counts = {"tables": 0, "arithmetic": 0}
     inside = []
-    real_apply = ModelMap.apply
+    real_table = ModelMap.image_table
 
-    def counting_apply(self, p):
-        counts["apply"] += 1
+    def counting_table(self, points):
+        counts["tables"] += 1
         inside.append(True)
         try:
-            return real_apply(self, p)
+            return real_table(self, points)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(ModelMap, "apply", counting_apply)
+    monkeypatch.setattr(ModelMap, "image_table", counting_table)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         real = getattr(FunElem, name)
 
@@ -820,14 +877,14 @@ def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
 
         monkeypatch.setattr(FunElem, name, counting)
     for model, points, _, _ in _eps_models_sweep():
-        for p in points:
-            assert isinstance(model.apply(p).x, FunElem)
-    assert counts["apply"] > 0 and counts["arithmetic"] == 0
-    # the counter does see the formula: a K(eps) frame over Q(sqrt 2)
+        assert type(model.image_table(dict(enumerate(points)))) is cm._PackedTable
+    assert counts["tables"] > 0 and counts["arithmetic"] == 0
+    # the counter does see the formula: a K(eps) frame over Q(sqrt 2), whose
+    # table maps its point by ``apply``
     s2 = adjoin_sqrt(QQ, 2).root
     model = ModelMap(Embedding("function_field"), make_pythagorean_rotation(FunElem.eps() + s2))
     assert model.frame._kernel is None
-    model.apply(Point(s2, s2.tower.one()))
+    model.image_table({"P": Point(s2, s2.tower.one())})
     assert counts["arithmetic"] > 0
 
 
@@ -858,14 +915,14 @@ def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
 
 
 def test_eps_models_square_the_denominator_once(monkeypatch):
-    """The images of one eps model share one lifted D.  Each packed image
-    table squares D at most once, on its packed vector, and no rational
-    squared distance squares D by ``FunElem`` multiplication; an irrational
-    one (criterion 9's pairs with (sqrt 2, 1)) takes rho(v) by the formula,
-    which squares D exactly twice, once per coordinate of the pair.  Each
-    ``_fmul`` squaring of D is charged to the ``sqdist_is`` comparison it
-    happens in.  ``_isq`` also squares the differences of a distance; only
-    squarings of a packed D count."""
+    """Each packed image table squares D at most once, on its packed
+    vector, and no rational squared distance squares D by ``FunElem``
+    multiplication; an irrational one (criterion 9's pairs with
+    (sqrt 2, 1)) takes rho(v) by the formula, which squares D exactly
+    twice, once per coordinate of the pair.  Each ``_fmul`` squaring of D
+    is charged to the ``sqdist_is`` comparison it happens in.  ``_isq`` also
+    squares the differences of a distance; only squarings of a packed D
+    count."""
     squares, packed, tables, packed_dens, compared = [], [], [], [], []
     real_fmul, real_isq, real_init, real_sqdist_is = scalars._fmul, cm._isq, cm._PackedTable.__init__, cm.PointTable.sqdist_is
 
@@ -895,40 +952,36 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
     monkeypatch.setattr(cm._PackedTable, "__init__", counting_init)
     monkeypatch.setattr(cm.PointTable, "sqdist_is", counting_sqdist_is)
 
-    def sweep(apply):
-        """The most lifted D objects of one model, the most squarings of D
-        by ``_fmul`` of one model outside its irrational pairs' comparisons,
-        the squarings in each irrational pair's comparison, the most
-        squarings on packed vectors of one model, and the tables built."""
-        lifted = most = most_packed = made = 0
+    def sweep():
+        """The most squarings of D by ``_fmul`` of one model outside its
+        irrational pairs' comparisons, the squarings in each irrational
+        pair's comparison, the most squarings on packed vectors of one
+        model, and the most tables built for one model."""
+        most = most_packed = made = 0
         irrational_squarings = []
         for model, points, pairs, derivation in _eps_models_sweep():
+            # D over the points' tower, as the image of (1, 0) carries it
+            tower = points[0].x.tower
+            den = model.apply(Point(tower.one(), tower.zero())).x._d
             before, packed_before, tables_before, compared_before = len(squares), len(packed), len(tables), len(compared)
             irrational = {(id(p), id(q)) for p, q in pairs if not sqdist(p, q).is_rational()}
             if derivation is not None:
                 assert check_derivation(derivation, model).ok
             assert verify_preservation(model, pairs).ok
-            images = [apply(model, p) for p in points]
-            dens = {id(c._d): c._d for q in images for c in (q.x, q.y)}
-            den = next(iter(dens.values()))
             squared = sum(s == den for s in squares[before:])
             per_pair = [sum(s == den for s in squares[a:b]) for pair, a, b in compared[compared_before:] if pair in irrational]
             assert len(per_pair) == len(irrational)
             irrational_squarings += per_pair
-            lifted, most = max(lifted, len(dens)), max(most, squared - sum(per_pair))
+            most = max(most, squared - sum(per_pair))
             most_packed, made = max(most_packed, len(packed) - packed_before), max(made, len(tables) - tables_before)
             assert len(packed) - packed_before <= len(tables) - tables_before
-        return lifted, most, irrational_squarings, most_packed, made
+        return most, irrational_squarings, most_packed, made
 
-    # one lifted D per model and tower, squared once per image table (check
-    # and preservation each build one), never by ``_fmul`` outside the 9
-    # irrational pairs of each of criterion 9's two eps models, twice in each
-    assert sweep(ModelMap.apply) == (1, 0, [2] * 18, 2, 2)
-    # the counters do see the formula, where every image lifts its own D,
-    # and a ``FunElem`` product squaring D
-    monkeypatch.setattr(ModelMap, "apply", generic_apply)
-    lifted, _, _, most_packed, _ = sweep(generic_apply)
-    assert lifted > 1 and most_packed >= 1
+    # D squared once per image table (check and preservation each build
+    # one), never by ``_fmul`` outside the 9 irrational pairs of each of
+    # criterion 9's two eps models, twice in each
+    assert sweep() == (0, [2] * 18, 2, 2)
+    # the counter does see a ``FunElem`` product squaring D
     x = 1 / (FunElem.eps() + 3)
     before = len(squares)
     x * x
