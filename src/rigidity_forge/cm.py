@@ -19,8 +19,12 @@ kernel or the table has none, and any other value to the formula),
 ``sqdist``, a squared distance as a value, is the carrier formula on every
 table.  Over one tower the tests are methods of ``_KernelTable`` on the
 integer vectors, each a few ``scalars`` kernels (``_isub``, ``_iadd``,
-``_imul``, ``_isq``); built gadgets share one ``TowerDesc`` object, so the
-tower test is an identity check.  ``FunElem``s of one tower over one
+``_imul``, ``_isq``); a product or square of sparse vectors at dimension 8
+or more (a squared distance whose difference has a few nonzero
+coordinates) sums the tower's basis products over its pairs of nonzero
+coordinates, and any other takes the halving recursion; built gadgets
+share one ``TowerDesc`` object, so the tower test is an identity check.
+``FunElem``s of one tower over one
 shared denominator D, the shape of every eps-frame image, run the same
 methods on numerators packed at eps = 2^w, w derived per table so that no
 test can carry (``_PackedTable``).  Over Q (every
@@ -304,7 +308,11 @@ class _PackedTable(_KernelTable):
     (B - 1)(1 + ... + B^(t-1))), so the test is exact if c*y has such
     coefficients for some integer c > 0.  Let |x| be the largest coefficient
     sum of a coordinate of x and (delta, C) = ``TowerDesc._product_bound``,
-    so |x + x'| <= |x| + |x'| and |delta x x'| <= C|x||x'|.  Per table,
+    read off the tower's basis products e_S*e_T = sum(s_STU e_U), the
+    structure constants that the sparse product kernels sum
+    (``scalars._basis_products``): delta is the least common denominator
+    of the s_STU and C = max over U of sum |delta s_STU|, so
+    |x + x'| <= |x| + |x'| and |delta x x'| <= C|x||x'|.  Per table,
     |N|, |D_N| < 2^a (``_bits``) for every numerator N over k and
     D = D_N/k_D, k < 2^kb, k_D < 2^kd, delta < 2^db, C < 2^cb; a difference
     of numerators is U/(k k') with |U| < 2^(a+kb+1).  The proof reads only

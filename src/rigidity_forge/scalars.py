@@ -13,9 +13,13 @@ Three carriers, all with decidable equality:
   per result and equality is a tuple comparison.  ``coords`` gives the same
   values as ``Fraction``s.  The unreduced kernels on the integer vectors
   (``_iadd``, ``_isub``, ``_imul``, ``_isq``) are what ``cm``'s point
-  tables decide the facts with; a squared distance as a value is the
-  carrier formula.  ``lift`` and ``prefix`` return the target tower object
-  itself, so a gadget's points share one ``TowerDesc``.
+  tables decide the facts with; a product or square of sparse vectors at
+  dimension 8 or more sums the tower's basis products (its structure
+  constants, which equal towers share, filled one pair at a time) over the
+  pairs of nonzero coordinates, and any other halves the basis down to
+  dimension 2.  A squared distance as a value is the carrier formula.
+  ``lift`` and ``prefix`` return the target tower object itself, so a
+  gadget's points share one ``TowerDesc``.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -51,7 +55,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from operator import add, lshift, mul, neg, sub
 from typing import Callable, Sequence, Union
@@ -142,6 +146,22 @@ class _FieldOps:
 # The ``_i*`` kernels return unreduced (vector, denominator) pairs whose
 # denominators are products of the operands' and the radicands' positive
 # denominators; ``_canon`` reduces a result once.
+#
+# A product or square takes one of two paths, by one rule on the operands'
+# nonzero counts.  The halving recursion (``_imul_halves``, ``_isq_halves``)
+# splits each operand into the halves without and with the top generator
+# and recurses down to its dimension-2 base case, pruning zero halves; it
+# moves all n coordinates of an operand at every level (slices, zero tests,
+# joins).  The sparse path (``_imul_sparse``, ``_isq_sparse``) reads each
+# operand once, and adds, for each pair (i, j) of nonzero coordinates, a_i
+# b_j times the tower's basis product e_i*e_j: one short integer row over
+# the common denominator of all of them (``_BasisProducts``).  Its traffic
+# is the n coordinates it scans plus one row per pair it reads, so it is
+# taken at n >= 8 when the pairs are at most n: nnz(a)*nnz(b) <= n for a
+# product, and nnz(a)^2 <= 2n for a square, which reads each unordered pair
+# once, about nnz(a)^2/2 of them.  Below dimension 8 the base case answers
+# in a few multiplications that no table lookup beats; a dense operand
+# takes the recursion at every dimension.
 # ---------------------------------------------------------------------------
 
 IVec = tuple[int, ...]
@@ -186,7 +206,27 @@ def _ijoin(u: IVec, ku: int, v: IVec, kv: int) -> tuple[IVec, int]:
 
 
 def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
-    """The product of the integer vectors a and b."""
+    """The product of the integer vectors a and b: over their nonzero
+    coordinates when nnz(a)*nnz(b) <= n at dimension n >= 8 (see the
+    comment above), else by the halving recursion."""
+    n = len(a)
+    if n >= 8 and (n - a.count(0)) * (n - b.count(0)) <= n:
+        return _imul_sparse(rads, a, b)
+    return _imul_halves(rads, a, b)
+
+
+def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
+    """The square of the integer vector a: over its nonzero coordinates when
+    nnz(a)^2 <= 2n at dimension n >= 8 (see the comment above), else by the
+    halving recursion."""
+    n = len(a)
+    if n >= 8 and (n - a.count(0)) ** 2 <= 2 * n:
+        return _isq_sparse(rads, a)
+    return _isq_halves(rads, a)
+
+
+def _imul_halves(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
+    """a * b by the halving recursion, down to dimension 2."""
     n = len(a)
     if n == 1:
         return (a[0] * b[0],), 1
@@ -204,23 +244,24 @@ def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
     al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
     # prune zero halves: elements rarely use the whole radical basis
     if not any(ah):
-        lo, k = _imul(rads, al, bl)
+        lo, k = _imul_halves(rads, al, bl)
         if not any(bh):
             return lo + (0,) * h, k
-        return _ijoin(lo, k, *_imul(rads, al, bh))
+        return _ijoin(lo, k, *_imul_halves(rads, al, bh))
     if not any(bh):
-        return _ijoin(*_imul(rads, al, bl), *_imul(rads, ah, bl))
+        return _ijoin(*_imul_halves(rads, al, bl), *_imul_halves(rads, ah, bl))
     rn, rd = rads[h.bit_length() - 1]
-    p, kp = _imul(rads, ah, bh)
-    q, kq = _imul(rads, p, rn)
-    lo = _iadd(*_imul(rads, al, bl), q, kp * kq * rd)
-    hi = _iadd(*_imul(rads, al, bh), *_imul(rads, ah, bl))
+    p, kp = _imul_halves(rads, ah, bh)
+    q, kq = _imul_halves(rads, p, rn)
+    lo = _iadd(*_imul_halves(rads, al, bl), q, kp * kq * rd)
+    hi = _iadd(*_imul_halves(rads, al, bh), *_imul_halves(rads, ah, bl))
     return _ijoin(*lo, *hi)
 
 
-def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
-    """The square of the integer vector a: (lo + hi*g)^2 = lo^2 + hi^2*r +
-    2*lo*hi*g takes three half-size products where ``_imul`` takes four."""
+def _isq_halves(rads: Rads, a: IVec) -> tuple[IVec, int]:
+    """a^2 by the halving recursion: (lo + hi*g)^2 = lo^2 + hi^2*r +
+    2*lo*hi*g takes three half-size products where ``_imul_halves`` takes
+    four."""
     n = len(a)
     if n == 1:
         return (a[0] * a[0],), 1
@@ -235,16 +276,110 @@ def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
     h = n >> 1
     lo, hi = a[:h], a[h:]
     if not any(hi):
-        s, k = _isq(rads, lo)
+        s, k = _isq_halves(rads, lo)
         return s + (0,) * h, k
     rn, rd = rads[h.bit_length() - 1]
-    p, kp = _isq(rads, hi)
-    q, kq = _imul(rads, p, rn)
+    p, kp = _isq_halves(rads, hi)
+    q, kq = _imul_halves(rads, p, rn)
     k = kp * kq * rd
     if not any(lo):
         return q + (0,) * h, k
-    m, km = _imul(rads, lo, hi)
-    return _ijoin(*_iadd(*_isq(rads, lo), q, k), tuple([2 * c for c in m]), km)
+    m, km = _imul_halves(rads, lo, hi)
+    return _ijoin(*_iadd(*_isq_halves(rads, lo), q, k), tuple([2 * c for c in m]), km)
+
+
+class _BasisProducts:
+    """The structure constants of the tower with radicands ``rads``: each
+    product e_i*e_j of two basis monomials, i <= j, as the integer row
+    ``den``*e_i*e_j, kept as its nonzero (coordinate, value) pairs under the
+    key i*dim + j in ``rows`` and filled on first use (``fill``, by the
+    halving recursion on e_i and e_j).
+
+    ``den`` is a common denominator of every product, fixed before any is
+    filled: D_0 = 1 and D_k = D_(k-1) rd_k, times D_(k-1) again when the
+    radicand r_k/rd_k has a coordinate past the first.  Induction on k: for
+    integer vectors x = x0 + x1 g and y = y0 + y1 g of depth k,
+    xy = x0 y0 + (x0 y1 + x1 y0) g + x1 y1 r_k/rd_k, where x1 y1 = w/D_(k-1)
+    with w integral; w r_k is integral when r_k is rational and lies over
+    D_(k-1) otherwise, so x1 y1 r_k/rd_k lies over D_(k-1) rd_k or
+    D_(k-1)^2 rd_k.  The square can be needed: in Q(sqrt(1/2),
+    sqrt(3 + r0), sqrt(r0*r1)) every product of depth 2 lies over 2, but
+    e_7^2 = 3/2 r0*r1 + r1/4 lies over 4."""
+
+    __slots__ = ("rads", "dim", "den", "rows")
+
+    def __init__(self, rads: Rads) -> None:
+        self.rads, self.dim, self.den, self.rows = rads, 1 << len(rads), 1, {}
+        for rn, rd in rads:
+            self.den *= rd * (self.den if any(rn[1:]) else 1)
+
+    def fill(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """The row of e_i*e_j, computed and kept."""
+        if i > j:
+            i, j = j, i
+        n = self.dim
+        e = lambda m: (0,) * m + (1,) + (0,) * (n - 1 - m)
+        c, k = _canon(*_imul_halves(self.rads, e(i), e(j)))
+        s = self.den // k
+        row = self.rows[i * n + j] = tuple([(u, v * s) for u, v in enumerate(c) if v])
+        return row
+
+
+# The basis products of the last ``_BASES_KEPT`` towers used, oldest first,
+# keyed by their radicands: equal towers, however many ``TowerDesc``
+# objects a build makes of them, share one table.  A depth-8 tower has
+# 32,896 unordered pairs; a sparse product fills only the ones it reads.
+_BASES_KEPT = 32
+_bases: dict[Rads, _BasisProducts] = {}
+
+
+def _basis_products(rads: Rads, n: int) -> _BasisProducts:
+    """The basis products of the subtower of dimension n."""
+    depth = n.bit_length() - 1
+    if len(rads) != depth:
+        rads = rads[:depth]
+    basis = _bases.get(rads)
+    if basis is None:
+        if len(_bases) >= _BASES_KEPT:
+            del _bases[next(iter(_bases))]
+        basis = _bases[rads] = _BasisProducts(rads)
+    return basis
+
+
+def _imul_sparse(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
+    """a * b as the sum of a_i b_j e_i*e_j over the nonzero coordinates,
+    over the basis products' common denominator."""
+    n = len(a)
+    basis = _basis_products(rads, n)
+    rows, fill, out = basis.rows, basis.fill, [0] * n
+    js = list(compress(range(n), b))
+    for i in compress(range(n), a):
+        x = a[i]
+        for j in js:
+            c = x * b[j]
+            for u, v in rows.get(i * n + j if i <= j else j * n + i) or fill(i, j):
+                out[u] += c * v
+    return tuple(out), basis.den
+
+
+def _isq_sparse(rads: Rads, a: IVec) -> tuple[IVec, int]:
+    """a^2 as the sum of a_i^2 e_i^2 and 2 a_i a_j e_i*e_j over the nonzero
+    coordinates, i < j, over the basis products' common denominator."""
+    n = len(a)
+    basis = _basis_products(rads, n)
+    rows, fill, out = basis.rows, basis.fill, [0] * n
+    nz = list(compress(range(n), a))
+    for p, i in enumerate(nz):
+        x = a[i]
+        c = x * x
+        for u, v in rows.get(i * n + i) or fill(i, i):
+            out[u] += c * v
+        x2 = 2 * x
+        for j in nz[p + 1 :]:
+            c = x2 * a[j]
+            for u, v in rows.get(i * n + j) or fill(i, j):
+                out[u] += c * v
+    return tuple(out), basis.den
 
 
 def _mul(rads: Rads, a: IVec, da: int, b: IVec, db: int) -> tuple[IVec, int]:
@@ -401,10 +536,12 @@ class TowerDesc:
     def _product_bound(self) -> tuple[int, int]:
         """(delta, c): for x, y in Z[eps]^dim, delta*x*y is integral and
         |delta*x*y| <= c|x||y|, |x| the largest coefficient sum of a
-        coordinate: with e_S*e_T = sum(s_STU e_U), delta is the common
-        denominator of the s_STU and c = max over U of sum |delta*s_STU|."""
+        coordinate: with e_S*e_T = sum(s_STU e_U), the tower's basis products
+        (``_BasisProducts``, read by the sparse product kernel), delta is the
+        least common denominator of the s_STU and c = max over U of
+        sum |delta*s_STU|."""
         basis = [tuple([int(i == j) for j in range(self.dim)]) for i in range(self.dim)]
-        products = [_canon(*_imul(self._rads, a, b)) for a in basis for b in basis]
+        products = [_canon(*_imul_sparse(self._rads, a, b)) for a in basis for b in basis]
         delta = lcm(*[k for _, k in products])
         return delta, max(sum([abs(v[u]) * (delta // k) for v, k in products]) for u in range(self.dim))
 

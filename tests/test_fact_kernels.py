@@ -1045,6 +1045,34 @@ def test_radical_build_tables_give_the_oracle_verdicts(monkeypatch):
     assert kernel == _verdicts_and_reports(derivations, monkeypatch)
 
 
+def test_sparse_kernels_keep_every_verdict():
+    """The sparse paths of ``_imul`` and ``_isq`` change no verdict: every
+    corpus x ``model_family`` check and preservation report, criterion 9's
+    structure reports and the negative controls, and the radical-build
+    constructions (their encoded derivations and their verdicts under
+    identity and each automorphic conjugation), come out the same when
+    every product and square takes the halving recursion."""
+    halves = dict(_imul=scalars._imul_halves, _isq=scalars._isq_halves)
+    taken = []
+    real_isq_sparse = scalars._isq_sparse
+
+    def counted(rads, a):
+        taken.append(len(a))
+        return real_isq_sparse(rads, a)
+
+    items = soundness_items()
+
+    def run():
+        built = [replay(build()) for _, _, build in radical_build_templates()]
+        return [item() for item in items], [codec.dumps(codec.encode_derivation(d)) for d in built], _verdicts_and_reports(built)
+
+    with mock.patch.object(scalars, "_isq_sparse", counted):
+        sparse = run()
+    assert 8 in taken and 16 in taken
+    with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, **halves):
+        assert run() == sparse
+
+
 def _rationals(seed: int):
     """Rationals from a seeded generator: zeros, small fractions, and
     4,000-digit numerators and denominators."""

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +38,9 @@ from rigidity_forge.scalars import (
     _iadd,
     _ijoin,
     _imul,
+    _imul_halves,
     _isq,
+    _isq_halves,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -822,13 +825,64 @@ def recursive_isq(rads, a):
 sparse_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(10**40), 10**40))
 
 
+def takes_sparse_mul(a, b) -> bool:
+    """The density rule of ``_imul``: nnz(a)*nnz(b) <= n at n >= 8."""
+    n = len(a)
+    return n >= 8 and (n - a.count(0)) * (n - b.count(0)) <= n
+
+
+def takes_sparse_sq(a) -> bool:
+    """The density rule of ``_isq``: nnz(a)^2 <= 2n at n >= 8."""
+    n = len(a)
+    return n >= 8 and (n - a.count(0)) ** 2 <= 2 * n
+
+
+def basis_form(rads, a, b):
+    """The documented form of a sparse product: the sum of a_i b_j D e_i*e_j
+    over D, each e_i*e_j the oracle recursion's product of unit vectors,
+    reduced and scaled to D, and D the common denominator of the basis
+    products: D_0 = 1 and D_k = D_(k-1) rd_k, times D_(k-1) again when
+    the radicand has a coordinate past the first."""
+    n = len(a)
+    den = 1
+    for rn, rd in rads[: n.bit_length() - 1]:
+        den *= rd * (den if any(rn[1:]) else 1)
+    unit = lambda i: tuple(int(i == u) for u in range(n))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if a[i] and b[j]:
+                c, k = _canon(*recursive_imul(rads, unit(i), unit(j)))
+                assert den % k == 0
+                for u in range(n):
+                    out[u] += a[i] * b[j] * c[u] * (den // k)
+    return tuple(out), den
+
+
 @st.composite
 def integer_vector_pairs(draw):
     """Two raw integer vectors over a tower of depth 1-4; radicands with a
-    denominator come from the fractional family and the circle towers."""
+    denominator come from the fractional family and the circle towers.  A
+    zero-heavy vector keeps at most four coordinates, so products and
+    squares at dimensions 8 and 16 reach both sides of the density rule."""
     tower = draw(st.sampled_from([t for t in KERNEL_TOWERS if t.depth >= 1]))
-    vector = st.lists(sparse_ints, min_size=tower.dim, max_size=tower.dim).map(tuple)
-    return tower, draw(vector), draw(vector)
+
+    def vector():
+        v = draw(st.lists(sparse_ints, min_size=tower.dim, max_size=tower.dim))
+        if draw(st.booleans()):
+            kept = draw(st.sets(st.integers(0, tower.dim - 1), max_size=4))
+            v = [c if i in kept else 0 for i, c in enumerate(v)]
+        return tuple(v)
+
+    return tower, vector(), vector()
+
+
+def _unit_sum(n, *terms):
+    """The integer vector of length n with the given (coordinate, value) terms."""
+    v = [0] * n
+    for i, c in terms:
+        v[i] = c
+    return tuple(v)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -836,12 +890,165 @@ def integer_vector_pairs(draw):
 @example((FRACTIONAL_TOWERS[1], (0, 3), (5, 0)))
 @example((FRACTIONAL_TOWERS[1], (2, 3), (5, -7)))
 @example((FRACTIONAL_TOWERS[2], (1, 0, 0, 4), (0, 2, 6, 0)))
+@example((FRACTIONAL_TOWERS[3], _unit_sum(8, (3, 2), (6, -5)), _unit_sum(8, (5, 7), (7, 1), (1, 3), (2, -4))))
+@example((FRACTIONAL_TOWERS[4], _unit_sum(16, (3, 2), (6, -5), (15, 9), (9, 1)), _unit_sum(16, (5, 7), (7, 1), (12, 3), (14, -4))))
+@example((INTEGER_TOWERS[4], _unit_sum(16, (3, 2), (6, -5), (15, 9), (9, 1), (0, 3)), _unit_sum(16, (5, 7), (7, 1), (12, 3), (14, -4))))
+@example((_circle_towers()[1], _unit_sum(8, (7, 10**40), (3, -1)), _unit_sum(8, (7, 2), (6, 3), (5, -1), (4, 4))))
 def test_dimension_2_base_case_matches_the_recursive_kernels(case):
+    """The halving recursion keeps the exact (vector, k) of the recursion
+    run down to dimension 1 on every operand.  ``_imul`` and ``_isq``
+    return it wherever the density rule keeps the recursion; where the rule
+    takes the sparse path they return the same value, exactly in the form
+    over the basis products' common denominator (``basis_form``)."""
     tower, a, b = case
     rads = tower._rads
     for x, y in ((a, b), (b, a), (a, a), (a[:2], b[:2])):
-        assert _imul(rads, x, y) == recursive_imul(rads, x, y)
-        assert _isq(rads, x) == recursive_isq(rads, x)
+        assert _imul_halves(rads, x, y) == recursive_imul(rads, x, y)
+        assert _isq_halves(rads, x) == recursive_isq(rads, x)
+        for got, oracle, sparse, pair in (
+            (_imul(rads, x, y), recursive_imul(rads, x, y), takes_sparse_mul(x, y), (x, y)),
+            (_isq(rads, x), recursive_isq(rads, x), takes_sparse_sq(x), (x, x)),
+        ):
+            if sparse:
+                assert _canon(*got) == _canon(*oracle) and got == basis_form(rads, *pair)
+            else:
+                assert got == oracle
+
+
+# a depth-8 tower (``codec.MAX_TOWER_DEPTH``) of rational, fractional and
+# irrational radicands.  Its depth-3 prefix, Q(sqrt(1/2), sqrt(3 + r0),
+# sqrt(r0*r1)), has basis products over 4 (e_7^2 = 3/2 r0*r1 + r1/4), so
+# the common denominator must square D_2 = 2 at an irrational radicand.
+DEPTH_8 = _tower_chain(
+    Fraction(1, 2),
+    lambda t: t.rational(3) + t.generator(0),
+    lambda t: t.generator(0) * t.generator(1),
+    5,
+    Fraction(7, 3),
+    lambda t: t.rational(Fraction(1, 3)) + t.generator(1),
+    11,
+    Fraction(13, 5),
+)[-1]
+
+
+def test_basis_products_are_the_recursions_products():
+    """Every basis product e_i*e_j that the sparse kernel reads, over the
+    common denominator, is the halving recursion's product, on every kernel
+    tower and on the prefixes of ``DEPTH_8`` up to depth 5."""
+    for tower in KERNEL_TOWERS + [DEPTH_8.prefix(depth) for depth in range(6)]:
+        n = tower.dim
+        units = [tuple(int(i == u) for u in range(n)) for i in range(n)]
+        for a in units:
+            for b in units:
+                assert _canon(*scalars._imul_sparse(tower._rads, a, b)) == _canon(*_imul_halves(tower._rads, a, b))
+
+
+@st.composite
+def density_cases(draw):
+    """A tower of ``KERNEL_TOWERS`` or ``DEPTH_8``, and three elements: x and
+    y for a product and s for a square.  They are dense, or zero-heavy with
+    x's count drawn and y's and s's on the density rule's edge (n // nnz(x)
+    and isqrt(2n)) or one past it.  Depth-8 operands are zero-heavy: a dense
+    one takes the recursion (``test_depth_8_kernels_fill_only_the_pairs_they_read``),
+    and its inverse alone takes about 0.3 s.  Supports and coefficients
+    come from a drawn seed, as 256 draws per depth-8 operand cost seconds."""
+    tower = draw(st.sampled_from(KERNEL_TOWERS + [DEPTH_8]))
+    n = tower.dim
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def element(nnz):
+        support = rng.sample(range(n), min(nnz, n))
+        coords = [Fraction(0)] * n
+        for i in support:
+            coords[i] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+        return TowerElem(tower, coords)
+
+    if tower is not DEPTH_8 and draw(st.booleans()):
+        return tower, element(n), element(n), element(n)
+    past = draw(st.integers(0, 1))
+    kx = draw(st.integers(1, min(n, 8)))
+    return tower, element(kx), element(n // kx + past), element(isqrt(2 * n) + past)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(density_cases())
+def test_sparse_kernels_match_the_recursion(case):
+    """``_imul``, ``_isq``, ``_inv`` and ``TowerElem`` ``*`` give the values
+    that the halving recursion gives, on dense and zero-heavy operands on
+    both sides of the density rule."""
+    tower, x, y, s = case
+    rads = tower._rads
+
+    def values():
+        return (
+            _canon(*scalars._imul(rads, x._n, y._n)),
+            _canon(*scalars._isq(rads, s._n)),
+            scalars._inv(rads, x._n, x._d),
+            x * y,
+            s * s,
+        )
+
+    fast = values()
+    with mock.patch.multiple(scalars, _imul=scalars._imul_halves, _isq=scalars._isq_halves):
+        assert values() == fast
+
+
+def test_depth_8_kernels_fill_only_the_pairs_they_read(monkeypatch):
+    """Bounded cost at depth 8, by counters and with no clock: dense
+    operands take the recursion and fill no basis product; a product or
+    square at the density rule's edge takes the sparse path and fills
+    exactly the unordered pairs of nonzero coordinates it reads that were
+    not filled before, at most nnz(a)*nnz(b); one nonzero coordinate past
+    the edge takes the recursion.  Run on its own, the tower's basis
+    products start empty and every pair read is a fill."""
+    rads, n = DEPTH_8._rads, DEPTH_8.dim
+    basis = scalars._basis_products(rads, n)
+    sparse, fills = [], []
+    for name in ("_imul_sparse", "_isq_sparse"):
+        real = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda *args, name=name, real=real: sparse.append(name) or real(*args))
+    real_fill = scalars._BasisProducts.fill
+    monkeypatch.setattr(scalars._BasisProducts, "fill", lambda self, i, j: fills.append(self) or real_fill(self, i, j))
+    rng = random.Random(8)
+
+    def vector(nnz, support=None):
+        v = [0] * n
+        for i in support or rng.sample(range(n), nnz):
+            v[i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        return tuple(v)
+
+    def read(a, b):
+        """The keys of the unordered pairs of nonzero coordinates of a and b."""
+        nz = lambda v: [i for i, c in enumerate(v) if c]
+        return {min(i, j) * n + max(i, j) for i in nz(a) for j in nz(b)}
+
+    dense, filled = vector(n), len(basis.rows)
+    _imul(rads, dense, dense[::-1])
+    _isq(rads, dense)
+    assert sparse == [] and fills == [] and len(basis.rows) == filled
+    fresh, everything = not basis.rows, set()
+    a16 = vector(16)
+    # b shares a's support, so the product reads each unordered pair in both orders
+    b16 = vector(16, [i for i, c in enumerate(a16) if c])
+    for a, b, kernel in ((a16, b16, "_imul_sparse"), (vector(22), None, "_isq_sparse")):
+        pairs = read(a, a if b is None else b)
+        new = pairs - basis.rows.keys()
+        everything |= pairs
+        if b is None:
+            _isq(rads, a)
+            assert len(pairs) <= 22 * 23 // 2
+        else:
+            _imul(rads, a, b)
+            assert len(pairs) <= 16 * 16
+        assert sparse.pop() == kernel and len(basis.rows) - filled == len(new) == len(fills)
+        fills.clear()
+        filled = len(basis.rows)
+        # one nonzero coordinate past the edge: 17 * 16 > 256 and 23^2 > 512
+        extra = list(a)
+        extra[extra.index(0)] = 1
+        _imul(rads, tuple(extra), b) if b is not None else _isq(rads, tuple(extra))
+        assert sparse == [] and fills == [] and len(basis.rows) == filled
+    assert not fresh or basis.rows.keys() == everything
 
 
 HASH_MODULUS = sys.hash_info.modulus
