@@ -24,28 +24,26 @@ or more (a squared distance whose difference has a few nonzero
 coordinates) sums the tower's basis products over its pairs of nonzero
 coordinates, and any other takes the halving recursion; built gadgets
 share one ``TowerDesc`` object, so the tower test is an identity check.
-``FunElem``s of one tower over one
-shared denominator D, the shape of every eps-frame image, run the same
-methods on numerators packed at eps = 2^w, w derived per table so that no
-test can carry (``_PackedTable``).  Over Q (every
-coordinate a ``TowerElem`` of depth 0) the table holds each point as plain
-``int`` coordinates over one denominator, the ``lcm`` of its two; a squared
-distance with value a/b is then b*(dx^2 + dy^2) == a*k^2, for the
-difference (dx, dy) over k, and point equality and the integer combinations
-are a few integer operations each; the dot products take the tower kernel
-at depth 0.  The denominators are kept per point: one common denominator L
+Over Q (every coordinate a ``TowerElem`` of depth 0) the table holds each
+point as plain ``int`` coordinates over one denominator, the ``lcm`` of its
+two; a squared distance with value a/b is then b*(dx^2 + dy^2) == a*k^2,
+for the difference (dx, dy) over k, and point equality and the integer
+combinations are a few integer operations each; the dot products take the
+tower kernel at depth 0.  The denominators are kept per point: one common denominator L
 of all the points would grow with their number (L^2 had 4.2 million bits on
 80 points with distinct 4,000-digit denominators).  Every other point set
-(coordinates over different towers or denominators, ``Fraction``,
+(coordinates over different towers, ``FunElem``, ``Fraction``,
 ``Polynomial``) takes the base ``PointTable``, the carrier formula, which
 is also the reference the kernels are tested against.
 
-A kernel table is also built from forms (``form_table``, and
-``_PackedTable`` given a packing): ``models.ModelMap.image_table`` hands it
-each image's unreduced integer form, with no image element built and no
-coordinate classified; its ``points`` map an image by ``apply`` only when
-a formula fallback reads one.  Every kernel table compares two points by
-cross-multiplying (``same``), as these forms need not be canonical.
+A kernel table is also built from forms (``form_table``):
+``models.ModelMap.image_table`` hands it each image's unreduced integer
+form, with no image element built and no coordinate classified; its
+``points`` map an image by ``apply`` only when a formula fallback reads
+one.  Every kernel table compares two points by cross-multiplying
+(``same``), as these forms need not be canonical.  K(eps) images are
+decided in ``models``: its ``_PackedTable``, a ``_KernelTable`` on
+numerators packed at eps = 2^w, is the one kernel table over K(eps).
 
 The facts are written once, against the table's tests; a fact given a
 plain mapping builds the table of its points.  A table lives for one call.
@@ -54,13 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .poly import det
-from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _funit, _iadd, _imul, _isq, _isub, fun_pack
+from .scalars import QQ, IVec, TowerDesc, TowerElem, _iadd, _imul, _isq, _isub
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -114,11 +112,11 @@ def rational_point(x, y, tower: TowerDesc = QQ) -> Point:
     return Point(tower.rational(Fraction(x)), tower.rational(Fraction(y)))
 
 
-def _one_tower(coords: Sequence[Scalar], carrier: type = TowerElem) -> TowerDesc | None:
-    """The tower of ``coords`` if all are ``carrier``s of one tower."""
+def _one_tower(coords: Sequence[Scalar]) -> TowerDesc | None:
+    """The tower of ``coords`` if all are ``TowerElem``s of one tower."""
     tower = None
     for c in coords:
-        if not isinstance(c, carrier):
+        if not isinstance(c, TowerElem):
             return None
         if tower is None:
             tower = c.tower
@@ -281,103 +279,6 @@ class _Form:
         self._n, self._d = n, d
 
 
-def _bits(top: int, rows: int) -> int:
-    """a with |P| < 2^a (``_PackedTable``) for every P of at most ``rows``
-    integer rows whose coefficients are at most ``top`` in absolute value."""
-    return top.bit_length() + rows.bit_length()
-
-
-class _PackedTable(_KernelTable):
-    """``FunElem``s of one tower over one denominator pair D, the shape of
-    every eps-frame image: an equation homogeneous in D holds iff it holds on
-    the numerators, so each numerator (integer rows over k) is packed once,
-    when the table is built, at eps = B = 2^w (``scalars.fun_pack``), D^2
-    once per table, and the ``_KernelTable`` tests decide every test on the
-    packed vectors.  The table is given the bounds of its numerators and D:
-    ``top``, the largest |coefficient|, ``rows``, the most rows, and ``k``,
-    the largest numerator denominator; then ``pack(shifts)`` gives each
-    point's packed coordinates.  ``point_table`` reads them off canonical
-    ``FunElem``s; ``models`` bounds the unreduced forms of eps-frame images
-    and packs those.
-
-    Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
-    tower product has rational structure constants, so a kernel returns
-    n/k = y(B), y in Q[eps]^dim the value the test asks to be zero, and
-    answers n == 0.  A nonzero integer polynomial with every coefficient
-    below B in absolute value does not vanish at B (its top term B^t exceeds
-    (B - 1)(1 + ... + B^(t-1))), so the test is exact if c*y has such
-    coefficients for some integer c > 0.  Let |x| be the largest coefficient
-    sum of a coordinate of x and (delta, C) = ``TowerDesc._product_bound``,
-    read off the tower's basis products e_S*e_T = sum(s_STU e_U), the
-    structure constants that the sparse product kernels sum
-    (``scalars._basis_products``): delta is the least common denominator
-    of the s_STU and C = max over U of sum |delta s_STU|, so
-    |x + x'| <= |x| + |x'| and |delta x x'| <= C|x||x'|.  Per table,
-    |N|, |D_N| < 2^a (``_bits``) for every numerator N over k and
-    D = D_N/k_D, k < 2^kb, k_D < 2^kd, delta < 2^db, C < 2^cb; a difference
-    of numerators is U/(k k') with |U| < 2^(a+kb+1).  The proof reads only
-    these bounds: N/k need not be reduced, so an unreduced form whose
-    coefficients and denominator are bounded by a and kb is packed as it is.
-    A constant fits if its numerator and denominator are below 2^s,
-    s = 2(a + kb) + 64 (a squared distance of the points, with room); one
-    that does not takes the formula.  w = max(t1, t2) + 1,
-    t1 = db + cb + s + 2a + 6kb + 2kd + 3 and t2 = 2cb + s + 2a + 8kb, is
-    derived, not set, and bounds every shape:
-    - ``sqdist_is_form`` against a rational m/e, |m| and e integers that
-      fit, so the product by D^2 is the scalar multiple m D_N^2 and
-      c = delta e (k1 k2 k3 k4 k_D)^2:
-      2 e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C |m| |D_N|^2 < 2^t1 + 2^t2;
-    - ``same``, c = k k': |U| < 2^(a+kb+1);
-    - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
-    - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:
-      2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
-    - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
-      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
-
-    __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square", "_rho")
-
-    def __init__(self, points: Mapping, tower: TowerDesc, den: IPoly, top: int, rows: int, k: int, pack: Callable) -> None:
-        a, kb = _bits(top, rows), k.bit_length()
-        s, (db, cb) = 2 * (a + kb) + 64, (b.bit_length() for b in tower._product_bound)
-        w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * den[1].bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
-        shifts = self._shifts = range(0, w * rows, w)
-        super().__init__(points, tower, pack(shifts))
-        self._den, self._budget, self._kb, self._square, self._rho = den, s, kb, None, (None, None)
-
-    sqdist_num = PointTable.sqdist_num
-
-    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
-        """The packed n/k_n against m/e * D^2, D^2 = square/(k k_D^2), on
-        every coordinate; a constant that does not fit takes the formula."""
-        if max(abs(m), e).bit_length() > self._budget:
-            return PointTable.sqdist_is_form(self, p, q, m, e)
-        if self._square is None:
-            self._square = _isq(self.tower._rads, fun_pack(self._den[0], self.tower.dim, self._shifts))
-        (square, k), k_d = self._square, self._den[1]
-        n, k_n = _KernelTable.sqdist_num(self, p, q)
-        f, g = e * k * k_d * k_d, m * k_n
-        return all(x * f == y * g for x, y in zip(n, square))
-
-    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        if sum(map(abs, relation.values())).bit_length() + len(relation) * self._kb > self._budget:
-            return PointTable.relation_vanishes(self, relation)
-        return super().relation_vanishes(relation)
-
-    def _constant(self, rho):
-        """rho packed, if a fitting constant of the tower over 1; else None.
-        The last rho is kept with its packing, so a run of tests with one
-        rho packs it once."""
-        if self._rho[0] is not rho:
-            packed = None
-            if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d):
-                (rows, k), shifts = rho._n, self._shifts
-                top = max(map(abs, chain.from_iterable(rows)), default=0)
-                if len(rows) <= len(shifts) and max(_bits(top, len(rows)), k.bit_length()) <= self._budget:
-                    packed = _Form(fun_pack(rows, self.tower.dim, shifts), k)
-            self._rho = (rho, packed)
-        return self._rho[1]
-
-
 class _RationalTable(_KernelTable):
     """Points of Q, each held as plain integers (X, Y, d): its coordinates
     over their least common denominator d, so equal points have equal
@@ -422,23 +323,13 @@ class _RationalTable(_KernelTable):
 def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
     """The table of ``points``, its carrier picked once for all of them, in
     one scan of their coordinates: plain integers when every coordinate is a
-    ``TowerElem`` of Q; the tower kernels for one tower, and on packed
-    numerators for ``FunElem``s of one tower over one denominator pair;
+    ``TowerElem`` of Q; the tower kernels for ``TowerElem``s of one tower;
     otherwise the formula (``PointTable``).  A table is returned as it is."""
     if isinstance(points, PointTable):
         return points
     values = points.values()
-    coords = [p.x for p in values] + [p.y for p in values]
-    towers = not (coords and isinstance(coords[0], FunElem))
-    tower = _one_tower(coords, TowerElem if towers else FunElem)
-    if tower is None or not towers and any(c._d != coords[0]._d for c in coords):
-        return PointTable(points)
-    if not towers:
-        polys, dim = [x._n[0] for x in coords] + [coords[0]._d[0]], tower.dim
-        top, k = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0), max([x._n[1] for x in coords])
-        pack = lambda shifts: {name: Point(*[_Form(fun_pack(c._n[0], dim, shifts), c._n[1]) for c in (p.x, p.y)]) for name, p in points.items()}
-        return _PackedTable(points, tower, coords[0]._d, top, max(map(len, polys)), k, pack)
-    return form_table(points, tower)
+    tower = _one_tower([p.x for p in values] + [p.y for p in values])
+    return PointTable(points) if tower is None else form_table(points, tower)
 
 
 def form_table(points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> _KernelTable:

@@ -16,17 +16,21 @@ tower.  An embedding maps an integer vector by one method,
 ``Embedding.vector_map``: identity and inclusion keep it, and a conjugation
 of an element over a prefix of its domain pads the vector and flips the
 signs of the coordinates that hold the generator.  A frame maps the
-vectors by its integer rows (``scalars.frame_rows`` and ``frame_form``): a
-rational frame takes a*x + b*y + c over one ``lcm``; a K(eps) frame over Q
-on one denominator D builds each image numerator from its rational rows,
-over D lifted to the points' tower.  ``image_table`` hands the forms of a
-whole point set, unreduced, to their ``cm`` table (``cm.form_table``, and
-for a K(eps) frame ``cm._PackedTable``, which packs the frame's rows once
-at its width and each image numerator as it is), so a check builds and
-classifies no image.  The forms do not apply to frames with irrational or
-mixed entries, ``FunElem`` inputs, rational coordinates, mixed towers or
-points outside a conjugation's domain prefix: there ``image_table`` maps
-each point by ``apply`` into ``cm.point_table``.  The generic conjugation
+vectors by its integer rows (the frame forms ``frame_rows``,
+``frame_scales`` and ``frame_form``): a rational frame takes a*x + b*y + c
+over one ``lcm``; a K(eps) frame over Q on one denominator D builds each
+image numerator from its rational rows, over D lifted to the points'
+tower.  ``image_table`` hands the forms of a whole point set, unreduced, to
+their table (``cm.form_table``, and for a K(eps) frame ``_PackedTable``,
+which packs the frame's rows once at its width and each image numerator
+as it is), so a check builds and classifies no image.  The forms apply
+with no frame or a frame with integer rows, under every embedding: the
+inclusion into K(eps) keeps the vector, its images being K's own values.
+They do not apply to other frames (a K(eps) frame with a translation or
+entries over a tower among them), ``FunElem`` inputs, rational
+coordinates, mixed towers or points outside a conjugation's domain prefix:
+there ``image_table`` maps each point by ``apply`` into ``cm.point_table``,
+the formula for ``FunElem`` images.  The generic conjugation
 carries a point into its domain by ``scalars.tower_join``.  Every embedding
 fixes Q, so ``int`` and ``Fraction`` values are elements of Q.
 
@@ -56,26 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 from operator import mul
 from typing import Any, Callable, Mapping, Sequence
 
-from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, _PackedTable, circle_point, form_table, point_table
-from .scalars import (
-    QQ,
-    FunElem,
-    IVec,
-    TowerDesc,
-    TowerElem,
-    _canon,
-    _elem,
-    frame_form,
-    frame_rows,
-    frame_scales,
-    fun_pack,
-    tower_conjugate,
-    tower_join,
-)
+from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, circle_point, form_table, point_table
+from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _canon, _elem, _funit, _isq, fun_pack, tower_conjugate, tower_join
 
 
 def _kept(n: IVec) -> IVec:
@@ -182,7 +173,7 @@ class OrthoAffine:
 
     ``apply`` is the formula.  Two frame shapes also carry integer rows,
     ``_kernel``, that map two ``TowerElem``s of one tower straight to the
-    integer form of the image (``scalars.frame_form``): a rational frame (every
+    integer form of the image (``frame_form``): a rational frame (every
     entry an ``int`` or ``Fraction``) and a K(eps) frame (``_kfield``: every
     matrix entry a ``FunElem`` over Q, all over one denominator D, no
     translation), whose images lie over D lifted to the points' tower.
@@ -256,22 +247,15 @@ class ModelMap:
     """Embedding applied coordinatewise, then an orthogonal-affine frame.
 
     The images of two ``TowerElem``s of one tower that ``Embedding.vector_map``
-    takes are built on the integer form (``_forms``): with no frame under a
-    conjugation, through a frame's integer rows otherwise, and under the
-    inclusion into K(eps) only through a K(eps) frame's.  ``image_table`` is
-    the one path that builds them: it hands the forms of a point set to
-    their ``cm`` table as they are, and maps the points by ``apply``, the
-    formula, where the forms do not apply.
+    takes are built on the integer form, under every embedding: as the
+    mapped vectors with no frame, and through the frame's integer rows for a
+    frame that has them.  ``image_table`` is the one path that builds them:
+    it hands the forms of a point set to their table as they are, and maps
+    the points by ``apply``, the formula, where the forms do not apply.
     """
 
     embedding: Embedding
     frame: OrthoAffine | None = None
-    _forms: bool = field(default=False, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        frame, kind = self.frame, self.embedding.kind
-        forms = kind == "conjugation" if frame is None else frame._kernel is not None and (frame._kfield or kind != "function_field")
-        object.__setattr__(self, "_forms", forms)
 
     def apply(self, p: Point) -> Point:
         """The image of ``p`` by the formula: the embedding on each
@@ -295,12 +279,12 @@ class ModelMap:
             return point_table(points)
         if isinstance(points, PointTable):
             points = points.points
-        values = points.values()
-        tower = _one_tower([p.x for p in values] + [p.y for p in values]) if self._forms else None
+        values, frame = points.values(), self.frame
+        tower = _one_tower([p.x for p in values] + [p.y for p in values]) if frame is None or frame._kernel is not None else None
         mapping = None if tower is None else self.embedding.vector_map(tower)
         if mapping is None:
             return _mapped_table(self.apply, points)
-        (image_tower, vector), frame, vectors = mapping, self.frame, {}
+        (image_tower, vector), vectors = mapping, {}
         for p in values:
             if id(p) not in vectors:
                 x, y = p.x, p.y
@@ -335,18 +319,186 @@ def _image_table(model, points: Mapping[Any, Point] | PointTable) -> PointTable:
     return _mapped_table(model.apply, points)
 
 
+# ---------------------------------------------------------------------------
+# Frame forms: the image (a*x + b*y + c, ...) of two tower elements x, y of
+# one tower under an affine frame, on the integer form and unreduced.  A
+# frame of another shape has no rows and takes the generic formula.
+# ---------------------------------------------------------------------------
+
+FrameRow = tuple[tuple[tuple[int, int], ...], int, int, int, int]
+
+
+def frame_rows(matrix, translation) -> tuple[tuple[FrameRow, ...], bool] | None:
+    """The integer rows of a frame, one per image coordinate, and whether
+    they map into K(eps): a row is the pairs (p_i, q_i), the integer
+    coefficients of eps^i in the row's two entries over their denominators
+    k_a and k_b, then k_a, k_b and the translation c = p_c/q_c.  A rational
+    frame (every entry an ``int`` or ``Fraction``) has one pair per row; a
+    K(eps) frame (every matrix entry a ``FunElem`` over Q, all on one
+    denominator D, no translation) one per power of eps, and its images lie
+    over D.  None for any other frame."""
+    entries = [e for row in matrix for e in row]
+    if translation is None and all(isinstance(e, FunElem) and e.tower.depth == 0 and e._d == entries[0]._d for e in entries):
+        rows = []
+        for a, b in matrix:
+            (ra, ka), (rb, kb) = a._n, b._n
+            length = max(len(ra), len(rb))
+            pa = [r[0] for r in ra] + [0] * (length - len(ra))
+            pb = [r[0] for r in rb] + [0] * (length - len(rb))
+            rows.append((tuple(zip(pa, pb)), ka, kb, 0, 1))
+        return tuple(rows), True
+    if not all(isinstance(e, (int, Fraction)) for e in entries + list(translation or ())):
+        return None
+    rows = []
+    for (a, b), c in zip(matrix, translation or (0, 0)):
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        rows.append((((a.numerator, b.numerator),), a.denominator, b.denominator, c.numerator, c.denominator))
+    return tuple(rows), False
+
+
+def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
+    """p*u + q*v for integer vectors of one length."""
+    return tuple([p * c + q * e for c, e in zip(u, v)])
+
+
+def frame_scales(row: FrameRow, xd: int, yd: int) -> tuple[int, int, int]:
+    """(f1, f2, k): a frame row's terms in x = xn/xd and y = yn/yd, and its
+    translation, over one ``lcm`` k, the two terms scaled by f1 and f2."""
+    _, ka, kb, _, qc = row
+    k1, k2 = ka * xd, kb * yd
+    k = lcm(k1, k2, qc)
+    return k // k1, k // k2, k
+
+
+def frame_form(row: FrameRow, pairs: Sequence[tuple[int, int]], xn: IVec, yn: IVec, scales: tuple[int, int, int]) -> tuple[list[IVec], int]:
+    """A frame row's image coordinate of (xn/xd, yn/yd), unreduced, for its
+    ``scales`` (f1, f2, k) = ``frame_scales(row, xd, yd)``: the vector
+    f1*p*xn + f2*q*yn per coefficient pair (p, q) of ``pairs`` (the row's
+    own, or its two polynomials evaluated at one point), the translation
+    added to the first, over k."""
+    f1, f2, k = scales
+    out = [_scaled_sum(p * f1, xn, q * f2, yn) for p, q in pairs]
+    pc, qc = row[3], row[4]
+    if pc:
+        out[0] = (out[0][0] + pc * (k // qc),) + out[0][1:]
+    return out, k
+
+
 def _tower_form(row: tuple, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
     """A rational frame row's image coordinate on the integer form."""
     out, k = frame_form(row, row[0], xn, yn, frame_scales(row, xd, yd))
     return out[0], k
 
 
-def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Point], images: _Images, vectors: dict) -> PointTable:
+# ---------------------------------------------------------------------------
+# Packed tables: images under a K(eps) frame, on the tower kernels
+# ---------------------------------------------------------------------------
+
+
+def _bits(top: int, rows: int) -> int:
+    """a with |P| < 2^a (``_PackedTable``) for every P of at most ``rows``
+    integer rows whose coefficients are at most ``top`` in absolute value."""
+    return top.bit_length() + rows.bit_length()
+
+
+class _PackedTable(_KernelTable):
+    """``FunElem``s of one tower over one denominator pair D, the shape of
+    every eps-frame image: an equation homogeneous in D holds iff it holds on
+    the numerators, so each numerator (integer rows over k) is packed once,
+    when the table is built, at eps = B = 2^w (``scalars.fun_pack``), D^2
+    once per table, and the ``_KernelTable`` tests decide every test on the
+    packed vectors (``sqdist_num`` too: a packed table is never a report's
+    source table).  The table is given the bounds of its numerators and D:
+    ``top``, the largest |coefficient|, ``rows``, the most rows, and ``k``,
+    the largest numerator denominator; then ``pack(shifts)`` gives each
+    point's packed coordinates.  Its one producer is ``_packed_table``,
+    which reads these bounds off the frame's rows and D and the scales
+    (``frame_scales``) of the points' integer vectors, and packs each
+    image's unreduced form (``frame_form``) as it is.  ``cm.point_table``
+    builds no packed table: a set of ``FunElem`` points takes the formula.
+
+    Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
+    tower product has rational structure constants, so a kernel returns
+    n/k = y(B), y in Q[eps]^dim the value the test asks to be zero, and
+    answers n == 0.  A nonzero integer polynomial with every coefficient
+    below B in absolute value does not vanish at B (its top term B^t exceeds
+    (B - 1)(1 + ... + B^(t-1))), so the test is exact if c*y has such
+    coefficients for some integer c > 0.  Let |x| be the largest coefficient
+    sum of a coordinate of x and (delta, C) = ``TowerDesc._product_bound``,
+    read off the tower's basis products e_S*e_T = sum(s_STU e_U), the
+    structure constants that the sparse product kernels sum
+    (``scalars._basis_products``): delta is the least common denominator
+    of the s_STU and C = max over U of sum |delta s_STU|, so
+    |x + x'| <= |x| + |x'| and |delta x x'| <= C|x||x'|.  Per table,
+    |N|, |D_N| < 2^a (``_bits``) for every numerator N over k and
+    D = D_N/k_D, k < 2^kb, k_D < 2^kd, delta < 2^db, C < 2^cb; a difference
+    of numerators is U/(k k') with |U| < 2^(a+kb+1).  The proof reads only
+    these bounds: N/k need not be reduced, so an unreduced form whose
+    coefficients and denominator are bounded by a and kb is packed as it is.
+    A constant fits if its numerator and denominator are below 2^s,
+    s = 2(a + kb) + 64 (a squared distance of the points, with room); one
+    that does not takes the formula.  w = max(t1, t2) + 1,
+    t1 = db + cb + s + 2a + 6kb + 2kd + 3 and t2 = 2cb + s + 2a + 8kb, is
+    derived, not set, and bounds every shape:
+    - ``sqdist_is_form`` against a rational m/e, |m| and e integers that
+      fit, so the product by D^2 is the scalar multiple m D_N^2 and
+      c = delta e (k1 k2 k3 k4 k_D)^2:
+      2 e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C |m| |D_N|^2 < 2^t1 + 2^t2;
+    - ``same``, c = k k': |U| < 2^(a+kb+1);
+    - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
+    - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:
+      2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
+    - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
+      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
+
+    __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square", "_rho")
+
+    def __init__(self, points: Mapping, tower: TowerDesc, den: IPoly, top: int, rows: int, k: int, pack: Callable) -> None:
+        a, kb = _bits(top, rows), k.bit_length()
+        s, (db, cb) = 2 * (a + kb) + 64, (b.bit_length() for b in tower._product_bound)
+        w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * den[1].bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
+        shifts = self._shifts = range(0, w * rows, w)
+        super().__init__(points, tower, pack(shifts))
+        self._den, self._budget, self._kb, self._square, self._rho = den, s, kb, None, (None, None)
+
+    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
+        """The packed n/k_n against m/e * D^2, D^2 = square/(k k_D^2), on
+        every coordinate; a constant that does not fit takes the formula."""
+        if max(abs(m), e).bit_length() > self._budget:
+            return PointTable.sqdist_is_form(self, p, q, m, e)
+        if self._square is None:
+            self._square = _isq(self.tower._rads, fun_pack(self._den[0], self.tower.dim, self._shifts))
+        (square, k), k_d = self._square, self._den[1]
+        n, k_n = self.sqdist_num(p, q)
+        f, g = e * k * k_d * k_d, m * k_n
+        return all(x * f == y * g for x, y in zip(n, square))
+
+    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
+        if sum(map(abs, relation.values())).bit_length() + len(relation) * self._kb > self._budget:
+            return PointTable.relation_vanishes(self, relation)
+        return super().relation_vanishes(relation)
+
+    def _constant(self, rho):
+        """rho packed, if a fitting constant of the tower over 1; else None.
+        The last rho is kept with its packing, so a run of tests with one
+        rho packs it once."""
+        if self._rho[0] is not rho:
+            packed = None
+            if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d):
+                (rows, k), shifts = rho._n, self._shifts
+                top = max(map(abs, chain.from_iterable(rows)), default=0)
+                if len(rows) <= len(shifts) and max(_bits(top, len(rows)), k.bit_length()) <= self._budget:
+                    packed = _Form(fun_pack(rows, self.tower.dim, shifts), k)
+            self._rho = (rho, packed)
+        return self._rho[1]
+
+
+def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Point], images: _Images, vectors: dict) -> _PackedTable:
     """The packed table of the images of ``points`` under a K(eps) frame,
-    each point's form (``scalars.frame_form``) packed as it is: the frame's rows
+    each point's form (``frame_form``) packed as it is: the frame's rows
     are packed once, at the table's width, for coefficient pairs of one
     integer each.  The width's bounds come from the forms' scales
-    (``scalars.frame_scales``): a coefficient of a numerator is at most
+    (``frame_scales``): a coefficient of a numerator is at most
     f1 max|p_i| max|xn_j| + f2 max|q_i| max|yn_j|, and k the unreduced lcm."""
     rows, k = frame.matrix[0][0]._d
     pad = (0,) * (tower.dim - 1)

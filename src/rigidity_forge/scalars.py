@@ -29,9 +29,11 @@ Three carriers, all with decidable equality:
   of the coefficient of eps^i), in canonical form, so products and sums run
   on integers and equal polynomials have equal pairs; a product is one
   convolution of the rows, and a product with the unit polynomial returns
-  the other operand.  No fact test has a K(eps) kernel: ``cm`` runs the
-  tower kernels on numerators that ``fun_pack`` evaluates at eps = 2^w
-  (Kronecker substitution).
+  the other operand.  No fact test has a K(eps) kernel: ``models``'s
+  packed table runs the tower kernels on numerators that ``fun_pack``
+  evaluates at eps = 2^w (Kronecker substitution).  The frame forms that
+  map tower elements through a frame's integer rows live in ``models``
+  too, next to the frames.
   The reduced form (coprime polynomials, monic denominator) is
   computed by Euclid on the integer matrices, once per value, on first use,
   and cached; ``num``/``den`` read it as ``TowerElem`` coefficients, and
@@ -1226,75 +1228,6 @@ def fun_pack(rows: Sequence[IVec], dim: int, shifts: range) -> IVec:
     if not rows:
         return (0,) * dim
     return tuple([sum(map(lshift, column, shifts)) for column in zip(*rows)])
-
-
-# ---------------------------------------------------------------------------
-# Frame forms: the image (a*x + b*y + c, ...) of two tower elements x, y of
-# one tower under an affine frame, on the integer form and unreduced.  A
-# frame of another shape has no rows and takes the generic formula.
-# ---------------------------------------------------------------------------
-
-FrameRow = tuple[tuple[tuple[int, int], ...], int, int, int, int]
-
-
-def frame_rows(matrix, translation) -> tuple[tuple[FrameRow, ...], bool] | None:
-    """The integer rows of a frame, one per image coordinate, and whether
-    they map into K(eps): a row is the pairs (p_i, q_i), the integer
-    coefficients of eps^i in the row's two entries over their denominators
-    k_a and k_b, then k_a, k_b and the translation c = p_c/q_c.  A rational
-    frame (every entry an ``int`` or ``Fraction``) has one pair per row; a
-    K(eps) frame (every matrix entry a ``FunElem`` over Q, all on one
-    denominator D, no translation) one per power of eps, and its images lie
-    over D.  None for any other frame."""
-    entries = [e for row in matrix for e in row]
-    if translation is None and all(isinstance(e, FunElem) and e.tower.depth == 0 and e._d == entries[0]._d for e in entries):
-        rows = []
-        for a, b in matrix:
-            (ra, ka), (rb, kb) = a._n, b._n
-            length = max(len(ra), len(rb))
-            pa = [r[0] for r in ra] + [0] * (length - len(ra))
-            pb = [r[0] for r in rb] + [0] * (length - len(rb))
-            rows.append((tuple(zip(pa, pb)), ka, kb, 0, 1))
-        return tuple(rows), True
-    if not all(isinstance(e, (int, Fraction)) for e in entries + list(translation or ())):
-        return None
-    rows = []
-    for (a, b), c in zip(matrix, translation or (0, 0)):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        rows.append((((a.numerator, b.numerator),), a.denominator, b.denominator, c.numerator, c.denominator))
-    return tuple(rows), False
-
-
-def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
-    """p*u + q*v for integer vectors of one length."""
-    if not q:
-        return tuple([p * c for c in u])
-    if not p:
-        return tuple([q * c for c in v])
-    return tuple([p * c + q * e for c, e in zip(u, v)])
-
-
-def frame_scales(row: FrameRow, xd: int, yd: int) -> tuple[int, int, int]:
-    """(f1, f2, k): a frame row's terms in x = xn/xd and y = yn/yd, and its
-    translation, over one ``lcm`` k, the two terms scaled by f1 and f2."""
-    _, ka, kb, _, qc = row
-    k1, k2 = ka * xd, kb * yd
-    k = lcm(k1, k2, qc)
-    return k // k1, k // k2, k
-
-
-def frame_form(row: FrameRow, pairs: Sequence[tuple[int, int]], xn: IVec, yn: IVec, scales: tuple[int, int, int]) -> tuple[list[IVec], int]:
-    """A frame row's image coordinate of (xn/xd, yn/yd), unreduced, for its
-    ``scales`` (f1, f2, k) = ``frame_scales(row, xd, yd)``: the vector
-    f1*p*xn + f2*q*yn per coefficient pair (p, q) of ``pairs`` (the row's
-    own, or its two polynomials evaluated at one point), the translation
-    added to the first, over k."""
-    f1, f2, k = scales
-    out = [_scaled_sum(p * f1, xn, q * f2, yn) for p, q in pairs]
-    pc, qc = row[3], row[4]
-    if pc:
-        out[0] = (out[0][0] + pc * (k // qc),) + out[0][1:]
-    return out, k
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Shared test fixtures."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+
+from rigidity_forge import cm, models, scalars
 
 
 @pytest.fixture
@@ -39,3 +42,36 @@ def count_fractions_within(monkeypatch):
         return counts
 
     return patch
+
+
+def _pack_fun_points(points):
+    """``models._PackedTable`` of ``FunElem`` points of one tower over one
+    denominator pair, built by its own constructor: the bounds are read off
+    the canonical numerators and D, and each numerator is packed as it is.
+    None for any other point set.  ``models._packed_table``, the one
+    producer in the package, packs images under a K(eps) frame from their
+    forms; this packer reaches the table's tests on any such points."""
+    coords = [c for p in points.values() for c in (p.x, p.y)]
+    if not coords or not all(isinstance(c, scalars.FunElem) for c in coords):
+        return None
+    tower, den = coords[0].tower, coords[0]._d
+    if any(c.tower != tower or c._d != den for c in coords):
+        return None
+    polys = [c._n[0] for c in coords] + [den[0]]
+    top = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0)
+    k = max(c._n[1] for c in coords)
+
+    def pack(shifts):
+        return {
+            name: cm.Point(*[cm._Form(scalars.fun_pack(c._n[0], tower.dim, shifts), c._n[1]) for c in (p.x, p.y)])
+            for name, p in points.items()
+        }
+
+    return models._PackedTable(points, tower, den, top, max(map(len, polys)), k, pack)
+
+
+@pytest.fixture(scope="session")
+def packed_table():
+    """The packer ``_pack_fun_points``: the ``models._PackedTable`` of
+    ``FunElem`` points of one tower over one denominator pair, else None."""
+    return _pack_fun_points

@@ -310,7 +310,7 @@ def _other_denominator(x: FunElem, factor: int) -> FunElem:
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(fact_cases(), st.sampled_from(["tower", "eps", "eps-times", "mixed", "eps-two-denominators"]))
-def test_every_fact_kind_matches_the_oracle(case, view):
+def test_every_fact_kind_matches_the_oracle(packed_table, case, view):
     fact, points, tower = case
     if view == "eps-times":
         # K(eps) values that are no frame's images: every constant row is zero
@@ -329,9 +329,13 @@ def test_every_fact_kind_matches_the_oracle(case, view):
             a = points["A"]
             points["A"] = Point(_other_denominator(a.x, 3), _other_denominator(a.y, 3))
             assert points["A"] == a
-    takes_kernel = view in ("tower", "eps", "eps-times")
-    assert (type(cm.point_table(points)) is not cm.PointTable) == takes_kernel
+    # ``cm.point_table`` picks a kernel for one tower; K(eps) points of one
+    # denominator pair are packed by the packer, and their facts hold as on the formula
+    assert (type(cm.point_table(points)) is not cm.PointTable) == (view == "tower")
+    packed = packed_table(points)
+    assert (packed is not None) == (view in ("eps", "eps-times"))
     assert fact.holds(points) == oracle_holds(fact, points), (fact, view)
+    assert packed is None or fact.holds(packed) == oracle_holds(fact, points), (fact, view)
 
 
 @st.composite
@@ -357,7 +361,7 @@ def value_cases(draw):
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(value_cases(), st.sampled_from(["tower", "tower-wider-rho", "eps", "eps-off-unit-rho", "eps-wider-rho"]))
-def test_squared_distance_against_a_constant_matches_the_formula(case, view):
+def test_squared_distance_against_a_constant_matches_the_formula(packed_table, case, view):
     """A kernel table and the base table agree with the formula on
     ``sqdist_is`` and ``scaled_is``, rho a constant of the points' tower or
     not: over an extension of it, or for K(eps) off the unit polynomial."""
@@ -371,8 +375,8 @@ def test_squared_distance_against_a_constant_matches_the_formula(case, view):
         value = value if isinstance(value, F) else model.rho(value)
         if view == "eps-off-unit-rho":
             rho = _other_denominator(rho, 3)
-    kernel = cm.point_table(points)
-    assert type(kernel) is not cm.PointTable
+    kernel = packed_table(points) if view.startswith("eps") else cm.point_table(points)
+    assert type(kernel) is not cm.PointTable and kernel is not None
     # a rational is decided on the kernel's integer form
     assert not isinstance(value, F) or kernel.sqdist_is_form("P", "Q", value.numerator, value.denominator) is not None
     p, q, o, r, s = (points[n] for n in "PQORS")
@@ -543,8 +547,8 @@ def test_eps_structure_packs_each_image_once(monkeypatch):
     table keeps the last rho with its packing: at most 226 calls, where one
     table per test made 748 and packing rho per ``scaled_is`` call 266."""
     registered, lambdas, us = criterion_9_data()
-    calls, real_pack = [], cm.fun_pack
-    monkeypatch.setattr(cm, "fun_pack", lambda *args: calls.append(args) or real_pack(*args))
+    calls, real_pack = [], models.fun_pack
+    monkeypatch.setattr(models, "fun_pack", lambda *args: calls.append(args) or real_pack(*args))
     images = 1 + len(us) + len(list(combinations(us, 2))) + len(lambdas) * len(us)
     for model in registered[2:4]:
         calls.clear()
@@ -562,7 +566,7 @@ def test_preservation_matches_the_oracle(tower, seed, data):
     assert verify_preservation(model, pairs) == oracle_preservation(model, pairs)
 
 
-def test_zero_tests_read_every_coordinate_and_row():
+def test_zero_tests_read_every_coordinate_and_row(packed_table):
     """Values on which a partial comparison would be wrong."""
     nested = TOWERS[3]  # Q(sqrt 2, sqrt(1 + sqrt 2)): not totally real
     s2, g = nested.generator(0), nested.generator(1)
@@ -570,16 +574,17 @@ def test_zero_tests_read_every_coordinate_and_row():
     assert (x * x).coords[0] == 0 and not (x * x).is_zero()
     points = {"P": Point(x, nested.zero()), "O": Point(nested.zero(), nested.zero())}
     eps_points = {n: eps_rotation_model().apply(p) for n, p in points.items()}
-    for view in (points, eps_points):
+    for view in (points, eps_points, packed_table(eps_points)):
         assert NonzeroDist("P", "O").holds(view)
         assert not SqDistKnown("P", "O", F(0)).holds(view)
     # a zero distance of K(eps) images with fewer numerator rows than D^2
     origin = eps_rotation_model().apply(Point(QQ.rational(0), QQ.rational(0)))
-    assert not NonzeroDist("O", "P").holds({"O": origin, "P": origin}) and SqDistKnown("O", "P", F(0)).holds({"O": origin, "P": origin})
+    for view in ({"O": origin, "P": origin}, packed_table({"O": origin, "P": origin})):
+        assert not NonzeroDist("O", "P").holds(view) and SqDistKnown("O", "P", F(0)).holds(view)
     # a K(eps) distance agreeing with the value on the rows of D^2 only
     eps, zero = FunElem.eps(), FunElem.constant(0)
-    table = cm.point_table({"P": Point(1 + eps * eps, zero), "O": Point(zero, zero)})
-    assert type(table) is cm._PackedTable and not table.sqdist_is("P", "O", 1)
+    table = packed_table({"P": Point(1 + eps * eps, zero), "O": Point(zero, zero)})
+    assert type(table) is models._PackedTable and not table.sqdist_is("P", "O", 1)
     # a value over an extension of the points' tower, rational and not
     s3 = adjoin_sqrt(QQ, 3).tower
     p, q = Point(QQ.rational(0), QQ.rational(0)), Point(QQ.rational(3), QQ.rational(4))
@@ -590,8 +595,8 @@ def test_zero_tests_read_every_coordinate_and_row():
     assert two_thirds == F(2, 3) and not scalars._funit(two_thirds._d)
     images = {"A": eps_rotation_model().apply(p), "B": eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))}
     one = FunElem._make(QQ, (((3,),), 1), (((3,),), 1))
-    kernel = cm.point_table(images)
-    assert type(kernel) is cm._PackedTable
+    kernel = packed_table(images)
+    assert type(kernel) is models._PackedTable
     for table in (kernel, cm.PointTable(images)):
         assert table.sqdist_is("A", "B", two_thirds * two_thirds) and not table.sqdist_is("A", "B", FunElem.constant(F(4, 9)) + eps)
         assert table.scaled_is(("B", "A"), ("B", "A"), one) and table.scaled_is(("B", "A"), ("B", "A"), FunElem.constant(1))
@@ -602,18 +607,19 @@ def test_zero_tests_read_every_coordinate_and_row():
 # -- counters ------------------------------------------------------------------------------------
 
 
-def test_fact_kinds_build_no_carrier_objects(monkeypatch):
+def test_fact_kinds_build_no_carrier_objects(monkeypatch, packed_table):
     """On one-tower inputs (the gadget's coordinates and the images of
-    every model of the family), no fact kind's ``holds`` builds a
-    ``TowerElem`` or ``FunElem`` or reduces a value."""
+    every model of the family, the K(eps) ones on their packed table), no
+    fact kind's ``holds`` builds a ``TowerElem`` or ``FunElem`` or reduces
+    a value."""
     cases = []
     for entry in suite.replay_corpus():
         for _, model in suite.model_family(entry.gadget):
             images = {name: model.apply(p) for name, p in entry.gadget.points.items()}
-            cases.append((entry.derivation.facts, images))
+            cases.append((entry.derivation.facts, images, packed_table(images) or images))
     # a tower's product bound is cached on its first packed table: computed
     # here, it stays out of the counted window whatever ran before the test
-    for _, images in cases:
+    for _, images, _ in cases:
         for p in images.values():
             p.x.tower._product_bound
     counting, calls = [False], []
@@ -631,15 +637,16 @@ def test_fact_kinds_build_no_carrier_objects(monkeypatch):
     make = counted("_make", FunElem._make.__func__)
     monkeypatch.setattr(FunElem, "_make", classmethod(make))
     kinds = set()
-    for facts, images in cases:
+    for facts, _, table in cases:
         counting[0] = True
         for fact in facts:
             kinds.add(type(fact))
-            assert fact.holds(images)
+            assert fact.holds(table)
         counting[0] = False
     assert kinds == set(FACT_KINDS) and calls == []
+    assert sum(isinstance(table, models._PackedTable) for _, _, table in cases) == 32
     # the counters do see the formula: one point over an extension of the tower
-    facts, images = cases[0]
+    facts, images, _ = cases[0]
     a, wider = images["A"], adjoin_sqrt(images["A"].x.tower, 13).tower
     images = dict(images, A=Point(a.x.lift(wider), a.y.lift(wider)))
     counting[0] = True
@@ -648,6 +655,10 @@ def test_fact_kinds_build_no_carrier_objects(monkeypatch):
 
 
 def test_soundness_pass_takes_no_fmul_in_fun_equality(monkeypatch):
+    """No item of the soundness pass cross-multiplies in ``FunElem``
+    equality, but the Doubling control over the eps rotation: a model
+    without ``image_table``, whose K(eps) images ``cm.point_table`` hands
+    to the formula, which refutes the first fact."""
     calls = {"all": 0, "eq": 0}
     real, eq_code = scalars._fmul, FunElem.__eq__.__code__
 
@@ -657,10 +668,13 @@ def test_soundness_pass_takes_no_fmul_in_fun_equality(monkeypatch):
         return real(rads, a, b)
 
     items = soundness_items()
+    doubled_eps = items.pop(96 + 5 + 1)
     monkeypatch.setattr(scalars, "_fmul", counting)
     for item in items:
         item()
     assert calls["all"] > 0 and calls["eq"] == 0
+    assert doubled_eps().violated_index == 0 and calls["eq"] > 0
+    calls["eq"] = 0
     # the counter does see __eq__ cross-multiplying over two denominators
     eps = FunElem.eps()
     assert eps / (eps + 1) == (2 * eps) / (2 * eps + 2)
@@ -1239,10 +1253,10 @@ def test_the_value_and_construction_kernels_are_gone():
     # the tower fact kernels are the kernel table's methods, against rationals only
     for name in ("tower_sqdist_num", "tower_sqdist_is", "_ivanishes", "tower_comb_vanishes", "_tower_factor", "tower_form_vanishes", "constant_form"):
         assert not hasattr(scalars, name) and not hasattr(cm, name), name
-    assert "sqdist_is" in cm.PointTable.__dict__ and not any("sqdist_is" in t.__dict__ for t in (cm._KernelTable, cm._PackedTable, cm._RationalTable))
+    assert "sqdist_is" in cm.PointTable.__dict__ and not any("sqdist_is" in t.__dict__ for t in (cm._KernelTable, models._PackedTable, cm._RationalTable))
 
 
-def test_an_empty_relation_vanishes_on_every_table():
+def test_an_empty_relation_vanishes_on_every_table(packed_table):
     """An empty sum is zero: the comb kernel, and the corpus fact
     VecEq(A0, A0, C0, C0), whose relation cancels to {}, under the K(eps)
     (packed) and the conjugation models of its family."""
@@ -1251,14 +1265,15 @@ def test_an_empty_relation_vanishes_on_every_table():
     entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
     fact = entry.derivation.facts[0]
     assert fact == VecEq("A0", "A0", "C0", "C0") and engine._linear_relation(fact) == {}
-    tables = {cm._PackedTable: 0, cm._KernelTable: 0}
+    tables = {models._PackedTable: 0, cm._KernelTable: 0}
     for _, model in suite.model_family(entry.gadget):
-        images = cm.point_table({n: model.apply(p) for n, p in entry.gadget.points.items()})
+        mapped = {n: model.apply(p) for n, p in entry.gadget.points.items()}
+        images = packed_table(mapped) or cm.point_table(mapped)
         if type(images) in tables:
             tables[type(images)] += 1
             assert fact.holds(images) and images.relation_vanishes({})
         assert check_derivation(entry.derivation, model).ok
-    assert tables == {cm._PackedTable: 2, cm._KernelTable: 3}
+    assert tables == {models._PackedTable: 2, cm._KernelTable: 3}
 
 
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
@@ -1388,7 +1403,7 @@ def packed_cases(draw):
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(packed_cases())
-def test_packed_table_matches_the_formula(case):
+def test_packed_table_matches_the_formula(packed_table, case):
     """The packed table and the base table, the carrier formula, agree on
     ``sqdist_is`` (constants zero, rational, of the tower, and off the unit
     polynomial), ``relation_vanishes`` (the empty relation and coefficients
@@ -1396,8 +1411,8 @@ def test_packed_table_matches_the_formula(case):
     ``scaled_is``; each test has cases that hold."""
     points, rho, c1, c2 = case
     tower = points["O"].x.tower
-    packed, formula = cm.point_table(points), cm.PointTable(points)
-    assert type(packed) is cm._PackedTable
+    packed, formula = packed_table(points), cm.PointTable(points)
+    assert type(packed) is models._PackedTable
     distance = c1 * c1 + c2 * c2
     generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
     constants = [0, F(-2, 3), generator * F(5, 2) + 1, distance, FunElem.constant(distance), FunElem(tower, [distance * 3], [3])]
@@ -1432,26 +1447,75 @@ def test_packed_verdicts_and_reports_match_the_formula_tables():
     items = soundness_items()
     del items[96:101]  # the structure reports: ``test_structure_matches_the_oracle``
     built = []
-    real_init = cm._PackedTable.__init__
+    real_init = models._PackedTable.__init__
 
     def counting_init(self, *args):
         built.append(self)
         real_init(self, *args)
 
-    with mock.patch.object(cm._PackedTable, "__init__", counting_init):
+    with mock.patch.object(models._PackedTable, "__init__", counting_init):
         packed = [item() for item in items]
     assert len(packed) == 96 + 5 and len(built) > 0
     generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
     no_forms = lambda model, points: models._mapped_table(model.apply, points)  # every image mapped by ``apply``
     with mock.patch.object(engine, "point_table", generic_table), mock.patch.object(models, "point_table", generic_table):
-        with mock.patch("rigidity_forge.gadgets.point_table", generic_table), mock.patch.object(cm._PackedTable, "__init__", counting_init):
+        with mock.patch("rigidity_forge.gadgets.point_table", generic_table), mock.patch.object(models._PackedTable, "__init__", counting_init):
             with mock.patch.object(ModelMap, "image_table", no_forms):
                 built.clear()
                 assert [item() for item in items] == packed
                 assert built == []
 
 
-def test_the_width_is_load_bearing():
+def test_the_soundness_pass_packs_eps_images_in_models_only(monkeypatch):
+    """Over one warm run of ``soundness_items()``, every image table of a
+    ``ModelMap`` into K(eps) (the 32 eps checks of the corpus and their
+    preservation reports, criterion 9's two eps structure reports and the
+    two altered-ratio controls under the eps models) comes from
+    ``models._packed_table``, but the two of no point (the preservation
+    reports of a certificate with no pair), and ``cm.point_table`` receives
+    ``FunElem`` coordinates once: from the Doubling control over the eps
+    rotation, a model without ``image_table``, whose K(eps) images take the
+    formula."""
+    items = soundness_items()
+    for item in items:
+        item()
+    fun_sets, eps_tables, packed = [], [], []
+    real_point_table, real_image_table, real_packed = cm.point_table, ModelMap.image_table, models._packed_table
+
+    def counting_point_table(points):
+        if not isinstance(points, cm.PointTable) and any(isinstance(c, FunElem) for p in points.values() for c in (p.x, p.y)):
+            fun_sets.append(points)
+        return real_point_table(points)
+
+    def counting_image_table(model, points):
+        table = real_image_table(model, points)
+        if model.embedding.kind == "function_field":
+            eps_tables.append((len(points.points if isinstance(points, cm.PointTable) else points), table))
+        return table
+
+    def counting_packed(*args):
+        packed.append(real_packed(*args))
+        return packed[-1]
+
+    for module in (cm, engine, gadgets, models):
+        monkeypatch.setattr(module, "point_table", counting_point_table)
+    monkeypatch.setattr(ModelMap, "image_table", counting_image_table)
+    monkeypatch.setattr(models, "_packed_table", counting_packed)
+    doubled_eps = 96 + 5 + 1
+    assert isinstance(items[doubled_eps](), engine.Verdict) and len(fun_sets) == 1
+    fun_sets.clear()
+    for index, item in enumerate(items):
+        before = len(fun_sets)
+        item()
+        assert len(fun_sets) - before == (index == doubled_eps), index
+    assert len(eps_tables) == 2 * 32 + 2 + 2
+    assert [type(table) for size, table in eps_tables if not size] == [cm.PointTable] * 2
+    eps_tables = [table for size, table in eps_tables if size]
+    assert all(type(table) is models._PackedTable for table in eps_tables)
+    assert [id(table) for table in eps_tables] == [id(table) for table in packed]
+
+
+def test_the_width_is_load_bearing(packed_table):
     """A nonzero numerator that vanishes when packed at a narrower width
     than the table's: 2^v - eps at B = 2^v, and |PO|^2 = eps^2 against the
     constant 2^(2v), for every v whose constant fits the table.  The derived
@@ -1459,22 +1523,22 @@ def test_the_width_is_load_bearing():
     zero = FunElem.constant(0)
     for v in range(1, 130):
         p = Point(FunElem(QQ, [2**v, -1], [1]), zero)
-        table = cm.point_table({"P": p, "O": Point(zero, zero)})
+        table = packed_table({"P": p, "O": Point(zero, zero)})
         rows = p.x._n[0]
         assert scalars.fun_pack(rows, 1, range(0, 2 * v, v)) == (0,)
         assert table.width > v and scalars.fun_pack(rows, 1, range(0, 2 * table.width, table.width)) != (0,)
         assert not table.relation_vanishes({"P": 1, "O": -1}) and not table.same("P", "O")
     eps = FunElem.eps()
-    table = cm.point_table({"P": Point(eps, zero), "O": Point(zero, zero)})
+    table = packed_table({"P": Point(eps, zero), "O": Point(zero, zero)})
     fitting = [v for v in range(1, 200) if (1 << 2 * v).bit_length() <= table._budget]
-    assert type(table) is cm._PackedTable and len(fitting) > 30
+    assert type(table) is models._PackedTable and len(fitting) > 30
     for v in fitting:
         assert table.sqdist_is_form("P", "O", 1 << 2 * v, 1) is False
         assert not table.sqdist_is("P", "O", 1 << 2 * v)
     assert table.sqdist_is("P", "O", eps * eps)
 
 
-def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
+def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch, packed_table):
     """A per-call constant that does not fit the table (a distance's form,
     a relation's coefficients, a factor rho) takes the carrier formula and
     gets the formula's verdict; no integer kernel of the table runs for it:
@@ -1482,8 +1546,8 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch):
     model = eps_rotation_model()
     points = {"P": model.apply(rational_point(3, 4)), "O": model.apply(rational_point(0, 0))}
     points["Q"] = model.apply(rational_point(3, 4))
-    table = cm.point_table(points)
-    assert type(table) is cm._PackedTable
+    table = packed_table(points)
+    assert type(table) is models._PackedTable
     t = table._budget + 1
     calls = []
     for name in ("_ivec", "relation_vanishes"):
@@ -1540,18 +1604,20 @@ def test_form_tables_give_the_apply_tables_verdicts_and_reports(monkeypatch):
     assert soundness_pass() + _q_moving_reports() == forms
 
 
-def test_form_tables_answer_every_test_as_the_apply_tables():
+def test_form_tables_answer_every_test_as_the_apply_tables(packed_table):
     """On every point pair of the 16 corpus gadgets under the 6 models of
     their family, and for every fact of their derivations, the table built
-    from forms and ``cm.point_table`` of the ``apply`` images (the same
-    carrier) give the same answer: every fact, ``same``, and ``sqdist_is``
-    against the formula's value."""
+    from forms and the table of the ``apply`` images on the same carrier
+    (the packer's for K(eps) images, else ``cm.point_table``) give the same
+    answer: every fact, ``same``, and ``sqdist_is`` against the formula's
+    value."""
     answers = 0
     for entry in suite.replay_corpus():
         points = entry.gadget.points
         for kind, model in suite.model_family(entry.gadget):
             forms = model.image_table(points)
-            images = cm.point_table({name: model.apply(p) for name, p in points.items()})
+            mapped = {name: model.apply(p) for name, p in points.items()}
+            images = packed_table(mapped) or cm.point_table(mapped)
             assert type(forms) is type(images) and forms is not images
             built_from_forms = kind != "identity"
             assert built_from_forms == isinstance(forms.points, models._Images) and (not forms.points or not built_from_forms)
@@ -1576,7 +1642,7 @@ def test_form_tables_answer_every_test_as_the_apply_tables():
         for model in (ModelMap(Embedding("identity"), make_pythagorean_rotation(F(1, 2), translation=(F(1, 3), F(0)))), eps_rotation_model()):
             table = model.image_table(points)
             assert table.same("A", "C") and not table.same("A", "B")
-            assert type(table) is (cm._PackedTable if model.embedding.kind == "function_field" else cm._RationalTable if tower is QQ else cm._KernelTable)
+            assert type(table) is (models._PackedTable if model.embedding.kind == "function_field" else cm._RationalTable if tower is QQ else cm._KernelTable)
 
 
 def _eps_form_cases():
@@ -1592,22 +1658,22 @@ def _eps_form_cases():
     return cases
 
 
-def test_the_width_bounds_of_forms_cover_the_reduced_images():
+def test_the_width_bounds_of_forms_cover_the_reduced_images(packed_table):
     """For every eps table built from forms, the bounds it derives its width
-    from, a (coefficients) and kb (denominators), are at least ``cm._bits``
+    from, a (coefficients) and kb (denominators), are at least ``models._bits``
     and the largest k of the reduced rows ``apply`` builds, so the width is
-    at least the one ``cm.point_table`` of those images derives."""
+    at least the one the packer derives for those images."""
     cases = _eps_form_cases()
     assert len(cases) == 32 + 2 + 6
     for model, points in cases:
         table = model.image_table(points)
-        assert type(table) is cm._PackedTable
+        assert type(table) is models._PackedTable
         a, kb = (table._budget - 64) // 2 - table._kb, table._kb
         coords = [c for p in points.values() for c in (lambda q: (q.x, q.y))(model.apply(p))]
         polys = [c._n[0] for c in coords] + [coords[0]._d[0]]
         top = max(abs(v) for rows in polys for row in rows for v in row)
-        assert a >= cm._bits(top, max(map(len, polys))) and kb >= max(c._n[1] for c in coords).bit_length()
-        assert table.width >= cm.point_table({name: model.apply(p) for name, p in points.items()}).width
+        assert a >= models._bits(top, max(map(len, polys))) and kb >= max(c._n[1] for c in coords).bit_length()
+        assert table.width >= packed_table({name: model.apply(p) for name, p in points.items()}).width
 
 
 def test_checks_and_reports_build_no_image(monkeypatch):

@@ -1,8 +1,9 @@
 """Static hygiene of the package source: no module imports a name it never
 uses, every import sits at module level, the package ships no function,
-class or method that only tests use, and every module under ``src/`` and
-``tests/`` is written in the grammar of Python 3.10, the oldest version
-``pyproject.toml`` admits."""
+class or method that only tests use, the checker's modules import nothing
+from ``models``, ``cm`` imports no K(eps) name, ``scalars`` defines no
+frame form, and every module under ``src/`` and ``tests/`` is written in
+the grammar of Python 3.10, the oldest version ``pyproject.toml`` admits."""
 
 import ast
 from pathlib import Path
@@ -162,6 +163,71 @@ def test_import_direction_check_catches_an_engine_that_imports_models():
     assert imported_modules(engine) >= {"cm", "gadgets"}
     for line in ("from .models import ModelMap\n", "from . import models\n", "import rigidity_forge.models\n", "from rigidity_forge.models import ModelMap\n"):
         assert "models" in imported_modules(line + engine), line
+
+
+def imported_names(source: str) -> set[str]:
+    """The names a module's import statements import: each name of a
+    ``from ... import``, and each module of an ``import``, before any ``as``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def defined_names(source: str) -> set[str]:
+    """The names a module defines at module level: its functions, classes
+    and assigned names."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return found
+
+
+# the K(eps) carrier and its packing: ``models`` packs K(eps) images, ``cm``
+# holds tower tables only
+K_EPS_NAMES = {"FunElem", "fun_pack", "_funit", "IPoly"}
+# the frame forms, defined next to the frames that read them
+FRAME_FORMS = {"FrameRow", "frame_rows", "frame_scales", "frame_form", "_scaled_sum"}
+
+
+def _source(name: str) -> str:
+    return (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+
+
+def test_cm_imports_no_k_eps_name():
+    assert imported_names(_source("cm")) & K_EPS_NAMES == set()
+    assert {"_PackedTable", "_bits"} <= defined_names(_source("models")) and not {"_PackedTable", "_bits"} & defined_names(_source("cm"))
+
+
+def test_k_eps_name_check_catches_an_import_into_cm():
+    cm = _source("cm")
+    for line, name in (
+        ("from .scalars import FunElem\n", "FunElem"),
+        ("from .scalars import QQ, fun_pack\n", "fun_pack"),
+        ("from rigidity_forge.scalars import _funit as unit\n", "_funit"),
+        ("from .scalars import (\n    IPoly,\n)\n", "IPoly"),
+    ):
+        assert imported_names(line + cm) & K_EPS_NAMES == {name}, line
+
+
+def test_scalars_defines_no_frame_form():
+    assert defined_names(_source("scalars")) & FRAME_FORMS == set()
+    assert FRAME_FORMS <= defined_names(_source("models"))
+
+
+def test_frame_form_check_catches_a_definition_in_scalars():
+    scalars = _source("scalars")
+    for text, name in (
+        ("\n\ndef frame_form(row, pairs, xn, yn, scales):\n    return [], 1\n", "frame_form"),
+        ("\nFrameRow = tuple\n", "FrameRow"),
+        ("\n_scaled_sum: object = None\n", "_scaled_sum"),
+    ):
+        assert defined_names(scalars + text) & FRAME_FORMS == {name}, text
 
 
 def test_sources_parse_with_the_oldest_supported_grammar():

@@ -509,7 +509,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
 
     def kfield(table, p, q):
         if isinstance(table, cm._KernelTable):
-            return isinstance(table, cm._PackedTable)
+            return isinstance(table, models._PackedTable)
         return any(isinstance(c, FunElem) for c in (table[p].x, table[p].y, table[q].x, table[q].y))
 
     def counting(real):
@@ -531,7 +531,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return run
 
     def counting_kernel(table, p, q):
-        counts["kernel"] += isinstance(table, cm._PackedTable) and isinstance(table._coords[p].x, cm._Form)
+        counts["kernel"] += isinstance(table, models._PackedTable) and isinstance(table._coords[p].x, cm._Form)
         return real_kernel(table, p, q)
 
     def counting_apply(self, p):
@@ -542,7 +542,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         counts["mul"] += bool(inside)
         return real_mul(self, other)
 
-    for table in (cm.PointTable, cm._KernelTable, cm._PackedTable):
+    for table in (cm.PointTable, cm._KernelTable, models._PackedTable):
         for name in ("sqdist_is", "sqdist_is_form"):
             if name in table.__dict__:
                 monkeypatch.setattr(table, name, counting(table.__dict__[name]))
@@ -877,7 +877,7 @@ def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
 
         monkeypatch.setattr(FunElem, name, counting)
     for model, points, _, _ in _eps_models_sweep():
-        assert type(model.image_table(dict(enumerate(points)))) is cm._PackedTable
+        assert type(model.image_table(dict(enumerate(points)))) is models._PackedTable
     assert counts["tables"] > 0 and counts["arithmetic"] == 0
     # the counter does see the formula: a K(eps) frame over Q(sqrt 2), whose
     # table maps its point by ``apply``
@@ -924,7 +924,7 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
     squares the differences of a distance; only squarings of a packed D
     count."""
     squares, packed, tables, packed_dens, compared = [], [], [], [], []
-    real_fmul, real_isq, real_init, real_sqdist_is = scalars._fmul, cm._isq, cm._PackedTable.__init__, cm.PointTable.sqdist_is
+    real_fmul, real_isq, real_init, real_sqdist_is = scalars._fmul, models._isq, models._PackedTable.__init__, cm.PointTable.sqdist_is
 
     def counting_fmul(rads, a, b):
         if a is b:
@@ -948,8 +948,8 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
         return ok
 
     monkeypatch.setattr(scalars, "_fmul", counting_fmul)
-    monkeypatch.setattr(cm, "_isq", counting_isq)
-    monkeypatch.setattr(cm._PackedTable, "__init__", counting_init)
+    monkeypatch.setattr(models, "_isq", counting_isq)
+    monkeypatch.setattr(models._PackedTable, "__init__", counting_init)
     monkeypatch.setattr(cm.PointTable, "sqdist_is", counting_sqdist_is)
 
     def sweep():

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from rigidity_forge import cli, codec, models, scalars
@@ -148,3 +149,45 @@ def test_the_cli_round_trip(tmp_path, monkeypatch, capsys):
     for command in ("verify q-chain-wrong-d2.json", "model-check q-chain-wrong-d2.json --model identity"):
         _, err = run(command, 1)
         assert "InvalidGadget: certificate mismatch for (A0,C0): stored 5, got 1" in err
+
+
+def test_model_check_under_descriptor_models(tmp_path, monkeypatch, capsys):
+    """model-check of the division, bridge and Kempe files under four
+    descriptor models, pinned by exit code, stdout and stderr: a K(eps)
+    frame with a rational translation and one with entries over Q(sqrt 2),
+    which have no integer rows, so their images take the formula; and the
+    inclusion into K(eps) with a rational frame and with none, whose images
+    are K's own values, on the tower kernels."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(command: str) -> tuple[int, str, str]:
+        capsys.readouterr()
+        code = cli.main(command.split())
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    for command in (
+        "gadget division --t 1/2 -o division.json",
+        "replay division.json -o division-derivation.json",
+        "gadget bridge --a 0,0 --b 3,0 --c 1,1 --d 4,1 -o bridge.json",
+        "replay bridge.json -o bridge-derivation.json",
+        "gadget kempe --t 2 -o kempe.json",
+    ):
+        assert run(command)[0] == 0, command
+    eps, r2 = scalars.FunElem.eps(), scalars.adjoin_sqrt(scalars.QQ, 2)
+    inclusion = models.Embedding("function_field")
+    descriptors = {
+        "eps-translated": models.ModelMap(inclusion, models.make_pythagorean_rotation(eps, translation=(Fraction(1, 2), Fraction(-3)))),
+        "eps-sqrt2": models.ModelMap(inclusion, models.make_pythagorean_rotation(scalars.FunElem.eps(r2.tower) + r2.root)),
+        "inclusion-rational": models.ModelMap(inclusion, models.make_pythagorean_rotation(Fraction(1, 2), translation=(Fraction(1), Fraction(-2)))),
+        "inclusion": models.ModelMap(inclusion),
+    }
+    for name, model in descriptors.items():
+        Path(f"{name}.json").write_text(codec.dumps(codec.encode_model(model)))
+        frame = codec.decode_document(Path(f"{name}.json").read_text()).frame
+        assert (frame is None, frame is not None and frame._kernel is not None) == {"inclusion": (True, False), "inclusion-rational": (False, True)}.get(name, (False, False)), name
+    pairs = {"division-derivation.json": 8, "bridge-derivation.json": 12, "kempe.json": 8}
+    for name in descriptors:
+        for document, count in pairs.items():
+            expected = (0, f"derivation: all-true\npreservation: ok ({count} certificate pairs)\n", "")
+            assert run(f"model-check {document} --model @{name}.json") == expected, (document, name)

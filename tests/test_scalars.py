@@ -1424,16 +1424,19 @@ def _eps_images(*points):
 @given(fun_quads())
 @example((FUN_TOWERS[2], FunElem.eps(FUN_TOWERS[2]), FunElem.constant(0, FUN_TOWERS[2]), FunElem.constant(1, FUN_TOWERS[2]), FunElem.eps(FUN_TOWERS[2])))
 @example((QQ, *_eps_images((0, 0), (3, 4))))  # a nonzero constant distance, 25
-def test_fun_sqdist_kernel_matches_the_generic_formula(case):
+def test_fun_sqdist_kernel_matches_the_generic_formula(packed_table, case):
     """The packed squared distance of a K(eps) table is the packed numerator
-    of the formula over D^2, and its constant tests are the formula's."""
+    of the formula over D^2, and its constant tests are the formula's;
+    ``cm.point_table`` gives the same points the formula."""
     tower, px, py, qx, qy = case
     rads = tower._rads
     dx, dy = px - qx, py - qy
     formula = dx * dx + dy * dy
     _assert_fun_canonical(formula)
-    table = cm.point_table({"P": Point(px, py), "Q": Point(qx, qy)})
-    assert type(table) is cm._PackedTable and formula._d == _fmul(rads, px._d, px._d)
+    points = {"P": Point(px, py), "Q": Point(qx, qy)}
+    table = packed_table(points)
+    assert type(table) is models._PackedTable and formula._d == _fmul(rads, px._d, px._d)
+    assert type(cm.point_table(points)) is cm.PointTable
 
     def pack(a):
         return fun_pack(a[0], tower.dim, range(0, table.width * max(len(a[0]), 1), table.width))
@@ -1459,7 +1462,7 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(case):
         _assert_fun_canonical(FunElem._make(tower, a, unit))
 
 
-def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
+def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch, packed_table):
     kernel_calls, real = [], cm._KernelTable.sqdist_num
     monkeypatch.setattr(cm._KernelTable, "sqdist_num", lambda *args: kernel_calls.append(args) or real(*args))
     s2, s3 = INTEGER_TOWERS[1], adjoin_sqrt(QQ, 3).tower
@@ -1481,11 +1484,15 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch):
         dx, dy = a.x - b.x, a.y - b.y
         value = dx * dx + dy * dy
         table = cm.point_table({0: a, 1: b})
-        assert type(table) is cm.PointTable
+        assert type(table) is cm.PointTable and packed_table({0: a, 1: b}) is None
         assert table.sqdist_is(0, 1, value) and not table.sqdist_is(0, 1, 0)
     assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
     assert kernel_calls == []
-    cm.point_table({0: frame, 1: Point(frame.y, frame.x)}).sqdist_is(0, 1, 0)  # the counter does see the kernel
+    # one tower over one denominator pair: ``cm.point_table`` takes the formula too
+    framed = {0: frame, 1: Point(frame.y, frame.x)}
+    assert type(cm.point_table(framed)) is cm.PointTable and not cm.point_table(framed).sqdist_is(0, 1, 0)
+    assert kernel_calls == []
+    packed_table(framed).sqdist_is(0, 1, 0)  # the counter does see the kernel
     assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][0]._coords[0].x, cm._Form)
 
 
@@ -1567,6 +1574,11 @@ def test_check_derivation_verdicts_match_the_oracle_arithmetic(monkeypatch):
 
     kernel = verdicts()
     monkeypatch.setattr(models, "FunElem", OracleFun)
+    # the K(eps) frame forms read ``FunElem``'s integer matrices, which the
+    # oracle carrier does not have: its frames take the formula
+    real_rows = models.frame_rows
+    oracle_rows = lambda matrix, translation: None if any(isinstance(e, OracleFun) for row in matrix for e in row) else real_rows(matrix, translation)
+    monkeypatch.setattr(models, "frame_rows", oracle_rows)
     oracle = verdicts()
     assert kernel == oracle
     assert len(kernel) == 96 + 5
@@ -1588,7 +1600,7 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
         """The kernel tables' integer tests, apart on packed K(eps) numerators."""
 
         def kernel(table, *args):
-            (fun_kernel_calls if isinstance(table, cm._PackedTable) else kernel_calls).append(args)
+            (fun_kernel_calls if isinstance(table, models._PackedTable) else kernel_calls).append(args)
             return real(table, *args)
 
         return kernel
