@@ -36,14 +36,17 @@ of all the points would grow with their number (L^2 had 4.2 million bits on
 ``Polynomial``) takes the base ``PointTable``, the carrier formula, which
 is also the reference the kernels are tested against.
 
-A kernel table is also built from forms (``form_table``):
-``models.ModelMap.image_table`` hands it each image's unreduced integer
-form, with no image element built and no coordinate classified; its
-``points`` map an image by ``apply`` only when a formula fallback reads
-one.  Every kernel table compares two points by cross-multiplying
-(``same``), as these forms need not be canonical.  K(eps) images are
-decided in ``models``: its ``_PackedTable``, a ``_KernelTable`` on
-numerators packed at eps = 2^w, is the one kernel table over K(eps).
+A model's images have one table, ``image_table(model, points)``: the
+model's own ``image_table`` where it has one, else each point object
+mapped once by ``apply`` (``mapped_table``), the one mapping loop.
+``models.ModelMap.image_table`` builds a kernel table from forms
+(``form_table``), each image's unreduced integer form, with no image
+element built and no coordinate classified; its ``points`` map an image
+by ``apply`` only when a formula fallback reads one.  Every kernel table
+compares two points by cross-multiplying (``same``), as these forms need
+not be canonical.  K(eps) images are decided in ``models``: its
+``_PackedTable``, a ``_KernelTable`` on numerators packed at eps = 2^w,
+is the one kernel table over K(eps).
 
 The facts are written once, against the table's tests; a fact given a
 plain mapping builds the table of its points.  A table lives for one call.
@@ -55,7 +58,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
 from .scalars import QQ, IVec, TowerDesc, TowerElem, _iadd, _imul, _isq, _isub
@@ -337,6 +340,27 @@ def form_table(points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[An
     integers over Q; with ``coords``, the points' integer forms (``_Form``
     coordinates over ``tower``), which need not be canonical."""
     return _KernelTable(points, tower, coords) if tower.gens else _RationalTable(points, tower, coords)
+
+
+def mapped_table(apply: Callable[[Point], Point], points: Mapping[Any, Point] | PointTable) -> PointTable:
+    """The ``point_table`` of the images of ``points`` (by name, or their
+    own table) by ``apply``, each point object mapped once, in order, all
+    before the table is built."""
+    if isinstance(points, PointTable):
+        points = points.points
+    mapped = {}
+    for p in points.values():
+        if id(p) not in mapped:
+            mapped[id(p)] = apply(p)
+    return point_table({name: mapped[id(p)] for name, p in points.items()})
+
+
+def image_table(model, points: Mapping[Any, Point] | PointTable) -> PointTable:
+    """The table of a model's images of ``points``: its own ``image_table``
+    where it has one (``models.ModelMap``), else ``mapped_table``."""
+    if hasattr(model, "image_table"):
+        return model.image_table(points)
+    return mapped_table(model.apply, points)
 
 
 def bordered_matrix(sq_dists: Sequence[Scalar], n: int) -> list[list[Scalar]]:

@@ -24,11 +24,10 @@ the points: ``SqDistKnown`` compares the squared distance with its rational
 value and ``NonzeroDist`` with zero (``sqdist_is``); the vector facts read
 their relation from ``gadgets._linear_relation``, the table the span rule
 reads too (``relation_vanishes``); ``Distinct`` compares coordinates
-(``same``).  ``check_derivation`` takes one table of the images, from a
-model's ``image_table`` method where it has one and from ``cm.point_table``
-otherwise, and ``_finish`` one of the gadget's coordinates, so a report
-classifies its points once, not once per fact; over Q every test is a few
-operations on plain integers.
+(``same``).  ``check_derivation`` takes one table of the images,
+``cm.image_table``, and ``_finish`` one of the gadget's coordinates, so a
+report classifies its points once, not once per fact; over Q every test is
+a few operations on plain integers.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping, Sequence, Union
 
-from .cm import Point, PointTable, point_table
+from .cm import Point, PointTable, image_table, point_table
 from .gadgets import (
     KEMPE_IDENTITIES,
     KEMPE_NONZERO_PAIRS,
@@ -642,35 +641,22 @@ class Verdict:
         return self.ok
 
 
-def _images(model, points: Mapping[str, Point]) -> dict[str, Point]:
-    """The image of each named point by ``model.apply``, in order."""
-    images = {}
-    for name, point in points.items():
-        try:
-            images[name] = model.apply(point)
-        except Exception as exc:
-            raise ModelUndefinedAtPoint(f"model undefined at {name}: {exc}") from exc
-    return images
-
-
 def check_derivation(derivation: Derivation, model) -> Verdict:
     """Evaluate every fact at the model's image coordinates; exact verdict.
-    A model with an ``image_table`` method (``models.ModelMap``) gives the
-    images' one table; any other model maps each point by ``apply``, and
-    the images are classified once, into one ``cm.point_table``.  A model
-    undefined at a point raises ``ModelUndefinedAtPoint`` naming the first
-    such point: where ``image_table`` fails, the points are mapped by
-    ``apply`` in order to find it."""
+    The images are classified once, into their one table
+    (``cm.image_table``).  A model undefined at a point raises
+    ``ModelUndefinedAtPoint`` naming the first such point: where the table
+    cannot be built, the points are mapped by ``apply`` in order to find it."""
     points = derivation.gadget.points
-    tabulate = getattr(model, "image_table", None)
-    if tabulate is None:
-        images = point_table(_images(model, points))
-    else:
-        try:
-            images = tabulate(points)
-        except Exception:
-            _images(model, points)  # raises at the first point the model is undefined at
-            raise
+    try:
+        images = image_table(model, points)
+    except Exception:
+        for name, point in points.items():
+            try:
+                model.apply(point)
+            except Exception as exc:
+                raise ModelUndefinedAtPoint(f"model undefined at {name}: {exc}") from exc
+        raise
     for idx, fact in enumerate(derivation.facts):
         if not fact.holds(images):
             return Verdict(ok=False, checked=idx + 1, violated_index=idx, violated_fact=fact)

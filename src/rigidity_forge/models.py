@@ -13,26 +13,28 @@ preservation.
 the frame.  ``ModelMap.image_table`` is the one path that builds images on
 the integer form, for points whose coordinates are ``TowerElem``s of one
 tower.  An embedding maps an integer vector by one method,
-``Embedding.vector_map``: identity and inclusion keep it, and a conjugation
-of an element over a prefix of its domain pads the vector and flips the
-signs of the coordinates that hold the generator.  A frame maps the
-vectors by its integer rows (the frame forms ``frame_rows``,
-``frame_scales`` and ``frame_form``): a rational frame takes a*x + b*y + c
-over one ``lcm``; a K(eps) frame over Q on one denominator D builds each
-image numerator from its rational rows, over D lifted to the points'
-tower.  ``image_table`` hands the forms of a whole point set, unreduced, to
-their table (``cm.form_table``, and for a K(eps) frame ``_PackedTable``,
-which packs the frame's rows once at its width and each image numerator
-as it is), so a check builds and classifies no image.  The forms apply
-with no frame or a frame with integer rows, under every embedding: the
-inclusion into K(eps) keeps the vector, its images being K's own values.
-They do not apply to other frames (a K(eps) frame with a translation or
-entries over a tower among them), ``FunElem`` inputs, rational
-coordinates, mixed towers or points outside a conjugation's domain prefix:
-there ``image_table`` maps each point by ``apply`` into ``cm.point_table``,
-the formula for ``FunElem`` images.  The generic conjugation
-carries a point into its domain by ``scalars.tower_join``.  Every embedding
-fixes Q, so ``int`` and ``Fraction`` values are elements of Q.
+``Embedding.vector_map``, the one sign flip: identity and inclusion keep
+it, and a conjugation of an element over a prefix of its domain pads the
+vector and flips the signs of the coordinates that hold the generator; an
+element outside the prefix is first carried into the domain by value
+(``scalars.tower_join``).  A frame maps the vectors by its integer rows
+(``frame_rows``), each image coordinate by one row form, ``_row_form``:
+p*x + q*y + c over one ``lcm``.  A rational frame's rows are such rows; a
+K(eps) frame over Q on one denominator D has one coefficient pair per power
+of eps, and ``_packed_table`` evaluates each row at eps = 2^w, the table's
+width, to one pair, so its images are formed by the same expression, their
+numerators packed over D lifted to the points' tower.  ``image_table``
+hands the forms of a whole point set, unreduced, to their table
+(``cm.form_table``, or ``_PackedTable``), so a check builds and classifies
+no image.  The forms apply with no frame or a frame with integer rows,
+under every embedding: the inclusion into K(eps) keeps the vector, its
+images being K's own values.  They do not apply to other frames (a K(eps)
+frame with a translation or entries over a tower among them), ``FunElem``
+inputs, rational coordinates, mixed towers or points outside a
+conjugation's domain prefix: there ``image_table`` maps each point by
+``apply`` (``cm.mapped_table``), the formula for ``FunElem`` images.
+Every embedding fixes Q, so ``int`` and ``Fraction`` values are elements
+of Q.
 
 The reports decide their equations on one table of the source points and
 one of the images.  Preservation decides a ``ModelMap``'s pair of points
@@ -52,20 +54,21 @@ every test on the one table of the images: additivity as
 m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling of
 phi(u) = a - o to phi(lambda u) = b - o as a != o, once per direction, and
 b - o = rho (a - o) (``scaled_is``), building no quotient.  Both reports
-give a point object its form, or map it by ``apply``, the first time they
-meet it; equal points built as distinct objects are mapped apiece.
+take the images' table from ``cm.image_table``, which gives a point object
+its form, or maps it by ``apply``, the first time it meets it; equal
+points built as distinct objects are mapped apiece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Any, Callable, Mapping, Sequence
 
-from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, circle_point, form_table, point_table
+from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, circle_point, form_table, image_table, mapped_table, point_table
 from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _canon, _elem, _funit, _isq, fun_pack, tower_conjugate, tower_join
 
 
@@ -126,13 +129,13 @@ class Embedding:
         if isinstance(x, FunElem):
             raise OutOfDomain(f"{x!r} lies in K(eps), not in a quadratic tower")
         if self.kind == "conjugation":
-            if isinstance(x, TowerElem):
-                mapping = self.vector_map(x.tower)
-                if mapping is not None:
-                    return _elem(mapping[0], mapping[1](x._n), x._d)
             if isinstance(x, (int, Fraction)):
                 return self.domain.rational(x)  # every embedding fixes Q
-            return tower_conjugate(self._into_domain(x), self.generator)
+            mapping = self.vector_map(x.tower)
+            if mapping is None:
+                x = self._into_domain(x)
+                mapping = self.vector_map(self.domain)
+            return _elem(mapping[0], mapping[1](x._n), x._d)
         return FunElem.constant(x)
 
     def vector_map(self, tower: TowerDesc) -> tuple[TowerDesc, Callable[[IVec], IVec]] | None:
@@ -173,13 +176,11 @@ class OrthoAffine:
 
     ``apply`` is the formula.  Two frame shapes also carry integer rows,
     ``_kernel``, that map two ``TowerElem``s of one tower straight to the
-    integer form of the image (``frame_form``): a rational frame (every
+    integer form of the image (``_row_form``): a rational frame (every
     entry an ``int`` or ``Fraction``) and a K(eps) frame (``_kfield``: every
     matrix entry a ``FunElem`` over Q, all over one denominator D, no
     translation), whose images lie over D lifted to the points' tower.
-    Each row is one image coordinate: the pairs (p_i, q_i) of integer
-    coefficients of eps^i in m_r0 and m_r1 over their denominators k_a and
-    k_b, and the translation c = p_c/q_c.
+    Each row is one image coordinate (``frame_rows``).
     """
 
     matrix: tuple[tuple, tuple]  # rows ((m00, m01), (m10, m11))
@@ -274,7 +275,7 @@ class ModelMap:
         ``points`` map an image by ``apply`` when first read.  Elsewhere
         (mixed towers, ``FunElem`` or rational coordinates, points outside a
         conjugation's domain prefix, a frame without integer rows) each
-        point is mapped by ``apply``, in order (``_mapped_table``)."""
+        point is mapped by ``apply``, in order (``cm.mapped_table``)."""
         if self.frame is None and self.embedding.kind == "identity":
             return point_table(points)
         if isinstance(points, PointTable):
@@ -283,7 +284,7 @@ class ModelMap:
         tower = _one_tower([p.x for p in values] + [p.y for p in values]) if frame is None or frame._kernel is not None else None
         mapping = None if tower is None else self.embedding.vector_map(tower)
         if mapping is None:
-            return _mapped_table(self.apply, points)
+            return mapped_table(self.apply, points)
         (image_tower, vector), vectors = mapping, {}
         for p in values:
             if id(p) not in vectors:
@@ -295,32 +296,12 @@ class ModelMap:
         if frame is None:
             forms = {key: Point(_Form(xn, xd), _Form(yn, yd)) for key, (xn, xd, yn, yd) in vectors.items()}
         else:
-            forms = {key: Point(*[_Form(*_tower_form(row, *v)) for row in frame._kernel]) for key, v in vectors.items()}
+            forms = _forms(frame._kernel, vectors)
         return form_table(images, image_tower, {name: forms[id(p)] for name, p in points.items()})
 
 
-def _mapped_table(apply: Callable[[Point], Point], points: Mapping[Any, Point] | PointTable) -> PointTable:
-    """The ``cm.point_table`` of the images of ``points`` (by name, or their
-    own table) by ``apply``, each point object mapped once, in order, all
-    before the table is built."""
-    if isinstance(points, PointTable):
-        points = points.points
-    mapped = {}
-    for p in points.values():
-        if id(p) not in mapped:
-            mapped[id(p)] = apply(p)
-    return point_table({name: mapped[id(p)] for name, p in points.items()})
-
-
-def _image_table(model, points: Mapping[Any, Point] | PointTable) -> PointTable:
-    """A ``ModelMap``'s ``image_table``; any other model's images by ``apply``."""
-    if isinstance(model, ModelMap):
-        return model.image_table(points)
-    return _mapped_table(model.apply, points)
-
-
 # ---------------------------------------------------------------------------
-# Frame forms: the image (a*x + b*y + c, ...) of two tower elements x, y of
+# Frame forms: the image (p*x + q*y + c, ...) of two tower elements x, y of
 # one tower under an affine frame, on the integer form and unreduced.  A
 # frame of another shape has no rows and takes the generic formula.
 # ---------------------------------------------------------------------------
@@ -356,38 +337,22 @@ def frame_rows(matrix, translation) -> tuple[tuple[FrameRow, ...], bool] | None:
     return tuple(rows), False
 
 
-def _scaled_sum(p: int, u: IVec, q: int, v: IVec) -> IVec:
-    """p*u + q*v for integer vectors of one length."""
-    return tuple([p * c + q * e for c, e in zip(u, v)])
-
-
-def frame_scales(row: FrameRow, xd: int, yd: int) -> tuple[int, int, int]:
-    """(f1, f2, k): a frame row's terms in x = xn/xd and y = yn/yd, and its
-    translation, over one ``lcm`` k, the two terms scaled by f1 and f2."""
-    _, ka, kb, _, qc = row
+def _row_form(row: FrameRow, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
+    """The image coordinate p*x + q*y + c of x = xn/xd and y = yn/yd under a
+    row with one coefficient pair (p, q), unreduced, over one ``lcm``."""
+    ((p, q),), ka, kb, pc, qc = row
     k1, k2 = ka * xd, kb * yd
     k = lcm(k1, k2, qc)
-    return k // k1, k // k2, k
-
-
-def frame_form(row: FrameRow, pairs: Sequence[tuple[int, int]], xn: IVec, yn: IVec, scales: tuple[int, int, int]) -> tuple[list[IVec], int]:
-    """A frame row's image coordinate of (xn/xd, yn/yd), unreduced, for its
-    ``scales`` (f1, f2, k) = ``frame_scales(row, xd, yd)``: the vector
-    f1*p*xn + f2*q*yn per coefficient pair (p, q) of ``pairs`` (the row's
-    own, or its two polynomials evaluated at one point), the translation
-    added to the first, over k."""
-    f1, f2, k = scales
-    out = [_scaled_sum(p * f1, xn, q * f2, yn) for p, q in pairs]
-    pc, qc = row[3], row[4]
+    f1, f2 = p * (k // k1), q * (k // k2)
+    out = [f1 * a + f2 * b for a, b in zip(xn, yn)]
     if pc:
-        out[0] = (out[0][0] + pc * (k // qc),) + out[0][1:]
-    return out, k
+        out[0] += pc * (k // qc)
+    return tuple(out), k
 
 
-def _tower_form(row: tuple, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
-    """A rational frame row's image coordinate on the integer form."""
-    out, k = frame_form(row, row[0], xn, yn, frame_scales(row, xd, yd))
-    return out[0], k
+def _forms(rows: Sequence[FrameRow], vectors: dict) -> dict:
+    """Each point's image form, by key: a ``_row_form`` per frame row."""
+    return {key: Point(*[_Form(*_row_form(row, *v)) for row in rows]) for key, v in vectors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +369,17 @@ def _bits(top: int, rows: int) -> int:
 class _PackedTable(_KernelTable):
     """``FunElem``s of one tower over one denominator pair D, the shape of
     every eps-frame image: an equation homogeneous in D holds iff it holds on
-    the numerators, so each numerator (integer rows over k) is packed once,
-    when the table is built, at eps = B = 2^w (``scalars.fun_pack``), D^2
-    once per table, and the ``_KernelTable`` tests decide every test on the
-    packed vectors (``sqdist_num`` too: a packed table is never a report's
-    source table).  The table is given the bounds of its numerators and D:
-    ``top``, the largest |coefficient|, ``rows``, the most rows, and ``k``,
-    the largest numerator denominator; then ``pack(shifts)`` gives each
-    point's packed coordinates.  Its one producer is ``_packed_table``,
-    which reads these bounds off the frame's rows and D and the scales
-    (``frame_scales``) of the points' integer vectors, and packs each
-    image's unreduced form (``frame_form``) as it is.  ``cm.point_table``
+    the numerators, so the table holds each numerator (integer rows over k)
+    at eps = B = 2^w, packed when the table is built, D^2 packed
+    (``scalars.fun_pack``) once per table, and the ``_KernelTable`` tests
+    decide every test on the packed vectors (``sqdist_num`` too: a packed
+    table is never a report's source table).  The table is given the bounds
+    of its numerators and D: ``top``, the largest |coefficient|, ``rows``,
+    the most rows, and ``k``, the largest numerator denominator; then
+    ``pack(shifts)`` gives each point's packed coordinates.  Its one
+    producer is ``_packed_table``, which reads these bounds off the frame's
+    rows and D and each point's ``lcm``, and forms each image from the
+    frame's rows packed at B (``_row_form``), unreduced.  ``cm.point_table``
     builds no packed table: a set of ``FunElem`` points takes the formula.
 
     Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
@@ -446,12 +411,13 @@ class _PackedTable(_KernelTable):
       2 e 2^(4kb+2kd) C|U|^2 + 2^(8kb) C |m| |D_N|^2 < 2^t1 + 2^t2;
     - ``same``, c = k k': |U| < 2^(a+kb+1);
     - ``dot_vanishes``, c = delta k1 ... k8: 2^(4kb+1) C|U|^2 < 2^t1;
-    - ``scaled_is`` by rho = R/k_R, c = delta k1 ... k4 k_R:
+    - ``scaled_is`` by rho = R/k_R, R one row (a constant over the unit
+      polynomial; any other rho takes the formula), c = delta k1 ... k4 k_R:
       2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
     - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
       sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
 
-    __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square", "_rho")
+    __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square")
 
     def __init__(self, points: Mapping, tower: TowerDesc, den: IPoly, top: int, rows: int, k: int, pack: Callable) -> None:
         a, kb = _bits(top, rows), k.bit_length()
@@ -459,7 +425,7 @@ class _PackedTable(_KernelTable):
         w = self.width = max(db + cb + s + 2 * a + 6 * kb + 2 * den[1].bit_length() + 3, 2 * cb + s + 2 * a + 8 * kb) + 1
         shifts = self._shifts = range(0, w * rows, w)
         super().__init__(points, tower, pack(shifts))
-        self._den, self._budget, self._kb, self._square, self._rho = den, s, kb, None, (None, None)
+        self._den, self._budget, self._kb, self._square = den, s, kb, None
 
     def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
         """The packed n/k_n against m/e * D^2, D^2 = square/(k k_D^2), on
@@ -479,44 +445,37 @@ class _PackedTable(_KernelTable):
         return super().relation_vanishes(relation)
 
     def _constant(self, rho):
-        """rho packed, if a fitting constant of the tower over 1; else None.
-        The last rho is kept with its packing, so a run of tests with one
-        rho packs it once."""
-        if self._rho[0] is not rho:
-            packed = None
-            if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d):
-                (rows, k), shifts = rho._n, self._shifts
-                top = max(map(abs, chain.from_iterable(rows)), default=0)
-                if len(rows) <= len(shifts) and max(_bits(top, len(rows)), k.bit_length()) <= self._budget:
-                    packed = _Form(fun_pack(rows, self.tower.dim, shifts), k)
-            self._rho = (rho, packed)
-        return self._rho[1]
+        """rho as the kernels read it, if a fitting constant of the tower over
+        the unit polynomial: its one row (the zero row for zero), which is
+        its own packing; else None, and the formula decides."""
+        if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d) and len(rho._n[0]) <= 1:
+            (row,), k = rho._n if rho._n[0] else (((0,) * self.tower.dim,), 1)
+            if max(_bits(max(map(abs, row)), 1), k.bit_length()) <= self._budget:
+                return _Form(row, k)
+        return None
 
 
 def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Point], images: _Images, vectors: dict) -> _PackedTable:
-    """The packed table of the images of ``points`` under a K(eps) frame,
-    each point's form (``frame_form``) packed as it is: the frame's rows
-    are packed once, at the table's width, for coefficient pairs of one
-    integer each.  The width's bounds come from the forms' scales
-    (``frame_scales``): a coefficient of a numerator is at most
-    f1 max|p_i| max|xn_j| + f2 max|q_i| max|yn_j|, and k the unreduced lcm."""
+    """The packed table of the images of ``points`` under a K(eps) frame:
+    each frame row is evaluated at eps = 2^w (``fun_pack``, once per row),
+    a row with one coefficient pair, and each point's form is packed as
+    ``_row_form`` builds it.  The width's bounds read each point's ``lcm``
+    k: a coefficient of a numerator is at most
+    (k/(k_a xd)) max|p_i| max|xn_j| + (k/(k_b yd)) max|q_i| max|yn_j|."""
     rows, k = frame.matrix[0][0]._d
     pad = (0,) * (tower.dim - 1)
     den = (tuple([r + pad for r in rows]), k)
-    top, k_max, scales = max(abs(c) for r in den[0] for c in r), 1, {}
+    top, k_max = max(abs(c) for r in den[0] for c in r), 1
     peaks = [(max(abs(p) for p, _ in row[0]), max(abs(q) for _, q in row[0])) for row in frame._kernel]
-    for key, (xn, xd, yn, yd) in vectors.items():
+    for xn, xd, yn, yd in vectors.values():
         x_top, y_top = max(map(abs, xn)), max(map(abs, yn))
-        scales[key] = per_row = [frame_scales(row, xd, yd) for row in frame._kernel]
-        for (f1, f2, k), (p_top, q_top) in zip(per_row, peaks):
-            top, k_max = max(top, f1 * p_top * x_top + f2 * q_top * y_top), max(k_max, k)
+        for (_, ka, kb, _, _), (p_top, q_top) in zip(frame._kernel, peaks):
+            k = lcm(ka * xd, kb * yd)
+            top, k_max = max(top, k // (ka * xd) * p_top * x_top + k // (kb * yd) * q_top * y_top), max(k_max, k)
 
     def pack(shifts: range) -> dict:
-        rows = [(row, [fun_pack(row[0], 2, shifts)]) for row in frame._kernel]
-        forms = {}
-        for key, (xn, _, yn, _) in vectors.items():
-            out = [frame_form(row, pairs, xn, yn, scaled) for (row, pairs), scaled in zip(rows, scales[key])]
-            forms[key] = Point(*[_Form(vecs[0], k) for vecs, k in out])
+        packed = [((fun_pack(row[0], 2, shifts),),) + row[1:] for row in frame._kernel]
+        forms = _forms(packed, vectors)
         return {name: forms[id(p)] for name, p in points.items()}
 
     rows = max(len(den[0]), *[len(row[0]) for row in frame._kernel])
@@ -584,17 +543,16 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     classified once into a ``cm.point_table``; every pair's rho(v) is taken
     (``_embedded_distance``, with the embedding's ``vector_map`` of the
     source tower taken once per call), and then the images go into one table
-    (``ModelMap.image_table``, the source table itself under the identity;
-    any other model maps each point by ``apply``).  The images are then
-    compared: against the integers of a rational v by ``sqdist_is_form``,
-    else against rho(v) by ``sqdist_is``.  ``int`` and ``Fraction``
-    coordinates are rationals."""
+    (``cm.image_table``, the source table itself under the identity).  The
+    images are compared against the integers of a rational v by
+    ``sqdist_is_form``, else against rho(v) by ``sqdist_is``.  ``int`` and
+    ``Fraction`` coordinates are rationals."""
     # the tables name each point object by its id; ``pairs`` holds them for the call
     source = point_table({id(p): p for pair in pairs for p in pair})
     kernel = isinstance(model, ModelMap) and isinstance(source, _KernelTable)
     mapping = model.embedding.vector_map(source.tower) if kernel else None
     wanted = [_embedded_distance(model, mapping, source, id(p), id(q)) for p, q in pairs]
-    images = _image_table(model, source)
+    images = image_table(model, source)
     checks = tuple(
         PairCheck((p, q), (images.sqdist_is_form(id(p), id(q), *v) if type(v) is tuple else images.sqdist_is(id(p), id(q), v)) and kept)
         for (p, q), (v, kept) in zip(pairs, wanted)
@@ -620,10 +578,10 @@ def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence
     The sample points are built once, under names: the origin, the
     directions u, the sums u + v of each pair and the multiples lambda u.
     Each point object gets one image, all of them before any test
-    (``ModelMap.image_table``; any other model maps it by ``apply``), so a
-    model undefined at any sample point raises, even where an earlier test
-    would decide the report.  Every test is decided, in order and with its early
-    exit, on the one table of the images: additivity as
+    (``cm.image_table``), so a model undefined at any sample point raises,
+    even where an earlier test would decide the report.  Every test is
+    decided, in order and with its early exit, on the one table of the
+    images: additivity as
     m(u + v) - m(u) - m(v) + m(0) = 0 (``relation_vanishes``), and scaling
     of phi(u) = a - o to phi(lambda u) = b - o as a != o, decided once per
     direction, and b - o = rho (a - o) (``scaled_is``).  ``int`` and
@@ -638,7 +596,7 @@ def verify_structure(model: ModelMap, lambdas: Sequence[TowerElem], us: Sequence
     points.update((("u", i), u) for i, u in enumerate(us))
     points.update((("u+v", i, j), Point(us[i].x + us[j].x, us[i].y + us[j].y)) for i, j in pairs)
     points.update((("lu", k, i), Point(lam * u.x, lam * u.y)) for k, lam in enumerate(lambdas) for i, u in enumerate(us))
-    images = _image_table(model, points)
+    images = image_table(model, points)
 
     additivity_ok = all(images.relation_vanishes({("u+v", i, j): 1, ("u", i): -1, ("u", j): -1, "o": 1}) for i, j in pairs)
 

@@ -624,9 +624,6 @@ def test_check_derivation_scaling_violates_first_fact(division_half):
         def apply(self, p):
             return Point(2 * p.x, 2 * p.y)
 
-        def embed_rational(self, q):
-            return q
-
     verdict = check_derivation(derivation, Doubling())
     assert not verdict.ok
     assert verdict.violated_index == 0

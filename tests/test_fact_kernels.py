@@ -460,7 +460,7 @@ def test_structure_matches_the_oracle(case):
     """The kernel tables, the base tables, and the theta oracle agree."""
     model, lambdas, us = case
     report = verify_structure(model, lambdas, us)
-    with mock.patch.object(models, "point_table", cm.PointTable):
+    with mock.patch.object(cm, "point_table", cm.PointTable), mock.patch.object(models, "point_table", cm.PointTable):
         assert verify_structure(model, lambdas, us) == report
     assert report == oracle_structure(model, lambdas, us)
 
@@ -519,12 +519,14 @@ def test_structure_edge_cases_match_the_oracle(case, monkeypatch):
     """Each report, decided on one table, equals the base table's and the
     oracle's; images on two towers make that one table the base table."""
     (model, lambdas, us), flags = STRUCTURE_EDGE_CASES[case]
-    tables, real_table = [], models.point_table
-    monkeypatch.setattr(models, "point_table", lambda points: tables.append(real_table(points)) or tables[-1])
+    tables, real_table = [], cm.point_table
+    for module in (cm, models):
+        monkeypatch.setattr(module, "point_table", lambda points: tables.append(real_table(points)) or tables[-1])
     report = verify_structure(model, lambdas, us)
     assert (report.additivity_ok, report.theta_ok, report.homomorphism_ok, len(report.thetas)) == flags
     assert len(tables) == 1 and (type(tables[0]) is cm.PointTable) == case.startswith("mixed")
-    monkeypatch.setattr(models, "point_table", cm.PointTable)
+    for module in (cm, models):
+        monkeypatch.setattr(module, "point_table", cm.PointTable)
     assert verify_structure(model, lambdas, us) == report == oracle_structure(model, lambdas, us)
 
 
@@ -542,10 +544,11 @@ def test_structure_maps_every_point_before_any_test():
 
 
 def test_eps_structure_packs_each_image_once(monkeypatch):
-    """An eps-model report packs its 111 images into one table, each image
-    once (two ``fun_pack`` calls), and each of its 4 rho values once, as the
-    table keeps the last rho with its packing: at most 226 calls, where one
-    table per test made 748 and packing rho per ``scaled_is`` call 266."""
+    """An eps-model report packs its 111 images into one table with two
+    ``fun_pack`` calls, one per frame row: each image is formed from the
+    packed rows and packs nothing, and each rho, a constant, is read as its
+    one row.  Packing each image's numerators made 222 calls and more, one
+    table per test 748."""
     registered, lambdas, us = criterion_9_data()
     calls, real_pack = [], models.fun_pack
     monkeypatch.setattr(models, "fun_pack", lambda *args: calls.append(args) or real_pack(*args))
@@ -553,7 +556,7 @@ def test_eps_structure_packs_each_image_once(monkeypatch):
     for model in registered[2:4]:
         calls.clear()
         assert verify_structure(model, lambdas, us).ok
-        assert images == 111 and len(calls) <= 2 * images + len(lambdas) == 226
+        assert images == 111 and [dim for _, dim, _ in calls] == [2, 2]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -911,7 +914,7 @@ def test_images_are_looked_up_by_object_without_a_hash(monkeypatch):
     inside.append(True)
     for model, pairs, mapped, formed in (
         (identity_model(), pairs, 0, 0),  # the points' own table
-        (conjugation_model(tower, 1), pairs, 4, 3),  # two towers: ``apply``, whose ``apply_scalar`` maps the vectors of the three over ``tower``
+        (conjugation_model(tower, 1), pairs, 4, 4),  # two towers: ``apply``, whose ``apply_scalar`` maps every vector, the wider point's carried into the domain first
         (conjugation_model(tower, 1), pairs[:2] + pairs[3:], 3, 3),  # one tower: three forms; the irrational distance's formula maps the three images
     ):
         counts.update(hash=0, mapped=0, formed=0)
@@ -1457,8 +1460,8 @@ def test_packed_verdicts_and_reports_match_the_formula_tables():
         packed = [item() for item in items]
     assert len(packed) == 96 + 5 and len(built) > 0
     generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
-    no_forms = lambda model, points: models._mapped_table(model.apply, points)  # every image mapped by ``apply``
-    with mock.patch.object(engine, "point_table", generic_table), mock.patch.object(models, "point_table", generic_table):
+    no_forms = lambda model, points: cm.mapped_table(model.apply, points)  # every image mapped by ``apply``
+    with mock.patch.object(cm, "point_table", generic_table), mock.patch.object(engine, "point_table", generic_table), mock.patch.object(models, "point_table", generic_table):
         with mock.patch("rigidity_forge.gadgets.point_table", generic_table), mock.patch.object(models._PackedTable, "__init__", counting_init):
             with mock.patch.object(ModelMap, "image_table", no_forms):
                 built.clear()
@@ -1513,6 +1516,52 @@ def test_the_soundness_pass_packs_eps_images_in_models_only(monkeypatch):
     eps_tables = [table for size, table in eps_tables if size]
     assert all(type(table) is models._PackedTable for table in eps_tables)
     assert [id(table) for table in eps_tables] == [id(table) for table in packed]
+
+
+def test_the_soundness_pass_maps_and_packs_only_what_it_reads(monkeypatch, packed_table):
+    """Over one warm run of ``soundness_items()``: every ``scaled_is`` of a
+    packed table reads its rho on the kernel (``_constant`` never answers
+    None); ``fun_pack`` packs only a frame row (once per row per table) or
+    D (at most once per table); ``ModelMap.apply`` runs only inside the
+    Doubling control's own ``apply``; and ``cm.mapped_table`` runs only
+    for the two Doubling controls, which have no ``image_table``, and for
+    the empty point sets of the five non-identity preservation reports of
+    the trivial chain's empty certificate."""
+    items = soundness_items()
+    for item in items:
+        item()
+    constants, packs, built, mapped, applied, doubling = [], [], [], [], [], []
+    real_constant, real_pack, real_packed = models._PackedTable._constant, models.fun_pack, models._packed_table
+    real_mapped, real_apply = cm.mapped_table, ModelMap.apply
+    monkeypatch.setattr(models._PackedTable, "_constant", lambda self, rho: constants.append(real_constant(self, rho)) or constants[-1])
+    monkeypatch.setattr(models, "fun_pack", lambda rows, dim, shifts: packs.append((rows, shifts)) or real_pack(rows, dim, shifts))
+    monkeypatch.setattr(models, "_packed_table", lambda frame, *args: built.append((frame, real_packed(frame, *args))) or built[-1][1])
+    for module in (cm, models):
+        monkeypatch.setattr(module, "mapped_table", lambda apply, points: mapped.append((apply, len(points))) or real_mapped(apply, points))
+    monkeypatch.setattr(ModelMap, "apply", lambda self, p: applied.append(bool(doubling)) or real_apply(self, p))
+    monkeypatch.setattr(Doubling, "apply", _scoped(doubling, Doubling.apply))
+    for item in items:
+        item()
+    assert len(constants) == 88 and None not in constants
+    per_table = [[rows for rows, shifts in packs if shifts is table._shifts] for _, table in built]
+    for (frame, table), calls in zip(built, per_table):
+        assert [rows for rows in calls if rows is not table._den[0]] == [row[0] for row in frame._kernel]
+        assert len(calls) <= len(frame._kernel) + 1
+    # the 2 * 32 + 2 + 2 eps image tables of the pass, but the two of no point
+    assert len(built) == 66 and sum(map(len, per_table)) == len(packs)
+    points = len(suite.replay_corpus()[0].gadget.points)
+    assert applied == [True] * points
+    assert [(type(apply.__self__), size) for apply, size in mapped if size] == [(Doubling, points)] * 2
+    assert sum(not size for _, size in mapped) == 5
+    # the counter does see the formula: a rho that is no constant of K(eps)
+    eps = FunElem.eps()
+    zero, one = FunElem.constant(0), FunElem.constant(1)
+    points = {"O": Point(zero, zero), "A": Point(one, 2 * one), "R": Point(eps, 2 * eps)}
+    table = packed_table(points)
+    constants.clear()
+    for rho, holds in ((eps, True), (eps + 1, False)):
+        assert table.scaled_is(("R", "O"), ("A", "O"), rho) == cm.PointTable(points).scaled_is(("R", "O"), ("A", "O"), rho) == holds
+    assert constants == [None, None]
 
 
 def test_the_width_is_load_bearing(packed_table):
@@ -1600,7 +1649,7 @@ def test_form_tables_give_the_apply_tables_verdicts_and_reports(monkeypatch):
     forms = soundness_pass() + _q_moving_reports()
     assert len(forms) == 96 + 5 + 5 + 6
     assert not any(report.ok for report in forms[-6:]) and sum(not check.ok for report in forms[-6:] for check in report.checks) > 6
-    monkeypatch.setattr(ModelMap, "image_table", lambda model, points: models._mapped_table(model.apply, points))
+    monkeypatch.setattr(ModelMap, "image_table", lambda model, points: cm.mapped_table(model.apply, points))
     assert soundness_pass() + _q_moving_reports() == forms
 
 
@@ -1734,3 +1783,26 @@ def test_checks_and_reports_build_no_image(monkeypatch):
     # the table's ``apply`` loop stops at D; ``check_derivation`` then maps
     # the points again, in order, to name the point
     assert calls.count("apply") == 2 * (list(division.gadget.points).index("D") + 1)
+
+
+def test_an_apply_only_model_names_the_first_point_it_is_undefined_at():
+    """A model with ``apply`` only, undefined at the third point of a corpus
+    gadget: ``check_derivation`` raises ``ModelUndefinedAtPoint`` naming
+    that point, with the model's exception as its cause, once the table's
+    ``apply`` loop and then the naming loop have each stopped there."""
+    entry = suite.replay_corpus()[1]
+    name, hole = list(entry.gadget.points.items())[2]
+    calls, raised = [], []
+
+    class Holed:
+        def apply(self, p):
+            calls.append(p)
+            if p is hole:
+                raised.append(OutOfDomain(f"{p} is outside the model's domain"))
+                raise raised[-1]
+            return Point(p.y, p.x)
+
+    with pytest.raises(engine.ModelUndefinedAtPoint, match=f"^model undefined at {name}: ") as caught:
+        check_derivation(entry.derivation, Holed())
+    assert caught.value.__cause__ is raised[-1] and len(raised) == 2
+    assert len(calls) <= 6

@@ -2,7 +2,8 @@
 uses, every import sits at module level, the package ships no function,
 class or method that only tests use, the checker's modules import nothing
 from ``models``, ``cm`` imports no K(eps) name, ``scalars`` defines no
-frame form, and every module under ``src/`` and ``tests/`` is written in
+frame form, ``engine`` and ``models`` define no point-mapping helper, and
+every module under ``src/`` and ``tests/`` is written in
 the grammar of Python 3.10, the oldest version ``pyproject.toml`` admits."""
 
 import ast
@@ -192,7 +193,10 @@ def defined_names(source: str) -> set[str]:
 # holds tower tables only
 K_EPS_NAMES = {"FunElem", "fun_pack", "_funit", "IPoly"}
 # the frame forms, defined next to the frames that read them
-FRAME_FORMS = {"FrameRow", "frame_rows", "frame_scales", "frame_form", "_scaled_sum"}
+FRAME_FORMS = {"FrameRow", "frame_rows", "_row_form"}
+# point-mapping helpers: ``cm.image_table`` and ``cm.mapped_table`` map every
+# point, so no module above ``cm`` keeps a mapping loop of its own
+MAPPING_HELPERS = {"_images", "_mapped_table", "_image_table"}
 
 
 def _source(name: str) -> str:
@@ -223,11 +227,26 @@ def test_scalars_defines_no_frame_form():
 def test_frame_form_check_catches_a_definition_in_scalars():
     scalars = _source("scalars")
     for text, name in (
-        ("\n\ndef frame_form(row, pairs, xn, yn, scales):\n    return [], 1\n", "frame_form"),
+        ("\n\ndef _row_form(row, xn, xd, yn, yd):\n    return (), 1\n", "_row_form"),
         ("\nFrameRow = tuple\n", "FrameRow"),
-        ("\n_scaled_sum: object = None\n", "_scaled_sum"),
+        ("\nframe_rows: object = None\n", "frame_rows"),
     ):
         assert defined_names(scalars + text) & FRAME_FORMS == {name}, text
+
+
+def test_engine_and_models_define_no_point_mapping_helper():
+    for name in ("engine", "models"):
+        assert defined_names(_source(name)) & MAPPING_HELPERS == set(), name
+    assert {"image_table", "mapped_table"} <= defined_names(_source("cm"))
+
+
+def test_mapping_helper_check_catches_a_definition_in_engine_or_models():
+    for module, text, name in (
+        ("engine", "\n\ndef _images(model, points):\n    return {}\n", "_images"),
+        ("models", "\n\ndef _mapped_table(apply, points):\n    return None\n", "_mapped_table"),
+        ("models", "\n_image_table = None\n", "_image_table"),
+    ):
+        assert defined_names(_source(module) + text) & MAPPING_HELPERS == {name}, text
 
 
 def test_sources_parse_with_the_oldest_supported_grammar():

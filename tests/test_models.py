@@ -209,9 +209,6 @@ def test_preservation_detects_scaling():
         def rho(self, v):
             return v
 
-        def embed_rational(self, q):
-            return q
-
     report = verify_preservation(Doubler(), [(rational_point(0, 0), rational_point(1, 0))])
     assert not report.ok
 
@@ -352,9 +349,6 @@ def test_structure_detects_nonhomomorphic_map():
         def rho(self, v):
             return v
 
-        def embed_rational(self, q):
-            return q
-
     us = directions(QQ)
     report = verify_structure(Shifted(), [QQ.rational(2)], us)
     assert not report.ok
@@ -467,9 +461,6 @@ class _Doubled:
     def apply(self, p):
         q = p if self.model is None else self.model.apply(p)
         return Point(2 * q.x, 2 * q.y)
-
-    def embed_rational(self, q):
-        return q
 
 
 def test_lazy_kfield_refutes_the_negative_controls():
@@ -889,12 +880,16 @@ def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
 
 
 def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
+    """The conjugations of the model family map every point of their checks
+    and reports by ``vector_map`` alone: none is carried into the domain by
+    value (``_into_domain``)."""
     corpus = suite.replay_corpus()
     family = [(entry, model) for entry in corpus for name, model in suite.model_family(entry.gadget) if "conjugation" in name]
     registered, lambdas, us = _structure_data()
-    calls = []
-    real_conjugate = models.tower_conjugate
-    monkeypatch.setattr(models, "tower_conjugate", lambda x, i: calls.append(x) or real_conjugate(x, i))
+    calls, maps = [], []
+    real_into, real_map = Embedding._into_domain, Embedding.vector_map
+    monkeypatch.setattr(Embedding, "_into_domain", lambda self, x: calls.append(x) or real_into(self, x))
+    monkeypatch.setattr(Embedding, "vector_map", lambda self, tower: maps.append(tower) or real_map(self, tower))
     for entry, model in family:
         gadget = entry.gadget
         pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
@@ -908,10 +903,11 @@ def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
     domain = adjoin_sqrt(adjoin_sqrt(QQ, 2).tower, 3).tower
     s3 = adjoin_sqrt(QQ, 3).root
     model = conjugation_model(domain, 1)
-    calls.clear()  # the one call that validated the embedding
+    maps.clear()
     image = model.apply(Point(s3, s3.tower.one()))
     assert image.x == -domain.generator(1) and image.x.tower == domain
-    assert len(calls) == 2
+    # each coordinate is carried into the domain, then flipped by the domain's ``vector_map``
+    assert len(calls) == 2 and maps == [s3.tower, domain] * 2
 
 
 def test_eps_models_square_the_denominator_once(monkeypatch):

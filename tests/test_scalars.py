@@ -1631,7 +1631,7 @@ def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
     generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
     for module in (cm, engine, gadgets, models):
         monkeypatch.setattr(module, "point_table", generic_table)
-    monkeypatch.setattr(models.ModelMap, "image_table", lambda model, points: models._mapped_table(model.apply, points))
+    monkeypatch.setattr(models.ModelMap, "image_table", lambda model, points: cm.mapped_table(model.apply, points))
     kernel_calls.clear()
     fun_kernel_calls.clear()
     generic = results()

@@ -134,9 +134,6 @@ class _Doubling:
     def apply(self, p):
         return Point(2 * p.x, 2 * p.y)
 
-    def embed_rational(self, q):
-        return q
-
 
 class _WrongFrame:
     """A model followed by a linear map that is not orthonormal."""
@@ -149,9 +146,6 @@ class _WrongFrame:
         q = self.model.apply(p)
         (m00, m01), (m10, m11) = self.matrix
         return Point(m00 * q.x + m01 * q.y, m10 * q.x + m11 * q.y)
-
-    def embed_rational(self, q):
-        return q
 
 
 def _proves_zero_relation(entry) -> bool:
