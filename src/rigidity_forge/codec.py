@@ -8,6 +8,13 @@ is one recursive emitter whose text is byte-identical to
 whenever an indent is set, so the emitter writes null, true, false and
 empty containers itself too.  A location is formatted only for the message
 of a failure: the decoders pass it on as a function that builds it.
+
+Decoding a gadget or a derivation costs a dict lookup per record field and
+per coordinate, plus one parse per distinct rational string in each of the
+two memos that one decode call keeps: string -> Fraction for record fields,
+and string -> integers p, q for coordinates (which build no Fraction).  A
+memo takes a string only after it parses, and nothing outlives the call.
+Validating a tower descriptor costs more: see ``MAX_TOWER_DEPTH``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ _RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([1-9][0-9]*))?")
 # digits per integer, below the interpreter's default int-string limit (4300)
 MAX_DIGITS = 4000
 
-# generators per tower; decoding and validating costs ~5x per level
+# generators per tower; validating a descriptor (its "already a square"
+# check) costs 5.6-6.6x per level: 43.8 s for one depth-8 descriptor with
+# 1,000-digit coordinates (2-core x86-64 VM, CPython 3.11)
 MAX_TOWER_DEPTH = 8
 
 
@@ -99,16 +108,21 @@ def _encode_coords(x: TowerElem) -> list[str]:
     return out
 
 
-def _decode_coords(tower: TowerDesc, coords: Any, where: Callable[[], str]) -> TowerElem:
+def _decode_coords(tower: TowerDesc, coords: Any, where: Callable[[], str], memo: dict) -> TowerElem:
     """A list of ``tower.dim`` exact rationals at the location ``where()``
     names on failure, read straight into the canonical integer form over the
-    lcm of the denominators."""
+    lcm of the denominators; ``memo`` is the call's string -> (p, q) memo."""
     if not isinstance(coords, list) or len(coords) != tower.dim:
         _fail(where(), f"expected {tower.dim} coordinates")
-    pairs = [_rational_parts(c) for c in coords]
-    for i, parts in enumerate(pairs):
-        if type(parts) is str:
-            _fail(f"{where()}[{i}]", parts)
+    pairs = []
+    for i, text in enumerate(coords):
+        parts = memo.get(text) if type(text) is str else None
+        if parts is None:
+            parts = _rational_parts(text)
+            if type(parts) is str:
+                _fail(f"{where()}[{i}]", parts)
+            memo[text] = parts
+        pairs.append(parts)
     d = lcm(*[q for _, q in pairs])
     return _elem(tower, *_canon(tuple([p * (d // q) for p, q in pairs]), d))
 
@@ -118,17 +132,17 @@ def encode_tower(tower: TowerDesc) -> dict:
 
 
 def decode_tower(obj: Any, location: str = "field") -> TowerDesc:
-    return _decode_tower(obj, lambda: location)
+    return _decode_tower(obj, lambda: location, {})
 
 
-def _decode_tower(obj: Any, where: Callable[[], str]) -> TowerDesc:
+def _decode_tower(obj: Any, where: Callable[[], str], memo: dict) -> TowerDesc:
     if not isinstance(obj, dict) or not isinstance(obj.get("gens"), list):
         _fail(where(), "expected an object with a 'gens' list")
     if len(obj["gens"]) > MAX_TOWER_DEPTH:
         _fail(f"{where()}.gens", f"{len(obj['gens'])} generators exceed the tower depth limit {MAX_TOWER_DEPTH}")
     tower = QQ
     for i, coords in enumerate(obj["gens"]):
-        rad = _decode_coords(tower, coords, lambda: f"{where()}.gens[{i}]")
+        rad = _decode_coords(tower, coords, lambda: f"{where()}.gens[{i}]", memo)
         if rad.sign() <= 0:
             _fail(f"{where()}.gens[{i}]", "radicand is not strictly positive")
         if sqrt_in_tower(rad) is not None:
@@ -146,8 +160,9 @@ def decode_tower_elem(obj: Any, location: str = "scalar") -> TowerElem:
 
 
 def _decode_tower_elem(obj: Any, where: Callable[[], str]) -> TowerElem:
-    tower = _decode_tower(obj, where)
-    return _decode_coords(tower, obj.get("coords"), lambda: f"{where()}.coords")
+    memo: dict = {}
+    tower = _decode_tower(obj, where, memo)
+    return _decode_coords(tower, obj.get("coords"), lambda: f"{where()}.coords", memo)
 
 
 def encode_fun_elem(x: FunElem) -> dict:
@@ -165,13 +180,14 @@ def decode_fun_elem(obj: Any, location: str = "scalar") -> FunElem:
 def _decode_fun_elem(obj: Any, where: Callable[[], str]) -> FunElem:
     if not isinstance(obj, dict):
         _fail(where(), "expected a function-field element object")
-    tower = _decode_tower(obj.get("tower", {"gens": []}), lambda: f"{where()}.tower")
+    memo: dict = {}
+    tower = _decode_tower(obj.get("tower", {"gens": []}), lambda: f"{where()}.tower", memo)
 
     def poly(key: str):
         coeffs = obj.get(key)
         if not isinstance(coeffs, list):
             _fail(f"{where()}.{key}", "expected a coefficient list")
-        return tuple(_decode_coords(tower, coords, lambda: f"{where()}.{key}[{i}]") for i, coords in enumerate(coeffs))
+        return tuple(_decode_coords(tower, coords, lambda: f"{where()}.{key}[{i}]", memo) for i, coords in enumerate(coeffs))
 
     num, den = poly("num"), poly("den")
     if all(c.is_zero() for c in den):
@@ -269,39 +285,38 @@ def _encode_record(record: Any, out: dict) -> dict:
     return out
 
 
-def _decode_record(cls: type, obj: Mapping, points: Mapping[str, Point], where: Callable[[], str]) -> Any:
-    """A ``cls`` record at the location ``where()`` names on failure."""
-    values = {}
+def _decode_record(cls: type, obj: Mapping, points: Mapping[str, Point], where: Callable[[], str], memo: dict) -> Any:
+    """A ``cls`` record at the location ``where()`` names on failure;
+    ``memo`` is the call's string -> Fraction memo."""
+    values = []
     for name, rational in _FIELDS[cls]:
         if name not in obj:
             _fail(where(), f"missing field {name!r}")
         value = obj[name]
         if rational:
-            value = _rational_parts(value)
-            if type(value) is str:
-                _fail(f"{where()}.{name}", value)
-            value = _fraction(*value)
-        elif not _is_point(value, points):
+            fraction = memo.get(value) if type(value) is str else None
+            if fraction is None:
+                fraction = memo[value] = _rational(value, lambda: f"{where()}.{name}")
+            value = fraction
+        elif not (type(value) is str and value in points):
             _fail(f"{where()}.{name}", f"unknown point {value!r}")
-        values[name] = value
-    return cls(**values)
+        values.append(value)
+    return cls(*values)
 
 
 def encode_fact(fact: Fact) -> dict:
     return _encode_record(fact, {"kind": type(fact).__name__})
 
 
-def decode_fact(obj: Any, points: Mapping[str, Point], location: str = "fact", kinds: Mapping[str, type] = FACT_KINDS) -> Fact:
+def _decode_fact(obj: Any, points: Mapping[str, Point], kinds: Mapping[str, type], where: Callable[[], str], memo: dict) -> Fact:
     """A fact of one of ``kinds`` whose name fields all name ``points``."""
-    return _decode_fact(obj, points, kinds, lambda: location)
-
-
-def _decode_fact(obj: Any, points: Mapping[str, Point], kinds: Mapping[str, type], where: Callable[[], str]) -> Fact:
-    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if type(kind) is not str:
         _fail(where(), "expected an object tagged with its kind")
-    if obj["kind"] not in kinds:
-        _fail(where(), f"kind {obj['kind']!r} is not one of {', '.join(kinds)}")
-    return _decode_record(kinds[obj["kind"]], obj, points, where)
+    cls = kinds.get(kind)
+    if cls is None:
+        _fail(where(), f"kind {kind!r} is not one of {', '.join(kinds)}")
+    return _decode_record(cls, obj, points, where, memo)
 
 
 def _list(obj: Mapping, key: str) -> list:
@@ -340,8 +355,14 @@ def _check_header(obj: Any, kind: str) -> None:
 
 
 def decode_gadget(obj: Any) -> Gadget:
+    return _decode_gadget(obj, {})
+
+
+def _decode_gadget(obj: Any, memo: dict) -> Gadget:
+    """The gadget ``obj``; ``memo`` is the call's string -> Fraction memo."""
     _check_header(obj, "gadget")
-    tower = decode_tower(obj.get("field", {}), "field")
+    coords_memo: dict = {}
+    tower = _decode_tower(obj.get("field", {}), lambda: "field", coords_memo)
     points_obj = obj.get("points")
     if not isinstance(points_obj, dict):
         _fail("points", "expected an object of name -> [x, y]")
@@ -351,13 +372,14 @@ def decode_gadget(obj: Any) -> Gadget:
             _fail(f"points.{name}", "expected [x_coords, y_coords]")
         x, y = pair
         points[name] = Point(
-            _decode_coords(tower, x, lambda: f"points.{name}.x"), _decode_coords(tower, y, lambda: f"points.{name}.y")
+            _decode_coords(tower, x, lambda: f"points.{name}.x", coords_memo),
+            _decode_coords(tower, y, lambda: f"points.{name}.y", coords_memo),
         )
     certificate = []
     for i, entry in enumerate(_list(obj, "certificate")):
         if not isinstance(entry, dict):
             _fail(f"certificate[{i}]", "expected {p, q, d2}")
-        certificate.append(_decode_record(CertEntry, entry, points, lambda: f"certificate[{i}]"))
+        certificate.append(_decode_record(CertEntry, entry, points, lambda: f"certificate[{i}]", memo))
     sides = []
     for i, pair in enumerate(_list(obj, "side_conditions")):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -365,7 +387,7 @@ def decode_gadget(obj: Any) -> Gadget:
         if not all(_is_point(name, points) for name in pair):
             _fail(f"side_conditions[{i}]", f"unknown point in {pair}")
         sides.append((pair[0], pair[1]))
-    goal = decode_fact(obj.get("goal"), points, "goal", GOAL_KINDS)
+    goal = _decode_fact(obj.get("goal"), points, GOAL_KINDS, lambda: "goal", memo)
     layout = _decode_layout(obj.get("layout", {}), lambda: "layout")
     _check_layout(layout, points, lambda: "layout")
     if fact_key(goal) != fact_key(layout_goal(layout)):
@@ -462,15 +484,17 @@ def encode_derivation(derivation: Derivation) -> dict:
 
 def decode_derivation(obj: Any) -> Derivation:
     _check_header(obj, "derivation")
-    gadget = decode_gadget(obj.get("gadget"))
+    memo: dict = {}
+    gadget = _decode_gadget(obj.get("gadget"), memo)
+    points = gadget.points
     facts = []
     justs = []
     for i, step in enumerate(_list(obj, "facts")):
         if not isinstance(step, dict) or not ("fact" in step and "rule" in step and "premises" in step):
             _fail(f"facts[{i}]", "expected {fact, rule, premises}")
-        facts.append(_decode_fact(step["fact"], gadget.points, FACT_KINDS, lambda: f"facts[{i}].fact"))
+        facts.append(_decode_fact(step["fact"], points, FACT_KINDS, lambda: f"facts[{i}].fact", memo))
         premises = step["premises"]
-        if not isinstance(premises, list) or any(not isinstance(p, int) or isinstance(p, bool) for p in premises):
+        if not isinstance(premises, list) or [p for p in premises if type(p) is not int]:
             _fail(f"facts[{i}].premises", "expected a list of fact indices")
         justs.append(Justification(step["rule"], tuple(premises)))
     if not facts:

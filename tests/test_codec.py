@@ -10,7 +10,7 @@ import pytest
 
 from rigidity_forge import codec, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
-from rigidity_forge.engine import replay
+from rigidity_forge.engine import recheck_derivation, replay
 from rigidity_forge.gadgets import (
     build_division,
     build_kempe,
@@ -121,14 +121,14 @@ def test_coordinates_decode_to_the_fraction_path_canonical_form():
     @example(["7" * 4000, "1/" + "7" * 4000, f"-{'3' * 4000}/{'9' * 4000}", "2/" + "3" * 3999])
     def run(coords):
         oracle = fraction_decode_coords(tower, coords)
-        for value in (codec._decode_coords(tower, coords, "c"), codec.decode_tower_elem({"gens": [["2"], ["3", "0"]], "coords": coords})):
+        for value in (codec._decode_coords(tower, coords, "c", {}), codec.decode_tower_elem({"gens": [["2"], ["3", "0"]], "coords": coords})):
             assert (value._n, value._d) == (oracle._n, oracle._d)
             assert hash(value) == hash(oracle) and value == oracle
             assert codec._encode_coords(value) == fraction_encode_coords(oracle)
 
     run()
     for text in ("6/4", "-0", "0/5", "007", "-12/8"):
-        value, oracle = codec._decode_coords(QQ, [text], "c"), fraction_decode_coords(QQ, [text])
+        value, oracle = codec._decode_coords(QQ, [text], "c", {}), fraction_decode_coords(QQ, [text])
         assert (value._n, value._d) == (oracle._n, oracle._d)
         assert hash(value) == hash(oracle) == hash(Fraction(text))
 
@@ -276,6 +276,51 @@ def test_decode_messages_are_pinned():
         "SchemaViolation: points.A2.y[1]: not an exact rational (p or p/q): 'x'",
         "SchemaViolation: field.gens[0][0]: not an exact rational (p or p/q): 'x'",
         "EngineError: derivation is not acyclic",
+    ):
+        assert line in outcomes, line
+
+
+def _sweep_outcomes(text, values):
+    """Each single-node edit of the document ``text`` (a value of ``values``
+    or a deletion), decoded: ``ok`` or the exception's type and message."""
+    outcomes = []
+    for *parents, key in _node_paths(json.loads(text)):
+        for value in values:
+            doc = json.loads(text)
+            target = doc
+            for step in parents:
+                target = target[step]
+            if value is _DELETE:
+                del target[key]
+            else:
+                target[key] = value
+            try:
+                codec.decode_document(json.dumps(doc))
+                outcomes.append("ok")
+            except Exception as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def test_chain_derivation_decode_messages_are_pinned():
+    """The sweep of ``test_decode_messages_are_pinned`` over a replayed span-2
+    chain derivation, whose facts are SqDistKnown, VecEq, NonzeroDist and
+    Distinct records and whose every rational field holds ``"1"``: with two
+    more values, a rational string that occurs elsewhere in the document and
+    a point name, each put where the other belongs.  The digest is that of
+    the decoder that parsed every rational field on its own."""
+    pt = rational_point
+    text = codec.dumps(codec.encode_derivation(replay(build_rhombus_chain(pt(0, 0), pt(2, 0), pt(0, 1), pt(2, 1)))))
+    outcomes = _sweep_outcomes(text, _SWEEP_VALUES + ("1", "A0"))
+    assert (len(outcomes), sum(o != "ok" for o in outcomes), len(set(outcomes))) == (2464, 2320, 1029)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == "19c4255c334d008c9352db5b7cb2debed99420ea5c6a6e76b7c8bc6b5c938d3d"
+    for line in (
+        "SchemaViolation: facts[0].fact.v: not an exact rational (p or p/q): 'A0'",
+        "SchemaViolation: facts[7].fact.q: unknown point '1'",
+        "SchemaViolation: facts[8].fact: kind 'A0' is not one of SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero",
+        "SchemaViolation: facts[12].fact.a: unknown point '1'",
+        "SchemaViolation: certificate[3].d2: not an exact rational (p or p/q): 'A0'",
+        "SchemaViolation: certificate[0].p: unknown point 'A0'",
     ):
         assert line in outcomes, line
 
@@ -484,6 +529,50 @@ def merging_builds():
         Point(t.zero(), t.zero()), Point(r2.root, t.zero()), Point(t.one(), t.rational(2)), Point(t.one() + r2.root, t.rational(2))
     )
     return builds
+
+
+def chain_scale_builds():
+    """The shapes of chain-scale's file pipeline, from the public builders:
+    rhombus chains of side 1 and the seven translation bridges above."""
+    pt = rational_point
+    builds = {
+        f"chain span={s}": lambda s=s: build_rhombus_chain(pt(0, 0), pt(s, 0), pt(0, 1), pt(s, 1)) for s in (5, 10, 20, 40, 80)
+    }
+    builds.update((label, build) for label, build in merging_builds().items() if label.startswith("bridge span="))
+    return builds
+
+
+@pytest.mark.parametrize("label", list(chain_scale_builds()))
+def test_chain_scale_documents_round_trip(label):
+    """The emitter writes what json writes, decode -> encode gives the text
+    back byte for byte, and the decoded derivation rechecks."""
+    document = codec.encode_derivation(replay(chain_scale_builds()[label]()))
+    text = codec.dumps(document)
+    assert text == json.dumps(document, indent=2)
+    decoded = codec.decode_document(text)
+    assert codec.dumps(codec.encode_derivation(decoded)) == text
+    recheck_derivation(decoded)
+
+
+def test_decode_parses_each_distinct_rational_once(count_fractions_within):
+    """Decoding the span-40 chain derivation, whose 242 rational record
+    fields all hold "1", parses each distinct string once per memo (the
+    coordinates' and the record fields') and builds one Fraction per
+    distinct record-field string.  The one parse and the one Fraction
+    outside both memos are the layout's ``side_sq``."""
+    pt = rational_point
+    text = codec.dumps(codec.encode_derivation(replay(build_rhombus_chain(pt(0, 0), pt(40, 0), pt(0, 1), pt(40, 1)))))
+    doc = codec.load_document(text)
+    points = doc["gadget"]["points"]
+    records = doc["gadget"]["certificate"] + [step["fact"] for step in doc["facts"]]
+    fields = [value for record in records for key, value in record.items() if key != "kind" and value not in points]
+    coords = {c for xy in points.values() for axis in xy for c in axis}
+    assert (len(fields), set(fields), len(coords), doc["gadget"]["layout"]["side_sq"]) == (242, {"1"}, 41, {"$rat": "1"})
+    counts = count_fractions_within([(codec, "decode_derivation"), (codec, "_rational_parts")])
+    decoded = codec.decode_derivation(doc)
+    assert codec.dumps(codec.encode_derivation(decoded)) == text
+    assert counts["_rational_parts"]["calls"] <= len(coords) + len(set(fields)) + 1
+    assert counts["decode_derivation"]["fractions"] <= len(set(fields)) + 1
 
 
 # the same text form for the construction branches the pins above leave out:
