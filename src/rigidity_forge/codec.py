@@ -3,11 +3,12 @@
 All numbers travel as exact strings ("p" or "p/q"); binary floats are a
 schema violation anywhere.  Decoding re-validates structural invariants, so
 round-trips are bit-exact and tampering is detectable downstream.  ``dumps``
-is one recursive emitter whose text is byte-identical to
-``json.dumps(obj, indent=2)``: json's own encoder runs in pure Python
-whenever an indent is set, so the emitter writes null, true, false and
-empty containers itself too.  A location is formatted only for the message
-of a failure: the decoders pass it on as a function that builds it.
+writes text byte-identical to ``json.dumps(obj, indent=2)``, whose encoder
+runs in pure Python whenever an indent is set, and writes null, true, false
+and empty containers itself too.  Its cost is one copy of each byte per list
+member that holds it (a fact step, a certificate entry, a coordinate list)
+and one into the text: each member's pieces are joined once.  A location is
+formatted only for a failure's message: decoders pass on a function for it.
 
 Decoding a gadget or a derivation costs a dict lookup per record field and
 per coordinate, plus one parse per distinct rational string in each of the
@@ -580,34 +581,51 @@ def dumps(obj: Any) -> str:
     ``obj`` is what the ``encode_*`` functions produce: dicts with string
     keys, lists, strings, ints, booleans and None.
     """
-    return _emit(obj, "\n")
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
-def _emit(value: Any, newline: str) -> str:
-    """``value`` at the indentation that ``newline`` (a line break and the
-    current indentation) carries; string items are quoted in place."""
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``value``'s text to ``out``, at the indentation
+    that ``newline`` (a line break and the current indentation) carries;
+    each list member is one piece, joined once (a string is quoted in place)."""
     kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is dict:
-        if not value:
-            return "{}"
+    if kind is dict and value:
         inner = newline + "  "
-        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _emit(v, inner)) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list:
-        if not value:
-            return "[]"
+        sep = "{" + inner
+        for k, v in value.items():
+            if type(v) is str:
+                out += (sep, _quote(k), ": ", _quote(v))
+            else:
+                out += (sep, _quote(k), ": ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list and value:
         inner = newline + "  "
-        items = [_quote(v) if type(v) is str else _emit(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    return json.dumps(value)  # what no encoder produces, as json writes it
+        sep = "[" + inner
+        for v in value:
+            if type(v) is str:
+                out += (sep, _quote(v))
+            else:
+                pieces = [sep]
+                _write(v, inner, pieces)
+                out.append("".join(pieces))
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict or kind is list:
+        out.append("{}" if kind is dict else "[]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    else:
+        out.append(json.dumps(value))  # what no encoder produces, as json writes it
 
 
 def load_document(text: str) -> Any:

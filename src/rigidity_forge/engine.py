@@ -212,7 +212,8 @@ class Justification:
 
 @dataclass
 class Derivation:
-    """Ordered, acyclic fact list replaying one proof; ends in the gadget goal."""
+    """Ordered, acyclic fact list replaying one proof, one justification per
+    fact; ends in the gadget goal."""
 
     gadget: Gadget
     facts: list[Fact] = field(default_factory=list)
@@ -222,15 +223,19 @@ class Derivation:
         return self.facts[-1]
 
     def check_wellformed(self) -> None:
+        facts, justs = len(self.facts), len(self.justifications)
+        if not facts or facts != justs:
+            raise EngineError(f"a derivation needs at least one fact and one justification per fact, got {facts} facts and {justs} justifications")
         for i, just in enumerate(self.justifications):
             if just.rule not in RULES:
                 raise EngineError(f"unknown rule {just.rule}")
-            if any(p < 0 for p in just.premises):
-                raise EngineError(f"fact {i} cites a negative premise index")
-            if just.rule in AXIOMS and just.premises:
-                raise EngineError(f"fact {i} is a {just.rule} step and may cite no premises")
-            if any(p >= i for p in just.premises):
-                raise EngineError("derivation is not acyclic")
+            if just.premises:
+                if min(just.premises) < 0:
+                    raise EngineError(f"fact {i} cites a negative premise index")
+                if just.rule in AXIOMS:
+                    raise EngineError(f"fact {i} is a {just.rule} step and may cite no premises")
+                if max(just.premises) >= i:
+                    raise EngineError("derivation is not acyclic")
         if fact_key(self.final_fact()) != fact_key(self.gadget.goal):
             raise EngineError("final fact does not match the gadget goal")
 

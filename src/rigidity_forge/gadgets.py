@@ -435,12 +435,13 @@ def _chain_steps(v: Vec2, w: Vec2, s: Fraction) -> list[Vec2]:
     """Step vectors of length s summing to v, none equal to +-w.
 
     The translation splits into equal collinear chunks of length at most 2s,
-    each realized as two steps v_c/2 +- h*n; the +- sign alternates per chunk
-    and flips globally if a step would coincide with a diagonal direction.
-    If a decomposition still collides, the chunk count is increased.
+    each realized as two steps v_c/2 +- h*n, the sign alternating per chunk.
+    A chunk count whose two step vectors include +-w is passed over for the
+    next one; each count builds the two vectors, and tests them, once.
     """
     q_v = v.dot(v)
     s_sq = QQ.rational(s * s)
+    minus_w = -w
     k0 = max(1, least_int_above_sqrt(q_v / (4 * s * s), strict=False))
     for k in range(k0, k0 + 12):
         chunk = v.scaled(Fraction(1, k))
@@ -449,22 +450,12 @@ def _chain_steps(v: Vec2, w: Vec2, s: Fraction) -> list[Vec2]:
         if beta_sq.sign() < 0:
             continue
         half = chunk.scaled(Fraction(1, 2))
-        if beta_sq.is_zero():
-            candidates = [[half] * (2 * k)]
-        else:
-            res = adjoin_sqrt(beta_sq.tower, beta_sq)
-            delta = Vec2(-chunk.y, chunk.x).scaled(res.root)
-            candidates = []
-            for sigma0 in (1, -1):
-                steps: list[Vec2] = []
-                for j in range(k):
-                    d = delta if sigma0 * (-1) ** j > 0 else -delta
-                    steps.append(half + d)
-                    steps.append(half - d)
-                candidates.append(steps)
-        for steps in candidates:
-            if all(not step == w and not step == -w for step in steps):
-                return steps
+        distinct = [half]
+        if not beta_sq.is_zero():
+            delta = Vec2(-chunk.y, chunk.x).scaled(adjoin_sqrt(beta_sq.tower, beta_sq).root)
+            distinct = [half + delta, half - delta]
+        if all(not step == w and not step == minus_w for step in distinct):
+            return ((distinct + distinct[::-1]) * k)[: 2 * k]  # up, down, down, up, ...
     raise GadgetError("no admissible rhombus chain decomposition found")
 
 

@@ -643,13 +643,13 @@ class TowerElem(_FieldOps):
         return _elem(tower, self._n + (0,) * (tower.dim - len(self._n)), self._d)
 
     def minimized(self) -> "TowerElem":
-        """Drop trailing generators the element does not use."""
+        """Drop trailing generators the element does not use (itself if none)."""
         n = self._n
         depth = self.tower.depth
         while depth > 0 and not any(n[len(n) // 2 :]):
             n = n[: len(n) // 2]
             depth -= 1
-        return _elem(self.tower.prefix(depth), n, self._d)
+        return self if n is self._n else _elem(self.tower.prefix(depth), n, self._d)
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -554,6 +554,25 @@ def test_chain_scale_documents_round_trip(label):
     recheck_derivation(decoded)
 
 
+def test_dumps_peak_memory_is_within_four_times_its_text():
+    """The emitter joins each list member's pieces once, so the tracemalloc
+    peak of ``dumps`` on the span-80 chain derivation (136 KB of text) stays
+    at most 4x the text: a string per node read 3.0x, and one list of
+    pieces for the whole document 9.6x."""
+    import tracemalloc
+
+    pt = rational_point
+    document = codec.encode_derivation(replay(build_rhombus_chain(pt(0, 0), pt(80, 0), pt(0, 1), pt(80, 1))))
+    tracemalloc.start()
+    try:
+        text = codec.dumps(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 130_000
+    assert peak <= 4 * len(text), (peak, len(text))
+
+
 def test_decode_parses_each_distinct_rational_once(count_fractions_within):
     """Decoding the span-40 chain derivation, whose 242 rational record
     fields all hold "1", parses each distinct string once per memo (the

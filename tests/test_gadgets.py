@@ -151,6 +151,31 @@ def test_chain_steps_avoid_diagonal_directions():
         assert not step == -w
 
 
+def test_chain_steps_build_and_test_each_step_vector_once(monkeypatch):
+    """A chunk's two step vectors are built once and tested against +-w once,
+    whatever the span: at most 5 ``Vec2`` comparisons (one in ``_emit_chain``,
+    two per distinct step vector) and one negation (of w).  Testing every
+    step made 161 comparisons and 80 negations at span 80."""
+    calls = {"eq": 0, "neg": 0}
+    vec_eq, vec_neg = gadgets.Vec2.__eq__, gadgets.Vec2.__neg__
+
+    def counting_eq(self, other):
+        calls["eq"] += 1
+        return vec_eq(self, other)
+
+    def counting_neg(self):
+        calls["neg"] += 1
+        return vec_neg(self)
+
+    monkeypatch.setattr(gadgets.Vec2, "__eq__", counting_eq)
+    monkeypatch.setattr(gadgets.Vec2, "__neg__", counting_neg)
+    for span in (5, 10, 20, 40, 80):
+        calls.update(eq=0, neg=0)
+        g = build_rhombus_chain(rational_point(0, 0), rational_point(span, 0), rational_point(0, 1), rational_point(span, 1))
+        assert len(g.layout["track1"]) > span
+        assert calls["eq"] <= 5 and calls["neg"] <= 1, (span, calls)
+
+
 def test_builder_point_lookup_is_linear_in_the_point_count(monkeypatch):
     comparisons = []
     point_eq, fraction_le = Point.__eq__, Fraction.__le__

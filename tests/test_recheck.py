@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from rigidity_forge import codec, engine, suite
-from rigidity_forge.engine import AXIOMS, RULES, Derivation, EngineError, Justification, recheck_derivation
+from rigidity_forge.cm import rational_point
+from rigidity_forge.engine import AXIOMS, RULES, Derivation, EngineError, Justification, recheck_derivation, replay
+from rigidity_forge.gadgets import build_division
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,15 @@ def rule_mutants(derivation: Derivation):
                 yield Derivation(derivation.gadget, derivation.facts, justifications)
 
 
+def length_mutants(derivation: Derivation):
+    """The justification list with its last or its middle entry dropped, or
+    with its last entry repeated: one justification too few or too many."""
+    justs = derivation.justifications
+    middle = len(justs) // 2
+    for justifications in (justs[:-1], justs[:middle] + justs[middle + 1 :], justs + justs[-1:]):
+        yield Derivation(derivation.gadget, derivation.facts, list(justifications))
+
+
 def _rejected(derivation: Derivation) -> bool:
     try:
         recheck_derivation(derivation)
@@ -68,8 +79,8 @@ def _rejected(derivation: Derivation) -> bool:
 
 @pytest.mark.parametrize(
     "mutants, count",
-    [(fact_mutants, 2191), (premise_mutants, 153), (rule_mutants, 1673)],
-    ids=["facts", "premises", "rules"],
+    [(fact_mutants, 2191), (premise_mutants, 153), (rule_mutants, 1673), (length_mutants, 48)],
+    ids=["facts", "premises", "rules", "lengths"],
 )
 def test_recheck_rejects_every_corpus_mutant(corpus, mutants, count):
     tried = accepted = 0
@@ -98,3 +109,64 @@ def test_recheck_is_independent_of_replay(corpus, monkeypatch):
         monkeypatch.setattr(engine, name, _Forbidden(name))
     for text in documents:
         recheck_derivation(codec.decode_document(text))
+
+
+def _division_third():
+    return build_division(rational_point(0, 0), rational_point(1, 0), Fraction(1, 3))
+
+
+def test_a_derivation_needs_one_justification_per_fact_and_a_fact():
+    """A replay's ten axiom steps plus the goal, with no lemma step that
+    proves it: zipping the two lists would recheck the axioms and never the
+    goal.  An empty derivation has no final fact to compare."""
+    derivation = replay(_division_third())
+    g = derivation.gadget
+    steps = [(f, j) for f, j in zip(derivation.facts, derivation.justifications) if j.rule in AXIOMS]
+    assert len(steps) == 10
+    unproved = Derivation(g, [f for f, _ in steps] + [g.goal], [j for _, j in steps])
+    with pytest.raises(EngineError) as exc:
+        recheck_derivation(unproved)
+    assert str(exc.value) == "a derivation needs at least one fact and one justification per fact, got 11 facts and 10 justifications"
+    with pytest.raises(EngineError) as exc:
+        Derivation(g, [], []).check_wellformed()
+    assert str(exc.value) == "a derivation needs at least one fact and one justification per fact, got 0 facts and 0 justifications"
+
+
+def _wellformed_message(derivation: Derivation, edits: dict) -> str:
+    """The ``check_wellformed`` message once ``edits`` (step -> (rule,
+    premises), or "final" -> a fact) are applied to ``derivation``."""
+    facts, justifications = list(derivation.facts), list(derivation.justifications)
+    for step, edit in edits.items():
+        if step == "final":
+            facts[-1] = edit
+        else:
+            justifications[step] = Justification(*edit)
+    with pytest.raises(EngineError) as exc:
+        Derivation(derivation.gadget, facts, justifications).check_wellformed()
+    return str(exc.value)
+
+
+def test_wellformed_messages_and_their_precedence_are_pinned():
+    """Each message on an in-memory derivation, and which one wins: per step
+    the rule, then a negative premise, then premises on an axiom step, then
+    a forward premise; earlier steps before later ones, the final fact last."""
+    derivation = replay(_division_third())
+    rules = [j.rule for j in derivation.justifications]
+    lemma = next(i for i, rule in enumerate(rules) if rule not in AXIOMS and i > 2)
+    axiom = rules.index("RationalDistanceAxiom")
+    assert axiom < lemma < len(rules) - 1
+    other_goal = dataclasses.replace(derivation.final_fact(), t=Fraction(1, 4))
+    cases = [
+        ({lemma: ("Nope", (0,))}, "unknown rule Nope"),
+        ({lemma: ("Nope", (-1,))}, "unknown rule Nope"),
+        ({lemma: (rules[lemma], (0, -1))}, f"fact {lemma} cites a negative premise index"),
+        ({axiom: ("RationalDistanceAxiom", (0,))}, f"fact {axiom} is a RationalDistanceAxiom step and may cite no premises"),
+        ({axiom: ("RationalDistanceAxiom", (-1,))}, f"fact {axiom} cites a negative premise index"),
+        ({axiom: ("RationalDistanceAxiom", (axiom + 1,))}, f"fact {axiom} is a RationalDistanceAxiom step and may cite no premises"),
+        ({lemma: (rules[lemma], (0, lemma))}, "derivation is not acyclic"),
+        ({lemma: (rules[lemma], (lemma + 1,)), axiom: (rules[axiom], (-2,))}, f"fact {axiom} cites a negative premise index"),
+        ({lemma: ("Nope", ()), "final": other_goal}, "unknown rule Nope"),
+        ({"final": other_goal}, "final fact does not match the gadget goal"),
+    ]
+    assert [_wellformed_message(derivation, edits) for edits, _ in cases] == [message for _, message in cases]
+    derivation.check_wellformed()
