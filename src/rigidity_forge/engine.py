@@ -10,13 +10,17 @@ admitted only if its formal linear relation lies in the span of its premises'
 relations, which holds in F^2 for any assignment of the image points).  The
 relations are integer vectors, each scaled by the denominator of its ratio,
 and membership is decided by fraction-free integer elimination on primitive
-rows (E. H. Bareiss, Math. Comp. 22, 1968), with the same verdict over Q.  A
-replayed derivation is exactly the premise closure of its goal, and each of
-its lemma conclusions holds on the gadget's own coordinates.  ``apply_rule``
-returns the store indices of its conclusions, which the replay scripts cite
-directly; the store keys each fact once, as it enters.  Replay validates the
-gadget once (``assert_certificate``) and does not re-check the form of the
-derivation it builds; ``recheck_derivation`` checks both independently.
+rows (E. H. Bareiss, Math. Comp. 22, 1968), with the same verdict over Q.
+Each vector visits only the basis rows whose pivots it holds, so the rule
+costs the row subtractions it makes: linear in the premises of a chain's
+closing step, not quadratic.  A replayed derivation is exactly the premise
+closure of its goal, and each of its lemma conclusions holds on the gadget's
+own coordinates.  ``apply_rule`` returns the store indices of its
+conclusions, which the replay scripts cite directly; the store computes one
+key per fact as it enters (ratios as integer pairs, never a ``Fraction``
+hash) and hashes it once.  Replay validates the gadget once
+(``assert_certificate``) and does not re-check the form of the derivation
+it builds; ``recheck_derivation`` checks both independently.
 
 Every fact kind decides itself at a point assignment (``holds``) with one
 exact test of a ``cm.point_table``, whose carrier is picked once for all
@@ -35,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Mapping, Sequence, Union
 
@@ -126,39 +131,32 @@ class NonzeroDist:
 Fact = Union[SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero]
 
 
-def fact_key(fact: Fact):
-    """Structural key identifying a fact up to its symmetries."""
-    if isinstance(fact, (SqDistKnown,)):
-        p, q = sorted((fact.p, fact.q))
-        return ("sqdist", p, q, fact.v)
-    if isinstance(fact, (Distinct, NonzeroDist)):
-        p, q = sorted((fact.p, fact.q))
-        return (type(fact).__name__.lower(), p, q)
-    if isinstance(fact, VecEq):
-        forms = [
-            (fact.a, fact.b, fact.c, fact.d),
-            (fact.c, fact.d, fact.a, fact.b),
-            (fact.b, fact.a, fact.d, fact.c),
-            (fact.d, fact.c, fact.b, fact.a),
-        ]
-        return ("veceq",) + min(forms)
-    if isinstance(fact, VecScale):
-        forms = [
-            (fact.a, fact.b, fact.c, fact.d),
-            (fact.b, fact.a, fact.d, fact.c),
-        ]
-        return ("vecscale",) + min(forms) + (fact.r,)
-    if isinstance(fact, AffineComb):
-        forms = [(fact.a, fact.b, fact.t), (fact.b, fact.a, 1 - fact.t)]
-        a, b, t = min(forms)
-        return ("affine", fact.c, a, b, t)
-    if isinstance(fact, DotZero):
-        forms = []
-        for u in ((fact.a, fact.b), (fact.b, fact.a)):
-            for w in ((fact.c, fact.d), (fact.d, fact.c)):
-                forms.append(u + w)
-                forms.append(w + u)
-        return ("dotzero",) + min(forms)
+def _pair(p: str, q: str) -> tuple[str, str]:
+    """An unordered name pair as its ordered tuple."""
+    return (p, q) if p <= q else (q, p)
+
+
+def fact_key(fact: Fact) -> tuple:
+    """Structural key identifying a fact up to its symmetries, by the fact's
+    type: its kind, its names in one canonical order, and any ratio as its
+    lowest terms (two ints hash faster than one ``Fraction``)."""
+    kind = type(fact)
+    if kind is SqDistKnown:
+        return ("sqdist",) + _pair(fact.p, fact.q) + (fact.v.numerator, fact.v.denominator)
+    if kind is VecEq:
+        a, b, c, d = fact.a, fact.b, fact.c, fact.d
+        return ("veceq",) + min((a, b, c, d), (c, d, a, b), (b, a, d, c), (d, c, b, a))
+    if kind is Distinct or kind is NonzeroDist:
+        return (kind.__name__.lower(),) + _pair(fact.p, fact.q)
+    if kind is VecScale:
+        a, b, c, d, r = fact.a, fact.b, fact.c, fact.d, fact.r
+        return ("vecscale",) + min((a, b, c, d), (b, a, d, c)) + (r.numerator, r.denominator)
+    if kind is AffineComb:
+        a, b, t = min((fact.a, fact.b, fact.t), (fact.b, fact.a, 1 - fact.t))
+        return ("affine", fact.c, a, b, t.numerator, t.denominator)
+    if kind is DotZero:
+        u, w = _pair(fact.a, fact.b), _pair(fact.c, fact.d)
+        return ("dotzero",) + min(u + w, w + u)
     raise TypeError(f"unknown fact {fact!r}")
 
 
@@ -175,20 +173,31 @@ def _in_span(target: dict[str, int], premises: Sequence[dict[str, int]]) -> bool
     Each basis row is primitive and pivots on its smallest name.  A vector
     loses a pivot by an integer combination (scaled by bp/g, minus vp/g
     times the row, g = gcd(bp, vp)) and is then made primitive again, so
-    entries stay bounded and the verdict is the one over Q.
+    entries stay bounded and the verdict is the one over Q.  A row holds no
+    earlier row's pivot, so a subtraction brings in only later pivots:
+    ``reduce`` pops the basis indices of the pivots the vector holds from a
+    heap, in basis order, and pushes those a subtraction brings in, so it
+    visits only the rows it subtracts.
     """
     basis: list[tuple[str, int, dict[str, int]]] = []
+    position: dict[str, int] = {}  # pivot -> its row's basis index
 
     def reduce(vec: dict[str, int]) -> dict[str, int]:
-        for pivot, bp, row in basis:
+        heap = [position[name] for name in vec if name in position]
+        heapify(heap)
+        while heap:
+            pivot, bp, row = basis[heappop(heap)]
             vp = vec.get(pivot)
-            if vp is None:
+            if vp is None:  # cancelled by an earlier subtraction
                 continue
             g = gcd(bp, vp)
             m, k = bp // g, vp // g
             vec = dict(vec) if m == 1 else {name: m * value for name, value in vec.items()}
             for name, value in row.items():
-                value = vec.get(name, 0) - k * value
+                old = vec.get(name)
+                if old is None and name in position:
+                    heappush(heap, position[name])
+                value = (old or 0) - k * value
                 if value:
                     vec[name] = value
                 else:
@@ -200,6 +209,7 @@ def _in_span(target: dict[str, int], premises: Sequence[dict[str, int]]) -> bool
         reduced = _primitive(reduce(premise))
         if reduced:
             pivot = min(reduced)
+            position[pivot] = len(basis)
             basis.append((pivot, reduced[pivot], reduced))
     return not reduce(target)
 
@@ -248,7 +258,7 @@ class FactStore:
         self.facts: list[Fact] = []
         self.justifications: list[Justification] = []
         self._index: dict[tuple, int] = {}
-        self._sqdist: dict[frozenset, int] = {}  # unordered pair -> first SqDistKnown
+        self._sqdist: dict[tuple[str, str], int] = {}  # ordered pair -> first SqDistKnown
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -272,22 +282,24 @@ class FactStore:
         raise ReplayFailed(f"required fact missing from store: {fact}")
 
     def _enter(self, key: tuple, fact: Fact, rule: str, premises: Sequence[int] = ()) -> int:
-        """``add`` with the fact's key already computed."""
-        idx = self._index.get(key)
-        if idx is not None:
+        """``add`` with the fact's key already computed; the key is hashed
+        once, by the ``setdefault`` that looks it up and enters it."""
+        n = len(self.facts)
+        idx = self._index.setdefault(key, n)
+        if idx != n:
             return idx
         for p in premises:
-            if not 0 <= p < len(self.facts):
+            if not 0 <= p < n:
+                del self._index[key]
                 raise EngineError("premise reference out of range")
-        idx = self._index[key] = len(self.facts)
         self.facts.append(fact)
         self.justifications.append(Justification(rule, tuple(premises)))
         if isinstance(fact, SqDistKnown):
-            self._sqdist.setdefault(frozenset((fact.p, fact.q)), idx)
+            self._sqdist.setdefault(key[1:3], idx)  # the key's ordered pair
         return idx
 
     def find_sqdist(self, p: str, q: str) -> int | None:
-        return self._sqdist.get(frozenset((p, q)))
+        return self._sqdist.get(_pair(p, q))
 
     def require_sqdist(self, p: str, q: str) -> int:
         idx = self.find_sqdist(p, q)
@@ -355,10 +367,10 @@ def _prop3_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: 
 
 
 def _prop4_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: Fact | None) -> tuple[VecEq, VecEq]:
-    cited = [facts[i] for i in premises]
-    dists = [f for f in cited if isinstance(f, SqDistKnown)]
-    nonzero = [f for f in cited if isinstance(f, NonzeroDist)]
-    distinct = [f for f in cited if isinstance(f, Distinct)]
+    sorts = {SqDistKnown: [], NonzeroDist: [], Distinct: []}
+    for i in premises:
+        sorts.get(type(facts[i]), []).append(facts[i])
+    dists, nonzero, distinct = sorts.values()
     if len(dists) != 4 or len(nonzero) != 1 or len(distinct) != 1:
         raise PatternMismatch(
             "Prop4 needs four SqDistKnown, one NonzeroDist and one Distinct premise"
@@ -367,18 +379,17 @@ def _prop4_conclude(facts: Sequence[Fact], premises: Sequence[int], conclusion: 
     c, d = distinct[0].p, distinct[0].q
     if len({e, f, c, d}) != 4:
         raise PatternMismatch("Prop4 premise points are not four distinct names")
-    values = set()
-    needed = {frozenset((e, c)), frozenset((f, c)), frozenset((e, d)), frozenset((f, d))}
-    seen = set()
+    needed = {_pair(e, c), _pair(f, c), _pair(e, d), _pair(f, d)}
+    seen, v, equal = set(), dists[0].v, True
     for fact in dists:
-        pair = frozenset((fact.p, fact.q))
+        pair = _pair(fact.p, fact.q)
         if pair not in needed:
             raise PatternMismatch(f"unexpected distance pair {set(pair)}")
         seen.add(pair)
-        values.add(fact.v)
+        equal = equal and (fact.v is v or fact.v == v)  # a Fraction == is pure Python
     if seen != needed:
         raise PatternMismatch("distance premises do not cover EC, FC, ED, FD")
-    if len(values) != 1:
+    if not equal:
         raise PatternMismatch("the four squared distances are not equal")
     # EC = DF and FC = ED; replay checks each kept conclusion on the coordinates
     return VecEq(a=e, b=c, c=d, d=f), VecEq(a=f, b=c, c=d, d=e)
@@ -610,17 +621,18 @@ def _finish(store: FactStore, goal_id: int) -> Derivation:
                 stack.append(p)
     order = sorted(keep)
     renumber = {old: new for new, old in enumerate(order)}
-    justifications = [store.justifications[i] for i in order]
-    derivation = Derivation(
-        store.gadget,
-        [store.facts[i] for i in order],
-        [Justification(j.rule, tuple(renumber[p] for p in j.premises)) for j in justifications],
-    )
     points = point_table(store.gadget.points)
-    for i, (fact, just) in enumerate(zip(derivation.facts, derivation.justifications)):
+    facts, justifications = [], []
+    for i in order:
+        fact, just = store.facts[i], store.justifications[i]
+        premises = tuple(map(renumber.__getitem__, just.premises))
+        if premises != just.premises:
+            just = Justification(just.rule, premises)
         if just.rule in _LEMMAS and not fact.holds(points):
-            raise ReplayFailed(f"step {i} ({just.rule}) concludes {fact}, false on the gadget's coordinates")
-    return derivation
+            raise ReplayFailed(f"step {len(facts)} ({just.rule}) concludes {fact}, false on the gadget's coordinates")
+        facts.append(fact)
+        justifications.append(just)
+    return Derivation(store.gadget, facts, justifications)
 
 
 def replay(gadget: Gadget) -> Derivation:
@@ -680,21 +692,28 @@ def recheck_derivation(derivation: Derivation) -> None:
     derivation.check_wellformed()
     gadget = derivation.gadget
     gadget.validate()
-    cert_values = {frozenset((e.p, e.q)): e.d2 for e in gadget.certificate}
+    cert_values = {_pair(e.p, e.q): e.d2 for e in gadget.certificate}
+    points = gadget.points
     facts = derivation.facts
     for i, (fact, just) in enumerate(zip(facts, derivation.justifications)):
         rule = just.rule
         try:
             if rule == "RationalDistanceAxiom":
-                if not isinstance(fact, SqDistKnown) or cert_values.get(frozenset((fact.p, fact.q))) != fact.v:
+                if not isinstance(fact, SqDistKnown):
                     raise PatternMismatch("fact is not a certificate entry")
-            elif rule == "Injectivity":
-                if not isinstance(fact, Distinct) or gadget.points[fact.p] == gadget.points[fact.q]:
+                value = cert_values.get(_pair(fact.p, fact.q))
+                if value is not fact.v and value != fact.v:  # a Fraction == is pure Python
+                    raise PatternMismatch("fact is not a certificate entry")
+            elif rule == "Injectivity" or rule == "NonzeroDistance":
+                if not isinstance(fact, Distinct if rule == "Injectivity" else NonzeroDist):
                     raise PatternMismatch("points are not coordinate-distinct")
-            elif rule == "NonzeroDistance":
-                if not isinstance(fact, NonzeroDist) or gadget.points[fact.p] == gadget.points[fact.q]:
+                if fact.p not in points or fact.q not in points:
+                    raise PatternMismatch(f"{fact} names a point the gadget lacks")
+                if points[fact.p] == points[fact.q]:
                     raise PatternMismatch("points are not coordinate-distinct")
-            elif fact_key(fact) not in {fact_key(c) for c in _conclusions(facts, rule, just.premises, fact)}:
-                raise PatternMismatch("stored fact differs from the rule's conclusion")
+            else:
+                key = fact_key(fact)
+                if all(fact_key(c) != key for c in _conclusions(facts, rule, just.premises, fact)):
+                    raise PatternMismatch("stored fact differs from the rule's conclusion")
         except PatternMismatch as exc:
             raise ReplayFailed(f"step {i} ({rule}) fails re-checking: {exc}") from exc

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -368,6 +369,87 @@ def test_integer_span_rule_matches_the_fraction_oracle():
     run()
 
 
+def test_span_rule_matches_the_fraction_oracle_at_scale():
+    """Up to 60 premises over 40 names whose string order is not their
+    numeric order ("A2" > "A10"), so pivots fall out of chain order: rhombus
+    chains that fill in, premises that share the smallest name as pivot, and
+    targets that close a chain, combine the premises or are drawn at random.
+    Hypothesis draws the sizes and a seed; the seed draws the facts."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    pool = [f"{track}{i}" for track in "AC" for i in range(20)]
+
+    def random_fact(rng):
+        a, b, c, d = (rng.choice(pool) for _ in range(4))
+        r = F(rng.randint(-4, 4), rng.randint(1, 6))
+        # "A0" is the smallest name, so the last kind pivots on it
+        return rng.choice([VecEq(a, b, c, d), VecScale(a, b, c, d, r), AffineComb(a, b, c, r), VecScale("A0", b, c, d, r)])
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(st.integers(0, 20), st.integers(0, 60), st.integers(0, 2**32))
+    def run(links, others, seed):
+        rng = random.Random(seed)
+        track = rng.sample(range(20), links)
+        chain = [VecEq(f"A{i}", f"A{j}", f"C{i}", f"C{j}") for i, j in zip(track, track[1:])]
+        premises = chain + [random_fact(rng) for _ in range(min(others, 60 - len(chain)))]
+        rng.shuffle(premises)
+        closing = VecEq(f"A{track[0]}", f"A{track[-1]}", f"C{track[0]}", f"C{track[-1]}") if chain else None
+        target = closing if closing and rng.random() < 0.5 else random_fact(rng)
+        relations = [engine._linear_relation(f) for f in premises]
+        oracles = [fraction_linear_relation(f) for f in premises]
+        verdict = engine._in_span(engine._linear_relation(target), relations)
+        assert verdict == fraction_in_span(fraction_linear_relation(target), oracles)
+        assert verdict or target is not closing
+        combination = {}
+        for oracle in oracles:
+            weight = rng.choice([F(0), F(1), F(-2, 3)])
+            for k, v in oracle.items():
+                combination[k] = combination.get(k, F(0)) + weight * v
+        combination = {k: v for k, v in combination.items() if v}
+        assert engine._in_span(_integer_multiple(combination), relations)
+        # a difference of two names may or may not lie in the span
+        for name, unit in ((rng.choice(pool), 1), (rng.choice(pool), -1)):
+            combination[name] = combination.get(name, F(0)) + unit
+        combination = {k: v for k, v in combination.items() if v}
+        assert engine._in_span(_integer_multiple(combination), relations) == fraction_in_span(combination, oracles)
+
+    run()
+
+
+def _dict_gets(run) -> int:
+    """The ``dict.get`` calls made while ``run()`` runs, seen by ``sys.setprofile``."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", None) == "dict.get":
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls[0]
+
+
+def test_span_rule_work_is_linear_in_the_closing_premises():
+    """The closing VecAlgebra step of a chain cites one VecEq per link.  The
+    rule visits only the basis rows whose pivots the vector holds: 4x the
+    links cost at most 5x the dict lookups (a scan of every basis row per
+    vector made 13,520 at 160 links and 207,680 at 640, 15.4x)."""
+    gets = {}
+    for links in (160, 640):
+        corners = (rational_point(0, 0), rational_point(links, 0), rational_point(0, 1), rational_point(links, 1))
+        derivation = replay(build_rhombus_chain(*corners))
+        closing = derivation.justifications[-1]
+        assert closing.rule == "VecAlgebra" and len(closing.premises) == links
+        gets[links] = _dict_gets(lambda: engine._conclusions(derivation.facts, "VecAlgebra", closing.premises, derivation.facts[-1]))
+    assert gets[160] >= 160
+    assert gets[640] <= 5 * gets[160]
+
+
 def test_span_rule_builds_no_fraction_on_a_span80_chain(count_fractions_within, monkeypatch):
     gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
     stores = []
@@ -420,6 +502,70 @@ def test_sqdist_pair_index_matches_a_scan(division_half):
             assert store.find_sqdist(p, q) == scan
     assert store.find_sqdist("A", "E") == 0 != late
     assert store.find_sqdist("A", "missing") is None
+
+
+def _restatements(fact):
+    """``fact`` and each restatement of it by a symmetry of its kind."""
+    if isinstance(fact, (SqDistKnown, Distinct, NonzeroDist)):
+        return [fact, dataclasses.replace(fact, p=fact.q, q=fact.p)]
+    if isinstance(fact, VecEq):
+        a, b, c, d = fact.a, fact.b, fact.c, fact.d
+        return [VecEq(a, b, c, d), VecEq(c, d, a, b), VecEq(b, a, d, c), VecEq(d, c, b, a)]
+    if isinstance(fact, VecScale):
+        return [fact, VecScale(fact.b, fact.a, fact.d, fact.c, fact.r)]
+    if isinstance(fact, AffineComb):
+        return [fact, AffineComb(fact.c, fact.b, fact.a, 1 - fact.t)]
+    u, w = (fact.a, fact.b), (fact.c, fact.d)
+    return [DotZero(*x, *y) for first, second in ((u, w), (w, u)) for x in (first, first[::-1]) for y in (second, second[::-1])]
+
+
+KEYED_FACTS = [
+    SqDistKnown("A2", "A10", F(3, 4)),
+    Distinct("A2", "A10"),
+    NonzeroDist("A2", "A10"),
+    VecEq("A2", "A10", "C2", "C10"),
+    VecScale("A2", "A10", "C2", "C10", F(-5, 3)),
+    AffineComb("C2", "A2", "A10", F(1, 3)),
+    DotZero("A2", "A10", "C2", "C10"),
+]
+
+
+def test_every_symmetric_restatement_of_a_fact_has_its_key():
+    for fact in KEYED_FACTS:
+        restated = _restatements(fact)
+        assert len(set(restated)) == len(restated) > 1
+        assert {fact_key(f) for f in restated} == {fact_key(fact)}
+    # a ratio is keyed by its value, however it was written
+    assert fact_key(SqDistKnown("A", "B", F(6, 8))) == fact_key(SqDistKnown("B", "A", F(3, 4)))
+    assert fact_key(SqDistKnown("A", "B", F(2))) == fact_key(SqDistKnown("A", "B", 2))
+    assert fact_key(VecScale("A", "B", "C", "D", F(1, 2))) != fact_key(VecScale("A", "B", "C", "D", F(-1, 2)))
+
+
+def test_fact_kinds_never_share_a_key():
+    # the same names under every kind, and the two pairs that read alike
+    assert len({fact_key(f) for f in KEYED_FACTS}) == len(KEYED_FACTS)
+    assert fact_key(Distinct("A", "B")) != fact_key(NonzeroDist("A", "B"))
+    assert fact_key(VecEq("A", "B", "C", "D")) != fact_key(DotZero("A", "B", "C", "D"))
+    with pytest.raises(TypeError, match="unknown fact"):
+        fact_key(("A", "B"))
+
+
+def test_a_failed_add_leaves_the_store_as_it_was(division_half):
+    store = assert_certificate(division_half)
+    store.require(Distinct("C", "D"))
+    before = (list(store.facts), list(store.justifications), {p: store.find_sqdist(*p) for p in [("A", "B"), ("A", "E"), ("B", "C")]})
+    new = SqDistKnown("B", "C", F(5))
+    for premises in ([len(store)], [0, -1]):
+        with pytest.raises(engine.EngineError, match="premise reference out of range"):
+            store.add(new, "VecAlgebra", premises)
+        after = (store.facts, store.justifications, {p: store.find_sqdist(*p) for p in before[2]})
+        assert after == before
+        # the key did not stay in the index: the fact is still missing
+        with pytest.raises(ReplayFailed, match="required fact missing"):
+            store.require(new)
+    # and it enters as a new fact once its premises are in range
+    n = len(store)
+    assert store.add(new, "VecAlgebra", [0]) == n == store.require(new) == store.find_sqdist("C", "B")
 
 
 # -- division replay -------------------------------------------------------------------

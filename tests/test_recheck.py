@@ -12,8 +12,8 @@ import pytest
 
 from rigidity_forge import codec, engine, suite
 from rigidity_forge.cm import rational_point
-from rigidity_forge.engine import AXIOMS, RULES, Derivation, EngineError, Justification, recheck_derivation, replay
-from rigidity_forge.gadgets import build_division
+from rigidity_forge.engine import AXIOMS, RULES, Derivation, EngineError, Justification, ReplayFailed, recheck_derivation, replay
+from rigidity_forge.gadgets import build_division, build_rhombus_chain
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,20 @@ def test_recheck_is_independent_of_replay(corpus, monkeypatch):
         monkeypatch.setattr(engine, name, _Forbidden(name))
     for text in documents:
         recheck_derivation(codec.decode_document(text))
+
+
+def test_recheck_rejects_a_pair_axiom_on_an_unknown_point():
+    """A hand-built derivation whose Injectivity or NonzeroDistance fact
+    names a point the gadget lacks fails at that step, as every other
+    illegitimate step does (the decoder rejects such names before)."""
+    corners = (rational_point(0, 0), rational_point(2, 0), rational_point(0, 1), rational_point(2, 1))
+    derivation = replay(build_rhombus_chain(*corners))
+    for rule, kind in (("Injectivity", engine.Distinct), ("NonzeroDistance", engine.NonzeroDist)):
+        step = next(i for i, just in enumerate(derivation.justifications) if just.rule == rule)
+        facts = list(derivation.facts)
+        facts[step] = kind("ZZ", facts[step].q)
+        with pytest.raises(ReplayFailed, match=rf"^step {step} \({rule}\) fails re-checking: .*ZZ.* names a point the gadget lacks$"):
+            recheck_derivation(Derivation(derivation.gadget, facts, derivation.justifications))
 
 
 def _division_third():
