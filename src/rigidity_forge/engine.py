@@ -56,6 +56,7 @@ from .gadgets import (
     VecEq,
     VecScale,
     _linear_relation,
+    _pair,
     layout_goal,
 )
 from .scalars import _frac_sqrt
@@ -129,11 +130,6 @@ class NonzeroDist:
 
 
 Fact = Union[SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero]
-
-
-def _pair(p: str, q: str) -> tuple[str, str]:
-    """An unordered name pair as its ordered tuple."""
-    return (p, q) if p <= q else (q, p)
 
 
 def fact_key(fact: Fact) -> tuple:
@@ -559,10 +555,11 @@ def _replay_chain_layout(store: FactStore, layout: Mapping) -> int:
             store.require(NonzeroDist(a_i, c_next)),
             store.require(Distinct(c_i, a_next)),
         ]
-        # f(A_i)A_{i+1} = f(C_i)C_{i+1} is one of the two conclusions, which
-        # one depending on the orientation of the stored pair axioms
-        apply_rule(store, "Prop4", premises)
-        step_ids.append(store.require(VecEq(a=a_i, b=a_next, c=c_i, d=c_next)))
+        # From NonzeroDist(E, F) and Distinct(C, D), as stored, Prop4 concludes
+        # EC = DF, then FC = DE; f(A_i)A_{i+1} = f(C_i)C_{i+1} is the first
+        # when E is A_i and C is A_{i+1}, or neither
+        first = (store.facts[premises[4]].p == a_i) == (store.facts[premises[5]].p == a_next)
+        step_ids.append(apply_rule(store, "Prop4", premises)[0 if first else 1])
     return apply_rule(store, "VecAlgebra", step_ids, conclusion=conclusion)[0]
 
 

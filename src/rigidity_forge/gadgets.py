@@ -240,6 +240,11 @@ class Gadget:
 # ---------------------------------------------------------------------------
 
 
+def _pair(p: str, q: str) -> tuple[str, str]:
+    """An unordered name pair as its ordered tuple."""
+    return (p, q) if p <= q else (q, p)
+
+
 class _Builder:
     def __init__(self) -> None:
         self.points: dict[str, Point] = {}
@@ -266,7 +271,7 @@ class _Builder:
         return name
 
     def add_cert(self, p: str, q: str, d2: Fraction) -> None:
-        key = (p, q) if p <= q else (q, p)
+        key = _pair(p, q)
         if key in self.certificate:
             if self.certificate[key] != d2:
                 raise InvalidGadget(f"conflicting certificate values for {key}")
@@ -275,7 +280,7 @@ class _Builder:
         self.cert_order.append(key)
 
     def add_side(self, p: str, q: str) -> None:
-        key = (p, q) if p <= q else (q, p)
+        key = _pair(p, q)
         if key not in self._sides:
             self._sides.add(key)
             self.side_conditions.append((p, q))

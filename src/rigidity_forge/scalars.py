@@ -468,10 +468,11 @@ def _sqrt_interval(iv: Interval, prec: int) -> Interval:
     return (r_lo, r_hi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BASES_KEPT)
 def _basis_bounds(tower: "TowerDesc", prec: int) -> tuple[IVec, IVec, int]:
     """Lower and upper bounds of every basis element at ``prec`` bits of each
-    radical, as integer vectors over one common positive denominator."""
+    radical, as integer vectors over one common positive denominator; kept
+    for the last ``_BASES_KEPT`` (tower, prec) pairs used, as ``_bases`` is."""
     los, his = [Fraction(1)], [Fraction(1)]
     for gen in tower.gens:
         iv = _enclose(gen._n, los, his)

@@ -1,11 +1,43 @@
-"""Shared test fixtures."""
+"""Shared test fixtures and settings, and ``table_kind``, the one helper
+for tests that assert which point table a report ran on."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from rigidity_forge import cm, models, scalars
+
+# exact arithmetic on 4,000-digit values takes what it takes: no deadline
+settings.register_profile("exact", deadline=None)
+settings.load_profile("exact")
+# the parent of every derandomized test's settings: the same examples on
+# every run, none stored between runs
+DERANDOMIZED = settings(derandomize=True, database=None)
+
+def table_kind(table) -> str | None:
+    """The kind of a point table: "formula" for the base table, the carrier
+    formula and the reference of every table test, or one of its three fast
+    paths, "rational", "kernel" and "packed"; None for any other object."""
+    kinds = {cm.PointTable: "formula", cm._RationalTable: "rational", cm._KernelTable: "kernel", models._PackedTable: "packed"}
+    return kinds.get(type(table))
+
+
+@contextmanager
+def tables_built():
+    """The kind of each point table built inside the block, in order; every
+    table's constructor ends in ``PointTable.__init__``."""
+    kinds, real = [], cm.PointTable.__init__
+
+    def recording(self, points):
+        real(self, points)
+        kinds.append(table_kind(self))
+
+    with mock.patch.object(cm.PointTable, "__init__", recording):
+        yield kinds
 
 
 @pytest.fixture
@@ -45,7 +77,7 @@ def count_fractions_within(monkeypatch):
 
 
 def _pack_fun_points(points):
-    """``models._PackedTable`` of ``FunElem`` points of one tower over one
+    """The packed table of ``FunElem`` points of one tower over one
     denominator pair, built by its own constructor: the bounds are read off
     the canonical numerators and D, and each numerator is packed as it is.
     None for any other point set.  ``models._packed_table``, the one
@@ -72,6 +104,6 @@ def _pack_fun_points(points):
 
 @pytest.fixture(scope="session")
 def packed_table():
-    """The packer ``_pack_fun_points``: the ``models._PackedTable`` of
-    ``FunElem`` points of one tower over one denominator pair, else None."""
+    """The packer ``_pack_fun_points``: the packed table of ``FunElem``
+    points of one tower over one denominator pair, else None."""
     return _pack_fun_points

@@ -10,12 +10,34 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity_forge import cli, codec, gadgets, suite
 from rigidity_forge.cli import main
+from rigidity_forge.cm import Point
+from rigidity_forge.codec import MAX_TOWER_DEPTH
+from rigidity_forge.gadgets import build_division
+from rigidity_forge.models import conjugation_model, eps_rotation_model
+from rigidity_forge.scalars import QQ, adjoin_sqrt
+
+from conftest import DERANDOMIZED
+from harness import DELETE, edit, node_paths
 
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def division_file(tmp_path, capsys, t="1/2"):
+    """The division gadget file that ``gadget division --t t`` writes."""
+    path = tmp_path / "div.json"
+    run(["gadget", "division", "--t", t, "-o", str(path)], capsys)
+    return path
+
+
+def written(path, doc) -> str:
+    """``doc`` written to ``path``, text as it is and a document as JSON;
+    the path, as an argument."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
 
 
 def test_gadget_then_replay_roundtrip(tmp_path, capsys):
@@ -42,19 +64,16 @@ def test_verify_accepts_clean_and_rejects_tampered(tmp_path, capsys):
     assert code == 0 and "verified" in out
     doc = json.loads(gadget_file.read_text())
     doc["certificate"][0]["d2"] = "99"
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
+    tampered = written(tmp_path / "tampered.json", doc)
     code, _, err = run(["verify", str(tampered)], capsys)
     assert code == 1
     assert "mismatch" in err
 
 
 def test_verify_rejects_floats(tmp_path, capsys):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     raw = gadget_file.read_text().replace('"d2": "1/4"', '"d2": 0.25', 1)
-    bad = tmp_path / "float.json"
-    bad.write_text(raw)
+    bad = written(tmp_path / "float.json", raw)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert "float" in err
@@ -62,10 +81,8 @@ def test_verify_rejects_floats(tmp_path, capsys):
 
 @pytest.mark.parametrize("number", ["1.5", "NaN", "Infinity", "-Infinity"])
 def test_verify_rejects_floats_where_the_schema_reads_nothing(tmp_path, capsys, number):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
-    bad = tmp_path / "note.json"
-    bad.write_text(gadget_file.read_text().replace("{", '{\n  "note": ' + number + ",", 1))
+    gadget_file = division_file(tmp_path, capsys)
+    bad = written(tmp_path / "note.json", gadget_file.read_text().replace("{", '{\n  "note": ' + number + ",", 1))
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith(f"SchemaViolation: binary float {number!r} is forbidden")
@@ -73,22 +90,19 @@ def test_verify_rejects_floats_where_the_schema_reads_nothing(tmp_path, capsys, 
 
 @pytest.mark.parametrize("index, d2", [(0, "1/4\n"), (2, "١")], ids=["trailing-newline", "arabic-indic-digit"])
 def test_verify_rejects_rational_that_is_not_ascii_p_or_p_over_q(tmp_path, capsys, index, d2):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     doc = json.loads(gadget_file.read_text())
     assert Fraction(d2) == Fraction(doc["certificate"][index]["d2"])  # Fraction(str) reads the true value
     doc["certificate"][index]["d2"] = d2
-    bad = tmp_path / "rational.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "rational.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith(f"SchemaViolation: certificate[{index}].d2: not an exact rational")
 
 
 def test_replay_writes_derivation_and_model_check_reads_it(tmp_path, capsys):
-    gadget_file = tmp_path / "div.json"
+    gadget_file = division_file(tmp_path, capsys)
     deriv_file = tmp_path / "deriv.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
     code, _, _ = run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
     assert code == 0
     assert json.loads(deriv_file.read_text())["kind"] == "derivation"
@@ -111,26 +125,20 @@ def test_replay_writes_derivation_and_model_check_reads_it(tmp_path, capsys):
     ids=["letter", "fraction", "empty", "rot-letter", "range", "unknown"],
 )
 def test_model_check_rejects_bad_model_spec(tmp_path, capsys, spec, message):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     code, out, err = run(["model-check", str(gadget_file), "--model", spec], capsys)
     assert (code, out, err) == (1, "", f"EngineError: {message}\n")
 
 
 @pytest.mark.parametrize("spec, index", [("conj:0", 0), ("conj:1", 1), ("conj-rot:0", 0)])
 def test_model_check_rejects_conjugation_that_is_no_automorphism(tmp_path, capsys, spec, index):
-    from rigidity_forge.cm import Point
-    from rigidity_forge.gadgets import build_division
-    from rigidity_forge.scalars import QQ, adjoin_sqrt
-
     r2 = adjoin_sqrt(QQ, 2)
     r3 = adjoin_sqrt(r2.tower, 3)
     tower = r3.tower
     gadget = build_division(Point(tower.zero(), tower.zero()), Point(r2.root.lift(tower) + r3.root, tower.one()), 1 / 3)
     # the third radicand involves both earlier generators, so neither flip extends
     assert gadget.tower.depth == 3
-    gadget_file = tmp_path / "div.json"
-    gadget_file.write_text(codec.dumps(codec.encode_gadget(gadget)))
+    gadget_file = written(tmp_path / "div.json", codec.dumps(codec.encode_gadget(gadget)))
     code, out, err = run(["model-check", str(gadget_file), "--model", spec], capsys)
     message = f"generator 2 has a radicand involving generator {index}; conjugation is not an automorphism of this tower"
     assert (code, out, err) == (1, "", f"EngineError: {message}\n")
@@ -145,12 +153,8 @@ def test_model_check_on_gadget_file_replays_first(tmp_path, capsys):
 
 
 def test_model_check_via_descriptor_file(tmp_path, capsys):
-    from rigidity_forge.models import eps_rotation_model
-
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
-    model_file = tmp_path / "model.json"
-    model_file.write_text(codec.dumps(codec.encode_model(eps_rotation_model())))
+    gadget_file = division_file(tmp_path, capsys)
+    model_file = written(tmp_path / "model.json", codec.dumps(codec.encode_model(eps_rotation_model())))
     code, out, _ = run(["model-check", str(gadget_file), "--model", f"@{model_file}"], capsys)
     assert code == 0
     assert "all-true" in out
@@ -160,13 +164,9 @@ def test_model_check_names_the_point_a_model_is_undefined_at(tmp_path, capsys):
     """A conjugation of Q(sqrt 3) meets the division gadget's field
     Q(sqrt(5/12)) at D: the model is undefined there, and the CLI says so
     with exit 1."""
-    from rigidity_forge.models import conjugation_model
-    from rigidity_forge.scalars import QQ, adjoin_sqrt
-
     gadget_file = tmp_path / "div.json"
     assert run(["gadget", "division", "--t", "1/3", "-o", str(gadget_file)], capsys)[0] == 0
-    model_file = tmp_path / "m.json"
-    model_file.write_text(codec.dumps(codec.encode_model(conjugation_model(adjoin_sqrt(QQ, 3).tower, 0))))
+    model_file = written(tmp_path / "m.json", codec.dumps(codec.encode_model(conjugation_model(adjoin_sqrt(QQ, 3).tower, 0))))
     code, out, err = run(["model-check", str(gadget_file), "--model", f"@{model_file}"], capsys)
     assert (code, out) == (1, "")
     assert err == "ModelUndefinedAtPoint: model undefined at D: r0 does not lie in the embedding domain Q(sqrt(3))\n"
@@ -190,51 +190,46 @@ def test_identities_prints_all_four(capsys):
     assert out == EXPECTED_IDENTITIES
 
 
-def _division_derivation(tmp_path, capsys) -> dict:
-    gadget_file = tmp_path / "div.json"
-    deriv_file = tmp_path / "deriv.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
-    run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
+def _derivation(tmp_path, capsys, args=("division", "--t", "1/2")) -> dict:
+    """The derivation document that ``gadget args`` and ``replay`` write."""
+    gadget_file, deriv_file = tmp_path / "g.json", tmp_path / "d.json"
+    assert run(["gadget", *args, "-o", str(gadget_file)], capsys)[0] == 0
+    assert run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)[0] == 0
     return json.loads(deriv_file.read_text())
 
 
 def test_verify_rejects_negative_premise_index(tmp_path, capsys):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     doc["facts"][-1]["premises"][-1] = -1  # would alias the previous fact
-    bad = tmp_path / "negative.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "negative.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert "negative premise" in err
 
 
 def test_verify_rejects_derivation_without_facts(tmp_path, capsys):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     doc["facts"] = []
-    bad = tmp_path / "empty.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "empty.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith("SchemaViolation: facts:")
 
 
 def test_verify_rejects_fact_without_point(tmp_path, capsys):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     del doc["facts"][0]["fact"]["p"]
-    bad = tmp_path / "no-p.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "no-p.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith("SchemaViolation: facts[0].fact: missing field 'p'")
 
 
 def test_replay_rejects_division_layout_without_roles(tmp_path, capsys):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     doc = json.loads(gadget_file.read_text())
     del doc["layout"]["roles"]
-    bad = tmp_path / "no-roles.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "no-roles.json", doc)
     code, _, err = run(["replay", str(bad)], capsys)
     assert code == 1
     assert err.startswith("SchemaViolation: layout.roles:")
@@ -245,28 +240,24 @@ def test_replay_rejects_bridge_without_chains(tmp_path, capsys):
     run(["gadget", "bridge", "--a", "0,0", "--b", "1,0", "--c", "0,2", "--d", "1,2", "-o", str(gadget_file)], capsys)
     doc = json.loads(gadget_file.read_text())
     doc["layout"]["sub"] = []
-    bad = tmp_path / "empty-sub.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "empty-sub.json", doc)
     code, _, err = run(["replay", str(bad)], capsys)
     assert code == 1
     assert err.startswith("SchemaViolation: layout.sub:")
 
 
 def test_verify_rejects_oversized_rational(tmp_path, capsys):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     doc = json.loads(gadget_file.read_text())
     doc["certificate"][0]["d2"] = "7" * 5000 + "/3"
-    bad = tmp_path / "digits.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "digits.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith("SchemaViolation: certificate[0].d2:")
 
 
 def test_verify_rejects_deeply_nested_document(tmp_path, capsys):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     text = gadget_file.read_text()
     deep = tmp_path / "deep.json"
     # beyond the JSON parser's nesting limit
@@ -275,8 +266,7 @@ def test_verify_rejects_deeply_nested_document(tmp_path, capsys):
     layout = json.loads(text)["layout"]
     for _ in range(400):
         layout = {"kind": "scale", "src": ["A", "B"], "dst": ["A", "B"], "r": {"$rat": "1"}, "sub": [layout]}
-    nested = tmp_path / "nested.json"
-    nested.write_text(json.dumps(dict(json.loads(text), layout=layout)))
+    nested = written(tmp_path / "nested.json", dict(json.loads(text), layout=layout))
     for bad in (deep, nested):
         code, _, err = run(["verify", str(bad)], capsys)
         assert code == 1
@@ -285,17 +275,12 @@ def test_verify_rejects_deeply_nested_document(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["ZZ", [1]], ids=["unknown-name", "list"])
 def test_verify_and_model_check_reject_fact_naming_non_gadget_point(tmp_path, capsys, name):
-    gadget_file = tmp_path / "div.json"
-    deriv_file = tmp_path / "deriv.json"
-    run(["gadget", "division", "--t", "1/3", "-o", str(gadget_file)], capsys)
-    run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
-    doc = json.loads(deriv_file.read_text())
+    doc = _derivation(tmp_path, capsys, ("division", "--t", "1/3"))
     for step in doc["facts"]:
         step["premises"] = [p + 1 for p in step["premises"]]
     fact = {"kind": "VecEq", "a": name, "b": "ZZ", "c": "WW", "d": "WW"}
     doc["facts"].insert(0, {"fact": fact, "rule": "VecAlgebra", "premises": []})
-    bad = tmp_path / "foreign.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "foreign.json", doc)
     for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
         code, _, err = run(argv, capsys)
         assert code == 1, argv[0]
@@ -314,31 +299,20 @@ def test_verify_and_model_check_reject_fact_naming_non_gadget_point(tmp_path, ca
     ids=["certificate", "certificate-name", "side-names", "gens", "facts"],
 )
 def test_verify_rejects_malformed_containers(tmp_path, capsys, path, value, message):
-    doc = _division_derivation(tmp_path, capsys)
-    *parents, key = path
-    target = doc
-    for step in parents:
-        target = target[step]
-    target[key] = value
-    bad = tmp_path / "malformed.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "malformed.json", edit(_derivation(tmp_path, capsys), path, value))
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith(f"SchemaViolation: {message}")
 
 
 def test_verify_rejects_tower_deeper_than_limit(tmp_path, capsys):
-    from rigidity_forge.codec import MAX_TOWER_DEPTH
-
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     doc = json.loads(gadget_file.read_text())
     # a dense tower: each radicand a distinct prime plus coordinates 1-3
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     doc["field"] = {"gens": [[str(p)] + [str(j) if j < 4 else "0" for j in range(1, 2**i)] for i, p in enumerate(primes)]}
     assert len(doc["field"]["gens"]) == MAX_TOWER_DEPTH + 1
-    bad = tmp_path / "deep-tower.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "deep-tower.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert err.startswith("SchemaViolation: field.gens: 9 generators exceed the tower depth limit 8")
@@ -478,8 +452,6 @@ def test_exit_codes_stable_across_repeats(tmp_path, capsys):
 
 
 def _model_document() -> dict:
-    from rigidity_forge.models import eps_rotation_model
-
     return json.loads(codec.dumps(codec.encode_model(eps_rotation_model())))
 
 
@@ -512,12 +484,10 @@ def _model_document() -> dict:
     ids=["frame", "matrix", "generator", "generator-range", "non-orthonormal", "zero-den", "empty-den"],
 )
 def test_model_check_rejects_malformed_model_descriptor(tmp_path, capsys, edit, message):
-    gadget_file = tmp_path / "div.json"
-    run(["gadget", "division", "--t", "1/2", "-o", str(gadget_file)], capsys)
+    gadget_file = division_file(tmp_path, capsys)
     doc = _model_document()
     edit(doc)
-    model_file = tmp_path / "model.json"
-    model_file.write_text(json.dumps(doc))
+    model_file = written(tmp_path / "model.json", doc)
     code, _, err = run(["model-check", str(gadget_file), "--model", f"@{model_file}"], capsys)
     assert code == 1
     assert err.startswith(f"SchemaViolation: {message}")
@@ -525,10 +495,9 @@ def test_model_check_rejects_malformed_model_descriptor(tmp_path, capsys, edit, 
 
 @pytest.mark.parametrize("command", ["verify", "replay", "model-check"])
 def test_unhashable_document_kind_is_a_schema_violation(tmp_path, capsys, command):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     doc["kind"] = {}
-    bad = tmp_path / "kind.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "kind.json", doc)
     argv = [command, str(bad)] + (["--model", "identity"] if command == "model-check" else [])
     code, _, err = run(argv, capsys)
     assert code == 1
@@ -536,21 +505,19 @@ def test_unhashable_document_kind_is_a_schema_violation(tmp_path, capsys, comman
 
 
 def test_verify_rejects_axiom_step_citing_premises(tmp_path, capsys):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     index = next(i for i, step in enumerate(doc["facts"]) if i >= 2 and step["rule"] == "RationalDistanceAxiom")
     doc["facts"][index]["premises"] = [0, 1]
-    bad = tmp_path / "axiom.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "axiom.json", doc)
     code, _, err = run(["verify", str(bad)], capsys)
     assert code == 1
     assert f"fact {index} is a RationalDistanceAxiom step and may cite no premises" in err
 
 
 def test_model_check_rechecks_the_derivation(tmp_path, capsys):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     doc["gadget"]["certificate"][0]["d2"] = "-3/2"
-    bad = tmp_path / "negative-d2.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "negative-d2.json", doc)
     for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
         code, out, err = run(argv, capsys)
         assert code == 1, argv[0]
@@ -569,10 +536,9 @@ def test_model_check_rechecks_the_derivation(tmp_path, capsys):
     ids=["kind-true", "kind-list", "t", "roles-C"],
 )
 def test_verify_and_model_check_reject_layout_edits(tmp_path, capsys, edit, message):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     edit(doc["gadget"]["layout"])
-    bad = tmp_path / "layout.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "layout.json", doc)
     for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
         code, out, err = run(argv, capsys)
         assert code == 1, argv[0]
@@ -606,20 +572,10 @@ _SCALAR_TYPES = {"string": "12345", "letter": "x", "true": True, "list": [1], "f
     ids=["division-r", "perp-r", "perp-s", "chain-side_sq", "scale-mirror", "scale-translated", "kempe-t", "perp-kempe-t"],
 )
 def test_verify_and_model_check_reject_layout_field_types(tmp_path, capsys, gadget, path, what, values):
-    gadget_file, deriv_file = tmp_path / "g.json", tmp_path / "d.json"
-    assert run(["gadget", *_GADGET_ARGS[gadget], "-o", str(gadget_file)], capsys)[0] == 0
-    assert run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)[0] == 0
+    text = json.dumps(_derivation(tmp_path, capsys, _GADGET_ARGS[gadget]))
     location = "layout" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
-    *parents, key = path
     for value in values:
-        doc = json.loads(deriv_file.read_text())
-        target = doc["gadget"]["layout"]
-        for step in parents:
-            target = target[step]
-        assert key in target
-        target[key] = _SCALAR_TYPES[value]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad = written(tmp_path / "bad.json", edit(json.loads(text), ("gadget", "layout", *path), _SCALAR_TYPES[value]))
         for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
             code, out, err = run(argv, capsys)
             assert code == 1, (argv[0], value)
@@ -628,38 +584,24 @@ def test_verify_and_model_check_reject_layout_field_types(tmp_path, capsys, gadg
 
 
 def test_kempe_layout_t_may_be_a_tower_scalar(tmp_path, capsys):
-    gadget_file, deriv_file = tmp_path / "g.json", tmp_path / "d.json"
-    run(["gadget", *_GADGET_ARGS["kempe"], "-o", str(gadget_file)], capsys)
-    run(["replay", str(gadget_file), "-o", str(deriv_file)], capsys)
-    doc = json.loads(deriv_file.read_text())
+    doc = _derivation(tmp_path, capsys, _GADGET_ARGS["kempe"])
     doc["gadget"]["layout"]["t"] = {"$tower": {"gens": [["2"]], "coords": ["1", "0"]}}
-    edited = tmp_path / "tower-t.json"
-    edited.write_text(json.dumps(doc))
+    edited = written(tmp_path / "tower-t.json", doc)
     assert run(["verify", str(edited)], capsys)[0] == 0
 
 
 def test_verify_and_model_check_reject_boolean_premise_index(tmp_path, capsys):
-    doc = _division_derivation(tmp_path, capsys)
+    doc = _derivation(tmp_path, capsys)
     assert doc["facts"][8]["premises"][0] == 0  # false would alias it
     doc["facts"][8]["premises"][0] = False
-    bad = tmp_path / "bool.json"
-    bad.write_text(json.dumps(doc))
+    bad = written(tmp_path / "bool.json", doc)
     for argv in (["verify", str(bad)], ["model-check", str(bad), "--model", "identity"]):
         code, _, err = run(argv, capsys)
         assert code == 1, argv[0]
         assert err.startswith("SchemaViolation: facts[8].premises: expected a list of fact indices"), argv[0]
 
 
-def _node_paths(node, path=()):
-    """Paths to every node below the root of a JSON document."""
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield path + (key,)
-        yield from _node_paths(child, path + (key,))
-
-
-_DELETE = object()
-_REPLACEMENTS = (None, True, False, 0, 1, -1, 10**6, "", "A", "x", "1/2", "-3", [], [1], {}, {"$rat": "1/2"}, _DELETE)
+_REPLACEMENTS = (None, True, False, 0, 1, -1, 10**6, "", "A", "x", "1/2", "-3", [], [1], {}, {"$rat": "1/2"}, DELETE)
 
 
 def _corpus_documents() -> list[tuple[str, list]]:
@@ -668,7 +610,7 @@ def _corpus_documents() -> list[tuple[str, list]]:
     for entry in suite.replay_corpus():
         texts.append(codec.dumps(codec.encode_gadget(entry.gadget)))
         texts.append(codec.dumps(codec.encode_derivation(entry.derivation)))
-    return [(text, list(_node_paths(json.loads(text)))) for text in texts]
+    return [(text, list(node_paths(json.loads(text)))) for text in texts]
 
 
 def test_single_node_mutations_never_crash_the_cli(tmp_path_factory):
@@ -678,26 +620,18 @@ def test_single_node_mutations_never_crash_the_cli(tmp_path_factory):
     documents = _corpus_documents()
     path = tmp_path_factory.mktemp("fuzz") / "mutant.json"
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(DERANDOMIZED, max_examples=200)
     @given(st.data())
     def check(data):
         text, paths = data.draw(st.sampled_from(documents))
-        *parents, key = data.draw(st.sampled_from(paths))
+        node = data.draw(st.sampled_from(paths))
         value = data.draw(st.sampled_from(_REPLACEMENTS))
-        doc = json.loads(text)
-        target = doc
-        for step in parents:
-            target = target[step]
-        if value is _DELETE:
-            del target[key]
-        else:
-            target[key] = value
-        path.write_text(json.dumps(doc))
+        written(path, edit(json.loads(text), node, value))
         for argv in (["verify", str(path)], ["replay", str(path)], ["model-check", str(path), "--model", "identity"]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            assert "internal error" not in err.getvalue(), (argv[0], parents, key, value)
+            assert "internal error" not in err.getvalue(), (argv[0], node, value)
             assert code in (0, 1) or (code == 2 and err.getvalue() == "replay expects a gadget file\n"), (argv[0], code)
 
     check()

@@ -240,7 +240,7 @@ def test_prop3_pattern_violation():
         prop3(Fraction(1), Fraction(1), sqdist(points["Z"], points["XT"]).as_fraction())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(rationals, rationals, st.fractions(min_value=1, max_value=9, max_denominator=6))
 def test_prop3_on_scaled_unit_directions(zx, zy, a):
     # z, z + a*u, z + (a+b)*u with u = (3/5, 4/5) and b = 1

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rigidity_forge import codec, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
@@ -19,7 +21,10 @@ from rigidity_forge.gadgets import (
     build_translation_bridge,
 )
 from rigidity_forge.models import ModelMap, conjugation_model, eps_rotation_model, identity_model, make_pythagorean_rotation
-from rigidity_forge.scalars import QQ, TowerElem, adjoin_sqrt
+from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
+
+from conftest import DERANDOMIZED
+from harness import DELETE, edit, node_paths
 
 F = Fraction
 
@@ -63,10 +68,8 @@ def test_rational_rejects_decimals_and_garbage():
 
 
 def test_rational_parser_agrees_with_fraction_of_text():
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
 
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @settings(DERANDOMIZED, max_examples=100)
     @given(
         st.builds(
             lambda sign, num, den: sign + num + ("" if den is None else f"/{den}"),
@@ -101,8 +104,6 @@ def fraction_encode_coords(x):
 
 
 def test_coordinates_decode_to_the_fraction_path_canonical_form():
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
 
     tower = adjoin_sqrt(adjoin_sqrt(QQ, 2).tower, 3).tower
     text = st.builds(
@@ -112,7 +113,7 @@ def test_coordinates_decode_to_the_fraction_path_canonical_form():
         st.none() | st.integers(min_value=1, max_value=10**12),
     )
 
-    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @settings(DERANDOMIZED, max_examples=150)
     @given(st.lists(text, min_size=4, max_size=4))
     @example(["6/4", "-0", "0/5", "007"])
     @example(["-12/8", "1/3", "5/6", "-7/10"])
@@ -159,8 +160,6 @@ def test_rational_digit_limit_boundary():
 
 def test_dumps_is_json_dumps_with_indent_2():
     """The emitter against its oracle on arbitrary JSON trees."""
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
 
     text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é\u2028€😀') | st.characters(), max_size=8)
     scalars = st.none() | st.booleans() | st.integers(min_value=-(10**80), max_value=10**80) | text
@@ -168,7 +167,7 @@ def test_dumps_is_json_dumps_with_indent_2():
         scalars, lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4), max_leaves=25
     )
 
-    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @settings(DERANDOMIZED, max_examples=120)
     @given(trees)
     @example([])
     @example({})
@@ -224,15 +223,7 @@ def test_dumps_writes_literals_itself(monkeypatch):
     assert codec.dumps([0.5]) == "[\n  0.5\n]" and len(calls) == 1
 
 
-_DELETE = object()
-_SWEEP_VALUES = (None, True, False, 0, "x", "1/0", [], {}, _DELETE)
-
-
-def _node_paths(node, path=()):
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield path + (key,)
-        yield from _node_paths(child, path + (key,))
+_SWEEP_VALUES = (None, True, False, 0, "x", "1/0", [], {}, DELETE)
 
 
 def test_decode_messages_are_pinned():
@@ -247,23 +238,7 @@ def test_decode_messages_are_pinned():
         codec.dumps(codec.encode_derivation(suite.replay_corpus()[0].derivation)),
         codec.dumps(codec.encode_gadget(build_rhombus_chain(pt(0, 0), pt(5, 0), pt(0, 1), pt(5, 1)))),
     ]
-    outcomes = []
-    for text in texts:
-        for *parents, key in _node_paths(json.loads(text)):
-            for value in _SWEEP_VALUES:
-                doc = json.loads(text)
-                target = doc
-                for step in parents:
-                    target = target[step]
-                if value is _DELETE:
-                    del target[key]
-                else:
-                    target[key] = value
-                try:
-                    codec.decode_document(json.dumps(doc))
-                    outcomes.append("ok")
-                except Exception as exc:
-                    outcomes.append(f"{type(exc).__name__}: {exc}")
+    outcomes = [outcome for text in texts for outcome in _sweep_outcomes(text, _SWEEP_VALUES)]
     assert (len(outcomes), sum(o != "ok" for o in outcomes), len(set(outcomes))) == (4392, 4296, 1999)
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == "3caf6788db6cf674b5d560db3253be00153cf1806d9792fa6c300ec185e8e5c2"
     for line in (
@@ -284,18 +259,10 @@ def _sweep_outcomes(text, values):
     """Each single-node edit of the document ``text`` (a value of ``values``
     or a deletion), decoded: ``ok`` or the exception's type and message."""
     outcomes = []
-    for *parents, key in _node_paths(json.loads(text)):
+    for path in node_paths(json.loads(text)):
         for value in values:
-            doc = json.loads(text)
-            target = doc
-            for step in parents:
-                target = target[step]
-            if value is _DELETE:
-                del target[key]
-            else:
-                target[key] = value
             try:
-                codec.decode_document(json.dumps(doc))
+                codec.decode_document(json.dumps(edit(json.loads(text), path, value)))
                 outcomes.append("ok")
             except Exception as exc:
                 outcomes.append(f"{type(exc).__name__}: {exc}")
@@ -421,8 +388,6 @@ def test_model_round_trips():
 
 
 def test_random_tower_elements_round_trip():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
 
     t2 = adjoin_sqrt(QQ, 2)
     t23 = adjoin_sqrt(t2.tower, 3)
@@ -430,7 +395,7 @@ def test_random_tower_elements_round_trip():
     towers = [QQ, t2.tower, t23.tower, nested.tower]
     coords = st.fractions(min_value=-99, max_value=99, max_denominator=30)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=3), st.lists(coords, min_size=8, max_size=8))
     def run(tower_index, values):
         tower = towers[tower_index]
@@ -444,14 +409,11 @@ def test_random_tower_elements_round_trip():
 
 
 def test_random_function_field_elements_round_trip():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-    from rigidity_forge.scalars import FunElem
 
     tower = adjoin_sqrt(QQ, 2).tower
     coords = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(coords, min_size=2, max_size=6), st.lists(coords, min_size=2, max_size=6))
     def run(num_vals, den_vals):
         num = [tower.rational(v) + tower.generator(0) * w for v, w in zip(num_vals[::2], num_vals[1::2])]
@@ -559,7 +521,6 @@ def test_dumps_peak_memory_is_within_four_times_its_text():
     peak of ``dumps`` on the span-80 chain derivation (136 KB of text) stays
     at most 4x the text: a string per node read 3.0x, and one list of
     pieces for the whole document 9.6x."""
-    import tracemalloc
 
     pt = rational_point
     document = codec.encode_derivation(replay(build_rhombus_chain(pt(0, 0), pt(80, 0), pt(0, 1), pt(80, 1))))

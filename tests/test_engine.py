@@ -1,17 +1,18 @@
 """Fact store seeding, deduction rules, and proof replays."""
 
 import dataclasses
-import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rigidity_forge import engine
 from rigidity_forge.cm import Point, rational_point
 from rigidity_forge.engine import (
     AffineComb,
+    Derivation,
     Distinct,
     DotZero,
     InconsistentCertificate,
@@ -27,6 +28,7 @@ from rigidity_forge.engine import (
     check_derivation,
     fact_key,
     kempe_identities_verified,
+    recheck_derivation,
     replay,
 )
 from rigidity_forge.gadgets import (
@@ -42,6 +44,10 @@ from rigidity_forge.gadgets import (
 )
 from rigidity_forge.models import identity_model
 from rigidity_forge.scalars import QQ, adjoin_sqrt
+
+import harness
+from conftest import DERANDOMIZED
+from harness import HUGE, Doubling, check_span_rule, combine, fraction_linear_relation
 
 F = Fraction
 
@@ -166,12 +172,13 @@ def test_kempe_role_inference_reads_the_linkage_pattern(monkeypatch):
     step = next(i for i, j in enumerate(derivation.justifications) if j.rule == "KempeChain")
     cited = [derivation.facts[i] for i in derivation.justifications[step].premises]
     dists = {frozenset((f.p, f.q)): f.v for f in cited if isinstance(f, SqDistKnown)}
-    assert engine._infer_kempe_roles(dists, derivation.facts[step]) == derivation.gadget.layout["roles"]
+    infer = lambda: engine._infer_kempe_roles(dists, derivation.facts[step])
+    assert infer() == derivation.gadget.layout["roles"]
     # the F and C links are found by their distances in gadgets.KEMPE_SQ_DISTANCES
     for pair in (("A", "F"), ("C", "B")):
         monkeypatch.setitem(engine.KEMPE_SQ_DISTANCES, pair, engine.KEMPE_SQ_DISTANCES[pair] + 1)
         with pytest.raises(PatternMismatch, match="cannot recover the linkage role assignment"):
-            engine._infer_kempe_roles(dists, derivation.facts[step])
+            infer()
         monkeypatch.undo()
 
 
@@ -215,12 +222,10 @@ def test_vec_algebra_rejects_out_of_span(division_half):
 
 def test_span_check_accepts_scale_transitivity(division_half):
     """Chained rescalings compose: the span rule must accept r*s exactly."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
 
     ratios = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(ratios, ratios)
     def run(r, s):
         store = assert_certificate(division_half)
@@ -250,78 +255,10 @@ def test_span_check_rejects_unrelated_names(division_half):
 # -- the span rule against its Fraction oracle ------------------------------------
 
 
-def fraction_linear_relation(fact):
-    """The formal linear relation of a vector fact over ``Fraction``: the
-    reference for the integer ``engine._linear_relation``."""
-    out = {}
-
-    def bump(name, value):
-        out[name] = out.get(name, Fraction(0)) + value
-        if out[name] == 0:
-            del out[name]
-
-    if isinstance(fact, VecEq):
-        bump(fact.b, Fraction(1))
-        bump(fact.a, Fraction(-1))
-        bump(fact.d, Fraction(-1))
-        bump(fact.c, Fraction(1))
-        return out
-    if isinstance(fact, VecScale):
-        bump(fact.b, Fraction(1))
-        bump(fact.a, Fraction(-1))
-        bump(fact.d, -fact.r)
-        bump(fact.c, fact.r)
-        return out
-    if isinstance(fact, AffineComb):
-        bump(fact.c, Fraction(1))
-        bump(fact.a, -fact.t)
-        bump(fact.b, fact.t - 1)
-        return out
-    return None
-
-
-def fraction_in_span(target, premises):
-    """Gaussian elimination over Q on ``Fraction`` vectors: the reference for
-    the fraction-free ``engine._in_span``."""
-    basis = []
-
-    def reduce(vec):
-        vec = dict(vec)
-        for pivot, bvec in basis:
-            if pivot in vec:
-                factor = vec[pivot] / bvec[pivot]
-                for name, value in bvec.items():
-                    vec[name] = vec.get(name, Fraction(0)) - factor * value
-                    if vec[name] == 0:
-                        del vec[name]
-        return vec
-
-    for premise in premises:
-        reduced = reduce(premise)
-        if reduced:
-            basis.append((next(iter(sorted(reduced))), reduced))
-    return not reduce(target)
-
-
-def _ratio_denominator(fact):
-    return fact.r.denominator if isinstance(fact, VecScale) else fact.t.denominator if isinstance(fact, AffineComb) else 1
-
-
-def _integer_multiple(vec):
-    """A Fraction vector scaled by the lcm of its denominators."""
-    d = math.lcm(*(v.denominator for v in vec.values()))
-    return {name: int(v * d) for name, v in vec.items()}
-
-
-HUGE = 10**4000 - 1  # 4,000 digits, the largest integer the codec admits
-
-
 def test_integer_span_rule_matches_the_fraction_oracle():
     """Relations and span verdicts of the integer rule against the Fraction
     oracle on random premise sets over a small name pool, so names repeat and
     terms cancel; ratios include 0, 1, negatives and 4,000-digit ones."""
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
 
     big = st.integers(min_value=-HUGE, max_value=HUGE)
     ratios = st.one_of(
@@ -337,7 +274,7 @@ def test_integer_span_rule_matches_the_fraction_oracle():
     )
     weights = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=6, max_size=6)
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(DERANDOMIZED, max_examples=300)
     @given(st.lists(facts, max_size=6), facts, weights, names)
     @example([VecScale("A", "B", "C", "D", F(0)), AffineComb("C", "A", "B", F(0))], AffineComb("C", "A", "B", F(1)), [F(1)] * 6, "A")
     @example([VecEq("A", "A", "B", "B"), VecScale("A", "B", "B", "A", F(-1))], VecEq("A", "B", "C", "D"), [F(2)] * 6, "B")
@@ -345,26 +282,10 @@ def test_integer_span_rule_matches_the_fraction_oracle():
     @example([VecScale("A", "B", "C", "D", F(HUGE, HUGE - 2)), VecScale("C", "D", "E", "A", F(2 - HUGE, 3))], VecScale("A", "B", "E", "A", F(-HUGE, 3)), [F(1)] * 6, "D")
     @example([AffineComb("C", "A", "B", F(HUGE, HUGE + 1 - 10**3999)), VecEq("A", "C", "B", "D")], AffineComb("C", "B", "A", F(1 - 10**3999, HUGE + 1 - 10**3999)), [F(-1)] * 6, "E")
     def run(premises, target, weights, name):
-        for fact in premises + [target]:
-            relation, oracle = engine._linear_relation(fact), fraction_linear_relation(fact)
-            assert all(type(v) is int for v in relation.values())
-            assert relation == {k: v * _ratio_denominator(fact) for k, v in oracle.items()}
-        relations = [engine._linear_relation(f) for f in premises]
-        oracles = [fraction_linear_relation(f) for f in premises]
-        verdict = engine._in_span(engine._linear_relation(target), relations)
-        assert verdict == fraction_in_span(fraction_linear_relation(target), oracles)
         # a rational combination of the premises lies in their span, and one
         # unit more of a name may or may not
-        combination = {}
-        for weight, oracle in zip(weights, oracles):
-            for k, v in oracle.items():
-                combination[k] = combination.get(k, F(0)) + weight * v
-        combination = {k: v for k, v in combination.items() if v}
-        assert fraction_in_span(combination, oracles)
-        assert engine._in_span(_integer_multiple(combination), relations)
-        combination[name] = combination.get(name, F(0)) + 1
-        combination = {k: v for k, v in combination.items() if v}
-        assert engine._in_span(_integer_multiple(combination), relations) == fraction_in_span(combination, oracles)
+        combination = combine([fraction_linear_relation(f) for f in premises], weights)
+        check_span_rule(premises, target, combination, [(name, 1)])
 
     run()
 
@@ -375,8 +296,6 @@ def test_span_rule_matches_the_fraction_oracle_at_scale():
     chains that fill in, premises that share the smallest name as pivot, and
     targets that close a chain, combine the premises or are drawn at random.
     Hypothesis draws the sizes and a seed; the seed draws the facts."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
 
     pool = [f"{track}{i}" for track in "AC" for i in range(20)]
 
@@ -386,7 +305,7 @@ def test_span_rule_matches_the_fraction_oracle_at_scale():
         # "A0" is the smallest name, so the last kind pivots on it
         return rng.choice([VecEq(a, b, c, d), VecScale(a, b, c, d, r), AffineComb(a, b, c, r), VecScale("A0", b, c, d, r)])
 
-    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @settings(DERANDOMIZED, max_examples=20)
     @given(st.integers(0, 20), st.integers(0, 60), st.integers(0, 2**32))
     def run(links, others, seed):
         rng = random.Random(seed)
@@ -396,23 +315,11 @@ def test_span_rule_matches_the_fraction_oracle_at_scale():
         rng.shuffle(premises)
         closing = VecEq(f"A{track[0]}", f"A{track[-1]}", f"C{track[0]}", f"C{track[-1]}") if chain else None
         target = closing if closing and rng.random() < 0.5 else random_fact(rng)
-        relations = [engine._linear_relation(f) for f in premises]
         oracles = [fraction_linear_relation(f) for f in premises]
-        verdict = engine._in_span(engine._linear_relation(target), relations)
-        assert verdict == fraction_in_span(fraction_linear_relation(target), oracles)
-        assert verdict or target is not closing
-        combination = {}
-        for oracle in oracles:
-            weight = rng.choice([F(0), F(1), F(-2, 3)])
-            for k, v in oracle.items():
-                combination[k] = combination.get(k, F(0)) + weight * v
-        combination = {k: v for k, v in combination.items() if v}
-        assert engine._in_span(_integer_multiple(combination), relations)
+        combination = combine(oracles, [rng.choice([F(0), F(1), F(-2, 3)]) for _ in oracles])
         # a difference of two names may or may not lie in the span
-        for name, unit in ((rng.choice(pool), 1), (rng.choice(pool), -1)):
-            combination[name] = combination.get(name, F(0)) + unit
-        combination = {k: v for k, v in combination.items() if v}
-        assert engine._in_span(_integer_multiple(combination), relations) == fraction_in_span(combination, oracles)
+        verdict = check_span_rule(premises, target, combination, [(rng.choice(pool), 1), (rng.choice(pool), -1)])
+        assert verdict or target is not closing
 
     run()
 
@@ -455,8 +362,7 @@ def test_span_rule_builds_no_fraction_on_a_span80_chain(count_fractions_within, 
     stores = []
     seed = engine.assert_certificate
     monkeypatch.setattr(engine, "assert_certificate", lambda gadget: stores.append(seed(gadget)) or stores[-1])
-    this = sys.modules[__name__]
-    counts = count_fractions_within([(engine, "_linear_relation"), (engine, "_in_span"), (this, "fraction_linear_relation")])
+    counts = count_fractions_within([(engine, "_linear_relation"), (engine, "_in_span"), (harness, "fraction_linear_relation")])
     engine.recheck_derivation(replay(gadget))
     # replay looks each link's step up among its Prop4 conclusions, so the
     # span rule runs once in replay and once in the re-check, on the goal
@@ -476,7 +382,7 @@ def test_span_rule_builds_no_fraction_on_a_span80_chain(count_fractions_within, 
     assert counts["_linear_relation"]["calls"] > 80 and counts["_in_span"]["calls"] > 80
     assert counts["_linear_relation"]["fractions"] == counts["_in_span"]["fractions"] == 0
     # the counter does see the Fractions of the oracle
-    this.fraction_linear_relation(VecScale("A", "B", "C", "D", F(2, 3)))
+    harness.fraction_linear_relation(VecScale("A", "B", "C", "D", F(2, 3)))
     assert counts["fraction_linear_relation"]["fractions"] > 0
 
 
@@ -734,7 +640,6 @@ def test_kempe_soundness_certificate_is_verified():
 
 
 def test_kempe_chain_gated_on_identities(division_half, monkeypatch):
-    import rigidity_forge.engine as engine
 
     gadget = build_kempe(F(1))
     monkeypatch.setattr(engine, "kempe_identities_verified", lambda: False)
@@ -765,11 +670,6 @@ def test_check_derivation_identity_all_true(division_half):
 
 def test_check_derivation_scaling_violates_first_fact(division_half):
     derivation = replay(division_half)
-
-    class Doubling:
-        def apply(self, p):
-            return Point(2 * p.x, 2 * p.y)
-
     verdict = check_derivation(derivation, Doubling())
     assert not verdict.ok
     assert verdict.violated_index == 0
@@ -777,7 +677,6 @@ def test_check_derivation_scaling_violates_first_fact(division_half):
 
 
 def test_recheck_accepts_all_replayed_derivations(division_half):
-    from rigidity_forge.engine import recheck_derivation
 
     for derivation in (
         replay(division_half),
@@ -793,7 +692,6 @@ def test_recheck_accepts_all_replayed_derivations(division_half):
 
 
 def test_recheck_rejects_tampered_lemma_conclusion(division_half):
-    from rigidity_forge.engine import Derivation, recheck_derivation
 
     derivation = replay(division_half)
     tampered = Derivation(derivation.gadget, list(derivation.facts), list(derivation.justifications))
@@ -809,7 +707,6 @@ def test_recheck_rejects_tampered_lemma_conclusion(division_half):
 
 
 def test_recheck_rejects_forged_axiom_fact(division_half):
-    from rigidity_forge.engine import Derivation, recheck_derivation
 
     derivation = replay(division_half)
     tampered = Derivation(derivation.gadget, list(derivation.facts), list(derivation.justifications))
@@ -853,13 +750,13 @@ def test_replay_keys_each_fact_once(monkeypatch):
     links = len(chain.layout["track1"]) - 1
     assert links == 6
     keys = _counted(monkeypatch, engine, "fact_key")
-    for gadget, restated in ((division, 0), (chain, links)):
+    for gadget in (division, chain):
         keys[0] = 0
         replay(gadget)
         # one key per fact that enters the store and two for the goal
-        # comparison; each chain link also looks its step up, which the
-        # store already holds as one of the two Prop4 conclusions
-        assert keys[0] == len(stores[-1]) + 2 + restated
+        # comparison; a chain link takes its step from the two Prop4
+        # conclusions by the orientation of the pair axioms it cited
+        assert keys[0] == len(stores[-1]) + 2
 
 
 def test_build_and_replay_validate_once_and_replay_trusts_its_own_form(monkeypatch):

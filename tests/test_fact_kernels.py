@@ -1,27 +1,27 @@
 """Facts decided on the integer form.
 
-Every fact kind's ``holds``, ``verify_preservation`` and ``verify_structure``
-against the carrier-arithmetic bodies they replace (kept here as the
-oracle), counters showing that the kernels build no carrier object, and the
-point tables: each report call classifies its points once.
+Every fact kind's ``holds`` on the rational, kernel, packed and form tables
+against the base ``PointTable``, the carrier formula; ``verify_preservation``
+and ``verify_structure`` against the carrier-arithmetic report references;
+counters showing that the kernels build no carrier object, and the point
+tables: each report call classifies its points once.  The inputs and the
+references are the differential harness's (``harness.py``).
 """
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations
-from pathlib import Path
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rigidity_forge
 from rigidity_forge import cm, codec, engine, gadgets, models, scalars, suite
-from rigidity_forge.cm import Point, Vec2, _invert, _is_zero, rational_point, sqdist
-from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation, recheck_derivation, replay
-from rigidity_forge.gadgets import AffineComb, DotZero, VecEq, VecScale, build_rhombus_chain, build_translation_bridge
+from rigidity_forge.cm import Point, rational_point, sqdist
+from rigidity_forge.engine import Distinct, NonzeroDist, SqDistKnown, check_derivation, recheck_derivation, replay
+from rigidity_forge.gadgets import DotZero, VecEq, VecScale
 from rigidity_forge.models import (
     Embedding,
     ModelError,
@@ -39,276 +39,128 @@ from rigidity_forge.models import (
     verify_preservation,
     verify_structure,
 )
-from rigidity_forge.scalars import QQ, BadGeneratorIndex, FunElem, TowerElem, adjoin_sqrt
+from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
 
-FACT_KINDS = (SqDistKnown, Distinct, NonzeroDist, VecEq, VecScale, AffineComb, DotZero)
-
-
-# -- the oracle: each fact, preservation and structure by carrier arithmetic ---------------------
-
-
-def _mapped_once(f):
-    """``f`` on points, evaluated once per point object: an image is looked
-    up by the point's id, and the entry holds the point, so its id stays
-    valid for the call."""
-    by_id = {}
-
-    def image(p):
-        hit = by_id.get(id(p))
-        if hit is None:
-            hit = by_id[id(p)] = (p, f(p))
-        return hit[1]
-
-    return image
-
-
-def oracle_holds(fact, p):
-    if isinstance(fact, SqDistKnown):
-        return sqdist(p[fact.p], p[fact.q]) == fact.v
-    if isinstance(fact, Distinct):
-        return not (p[fact.p] == p[fact.q])
-    if isinstance(fact, NonzeroDist):
-        return not _is_zero(sqdist(p[fact.p], p[fact.q]))
-    if isinstance(fact, AffineComb):
-        return (p[fact.c] - p[fact.b]) == (p[fact.a] - p[fact.b]).scaled(fact.t)
-    if isinstance(fact, VecEq):
-        return (p[fact.b] - p[fact.a]) == (p[fact.d] - p[fact.c])
-    if isinstance(fact, VecScale):
-        return (p[fact.b] - p[fact.a]) == (p[fact.d] - p[fact.c]).scaled(fact.r)
-    assert isinstance(fact, DotZero)
-    return _is_zero((p[fact.b] - p[fact.a]).dot(p[fact.d] - p[fact.c]))
+from conftest import DERANDOMIZED, table_kind, tables_built
+from harness import (
+    FACT_KINDS,
+    SMALL,
+    Doubling,
+    certificate_pairs,
+    chain_scale_gadgets,
+    conjugations,
+    criterion_9_data,
+    draw_fact,
+    elems,
+    extended,
+    flipped_rational_part,
+    formula_everywhere,
+    oracle_holds,
+    fun_coefficient,
+    halving_recursion,
+    oracle_preservation,
+    oracle_structure,
+    points as seeded_points,
+    q_moving_points,
+    q_moving_reports,
+    radical_build_templates,
+    rationals,
+    references,
+    soundness_items,
+    soundness_pass,
+    too_large_for,
+    tower_chain,
+    verdicts_and_reports,
+)
 
 
-def oracle_preservation(model, pairs):
-    image = _mapped_once(model.apply)
-    checks = []
-    all_ok = True
-    for p, q in pairs:
-        value = sqdist(p, q)
-        image_value = sqdist(image(p), image(q))
-        ok = image_value == model.rho(value)
-        if ok and value.is_rational():
-            ok = image_value == value.as_fraction()
-        checks.append(PairCheck((p, q), ok))
-        all_ok = all_ok and ok
-    return PreservationReport(ok=all_ok, checks=tuple(checks))
+def formula_agrees(run):
+    """``run(verify_preservation, verify_structure)`` on the fast paths,
+    after asserting that it equals ``run(oracle_preservation,
+    oracle_structure)`` under the ``references``; the fast run builds the
+    rational, kernel and packed tables (all three, or the kinds ``run``
+    reaches), the reference run no table but the base ``PointTable``."""
+    with tables_built() as fast_tables:
+        fast = run(verify_preservation, verify_structure)
+    with references(), tables_built() as formula_tables:
+        assert run(oracle_preservation, oracle_structure) == fast
+    assert set(fast_tables) - {"formula"} and set(formula_tables) <= {"formula"}
+    return fast, set(fast_tables)
 
 
-def oracle_extract_theta(phi_lu, phi_u):
-    for num, den in ((phi_lu.x, phi_u.x), (phi_lu.y, phi_u.y)):
-        if not _is_zero(den):
-            theta = num * _invert(den)
-            if phi_u.scaled(theta) == phi_lu:
-                return theta
-            return None
-    return None
-
-
-def oracle_structure(model, lambdas, us):
-    tower = us[0].x.tower
-    origin = Point(tower.rational(0), tower.rational(0))
-    m0 = model.apply(origin)
-    phi = _mapped_once(lambda p: model.apply(p) - m0)
-    additivity_ok = True
-    for u, v in combinations(us, 2):
-        uv = Point(u.x + v.x, u.y + v.y)
-        if not phi(uv) == phi(u) + phi(v):
-            additivity_ok = False
-            break
-    theta_ok = True
-    thetas = []
-    for lam in lambdas:
-        rho_lam = model.rho(lam if isinstance(lam, TowerElem) else tower.rational(lam))
-        for u in us:
-            lu = Point(lam * u.x, lam * u.y)
-            observed = oracle_extract_theta(phi(lu), phi(u))
-            if observed is None or not observed == rho_lam:
-                theta_ok = False
-                break
-        thetas.append(rho_lam)
-        if not theta_ok:
-            break
-    homomorphism_ok = True
-    lam_elems = [lam if isinstance(lam, TowerElem) else tower.rational(lam) for lam in lambdas]
-    for a, b in combinations(lam_elems, 2):
-        if not model.rho(a + b) == model.rho(a) + model.rho(b) or not model.rho(a * b) == model.rho(a) * model.rho(b):
-            homomorphism_ok = False
-            break
-    return StructureReport(additivity_ok, theta_ok, homomorphism_ok, tuple(thetas))
-
-
-def oracle_holds_installed(monkeypatch):
-    for kind in FACT_KINDS:
-        monkeypatch.setattr(kind, "holds", oracle_holds)
-
-
-# -- the soundness-corpus pass -----------------------------------------------------------------
-
-
-def criterion_9_data():
-    """Criterion 9's five registered models, multipliers and directions."""
-    registered, lambdas, us = suite.criterion_9_sample()
-    return [model for _, model in registered], lambdas, us
-
-
-class Doubling:
-    """p -> 2p after an optional model: not distance preserving."""
-
-    def __init__(self, model=None):
-        self.model = model
-
-    def apply(self, p):
-        q = p if self.model is None else self.model.apply(p)
-        return Point(2 * q.x, 2 * q.y)
-
-
-def soundness_items(preservation=verify_preservation, structure=verify_structure):
-    """What the soundness-corpus bench runs, with its models built: every
-    corpus x ``model_family`` pair (its verdict and the preservation of its
-    certificate pairs), criterion 9's structure reports, and the Doubling
-    and altered-ratio controls; one thunk per item."""
-    corpus = suite.replay_corpus()
-    items = []
-    for entry in corpus:
-        gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
-        for name, model in suite.model_family(gadget):
-            items.append(lambda e=entry, n=name, m=model, ps=pairs: (e.label, n, check_derivation(e.derivation, m), preservation(m, ps)))
-    registered, lambdas, us = criterion_9_data()
-    items += [lambda m=model: structure(m, lambdas, us) for model in registered]
-    derivation = corpus[0].derivation
-    final = derivation.final_fact()
-    altered = Derivation(
-        derivation.gadget,
-        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + F(1, 3))],
-        derivation.justifications,
-    )
-    controls = [
-        (derivation, Doubling()),
-        (derivation, Doubling(eps_rotation_model())),
-        (altered, identity_model()),
-        (altered, eps_rotation_model()),
-        (altered, eps_rotation_model(reflection=True)),
-    ]
-    items += [lambda s=subject, m=model: check_derivation(s, m) for subject, model in controls]
-    return items
-
-
-def soundness_pass(*oracles):
-    return [item() for item in soundness_items(*oracles)]
-
-
-def test_kernels_give_the_oracle_verdicts_and_reports(monkeypatch):
-    kernel = soundness_pass()
-    assert len(kernel) == 96 + 5 + 5
-    assert all(v.ok and report.ok for _, _, v, report in kernel[:96])
-    assert all(report.ok for report in kernel[96:101])
+def test_kernels_give_the_oracle_verdicts_and_reports():
+    """The harness case of the soundness pass: every corpus x
+    ``model_family`` ``Verdict`` (ok, checked, violated_index,
+    violated_fact) and ``PreservationReport``, criterion 9's five
+    ``StructureReport``s, the negative controls and six Q-moving mutants are
+    the same with the formula everywhere, the reference of every table
+    fast path."""
+    fast, kinds = formula_agrees(lambda *reports: soundness_pass(*reports) + q_moving_reports(TOWERS[1:4], reports[0]))
+    assert kinds == {"formula", "rational", "kernel", "packed"}
+    assert len(fast) == 96 + 5 + 5 + 6
+    assert all(v.ok and report.ok for _, _, v, report in fast[:96])
+    assert all(report.ok for report in fast[96:101])
     last = len(suite.replay_corpus()[0].derivation.facts) - 1
-    assert [v.violated_index for v in kernel[101:]] == [0, 0, last, last, last]
-    oracle_holds_installed(monkeypatch)
-    # Verdict (ok, checked, violated_index, violated_fact), PreservationReport, StructureReport
-    assert kernel == soundness_pass(oracle_preservation, oracle_structure)
+    assert [v.violated_index for v in fast[101:106]] == [0, 0, last, last, last]
+    assert not any(report.ok for report in fast[106:]) and sum(not check.ok for report in fast[106:] for check in report.checks) > 6
 
+
+def test_packed_verdicts_and_reports_match_the_formula_tables():
+    """The corpus x ``model_family`` checks and preservation reports and the
+    negative controls run on packed tables and equal the same reports with
+    the formula everywhere."""
+    items = soundness_items()
+    del items[96:101]  # the structure reports: ``test_structure_matches_the_oracle``
+    with tables_built() as fast_tables:
+        packed = [item() for item in items]
+    with formula_everywhere(), tables_built() as formula_tables:
+        assert [item() for item in items] == packed
+    assert "packed" in fast_tables and set(formula_tables) == {"formula"} and len(packed) == 96 + 5
+
+
+def test_form_tables_give_the_apply_tables_verdicts_and_reports(monkeypatch):
+    """Every report whose image table a ``ModelMap`` builds from forms equals
+    the report on the fast point table of the images ``apply`` builds."""
+    run = lambda: soundness_pass() + q_moving_reports(TOWERS[1:4])
+    forms = run()
+    monkeypatch.setattr(ModelMap, "image_table", lambda model, points: cm.mapped_table(model.apply, points))
+    assert run() == forms
 
 # -- derandomized cases for the kernels ------------------------------------------------------------
 
 
-def _tower(*radicands):
-    tower = QQ
-    for radicand in radicands:
-        tower = adjoin_sqrt(tower, radicand(tower) if callable(radicand) else radicand).tower
-    return tower
-
-
-TOWERS = [
-    QQ,
-    _tower(F(11, 100)),
-    _tower(2, 3),
-    _tower(2, lambda t: t.one() + t.generator(0)),
-    _tower(2, 3, 5, 7),
-]
+TOWERS = [QQ] + [tower_chain(*radicands)[-1] for radicands in ((F(11, 100),), (2, 3), (2, lambda t: t.one() + t.generator(0)), (2, 3, 5, 7))]
 NAMES = "ABCD"
-SMALL = st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=7))
 RATIOS = st.one_of(st.sampled_from([F(0), F(1)]), SMALL)
-
-
-def _elems(tower, seed: int, huge: bool = False):
-    """Elements of ``tower`` from a seeded generator (drawing every
-    coordinate through hypothesis would dominate the test's time): small
-    fractions, zeros, and with ``huge`` 4,000-digit entries."""
-    rng = random.Random(seed)
-
-    def coordinate():
-        roll = rng.randrange(6)
-        if roll == 0:
-            return F(0)
-        if huge and roll == 1:
-            return F(rng.choice((-1, 1)) * (10**3999 + rng.randrange(100)), rng.randint(1, 3))
-        return F(rng.randint(-6, 6), rng.randint(1, 7))
-
-    while True:
-        yield TowerElem(tower, [coordinate() for _ in range(tower.dim)])
-
-
-def _points(tower, seed: int, names, huge: bool = False):
-    elems = _elems(tower, seed, huge)
-    return {name: Point(next(elems), next(elems)) for name in names}
 
 
 @st.composite
 def fact_cases(draw):
-    """A fact over four named points of one tower (names may repeat), with
-    one point moved, or not, so that the fact holds, or for a linear
-    relation holds on x only."""
+    """A fact over four named points of one tower, with one point moved, or
+    not, so that the fact holds, or for a linear relation holds on x only
+    (``draw_fact``)."""
     tower = draw(st.sampled_from(TOWERS))
     huge = tower.depth <= 1 and draw(st.integers(0, 3)) == 0
-    points = _points(tower, draw(st.integers(0, 2**32)), NAMES, huge)
-    name = st.sampled_from(NAMES)
-    a, b, c, d = (draw(name) for _ in range(4))
-    kind = draw(st.sampled_from(FACT_KINDS))
-    if kind is SqDistKnown:
-        actual = sqdist(points[a], points[b])
-        # the rational coordinate alone equals the distance only if it is rational
-        choices = [F(0), F(-1, 3), draw(SMALL), actual.coords[0]]
-        fact = SqDistKnown(a, b, draw(st.sampled_from(choices)))
-    elif kind in (Distinct, NonzeroDist):
-        fact = kind(a, b)
-    elif kind is VecScale:
-        fact = VecScale(a, b, c, d, draw(RATIOS))
-    elif kind is AffineComb:
-        fact = AffineComb(c, a, b, draw(RATIOS))
-    else:
-        fact = kind(a, b, c, d)
-    force = draw(st.sampled_from(["no", "yes", "x only"]))
-    if force != "no":
-        p = points
-        if kind is VecEq:
-            p[d] = p[c] + (p[b] - p[a])
-        elif kind is VecScale:
-            p[b] = p[a] + (p[d] - p[c]).scaled(fact.r)
-        elif kind is AffineComb:
-            p[c] = p[b] + (p[a] - p[b]).scaled(fact.t)
-        elif kind is DotZero:
-            u = p[b] - p[a]
-            p[d] = p[c] + Vec2(-u.y, u.x).scaled(draw(SMALL))
-        elif kind in (Distinct, NonzeroDist):
-            p[b] = p[a]
-        if force == "x only" and kind in (VecEq, VecScale, AffineComb):
-            # the relation holds on x and fails on y, unless the moved point cancels
-            moved = {VecEq: d, VecScale: b, AffineComb: c}[kind]
-            p[moved] = Point(p[moved].x, p[moved].y + 1)
+    points = seeded_points(tower, draw(st.integers(0, 2**32)), NAMES, huge)
+    # the rational coordinate alone equals the distance only if it is rational
+    values = lambda distance: [F(0), F(-1, 3), draw(SMALL), distance.coords[0]]
+    fact = draw_fact(draw, points, RATIOS, values, lambda: draw(SMALL), ["no", "yes", "x only"])
     return fact, points, tower
 
 
 def _other_denominator(x: FunElem, factor: int) -> FunElem:
     """x with numerator and denominator both scaled by ``factor``: equal,
-    over another denominator pair."""
-    (num, k), (den, kd) = x._n, x._d
-    scale = lambda rows: tuple(tuple(c * factor for c in r) for r in rows)
-    return FunElem._make(x.tower, (scale(num), k), (scale(den), kd))
+    over another denominator pair.  Each pair stays in lowest terms, as
+    ``FunElem._make`` requires: (3n, k) over a k that 3 divides is (n, k/3)."""
+
+    def scaled(rows, k):
+        g = gcd(k, *(c * factor for r in rows for c in r))
+        return tuple(tuple(c * factor // g for c in r) for r in rows), k // g
+
+    return FunElem._make(x.tower, scaled(*x._n), scaled(*x._d))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=150)
 @given(fact_cases(), st.sampled_from(["tower", "eps", "eps-times", "mixed", "eps-two-denominators"]))
 def test_every_fact_kind_matches_the_oracle(packed_table, case, view):
     fact, points, tower = case
@@ -331,11 +183,14 @@ def test_every_fact_kind_matches_the_oracle(packed_table, case, view):
             assert points["A"] == a
     # ``cm.point_table`` picks a kernel for one tower; K(eps) points of one
     # denominator pair are packed by the packer, and their facts hold as on the formula
-    assert (type(cm.point_table(points)) is not cm.PointTable) == (view == "tower")
+    assert (table_kind(cm.point_table(points)) != "formula") == (view == "tower")
     packed = packed_table(points)
     assert (packed is not None) == (view in ("eps", "eps-times"))
-    assert fact.holds(points) == oracle_holds(fact, points), (fact, view)
-    assert packed is None or fact.holds(packed) == oracle_holds(fact, points), (fact, view)
+    # the oracle is the reference of the base table, and of the views that no fast table takes
+    expected = oracle_holds(fact, points)
+    assert fact.holds(cm.PointTable(points)) == expected, (fact, view)
+    assert fact.holds(points) == expected, (fact, view)
+    assert packed is None or fact.holds(packed) == expected, (fact, view)
 
 
 @st.composite
@@ -347,7 +202,7 @@ def value_cases(draw):
     S may be moved so that the scaling holds."""
     tower = draw(st.sampled_from(TOWERS[:4]))
     seed = draw(st.integers(0, 2**32))
-    points = _points(tower, seed, "PQORS", huge=draw(st.integers(0, 4)) == 0)
+    points = seeded_points(tower, seed, "PQORS", huge=draw(st.integers(0, 4)) == 0)
     p, q = points["P"], points["Q"]
     actual = sqdist(p, q)
     value = draw(st.sampled_from([actual, actual + 1, p.x, actual.coords[0], F(0), F(-2), draw(SMALL)]))
@@ -359,7 +214,7 @@ def value_cases(draw):
     return points, value, rho
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=80)
 @given(value_cases(), st.sampled_from(["tower", "tower-wider-rho", "eps", "eps-off-unit-rho", "eps-wider-rho"]))
 def test_squared_distance_against_a_constant_matches_the_formula(packed_table, case, view):
     """A kernel table and the base table agree with the formula on
@@ -367,7 +222,7 @@ def test_squared_distance_against_a_constant_matches_the_formula(packed_table, c
     not: over an extension of it, or for K(eps) off the unit polynomial."""
     points, value, rho = case
     if view.endswith("wider-rho"):
-        rho = rho.lift(_extended(rho.tower))
+        rho = rho.lift(extended(rho.tower))
     if view.startswith("eps"):
         # preservation's comparison: K(eps) images against a rational v itself, else rho(v), a constant over 1
         model = eps_rotation_model()
@@ -376,7 +231,7 @@ def test_squared_distance_against_a_constant_matches_the_formula(packed_table, c
         if view == "eps-off-unit-rho":
             rho = _other_denominator(rho, 3)
     kernel = packed_table(points) if view.startswith("eps") else cm.point_table(points)
-    assert type(kernel) is not cm.PointTable and kernel is not None
+    assert kernel is not None and table_kind(kernel) != "formula"
     # a rational is decided on the kernel's integer form
     assert not isinstance(value, F) or kernel.sqdist_is_form("P", "Q", value.numerator, value.denominator) is not None
     p, q, o, r, s = (points[n] for n in "PQORS")
@@ -419,7 +274,7 @@ def _models(tower):
     sound models whose rho is no constant of the images' tower: over an
     extension of it, or for K(eps) off the unit polynomial."""
     rotation = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
-    eps, wider = eps_rotation_model(), _extended(tower)
+    eps, wider = eps_rotation_model(), extended(tower)
     models = [
         identity_model(),
         eps,
@@ -443,24 +298,24 @@ def _models(tower):
 @st.composite
 def structure_cases(draw):
     tower = draw(st.sampled_from(TOWERS[:4]))
-    elems = _elems(tower, draw(st.integers(0, 2**32)))
+    values = elems(tower, draw(st.integers(0, 2**32)))
     # (0, 1) has no x component, so scaling is read on y
-    us = [Point(next(elems), next(elems)) for _ in range(draw(st.integers(1, 3)))]
+    us = [Point(next(values), next(values)) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         us.append(Point(tower.zero(), tower.one()))
     if draw(st.integers(0, 4)) == 0:
         us.append(Point(tower.zero(), tower.zero()))  # a zero direction: no scaling
-    lambdas = [next(elems) for _ in range(draw(st.integers(1, 2)))]
+    lambdas = [next(values) for _ in range(draw(st.integers(1, 2)))]
     return draw(st.sampled_from(_models(tower))), lambdas, draw(st.permutations(us))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=200)
 @given(structure_cases())
 def test_structure_matches_the_oracle(case):
     """The kernel tables, the base tables, and the theta oracle agree."""
     model, lambdas, us = case
     report = verify_structure(model, lambdas, us)
-    with mock.patch.object(cm, "point_table", cm.PointTable), mock.patch.object(models, "point_table", cm.PointTable):
+    with formula_everywhere():
         assert verify_structure(model, lambdas, us) == report
     assert report == oracle_structure(model, lambdas, us)
 
@@ -524,10 +379,10 @@ def test_structure_edge_cases_match_the_oracle(case, monkeypatch):
         monkeypatch.setattr(module, "point_table", lambda points: tables.append(real_table(points)) or tables[-1])
     report = verify_structure(model, lambdas, us)
     assert (report.additivity_ok, report.theta_ok, report.homomorphism_ok, len(report.thetas)) == flags
-    assert len(tables) == 1 and (type(tables[0]) is cm.PointTable) == case.startswith("mixed")
-    for module in (cm, models):
-        monkeypatch.setattr(module, "point_table", cm.PointTable)
-    assert verify_structure(model, lambdas, us) == report == oracle_structure(model, lambdas, us)
+    assert len(tables) == 1 and (table_kind(tables[0]) == "formula") == case.startswith("mixed")
+    monkeypatch.undo()
+    with formula_everywhere():
+        assert verify_structure(model, lambdas, us) == report == oracle_structure(model, lambdas, us)
 
 
 def test_structure_maps_every_point_before_any_test():
@@ -559,11 +414,11 @@ def test_eps_structure_packs_each_image_once(monkeypatch):
         assert images == 111 and [dim for _, dim, _ in calls] == [2, 2]
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=40)
 @given(st.sampled_from(TOWERS[:4]), st.integers(0, 2**32), st.data())
 def test_preservation_matches_the_oracle(tower, seed, data):
-    elems = _elems(tower, seed)
-    points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero())]
+    values = elems(tower, seed)
+    points = [Point(next(values), next(values)) for _ in range(3)] + [Point(tower.one(), tower.zero())]
     model = data.draw(st.sampled_from(_models(tower)))
     pairs = list(combinations(points, 2)) + [(points[-1], Point(tower.zero(), tower.zero()))]
     assert verify_preservation(model, pairs) == oracle_preservation(model, pairs)
@@ -587,7 +442,7 @@ def test_zero_tests_read_every_coordinate_and_row(packed_table):
     # a K(eps) distance agreeing with the value on the rows of D^2 only
     eps, zero = FunElem.eps(), FunElem.constant(0)
     table = packed_table({"P": Point(1 + eps * eps, zero), "O": Point(zero, zero)})
-    assert type(table) is models._PackedTable and not table.sqdist_is("P", "O", 1)
+    assert table_kind(table) == "packed" and not table.sqdist_is("P", "O", 1)
     # a value over an extension of the points' tower, rational and not
     s3 = adjoin_sqrt(QQ, 3).tower
     p, q = Point(QQ.rational(0), QQ.rational(0)), Point(QQ.rational(3), QQ.rational(4))
@@ -595,11 +450,11 @@ def test_zero_tests_read_every_coordinate_and_row(packed_table):
     assert table.sqdist_is("P", "Q", s3.rational(25)) and not table.sqdist_is("P", "Q", s3.rational(25) + s3.generator(0))
     # constants off the unit polynomial take the formula, on a kernel table as on the base table
     two_thirds = FunElem._make(QQ, (((2,),), 1), (((3,),), 1))
-    assert two_thirds == F(2, 3) and not scalars._funit(two_thirds._d)
+    assert two_thirds == F(2, 3) and two_thirds._d != FunElem.constant(1)._d
     images = {"A": eps_rotation_model().apply(p), "B": eps_rotation_model().apply(Point(QQ.rational(F(2, 3)), QQ.rational(0)))}
     one = FunElem._make(QQ, (((3,),), 1), (((3,),), 1))
     kernel = packed_table(images)
-    assert type(kernel) is models._PackedTable
+    assert table_kind(kernel) == "packed"
     for table in (kernel, cm.PointTable(images)):
         assert table.sqdist_is("A", "B", two_thirds * two_thirds) and not table.sqdist_is("A", "B", FunElem.constant(F(4, 9)) + eps)
         assert table.scaled_is(("B", "A"), ("B", "A"), one) and table.scaled_is(("B", "A"), ("B", "A"), FunElem.constant(1))
@@ -647,7 +502,7 @@ def test_fact_kinds_build_no_carrier_objects(monkeypatch, packed_table):
             assert fact.holds(table)
         counting[0] = False
     assert kinds == set(FACT_KINDS) and calls == []
-    assert sum(isinstance(table, models._PackedTable) for _, _, table in cases) == 32
+    assert sum(table_kind(table) == "packed" for _, _, table in cases) == 32
     # the counters do see the formula: one point over an extension of the tower
     facts, images, _ = cases[0]
     a, wider = images["A"], adjoin_sqrt(images["A"].x.tower, 13).tower
@@ -714,28 +569,12 @@ def _outcome(run):
         return type(err), str(err)
 
 
-def _extended(tower, radicand=13):
-    return adjoin_sqrt(tower, radicand).tower
-
-
 def _irrational_frame():
     """A rotation at 1 + sqrt(2) with a sqrt(2) translation, decoded from
     its ``model-check`` descriptor: the generic formula."""
     r2 = adjoin_sqrt(QQ, 2)
     frame = make_pythagorean_rotation(1 + r2.root, translation=(r2.root, r2.tower.rational(3)))
     return codec.decode_model(codec.encode_model(ModelMap(Embedding("identity"), frame))).frame
-
-
-def _conjugations(domain, frame):
-    """Conjugations of ``domain``, plain and with ``frame``, of each
-    generator whose flip is an automorphism."""
-    out = []
-    for generator in range(domain.depth):
-        try:
-            out += [conjugation_model(domain, generator), conjugation_model(domain, generator, frame)]
-        except BadGeneratorIndex:
-            pass
-    return out
 
 
 @st.composite
@@ -746,18 +585,18 @@ def preservation_cases(draw):
     pairs), equal but distinct point objects, or points over an extension
     of a conjugation's domain (which may raise)."""
     tower = draw(st.sampled_from(TOWERS[:4]))
-    elems = _elems(tower, draw(st.integers(0, 2**32)))
-    points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero())]
+    values = elems(tower, draw(st.integers(0, 2**32)))
+    points = [Point(next(values), next(values)) for _ in range(3)] + [Point(tower.one(), tower.zero())]
     view = draw(st.sampled_from(["tower", "wider domain", "rationals", "mixed", "equal copies", "outside domain"]))
     rotation = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
     if view == "wider domain":
-        family = _conjugations(_extended(tower), rotation)
+        family = conjugations(extended(tower), rotation)
         family.append(ModelMap(family[-1].embedding, _irrational_frame()))
     elif view == "outside domain":
-        domain = tower if tower.depth else _extended(QQ, 2)
-        family = _conjugations(domain, rotation)
-        wider = _extended(domain)
-        extra = next(elems).lift(wider) * wider.generator(wider.depth - 1)
+        domain = tower if tower.depth else extended(QQ, 2)
+        family = conjugations(domain, rotation)
+        wider = extended(domain)
+        extra = next(values).lift(wider) * wider.generator(wider.depth - 1)
         points = [Point(p.x.lift(wider), p.y.lift(wider)) for p in points]
         moved = draw(st.integers(0, 3))
         points[moved] = Point(points[moved].x, points[moved].y + draw(st.sampled_from([0, 1])) * extra)
@@ -765,16 +604,16 @@ def preservation_cases(draw):
         family = [identity_model(), eps_rotation_model(), eps_rotation_model(reflection=True), _Scaled()]
         family.append(ModelMap(Embedding("identity"), _irrational_frame()))
         if tower.depth:
-            family += _conjugations(tower, rotation)
+            family += conjugations(tower, rotation)
             family.append(_XYModel(lambda x: x, family[-1].embedding.apply_scalar, lambda v: v))
     if view == "rationals":
         points = [Point(*(c.coords[0] if draw(st.booleans()) else int(c.coords[0] * 6) for c in (p.x, p.y))) for p in points]
     elif view == "mixed":
-        wider = _extended(tower)
+        wider = extended(tower)
         points[0] = Point(points[0].x.lift(wider), points[0].y.lift(wider))
     elif view == "equal copies":
         # the same values as new objects, one of them over an extension of the tower
-        wider = _extended(tower)
+        wider = extended(tower)
         points += [Point(points[0].x, points[0].y), Point(points[1].x.lift(wider), points[1].y.lift(wider))]
     model = draw(st.sampled_from(family))
     pairs = list(combinations(points, 2)) + [(points[-1], points[0])]
@@ -794,7 +633,7 @@ def _first_outside(embedding, pairs):
     return None
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=150)
 @given(preservation_cases())
 def test_preservation_views_match_the_oracle(case):
     model, pairs, view = case
@@ -811,22 +650,12 @@ def test_preservation_views_match_the_oracle(case):
     assert kernel[1] == f"{first} does not lie in the embedding domain {model.embedding.domain}"
 
 
-def _flipped_rational_part(model):
-    """``model`` with a mutant embedding whose ``_signs`` also flip
-    coordinate 0: it no longer fixes Q."""
-    embedding = dataclasses.replace(model.embedding)
-    object.__setattr__(embedding, "_signs", (-embedding._signs[0],) + embedding._signs[1:])
-    return ModelMap(embedding, model.frame)
-
-
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=30)
 @given(st.sampled_from(TOWERS[1:4]), st.integers(0, 2**32), st.booleans())
 def test_a_conjugation_that_moves_q_fails_as_in_the_oracle(tower, seed, framed):
-    elems = _elems(tower, seed)
-    points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero()), Point(tower.zero(), tower.zero())]
-    pairs = list(combinations(points, 2))
+    pairs = list(combinations(q_moving_points(tower, seed), 2))
     frame = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2))) if framed else None
-    mutant = _flipped_rational_part(conjugation_model(_extended(tower), tower.depth, frame))
+    mutant = flipped_rational_part(conjugation_model(extended(tower), tower.depth, frame))
     report = verify_preservation(mutant, pairs)
     assert report == oracle_preservation(mutant, pairs)
     # every pair whose distance has a nonzero rational part fails
@@ -847,7 +676,7 @@ def test_rational_distances_are_checked_on_the_vectors(monkeypatch):
     monkeypatch.setattr(cm.PointTable, "sqdist_is", lambda *args: True)
     sound = conjugation_model(tower, 1)
     assert verify_preservation(sound, pairs).ok
-    report = verify_preservation(_flipped_rational_part(sound), pairs)
+    report = verify_preservation(flipped_rational_part(sound), pairs)
     assert [check.ok for check in report.checks] == [False, False, True]
 
 
@@ -908,7 +737,7 @@ def test_images_are_looked_up_by_object_without_a_hash(monkeypatch):
     # point objects, each mapped once however often a pair names it
     tower = TOWERS[2]
     p, q = Point(tower.generator(0), tower.one()), rational_point(3, 4, tower)
-    wider = _extended(tower)
+    wider = extended(tower)
     copies = [Point(p.x, p.y), Point(p.x.lift(wider), p.y.lift(wider))]
     pairs = [(p, q), (copies[0], q), (copies[1], q), (p, q), (q, p), (copies[0], p)]
     inside.append(True)
@@ -922,21 +751,15 @@ def test_images_are_looked_up_by_object_without_a_hash(monkeypatch):
         assert counts == {"hash": 0, "mapped": mapped, "formed": 2 * formed}
 
 
-def test_preservation_builds_no_carrier_objects(monkeypatch):
-    """For ``ModelMap`` models on one-tower coordinates, ``verify_preservation``
-    builds no ``TowerElem``, ``FunElem`` or ``Fraction``, the images
-    included: every pair is decided on the integer form, and every image
-    table is built from the images' forms."""
-    cases = []
-    for entry in suite.replay_corpus():
-        gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
-        cases += [(model, pairs) for _, model in suite.model_family(gadget)]
-    inside, calls = [], []
+def _count_carrier_objects(monkeypatch, counting):
+    """The list that ``_elem`` (in ``scalars`` and ``models``),
+    ``FunElem._make``, ``Fraction.__new__`` and ``ModelMap.apply`` append
+    their names to when they run while ``counting(name)`` holds."""
+    calls = []
 
     def counted(name, real):
         def run(*args, **kwargs):
-            if inside and inside[-1]:
+            if counting(name):
                 calls.append(name)
             return real(*args, **kwargs)
 
@@ -947,17 +770,32 @@ def test_preservation_builds_no_carrier_objects(monkeypatch):
     monkeypatch.setattr(FunElem, "_make", classmethod(counted("_make", FunElem._make.__func__)))
     monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
     monkeypatch.setattr(ModelMap, "apply", counted("apply", ModelMap.apply))
+    return calls
+
+
+def test_preservation_builds_no_carrier_objects(monkeypatch):
+    """For ``ModelMap`` models on one-tower coordinates, ``verify_preservation``
+    builds no ``TowerElem``, ``FunElem`` or ``Fraction``, the images
+    included: every pair is decided on the integer form, and every image
+    table is built from the images' forms."""
+    cases = []
+    for entry in suite.replay_corpus():
+        gadget = entry.gadget
+        pairs = certificate_pairs(gadget)
+        cases += [(model, pairs) for _, model in suite.model_family(gadget)]
+    inside = []
+    calls = _count_carrier_objects(monkeypatch, lambda name: inside and inside[-1])
     preservation = _scoped(inside, verify_preservation)
     for model, pairs in cases:
         assert preservation(model, pairs).ok
     assert len(cases) == 96 and calls == []
     # the counters do see the formula: a pair over two towers, whose images
     # a conjugation builds by ``apply``
-    p = Point(*(c.lift(_extended(QQ)) for c in (QQ.zero(), QQ.one())))
+    p = Point(*(c.lift(extended(QQ)) for c in (QQ.zero(), QQ.one())))
     assert preservation(identity_model(), [(p, rational_point(3, 4))]).ok
     assert "_elem" in calls and "apply" not in calls
     calls.clear()
-    assert preservation(conjugation_model(_extended(QQ), 0), [(p, rational_point(3, 4))]).ok
+    assert preservation(conjugation_model(extended(QQ), 0), [(p, rational_point(3, 4))]).ok
     assert calls.count("apply") == 2 and "_elem" in calls
 
 
@@ -993,73 +831,30 @@ def test_k_eps_frames_match_the_formula():
 # -- one point table per report call -------------------------------------------------------------
 
 
-def _automorphic(tower):
-    """Identity and each generator conjugation of ``tower`` that is an automorphism."""
-    return [identity_model()] + [model for model in _conjugations(tower, None)[::2]]
-
-
-def _verdicts_and_reports(derivations, monkeypatch=None):
-    """Each derivation's ``Verdict`` and certificate ``PreservationReport``
-    under identity and every automorphic conjugation of its tower; with
-    ``monkeypatch``, by the oracle bodies."""
-    preservation = verify_preservation
-    if monkeypatch is not None:
-        oracle_holds_installed(monkeypatch)
-        preservation = oracle_preservation
-    out = []
-    for derivation in derivations:
-        gadget = derivation.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
-        for model in _automorphic(gadget.tower):
-            out.append((check_derivation(derivation, model), preservation(model, pairs)))
-        out.append(check_derivation(derivation, Doubling()))
-    return out
-
-
-CHAIN_SPANS = (5, 10, 20, 40, 80)
-BRIDGES = ((3, (1, 1)), (5, (1, 2)), (10, (2, 3)), (4, (1, 3)), (6, (1, 4)), (8, (3, 1)), (7, (2, 5)))
-
-
-def chain_scale_gadgets():
-    """The chain-scale workload's twelve gadgets: rational rhombus chains of
-    span 5-80 and translation bridges with irrational |AC|."""
-    pt = rational_point
-    out = [build_rhombus_chain(pt(0, 0), pt(s, 0), pt(0, 1), pt(s, 1)) for s in CHAIN_SPANS]
-    out += [build_translation_bridge(pt(0, 0), pt(s, 0), pt(x, y), pt(x + s, y)) for s, (x, y) in BRIDGES]
-    return out
-
-
-def test_chain_scale_tables_give_the_oracle_verdicts_and_reports(monkeypatch):
+def test_chain_scale_tables_give_the_oracle_verdicts_and_reports():
+    """The harness case of the chain-scale gadgets, built and decoded: their
+    verdicts and reports under identity, each automorphic conjugation and
+    Doubling are the same with the formula everywhere."""
     built = [replay(gadget) for gadget in chain_scale_gadgets()]
     decoded = [codec.decode_document(codec.dumps(codec.encode_derivation(d))) for d in built]
     towers = [d.gadget.tower.depth for d in built]
     assert towers[1:5] == [0] * 4 and min(towers[5:]) >= 1  # span 5 adjoins a root
-    kernel = _verdicts_and_reports(built + decoded)
+    kernel, kinds = formula_agrees(lambda preservation, _: verdicts_and_reports(built + decoded, preservation))
+    assert kinds == {"rational", "kernel"}
     checks, controls = [x for x in kernel if isinstance(x, tuple)], [x for x in kernel if not isinstance(x, tuple)]
     assert len(checks) > 24 and all(v.ok and v.checked > 0 and report.ok for v, report in checks)
     assert len(controls) == 24 and all(not v.ok and v.violated_index == 0 for v in controls)
-    assert kernel == _verdicts_and_reports(built + decoded, monkeypatch)
 
 
-def radical_build_templates(seed=12345):
-    """The radical-build workload's fifteen constructions at ``seed``, from
-    the benchmark's own template list."""
-    root = str(Path(__file__).resolve().parents[1])
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    from perfbench.workloads import radical_templates
-
-    return radical_templates(rigidity_forge, random.Random(seed))
-
-
-def test_radical_build_tables_give_the_oracle_verdicts(monkeypatch):
+def test_radical_build_tables_give_the_oracle_verdicts():
+    """The harness case of the radical-build templates: the same with the
+    formula everywhere."""
     templates = radical_build_templates()
     assert len(templates) == 15
     derivations = [replay(build()) for _, _, build in templates]
-    kernel = _verdicts_and_reports(derivations)
+    kernel, _ = formula_agrees(lambda preservation, _: verdicts_and_reports(derivations, preservation))
     checks = [x for x in kernel if isinstance(x, tuple)]
     assert len(checks) > 15 and all(v.ok and report.ok for v, report in checks)
-    assert kernel == _verdicts_and_reports(derivations, monkeypatch)
 
 
 def test_sparse_kernels_keep_every_verdict():
@@ -1069,7 +864,6 @@ def test_sparse_kernels_keep_every_verdict():
     constructions (their encoded derivations and their verdicts under
     identity and each automorphic conjugation), come out the same when
     every product and square takes the halving recursion."""
-    halves = dict(_imul=scalars._imul_halves, _isq=scalars._isq_halves)
     taken = []
     real_isq_sparse = scalars._isq_sparse
 
@@ -1081,83 +875,37 @@ def test_sparse_kernels_keep_every_verdict():
 
     def run():
         built = [replay(build()) for _, _, build in radical_build_templates()]
-        return [item() for item in items], [codec.dumps(codec.encode_derivation(d)) for d in built], _verdicts_and_reports(built)
+        return [item() for item in items], [codec.dumps(codec.encode_derivation(d)) for d in built], verdicts_and_reports(built)
 
     with mock.patch.object(scalars, "_isq_sparse", counted):
         sparse = run()
     assert 8 in taken and 16 in taken
-    with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, **halves):
+    with halving_recursion():
         assert run() == sparse
-
-
-def _rationals(seed: int):
-    """Rationals from a seeded generator: zeros, small fractions, and
-    4,000-digit numerators and denominators."""
-    rng = random.Random(seed)
-    huge = lambda: 10**3999 + rng.randrange(10**6)
-    while True:
-        roll = rng.randrange(8)
-        if roll == 0:
-            yield F(0)
-        elif roll == 1:
-            yield F(rng.randint(-9, 9), huge())
-        elif roll == 2:
-            yield F(rng.choice((-1, 1)) * huge(), rng.randint(1, 12))
-        else:
-            yield F(rng.randint(-9, 9), rng.randint(1, 12))
 
 
 @st.composite
 def rational_fact_cases(draw):
-    """A fact over named points of Q (names may repeat, so coefficients may
-    cancel), with a point moved, or not, so that it holds, holds on x only,
-    or, for ``Distinct`` and ``NonzeroDist``, shares x or y."""
-    values = _rationals(draw(st.integers(0, 2**32)))
+    """A fact over named points of Q, with a point moved, or not, so that it
+    holds, holds on x only, or, for ``Distinct`` and ``NonzeroDist``, shares
+    x or y (``draw_fact``)."""
+    values = rationals(draw(st.integers(0, 2**32)))
     points = {name: Point(QQ.rational(next(values)), QQ.rational(next(values))) for name in "ABCDE"}
     if draw(st.booleans()):
         points["E"] = points[draw(st.sampled_from("ABCD"))]  # a coincident point
-    name = st.sampled_from("ABCDE")
-    a, b, c, d = (draw(name) for _ in range(4))
-    kind = draw(st.sampled_from(FACT_KINDS))
-    ratio = draw(st.one_of(st.sampled_from([F(0), F(1), F(-1)]), st.builds(lambda: next(values))))
-    if kind is SqDistKnown:
-        actual = sqdist(points[a], points[b]).coords[0]
-        fact = SqDistKnown(a, b, draw(st.sampled_from([F(0), -actual, actual, actual + F(1, 10**4000), F(-1, 3)])))
-    elif kind in (Distinct, NonzeroDist):
-        fact = kind(a, b)
-    elif kind is VecScale:
-        fact = VecScale(a, b, c, d, ratio)
-    elif kind is AffineComb:
-        fact = AffineComb(c, a, b, ratio)
-    else:
-        fact = kind(a, b, c, d)
-    p = points
-    force = draw(st.sampled_from(["no", "yes", "x only", "y only"]))
-    if force != "no":
-        if kind is VecEq:
-            p[d] = p[c] + (p[b] - p[a])
-        elif kind is VecScale:
-            p[b] = p[a] + (p[d] - p[c]).scaled(fact.r)
-        elif kind is AffineComb:
-            p[c] = p[b] + (p[a] - p[b]).scaled(fact.t)
-        elif kind is DotZero:
-            u = p[b] - p[a]
-            p[d] = p[c] + Vec2(-u.y, u.x).scaled(QQ.rational(next(values)))
-        elif kind in (Distinct, NonzeroDist):
-            p[b] = p[a] if force == "yes" else Point(p[a].x, p[b].y) if force == "x only" else Point(p[b].x, p[a].y)
-        if force == "x only" and kind in (VecEq, VecScale, AffineComb):
-            moved = {VecEq: d, VecScale: b, AffineComb: c}[kind]
-            p[moved] = Point(p[moved].x, p[moved].y + 1)
+    ratios = st.one_of(st.sampled_from([F(0), F(1), F(-1)]), st.builds(lambda: next(values)))
+    distances = lambda distance: [F(0), -distance.coords[0], distance.coords[0], distance.coords[0] + F(1, 10**4000), F(-1, 3)]
+    fact = draw_fact(draw, points, ratios, distances, lambda: QQ.rational(next(values)), ["no", "yes", "x only", "y only"])
     return fact, points
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=200)
 @given(rational_fact_cases())
 def test_rational_tables_match_the_oracle(case):
     fact, points = case
     table = cm.point_table(points)
-    assert type(table) is cm._RationalTable and cm.point_table(table) is table
-    assert fact.holds(table) == fact.holds(points) == oracle_holds(fact, points), fact
+    assert table_kind(table) == "rational" and cm.point_table(table) is table
+    assert fact.holds(table) == fact.holds(points) == fact.holds(cm.PointTable(points)) == oracle_holds(fact, points), fact
 
 
 def test_rational_table_reads_every_denominator():
@@ -1214,7 +962,7 @@ CM_KERNELS = ("sqdist_is_form", "relation_vanishes", "dot_vanishes", "scaled_is"
 def _classification_counts(monkeypatch):
     """Counters of the classifying scan (``cm._one_tower``, which
     ``cm.point_table`` and ``ModelMap.image_table`` run), the tests of the
-    tower kernel table (``kernel``, ``cm._KernelTable``'s methods) and its
+    tower kernel table (``kernel``, the kernel table's methods) and its
     squared-distance kernel ``sqdist_num``."""
     counts = {"scan": 0, "kernel": 0, "sqdist_num": 0}
 
@@ -1256,7 +1004,7 @@ def test_the_value_and_construction_kernels_are_gone():
     # the tower fact kernels are the kernel table's methods, against rationals only
     for name in ("tower_sqdist_num", "tower_sqdist_is", "_ivanishes", "tower_comb_vanishes", "_tower_factor", "tower_form_vanishes", "constant_form"):
         assert not hasattr(scalars, name) and not hasattr(cm, name), name
-    assert "sqdist_is" in cm.PointTable.__dict__ and not any("sqdist_is" in t.__dict__ for t in (cm._KernelTable, models._PackedTable, cm._RationalTable))
+    assert [cls for cls in (cm.PointTable, cm._RationalTable, cm._KernelTable, models._PackedTable) if "sqdist_is" in cls.__dict__] == [cm.PointTable]
 
 
 def test_an_empty_relation_vanishes_on_every_table(packed_table):
@@ -1268,15 +1016,15 @@ def test_an_empty_relation_vanishes_on_every_table(packed_table):
     entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
     fact = entry.derivation.facts[0]
     assert fact == VecEq("A0", "A0", "C0", "C0") and engine._linear_relation(fact) == {}
-    tables = {models._PackedTable: 0, cm._KernelTable: 0}
+    tables = {"packed": 0, "kernel": 0}
     for _, model in suite.model_family(entry.gadget):
         mapped = {n: model.apply(p) for n, p in entry.gadget.points.items()}
         images = packed_table(mapped) or cm.point_table(mapped)
-        if type(images) in tables:
-            tables[type(images)] += 1
+        if table_kind(images) in tables:
+            tables[table_kind(images)] += 1
             assert fact.holds(images) and images.relation_vanishes({})
         assert check_derivation(entry.derivation, model).ok
-    assert tables == {models._PackedTable: 2, cm._KernelTable: 3}
+    assert tables == {"packed": 2, "kernel": 3}
 
 
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
@@ -1287,7 +1035,7 @@ def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
     reach the tower kernels."""
     gadget = chain_scale_gadgets()[4]
     derivation = replay(gadget)
-    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+    pairs = certificate_pairs(gadget)
     assert gadget.tower.depth == 0 and len(gadget.points) == 162 and len(derivation.facts) == 482
     counts = _classification_counts(monkeypatch)
     for run, tables in (
@@ -1330,7 +1078,7 @@ def test_non_rational_reports_classify_once(monkeypatch):
     wider = adjoin_sqrt(gadget.tower, 13).tower
     points = dict(gadget.points, A=Point(gadget.points["A"].x.lift(wider), gadget.points["A"].y.lift(wider)))
     table = cm.point_table(points)
-    assert type(table) is cm.PointTable
+    assert table_kind(table) == "formula"
     expected = [oracle_holds(fact, points) for fact in derivation.facts]
     counts.update(kernel=0, sqdist_num=0)
     assert [fact.holds(table) for fact in derivation.facts] == expected
@@ -1351,7 +1099,7 @@ def test_preservation_of_k_eps_points():
     assert report == PreservationReport(ok=True, checks=(PairCheck((p, q), True),))
     assert sqdist(p, q).is_rational() and not (p.x + FunElem.eps()).is_rational()
     s2 = adjoin_sqrt(QQ, 2).tower
-    for model in (eps_model, eps_rotation_model(reflection=True), conjugation_model(s2, 0), _conjugations(s2, make_pythagorean_rotation(F(1, 2)))[1]):
+    for model in (eps_model, eps_rotation_model(reflection=True), conjugation_model(s2, 0), conjugations(s2, make_pythagorean_rotation(F(1, 2)))[1]):
         with pytest.raises(OutOfDomain, match=r"^FunElem\(25\) lies in K\(eps\), not in a quadratic tower$"):
             verify_preservation(model, [(p, q)])
         with pytest.raises(OutOfDomain, match=r"^FunElem\(0\) lies in K\(eps\), not in a quadratic tower$"):
@@ -1359,20 +1107,6 @@ def test_preservation_of_k_eps_points():
 
 
 # -- the packed K(eps) table ----------------------------------------------------------------------
-
-
-def _fun_coefficient(tower, rng):
-    """A coefficient of ``tower``: each coordinate zero, small, or up to
-    10^40 in absolute value, over a denominator of 2 to 7."""
-
-    def coordinate():
-        roll = rng.randrange(5)
-        if roll == 0:
-            return F(0)
-        size = 10**40 if roll == 1 else 7
-        return F(rng.randint(-size, size), rng.randint(2, 7))
-
-    return TowerElem(tower, [coordinate() for _ in range(tower.dim)])
 
 
 @st.composite
@@ -1384,7 +1118,7 @@ def packed_cases(draw):
     by a right angle, R = O + rho (A - O) and T = A + (c1, c2)."""
     tower = draw(st.sampled_from(TOWERS))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    coefficient = lambda: _fun_coefficient(tower, rng)
+    coefficient = lambda: fun_coefficient(tower, rng)
     lead = coefficient()
     while lead.is_zero():
         lead = coefficient()
@@ -1404,7 +1138,7 @@ def packed_cases(draw):
     return points, rho, c1, c2
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=40)
 @given(packed_cases())
 def test_packed_table_matches_the_formula(packed_table, case):
     """The packed table and the base table, the carrier formula, agree on
@@ -1415,12 +1149,12 @@ def test_packed_table_matches_the_formula(packed_table, case):
     points, rho, c1, c2 = case
     tower = points["O"].x.tower
     packed, formula = packed_table(points), cm.PointTable(points)
-    assert type(packed) is models._PackedTable
+    assert table_kind(packed) == "packed"
     distance = c1 * c1 + c2 * c2
     generator = tower.generator(tower.depth - 1) if tower.depth else tower.one()
     constants = [0, F(-2, 3), generator * F(5, 2) + 1, distance, FunElem.constant(distance), FunElem(tower, [distance * 3], [3])]
     constants += [distance.as_fraction()] if distance.is_rational() else []
-    assert not scalars._funit(constants[5]._d)
+    assert constants[5]._d != FunElem.constant(1)._d
     for p, q in (("A", "T"), ("O", "A"), ("A", "A"), ("S", "B"), ("Q", "R")):
         for c in constants:
             assert packed.sqdist_is(p, q, c) == formula.sqdist_is(p, q, c), (p, q, c)
@@ -1438,35 +1172,6 @@ def test_packed_table_matches_the_formula(packed_table, case):
         for u, w in ((("R", "O"), ("A", "O")), (("T", "A"), ("B", "O")), (("O", "O"), ("A", "O"))):
             assert packed.scaled_is(u, w, r) == formula.scaled_is(u, w, r), (u, w, r)
     assert packed.scaled_is(("R", "O"), ("A", "O"), rho)
-
-
-def test_packed_verdicts_and_reports_match_the_formula_tables():
-    """``check_derivation`` and ``verify_preservation`` on every corpus x
-    ``model_family`` pair and on the negative controls (Doubling, and the
-    altered final ratio under identity and the eps models) give the same
-    ``Verdict`` and ``PreservationReport`` when every image is mapped by
-    ``apply`` and every table is the base ``PointTable``, the carrier
-    formula."""
-    items = soundness_items()
-    del items[96:101]  # the structure reports: ``test_structure_matches_the_oracle``
-    built = []
-    real_init = models._PackedTable.__init__
-
-    def counting_init(self, *args):
-        built.append(self)
-        real_init(self, *args)
-
-    with mock.patch.object(models._PackedTable, "__init__", counting_init):
-        packed = [item() for item in items]
-    assert len(packed) == 96 + 5 and len(built) > 0
-    generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
-    no_forms = lambda model, points: cm.mapped_table(model.apply, points)  # every image mapped by ``apply``
-    with mock.patch.object(cm, "point_table", generic_table), mock.patch.object(engine, "point_table", generic_table), mock.patch.object(models, "point_table", generic_table):
-        with mock.patch("rigidity_forge.gadgets.point_table", generic_table), mock.patch.object(models._PackedTable, "__init__", counting_init):
-            with mock.patch.object(ModelMap, "image_table", no_forms):
-                built.clear()
-                assert [item() for item in items] == packed
-                assert built == []
 
 
 def test_the_soundness_pass_packs_eps_images_in_models_only(monkeypatch):
@@ -1514,7 +1219,7 @@ def test_the_soundness_pass_packs_eps_images_in_models_only(monkeypatch):
     assert len(eps_tables) == 2 * 32 + 2 + 2
     assert [type(table) for size, table in eps_tables if not size] == [cm.PointTable] * 2
     eps_tables = [table for size, table in eps_tables if size]
-    assert all(type(table) is models._PackedTable for table in eps_tables)
+    assert all(table_kind(table) == "packed" for table in eps_tables)
     assert [id(table) for table in eps_tables] == [id(table) for table in packed]
 
 
@@ -1580,7 +1285,7 @@ def test_the_width_is_load_bearing(packed_table):
     eps = FunElem.eps()
     table = packed_table({"P": Point(eps, zero), "O": Point(zero, zero)})
     fitting = [v for v in range(1, 200) if (1 << 2 * v).bit_length() <= table._budget]
-    assert type(table) is models._PackedTable and len(fitting) > 30
+    assert table_kind(table) == "packed" and len(fitting) > 30
     for v in fitting:
         assert table.sqdist_is_form("P", "O", 1 << 2 * v, 1) is False
         assert not table.sqdist_is("P", "O", 1 << 2 * v)
@@ -1596,8 +1301,7 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch, packe
     points = {"P": model.apply(rational_point(3, 4)), "O": model.apply(rational_point(0, 0))}
     points["Q"] = model.apply(rational_point(3, 4))
     table = packed_table(points)
-    assert type(table) is models._PackedTable
-    t = table._budget + 1
+    assert table_kind(table) == "packed"
     calls = []
     for name in ("_ivec", "relation_vanishes"):
         real = getattr(cm._KernelTable, name)
@@ -1608,7 +1312,7 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch, packe
         before = len(calls)
         return test(), len(calls) - before
 
-    huge = 1 << t
+    huge = too_large_for(table)
     # 25 in an unreduced form too large for the width: the formula's verdict, not the packed form's
     assert kernel_calls(lambda: table.sqdist_is_form("P", "O", 25 * huge, huge)) == (True, 0)
     assert kernel_calls(lambda: table.sqdist_is("P", "O", 25)) == (True, 1)
@@ -1623,34 +1327,6 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch, packe
 
 
 # -- image tables built from forms -----------------------------------------------------------------
-
-
-def _q_moving_reports():
-    """Preservation reports of Q-moving conjugation mutants (as in
-    ``test_a_conjugation_that_moves_q_fails_as_in_the_oracle``), framed and
-    not, over three towers."""
-    reports = []
-    for tower in TOWERS[1:4]:
-        for seed, framed in ((0, False), (1, True)):
-            elems = _elems(tower, seed)
-            points = [Point(next(elems), next(elems)) for _ in range(3)] + [Point(tower.one(), tower.zero()), Point(tower.zero(), tower.zero())]
-            frame = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2))) if framed else None
-            mutant = _flipped_rational_part(conjugation_model(_extended(tower), tower.depth, frame))
-            reports.append(verify_preservation(mutant, list(combinations(points, 2))))
-    return reports
-
-
-def test_form_tables_give_the_apply_tables_verdicts_and_reports(monkeypatch):
-    """Every report whose image table a ``ModelMap`` builds from forms (the
-    corpus x ``model_family`` checks and their preservation reports,
-    criterion 9's five structure reports, the two negative controls and
-    Q-moving mutants) equals the report on ``cm.point_table`` of the
-    images ``apply`` builds."""
-    forms = soundness_pass() + _q_moving_reports()
-    assert len(forms) == 96 + 5 + 5 + 6
-    assert not any(report.ok for report in forms[-6:]) and sum(not check.ok for report in forms[-6:] for check in report.checks) > 6
-    monkeypatch.setattr(ModelMap, "image_table", lambda model, points: cm.mapped_table(model.apply, points))
-    assert soundness_pass() + _q_moving_reports() == forms
 
 
 def test_form_tables_answer_every_test_as_the_apply_tables(packed_table):
@@ -1691,7 +1367,7 @@ def test_form_tables_answer_every_test_as_the_apply_tables(packed_table):
         for model in (ModelMap(Embedding("identity"), make_pythagorean_rotation(F(1, 2), translation=(F(1, 3), F(0)))), eps_rotation_model()):
             table = model.image_table(points)
             assert table.same("A", "C") and not table.same("A", "B")
-            assert type(table) is (models._PackedTable if model.embedding.kind == "function_field" else cm._RationalTable if tower is QQ else cm._KernelTable)
+            assert table_kind(table) == ("packed" if model.embedding.kind == "function_field" else "rational" if tower is QQ else "kernel")
 
 
 def _eps_form_cases():
@@ -1703,7 +1379,7 @@ def _eps_form_cases():
     sample.update((("lu", k, i), Point(lam * u.x, lam * u.y)) for k, lam in enumerate(lambdas) for i, u in enumerate(us))
     cases += [(model, sample) for model in registered[2:4]]
     for seed, tower in enumerate(TOWERS[:3]):
-        cases += [(model, _points(tower, seed, "ABCDE", huge=True)) for model in registered[2:4]]
+        cases += [(model, seeded_points(tower, seed, "ABCDE", huge=True)) for model in registered[2:4]]
     return cases
 
 
@@ -1716,7 +1392,7 @@ def test_the_width_bounds_of_forms_cover_the_reduced_images(packed_table):
     assert len(cases) == 32 + 2 + 6
     for model, points in cases:
         table = model.image_table(points)
-        assert type(table) is models._PackedTable
+        assert table_kind(table) == "packed"
         a, kb = (table._budget - 64) // 2 - table._kb, table._kb
         coords = [c for p in points.values() for c in (lambda q: (q.x, q.y))(model.apply(p))]
         polys = [c._n[0] for c in coords] + [coords[0]._d[0]]
@@ -1740,25 +1416,12 @@ def test_checks_and_reports_build_no_image(monkeypatch):
     checks = []
     for entry in corpus:
         gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        pairs = certificate_pairs(gadget)
         checks += [(entry.derivation, model, pairs) for _, model in suite.model_family(gadget)]
     registered, lambdas, us = criterion_9_data()
     controls = soundness_items()[101:]  # Doubling, Doubling after eps-rotation, the altered ratio under three models
-    inside, calls = [], []
-
-    def counted(name, real):
-        def run(*args, **kwargs):
-            if name == "apply" or inside:
-                calls.append(name)
-            return real(*args, **kwargs)
-
-        return run
-
-    for module in (scalars, models):
-        monkeypatch.setattr(module, "_elem", counted("_elem", scalars._elem))
-    monkeypatch.setattr(FunElem, "_make", classmethod(counted("_make", FunElem._make.__func__)))
-    monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
-    monkeypatch.setattr(ModelMap, "apply", counted("apply", ModelMap.apply))
+    inside = []
+    calls = _count_carrier_objects(monkeypatch, lambda name: name == "apply" or inside)
     for derivation, model, pairs in checks:
         inside.append(True)
         assert check_derivation(derivation, model).ok and verify_preservation(model, pairs).ok

@@ -26,6 +26,7 @@ from rigidity_forge.gadgets import (
     choose_division_radius,
     kempe_de_length,
 )
+from rigidity_forge.poly import variables
 from rigidity_forge.scalars import QQ, adjoin_sqrt
 
 F = Fraction
@@ -422,7 +423,6 @@ def test_kempe_vertical_alignment_symbolically():
 
     The reflection construction is replayed over the polynomial ring with a
     shared denominator, so the check covers every admissible parameter."""
-    from rigidity_forge.poly import variables
 
     (t,) = variables("t")
     one = t * 0 + 1

@@ -4,9 +4,12 @@ class or method that only tests use, the checker's modules import nothing
 from ``models``, ``cm`` imports no K(eps) name, ``scalars`` defines no
 frame form, ``engine`` and ``models`` define no point-mapping helper, and
 every module under ``src/`` and ``tests/`` is written in
-the grammar of Python 3.10, the oldest version ``pyproject.toml`` admits."""
+the grammar of Python 3.10, the oldest version ``pyproject.toml`` admits.
+``private_references`` counts the private package names that test code
+reaches into; CI prints the count for ``tests/``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -247,6 +250,46 @@ def test_mapping_helper_check_catches_a_definition_in_engine_or_models():
         ("models", "\n_image_table = None\n", "_image_table"),
     ):
         assert defined_names(_source(module) + text) & MAPPING_HELPERS == {name}, text
+
+
+def private_references(sources: dict[str, str]) -> Counter:
+    """Each reference of the sources to a private package name, as
+    ``module._name``: an attribute ``module._name`` of a module imported by
+    ``from rigidity_forge import module``, each ``_name`` of a ``from
+    rigidity_forge.module import``, and a call that passes such a module and
+    the string ``"_name"`` (``monkeypatch.setattr``, ``mock.patch.object``).
+    A dunder name is not private."""
+    modules, found = {p.stem for p in MODULES}, Counter()
+    private = lambda name: name.startswith("_") and not _is_dunder(name)
+    for source in sources.values():
+        tree = ast.parse(source)
+        bound = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "rigidity_forge"
+            for alias in node.names
+            if alias.name in modules
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound and private(node.attr):
+                found[f"{bound[node.value.id]}.{node.attr}"] += 1
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rigidity_forge."):
+                found.update(f"{node.module.split('.')[1]}.{alias.name}" for alias in node.names if private(alias.name))
+            elif isinstance(node, ast.Call):
+                passed = [arg.id for arg in node.args if isinstance(arg, ast.Name) and arg.id in bound]
+                names = [arg.value for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and private(arg.value)]
+                if passed and names:
+                    found[f"{bound[passed[0]]}.{names[0]}"] += 1
+    return found
+
+
+def test_private_reference_count_catches_each_form():
+    source = (
+        "from rigidity_forge import cm, engine as e\nfrom rigidity_forge.scalars import QQ, _elem\n\n\n"
+        "def test(monkeypatch):\n    monkeypatch.setattr(e, '_LEMMAS', {})\n    monkeypatch.setattr(e, 'replay', None)\n"
+        "    return cm._KernelTable, cm._KernelTable, cm.__name__, cm.point_table, _elem, QQ\n"
+    )
+    assert private_references({"t": source}) == {"cm._KernelTable": 2, "engine._LEMMAS": 1, "scalars._elem": 1}
 
 
 def test_sources_parse_with_the_oldest_supported_grammar():

@@ -1,15 +1,16 @@
 """Distance-preserving model maps and the structural verification reports."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import cm, engine, gadgets, models, scalars, suite
+from rigidity_forge import cm, models, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
-from rigidity_forge.engine import Derivation, Distinct, NonzeroDist, SqDistKnown, check_derivation, replay
+from rigidity_forge.engine import Distinct, NonzeroDist, SqDistKnown, check_derivation, replay
 from rigidity_forge.gadgets import (
     AffineComb,
     DotZero,
@@ -34,6 +35,9 @@ from rigidity_forge.models import (
     verify_structure,
 )
 from rigidity_forge.scalars import QQ, FunElem, adjoin_sqrt
+
+from conftest import DERANDOMIZED, table_kind
+from harness import FRACTIONAL_TOWERS, INTEGER_TOWERS, certificate_pairs, criterion_9_data, formula_everywhere, negative_controls, sparse_rationals
 
 F = Fraction
 
@@ -161,7 +165,6 @@ def test_frame_translation_applies_after_linear_part():
 
 
 def test_identity_preserves_random_pairs():
-    import random
 
     rng = random.Random(1)
     pairs = []
@@ -178,7 +181,7 @@ def test_identity_preserves_random_pairs():
 def test_conjugation_preserves_division_certificate():
     gadget = build_division(rational_point(0, 0), rational_point(1, 0), F(1, 2))
     model = conjugation_model(gadget.tower, 0)
-    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+    pairs = certificate_pairs(gadget)
     report = verify_preservation(model, pairs)
     assert report.ok and len(report.checks) == 8
 
@@ -253,7 +256,7 @@ def test_preservation_maps_each_point_once(monkeypatch):
     image is built by ``apply``; the identity's image table is the source
     points' own table, with no form computed."""
     gadget = build_rhombus_chain(rational_point(0, 0), rational_point(80, 0), rational_point(0, 1), rational_point(80, 1))
-    pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+    pairs = certificate_pairs(gadget)
     calls = _counting_forms(monkeypatch)
     for model, formed in ((identity_model(), 0), (eps_rotation_model(), 162), (conjugation_model(adjoin_sqrt(QQ, 2).tower, 0), 162)):
         for counted in calls.values():
@@ -332,7 +335,6 @@ def test_structure_sqrt2_conjugation_theta(sqrt2_tower):
 
 
 def test_structure_eps_rotation_additivity():
-    import random
 
     rng = random.Random(5)
     us = [rational_point(F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(15)]
@@ -452,35 +454,11 @@ def test_lazy_equality_agrees_with_reduced_form_on_the_corpus():
             assert verdict.ok and verdict.checked == len(facts), (entry.label, name)
 
 
-class _Doubled:
-    """Doubles every image of a model: not distance preserving."""
-
-    def __init__(self, model=None):
-        self.model = model
-
-    def apply(self, p):
-        q = p if self.model is None else self.model.apply(p)
-        return Point(2 * q.x, 2 * q.y)
-
-
 def test_lazy_kfield_refutes_the_negative_controls():
-    entry = suite.replay_corpus()[0]
-    derivation = entry.derivation
-    final = derivation.final_fact()
-    assert isinstance(final, AffineComb)
-    altered = Derivation(
-        derivation.gadget,
-        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + Fraction(1, 3))],
-        derivation.justifications,
-    )
-    last = len(altered.facts) - 1
-    controls = [
-        (derivation, _Doubled(), 0),
-        (derivation, _Doubled(eps_rotation_model()), 0),
-        (altered, eps_rotation_model(), last),
-        (altered, eps_rotation_model(reflection=True), last),
-    ]
-    for subject, model, index in controls:
+    derivation = suite.replay_corpus()[0].derivation
+    assert isinstance(derivation.final_fact(), AffineComb)
+    last = len(derivation.facts) - 1
+    for (subject, model), index in zip(negative_controls(derivation), [0, 0, last, last, last]):
         verdict = check_derivation(subject, model)
         assert not verdict.ok and verdict.violated_index == index
 
@@ -499,8 +477,8 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     real_kernel, real_mul, real_apply = cm._KernelTable.sqdist_num, FunElem.__mul__, ModelMap.apply
 
     def kfield(table, p, q):
-        if isinstance(table, cm._KernelTable):
-            return isinstance(table, models._PackedTable)
+        if table_kind(table) != "formula":
+            return table_kind(table) == "packed"
         return any(isinstance(c, FunElem) for c in (table[p].x, table[p].y, table[q].x, table[q].y))
 
     def counting(real):
@@ -522,7 +500,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return run
 
     def counting_kernel(table, p, q):
-        counts["kernel"] += isinstance(table, models._PackedTable) and isinstance(table._coords[p].x, cm._Form)
+        counts["kernel"] += table_kind(table) == "packed" and isinstance(table._coords[p].x, cm._Form)
         return real_kernel(table, p, q)
 
     def counting_apply(self, p):
@@ -545,7 +523,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     checks = 0
     for entry in corpus:
         gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        pairs = certificate_pairs(gadget)
         for _, model in suite.model_family(gadget):
             assert check_derivation(entry.derivation, model).ok
             assert verify_preservation(model, pairs).ok
@@ -556,7 +534,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
     # the counters do see the formula, taken over two denominators
     eps = FunElem.eps()
     table = cm.point_table({"P": Point(eps, eps), "Q": Point(eps / (eps + 1), FunElem.constant(0))})
-    assert type(table) is cm.PointTable
+    assert table_kind(table) == "formula"
     assert table.sqdist_is("P", "Q", eps * eps + (eps * eps / (eps + 1)) ** 2)
     assert counts["kfield"] == counts["kernel"] + 1 and counts["sqdist"] == 1 and counts["mul"] == 2
 
@@ -586,7 +564,7 @@ def test_model_checks_take_no_polynomial_gcd(monkeypatch):
     counted("_fmul")
     for entry, model in checks:
         gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        pairs = certificate_pairs(gadget)
         assert check_derivation(entry.derivation, model).ok
         assert verify_preservation(model, pairs).ok
     assert len(checks) == 96
@@ -597,7 +575,7 @@ def test_model_checks_take_no_polynomial_gcd(monkeypatch):
     # and the formula that an irrational constant takes
     gadget = checks[0][0].gadget
     table = cm.point_table(gadget.points)
-    assert type(table) is cm._KernelTable and gadget.tower.depth > 0
+    assert table_kind(table) == "kernel" and gadget.tower.depth > 0
     assert not table.sqdist_is("A", "B", gadget.tower.generator(0)) and calls["sqdist"] == [("A", "B")]
 
 
@@ -633,21 +611,6 @@ def _point_forms(p):
     return _form(p.x), _form(p.y)
 
 
-def _structure_data():
-    """Criterion 9's directions, multipliers and five registered models."""
-    registered, lambdas, us = suite.criterion_9_sample()
-    return [model for _, model in registered], lambdas, us
-
-
-def _altered(derivation):
-    final = derivation.final_fact()
-    return Derivation(
-        derivation.gadget,
-        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + F(1, 3))],
-        derivation.justifications,
-    )
-
-
 def _model_sweep():
     """Images, verdicts and reports over every corpus x ``model_family`` pair,
     criterion 9's models and the negative controls."""
@@ -655,66 +618,37 @@ def _model_sweep():
     out = []
     for entry in corpus:
         gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        pairs = certificate_pairs(gadget)
         for name, model in suite.model_family(gadget):
             images = [_point_forms(model.apply(p)) for p in gadget.points.values()]
             out.append((entry.label, name, images, check_derivation(entry.derivation, model), verify_preservation(model, pairs)))
-    registered, lambdas, us = _structure_data()
+    registered, lambdas, us = criterion_9_data()
     for model in registered:
         out.append(([_point_forms(model.apply(u)) for u in us], verify_structure(model, lambdas, us)))
-    derivation = corpus[0].derivation
-    controls = [
-        (derivation, _Doubled()),
-        (derivation, _Doubled(eps_rotation_model())),
-        (_altered(derivation), identity_model()),
-        (_altered(derivation), eps_rotation_model()),
-    ]
-    out += [check_derivation(subject, model) for subject, model in controls]
+    out += [check_derivation(subject, model) for subject, model in negative_controls(corpus[0].derivation)]
     return out
-
-
-def _formula_table(model, points):
-    """The base ``cm.PointTable`` of the images of ``points`` (by name, or
-    their own table) by the generic formula."""
-    if isinstance(points, cm.PointTable):
-        points = points.points
-    return cm.PointTable({name: generic_apply(model, p) for name, p in points.items()})
 
 
 def test_image_kernels_match_the_generic_formula(monkeypatch):
     """Every image, verdict and report of the sweep is the same when each
-    image is mapped by the generic formula and every image table is the
-    base ``cm.PointTable`` of those images."""
+    image is mapped by the generic formula and every table is the base
+    ``cm.PointTable``, the harness's ``formula_everywhere``."""
     kernel = _model_sweep()
-    assert len(kernel) == 96 + 5 + 4
+    assert len(kernel) == 96 + 5 + 5
     assert all(v.ok and report.ok for _, _, _, v, report in kernel[:96])
     assert all(report.ok for _, report in kernel[96:101])
-    assert [v.violated_index for v in kernel[101:]] == [0, 0] + [len(suite.replay_corpus()[0].derivation.facts) - 1] * 2
+    assert [v.violated_index for v in kernel[101:]] == [0, 0] + [len(suite.replay_corpus()[0].derivation.facts) - 1] * 3
     monkeypatch.setattr(models.Embedding, "apply_scalar", generic_apply_scalar)
     monkeypatch.setattr(models.ModelMap, "apply", generic_apply)
-    monkeypatch.setattr(models.ModelMap, "image_table", _formula_table)
-    generic = _model_sweep()
+    with formula_everywhere():
+        generic = _model_sweep()
     # every image coordinate: the same (_n, _d) and an equal tower
     assert kernel == generic
 
 
-def _chain(*radicands):
-    towers = [QQ]
-    for radicand in radicands:
-        tower = towers[-1]
-        result = adjoin_sqrt(tower, radicand(tower) if callable(radicand) else radicand)
-        assert not result.absorbed
-        towers.append(result.tower)
-    return towers
-
-
 # radicands with a denominator, and a radicand over the first generator, so
 # that some generators have no conjugation
-TOWER_CHAINS = [
-    _chain(F(1, 2), lambda t: t.rational(F(3, 5)) + t.generator(0), F(7, 3)),
-    _chain(2, 3, lambda t: t.one() + t.generator(0)),
-]
-SMALL = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+TOWER_CHAINS = [FRACTIONAL_TOWERS[:4], INTEGER_TOWERS[:4]]
 
 
 def _valid_generators(domain):
@@ -743,12 +677,12 @@ def frame_cases(draw):
     else:
         embedding = Embedding(kind)
     reflection = draw(st.booleans())
-    translation = draw(st.one_of(st.none(), st.tuples(SMALL, SMALL)))
+    translation = draw(st.one_of(st.none(), st.tuples(sparse_rationals, sparse_rationals)))
     shape = draw(st.sampled_from(["rational", "kfield", "kfield", "kfield-translated", "kfield-two-denominators"]))
     if shape == "rational":
-        frame = make_pythagorean_rotation(draw(SMALL), reflection=reflection, translation=translation)
+        frame = make_pythagorean_rotation(draw(sparse_rationals), reflection=reflection, translation=translation)
     else:
-        t = FunElem.eps() * draw(SMALL.filter(bool)) + draw(SMALL)
+        t = FunElem.eps() * draw(sparse_rationals.filter(bool)) + draw(sparse_rationals)
         frame = make_pythagorean_rotation(t, reflection=reflection, translation=(F(1), F(0)) if shape == "kfield-translated" else None)
     if shape == "kfield-two-denominators":
         # m01 over a multiple of D: an equal value on another denominator
@@ -758,12 +692,12 @@ def frame_cases(draw):
         scaled = FunElem._make(QQ, (tuple((c * factor,) for (c,) in num), k), (tuple((c * factor,) for (c,) in den), kd))
         assert scaled == m01 and scaled._d != m01._d
         frame = OrthoAffine(((m00, scaled), row))
-    coords = st.lists(SMALL, min_size=tower.dim, max_size=tower.dim).map(lambda cs: scalars.TowerElem(tower, cs))
+    coords = st.lists(sparse_rationals, min_size=tower.dim, max_size=tower.dim).map(lambda cs: scalars.TowerElem(tower, cs))
     points = draw(st.lists(st.builds(Point, coords, coords), min_size=1, max_size=3))
     return ModelMap(embedding, frame), shape, points
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=200)
 @given(frame_cases())
 def test_frame_kernels_match_the_generic_formula_on_random_frames(case):
     """The image table of random frames answers every test as the base
@@ -780,7 +714,7 @@ def test_frame_kernels_match_the_generic_formula_on_random_frames(case):
     named.update(enumerate(points))
     named.update((("s", i), Point(p.x + points[(i + 1) % n].x, p.y + points[(i + 1) % n].y)) for i, p in enumerate(points))
     named.update((("l", k, i), Point(lam * p.x, lam * p.y)) for k, lam in enumerate(lams) for i, p in enumerate(points))
-    table, formula = model.image_table(named), _formula_table(model, named)
+    table, formula = model.image_table(named), cm.PointTable({name: generic_apply(model, p) for name, p in named.items()})
     for a, b in combinations(named, 2):
         assert table.same(a, b) == formula.same(a, b), (a, b)
     for i in range(n):
@@ -834,11 +768,11 @@ def _eps_models_sweep():
     """Every point of the corpus and of criterion 9 under every eps model."""
     for entry in suite.replay_corpus():
         gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        pairs = certificate_pairs(gadget)
         for name, model in suite.model_family(gadget):
             if name.startswith("eps"):
                 yield model, list(gadget.points.values()), pairs, entry.derivation
-    registered, _, us = _structure_data()
+    registered, _, us = criterion_9_data()
     for model in registered[2:4]:
         yield model, us, list(combinations(us, 2)), None
 
@@ -868,7 +802,7 @@ def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
 
         monkeypatch.setattr(FunElem, name, counting)
     for model, points, _, _ in _eps_models_sweep():
-        assert type(model.image_table(dict(enumerate(points)))) is models._PackedTable
+        assert table_kind(model.image_table(dict(enumerate(points)))) == "packed"
     assert counts["tables"] > 0 and counts["arithmetic"] == 0
     # the counter does see the formula: a K(eps) frame over Q(sqrt 2), whose
     # table maps its point by ``apply``
@@ -885,14 +819,14 @@ def test_in_domain_conjugation_images_scan_no_automorphism(monkeypatch):
     value (``_into_domain``)."""
     corpus = suite.replay_corpus()
     family = [(entry, model) for entry in corpus for name, model in suite.model_family(entry.gadget) if "conjugation" in name]
-    registered, lambdas, us = _structure_data()
+    registered, lambdas, us = criterion_9_data()
     calls, maps = [], []
     real_into, real_map = Embedding._into_domain, Embedding.vector_map
     monkeypatch.setattr(Embedding, "_into_domain", lambda self, x: calls.append(x) or real_into(self, x))
     monkeypatch.setattr(Embedding, "vector_map", lambda self, tower: maps.append(tower) or real_map(self, tower))
     for entry, model in family:
         gadget = entry.gadget
-        pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
+        pairs = certificate_pairs(gadget)
         assert check_derivation(entry.derivation, model).ok
         assert verify_preservation(model, pairs).ok
     for model in (registered[1], registered[4]):

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidity_forge.cm import cm4
 from rigidity_forge.gadgets import KEMPE_IDENTITIES
 from rigidity_forge.poly import Polynomial, det, identity_check, variables
 
@@ -208,13 +209,12 @@ def test_evaluate_matches_direct_arithmetic():
     assert p.evaluate({"x": Fraction(1, 2), "y": 4}) == Fraction(1, 4) * 4 - 1 + Fraction(3, 4)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
 )
 def test_symbolic_det_evaluation_matches_numeric(u, v):
-    from rigidity_forge.cm import cm4
 
     a, b, c, d, e = variables("a b c d e")
     m1 = [[0, 1, 1, 1, 1], [1, 0, 16, e, 9], [1, 16, 0, c, 1], [1, e, c, 0, 1], [1, 9, 1, 1, 0]]
@@ -225,7 +225,6 @@ def test_symbolic_det_evaluation_matches_numeric(u, v):
 
 def test_cm4_runs_on_symbolic_scalars(symbols):
     # the same squared-distance determinant path serves the polynomial carrier
-    from rigidity_forge.cm import cm4
 
     a, b, c, d, e = symbols
     m1 = kempe_matrices(symbols)[0]

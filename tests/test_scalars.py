@@ -1,19 +1,17 @@
 """Exact arithmetic in all three carriers: rationals, towers, K(eps)."""
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rigidity_forge import cm, engine, gadgets, models, scalars, suite
-from rigidity_forge.cm import Point
-from rigidity_forge.engine import Derivation, check_derivation
-from rigidity_forge.gadgets import circle_intersection
+from rigidity_forge import cm, codec, gadgets, models, scalars, suite
+from rigidity_forge.cm import Point, rational_point
+from rigidity_forge.engine import check_derivation
+from rigidity_forge.poly import Polynomial
 from rigidity_forge.scalars import (
     QQ,
     BadGeneratorIndex,
@@ -29,18 +27,39 @@ from rigidity_forge.scalars import (
     sqrt_in_tower,
     tower_conjugate,
 )
-from rigidity_forge.scalars import (
-    _basis_bounds,
-    _canon,
-    _enclose,
-    _fmul,
-    _fone,
-    _iadd,
-    _ijoin,
-    _imul,
-    _imul_halves,
-    _isq,
-    _isq_halves,
+from rigidity_forge.scalars import _basis_bounds, _basis_products, _BasisProducts, _enclose, _fmul, _fone, _fpoly, _imul, _imul_halves, _imul_sparse, _isq, _isq_halves
+
+from conftest import DERANDOMIZED, table_kind, tables_built
+from harness import (
+    FRACTIONAL_TOWERS,
+    INTEGER_TOWERS,
+    OracleFun,
+    basis_form,
+    canon,
+    circle_towers,
+    formula_everywhere,
+    fraction_rads,
+    halving_recursion,
+    negative_controls,
+    oracle_bounds,
+    oracle_hash,
+    oracle_sign,
+    pgcd,
+    pmul,
+    recursive_imul,
+    recursive_isq,
+    soundness_pass,
+    sparse_rationals,
+    takes_sparse_mul,
+    takes_sparse_sq,
+    tower_chain,
+    tower_elem,
+    vadd,
+    vec_sqrt,
+    vinv,
+    vmul,
+    vneg,
+    vzero,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -156,7 +175,7 @@ def test_cross_tower_arithmetic():
     assert merged.absorbed and merged.root == product
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rationals, rationals, rationals, rationals, rationals, rationals)
 def test_field_axioms_on_tower_samples(a0, a1, b0, b1, c0, c1):
     tower = adjoin_sqrt(QQ, 2).tower
@@ -173,7 +192,7 @@ def test_field_axioms_on_tower_samples(a0, a1, b0, b1, c0, c1):
         assert x * x.inverse() == 1
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(rationals, rationals, rationals, rationals)
 def test_order_total_and_transitive_on_samples(a0, a1, b0, b1):
     tower = adjoin_sqrt(QQ, 3).tower
@@ -203,7 +222,7 @@ def test_conjugate_examples():
     assert tower_conjugate(x, 0) == t3.tower.one() - t3.root
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(rationals, rationals, rationals, rationals)
 def test_conjugate_is_an_involutive_automorphism(a0, a1, b0, b1):
     tower = adjoin_sqrt(QQ, 2).tower
@@ -271,7 +290,7 @@ def test_function_field_with_tower_coefficients():
     assert x * x == FunElem.constant(2) + 2 * FunElem.constant(s2) * eps + eps * eps
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(rationals, rationals, rationals, rationals)
 def test_function_field_axioms(a0, a1, b0, b1):
     eps = FunElem.eps()
@@ -321,7 +340,7 @@ def _fun(num, den):
     return FunElem(QQ, [QQ.rational(c) for c in num], [QQ.rational(c) for c in den])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(small_polys, small_polys, small_polys, small_polys, small_polys, st.booleans())
 def test_lazy_function_field_agrees_with_reduced_form(an, ad, bn, bd, factor, related):
     a = _fun(an, ad)
@@ -335,7 +354,7 @@ def test_lazy_function_field_agrees_with_reduced_form(an, ad, bn, bd, factor, re
         assert hash(a) == hash(b)
     for x in (a, b):
         assert x.den[-1] == 1
-        assert _pgcd(x.num, x.den, QQ) == (QQ.one(),) if x.num else x.den == (QQ.one(),)
+        assert pgcd(x.num, x.den, QQ) == (QQ.one(),) if x.num else x.den == (QQ.one(),)
     assert (a + b) - b == a
     if not b.is_zero():
         assert (a * b) / b == a
@@ -367,7 +386,7 @@ def linear_least_int(square, strict) -> int:
         n += 1
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.fractions(min_value=0, max_value=400, max_denominator=60),
     st.fractions(min_value=0, max_value=3, max_denominator=7),
@@ -428,7 +447,7 @@ def linear_mediant_walk(lo_sq, hi_sq) -> Fraction:
 squares = st.fractions(min_value=0, max_value=400, max_denominator=60)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(squares, squares, st.fractions(min_value=0, max_value=3, max_denominator=7))
 @example(Fraction(1), Fraction(81, 25), Fraction(0))
 @example(Fraction(0), Fraction(1, 3600), Fraction(0))
@@ -446,8 +465,6 @@ def test_batched_mediant_search_matches_the_linear_walk(sqrt2, x, y, shift):
 
 
 def test_mediant_search_is_logarithmic(monkeypatch):
-    from rigidity_forge import gadgets, scalars
-    from rigidity_forge.cm import rational_point
 
     calls = []
     real = scalars.cmp_with_sqrt
@@ -514,162 +531,7 @@ def test_scalar_text_rendering(sqrt2):
     assert str(1 + sqrt2.root) == "1 + r0"
 
 
-# -- differential test: integer kernels against the Fraction-vector oracle ----------------------
-#
-# The oracle is the coordinate-vector arithmetic the package used before towers
-# were held as integer vectors over one denominator: 2^k Fraction coordinates
-# over the subset-bitmask basis, each radicand a Fraction vector of length 2^i.
-
-OracleVec = tuple
-
-
-def _vzero(n: int) -> OracleVec:
-    return (Fraction(0),) * n
-
-
-def _vadd(a: OracleVec, b: OracleVec) -> OracleVec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a: OracleVec) -> OracleVec:
-    return tuple(-x for x in a)
-
-
-def _vmul(rads, a: OracleVec, b: OracleVec) -> OracleVec:
-    n = len(a)
-    if n == 1:
-        return (a[0] * b[0],)
-    h = n // 2
-    al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
-    rad = rads[h.bit_length() - 1]
-    lo = _vadd(_vmul(rads, al, bl), _vmul(rads, _vmul(rads, ah, bh), rad))
-    hi = _vadd(_vmul(rads, al, bh), _vmul(rads, ah, bl))
-    return lo + hi
-
-
-def _vinv(rads, a: OracleVec) -> OracleVec:
-    n = len(a)
-    if n == 1:
-        return (1 / a[0],)
-    h = n // 2
-    lo, hi = a[:h], a[h:]
-    if all(x == 0 for x in hi):
-        return _vinv(rads, lo) + _vzero(h)
-    rad = rads[h.bit_length() - 1]
-    norm = _vadd(_vmul(rads, lo, lo), _vneg(_vmul(rads, _vmul(rads, hi, hi), rad)))
-    ninv = _vinv(rads, norm)
-    return _vmul(rads, lo, ninv) + _vneg(_vmul(rads, hi, ninv))
-
-
-def _oracle_frac_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
-
-
-def _vec_sqrt(rads, x: OracleVec):
-    n = len(x)
-    if n == 1:
-        r = _oracle_frac_sqrt(x[0])
-        return None if r is None else (r,)
-    h = n // 2
-    u, v = x[:h], x[h:]
-    rad = rads[h.bit_length() - 1]
-    if all(c == 0 for c in v):
-        r = _vec_sqrt(rads, u)
-        if r is not None:
-            return r + _vzero(h)
-        if any(c != 0 for c in u):
-            b = _vec_sqrt(rads, _vmul(rads, u, _vinv(rads, rad)))
-            if b is not None:
-                return _vzero(h) + b
-        return None
-    disc = _vadd(_vmul(rads, u, u), _vneg(_vmul(rads, _vmul(rads, v, v), rad)))
-    nrt = _vec_sqrt(rads, disc)
-    if nrt is None:
-        return None
-    half = (Fraction(1, 2),) + _vzero(h - 1)
-    for signed in (nrt, _vneg(nrt)):
-        a = _vec_sqrt(rads, _vmul(rads, _vadd(u, signed), half))
-        if a is None or all(c == 0 for c in a):
-            continue
-        candidate = a + _vmul(rads, _vmul(rads, v, half), _vinv(rads, a))
-        if _vmul(rads, candidate, candidate) == x:
-            return candidate
-    return None
-
-
-def _oracle_bounds(tower, coords: OracleVec, prec: int):
-    """Interval enclosure: dyadic square-root bounds of each radical, then
-    interval products over the basis."""
-    scale = 1 << prec
-    radicals = []
-
-    def enclose(vec):
-        lo = hi = Fraction(0)
-        for mask, q in enumerate(vec):
-            if q == 0:
-                continue
-            t_lo = t_hi = Fraction(1)
-            for i, (r_lo, r_hi) in enumerate(radicals):
-                if mask >> i & 1:
-                    t_lo, t_hi = t_lo * r_lo, t_hi * r_hi
-            lo += t_lo * q if q > 0 else t_hi * q
-            hi += t_hi * q if q > 0 else t_lo * q
-        return lo, hi
-
-    for gen in tower.gens:
-        lo, hi = enclose(gen.coords)
-        lo = max(lo, Fraction(0))
-        radicals.append((
-            Fraction(isqrt(lo.numerator * lo.denominator * scale * scale), lo.denominator * scale),
-            Fraction(isqrt(hi.numerator * hi.denominator * scale * scale) + 1, hi.denominator * scale),
-        ))
-    return enclose(coords)
-
-
-def _oracle_sign(tower, coords: OracleVec) -> int:
-    if all(c == 0 for c in coords):
-        return 0
-    prec = 8
-    while True:
-        lo, hi = _oracle_bounds(tower, coords, prec)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        prec *= 2
-
-
-def _rads(tower):
-    return tuple(g.coords for g in tower.gens)
-
-
-def _tower_chain(*radicands):
-    """Towers of depth 0..len(radicands); a callable radicand sees the tower so far."""
-    towers = [QQ]
-    for radicand in radicands:
-        tower = towers[-1]
-        result = adjoin_sqrt(tower, radicand(tower) if callable(radicand) else radicand)
-        assert not result.absorbed
-        towers.append(result.tower)
-    return towers
-
-
-# radicands with non-integer coordinates run the denominator path of the
-# multiply kernel: sqrt(1/2), sqrt(3/5 + r0), ...
-FRACTIONAL_TOWERS = _tower_chain(
-    Fraction(1, 2),
-    lambda t: t.rational(Fraction(3, 5)) + t.generator(0),
-    Fraction(7, 3),
-    lambda t: t.rational(Fraction(2, 7)) + t.generator(1) * Fraction(1, 3),
-)
-INTEGER_TOWERS = _tower_chain(2, 3, lambda t: t.one() + t.generator(0), 5)
 DIFF_TOWERS = [(depth, family[depth]) for depth in range(5) for family in (FRACTIONAL_TOWERS, INTEGER_TOWERS)]
-
-sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
-
 
 @st.composite
 def tower_pairs(draw):
@@ -687,32 +549,32 @@ def _assert_canonical(x: TowerElem) -> None:
     assert TowerElem(x.tower, x.coords)._n == n and TowerElem(x.tower, x.coords)._d == d
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(tower_pairs())
 @example((FRACTIONAL_TOWERS[2], FRACTIONAL_TOWERS[2].generator(1), FRACTIONAL_TOWERS[2].generator(1)))
 def test_integer_tower_kernels_match_the_fraction_oracle(case):
     tower, x, y = case
-    rads = _rads(tower)
+    rads = fraction_rads(tower)
     a, b = x.coords, y.coords
     for value in (x, y, x + y, x * y, -x):
         _assert_canonical(value)
-    assert (x + y).coords == _vadd(a, b)
-    assert (x - y).coords == _vadd(a, _vneg(b))
-    assert (x * y).coords == _vmul(rads, a, b)
+    assert (x + y).coords == vadd(a, b)
+    assert (x - y).coords == vadd(a, vneg(b))
+    assert (x * y).coords == vmul(rads, a, b)
     assert (x == y) == (a == b)
     assert x == TowerElem(tower, a) and hash(x) == hash(a[0])
-    assert hash(x * y) == hash(_vmul(rads, a, b)[0])
-    assert x.sign() == _oracle_sign(tower, a)
+    assert hash(x * y) == hash(vmul(rads, a, b)[0])
+    assert x.sign() == oracle_sign(tower, a)
     lows, highs, den = _basis_bounds(tower, 8)
     lo, hi = _enclose(x._n, lows, highs)
-    assert (Fraction(lo, den * x._d), Fraction(hi, den * x._d)) == _oracle_bounds(tower, a, 8)
+    assert (Fraction(lo, den * x._d), Fraction(hi, den * x._d)) == oracle_bounds(tower, a, 8)
     if not x.is_zero():
         inverse = x.inverse()
         _assert_canonical(inverse)
-        assert inverse.coords == _vinv(rads, a)
+        assert inverse.coords == vinv(rads, a)
     for value in (x, x * x):
         root = sqrt_in_tower(value)
-        expected = _vec_sqrt(rads, value.coords)
+        expected = vec_sqrt(rads, value.coords)
         assert (None if root is None else root.coords) == expected
     assert sqrt_in_tower(x * x) is not None
     for index in range(tower.depth):
@@ -727,22 +589,11 @@ def test_integer_tower_kernels_match_the_fraction_oracle(case):
     assert minimized.tower.dim == 1 or any(minimized.coords[minimized.tower.dim // 2 :])
     for bigger in FRACTIONAL_TOWERS + INTEGER_TOWERS:
         if tower.is_prefix_of(bigger):
-            assert x.lift(bigger).coords == a + _vzero(bigger.dim - tower.dim)
+            assert x.lift(bigger).coords == a + vzero(bigger.dim - tower.dim)
             assert x.lift(bigger) == x and hash(x.lift(bigger)) == hash(x)
 
 
-def _circle_towers():
-    """Q(sqrt(2), sqrt(-21/4 + 4 sqrt(2))), the field of a circle_intersection
-    point, and its extension by sqrt(3/5)."""
-    r2 = adjoin_sqrt(QQ, 2)
-    t = r2.tower
-    point = circle_intersection(Point(t.zero(), t.zero()), 5, Point(t.one() + r2.root, t.zero()), 3)
-    nested = point.y.tower
-    assert nested.depth == 2 and not nested.gens[1].is_rational()
-    return [nested, adjoin_sqrt(nested, Fraction(3, 5)).tower]
-
-
-KERNEL_TOWERS = [tower for _, tower in DIFF_TOWERS] + _circle_towers()
+KERNEL_TOWERS = [tower for _, tower in DIFF_TOWERS] + circle_towers()
 
 
 @st.composite
@@ -752,7 +603,7 @@ def tower_quads(draw):
     return tower, [TowerElem(tower, draw(coords)) for _ in range(4)]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=150)
 @given(tower_quads())
 def test_sqdist_kernel_matches_the_generic_formula(case):
     """A kernel table's squared distance is the formula's, and so are its
@@ -765,8 +616,8 @@ def test_sqdist_kernel_matches_the_generic_formula(case):
     _assert_canonical(formula)
     points = {"P": Point(px, py), "Q": Point(qx, qy)}
     table = cm._KernelTable(points, tower)
-    assert _canon(*table.sqdist_num("P", "Q")) == (formula._n, formula._d)
-    assert formula.coords == _vadd(_vmul(_rads(tower), dx.coords, dx.coords), _vmul(_rads(tower), dy.coords, dy.coords))
+    assert canon(*table.sqdist_num("P", "Q")) == (formula._n, formula._d)
+    assert formula.coords == vadd(vmul(fraction_rads(tower), dx.coords, dx.coords), vmul(fraction_rads(tower), dy.coords, dy.coords))
     # against a rational: the value's first coordinate, and it moved by one; the base table, by the formula
     first = formula.coords[0]
     for value, holds in ((first, formula.is_rational()), (first + 1, False)):
@@ -776,87 +627,10 @@ def test_sqdist_kernel_matches_the_generic_formula(case):
     for value, holds in ((formula, True), (formula + 1, False)):
         assert table.sqdist_is("P", "Q", value) is holds
     for x in (px, dx, dx + py * qy):
-        assert _canon(*_isq(rads, x._n)) == _canon(*_imul(rads, x._n, x._n))
-
-
-def recursive_imul(rads, a, b):
-    """``scalars._imul`` with the recursion run down to dimension 1, as it was
-    before the dimension-2 base case: the oracle for its exact (vector, k)."""
-    n = len(a)
-    if n == 1:
-        return (a[0] * b[0],), 1
-    h = n >> 1
-    al, ah, bl, bh = a[:h], a[h:], b[:h], b[h:]
-    if not any(ah):
-        lo, k = recursive_imul(rads, al, bl)
-        if not any(bh):
-            return lo + (0,) * h, k
-        return _ijoin(lo, k, *recursive_imul(rads, al, bh))
-    if not any(bh):
-        return _ijoin(*recursive_imul(rads, al, bl), *recursive_imul(rads, ah, bl))
-    rn, rd = rads[h.bit_length() - 1]
-    p, kp = recursive_imul(rads, ah, bh)
-    q, kq = recursive_imul(rads, p, rn)
-    lo = _iadd(*recursive_imul(rads, al, bl), q, kp * kq * rd)
-    hi = _iadd(*recursive_imul(rads, al, bh), *recursive_imul(rads, ah, bl))
-    return _ijoin(*lo, *hi)
-
-
-def recursive_isq(rads, a):
-    """``scalars._isq`` with the recursion run down to dimension 1."""
-    n = len(a)
-    if n == 1:
-        return (a[0] * a[0],), 1
-    h = n >> 1
-    lo, hi = a[:h], a[h:]
-    if not any(hi):
-        s, k = recursive_isq(rads, lo)
-        return s + (0,) * h, k
-    rn, rd = rads[h.bit_length() - 1]
-    p, kp = recursive_isq(rads, hi)
-    q, kq = recursive_imul(rads, p, rn)
-    k = kp * kq * rd
-    if not any(lo):
-        return q + (0,) * h, k
-    m, km = recursive_imul(rads, lo, hi)
-    return _ijoin(*_iadd(*recursive_isq(rads, lo), q, k), tuple([2 * c for c in m]), km)
+        assert canon(*_isq(rads, x._n)) == canon(*_imul(rads, x._n, x._n))
 
 
 sparse_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(10**40), 10**40))
-
-
-def takes_sparse_mul(a, b) -> bool:
-    """The density rule of ``_imul``: nnz(a)*nnz(b) <= n at n >= 8."""
-    n = len(a)
-    return n >= 8 and (n - a.count(0)) * (n - b.count(0)) <= n
-
-
-def takes_sparse_sq(a) -> bool:
-    """The density rule of ``_isq``: nnz(a)^2 <= 2n at n >= 8."""
-    n = len(a)
-    return n >= 8 and (n - a.count(0)) ** 2 <= 2 * n
-
-
-def basis_form(rads, a, b):
-    """The documented form of a sparse product: the sum of a_i b_j D e_i*e_j
-    over D, each e_i*e_j the oracle recursion's product of unit vectors,
-    reduced and scaled to D, and D the common denominator of the basis
-    products: D_0 = 1 and D_k = D_(k-1) rd_k, times D_(k-1) again when
-    the radicand has a coordinate past the first."""
-    n = len(a)
-    den = 1
-    for rn, rd in rads[: n.bit_length() - 1]:
-        den *= rd * (den if any(rn[1:]) else 1)
-    unit = lambda i: tuple(int(i == u) for u in range(n))
-    out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if a[i] and b[j]:
-                c, k = _canon(*recursive_imul(rads, unit(i), unit(j)))
-                assert den % k == 0
-                for u in range(n):
-                    out[u] += a[i] * b[j] * c[u] * (den // k)
-    return tuple(out), den
 
 
 @st.composite
@@ -885,7 +659,7 @@ def _unit_sum(n, *terms):
     return tuple(v)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=300)
 @given(integer_vector_pairs())
 @example((FRACTIONAL_TOWERS[1], (0, 3), (5, 0)))
 @example((FRACTIONAL_TOWERS[1], (2, 3), (5, -7)))
@@ -893,7 +667,7 @@ def _unit_sum(n, *terms):
 @example((FRACTIONAL_TOWERS[3], _unit_sum(8, (3, 2), (6, -5)), _unit_sum(8, (5, 7), (7, 1), (1, 3), (2, -4))))
 @example((FRACTIONAL_TOWERS[4], _unit_sum(16, (3, 2), (6, -5), (15, 9), (9, 1)), _unit_sum(16, (5, 7), (7, 1), (12, 3), (14, -4))))
 @example((INTEGER_TOWERS[4], _unit_sum(16, (3, 2), (6, -5), (15, 9), (9, 1), (0, 3)), _unit_sum(16, (5, 7), (7, 1), (12, 3), (14, -4))))
-@example((_circle_towers()[1], _unit_sum(8, (7, 10**40), (3, -1)), _unit_sum(8, (7, 2), (6, 3), (5, -1), (4, 4))))
+@example((circle_towers()[1], _unit_sum(8, (7, 10**40), (3, -1)), _unit_sum(8, (7, 2), (6, 3), (5, -1), (4, 4))))
 def test_dimension_2_base_case_matches_the_recursive_kernels(case):
     """The halving recursion keeps the exact (vector, k) of the recursion
     run down to dimension 1 on every operand.  ``_imul`` and ``_isq``
@@ -910,7 +684,7 @@ def test_dimension_2_base_case_matches_the_recursive_kernels(case):
             (_isq(rads, x), recursive_isq(rads, x), takes_sparse_sq(x), (x, x)),
         ):
             if sparse:
-                assert _canon(*got) == _canon(*oracle) and got == basis_form(rads, *pair)
+                assert canon(*got) == canon(*oracle) and got == basis_form(rads, *pair)
             else:
                 assert got == oracle
 
@@ -919,7 +693,7 @@ def test_dimension_2_base_case_matches_the_recursive_kernels(case):
 # irrational radicands.  Its depth-3 prefix, Q(sqrt(1/2), sqrt(3 + r0),
 # sqrt(r0*r1)), has basis products over 4 (e_7^2 = 3/2 r0*r1 + r1/4), so
 # the common denominator must square D_2 = 2 at an irrational radicand.
-DEPTH_8 = _tower_chain(
+DEPTH_8 = tower_chain(
     Fraction(1, 2),
     lambda t: t.rational(3) + t.generator(0),
     lambda t: t.generator(0) * t.generator(1),
@@ -940,7 +714,7 @@ def test_basis_products_are_the_recursions_products():
         units = [tuple(int(i == u) for u in range(n)) for i in range(n)]
         for a in units:
             for b in units:
-                assert _canon(*scalars._imul_sparse(tower._rads, a, b)) == _canon(*_imul_halves(tower._rads, a, b))
+                assert canon(*_imul_sparse(tower._rads, a, b)) == canon(*_imul_halves(tower._rads, a, b))
 
 
 @st.composite
@@ -970,7 +744,7 @@ def density_cases(draw):
     return tower, element(kx), element(n // kx + past), element(isqrt(2 * n) + past)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=120)
 @given(density_cases())
 def test_sparse_kernels_match_the_recursion(case):
     """``_imul``, ``_isq``, ``_inv`` and ``TowerElem`` ``*`` give the values
@@ -981,15 +755,15 @@ def test_sparse_kernels_match_the_recursion(case):
 
     def values():
         return (
-            _canon(*scalars._imul(rads, x._n, y._n)),
-            _canon(*scalars._isq(rads, s._n)),
+            canon(*scalars._imul(rads, x._n, y._n)),
+            canon(*scalars._isq(rads, s._n)),
             scalars._inv(rads, x._n, x._d),
             x * y,
             s * s,
         )
 
     fast = values()
-    with mock.patch.multiple(scalars, _imul=scalars._imul_halves, _isq=scalars._isq_halves):
+    with halving_recursion():
         assert values() == fast
 
 
@@ -1002,13 +776,13 @@ def test_depth_8_kernels_fill_only_the_pairs_they_read(monkeypatch):
     the edge takes the recursion.  Run on its own, the tower's basis
     products start empty and every pair read is a fill."""
     rads, n = DEPTH_8._rads, DEPTH_8.dim
-    basis = scalars._basis_products(rads, n)
+    basis = _basis_products(rads, n)
     sparse, fills = [], []
     for name in ("_imul_sparse", "_isq_sparse"):
         real = getattr(scalars, name)
         monkeypatch.setattr(scalars, name, lambda *args, name=name, real=real: sparse.append(name) or real(*args))
-    real_fill = scalars._BasisProducts.fill
-    monkeypatch.setattr(scalars._BasisProducts, "fill", lambda self, i, j: fills.append(self) or real_fill(self, i, j))
+    real_fill = _BasisProducts.fill
+    monkeypatch.setattr(_BasisProducts, "fill", lambda self, i, j: fills.append(self) or real_fill(self, i, j))
     rng = random.Random(8)
 
     def vector(nnz, support=None):
@@ -1070,16 +844,16 @@ def hash_cases(draw):
     )
     rest = tuple(draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3)))
     tower = INTEGER_TOWERS[2]
-    return scalars._elem(tower, *_canon((n0,) + rest, d))
+    return tower_elem(tower, (n0,) + rest, d)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=300)
 @given(hash_cases())
-@example(scalars._elem(INTEGER_TOWERS[2], (1, 0, 0, 0), HASH_MODULUS))
-@example(scalars._elem(INTEGER_TOWERS[2], (-1, 0, 0, 1), 2 * HASH_MODULUS))
-@example(scalars._elem(INTEGER_TOWERS[2], (HASH_MODULUS, 0, 1, 0), 2 * HASH_MODULUS))
-@example(scalars._elem(INTEGER_TOWERS[2], (-(HASH_MODULUS + 3), 0, 0, 0), 3))  # hash -1, taken as -2
-@example(scalars._elem(INTEGER_TOWERS[2], (-(10**3999), 0, 0, 1), 3 * 10**3999 + 1))
+@example(tower_elem(INTEGER_TOWERS[2], (1, 0, 0, 0), HASH_MODULUS))
+@example(tower_elem(INTEGER_TOWERS[2], (-1, 0, 0, 1), 2 * HASH_MODULUS))
+@example(tower_elem(INTEGER_TOWERS[2], (HASH_MODULUS, 0, 1, 0), 2 * HASH_MODULUS))
+@example(tower_elem(INTEGER_TOWERS[2], (-(HASH_MODULUS + 3), 0, 0, 0), 3))  # hash -1, taken as -2
+@example(tower_elem(INTEGER_TOWERS[2], (-(10**3999), 0, 0, 1), 3 * 10**3999 + 1))
 def test_tower_hash_is_the_fraction_hash(x):
     expected = hash(Fraction(x._n[0], x._d))
     assert hash(x) == expected
@@ -1088,6 +862,20 @@ def test_tower_hash_is_the_fraction_hash(x):
     rational = x.tower.rational(Fraction(x._n[0], x._d))
     for y in (x.lift(bigger), x.minimized(), rational, rational.minimized(), FunElem.constant(rational)):
         assert hash(y) == expected
+
+
+def test_sign_bounds_are_kept_for_the_last_towers_only():
+    """``sign``'s basis bounds are kept for the last 32 (tower, precision)
+    pairs, as the basis products are: decoding 40 distinct fields
+    Q(sqrt k, sqrt(3 + sqrt k)), each of which sign-tests 3 + sqrt k, leaves
+    at most 32 entries.  Keyed by tower value without a bound, the cache
+    kept every field a process ever decoded."""
+    misses = _basis_bounds.cache_info().misses
+    # 3 + sqrt k = (a + b sqrt k)^2 needs 4a^4 - 12a^2 + k = 0, so no k > 9
+    for k in [k for k in range(10, 60) if isqrt(k) ** 2 != k][:40]:
+        codec.decode_tower({"gens": [[str(k)], ["3", "1"]]})
+    assert _basis_bounds.cache_info().misses - misses >= 40
+    assert _basis_bounds.cache_info().currsize <= 32
 
 
 def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
@@ -1110,204 +898,6 @@ def test_tower_add_mul_eq_construct_no_fraction(monkeypatch):
     assert created == []
     Fraction(1, 3) + Fraction(1, 6)  # the counter does see Fractions
     assert created
-
-
-# -- differential test: the integer-matrix K(eps) kernel against TowerElem polynomials ---------
-#
-# The oracle is the K(eps) arithmetic the package used before polynomials were
-# held as integer matrices: tuples of TowerElem coefficients, multiplied and
-# added one TowerElem at a time, and reduced by Euclid over those tuples.
-
-
-def _ptrim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _pdivmod(a, b, tower):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [tower.zero()] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    inv_lead = b[-1].inverse()
-    while len(rem) >= len(b):
-        if rem[-1].is_zero():
-            rem.pop()
-            continue
-        k = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        q[k] = factor
-        for i, c in enumerate(b):
-            rem[k + i] = rem[k + i] - factor * c
-        rem.pop()
-    return _ptrim(q), _ptrim(rem)
-
-
-def _pgcd(a, b, tower):
-    while b:
-        _, r = _pdivmod(a, b, tower)
-        a, b = b, r
-    if a:
-        inv_lead = a[-1].inverse()
-        a = tuple(c * inv_lead for c in a)
-    return a
-
-
-def _reduce(num, den, tower):
-    """num/den in lowest terms with a monic denominator (the unique form)."""
-    if not num:
-        return (), (tower.one(),)
-    if len(den) > 1:
-        g = _pgcd(num, den, tower)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g, tower)
-            den, _ = _pdivmod(den, g, tower)
-    lead = den[-1]
-    if not lead == 1:
-        inv = lead.inverse()
-        num = tuple(c * inv for c in num)
-        den = tuple(c * inv for c in den)
-    return num, den
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b, tower):
-    if not a or not b:
-        return ()
-    # None marks a coefficient no nonzero product has reached yet
-    out = [None] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if not cb.is_zero():
-                term = ca * cb
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-    zero = tower.zero()
-    return _ptrim([zero if c is None else c for c in out])
-
-
-class OracleFun:
-    """Lazy n/d over TowerElem coefficient tuples, with FunElem's interface."""
-
-    def __init__(self, tower, num, den):
-        self.tower = tower
-        self.n = _ptrim([c.lift(tower) for c in num])
-        self.d = _ptrim([c.lift(tower) for c in den])
-        assert self.d
-
-    @staticmethod
-    def constant(value, tower=None):
-        if isinstance(value, (int, Fraction)):
-            tower = tower or QQ
-            value = tower.rational(value)
-        tower = tower or value.tower
-        return OracleFun(tower, (value,), (tower.one(),))
-
-    @staticmethod
-    def eps(tower=QQ):
-        return OracleFun(tower, (tower.zero(), tower.one()), (tower.one(),))
-
-    def _coerce(self, other):
-        if isinstance(other, OracleFun):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return OracleFun.constant(other, self.tower)
-        if isinstance(other, TowerElem):
-            return OracleFun.constant(other)
-        return None
-
-    def _common(self, other):
-        if self.tower == other.tower:
-            return self, other, self.tower
-        tower, into = scalars.tower_join(self.tower, other.tower)
-
-        def lift(p):
-            return tuple(c.lift(tower) for c in p)
-
-        def mapped(p):
-            return tuple(into(c) for c in p)
-
-        return OracleFun(tower, lift(self.n), lift(self.d)), OracleFun(tower, mapped(other.n), mapped(other.d)), tower
-
-    def reduced(self):
-        return _reduce(self.n, self.d, self.tower)
-
-    def is_zero(self):
-        return not self.n
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b, tower = self._common(rhs)
-        num = _padd(_pmul(a.n, b.d, tower), _pmul(b.n, a.d, tower))
-        return OracleFun(tower, num, _pmul(a.d, b.d, tower))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OracleFun(self.tower, _pneg(self.n), self.d)
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        return NotImplemented if rhs is None else self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        return NotImplemented if rhs is None else rhs + (-self)
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b, tower = self._common(rhs)
-        return OracleFun(tower, _pmul(a.n, b.n, tower), _pmul(a.d, b.d, tower))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return OracleFun(self.tower, self.d, self.n)
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        return NotImplemented if rhs is None else self * rhs.inverse()
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        return NotImplemented if rhs is None else rhs * self.inverse()
-
-    def __eq__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b, tower = self._common(rhs)
-        return _pmul(a.n, b.d, tower) == _pmul(b.n, a.d, tower)
-
-    __hash__ = None
-
-
-def _oracle_hash(reduced) -> int:
-    num, den = reduced
-    if len(num) <= 1 and len(den) == 1:
-        return hash(num[0] if num else 0)
-    return hash((num, den))
 
 
 def _assert_fun_canonical(x: FunElem) -> None:
@@ -1351,8 +941,8 @@ def _shared_factor_case():
     r0, r1, one = tower.generator(0), tower.generator(1), tower.one()
     c = (tower.rational(Fraction(2, 3)), r0, r1 * Fraction(3, 2) + Fraction(1, 5))
     return [
-        _fun_case(tower, _pmul(c, (r0, one), tower), _pmul(c, (-one, r1), tower)),
-        _fun_case(tower, c, _pmul(c, _pmul(c, (r1, r0 * 2), tower), tower)),
+        _fun_case(tower, pmul(c, (r0, one), tower), pmul(c, (-one, r1), tower)),
+        _fun_case(tower, c, pmul(c, pmul(c, (r1, r0 * 2), tower), tower)),
     ]
 
 
@@ -1361,12 +951,12 @@ def _unrelated_towers_case():
     s3, half = adjoin_sqrt(QQ, 3).tower, FRACTIONAL_TOWERS[1]
     r3, r = s3.generator(0), half.generator(0)
     return [
-        _fun_case(s3, _pmul((r3, s3.one()), (-s3.one(), s3.one()), s3), _pmul((-s3.one(), s3.one()), (s3.one(), r3 * 2), s3)),
-        _fun_case(half, _pmul((half.one(), r), (r, half.rational(3)), half), (r, half.rational(3))),
+        _fun_case(s3, pmul((r3, s3.one()), (-s3.one(), s3.one()), s3), pmul((-s3.one(), s3.one()), (s3.one(), r3 * 2), s3)),
+        _fun_case(half, pmul((half.one(), r), (r, half.rational(3)), half), (r, half.rational(3))),
     ]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(fun_pairs())
 @example([(FunElem.eps(), OracleFun.eps()), (FunElem.constant(0), OracleFun.constant(0))])
 @example(_shared_factor_case())
@@ -1386,7 +976,7 @@ def test_integer_fun_kernels_match_the_tower_polynomial_oracle(case):
         reduced = ox.reduced()
         assert (x.num, x.den) == reduced
         assert x.is_zero() == ox.is_zero()
-        assert hash(x) == _oracle_hash(reduced)
+        assert hash(x) == oracle_hash(reduced)
         assert str(x) == str(FunElem(ox.tower, *reduced))
     assert (a == b) == (oa == ob)
     assert (a == a + 0) and (a - a).is_zero()
@@ -1420,7 +1010,7 @@ def _eps_images(*points):
     return [c for image in images for c in (image.x, image.y)]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=150)
 @given(fun_quads())
 @example((FUN_TOWERS[2], FunElem.eps(FUN_TOWERS[2]), FunElem.constant(0, FUN_TOWERS[2]), FunElem.constant(1, FUN_TOWERS[2]), FunElem.eps(FUN_TOWERS[2])))
 @example((QQ, *_eps_images((0, 0), (3, 4))))  # a nonzero constant distance, 25
@@ -1435,8 +1025,8 @@ def test_fun_sqdist_kernel_matches_the_generic_formula(packed_table, case):
     _assert_fun_canonical(formula)
     points = {"P": Point(px, py), "Q": Point(qx, qy)}
     table = packed_table(points)
-    assert type(table) is models._PackedTable and formula._d == _fmul(rads, px._d, px._d)
-    assert type(cm.point_table(points)) is cm.PointTable
+    assert table_kind(table) == "packed" and formula._d == _fmul(rads, px._d, px._d)
+    assert table_kind(cm.point_table(points)) == "formula"
 
     def pack(a):
         return fun_pack(a[0], tower.dim, range(0, table.width * max(len(a[0]), 1), table.width))
@@ -1484,13 +1074,13 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch, packed_table
         dx, dy = a.x - b.x, a.y - b.y
         value = dx * dx + dy * dy
         table = cm.point_table({0: a, 1: b})
-        assert type(table) is cm.PointTable and packed_table({0: a, 1: b}) is None
+        assert table_kind(table) == "formula" and packed_table({0: a, 1: b}) is None
         assert table.sqdist_is(0, 1, value) and not table.sqdist_is(0, 1, 0)
     assert cases[2][0].x._d == cases[2][1].x._d and cases[2][0].x.tower != cases[2][1].x.tower
     assert kernel_calls == []
     # one tower over one denominator pair: ``cm.point_table`` takes the formula too
     framed = {0: frame, 1: Point(frame.y, frame.x)}
-    assert type(cm.point_table(framed)) is cm.PointTable and not cm.point_table(framed).sqdist_is(0, 1, 0)
+    assert table_kind(cm.point_table(framed)) == "formula" and not cm.point_table(framed).sqdist_is(0, 1, 0)
     assert kernel_calls == []
     packed_table(framed).sqdist_is(0, 1, 0)  # the counter does see the kernel
     assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][0]._coords[0].x, cm._Form)
@@ -1521,35 +1111,7 @@ def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
     assert created == []
     results[-4].num, results[-4].den  # the counter does see the reduced form's coefficients
     assert created
-    assert (scalars._fpoly(results[-4].num), scalars._fpoly(results[-4].den)) == reduced[-4]
-
-
-def _oracle_negative_controls(entry):
-    """The check_derivation subjects of the negative controls, each with the
-    model builder to evaluate it under."""
-    derivation = entry.derivation
-    final = derivation.final_fact()
-    altered = Derivation(
-        derivation.gadget,
-        derivation.facts[:-1] + [dataclasses.replace(final, t=final.t + Fraction(1, 3))],
-        derivation.justifications,
-    )
-
-    class Doubled:
-        def __init__(self, model=None):
-            self.model = model
-
-        def apply(self, p):
-            q = p if self.model is None else self.model.apply(p)
-            return Point(2 * q.x, 2 * q.y)
-
-    return [
-        (derivation, lambda: Doubled()),
-        (derivation, lambda: Doubled(models.eps_rotation_model())),
-        (altered, models.identity_model),
-        (altered, models.eps_rotation_model),
-        (altered, lambda: models.eps_rotation_model(reflection=True)),
-    ]
+    assert (_fpoly(results[-4].num), _fpoly(results[-4].den)) == reduced[-4]
 
 
 def test_check_derivation_verdicts_match_the_oracle_arithmetic(monkeypatch):
@@ -1567,8 +1129,8 @@ def test_check_derivation_verdicts_match_the_oracle_arithmetic(monkeypatch):
                     assert isinstance(x, models.FunElem)
                 v = check_derivation(entry.derivation, model)
                 out.append((entry.label, name, v.ok, v.checked, v.violated_index))
-        for subject, make in _oracle_negative_controls(corpus[0]):
-            v = check_derivation(subject, make())
+        for subject, model in negative_controls(corpus[0].derivation):
+            v = check_derivation(subject, model)
             out.append((v.ok, v.checked, v.violated_index))
         return out
 
@@ -1585,68 +1147,25 @@ def test_check_derivation_verdicts_match_the_oracle_arithmetic(monkeypatch):
     assert [v[2] for v in kernel[-5:]] == [0, 0, len(corpus[0].derivation.facts) - 1] + [len(corpus[0].derivation.facts) - 1] * 2
 
 
-def _generic_sqdist(p, q):
-    dx, dy = p.x - q.x, p.y - q.y
-    return dx * dx + dy * dy
-
 
 def test_verdicts_match_with_the_generic_sqdist(monkeypatch):
-    corpus = suite.replay_corpus()
-    registered, lambdas, us = suite.criterion_9_sample()
-    registered = [model for _, model in registered]
-    kernel_calls, fun_kernel_calls = [], []
-
-    def counting(real):
-        """The kernel tables' integer tests, apart on packed K(eps) numerators."""
-
-        def kernel(table, *args):
-            (fun_kernel_calls if isinstance(table, models._PackedTable) else kernel_calls).append(args)
-            return real(table, *args)
-
-        return kernel
-
-    for name in ("_ivec", "relation_vanishes"):
-        monkeypatch.setattr(cm._KernelTable, name, counting(getattr(cm._KernelTable, name)))
-
-    def results():
-        out = []
-        for entry in corpus:
-            gadget = entry.gadget
-            pairs = [(gadget.points[c.p], gadget.points[c.q]) for c in gadget.certificate]
-            for name, model in suite.model_family(gadget):
-                v = check_derivation(entry.derivation, model)
-                out.append((entry.label, name, v.ok, v.checked, v.violated_index, models.verify_preservation(model, pairs)))
-        for subject, make in _oracle_negative_controls(corpus[0]):
-            v = check_derivation(subject, make())
-            out.append((v.ok, v.checked, v.violated_index))
-        out += [models.verify_structure(model, lambdas, us) for model in registered]
-        return out
-
-    kernel = results()
-    assert kernel_calls and fun_kernel_calls
+    """The soundness pass is the same with ``sqdist`` spelled dx*dx + dy*dy
+    in ``cm`` and ``gadgets`` and every table the formula; only the fast run
+    builds kernel and packed tables."""
+    with tables_built() as fast_tables:
+        fast = soundness_pass()
     for module in (cm, gadgets):
-        monkeypatch.setattr(module, "sqdist", _generic_sqdist)
-    # every report call maps its points by ``apply`` and takes the base
-    # point table, the carrier formula
-    generic_table = lambda points: points if isinstance(points, cm.PointTable) else cm.PointTable(points)
-    for module in (cm, engine, gadgets, models):
-        monkeypatch.setattr(module, "point_table", generic_table)
-    monkeypatch.setattr(models.ModelMap, "image_table", lambda model, points: cm.mapped_table(model.apply, points))
-    kernel_calls.clear()
-    fun_kernel_calls.clear()
-    generic = results()
-    assert not kernel_calls and not fun_kernel_calls
-    assert kernel == generic
-    assert len(kernel) == 96 + 5 + 5
-    assert all(report.ok for report in kernel[-5:])
-    assert [v[2] for v in kernel[96:101]] == [0, 0] + [len(corpus[0].derivation.facts) - 1] * 3
-
+        monkeypatch.setattr(module, "sqdist", lambda p, q: (p.x - q.x) * (p.x - q.x) + (p.y - q.y) * (p.y - q.y))
+    with formula_everywhere(), tables_built() as formula_tables:
+        assert soundness_pass() == fast
+    assert {"kernel", "packed"} <= set(fast_tables) and set(formula_tables) == {"formula"}
+    assert len(fast) == 96 + 5 + 5 and all(report.ok for report in fast[96:101])
+    assert [v.violated_index for v in fast[101:]] == [0, 0] + [len(suite.replay_corpus()[0].derivation.facts) - 1] * 3
 
 # -- one operator base and one tower join -----------------------------------------
 
 
 def test_carriers_share_one_operator_base():
-    from rigidity_forge.poly import Polynomial
 
     carriers = (TowerElem, FunElem, Polynomial)
     for name in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__", "__setattr__"):
@@ -1676,7 +1195,7 @@ def _tower_sample(tower, coords):
     return TowerElem(tower, [coords[i % len(coords)] for i in range(tower.dim)])
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(DERANDOMIZED, max_examples=120)
 @given(
     st.integers(0, 4),
     st.integers(0, 4),
@@ -1725,7 +1244,7 @@ def _oracle_map_into(x, images, tower):
             if mask >> i & 1:
                 term = term * img.lift(tower)
         total = total + term
-    return scalars._elem(tower, *_canon(total._n, total._d * x._d))
+    return tower_elem(tower, total._n, total._d * x._d)
 
 
 def _oracle_merge_tower(base, other):
@@ -1756,7 +1275,7 @@ def test_tower_join_matches_the_merge_oracle():
             assert tower == oracle_tower and base.is_prefix_of(tower)
             assert [into(other.generator(k)) for k in range(other.depth)] == images
             for k in range(other.dim):
-                basis = scalars._elem(other, tuple(int(m == k) for m in range(other.dim)), 1)
+                basis = tower_elem(other, [int(m == k) for m in range(other.dim)], 1)
                 x = basis * 3 + Fraction(1, 2)
                 assert into(x) == _oracle_map_into(x, images, tower) and into(x).tower is tower
             for x in _random_elements(other, rng):

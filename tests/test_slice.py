@@ -28,6 +28,8 @@ from rigidity_forge.engine import (
 from rigidity_forge.gadgets import AffineComb, build_rhombus_chain
 from rigidity_forge.models import eps_rotation_model, identity_model
 
+from harness import Doubling
+
 
 def padded_replay(gadget) -> Derivation:
     """The unsliced derivation: both pair axioms for every coordinate-distinct
@@ -130,11 +132,6 @@ def test_padded_and_sliced_agree_on_every_corpus_model_pair(corpus_pairs):
     assert checks == 96
 
 
-class _Doubling:
-    def apply(self, p):
-        return Point(2 * p.x, 2 * p.y)
-
-
 class _WrongFrame:
     """A model followed by a linear map that is not orthonormal."""
 
@@ -157,7 +154,7 @@ def _proves_zero_relation(entry) -> bool:
 def test_doubling_control_refutes_both_at_fact_zero(corpus_pairs):
     assert [e.label for e, _ in corpus_pairs if _proves_zero_relation(e)] == ["chain[|v|/s=0]"]
     for entry, padded in corpus_pairs:
-        sliced_verdict, padded_verdict = (check_derivation(d, _Doubling()) for d in (entry.derivation, padded))
+        sliced_verdict, padded_verdict = (check_derivation(d, Doubling()) for d in (entry.derivation, padded))
         assert sliced_verdict.ok == padded_verdict.ok == _proves_zero_relation(entry), entry.label
         if not sliced_verdict.ok:
             for verdict in (sliced_verdict, padded_verdict):
