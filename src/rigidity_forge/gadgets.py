@@ -28,14 +28,12 @@ from typing import Callable, Mapping, Union
 
 from . import poly
 from .cm import Point, PointTable, Vec2, _is_zero, bordered_matrix, circle_point, point_table, sqdist
+from .real import cmp_with_sqrt, least_int_above_sqrt, simplest_rational_between_sqrts
 from .scalars import (
     QQ,
     TowerDesc,
     TowerElem,
     adjoin_sqrt,
-    cmp_with_sqrt,
-    least_int_above_sqrt,
-    simplest_rational_between_sqrts,
     _frac_sqrt,
     tower_join,
 )

@@ -5,9 +5,9 @@ Three carriers, all with decidable equality:
 
 * ``Rational`` is ``fractions.Fraction`` (always reduced, positive denominator).
 * ``TowerElem`` lives in a quadratic tower over the rationals: iterated
-  adjunctions of square roots of positive elements, with the designated real
-  embedding taking every generator to the positive root.  Signs (and hence a
-  total order) are computable.  An element is held as an integer coordinate
+  adjunctions of square roots of positive elements; its order is in
+  ``real``, which ``sign``, ``<`` and ``adjoin_sqrt`` (to pick the
+  positive root) call.  An element is held as an integer coordinate
   vector over one positive denominator, in canonical form (the denominator
   and the coordinates share no factor), so arithmetic takes one integer gcd
   per result and equality is a tuple comparison.  ``coords`` gives the same
@@ -56,11 +56,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, total_ordering
 from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from operator import add, lshift, mul, neg, sub
 from typing import Callable, Sequence, Union
+
+from . import real
+from .real import IVec, Rads
 
 Rational = Fraction
 
@@ -165,10 +168,6 @@ class _FieldOps:
 # in a few multiplications that no table lookup beats; a dense operand
 # takes the recursion at every dimension.
 # ---------------------------------------------------------------------------
-
-IVec = tuple[int, ...]
-Rads = tuple[tuple[IVec, int], ...]
-
 
 def _canon(n: IVec, d: int) -> tuple[IVec, int]:
     """n/d in canonical form; d is nonzero."""
@@ -451,53 +450,6 @@ def _sqrt(rads: Rads, x: IVec, dx: int) -> tuple[IVec, int] | None:
     return None
 
 
-# -- interval enclosures for sign determination ---------------------------------
-
-Interval = tuple[Fraction, Fraction]
-
-
-def _sqrt_interval(iv: Interval, prec: int) -> Interval:
-    lo, hi = iv
-    scale = 1 << prec
-    if hi < 0:
-        raise NonPositiveRadicand("radicand enclosure is negative")
-    if lo < 0:
-        lo = Fraction(0)
-    r_lo = Fraction(isqrt(lo.numerator * lo.denominator * scale * scale), lo.denominator * scale)
-    r_hi = Fraction(isqrt(hi.numerator * hi.denominator * scale * scale) + 1, hi.denominator * scale)
-    return (r_lo, r_hi)
-
-
-@lru_cache(maxsize=_BASES_KEPT)
-def _basis_bounds(tower: "TowerDesc", prec: int) -> tuple[IVec, IVec, int]:
-    """Lower and upper bounds of every basis element at ``prec`` bits of each
-    radical, as integer vectors over one common positive denominator; kept
-    for the last ``_BASES_KEPT`` (tower, prec) pairs used, as ``_bases`` is."""
-    los, his = [Fraction(1)], [Fraction(1)]
-    for gen in tower.gens:
-        iv = _enclose(gen._n, los, his)
-        r_lo, r_hi = _sqrt_interval((Fraction(iv[0], gen._d), Fraction(iv[1], gen._d)), prec)
-        # the radicals are nonnegative, so products of bounds are bounds
-        los += [q * r_lo for q in los]
-        his += [q * r_hi for q in his]
-    den = lcm(*(q.denominator for q in los + his))
-    lows, highs = (tuple([q.numerator * (den // q.denominator) for q in qs]) for qs in (los, his))
-    return lows, highs, den
-
-
-def _enclose(n: IVec, los: Sequence, his: Sequence) -> tuple:
-    """Bounds of the integer vector n from bounds of the basis elements."""
-    lo = hi = 0
-    for c, l, u in zip(n, los, his):
-        if c > 0:
-            lo += c * l
-            hi += c * u
-        elif c < 0:
-            lo += c * u
-            hi += c * l
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # Tower descriptors and elements.
 # ---------------------------------------------------------------------------
@@ -704,23 +656,8 @@ class TowerElem(_FieldOps):
         return -2 if h == -1 else h
 
     def sign(self) -> int:
-        """Exact sign under the designated real embedding.
-
-        Structural zero test first (the basis is linearly independent over Q),
-        then dyadic interval refinement, which terminates on nonzero values.
-        """
-        n = self._n
-        if not any(n[1:]):
-            return (n[0] > 0) - (n[0] < 0)
-        prec = 8
-        while True:
-            lows, highs, _ = _basis_bounds(self.tower, prec)
-            lo, hi = _enclose(n, lows, highs)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
+        """Exact sign under the designated real embedding (``real.sign``)."""
+        return real.sign(self.tower._rads, self._n)
 
     def __lt__(self, other) -> bool:
         rhs = self._coerce(other)
@@ -1229,62 +1166,3 @@ def fun_pack(rows: Sequence[IVec], dim: int, shifts: range) -> IVec:
     if not rows:
         return (0,) * dim
     return tuple([sum(map(lshift, column, shifts)) for column in zip(*rows)])
-
-
-# ---------------------------------------------------------------------------
-# Order-based helpers used by gadget constructors.  All comparisons against
-# square roots go through squares, so no radical is adjoined just to compare.
-# ---------------------------------------------------------------------------
-
-
-def cmp_with_sqrt(m: Fraction, square: TowerElem) -> int:
-    """Sign of m - sqrt(square) for m >= 0 and square >= 0."""
-    if m < 0:
-        raise ValueError("cmp_with_sqrt needs a nonnegative rational")
-    return (square.tower.rational(m * m) - square).sign()
-
-
-def _last(pred: Callable[[int], bool]) -> int:
-    """The largest k >= 0 with pred(k), for a pred that holds up to some k
-    and fails beyond it; 0 when pred(0) is false.  An exponential then a
-    binary search, so it makes O(log k) calls."""
-    lo, hi = 0, 1
-    while pred(hi):
-        lo, hi = hi, 2 * hi
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def least_int_above_sqrt(square: TowerElem, strict: bool) -> int:
-    """Smallest positive integer n > sqrt(square) (strict) or n >= sqrt(square)."""
-    if square.sign() < 0:
-        raise ValueError("negative square")
-
-    def below(k: int) -> bool:
-        c = cmp_with_sqrt(Fraction(k), square)
-        return c < 0 or (strict and c == 0)
-
-    return 1 + _last(below)
-
-
-def simplest_rational_between_sqrts(lo_sq: TowerElem, hi_sq: TowerElem) -> Fraction:
-    """Smallest-denominator rational in the open interval (sqrt(lo_sq), sqrt(hi_sq)),
-    found by Stern-Brocot mediant search with exact tower ordering.  Each run of
-    equal-direction steps is taken at once, its length found by ``_last``, so
-    the search makes O(log) comparisons."""
-    if (hi_sq - lo_sq).sign() <= 0:
-        raise ValueError("empty interval")
-    a, b = 0, 1  # lower bound a/b
-    c, d = 1, 0  # upper bound c/d (infinity)
-    while True:
-        k = _last(lambda k: cmp_with_sqrt(Fraction(a + k * c, b + k * d), lo_sq) <= 0)
-        a, b = a + k * c, b + k * d
-        k = _last(lambda k: cmp_with_sqrt(Fraction(c + k * a, d + k * b), hi_sq) >= 0)
-        if k == 0:  # the mediant is above sqrt(lo_sq) and below sqrt(hi_sq)
-            return Fraction(a + c, b + d)
-        c, d = c + k * a, d + k * b

@@ -979,6 +979,10 @@ def fraction_in_span(target, premises):
     return not reduce(target)
 
 
+# the fast path that the span-rule reference checks
+in_span = engine._in_span
+
+
 def integer_multiple(vec):
     """A Fraction vector scaled by the lcm of its denominators."""
     d = lcm(*(v.denominator for v in vec.values()))
@@ -998,14 +1002,14 @@ def check_span_rule(premises, target, combination, names):
         ratio = fact.r if isinstance(fact, VecScale) else fact.t if isinstance(fact, AffineComb) else F(1)
         assert all(type(v) is int for v in relation.values())
         assert relation == {k: v * ratio.denominator for k, v in oracle.items()}
-    in_span = lambda vec: engine._in_span(vec, relations)
-    verdict = in_span(target_relation)
+    member = lambda vec: in_span(vec, relations)
+    verdict = member(target_relation)
     assert verdict == fraction_in_span(target_oracle, oracles)
-    assert fraction_in_span(combination, oracles) and in_span(integer_multiple(combination))
+    assert fraction_in_span(combination, oracles) and member(integer_multiple(combination))
     for name, unit in names:
         combination[name] = combination.get(name, F(0)) + unit
     combination = {k: v for k, v in combination.items() if v}
-    assert in_span(integer_multiple(combination)) == fraction_in_span(combination, oracles)
+    assert member(integer_multiple(combination)) == fraction_in_span(combination, oracles)
     return verdict
 
 

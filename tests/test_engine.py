@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -322,6 +323,27 @@ def test_span_rule_matches_the_fraction_oracle_at_scale():
         assert verdict or target is not closing
 
     run()
+
+
+def test_span_rule_divides_out_the_content_after_each_subtraction(monkeypatch):
+    """200 premises x_i + 3 x_(i+1), named so that their string order is the
+    chain order, against the target x_0, which is not in their span (no
+    combination cancels x_200): eliminating x_0's chain multiplies by 3 at
+    every row, and only dividing each reduced vector by its content keeps
+    the entries small.  ``engine.gcd`` is wrapped to record the largest
+    argument's bit length: 2 bits here, 316 without the content division,
+    with the same verdict."""
+    bits = [0]
+
+    def recording(*args):
+        bits[0] = max([bits[0]] + [abs(a).bit_length() for a in args])
+        return gcd(*args)
+
+    monkeypatch.setattr(engine, "gcd", recording)
+    name = "x{:03d}".format
+    premises = [{name(i): 1, name(i + 1): 3} for i in range(200)]
+    assert not harness.in_span({name(0): 1}, premises)
+    assert 0 < bits[0] <= 8
 
 
 def _dict_gets(run) -> int:

@@ -1,14 +1,17 @@
 """Static hygiene of the package source: no module imports a name it never
 uses, every import sits at module level, the package ships no function,
 class or method that only tests use, the checker's modules import nothing
-from ``models``, ``cm`` imports no K(eps) name, ``scalars`` defines no
-frame form, ``engine`` and ``models`` define no point-mapping helper, and
-every module under ``src/`` and ``tests/`` is written in
-the grammar of Python 3.10, the oldest version ``pyproject.toml`` admits.
+from ``models``, ``real`` imports only the standard library and the
+checker's modules nothing from it and call no ``sign``, ``cm`` imports no
+K(eps) name, ``scalars`` defines no frame form, ``engine`` and ``models``
+define no point-mapping helper, and every module under ``src/`` and
+``tests/`` is written in the grammar of Python 3.10, the oldest version
+``pyproject.toml`` admits.
 ``private_references`` counts the private package names that test code
 reaches into; CI prints the count for ``tests/``."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -167,6 +170,76 @@ def test_import_direction_check_catches_an_engine_that_imports_models():
     assert imported_modules(engine) >= {"cm", "gadgets"}
     for line in ("from .models import ModelMap\n", "from . import models\n", "import rigidity_forge.models\n", "from rigidity_forge.models import ModelMap\n"):
         assert "models" in imported_modules(line + engine), line
+
+
+def non_stdlib_imports(source: str) -> set[str]:
+    """The modules a source imports from outside the standard library: a
+    relative import by its dots and module (``.``, ``.scalars``), any other
+    by its full name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {name for name in names if name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names}
+    return found
+
+
+def test_real_imports_only_the_standard_library():
+    assert non_stdlib_imports(_source("real")) == set()
+    assert {"real"} <= imported_modules(_source("scalars")) & imported_modules(_source("gadgets"))
+
+
+def test_standard_library_check_catches_a_package_import():
+    real = _source("real")
+    for line, name in (
+        ("from . import scalars\n", "."),
+        ("from .scalars import TowerElem\n", ".scalars"),
+        ("import rigidity_forge.scalars\n", "rigidity_forge.scalars"),
+        ("from rigidity_forge import cm\n", "rigidity_forge"),
+        ("import numpy as np\n", "numpy"),
+    ):
+        assert non_stdlib_imports(line + real) == {name}, line
+
+
+# the checker's modules and the programs that run them, which decide no
+# order: the real embedding is for construction and the radicand checks
+CHECKER = ("cm", "engine", "models", "poly", "suite", "cli")
+
+
+def order_reach(source: str) -> list[str]:
+    """How a module's source reaches the order: an import of ``real``, an
+    import of a function ``real`` defines (through any module that passes
+    it on), and each ``.sign()`` call, by line."""
+    order = {node.name for node in ast.parse(_source("real")).body if isinstance(node, ast.FunctionDef)}
+    found = ["imports real"] if "real" in imported_modules(source) else []
+    found += sorted(f"imports {name}" for name in imported_names(source) & order)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "sign":
+            found.append(f"sign() at line {node.lineno}")
+    return found
+
+
+def test_the_checker_reaches_no_order():
+    for name in CHECKER:
+        assert order_reach(_source(name)) == [], name
+    assert order_reach(_source("gadgets")) != []
+
+
+def test_order_check_catches_an_import_or_a_sign_call():
+    engine = _source("engine")
+    lines = len(engine.splitlines())
+    for text, found in (
+        ("from . import real\n", ["imports real"]),
+        ("import rigidity_forge.real\n", ["imports real"]),
+        ("from .real import sign\n", ["imports real", "imports sign"]),
+        ("from .gadgets import cmp_with_sqrt\n", ["imports cmp_with_sqrt"]),
+    ):
+        assert order_reach(text + engine) == found, text
+    assert order_reach(engine + "\n\ndef f(x):\n    return x.sign() < 0\n") == [f"sign() at line {lines + 4}"]
 
 
 def imported_names(source: str) -> set[str]:

@@ -8,9 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_forge import cm, models, scalars, suite
+from rigidity_forge import cm, models, real, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
-from rigidity_forge.engine import Distinct, NonzeroDist, SqDistKnown, check_derivation, replay
+from rigidity_forge.engine import Distinct, NonzeroDist, SqDistKnown, check_derivation, recheck_derivation, replay
 from rigidity_forge.gadgets import (
     AffineComb,
     DotZero,
@@ -37,7 +37,17 @@ from rigidity_forge.models import (
 from rigidity_forge.scalars import QQ, FunElem, adjoin_sqrt
 
 from conftest import DERANDOMIZED, table_kind
-from harness import FRACTIONAL_TOWERS, INTEGER_TOWERS, certificate_pairs, criterion_9_data, formula_everywhere, negative_controls, sparse_rationals
+from harness import (
+    FRACTIONAL_TOWERS,
+    INTEGER_TOWERS,
+    certificate_pairs,
+    criterion_9_data,
+    formula_everywhere,
+    negative_controls,
+    references,
+    sparse_rationals,
+    tower_chain,
+)
 
 F = Fraction
 
@@ -916,3 +926,38 @@ def test_eps_models_square_the_denominator_once(monkeypatch):
     before = len(squares)
     x * x
     assert any(s is x._d for s in squares[before:])
+
+
+def test_checks_reach_the_order_only_through_a_join(monkeypatch):
+    """Counts the calls of ``real.sign``, the one sign of the real
+    embedding, with no clock.  Building the corpus, the model family and
+    criterion 9's sample takes signs; checking takes none: not the 96 corpus
+    x ``model_family`` checks with their preservation reports, nor the 16
+    rechecks, nor criterion 9's 5 structure reports.  The one route in is a
+    join of two towers neither of which is a prefix of the other: a
+    conjugation of Q(sqrt 3, sqrt 2), checked against the division over
+    Q(sqrt 2), maps its points into the domain (``Embedding._into_domain``),
+    and the join adjoins sqrt 2 there, which takes 2 signs to find its
+    positive root; a second check finds the join kept.  Run alone in CI, the
+    test builds the corpus itself."""
+    corpus = suite.replay_corpus()
+    items = [(entry, model) for entry in corpus for _, model in suite.model_family(entry.gadget)]
+    registered, lambdas, us = criterion_9_data()
+    division = next(entry for entry in corpus if entry.label.startswith("division") and entry.gadget.tower.depth == 1)
+    # a new tower object, so no join with it is kept from an earlier test
+    model = conjugation_model(tower_chain(3, 2)[2], 0)
+    calls, original = [], real.sign
+    monkeypatch.setattr(real, "sign", lambda *args: calls.append(args) or original(*args))
+    for entry, family_model in items:
+        check_derivation(entry.derivation, family_model)
+        verify_preservation(family_model, certificate_pairs(entry.gadget))
+    for entry in corpus:
+        recheck_derivation(entry.derivation)
+    for registered_model in registered:
+        verify_structure(registered_model, lambdas, us)
+    assert (len(items), len(corpus), len(registered), len(calls)) == (96, 16, 5, 0)
+    verdict = check_derivation(division.derivation, model)
+    assert len(calls) == 2
+    assert check_derivation(division.derivation, model) == verdict and len(calls) == 2
+    with references():
+        assert check_derivation(division.derivation, model) == verdict

@@ -8,7 +8,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rigidity_forge import cm, codec, gadgets, models, scalars, suite
+from rigidity_forge import cm, codec, gadgets, models, real, scalars, suite
 from rigidity_forge.cm import Point, rational_point
 from rigidity_forge.engine import check_derivation
 from rigidity_forge.poly import Polynomial
@@ -19,15 +19,14 @@ from rigidity_forge.scalars import (
     NonPositiveRadicand,
     TowerElem,
     adjoin_sqrt,
-    cmp_with_sqrt,
     common_tower,
     fun_pack,
-    least_int_above_sqrt,
-    simplest_rational_between_sqrts,
     sqrt_in_tower,
     tower_conjugate,
 )
-from rigidity_forge.scalars import _basis_bounds, _basis_products, _BasisProducts, _enclose, _fmul, _fone, _fpoly, _imul, _imul_halves, _imul_sparse, _isq, _isq_halves
+from rigidity_forge.real import cmp_with_sqrt, least_int_above_sqrt, simplest_rational_between_sqrts
+from rigidity_forge.real import _basis_bounds, _enclose
+from rigidity_forge.scalars import _basis_products, _BasisProducts, _fmul, _fone, _fpoly, _imul, _imul_halves, _imul_sparse, _isq, _isq_halves
 
 from conftest import DERANDOMIZED, table_kind, tables_built
 from harness import (
@@ -410,13 +409,13 @@ def test_least_int_above_sqrt_matches_the_linear_walk(sqrt2, sqrt23, x, s2, s6, 
 
 def test_least_int_above_sqrt_is_logarithmic(monkeypatch):
     calls = []
-    real = scalars.cmp_with_sqrt
+    original = real.cmp_with_sqrt
 
     def counting(m, square):
         calls.append(m)
-        return real(m, square)
+        return original(m, square)
 
-    monkeypatch.setattr(scalars, "cmp_with_sqrt", counting)
+    monkeypatch.setattr(real, "cmp_with_sqrt", counting)
     # |x|^2 = 10^18: the one-step walk makes 10^9 + 1 calls
     for strict, answer in ((False, 10**9), (True, 10**9 + 1)):
         calls.clear()
@@ -467,13 +466,13 @@ def test_batched_mediant_search_matches_the_linear_walk(sqrt2, x, y, shift):
 def test_mediant_search_is_logarithmic(monkeypatch):
 
     calls = []
-    real = scalars.cmp_with_sqrt
+    original = real.cmp_with_sqrt
 
     def counting(m, square):
         calls.append(m)
-        return real(m, square)
+        return original(m, square)
 
-    monkeypatch.setattr(scalars, "cmp_with_sqrt", counting)
+    monkeypatch.setattr(real, "cmp_with_sqrt", counting)
     monkeypatch.setattr(gadgets, "cmp_with_sqrt", counting)
     n = 10**9
     # |AB| = n: a run of n steps up from 0; the linear walk makes n + 2 calls
@@ -565,7 +564,7 @@ def test_integer_tower_kernels_match_the_fraction_oracle(case):
     assert x == TowerElem(tower, a) and hash(x) == hash(a[0])
     assert hash(x * y) == hash(vmul(rads, a, b)[0])
     assert x.sign() == oracle_sign(tower, a)
-    lows, highs, den = _basis_bounds(tower, 8)
+    lows, highs, den = _basis_bounds(tower._rads, 8)
     lo, hi = _enclose(x._n, lows, highs)
     assert (Fraction(lo, den * x._d), Fraction(hi, den * x._d)) == oracle_bounds(tower, a, 8)
     if not x.is_zero():
