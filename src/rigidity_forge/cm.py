@@ -24,6 +24,19 @@ or more (a squared distance whose difference has a few nonzero
 coordinates) sums the tower's basis products over its pairs of nonzero
 coordinates, and any other takes the halving recursion; built gadgets
 share one ``TowerDesc`` object, so the tower test is an identity check.
+
+``relation_vanishes`` reads each point's row, built for the whole table on
+first use (``same`` reads two points' difference, which costs less than two
+rows): the point's two coordinate vectors over d = lcm(d_x, d_y), 2*dim
+integers m_j, as R = sum(m_j 2^(w j)), w = ``ROW_BUDGET`` + the bit length
+of the table's largest |m_j|.  Then
+sum(c_i R_i/d_i) is zero iff sum(f_i R_i) is, f_i = c_i lcm(d)/d_i, by the
+evaluation lemma while sum|f_i| < 2^ROW_BUDGET (every digit is at most
+sum|f_i| max|m_j| < 2^w); a relation over that takes the formula.  The
+evaluation lemma, on which ``models``'s packed table rests too: a sum of
+s_j B^j with every |s_j| < B is zero only if every s_j is, as with s_t the
+lowest nonzero one the sum over B^t is s_t (mod B).
+
 Over Q (every coordinate a ``TowerElem`` of depth 0) the table holds each
 point as plain ``int`` coordinates over one denominator, the ``lcm`` of its
 two; a squared distance with value a/b is then b*(dx^2 + dy^2) == a*k^2,
@@ -55,15 +68,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
 from .scalars import QQ, IVec, TowerDesc, TowerElem, _iadd, _imul, _isq, _isub
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
+
+ROW_BUDGET = 64  # bits of a row digit above the table's largest |m_j| (module docstring)
 
 
 def _is_zero(x: Scalar) -> bool:
@@ -202,17 +217,17 @@ class PointTable:
 class _KernelTable(PointTable):
     """``TowerElem``s of one tower, decided on the integer vectors of the
     points of ``_coords`` by the ``scalars`` kernels ``_isub``, ``_iadd``,
-    ``_imul`` and ``_isq``; no test builds an element or reduces one.
-    ``_coords`` are the points themselves, or, for a table built from
-    forms, each point's unreduced integer form (``_Form`` coordinates) that
-    ``points`` are the values of.  Two points are the same iff their
-    difference vanishes (``same``), as forms need not be canonical."""
+    ``_imul`` and ``_isq``, or on their rows; no test builds an element or
+    reduces one.  ``_coords`` are the points themselves, or, for a table
+    built from forms, each point's unreduced integer form (``_Form``
+    coordinates) that ``points`` are the values of; ``same`` compares
+    points by their difference, as forms need not be canonical."""
 
-    __slots__ = ("tower", "_coords")
+    __slots__ = ("tower", "_coords", "_rows")
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
         super().__init__(points)
-        self.tower, self._coords = tower, points if coords is None else coords
+        self.tower, self._coords, self._rows = tower, points if coords is None else coords, None
 
     def same(self, p, q) -> bool:
         (x, _), (y, _) = self._ivec((p, q))
@@ -235,16 +250,28 @@ class _KernelTable(PointTable):
         n, k = self.sqdist_num(p, q)
         return n[0] * e == m * k and not any(n[1:])
 
+    def _packed_rows(self) -> dict:
+        """Each point's row R and denominator d, by name (module docstring)."""
+        vectors, ds = [], []
+        for p in self._coords.values():
+            x, y = p.x, p.y
+            d = x._d if x._d == y._d else lcm(x._d, y._d)
+            ds.append(d)
+            vectors.append(x._n + y._n if x._d == y._d else [c * (d // x._d) for c in x._n] + [c * (d // y._d) for c in y._n])
+        w = max(map(abs, chain.from_iterable(vectors)), default=0).bit_length() + ROW_BUDGET
+        shifts = range(0, 2 * w * self.tower.dim, w)
+        self._rows = dict(zip(self._coords, zip([sum(map(lshift, m, shifts)) for m in vectors], ds)))
+        return self._rows
+
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        """Per coordinate, each vector scaled to the ``lcm`` of the
-        denominators and summed."""
-        points = [(c, self._coords[n]) for n, c in relation.items()]
-        for terms in ([(c, p.x) for c, p in points], [(c, p.y) for c, p in points]):
-            k = lcm(*[x._d for _, x in terms])
-            coeffs = [c * (k // x._d) for c, x in terms]
-            if any(sum(map(mul, coeffs, column)) for column in zip(*[x._n for _, x in terms])):
-                return False
-        return True
+        """sum(f_i R_i) == 0 on the rows, or the formula over the budget."""
+        rows = self._packed_rows() if self._rows is None else self._rows
+        terms = [(c, *rows[n]) for n, c in relation.items()]
+        k = lcm(*[d for _, _, d in terms])
+        coeffs = [c * (k // d) for c, _, d in terms]
+        if sum(map(abs, coeffs)).bit_length() > ROW_BUDGET:
+            return PointTable.relation_vanishes(self, relation)
+        return not sum(map(mul, coeffs, [r for _, r, _ in terms]))
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
         rads = self.tower._rads

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from . import poly
 from .cm import Point, PointTable, Vec2, _is_zero, bordered_matrix, circle_point, point_table, sqdist
@@ -34,9 +34,15 @@ from .scalars import (
     TowerDesc,
     TowerElem,
     adjoin_sqrt,
+    _elem,
     _frac_sqrt,
     tower_join,
 )
+
+
+# steps per rhombus chain, whose points, work and file grow with them; a side-1
+# chain of span 10,240 takes exactly this many, and a longer one is refused
+MAX_CHAIN_STEPS = 10_240
 
 
 class GadgetError(ValueError):
@@ -301,21 +307,26 @@ def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], Tow
     """Unify all coordinates into one join tower, then drop unused generators.
 
     The join folds the distinct coordinate towers in insertion order through
-    ``tower_join``, once per distinct tower.  Each join extends the one
-    before, so a coordinate goes in by its tower's ``into`` and then lifts,
-    and the emitted gadget carries a single field descriptor, which every
-    coordinate shares as one object.
+    ``tower_join``, once per distinct tower (a tower object is looked up by
+    value once).  Each join extends the one before, so a coordinate goes in
+    by its tower's ``into``, once, and is then one element over the join's
+    shortest prefix that holds every image, which every coordinate shares.
     """
-    join = QQ
-    into: dict[TowerDesc, Callable[[TowerElem], TowerElem]] = {}
+    join, into, seen = QQ, {}, {}
     for p in points.values():
-        for coord in (p.x, p.y):
-            if coord.tower not in into:
-                join, into[coord.tower] = tower_join(join, coord.tower)
-    unified = {name: tuple(into[c.tower](c).lift(join).minimized() for c in (p.x, p.y)) for name, p in points.items()}
-    depth = max((c.tower.depth for xy in unified.values() for c in xy), default=0)
+        for tower in (p.x.tower, p.y.tower):
+            if id(tower) not in seen:
+                if tower not in into:
+                    join, into[tower] = tower_join(join, tower)
+                seen[id(tower)] = into[tower]
+    images = {name: [seen[id(c.tower)](c) for c in (p.x, p.y)] for name, p in points.items()}
+    depth = 0
+    for c in [c for xy in images.values() for c in xy]:
+        while any(c._n[1 << depth :]):
+            depth += 1
     tower = join.prefix(depth)
-    out = {name: Point(x.lift(tower), y.lift(tower)) for name, (x, y) in unified.items()}
+    pad = (0,) * tower.dim
+    out = {name: Point(*[_elem(tower, (c._n + pad)[: len(pad)], c._d) for c in xy]) for name, xy in images.items()}
     return out, tower
 
 
@@ -440,13 +451,16 @@ def _chain_steps(v: Vec2, w: Vec2, s: Fraction) -> list[Vec2]:
     The translation splits into equal collinear chunks of length at most 2s,
     each realized as two steps v_c/2 +- h*n, the sign alternating per chunk.
     A chunk count whose two step vectors include +-w is passed over for the
-    next one; each count builds the two vectors, and tests them, once.
+    next one; each count builds the two vectors, and tests them, once.  A
+    count of more than ``MAX_CHAIN_STEPS`` steps raises ``GadgetError``.
     """
     q_v = v.dot(v)
     s_sq = QQ.rational(s * s)
     minus_w = -w
     k0 = max(1, least_int_above_sqrt(q_v / (4 * s * s), strict=False))
     for k in range(k0, k0 + 12):
+        if 2 * k > MAX_CHAIN_STEPS:
+            raise GadgetError(f"the rhombus chain needs {2 * k} steps, more than MAX_CHAIN_STEPS = {MAX_CHAIN_STEPS}")
         chunk = v.scaled(Fraction(1, k))
         q_c = chunk.dot(chunk)
         beta_sq = (s_sq - q_c * Fraction(1, 4)) / q_c

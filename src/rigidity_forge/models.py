@@ -385,11 +385,10 @@ class _PackedTable(_KernelTable):
     Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
     tower product has rational structure constants, so a kernel returns
     n/k = y(B), y in Q[eps]^dim the value the test asks to be zero, and
-    answers n == 0.  A nonzero integer polynomial with every coefficient
-    below B in absolute value does not vanish at B (its top term B^t exceeds
-    (B - 1)(1 + ... + B^(t-1))), so the test is exact if c*y has such
-    coefficients for some integer c > 0.  Let |x| be the largest coefficient
-    sum of a coordinate of x and (delta, C) = ``TowerDesc._product_bound``,
+    answers n == 0.  By the evaluation lemma (``cm``) the test is exact if
+    c*y has every coefficient below B in absolute value for some integer
+    c > 0.  Let |x| be the largest coefficient sum of a coordinate of x and
+    (delta, C) = ``TowerDesc._product_bound``,
     read off the tower's basis products e_S*e_T = sum(s_STU e_U), the
     structure constants that the sparse product kernels sum
     (``scalars._basis_products``): delta is the least common denominator

@@ -329,6 +329,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "tangent" in err
     code, out, err = run(["gadget", "division", "--t", "1/3", "--r", "-3"], capsys)
     assert (code, out, err) == (2, "", "gadget construction failed: r = -3 does not exceed |AB|\n")
+    # a chain longer than the builders take is refused before it is built
+    code, out, err = run(["gadget", "chain", "--a", "0,0", "--b", "10000000,0", "--c", "0,1", "--d", "10000000,1"], capsys)
+    assert (code, out) == (2, "") and err == "gadget construction failed: the rhombus chain needs 10000000 steps, more than MAX_CHAIN_STEPS = 10240\n"
 
 
 @pytest.mark.parametrize(

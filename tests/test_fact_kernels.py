@@ -44,6 +44,9 @@ from rigidity_forge.scalars import QQ, FunElem, TowerElem, adjoin_sqrt
 from conftest import DERANDOMIZED, table_kind, tables_built
 from harness import (
     FACT_KINDS,
+    FRACTIONAL_TOWERS,
+    HUGE,
+    INTEGER_TOWERS,
     SMALL,
     Doubling,
     certificate_pairs,
@@ -1025,6 +1028,83 @@ def test_an_empty_relation_vanishes_on_every_table(packed_table):
             assert fact.holds(images) and images.relation_vanishes({})
         assert check_derivation(entry.derivation, model).ok
     assert tables == {"packed": 2, "kernel": 3}
+
+
+def _row_tables(tower, points):
+    """Each fast table of ``points`` with its reference, the base table of
+    the same points: the points' own table (kernel, or rational at depth 0),
+    each conjugation's form table, plain and under a rational frame with a
+    translation (unreduced forms over several denominators), and the eps
+    rotation's packed table."""
+    out = [(cm.point_table(points), cm.PointTable(points))]
+    frame = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
+    for model in conjugations(tower, frame) + [eps_rotation_model()]:
+        out.append((model.image_table(points), cm.PointTable({n: model.apply(p) for n, p in points.items()})))
+    return out
+
+
+@pytest.mark.parametrize("tower", INTEGER_TOWERS + FRACTIONAL_TOWERS, ids=lambda t: f"depth{t.depth}")
+def test_rows_decide_relations_and_equality_as_the_formula(tower):
+    """``relation_vanishes`` on the packed rows, and ``same``, of every
+    table kind against the base table, over both tower families at depths 0-4:
+    seeded points over mixed per-point denominators, combinations of them
+    that vanish, the same moved on y only or with one coefficient off, a
+    point equal to another but built apart, the empty relation, and a point
+    over a 4,000-digit denominator, whose relations exceed the row budget."""
+    points = seeded_points(tower, tower.depth, "ABC")
+    a, b, c = points["A"], points["B"], points["C"]
+    points["D"] = c + (a - b)
+    points["E"] = c + (a - b).scaled(F(2, 3))
+    points["G"] = Point(a.x + b.x - b.x, a.y)
+    points["H"] = Point(points["D"].x, points["D"].y + 1)
+    points["X"] = Point(tower.rational(F(1, HUGE)), a.y)
+    relations = [
+        {"A": 1, "B": -1, "C": 1, "D": -1},
+        {"A": 2, "B": -2, "C": 3, "E": -3},
+        {"A": 1, "B": -1, "C": 1, "H": -1},
+        {"A": 2, "B": -3, "C": 3, "E": -3},
+        {},
+        {"X": 3, "A": -1, "G": 1},
+        {"X": 1, "D": 1, "C": -1, "A": -1, "B": 1},
+    ]
+    kinds = []
+    for table, reference in _row_tables(tower, points):
+        kinds.append(table_kind(table))
+        assert [table.relation_vanishes(r) for r in relations] == [reference.relation_vanishes(r) for r in relations] == [True, True, False, False, True, False, False]
+        assert all(table.same(p, q) == reference.same(p, q) == (p == q or {p, q} == {"A", "G"}) for p in points for q in points)
+    assert kinds == ["rational" if tower.depth == 0 else "kernel"] + ["kernel"] * (len(kinds) - 2) + ["packed"]
+
+
+def test_rows_at_the_budget_match_the_formula():
+    """Coefficients whose f_i sum to just under and just over
+    2^``ROW_BUDGET``, on the kernel, form and packed tables of Q(sqrt 2):
+    under it the rows decide, over it the formula.  Over it the rows could
+    be wrong: 2^B (1, 0) + 2^B (1, 0) - (r0, 0) has x = 2^(B+1) - r0, not
+    zero, and in a table whose largest coefficient is 1 (w = B + 1) its
+    digits 2^(B+1) and -1 sum to 2^(B+1) - 2^w = 0."""
+    tower, bits = INTEGER_TOWERS[1], cm.ROW_BUDGET
+    o = Point(tower.rational(F(1, 3)), tower.rational(F(2, 3)))
+    a = Point(tower.rational(F(2, 3)) + tower.generator(0), tower.rational(F(-1, 3)))
+    points = {"O": o, "A": a, "B": Point(2 * a.x - o.x, 2 * a.y - o.y)}  # all over 3, so f_i = c_i
+    affine = lambda u, off: {"A": off - 2 * u, "B": u, "O": u - off}  # (off)(A - O), |c| summing to 4u - 2 off
+    quarter = 2 ** (bits - 2)
+    cases = [
+        (affine(quarter - 1, 0), True),  # 2^B - 4
+        (affine(quarter, 0), True),  # 2^B, the least sum over the budget
+        (affine(quarter, 1), False),  # 2^B - 2
+        (affine(quarter + 1, 1), False),  # 2^B + 2
+    ]
+    for table, reference in _row_tables(tower, points):
+        for relation, holds in cases:
+            assert table.relation_vanishes(relation) == reference.relation_vanishes(relation) == holds, relation
+    one, r0 = tower.one(), tower.generator(0)
+    wrap = {"P": Point(one, 0 * one), "Q": Point(one, 0 * one), "R": Point(r0, 0 * one)}
+    for table, reference in _row_tables(tower, wrap):
+        assert table.same("P", "Q") and not table.same("P", "R")
+        assert not table.relation_vanishes({"P": 2**bits, "Q": 2**bits, "R": -1})
+        assert not reference.relation_vanishes({"P": 2**bits, "Q": 2**bits, "R": -1})
+        # 2^j (1, 0) - (r0, 0) is zero on rows of width j: every width up to the budget's is passed
+        assert not any(table.relation_vanishes({"P": 2**j, "R": -1}) for j in range(bits + 2))
 
 
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):

@@ -1,11 +1,13 @@
 """Gadget constructors: coordinates, certificates, side conditions, goals."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from rigidity_forge import gadgets, scalars, suite
+from rigidity_forge import codec, gadgets, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
+from rigidity_forge.engine import replay
 from rigidity_forge.gadgets import (
     AffineComb,
     DegenerateLinkage,
@@ -213,6 +215,57 @@ def test_every_coordinate_shares_the_gadget_tower_object():
     assert t == u and t is not u
     points, tower = gadgets._minimize_points({"A": Point(t.generator(0), t.one()), "B": Point(u.generator(0), u.zero())})
     assert tower == t and all(c.tower is tower for p in points.values() for c in (p.x, p.y))
+
+
+# sha256 of the gadget encoding followed by the derivation encoding of two
+# builds whose towers the minimizer reduces: a division between points over
+# equal but distinct tower objects, and a chain over Q(sqrt 2, sqrt 3) whose
+# coordinates use sqrt 2 only, so the gadget's tower drops the last generator
+MINIMIZED_BUILD_SHA256 = {
+    "division over equal towers": "d251bd4237c070c3f478868057e03e8ac4f6f48b800813c8384c84d7a67d472d",
+    "chain leaving sqrt 3 unused": "de31cd29c98ea0e6f1f62cedc685fdf3182f444c30cabe0294b84a169c0013bd",
+}
+
+
+def test_minimized_builds_are_pinned():
+    t, u = adjoin_sqrt(QQ, 2).tower, adjoin_sqrt(QQ, 2).tower
+    assert t == u and t is not u
+    r2 = adjoin_sqrt(QQ, 2)
+    wide = adjoin_sqrt(r2.tower, 3).tower
+    s2 = r2.root.lift(wide)
+    builds = {
+        "division over equal towers": lambda: build_division(Point(t.zero(), t.one()), Point(u.one() + u.generator(0), u.zero()), F(1, 3)),
+        "chain leaving sqrt 3 unused": lambda: build_rhombus_chain(*(Point(s2 + x, wide.rational(y)) for x, y in ((0, 0), (2, 0), (0, 1), (2, 1)))),
+    }
+    for label, build in builds.items():
+        gadget = build()
+        assert all(c.tower is gadget.tower for p in gadget.points.values() for c in (p.x, p.y))
+        text = codec.dumps(codec.encode_gadget(gadget)) + codec.dumps(codec.encode_derivation(replay(gadget)))
+        assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZED_BUILD_SHA256[label], label
+    # the chain, built last, drops sqrt 3
+    assert gadget.tower == r2.tower and gadget.tower.depth == 1 < wide.depth
+
+
+def test_builders_refuse_a_chain_over_the_step_limit(monkeypatch):
+    """A rhombus chain of more than ``MAX_CHAIN_STEPS`` steps is refused
+    before its first point is added, in a chain, a bridge (here the second
+    of its two chains, |AC| being irrational) and a scale of a
+    perpendicularity transfer (|AX| = 1/10,000 carries the linkage's
+    length-4 side in 40,000 steps); a side-1 chain of span 10,240 takes
+    exactly the limit and builds."""
+    pt, limit = rational_point, gadgets.MAX_CHAIN_STEPS
+    refused = f"the rhombus chain needs {{}} steps, more than MAX_CHAIN_STEPS = {limit}"
+    added, add_point = [], _Builder.add_point
+    monkeypatch.setattr(_Builder, "add_point", lambda builder, name, point: added.append(name) or add_point(builder, name, point))
+    with pytest.raises(GadgetError, match=refused.format(limit + 2)):
+        build_rhombus_chain(pt(0, 0), pt(limit + 2, 0), pt(0, 1), pt(limit + 2, 1))
+    with pytest.raises(GadgetError, match=refused.format(10**7 // 2)):
+        build_translation_bridge(pt(0, 0), pt(10**7, 0), pt(1, 1), pt(10**7 + 1, 1))
+    assert added == []
+    with pytest.raises(GadgetError, match=refused.format(40_000)):
+        build_perp_transfer(pt(0, 0), pt(0, 1), pt(F(1, 10_000), 0), pt(F(30_001, 10_000), 0))
+    gadget = build_rhombus_chain(pt(0, 0), pt(limit, 0), pt(0, 1), pt(limit, 1))
+    assert limit == 10_240 and len(gadget.points) == 2 * (limit + 1)
 
 
 def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
