@@ -20,16 +20,23 @@ kernel or the table has none, and any other value to the formula),
 table.  Over one tower the tests are methods of ``_KernelTable`` on the
 integer vectors, each a few ``scalars`` kernels (``_isub``, ``_iadd``,
 ``_imul``, ``_isq``); a product or square of sparse vectors at dimension 8
-or more (a squared distance whose difference has a few nonzero
-coordinates) sums the tower's basis products over its pairs of nonzero
-coordinates, and any other takes the halving recursion; built gadgets
-share one ``TowerDesc`` object, so the tower test is an identity check.
+or more sums the tower's basis products over its pairs of nonzero
+coordinates, and any other takes the halving recursion, by ``scalars``'s
+sparse rule.  The rule governs a table's squared distances too: at
+dimension 8 or more ``sqdist_num`` keeps each point's nonzero (coordinate,
+value) pairs, over d = lcm(d_x, d_y), once per table, subtracts two points'
+pairs (``_isub_pairs``), and where each difference passes the square's
+rule sums both squares in one sparse kernel (``_isq_sum``), reading only
+the basis products of nonzero pairs; any other difference is squared
+dense.  Built gadgets share one ``TowerDesc`` object, so the tower test is
+an identity check.
 
-``relation_vanishes`` reads each point's row, built for the whole table on
-first use (``same`` reads two points' difference, which costs less than two
-rows): the point's two coordinate vectors over d = lcm(d_x, d_y), 2*dim
-integers m_j, as R = sum(m_j 2^(w j)), w = ``ROW_BUDGET`` + the bit length
-of the table's largest |m_j|.  Then
+``relation_vanishes`` reads each point's row, packed on its first read
+(``same`` reads two points' difference, which costs less than two rows):
+the point's two coordinate vectors over d = lcm(d_x, d_y), 2*dim integers
+m_j, as R = sum(m_j 2^(w j)), w = ``ROW_BUDGET`` + the bit length of the
+table's largest |m_j|, fixed before the first row by one scan of every
+point (``_Rows``).  Then
 sum(c_i R_i/d_i) is zero iff sum(f_i R_i) is, f_i = c_i lcm(d)/d_i, by the
 evaluation lemma while sum|f_i| < 2^ROW_BUDGET (every digit is at most
 sum|f_i| max|m_j| < 2^w); a relation over that takes the formula.  The
@@ -68,13 +75,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import lshift, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
-from .scalars import QQ, IVec, TowerDesc, TowerElem, _iadd, _imul, _isq, _isub
+from .scalars import QQ, IVec, TowerDesc, TowerElem, _iadd, _imul, _isq, _isq_sum, _isub, _isub_pairs, _pairs
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -214,6 +221,34 @@ class PointTable:
         return self._vec(u) == self._vec(w).scaled(rho)
 
 
+class _Rows(dict):
+    """A kernel table's rows by point name: each point's row R and
+    denominator d (module docstring), packed on its first read.  Before
+    the first, one scan takes every point's integer form, its two
+    coordinate vectors over d = lcm(d_x, d_y), and fixes w by their
+    largest |m_j|."""
+
+    __slots__ = ("forms", "shifts")
+
+    def __init__(self, coords: Mapping[Any, Point], dim: int) -> None:
+        super().__init__()
+        self.forms = forms = {}
+        for name, p in coords.items():
+            x, y = p.x, p.y
+            if x._d == y._d:
+                forms[name] = x._n + y._n, x._d
+            else:
+                d = lcm(x._d, y._d)
+                forms[name] = [c * (d // x._d) for c in x._n] + [c * (d // y._d) for c in y._n], d
+        w = max([max(map(abs, m)) for m, _ in forms.values()]).bit_length() + ROW_BUDGET
+        self.shifts = range(0, 2 * w * dim, w)
+
+    def __missing__(self, name) -> tuple[int, int]:
+        m, d = self.forms[name]
+        row = self[name] = sum(map(lshift, m, self.shifts)), d
+        return row
+
+
 class _KernelTable(PointTable):
     """``TowerElem``s of one tower, decided on the integer vectors of the
     points of ``_coords`` by the ``scalars`` kernels ``_isub``, ``_iadd``,
@@ -221,13 +256,29 @@ class _KernelTable(PointTable):
     reduces one.  ``_coords`` are the points themselves, or, for a table
     built from forms, each point's unreduced integer form (``_Form``
     coordinates) that ``points`` are the values of; ``same`` compares
-    points by their difference, as forms need not be canonical."""
+    points by their difference, as forms need not be canonical.  ``rows``
+    holds the rows packed so far (``_Rows``), None before a relation reads
+    one; ``_nz`` the points' nonzero pairs, by name, as read so far."""
 
-    __slots__ = ("tower", "_coords", "_rows")
+    __slots__ = ("tower", "_coords", "_nz", "rows")
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
         super().__init__(points)
-        self.tower, self._coords, self._rows = tower, points if coords is None else coords, None
+        self.tower, self._coords = tower, points if coords is None else coords
+        self._nz, self.rows = {}, None
+
+    def _nonzero(self, name) -> tuple[list, list, int]:
+        """The point as (x pairs, y pairs, d): the nonzero (coordinate, value)
+        pairs of its two coordinate vectors over d = lcm(d_x, d_y); kept."""
+        p = self._coords[name]
+        x, y = p.x, p.y
+        if x._d == y._d:
+            form = self._nz[name] = _pairs(x._n), _pairs(y._n), x._d
+        else:
+            d = lcm(x._d, y._d)
+            fx, fy = d // x._d, d // y._d
+            form = self._nz[name] = [(i, c * fx) for i, c in _pairs(x._n)], [(i, c * fy) for i, c in _pairs(y._n)], d
+        return form
 
     def same(self, p, q) -> bool:
         (x, _), (y, _) = self._ivec((p, q))
@@ -240,6 +291,14 @@ class _KernelTable(PointTable):
 
     def sqdist_num(self, p, q) -> tuple[IVec, int]:
         rads = self.tower._rads
+        if len(rads) >= 3:
+            # p - q on the two points' nonzero pairs, over one denominator k
+            nz = self._nz
+            (a, b, kp), (c, d, kq) = nz.get(p) or self._nonzero(p), nz.get(q) or self._nonzero(q)
+            fp, fq, k = (1, 1, kp) if kp == kq else (kq, kp, kp * kq)
+            s = _isq_sum(rads, 1 << len(rads), _isub_pairs(a, fp, c, fq), _isub_pairs(b, fp, d, fq))
+            if s is not None:
+                return s[0], k * k * s[1]
         (u, ku), (v, kv) = self._ivec((p, q))
         su, ksu = _isq(rads, u)
         sv, ksv = _isq(rads, v)
@@ -250,22 +309,11 @@ class _KernelTable(PointTable):
         n, k = self.sqdist_num(p, q)
         return n[0] * e == m * k and not any(n[1:])
 
-    def _packed_rows(self) -> dict:
-        """Each point's row R and denominator d, by name (module docstring)."""
-        vectors, ds = [], []
-        for p in self._coords.values():
-            x, y = p.x, p.y
-            d = x._d if x._d == y._d else lcm(x._d, y._d)
-            ds.append(d)
-            vectors.append(x._n + y._n if x._d == y._d else [c * (d // x._d) for c in x._n] + [c * (d // y._d) for c in y._n])
-        w = max(map(abs, chain.from_iterable(vectors)), default=0).bit_length() + ROW_BUDGET
-        shifts = range(0, 2 * w * self.tower.dim, w)
-        self._rows = dict(zip(self._coords, zip([sum(map(lshift, m, shifts)) for m in vectors], ds)))
-        return self._rows
-
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
         """sum(f_i R_i) == 0 on the rows, or the formula over the budget."""
-        rows = self._packed_rows() if self._rows is None else self._rows
+        rows = self.rows
+        if rows is None and relation:
+            rows = self.rows = _Rows(self._coords, self.tower.dim)
         terms = [(c, *rows[n]) for n, c in relation.items()]
         k = lcm(*[d for _, _, d in terms])
         coeffs = [c * (k // d) for c, _, d in terms]

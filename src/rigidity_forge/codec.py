@@ -26,7 +26,7 @@ from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from typing import Any, Callable, Mapping, get_args, get_type_hints
+from typing import Any, Callable, Mapping, get_args
 
 from .cm import Point
 from .engine import Derivation, Fact, Justification, fact_key
@@ -270,8 +270,7 @@ GOAL_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(Goal)}
 # per record class, each field's name and whether it holds an exact rational
 # (every other field is a point name)
 _FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {
-    cls: tuple((f.name, get_type_hints(cls)[f.name] is Fraction) for f in fields(cls))
-    for cls in (*FACT_KINDS.values(), CertEntry)
+    cls: tuple((f.name, f.type in (Fraction, "Fraction")) for f in fields(cls)) for cls in (*FACT_KINDS.values(), CertEntry)
 }
 
 

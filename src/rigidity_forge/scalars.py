@@ -17,9 +17,10 @@ Three carriers, all with decidable equality:
   dimension 8 or more sums the tower's basis products (its structure
   constants, which equal towers share, filled one pair at a time) over the
   pairs of nonzero coordinates, and any other halves the basis down to
-  dimension 2.  A squared distance as a value is the carrier formula.
-  ``lift`` and ``prefix`` return the target tower object itself, so a
-  gadget's points share one ``TowerDesc``.
+  dimension 2; the same rule takes a table's squared distance from the
+  nonzero pairs of its differences.  A squared distance as a value is the
+  carrier formula.  ``lift`` and ``prefix`` return the target tower object
+  itself, so a gadget's points share one ``TowerDesc``.
 * ``FunElem`` lives in the rational function field K(eps) over a tower K.
   It carries no order; it exists to exercise non-archimedean image fields.
   Its arithmetic is lazy: a value is any numerator over any nonzero
@@ -70,6 +71,7 @@ Rational = Fraction
 _HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 RationalLike = Union[int, Fraction]
+Pairs = list  # of (coordinate, value) pairs, each value nonzero, as the sparse kernels read a vector
 
 
 class NonPositiveRadicand(ValueError):
@@ -158,15 +160,21 @@ class _FieldOps:
 # and recurses down to its dimension-2 base case, pruning zero halves; it
 # moves all n coordinates of an operand at every level (slices, zero tests,
 # joins).  The sparse path (``_imul_sparse``, ``_isq_sparse``) reads each
-# operand once, and adds, for each pair (i, j) of nonzero coordinates, a_i
-# b_j times the tower's basis product e_i*e_j: one short integer row over
-# the common denominator of all of them (``_BasisProducts``).  Its traffic
-# is the n coordinates it scans plus one row per pair it reads, so it is
+# operand as its nonzero (coordinate, value) pairs (``_pairs`` of a dense
+# vector), and adds, for each pair (i, j) of nonzero coordinates, a_i b_j
+# times the tower's basis product e_i*e_j: one short integer row over the
+# common denominator of all of them (``_BasisProducts``).  Its traffic is
+# the n coordinates it scans plus one row per pair it reads, so it is
 # taken at n >= 8 when the pairs are at most n: nnz(a)*nnz(b) <= n for a
 # product, and nnz(a)^2 <= 2n for a square, which reads each unordered pair
 # once, about nnz(a)^2/2 of them.  Below dimension 8 the base case answers
 # in a few multiplications that no table lookup beats; a dense operand
-# takes the recursion at every dimension.
+# takes the recursion at every dimension.  The rule governs a point
+# table's differences too: ``cm`` keeps each point's nonzero pairs and
+# subtracts them (``_isub_pairs``), and a squared distance whose two
+# differences each pass the square's rule is one sparse kernel
+# (``_isq_sum``) that builds no dense vector; any other squares the dense
+# differences.
 # ---------------------------------------------------------------------------
 
 def _canon(n: IVec, d: int) -> tuple[IVec, int]:
@@ -212,7 +220,7 @@ def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
     comment above), else by the halving recursion."""
     n = len(a)
     if n >= 8 and (n - a.count(0)) * (n - b.count(0)) <= n:
-        return _imul_sparse(rads, a, b)
+        return _imul_sparse(rads, n, _pairs(a), _pairs(b))
     return _imul_halves(rads, a, b)
 
 
@@ -222,8 +230,30 @@ def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
     halving recursion."""
     n = len(a)
     if n >= 8 and (n - a.count(0)) ** 2 <= 2 * n:
-        return _isq_sparse(rads, a)
+        return _isq_sparse(rads, n, _pairs(a))
     return _isq_halves(rads, a)
+
+
+def _isq_sum(rads: Rads, n: int, u: Pairs, v: Pairs) -> tuple[IVec, int] | None:
+    """u^2 + v^2 for vectors of dimension n >= 8 given by their nonzero
+    pairs, in one sparse kernel, when each passes the square's rule (see
+    the comment above); else None, and the caller squares dense vectors."""
+    if len(u) ** 2 > 2 * n or len(v) ** 2 > 2 * n:
+        return None
+    return _isq_sparse(rads, n, u, v)
+
+
+def _pairs(a: IVec) -> Pairs:
+    """The nonzero (coordinate, value) pairs of a, in coordinate order."""
+    return list(zip(compress(range(len(a)), a), filter(None, a)))
+
+
+def _isub_pairs(u: Pairs, fu: int, v: Pairs, fv: int) -> Pairs:
+    """The nonzero pairs of fu*u - fv*v."""
+    out = dict(u) if fu == 1 else {i: x * fu for i, x in u}
+    for i, y in v:
+        out[i] = out.get(i, 0) - y * fv
+    return [(i, c) for i, c in out.items() if c]
 
 
 def _imul_halves(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
@@ -347,39 +377,35 @@ def _basis_products(rads: Rads, n: int) -> _BasisProducts:
     return basis
 
 
-def _imul_sparse(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
-    """a * b as the sum of a_i b_j e_i*e_j over the nonzero coordinates,
-    over the basis products' common denominator."""
-    n = len(a)
+def _imul_sparse(rads: Rads, n: int, a: Pairs, b: Pairs) -> tuple[IVec, int]:
+    """a * b as the sum of a_i b_j e_i*e_j over the nonzero pairs of a and b
+    of dimension n, over the basis products' common denominator."""
     basis = _basis_products(rads, n)
     rows, fill, out = basis.rows, basis.fill, [0] * n
-    js = list(compress(range(n), b))
-    for i in compress(range(n), a):
-        x = a[i]
-        for j in js:
-            c = x * b[j]
+    for i, x in a:
+        for j, y in b:
+            c = x * y
             for u, v in rows.get(i * n + j if i <= j else j * n + i) or fill(i, j):
                 out[u] += c * v
     return tuple(out), basis.den
 
 
-def _isq_sparse(rads: Rads, a: IVec) -> tuple[IVec, int]:
-    """a^2 as the sum of a_i^2 e_i^2 and 2 a_i a_j e_i*e_j over the nonzero
-    coordinates, i < j, over the basis products' common denominator."""
-    n = len(a)
+def _isq_sparse(rads: Rads, n: int, *squares: Pairs) -> tuple[IVec, int]:
+    """The sum of the squares of vectors of dimension n given by their
+    nonzero pairs: a_i^2 e_i^2 and 2 a_i a_j e_i*e_j over each vector's
+    pairs, i before j, over the basis products' common denominator."""
     basis = _basis_products(rads, n)
     rows, fill, out = basis.rows, basis.fill, [0] * n
-    nz = list(compress(range(n), a))
-    for p, i in enumerate(nz):
-        x = a[i]
-        c = x * x
-        for u, v in rows.get(i * n + i) or fill(i, i):
-            out[u] += c * v
-        x2 = 2 * x
-        for j in nz[p + 1 :]:
-            c = x2 * a[j]
-            for u, v in rows.get(i * n + j) or fill(i, j):
+    for a in squares:
+        for p, (i, x) in enumerate(a):
+            c = x * x
+            for u, v in rows.get(i * n + i) or fill(i, i):
                 out[u] += c * v
+            x2 = 2 * x
+            for j, y in a[p + 1 :]:
+                c = x2 * y
+                for u, v in rows.get(i * n + j if i < j else j * n + i) or fill(i, j):
+                    out[u] += c * v
     return tuple(out), basis.den
 
 
@@ -495,8 +521,8 @@ class TowerDesc:
         (``_BasisProducts``, read by the sparse product kernel), delta is the
         least common denominator of the s_STU and c = max over U of
         sum |delta*s_STU|."""
-        basis = [tuple([int(i == j) for j in range(self.dim)]) for i in range(self.dim)]
-        products = [_canon(*_imul_sparse(self._rads, a, b)) for a in basis for b in basis]
+        basis = [[(i, 1)] for i in range(self.dim)]
+        products = [_canon(*_imul_sparse(self._rads, self.dim, a, b)) for a in basis for b in basis]
         delta = lcm(*[k for _, k in products])
         return delta, max(sum([abs(v[u]) * (delta // k) for v, k in products]) for u in range(self.dim))
 

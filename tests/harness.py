@@ -8,8 +8,9 @@ Fast path -> reference:
   reports on it;
 - the base table's facts -> ``oracle_holds``, each fact's vector equations;
 - the tower kernels -> the ``Fraction``-vector kernels (``vmul``, ``vinv``,
-  ``vec_sqrt``, ``oracle_sign``, ...), and their sparse products -> the
-  halving recursion (``recursive_imul``, ``recursive_isq``,
+  ``vec_sqrt``, ``oracle_sign``, ...), and their sparse products, and a
+  kernel table's squared distance from nonzero pairs -> the halving
+  recursion on dense vectors (``recursive_imul``, ``recursive_isq``,
   ``halving_recursion``);
 - the K(eps) kernels -> ``OracleFun``, the tower-polynomial oracle;
 - the span rule -> ``fraction_linear_relation`` and ``fraction_in_span``;
@@ -647,10 +648,28 @@ def ijoin(u, ku, v, kv):
 @contextmanager
 def halving_recursion():
     """Every tower product and square by the halving recursion: the reference
-    of the sparse paths of ``_imul`` and ``_isq``."""
+    of the sparse paths of ``_imul`` and ``_isq``, and of a kernel table's
+    squared distance from its points' nonzero pairs, which then squares the
+    dense differences (``_isq_sum`` declines every pair)."""
     halves = dict(_imul=scalars._imul_halves, _isq=scalars._isq_halves)
-    with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, **halves):
+    with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, _isq_sum=lambda *args: None, **halves):
         yield
+
+
+@contextmanager
+def sparse_squares():
+    """The calls of the sparse square kernel inside the block, each as
+    (dimension, number of vectors it sums): 1 for a dense vector's square
+    (``_isq``), 2 for a kernel table's squared distance from its points'
+    nonzero pairs."""
+    taken, real = [], scalars._isq_sparse
+
+    def counted(rads, n, *squares):
+        taken.append((n, len(squares)))
+        return real(rads, n, *squares)
+
+    with mock.patch.object(scalars, "_isq_sparse", counted):
+        yield taken
 
 
 def recursive_imul(rads, a, b):

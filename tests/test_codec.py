@@ -4,8 +4,10 @@ import hashlib
 import json
 import sys
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
+from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from rigidity_forge import codec, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
 from rigidity_forge.engine import recheck_derivation, replay
 from rigidity_forge.gadgets import (
+    CertEntry,
     build_division,
     build_kempe,
     build_perp_transfer,
@@ -54,6 +57,19 @@ def test_gadget_round_trip_is_structural_identity(gadget):
     assert decoded == gadget
     # encoding again yields byte-identical text
     assert codec.dumps(codec.encode_gadget(decoded)) == text
+
+
+def test_record_fields_are_read_off_their_declared_types():
+    """The codec's per-record field table, read off each field's declared
+    type (a string under postponed annotations), is the table that
+    ``typing.get_type_hints`` gives, for every fact kind and the
+    certificate entry, with at least one rational field among them."""
+    table = codec._FIELDS
+    assert set(table) == {*codec.FACT_KINDS.values(), CertEntry}
+    for cls, columns in table.items():
+        hints = get_type_hints(cls)
+        assert columns == tuple((f.name, hints[f.name] is Fraction) for f in fields(cls)), cls
+    assert any(rational for columns in table.values() for _, rational in columns)
 
 
 def test_rational_strings_survive_exactly():

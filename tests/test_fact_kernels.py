@@ -12,8 +12,7 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd
-from unittest import mock
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from rigidity_forge import cm, codec, engine, gadgets, models, scalars, suite
 from rigidity_forge.cm import Point, rational_point, sqdist
 from rigidity_forge.engine import Distinct, NonzeroDist, SqDistKnown, check_derivation, recheck_derivation, replay
-from rigidity_forge.gadgets import DotZero, VecEq, VecScale
+from rigidity_forge.gadgets import DotZero, VecEq, VecScale, build_perp_transfer
 from rigidity_forge.models import (
     Embedding,
     ModelError,
@@ -49,6 +48,7 @@ from harness import (
     INTEGER_TOWERS,
     SMALL,
     Doubling,
+    canon,
     certificate_pairs,
     chain_scale_gadgets,
     conjugations,
@@ -71,6 +71,7 @@ from harness import (
     references,
     soundness_items,
     soundness_pass,
+    sparse_squares,
     too_large_for,
     tower_chain,
     verdicts_and_reports,
@@ -861,28 +862,23 @@ def test_radical_build_tables_give_the_oracle_verdicts():
 
 
 def test_sparse_kernels_keep_every_verdict():
-    """The sparse paths of ``_imul`` and ``_isq`` change no verdict: every
+    """The sparse paths of ``_imul`` and ``_isq``, and of a kernel table's
+    squared distance, change no verdict: every
     corpus x ``model_family`` check and preservation report, criterion 9's
     structure reports and the negative controls, and the radical-build
     constructions (their encoded derivations and their verdicts under
     identity and each automorphic conjugation), come out the same when
     every product and square takes the halving recursion."""
-    taken = []
-    real_isq_sparse = scalars._isq_sparse
-
-    def counted(rads, a):
-        taken.append(len(a))
-        return real_isq_sparse(rads, a)
-
     items = soundness_items()
 
     def run():
         built = [replay(build()) for _, _, build in radical_build_templates()]
         return [item() for item in items], [codec.dumps(codec.encode_derivation(d)) for d in built], verdicts_and_reports(built)
 
-    with mock.patch.object(scalars, "_isq_sparse", counted):
+    with sparse_squares() as taken:
         sparse = run()
-    assert 8 in taken and 16 in taken
+    # a dense vector's square, and a table's squared distance (two differences) at depths 3 and 4
+    assert {(8, 1), (8, 2), (16, 2)} <= set(taken)
     with halving_recursion():
         assert run() == sparse
 
@@ -979,9 +975,10 @@ def _classification_counts(monkeypatch):
     scan = counting("scan", cm._one_tower)
     for module in (cm, models):
         monkeypatch.setattr(module, "_one_tower", scan)
+    kernel = cm._KernelTable
     for name in CM_KERNELS:
-        monkeypatch.setattr(cm._KernelTable, name, counting("kernel", getattr(cm._KernelTable, name)))
-    monkeypatch.setattr(cm._KernelTable, "sqdist_num", counting("sqdist_num", cm._KernelTable.sqdist_num))
+        monkeypatch.setattr(kernel, name, counting("kernel", getattr(kernel, name)))
+    monkeypatch.setattr(kernel, "sqdist_num", counting("sqdist_num", kernel.sqdist_num))
     return counts
 
 
@@ -1105,6 +1102,144 @@ def test_rows_at_the_budget_match_the_formula():
         assert not reference.relation_vanishes({"P": 2**bits, "Q": 2**bits, "R": -1})
         # 2^j (1, 0) - (r0, 0) is zero on rows of width j: every width up to the budget's is passed
         assert not any(table.relation_vanishes({"P": 2**j, "R": -1}) for j in range(bits + 2))
+
+
+SPARSE_TOWERS = {f"{family}-depth{t.depth}": t for family, towers in (("integer", INTEGER_TOWERS), ("fractional", FRACTIONAL_TOWERS)) for t in towers[3:]}
+
+
+@pytest.mark.parametrize("tower", SPARSE_TOWERS.values(), ids=SPARSE_TOWERS.keys())
+def test_squared_distances_from_nonzero_pairs_match_the_formula(tower):
+    """A squared distance at dimension n >= 8, taken from the two points'
+    nonzero pairs, on every table kind (``_row_tables``): the kernel and
+    form tables give the base table's formula, and every table, the packed
+    eps table too, gives what it gives on dense differences by the halving
+    recursion.  The differences from a dense point O are zero (a point
+    equal to O, built apart), one-sided (one nonzero x coordinate, y zero),
+    at the square's rule's edge isqrt(2n) on both coordinates (nnz^2 = 2n
+    at depth 3), one past it on x or on y, and over mixed per-point and
+    per-coordinate denominators and a 4,000-digit one; the sparse points
+    S, T and K differ sparsely over distinct denominators, and a few pairs
+    mix the supports.  The edge and the one-sided difference take the one
+    sparse kernel on the kernel table, and one past the edge does not."""
+    n, rng = tower.dim, random.Random(tower.depth)
+    edge = isqrt(2 * n)
+
+    def element(support, den):
+        coords = [F(0)] * n
+        for i in support:
+            coords[i] = F(rng.choice([-1, 1]) * rng.randint(1, 9), den)
+        return TowerElem(tower, coords)
+
+    spots = lambda k: rng.sample(range(n), k)
+    o = Point(element(range(n), 6), element(range(n), 35))
+    moved = lambda sx, sy, dx, dy: Point(o.x + element(sx, dx), o.y + element(sy, dy))
+    points = {
+        "O": o,
+        "Z": Point(o.x + tower.zero(), o.y * 1),
+        "X": moved(spots(1), (), 1, 1),
+        "E": moved(spots(edge), spots(edge), 7, 7),
+        "Fx": moved(spots(edge + 1), spots(1), 5, 5),
+        "Fy": moved(spots(1), spots(edge + 1), 5, 5),
+        "M": moved(spots(2), spots(2), 11, 13),
+        "S": Point(element(spots(2), 3), element(spots(1), 5)),
+        "T": Point(element(spots(2), 7), element(spots(2), 4)),
+    }
+    # on the kernel table alone: their dense references take seconds
+    huge = {"O": o, "H": moved(spots(2), spots(1), HUGE, 3), "S": points["S"], "K": Point(element(spots(1), HUGE), element(spots(2), 3))}
+    pairs = [("O", q) for q in points if q != "O"] + [("S", "T"), ("X", "S"), ("E", "M")]
+    huge_pairs = [("O", "H"), ("O", "K"), ("S", "K"), ("H", "K")]
+    kinds = []
+    for table, reference, pairs in [(*t, pairs) for t in _row_tables(tower, points)] + [(cm.point_table(huge), cm.PointTable(huge), huge_pairs)]:
+        kinds.append(table_kind(table))
+        fast, taken = {}, {}
+        for p, q in pairs:
+            with sparse_squares() as taken[p, q]:
+                fast[p, q] = canon(*table.sqdist_num(p, q))
+        with halving_recursion():
+            assert {pair: canon(*table.sqdist_num(*pair)) for pair in pairs} == fast
+        if kinds[-1] != "packed":
+            for (p, q), (num, k) in fast.items():
+                assert TowerElem(table.tower, [F(c, k) for c in num]) == reference.sqdist(p, q), (p, q)
+        assert all(table.same(p, q) == reference.same(p, q) == ({p, q} == {"O", "Z"}) for p, q in pairs)
+        if len(kinds) == 1:
+            assert all(taken["O", q] == [(n, 2)] for q in ("Z", "X", "E", "M")), taken
+            assert all((n, 2) not in taken["O", q] for q in ("Fx", "Fy"))
+    assert kinds == ["kernel"] * (len(kinds) - 2) + ["packed", "kernel"]
+
+
+def test_perp_d4_distances_read_only_the_pairs_of_their_nonzero_coordinates(monkeypatch):
+    """Bounded cost by counters, with no clock: the 48 certificate squared
+    distances of the depth-4 perpendicularity transfer (dimension 16, at
+    most two nonzero coordinates per difference) build no dense difference
+    (``_ivec``) and read, for a difference with nnz nonzero coordinates,
+    exactly nnz(nnz + 1)/2 basis products, each square and each unordered
+    pair once.  The halving recursion, their reference, takes the dense
+    differences instead.  Run on its own, the tower's basis products start
+    empty and each distinct product read is filled once."""
+    gadget = build_perp_transfer(rational_point(1, 1), rational_point(1, 4), rational_point(0, 0), rational_point(3, 0))
+    tower = gadget.tower
+    assert tower.dim == 16 and len(gadget.certificate) == 48
+    supports, expected = {}, 0
+    for entry in gadget.certificate:
+        d = gadget.points[entry.p] - gadget.points[entry.q]
+        nx, ny = (sum(map(bool, c.coords)) for c in (d.x, d.y))
+        supports[nx, ny] = supports.get((nx, ny), 0) + 1
+        expected += nx * (nx + 1) // 2 + ny * (ny + 1) // 2
+    assert supports == {(1, 0): 9, (1, 1): 26, (0, 1): 1, (2, 2): 12}
+    basis, reads, fills, dense = scalars._basis_products(tower._rads, tower.dim), [], [], []
+
+    class CountedRows(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return dict.get(self, key, default)
+
+        def __setitem__(self, key, value):
+            fills.append(key)
+            dict.__setitem__(self, key, value)
+
+    fresh = not basis.rows
+    monkeypatch.setattr(basis, "rows", CountedRows(basis.rows))
+    kernel = cm._KernelTable
+    real_ivec = kernel._ivec
+    monkeypatch.setattr(kernel, "_ivec", lambda *args: dense.append(args) or real_ivec(*args))
+    distances = lambda: all(cm.point_table(gadget.points).sqdist_is(e.p, e.q, e.d2) for e in gadget.certificate)
+    assert distances() and len(reads) == expected and dense == []
+    assert not fresh or len(fills) == len(set(reads))
+    with halving_recursion():
+        assert distances() and len(dense) == 48
+
+
+def test_a_table_packs_only_the_rows_its_relations_read(monkeypatch):
+    """Rows are packed per point on first read, counted with no clock: a
+    table packs none before a relation reads one, none for the empty
+    relation, and then only the points its relations name, at a width
+    that every point of the table fixes before the first row.  The corpus
+    chain whose one relation cancels to {} packs none under every model of
+    its family, and each of criterion 9's structure reports packs 67 of
+    its 111 points, the ones its additivity relations name."""
+    points = seeded_points(INTEGER_TOWERS[2], 2, "ABCDE")
+    table = cm.point_table(points)
+    assert table_kind(table) == "kernel" and table.relation_vanishes({}) and table.rows is None
+    table.relation_vanishes({"A": 1, "B": -1, "C": 1, "D": -1})
+    table.relation_vanishes({"A": 2, "B": -2})
+    assert set(table.rows) == {"A", "B", "C", "D"}
+    # w covers every point before the first row: at the 65 bits that P and R
+    # alone give, the rows of W = (2^65, 0) and R = (r0, 0) would be equal
+    tower = INTEGER_TOWERS[1]
+    zero = tower.zero()
+    wide = cm.point_table({"P": Point(tower.one(), zero), "R": Point(tower.generator(0), zero), "W": Point(tower.rational(2**65), zero)})
+    assert not wide.relation_vanishes({"P": 1, "R": -1}) and not wide.relation_vanishes({"W": 1, "R": -1})
+    built, real = [], cm.PointTable.__init__
+    monkeypatch.setattr(cm.PointTable, "__init__", lambda self, points: built.append(self) or real(self, points))
+    entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
+    built.clear()
+    assert all(check_derivation(entry.derivation, model).ok for _, model in suite.model_family(entry.gadget))
+    kinds = [table_kind(t) for t in built]
+    assert {"kernel", "packed"} <= set(kinds) and all(t.rows is None for t in built if table_kind(t) != "formula")
+    models_, lambdas, us = criterion_9_data()
+    built.clear()
+    assert all(verify_structure(model, lambdas, us).ok for model in models_)
+    assert len(built) == 5 and len(built[0].points) == 111 and [len(t.rows) for t in built] == [67] * 5
 
 
 def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):

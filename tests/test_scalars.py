@@ -711,9 +711,9 @@ def test_basis_products_are_the_recursions_products():
     for tower in KERNEL_TOWERS + [DEPTH_8.prefix(depth) for depth in range(6)]:
         n = tower.dim
         units = [tuple(int(i == u) for u in range(n)) for i in range(n)]
-        for a in units:
-            for b in units:
-                assert canon(*_imul_sparse(tower._rads, a, b)) == canon(*_imul_halves(tower._rads, a, b))
+        for i, a in enumerate(units):
+            for j, b in enumerate(units):
+                assert canon(*_imul_sparse(tower._rads, n, [(i, 1)], [(j, 1)])) == canon(*_imul_halves(tower._rads, a, b))
 
 
 @st.composite
