@@ -22,14 +22,16 @@ integer vectors, each a few ``scalars`` kernels (``_isub``, ``_iadd``,
 ``_imul``, ``_isq``); a product or square of sparse vectors at dimension 8
 or more sums the tower's basis products over its pairs of nonzero
 coordinates, and any other takes the halving recursion, by ``scalars``'s
-sparse rule.  The rule governs a table's squared distances too: at
-dimension 8 or more ``sqdist_num`` keeps each point's nonzero (coordinate,
-value) pairs, over d = lcm(d_x, d_y), once per table, subtracts two points'
-pairs (``_isub_pairs``), and where each difference passes the square's
-rule sums both squares in one sparse kernel (``_isq_sum``), reading only
-the basis products of nonzero pairs; any other difference is squared
-dense.  Built gadgets share one ``TowerDesc`` object, so the tower test is
-an identity check.
+sparse rule.  A squared distance (``sqdist_num``) reads each point's
+integer form, its two coordinate vectors over d = lcm(d_x, d_y) (``_form``),
+kept once per table.  At depth <= 2 it is one straight-line expression on
+two forms (``_isq_closed``): no recursion, no difference vector.  At
+dimension 8 or more it subtracts the forms' nonzero (coordinate, value)
+pairs (``_isub_pairs``) and, where each difference passes the square's
+rule, sums both squares in one sparse kernel (``_isq_sum``) on the basis
+products the table resolves once, reading only those of nonzero pairs;
+any other difference is squared dense.  Built gadgets share one
+``TowerDesc`` object, so the tower test is an identity check.
 
 ``relation_vanishes`` reads each point's row, packed on its first read
 (``same`` reads two points' difference, which costs less than two rows):
@@ -81,7 +83,7 @@ from operator import lshift, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
-from .scalars import QQ, IVec, TowerDesc, TowerElem, _iadd, _imul, _isq, _isq_sum, _isub, _isub_pairs, _pairs
+from .scalars import QQ, IVec, TowerDesc, TowerElem, _basis_products, _iadd, _imul, _isq, _isq_closed, _isq_sum, _isub, _isub_pairs, _pairs
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -221,25 +223,27 @@ class PointTable:
         return self._vec(u) == self._vec(w).scaled(rho)
 
 
+def _form(p: Point) -> tuple[IVec, int]:
+    """A point's integer form: its two coordinate vectors over
+    d = lcm(d_x, d_y), as one vector x + y, and d."""
+    x, y = p.x, p.y
+    if x._d == y._d:
+        return x._n + y._n, x._d
+    d = lcm(x._d, y._d)
+    return tuple([c * (d // x._d) for c in x._n] + [c * (d // y._d) for c in y._n]), d
+
+
 class _Rows(dict):
     """A kernel table's rows by point name: each point's row R and
     denominator d (module docstring), packed on its first read.  Before
-    the first, one scan takes every point's integer form, its two
-    coordinate vectors over d = lcm(d_x, d_y), and fixes w by their
-    largest |m_j|."""
+    the first, one scan takes every point's integer form (``_form``) and
+    fixes w by their largest |m_j|."""
 
     __slots__ = ("forms", "shifts")
 
     def __init__(self, coords: Mapping[Any, Point], dim: int) -> None:
         super().__init__()
-        self.forms = forms = {}
-        for name, p in coords.items():
-            x, y = p.x, p.y
-            if x._d == y._d:
-                forms[name] = x._n + y._n, x._d
-            else:
-                d = lcm(x._d, y._d)
-                forms[name] = [c * (d // x._d) for c in x._n] + [c * (d // y._d) for c in y._n], d
+        self.forms = forms = {name: _form(p) for name, p in coords.items()}
         w = max([max(map(abs, m)) for m, _ in forms.values()]).bit_length() + ROW_BUDGET
         self.shifts = range(0, 2 * w * dim, w)
 
@@ -258,27 +262,25 @@ class _KernelTable(PointTable):
     coordinates) that ``points`` are the values of; ``same`` compares
     points by their difference, as forms need not be canonical.  ``rows``
     holds the rows packed so far (``_Rows``), None before a relation reads
-    one; ``_nz`` the points' nonzero pairs, by name, as read so far."""
+    one; ``_nz`` each point as ``sqdist_num`` reads it (``_kept``), by
+    name, as read so far; ``_basis`` the tower's basis products at depth
+    >= 3, resolved once per table."""
 
-    __slots__ = ("tower", "_coords", "_nz", "rows")
+    __slots__ = ("tower", "_coords", "_nz", "_basis", "rows")
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
         super().__init__(points)
         self.tower, self._coords = tower, points if coords is None else coords
-        self._nz, self.rows = {}, None
+        self._nz, self.rows, self._basis = {}, None, _basis_products(tower._rads, tower.dim) if tower.depth >= 3 else None
 
-    def _nonzero(self, name) -> tuple[list, list, int]:
-        """The point as (x pairs, y pairs, d): the nonzero (coordinate, value)
-        pairs of its two coordinate vectors over d = lcm(d_x, d_y); kept."""
-        p = self._coords[name]
-        x, y = p.x, p.y
-        if x._d == y._d:
-            form = self._nz[name] = _pairs(x._n), _pairs(y._n), x._d
-        else:
-            d = lcm(x._d, y._d)
-            fx, fy = d // x._d, d // y._d
-            form = self._nz[name] = [(i, c * fx) for i, c in _pairs(x._n)], [(i, c * fy) for i, c in _pairs(y._n)], d
-        return form
+    def _kept(self, name) -> tuple:
+        """The point as ``sqdist_num`` reads it, kept: its integer form
+        (x + y, d) (``_form``) at depth <= 2, else ((x pairs, y pairs), d),
+        the nonzero (coordinate, value) pairs of its two vectors."""
+        m, d = _form(self._coords[name])
+        n = self.tower.dim
+        kept = self._nz[name] = (m, d) if n <= 4 else ((_pairs(m[:n]), _pairs(m[n:])), d)
+        return kept
 
     def same(self, p, q) -> bool:
         (x, _), (y, _) = self._ivec((p, q))
@@ -290,15 +292,16 @@ class _KernelTable(PointTable):
         return _isub(a.x._n, a.x._d, b.x._n, b.x._d), _isub(a.y._n, a.y._d, b.y._n, b.y._d)
 
     def sqdist_num(self, p, q) -> tuple[IVec, int]:
-        rads = self.tower._rads
-        if len(rads) >= 3:
-            # p - q on the two points' nonzero pairs, over one denominator k
-            nz = self._nz
-            (a, b, kp), (c, d, kq) = nz.get(p) or self._nonzero(p), nz.get(q) or self._nonzero(q)
-            fp, fq, k = (1, 1, kp) if kp == kq else (kq, kp, kp * kq)
-            s = _isq_sum(rads, 1 << len(rads), _isub_pairs(a, fp, c, fq), _isub_pairs(b, fp, d, fq))
-            if s is not None:
-                return s[0], k * k * s[1]
+        # p - q = (fa a - fb b)/k on the two points as kept
+        rads, nz = self.tower._rads, self._nz
+        (a, kp), (b, kq) = nz.get(p) or self._kept(p), nz.get(q) or self._kept(q)
+        fa, fb, k = (1, 1, kp) if kp == kq else (kq, kp, kp * kq)
+        if len(rads) <= 2:
+            s, ks = _isq_closed(rads, a, fa, b, fb)
+            return s, k * k * ks
+        s = _isq_sum(self._basis, _isub_pairs(a[0], fa, b[0], fb), _isub_pairs(a[1], fa, b[1], fb))
+        if s is not None:
+            return s[0], k * k * s[1]
         (u, ku), (v, kv) = self._ivec((p, q))
         su, ksu = _isq(rads, u)
         sv, ksv = _isq(rads, v)

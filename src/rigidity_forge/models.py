@@ -61,12 +61,13 @@ points built as distinct objects are mapped apiece.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, circle_point, form_table, image_table, mapped_table, point_table
 from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _canon, _elem, _funit, _isq, fun_pack, tower_conjugate, tower_join
@@ -229,18 +230,25 @@ def make_pythagorean_rotation(t, reflection: bool = False, translation: tuple | 
 # ---------------------------------------------------------------------------
 
 
-class _Images(dict):
-    """The images of a table built from forms, by name, each mapped by
-    ``apply`` the first time it is read; only the table's formula fallbacks
-    read them."""
+class _Images(Mapping):
+    """The images of a table built from forms, by its point names, each
+    mapped by ``apply`` when first read and kept in ``mapped``; only formula
+    fallbacks, and a model mapping the table again, read them."""
 
     def __init__(self, apply: Callable[[Point], Point], points: Mapping[Any, Point]) -> None:
-        super().__init__()
-        self._apply, self._points = apply, points
+        self._apply, self._points, self.mapped = apply, points, {}
 
-    def __missing__(self, name) -> Point:
-        image = self[name] = self._apply(self._points[name])
+    def __getitem__(self, name) -> Point:
+        image = self.mapped.get(name)
+        if image is None:
+            image = self.mapped[name] = self._apply(self._points[name])
         return image
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __len__(self) -> int:
+        return len(self._points)
 
 
 @dataclass(frozen=True)
@@ -398,7 +406,9 @@ class _PackedTable(_KernelTable):
     D = D_N/k_D, k < 2^kb, k_D < 2^kd, delta < 2^db, C < 2^cb; a difference
     of numerators is U/(k k') with |U| < 2^(a+kb+1).  The proof reads only
     these bounds: N/k need not be reduced, so an unreduced form whose
-    coefficients and denominator are bounded by a and kb is packed as it is.
+    coefficients and denominator are bounded by a and kb is packed as it is,
+    and bounds on the value y(B), not the path a kernel computes it by
+    (the closed form at depth <= 2, the sparse sums or the recursion).
     A constant fits if its numerator and denominator are below 2^s,
     s = 2(a + kb) + 64 (a squared distance of the points, with room); one
     that does not takes the formula.  w = max(t1, t2) + 1,

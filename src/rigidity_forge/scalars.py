@@ -173,8 +173,18 @@ class _FieldOps:
 # table's differences too: ``cm`` keeps each point's nonzero pairs and
 # subtracts them (``_isub_pairs``), and a squared distance whose two
 # differences each pass the square's rule is one sparse kernel
-# (``_isq_sum``) that builds no dense vector; any other squares the dense
-# differences.
+# (``_isq_sum``, on the basis products the table resolves once) that
+# builds no dense vector; any other squares the dense differences.
+#
+# At depth <= 2 a table's squared distance u^2 + v^2, u and v integer
+# vectors in the basis (1, g1, g2, g1 g2), g1^2 = r/rd, g2^2 = (s0 + s1 g1)/sd,
+# is one closed form (``_isq_closed``): u0^2 + v0^2 over 1 at depth 0;
+# (A0, A1) over rd at depth 1, A0 = (u0^2 + v0^2) rd + (u1^2 + v1^2) r and
+# A1 = 2 rd (u0 u1 + v0 v1); at depth 2, with (B0, B1) the same on (u2, u3,
+# v2, v3), C0 = (u0 u2 + v0 v2) rd + (u1 u3 + v1 v3) r, C1 = rd (u0 u3 +
+# u1 u2 + v0 v3 + v1 v2) and t = rd sd, the sum (A0 + A1 g1 + (B0 + B1 g1)
+# g2^2 + 2 (C0 + C1 g1) g2)/rd is (A0 t + B0 s0 rd + B1 s1 r, A1 t +
+# (B0 s1 + B1 s0) rd, 2 C0 t, 2 C1 t) over rd t.
 # ---------------------------------------------------------------------------
 
 def _canon(n: IVec, d: int) -> tuple[IVec, int]:
@@ -220,7 +230,7 @@ def _imul(rads: Rads, a: IVec, b: IVec) -> tuple[IVec, int]:
     comment above), else by the halving recursion."""
     n = len(a)
     if n >= 8 and (n - a.count(0)) * (n - b.count(0)) <= n:
-        return _imul_sparse(rads, n, _pairs(a), _pairs(b))
+        return _imul_sparse(_basis_products(rads, n), _pairs(a), _pairs(b))
     return _imul_halves(rads, a, b)
 
 
@@ -230,17 +240,39 @@ def _isq(rads: Rads, a: IVec) -> tuple[IVec, int]:
     halving recursion."""
     n = len(a)
     if n >= 8 and (n - a.count(0)) ** 2 <= 2 * n:
-        return _isq_sparse(rads, n, _pairs(a))
+        return _isq_sparse(_basis_products(rads, n), _pairs(a))
     return _isq_halves(rads, a)
 
 
-def _isq_sum(rads: Rads, n: int, u: Pairs, v: Pairs) -> tuple[IVec, int] | None:
-    """u^2 + v^2 for vectors of dimension n >= 8 given by their nonzero
-    pairs, in one sparse kernel, when each passes the square's rule (see
+def _isq_sum(basis: _BasisProducts, u: Pairs, v: Pairs) -> tuple[IVec, int] | None:
+    """u^2 + v^2 for vectors given by their nonzero pairs, in one sparse
+    kernel on the tower's ``basis``, when each passes the square's rule (see
     the comment above); else None, and the caller squares dense vectors."""
-    if len(u) ** 2 > 2 * n or len(v) ** 2 > 2 * n:
+    if max(len(u), len(v)) ** 2 > 2 * basis.dim:
         return None
-    return _isq_sparse(rads, n, u, v)
+    return _isq_sparse(basis, u, v)
+
+
+def _isq_closed(rads: Rads, a: IVec, fa: int, b: IVec, fb: int) -> tuple[IVec, int]:
+    """u^2 + v^2 for (u, v) = fa*a - fb*b, a and b two points' integer forms
+    x + y of dimension <= 4, in closed form (see the comment above)."""
+    if not rads:
+        u0, v0 = a[0] * fa - b[0] * fb, a[1] * fa - b[1] * fb
+        return (u0 * u0 + v0 * v0,), 1
+    (r,), rd = rads[0]
+    if len(rads) == 1:
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+        u0, u1, v0, v1 = a0 * fa - b0 * fb, a1 * fa - b1 * fb, a2 * fa - b2 * fb, a3 * fa - b3 * fb
+        return ((u0 * u0 + v0 * v0) * rd + (u1 * u1 + v1 * v1) * r, 2 * rd * (u0 * u1 + v0 * v1)), rd
+    (a0, a1, a2, a3, a4, a5, a6, a7), (b0, b1, b2, b3, b4, b5, b6, b7) = a, b
+    u0, u1, u2, u3 = a0 * fa - b0 * fb, a1 * fa - b1 * fb, a2 * fa - b2 * fb, a3 * fa - b3 * fb
+    v0, v1, v2, v3 = a4 * fa - b4 * fb, a5 * fa - b5 * fb, a6 * fa - b6 * fb, a7 * fa - b7 * fb
+    (s0, s1), sd = rads[1]
+    t = rd * sd
+    a0, a1 = (u0 * u0 + v0 * v0) * rd + (u1 * u1 + v1 * v1) * r, 2 * rd * (u0 * u1 + v0 * v1)
+    b0, b1 = (u2 * u2 + v2 * v2) * rd + (u3 * u3 + v3 * v3) * r, 2 * rd * (u2 * u3 + v2 * v3)
+    c0, c1 = (u0 * u2 + v0 * v2) * rd + (u1 * u3 + v1 * v3) * r, rd * (u0 * u3 + u1 * u2 + v0 * v3 + v1 * v2)
+    return (a0 * t + b0 * s0 * rd + b1 * s1 * r, a1 * t + (b0 * s1 + b1 * s0) * rd, 2 * c0 * t, 2 * c1 * t), rd * t
 
 
 def _pairs(a: IVec) -> Pairs:
@@ -377,10 +409,10 @@ def _basis_products(rads: Rads, n: int) -> _BasisProducts:
     return basis
 
 
-def _imul_sparse(rads: Rads, n: int, a: Pairs, b: Pairs) -> tuple[IVec, int]:
-    """a * b as the sum of a_i b_j e_i*e_j over the nonzero pairs of a and b
-    of dimension n, over the basis products' common denominator."""
-    basis = _basis_products(rads, n)
+def _imul_sparse(basis: _BasisProducts, a: Pairs, b: Pairs) -> tuple[IVec, int]:
+    """a * b as the sum of a_i b_j e_i*e_j over the nonzero pairs of a and b,
+    over the common denominator of the tower's ``basis`` products."""
+    n = basis.dim
     rows, fill, out = basis.rows, basis.fill, [0] * n
     for i, x in a:
         for j, y in b:
@@ -390,11 +422,11 @@ def _imul_sparse(rads: Rads, n: int, a: Pairs, b: Pairs) -> tuple[IVec, int]:
     return tuple(out), basis.den
 
 
-def _isq_sparse(rads: Rads, n: int, *squares: Pairs) -> tuple[IVec, int]:
-    """The sum of the squares of vectors of dimension n given by their
-    nonzero pairs: a_i^2 e_i^2 and 2 a_i a_j e_i*e_j over each vector's
-    pairs, i before j, over the basis products' common denominator."""
-    basis = _basis_products(rads, n)
+def _isq_sparse(basis: _BasisProducts, *squares: Pairs) -> tuple[IVec, int]:
+    """The sum of the squares of vectors given by their nonzero pairs:
+    a_i^2 e_i^2 and 2 a_i a_j e_i*e_j over each vector's pairs, i before j,
+    over the common denominator of the tower's ``basis`` products."""
+    n = basis.dim
     rows, fill, out = basis.rows, basis.fill, [0] * n
     for a in squares:
         for p, (i, x) in enumerate(a):
@@ -521,8 +553,8 @@ class TowerDesc:
         (``_BasisProducts``, read by the sparse product kernel), delta is the
         least common denominator of the s_STU and c = max over U of
         sum |delta*s_STU|."""
-        basis = [[(i, 1)] for i in range(self.dim)]
-        products = [_canon(*_imul_sparse(self._rads, self.dim, a, b)) for a in basis for b in basis]
+        table, units = _basis_products(self._rads, self.dim), [[(i, 1)] for i in range(self.dim)]
+        products = [_canon(*_imul_sparse(table, a, b)) for a in units for b in units]
         delta = lcm(*[k for _, k in products])
         return delta, max(sum([abs(v[u]) * (delta // k) for v, k in products]) for u in range(self.dim))
 

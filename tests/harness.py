@@ -8,9 +8,10 @@ Fast path -> reference:
   reports on it;
 - the base table's facts -> ``oracle_holds``, each fact's vector equations;
 - the tower kernels -> the ``Fraction``-vector kernels (``vmul``, ``vinv``,
-  ``vec_sqrt``, ``oracle_sign``, ...), and their sparse products, and a
-  kernel table's squared distance from nonzero pairs -> the halving
-  recursion on dense vectors (``recursive_imul``, ``recursive_isq``,
+  ``vec_sqrt``, ``oracle_sign``, ...), and their sparse products, a
+  kernel table's squared distance from nonzero pairs, and its closed form
+  at depth <= 2 -> the halving recursion on dense vectors
+  (``recursive_imul``, ``recursive_isq``, ``halving_sum``,
   ``halving_recursion``);
 - the K(eps) kernels -> ``OracleFun``, the tower-polynomial oracle;
 - the span rule -> ``fraction_linear_relation`` and ``fraction_in_span``;
@@ -645,14 +646,23 @@ def ijoin(u, ku, v, kv):
     return tuple(x * kv for x in u) + tuple(y * ku for y in v), ku * kv
 
 
+def halving_sum(rads, a, fa, b, fb):
+    """u^2 + v^2 for the difference (u, v) = fa*a - fb*b of two points'
+    integer forms by the halving recursion (``recursive_isq``), on the
+    dense u and v: the reference of the closed form (``_isq_closed``)."""
+    w, n = [x * fa - y * fb for x, y in zip(a, b)], len(a) >> 1
+    return iadd(*recursive_isq(rads, tuple(w[:n])), *recursive_isq(rads, tuple(w[n:])))
+
+
 @contextmanager
 def halving_recursion():
     """Every tower product and square by the halving recursion: the reference
-    of the sparse paths of ``_imul`` and ``_isq``, and of a kernel table's
+    of the sparse paths of ``_imul`` and ``_isq``, of a kernel table's
     squared distance from its points' nonzero pairs, which then squares the
-    dense differences (``_isq_sum`` declines every pair)."""
+    dense differences (``_isq_sum`` declines every pair), and of the closed
+    form at depth <= 2, whose difference is squared by ``halving_sum``."""
     halves = dict(_imul=scalars._imul_halves, _isq=scalars._isq_halves)
-    with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, _isq_sum=lambda *args: None, **halves):
+    with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, _isq_sum=lambda *args: None, _isq_closed=halving_sum, **halves):
         yield
 
 
@@ -664,9 +674,9 @@ def sparse_squares():
     nonzero pairs."""
     taken, real = [], scalars._isq_sparse
 
-    def counted(rads, n, *squares):
-        taken.append((n, len(squares)))
-        return real(rads, n, *squares)
+    def counted(basis, *squares):
+        taken.append((basis.dim, len(squares)))
+        return real(basis, *squares)
 
     with mock.patch.object(scalars, "_isq_sparse", counted):
         yield taken

@@ -12,7 +12,7 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +51,7 @@ from harness import (
     canon,
     certificate_pairs,
     chain_scale_gadgets,
+    circle_towers,
     conjugations,
     criterion_9_data,
     draw_fact,
@@ -863,16 +864,17 @@ def test_radical_build_tables_give_the_oracle_verdicts():
 
 def test_sparse_kernels_keep_every_verdict():
     """The sparse paths of ``_imul`` and ``_isq``, and of a kernel table's
-    squared distance, change no verdict: every
-    corpus x ``model_family`` check and preservation report, criterion 9's
-    structure reports and the negative controls, and the radical-build
-    constructions (their encoded derivations and their verdicts under
-    identity and each automorphic conjugation), come out the same when
-    every product and square takes the halving recursion."""
+    squared distance, and its closed form at depth <= 2, change no verdict:
+    every corpus x ``model_family`` check and preservation report,
+    criterion 9's structure reports and the negative controls, and the
+    radical-build constructions and chain-scale gadgets (their encoded
+    derivations and their verdicts under identity, each automorphic
+    conjugation and Doubling), come out the same when every product and
+    square takes the halving recursion."""
     items = soundness_items()
 
     def run():
-        built = [replay(build()) for _, _, build in radical_build_templates()]
+        built = [replay(build()) for _, _, build in radical_build_templates()] + [replay(g) for g in chain_scale_gadgets()]
         return [item() for item in items], [codec.dumps(codec.encode_derivation(d)) for d in built], verdicts_and_reports(built)
 
     with sparse_squares() as taken:
@@ -1209,6 +1211,120 @@ def test_perp_d4_distances_read_only_the_pairs_of_their_nonzero_coordinates(monk
         assert distances() and len(dense) == 48
 
 
+CLOSED_TOWERS = {
+    **{f"integer-depth{t.depth}": t for t in INTEGER_TOWERS[:3]},
+    **{f"fractional-depth{t.depth}": t for t in FRACTIONAL_TOWERS[1:3]},
+    "nested-depth2": circle_towers()[0],
+}
+
+
+@pytest.mark.parametrize("tower", CLOSED_TOWERS.values(), ids=CLOSED_TOWERS.keys())
+def test_closed_form_squared_distances_match_the_formula(tower):
+    """A squared distance at depth <= 2, the closed form on the two points'
+    integer forms, on every table kind (``_row_tables``, and at depth 0 a
+    kernel table built directly, as the packed table over Q is one): the
+    kernel and form tables give the base table's formula, every table
+    gives what the halving recursion gives on the dense difference, over a
+    positive denominator.  The towers have fractional radicands (rd != 1)
+    and, at depth 2, a second radicand with a nonzero g1 coordinate
+    (s1 != 0).  From O, whose x and y lie over different denominators, the
+    differences are zero (Z, equal to O, built apart), one-sided (X moves
+    x only, Y y only) and over another per-point denominator (P); P and Q
+    share theirs.  H and K, over a 4,000-digit denominator, are read on a
+    kernel table alone: the eps images' references take seconds."""
+    n, rng = tower.dim, random.Random(tower.depth)
+
+    def element(den, support=range(n)):
+        coords = [F(0)] * n
+        for i in support:
+            coords[i] = F(rng.choice([1, -1, 11, -13]), den)  # coprime to every den below
+        return TowerElem(tower, coords)
+
+    o = Point(element(6), element(35))
+    points = {
+        "O": o,
+        "Z": Point(o.x + tower.zero(), o.y * 1),
+        "X": Point(o.x + element(7, [n - 1]), o.y),
+        "Y": Point(o.x, o.y + element(5, [0])),
+        "P": Point(element(3), element(3)),
+        "Q": Point(element(3, [0]), element(3)),
+    }
+    huge = {"O": o, "P": points["P"], "H": Point(o.x + element(HUGE, [0]), o.y), "K": Point(element(HUGE), element(3, [n - 1]))}
+    den = lambda p: lcm(*[c.denominator for c in p.x.coords + p.y.coords])
+    assert den(points["P"]) == den(points["Q"]) == 3 != den(o) and o.x.coords[0].denominator != o.y.coords[0].denominator
+    assert den(huge["H"]).bit_length() > 13000
+    if tower in FRACTIONAL_TOWERS[1:]:
+        assert tower.gens[0].coords[0].denominator == 2  # rd = 2
+    if tower.depth == 2 and tower != INTEGER_TOWERS[2]:
+        assert tower.gens[1].coords[1] != 0  # s1 != 0
+    tables = [(*t, points) for t in _row_tables(tower, points)] + [(cm._KernelTable(ps, tower), cm.PointTable(ps), ps) for ps in (points, huge)]
+    kinds = []
+    for table, reference, named in tables:
+        pairs = list(combinations(named, 2))
+        kinds.append(table_kind(table))
+        fast = {pair: table.sqdist_num(*pair) for pair in pairs}
+        assert all(k > 0 for _, k in fast.values())
+        with halving_recursion():
+            assert {pair: canon(*table.sqdist_num(*pair)) for pair in pairs} == {pair: canon(*v) for pair, v in fast.items()}
+        if kinds[-1] != "packed":
+            for (p, q), (num, k) in fast.items():
+                assert TowerElem(table.tower, [F(c, k) for c in num]) == reference.sqdist(p, q), (p, q)
+        assert "Z" not in named or table.sqdist_num("O", "Z")[0] == (0,) * n
+    expected = ["rational", "packed"] if not tower.depth else ["kernel"] * (len(kinds) - 3) + ["packed"]
+    assert kinds == expected + ["kernel", "kernel"] and len(kinds) >= 4
+
+
+def test_low_depth_distances_build_no_difference_and_square_nothing(monkeypatch):
+    """Bounded cost by counters, with no clock: on the seven chain-scale
+    bridges (towers of depth 1 and 2) every certificate squared distance,
+    on the points' table, each automorphic conjugation's form table and
+    the packed eps table, is one closed-form kernel call: no dense
+    difference (``_ivec``), no square (``_isq``) and no sparse sum."""
+    bridges = chain_scale_gadgets()[5:]
+    assert sorted({g.tower.depth for g in bridges}) == [1, 2]
+    calls = {"_ivec": 0, "_isq": 0, "_isq_sum": 0, "_isq_closed": 0}
+
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return run
+
+    for name in ("_isq", "_isq_sum", "_isq_closed"):
+        monkeypatch.setattr(cm, name, counted(name, getattr(cm, name)))
+    kernel = type(cm.point_table(bridges[0].points))
+    monkeypatch.setattr(kernel, "_ivec", counted("_ivec", kernel._ivec))
+    distances = 0
+    for gadget in bridges:
+        models = [identity_model(), eps_rotation_model()] + conjugations(gadget.tower, None)[::2]
+        for table in [model.image_table(gadget.points) for model in models]:
+            assert table_kind(table) in ("kernel", "packed")
+            for entry in gadget.certificate:
+                assert isinstance(entry.d2, F) and table.sqdist_is(entry.p, entry.q, entry.d2)
+                distances += 1
+    assert distances > 7 * 20 and calls == {"_ivec": 0, "_isq": 0, "_isq_sum": 0, "_isq_closed": distances}
+
+
+def test_perp_d4_distances_resolve_the_basis_products_once(monkeypatch):
+    """Counted with no clock: the 48 certificate squared distances of the
+    depth-4 perpendicularity transfer look the tower's basis products up
+    once, when their table is built, not once per sparse kernel call; and
+    a table over an equal tower built as another object shares them."""
+    gadget = build_perp_transfer(rational_point(1, 1), rational_point(1, 4), rational_point(0, 0), rational_point(3, 0))
+    tower = gadget.tower
+    lookups, real = [], scalars._basis_products
+    for module in (cm, scalars):
+        monkeypatch.setattr(module, "_basis_products", lambda *args: lookups.append(args) or real(*args))
+    with sparse_squares() as taken:
+        table = cm.point_table(gadget.points)
+        assert all(table.sqdist_is(e.p, e.q, e.d2) for e in gadget.certificate)
+    assert len(gadget.certificate) == 48 and len(taken) >= 40 and len(lookups) == 1
+    twin = scalars.TowerDesc(tower.gens)
+    assert twin is not tower and twin == tower
+    assert cm.point_table({"A": Point(twin.one(), twin.zero())})._basis is cm.point_table(gadget.points)._basis is real(tower._rads, tower.dim)
+
+
 def test_a_table_packs_only_the_rows_its_relations_read(monkeypatch):
     """Rows are packed per point on first read, counted with no clock: a
     table packs none before a relation reads one, none for the empty
@@ -1511,14 +1627,15 @@ def test_a_constant_too_large_for_the_width_takes_the_formula(monkeypatch, packe
     """A per-call constant that does not fit the table (a distance's form,
     a relation's coefficients, a factor rho) takes the carrier formula and
     gets the formula's verdict; no integer kernel of the table runs for it:
-    neither a difference (``_ivec``) nor a relation."""
+    neither a squared distance (``sqdist_num``), a difference (``_ivec``)
+    nor a relation."""
     model = eps_rotation_model()
     points = {"P": model.apply(rational_point(3, 4)), "O": model.apply(rational_point(0, 0))}
     points["Q"] = model.apply(rational_point(3, 4))
     table = packed_table(points)
     assert table_kind(table) == "packed"
     calls = []
-    for name in ("_ivec", "relation_vanishes"):
+    for name in ("sqdist_num", "_ivec", "relation_vanishes"):
         real = getattr(cm._KernelTable, name)
         monkeypatch.setattr(cm._KernelTable, name, lambda *args, real=real: calls.append(args) or real(*args))
 
@@ -1560,7 +1677,8 @@ def test_form_tables_answer_every_test_as_the_apply_tables(packed_table):
             images = packed_table(mapped) or cm.point_table(mapped)
             assert type(forms) is type(images) and forms is not images
             built_from_forms = kind != "identity"
-            assert built_from_forms == isinstance(forms.points, models._Images) and (not forms.points or not built_from_forms)
+            assert built_from_forms == isinstance(forms.points, models._Images) and (not built_from_forms or not forms.points.mapped)
+            assert len(forms.points) == len(points)
             for fact in entry.derivation.facts:
                 assert fact.holds(forms) == fact.holds(images) is True, fact
             for p, q in combinations(points, 2):
@@ -1571,7 +1689,7 @@ def test_form_tables_answer_every_test_as_the_apply_tables(packed_table):
             # every fact and ``same`` came from the forms; ``sqdist_is`` against
             # a value that is not an ``int`` or ``Fraction`` takes the formula,
             # on the images ``apply`` maps, each once
-            assert not built_from_forms or list(forms.points) == list(points)
+            assert not built_from_forms or list(forms.points.mapped) == list(points)
             assert [forms[name] for name in points] == [images[name] for name in points]
     assert answers == 5418
     # equal points as distinct objects, under a rational frame whose forms are

@@ -774,6 +774,27 @@ def test_conjugation_of_points_over_an_extension_of_the_domain():
         model.rho(s2.root * wider.root)
 
 
+def test_a_form_table_maps_again_by_its_point_names(sqrt2_tower):
+    """A table built from forms, handed to a model again, maps its points by
+    name: the images under a conjugation, plain and framed, mapped again by
+    the same conjugation and by the eps rotation, give the formula's squared
+    distance, on the kernel and on the packed table, and every table counts
+    its points."""
+    t, r2 = sqrt2_tower.tower, sqrt2_tower.root
+    points = {"A": Point(r2, t.one()), "B": Point(t.zero(), t.zero())}
+    frame = make_pythagorean_rotation(F(1, 2), translation=(F(1), F(-2)))
+    for model in (conjugation_model(t, 0), conjugation_model(t, 0, frame)):
+        once = model.image_table(points)
+        assert table_kind(once) == "kernel" and not once.points.mapped and len(once.points) == 2
+        for again in (model, eps_rotation_model()):
+            twice = cm.image_table(again, once)
+            formula = cm.PointTable({name: again.apply(model.apply(p)) for name, p in points.items()})
+            assert table_kind(twice) == ("kernel" if again is model else "packed") and len(twice.points) == 2
+            assert twice.sqdist("A", "B") == formula.sqdist("A", "B") == 3
+            assert twice.sqdist_is("A", "B", 3) and not twice.sqdist_is("A", "B", 2)
+            assert twice.same("A", "A") and not twice.same("A", "B")
+
+
 def _eps_models_sweep():
     """Every point of the corpus and of criterion 9 under every eps model."""
     for entry in suite.replay_corpus():

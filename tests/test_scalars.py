@@ -713,7 +713,7 @@ def test_basis_products_are_the_recursions_products():
         units = [tuple(int(i == u) for u in range(n)) for i in range(n)]
         for i, a in enumerate(units):
             for j, b in enumerate(units):
-                assert canon(*_imul_sparse(tower._rads, n, [(i, 1)], [(j, 1)])) == canon(*_imul_halves(tower._rads, a, b))
+                assert canon(*_imul_sparse(_basis_products(tower._rads, n), [(i, 1)], [(j, 1)])) == canon(*_imul_halves(tower._rads, a, b))
 
 
 @st.composite
