@@ -259,8 +259,9 @@ class _KernelTable(PointTable):
     ``_imul`` and ``_isq``, or on their rows; no test builds an element or
     reduces one.  ``_coords`` are the points themselves, or, for a table
     built from forms, each point's unreduced integer form (``_Form``
-    coordinates) that ``points`` are the values of; ``same`` compares
-    points by their difference, as forms need not be canonical.  ``rows``
+    coordinates) that ``points`` are the values of; as forms need not be
+    canonical, ``same`` cross-multiplies two points' kept forms at depth
+    <= 2 and tests their difference above.  ``rows``
     holds the rows packed so far (``_Rows``), None before a relation reads
     one; ``_nz`` each point as ``sqdist_num`` reads it (``_kept``), by
     name, as read so far; ``_basis`` the tower's basis products at depth
@@ -275,14 +276,17 @@ class _KernelTable(PointTable):
 
     def _kept(self, name) -> tuple:
         """The point as ``sqdist_num`` reads it, kept: its integer form
-        (x + y, d) (``_form``) at depth <= 2, else ((x pairs, y pairs), d),
-        the nonzero (coordinate, value) pairs of its two vectors."""
+        (x + y, d) (``_form``) at depth <= 2, which ``same`` reads too, else
+        ((x pairs, y pairs), d), each vector's nonzero (coordinate, value) pairs."""
         m, d = _form(self._coords[name])
         n = self.tower.dim
         kept = self._nz[name] = (m, d) if n <= 4 else ((_pairs(m[:n]), _pairs(m[n:])), d)
         return kept
 
     def same(self, p, q) -> bool:
+        if self.tower.dim <= 4:
+            (a, kp), (b, kq) = self._nz.get(p) or self._kept(p), self._nz.get(q) or self._kept(q)
+            return a == b if kp == kq else [c * kq for c in a] == [c * kp for c in b]
         (x, _), (y, _) = self._ivec((p, q))
         return not any(x) and not any(y)
 

@@ -17,6 +17,9 @@ differences is zero (``dot_vanishes``).  ``Gadget.validate`` classifies
 the coordinates once into one point table and decides every certificate
 entry, side condition and the goal on it; it builds a distance only to
 report a mismatch.
+
+A construction stays in one tower: a chain adjoins its step root where its
+points live, and ``_Builder.finish`` merges only independent sub-constructions.
 """
 
 from __future__ import annotations
@@ -311,6 +314,7 @@ def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], Tow
     value once).  Each join extends the one before, so a coordinate goes in
     by its tower's ``into``, once, and is then one element over the join's
     shortest prefix that holds every image, which every coordinate shares.
+    Coordinates and points already over that tower object are kept.
     """
     join, into, seen = QQ, {}, {}
     for p in points.values():
@@ -319,14 +323,18 @@ def _minimize_points(points: Mapping[str, Point]) -> tuple[dict[str, Point], Tow
                 if tower not in into:
                     join, into[tower] = tower_join(join, tower)
                 seen[id(tower)] = into[tower]
-    images = {name: [seen[id(c.tower)](c) for c in (p.x, p.y)] for name, p in points.items()}
+    images = {name: (p.x, p.y) if p.x.tower is join is p.y.tower else [seen[id(c.tower)](c) for c in (p.x, p.y)] for name, p in points.items()}
     depth = 0
     for c in [c for xy in images.values() for c in xy]:
         while any(c._n[1 << depth :]):
             depth += 1
     tower = join.prefix(depth)
     pad = (0,) * tower.dim
-    out = {name: Point(*[_elem(tower, (c._n + pad)[: len(pad)], c._d) for c in xy]) for name, xy in images.items()}
+
+    def fit(c: TowerElem) -> TowerElem:
+        return c if c.tower is tower else _elem(tower, (c._n + pad)[: len(pad)], c._d)
+
+    out = {name: p if p.x.tower is tower is p.y.tower else Point(*map(fit, images[name])) for name, p in points.items()}
     return out, tower
 
 
@@ -353,12 +361,8 @@ def circle_intersection(p1: Point, s1, p2: Point, s2) -> Point:
     base = p1 + v.scaled(alpha)
     if sign == 0:
         return base
-    res = adjoin_sqrt(beta_sq.tower, beta_sq)
-    beta = res.root
-    return Point(
-        base.x.lift(res.tower) - beta * v.y.lift(res.tower),
-        base.y.lift(res.tower) + beta * v.x.lift(res.tower),
-    )
+    beta = adjoin_sqrt(beta_sq.tower, beta_sq).root
+    return Point(base.x - beta * v.y, base.y + beta * v.x)
 
 
 def second_intersection_through(p1: Point, p2: Point, known: Point) -> Point:
@@ -445,7 +449,7 @@ def build_division(a: Point, b: Point, t: Fraction, r: Fraction | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _chain_steps(v: Vec2, w: Vec2, s: Fraction) -> list[Vec2]:
+def _chain_steps(v: Vec2, w: Vec2, s: Fraction, tower: TowerDesc) -> list[Vec2]:
     """Step vectors of length s summing to v, none equal to +-w.
 
     The translation splits into equal collinear chunks of length at most 2s,
@@ -453,6 +457,8 @@ def _chain_steps(v: Vec2, w: Vec2, s: Fraction) -> list[Vec2]:
     A chunk count whose two step vectors include +-w is passed over for the
     next one; each count builds the two vectors, and tests them, once.  A
     count of more than ``MAX_CHAIN_STEPS`` steps raises ``GadgetError``.
+    h is adjoined over ``tower`` (w's, joined with v's), where the chain's
+    points live, so a chain makes no sibling tower for the build to merge.
     """
     q_v = v.dot(v)
     s_sq = QQ.rational(s * s)
@@ -469,7 +475,7 @@ def _chain_steps(v: Vec2, w: Vec2, s: Fraction) -> list[Vec2]:
         half = chunk.scaled(Fraction(1, 2))
         distinct = [half]
         if not beta_sq.is_zero():
-            delta = Vec2(-chunk.y, chunk.x).scaled(adjoin_sqrt(beta_sq.tower, beta_sq).root)
+            delta = Vec2(-chunk.y, chunk.x).scaled(adjoin_sqrt(tower, beta_sq).root)
             distinct = [half + delta, half - delta]
         if all(not step == w and not step == minus_w for step in distinct):
             return ((distinct + distinct[::-1]) * k)[: 2 * k]  # up, down, down, up, ...
@@ -496,7 +502,7 @@ def _emit_chain(builder: _Builder, a: Point, b: Point, c: Point, d: Point, prefi
     s = _frac_sqrt(w2.as_fraction())
     if s is None:
         raise IrrationalSide(f"|AC|^2 = {w2.as_fraction()} is not the square of a rational")
-    steps = _chain_steps(v, w, s)
+    steps = _chain_steps(v, w, s, w2.tower)
     s2 = s * s
     track1 = [builder.add_point(f"{prefix1}0", a)]
     track2 = [builder.add_point(f"{prefix2}0", c)]

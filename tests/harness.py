@@ -297,13 +297,19 @@ def verdicts_and_reports(derivations, preservation=verify_preservation):
     return out
 
 
-def chain_scale_gadgets():
-    """The chain-scale workload's twelve gadgets: rational rhombus chains of
-    span 5-80 and translation bridges with irrational |AC|."""
+def chain_scale_builds():
+    """The chain-scale workload's twelve builds, as (kind, build): rational
+    rhombus chains of span 5-80 and translation bridges with irrational
+    |AC|."""
     pt = rational_point
-    out = [build_rhombus_chain(pt(0, 0), pt(s, 0), pt(0, 1), pt(s, 1)) for s in (5, 10, 20, 40, 80)]
+    out = [("chain", lambda s=s: build_rhombus_chain(pt(0, 0), pt(s, 0), pt(0, 1), pt(s, 1))) for s in (5, 10, 20, 40, 80)]
     bridges = ((3, (1, 1)), (5, (1, 2)), (10, (2, 3)), (4, (1, 3)), (6, (1, 4)), (8, (3, 1)), (7, (2, 5)))
-    return out + [build_translation_bridge(pt(0, 0), pt(s, 0), pt(x, y), pt(x + s, y)) for s, (x, y) in bridges]
+    return out + [("bridge", lambda s=s, x=x, y=y: build_translation_bridge(pt(0, 0), pt(s, 0), pt(x, y), pt(x + s, y))) for s, (x, y) in bridges]
+
+
+def chain_scale_gadgets():
+    """The chain-scale workload's twelve gadgets (``chain_scale_builds``)."""
+    return [build() for _, build in chain_scale_builds()]
 
 
 def radical_build_templates(seed=12345):
@@ -664,6 +670,39 @@ def halving_recursion():
     halves = dict(_imul=scalars._imul_halves, _isq=scalars._isq_halves)
     with mock.patch.multiple(scalars, **halves), mock.patch.multiple(cm, _isq_sum=lambda *args: None, _isq_closed=halving_sum, **halves):
         yield
+
+
+@contextmanager
+def tower_work():
+    """The tower work done inside the block, counted with no clock:
+    ``merges``, the merges of two towers neither a prefix of the other
+    (``scalars._merge``), ``finish_merges``, those made while a builder's
+    ``finish`` unifies its points (``gadgets._minimize_points``), and
+    ``sqrts``, the square-root tests (``scalars._sqrt``, recursive calls
+    included).  The join memo starts empty, so the counts do not depend on
+    what ran before."""
+    counts = dict(merges=0, finish_merges=0, sqrts=0)
+    finishing = [False]
+    real_merge, real_sqrt, real_minimize = scalars._merge, scalars._sqrt, gadgets._minimize_points
+
+    def merge(base, other):
+        counts["merges"] += 1
+        counts["finish_merges"] += finishing[0]
+        return real_merge(base, other)
+
+    def sqrt(*args):
+        counts["sqrts"] += 1
+        return real_sqrt(*args)
+
+    def minimize(points):
+        finishing[0] = True
+        try:
+            return real_minimize(points)
+        finally:
+            finishing[0] = False
+
+    with mock.patch.multiple(scalars, _merge=merge, _sqrt=sqrt, _joins={}), mock.patch.object(gadgets, "_minimize_points", minimize):
+        yield counts
 
 
 @contextmanager

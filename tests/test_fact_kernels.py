@@ -11,7 +11,7 @@ references are the differential harness's (``harness.py``).
 import random
 import sys
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt, lcm
 
 import pytest
@@ -479,12 +479,22 @@ def test_fact_kinds_build_no_carrier_objects(monkeypatch, packed_table):
     for entry in suite.replay_corpus():
         for _, model in suite.model_family(entry.gadget):
             images = {name: model.apply(p) for name, p in entry.gadget.points.items()}
-            cases.append((entry.derivation.facts, images, packed_table(images) or images))
-    # a tower's product bound is cached on its first packed table: computed
-    # here, it stays out of the counted window whatever ran before the test
-    for _, images, _ in cases:
-        for p in images.values():
-            p.x.tower._product_bound
+            cases.append((entry.derivation.facts, images))
+    # a tower's product bound is cached on its first packed table, and the
+    # basis products of depth >= 3 that the tables read are filled on first
+    # use and kept for the last 32 towers only (``scalars._bases``, emptied
+    # here so that no earlier test's tables push these out): both made
+    # before the tables are built, they stay out of the counted window
+    # whatever ran before the test
+    monkeypatch.setattr(scalars, "_bases", {})
+    towers = {id(c.tower): c.tower for _, images in cases for p in images.values() for c in (p.x, p.y)}
+    for tower in towers.values():
+        tower._product_bound
+        for depth in range(3, tower.depth + 1):
+            basis = scalars._basis_products(tower._rads, 1 << depth)
+            for i, j in combinations_with_replacement(range(basis.dim), 2):
+                basis.fill(i, j)
+    cases = [(facts, images, packed_table(images) or images) for facts, images in cases]
     counting, calls = [False], []
 
     def counted(name, real):
@@ -1279,7 +1289,9 @@ def test_low_depth_distances_build_no_difference_and_square_nothing(monkeypatch)
     bridges (towers of depth 1 and 2) every certificate squared distance,
     on the points' table, each automorphic conjugation's form table and
     the packed eps table, is one closed-form kernel call: no dense
-    difference (``_ivec``), no square (``_isq``) and no sparse sum."""
+    difference (``_ivec``), no square (``_isq``) and no sparse sum.  Every
+    side condition (``same``) cross-multiplies the two kept forms and
+    builds no difference either."""
     bridges = chain_scale_gadgets()[5:]
     assert sorted({g.tower.depth for g in bridges}) == [1, 2]
     calls = {"_ivec": 0, "_isq": 0, "_isq_sum": 0, "_isq_closed": 0}
@@ -1295,7 +1307,7 @@ def test_low_depth_distances_build_no_difference_and_square_nothing(monkeypatch)
         monkeypatch.setattr(cm, name, counted(name, getattr(cm, name)))
     kernel = type(cm.point_table(bridges[0].points))
     monkeypatch.setattr(kernel, "_ivec", counted("_ivec", kernel._ivec))
-    distances = 0
+    distances = sides = 0
     for gadget in bridges:
         models = [identity_model(), eps_rotation_model()] + conjugations(gadget.tower, None)[::2]
         for table in [model.image_table(gadget.points) for model in models]:
@@ -1303,7 +1315,11 @@ def test_low_depth_distances_build_no_difference_and_square_nothing(monkeypatch)
             for entry in gadget.certificate:
                 assert isinstance(entry.d2, F) and table.sqdist_is(entry.p, entry.q, entry.d2)
                 distances += 1
-    assert distances > 7 * 20 and calls == {"_ivec": 0, "_isq": 0, "_isq_sum": 0, "_isq_closed": distances}
+            for p, q in gadget.side_conditions:
+                assert not table.same(p, q) and table.same(p, p)
+                sides += 1
+    assert sides > 7 * 10 and distances > 7 * 20
+    assert calls == {"_ivec": 0, "_isq": 0, "_isq_sum": 0, "_isq_closed": distances}
 
 
 def test_perp_d4_distances_resolve_the_basis_products_once(monkeypatch):

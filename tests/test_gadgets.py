@@ -31,6 +31,8 @@ from rigidity_forge.gadgets import (
 from rigidity_forge.poly import variables
 from rigidity_forge.scalars import QQ, adjoin_sqrt
 
+from harness import chain_scale_builds, radical_build_templates, tower_work
+
 F = Fraction
 
 
@@ -300,14 +302,21 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
     monkeypatch.setattr(scalars, "_merge", counting_merge)
     monkeypatch.setattr(scalars, "_joins", {})
     monkeypatch.setattr(gadgets, "_minimize_points", recording_minimize)
+    r7 = adjoin_sqrt(QQ, 7).root  # Q(sqrt 7), a sibling of t2 and t3
     builds = [
+        # one tower each: a chain's step root joins its points' tower
         lambda: build_division(Point(t3.zero(), t3.zero()), Point(s2 + s3, t3.one()), F(1, 3)),
         lambda: build_perp_transfer(*(Point(t2.rational(x), y) for x, y in ((0, t2.zero()), (0, r2.root), (0, t2.zero()), (4, t2.zero())))),
         lambda: build_translation_bridge(*(Point(x, t2.rational(y)) for x, y in ((t2.zero(), 0), (r2.root, 0), (t2.one(), 2), (t2.one() + r2.root, 2)))),
         lambda: build_kempe(s2 + s3),
+        # the d4 perp's independent sub-constructions meet in ``finish``
+        lambda: build_perp_transfer(*(rational_point(x, y) for x, y in ((1, 1), (1, 4), (0, 0), (3, 0)))),
+        # inputs over sibling towers
+        lambda: gadgets._minimize_points({"A": Point(s2, t3.one()), "B": Point(adjoin_sqrt(t2, 5).root, t2.one()), "C": Point(r7, QQ.one())}),
+        lambda: build_division(Point(s2, t3.one()), Point(r7, QQ.one()), F(1, 3)),
+        lambda: build_translation_bridge(Point(t2.zero(), t2.zero()), Point(r2.root, t2.zero()), Point(r7, QQ.one()), Point(r7 + r2.root, QQ.one())),
     ]
-    total = 0
-    repeats = []
+    merges, repeats = [], []
     for build in builds:
         for log in (calls, merged, requests, built):
             log.clear()
@@ -315,7 +324,6 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
         (points,) = calls
         towers = {c.tower for p in points.values() for c in (p.x, p.y)}
         assert len(merged) == len(set(merged)) and set(merged) <= towers
-        total += len(merged)
         # one merge per distinct pair of tower objects, made at its first request;
         # every request is served that merge's join object, never the join of an
         # equal but distinct pair
@@ -323,10 +331,13 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
         assert len(made) == len(built)
         assert set(made) == {(id(base), id(other)) for base, other, _ in requests}
         assert all(tower is made[id(base), id(other)] for base, other, tower in requests)
+        merges.append((len(merged), len(built)))
         repeats.append(len(requests) - len(built))
-    assert total > 0
-    # the perp and the bridge over Q(sqrt 2) request some of their merges again
-    assert repeats[1] > 0 and repeats[2] > 0
+    # the first four build in one tower, the d4 perp merges only in ``finish``,
+    # and each input over sibling towers merges each of its towers once there
+    assert merges[:5] == [(0, 0)] * 4 + [(3, 3)] and all(m > 0 for m, _ in merges[5:])
+    # the division and the bridge over sibling towers request some of their merges again
+    assert repeats[6] > 0 and repeats[7] > 0
     # equal but distinct towers are distinct keys
     u, v = adjoin_sqrt(QQ, 3).tower, adjoin_sqrt(QQ, 3).tower
     assert u == v and u is not v
@@ -343,6 +354,66 @@ def test_minimize_points_merges_each_distinct_tower_at_most_once(monkeypatch):
         scalars.tower_join(t2, w)
     assert len(scalars._joins) == 3 and (id(t2), id(others[0])) not in scalars._joins
     assert scalars.tower_join(t2, others[0])[0] is not first
+
+
+def test_builds_merge_towers_only_where_independent_sub_constructions_meet(monkeypatch):
+    """Per build, counted with no clock (``harness.tower_work``): a chain
+    adjoins its step root over the tower its points live in, so of the 15
+    radical-build templates at seed 12345, the 12 chain-scale gadgets and
+    the 16 corpus gadgets only the d4 perp merges towers, at most 3 times,
+    all in ``finish``, where its independent sub-constructions meet.  One
+    pass makes at most 136 square-root tests over the templates and 62 over
+    the 7 chain-scale bridges."""
+
+    def work(build):
+        with tower_work() as counts:
+            build()
+        return counts
+
+    radical = {label: work(build) for label, _, build in radical_build_templates(12345)}
+    chains = [(kind, work(build)) for kind, build in chain_scale_builds()]
+    corpus = []
+
+    def counted(builder):
+        def build(*args):
+            with tower_work() as counts:
+                gadget = builder(*args)
+            corpus.append(counts)
+            return gadget
+
+        return build
+
+    monkeypatch.setattr(suite, "_CORPUS", None)
+    for name in ("build_division", "build_rhombus_chain", "build_kempe"):
+        monkeypatch.setattr(suite, name, counted(getattr(suite, name)))
+    suite.replay_corpus()
+    assert len(radical) == 15 and len(chains) == 12 and len(corpus) == 16
+    merged = {label: counts for label, counts in radical.items() if counts["merges"]}
+    assert set(merged) <= {"perp rational kappa d4"}
+    assert all(counts["merges"] == counts["finish_merges"] <= 3 for counts in merged.values())
+    assert not any(counts["merges"] for _, counts in chains) and not any(counts["merges"] for counts in corpus)
+    assert sum(counts["sqrts"] for counts in radical.values()) <= 136
+    assert sum(counts["sqrts"] for kind, counts in chains if kind == "bridge") <= 62
+    # the counters see the work: one join of two sibling towers merges once
+    with tower_work() as counts:
+        scalars.tower_join(adjoin_sqrt(QQ, 2).tower, adjoin_sqrt(QQ, 3).tower)
+    assert counts["merges"] == 1 and counts["finish_merges"] == 0 and counts["sqrts"] > 0
+
+
+def test_builders_take_inputs_over_sibling_towers():
+    """A division and a bridge whose inputs lie over sibling towers build,
+    validate and replay: ``circle_intersection``'s new root may lie over a
+    tower that does not extend its base point's, and the two are joined."""
+    r2 = adjoin_sqrt(QQ, 2)
+    t2, t3 = r2.tower, adjoin_sqrt(r2.tower, 3).tower
+    r7 = adjoin_sqrt(QQ, 7).root
+    for gadget in (
+        build_division(Point(r2.root.lift(t3), t3.one()), Point(r7, QQ.one()), F(1, 3)),
+        build_translation_bridge(Point(t2.zero(), t2.zero()), Point(r2.root, t2.zero()), Point(r7, QQ.one()), Point(r7 + r2.root, QQ.one())),
+    ):
+        gadget.validate()
+        assert replay(gadget).facts
+        assert {7, 2} <= {g.as_fraction() for g in gadget.tower.gens if g.is_rational()}
 
 
 def test_builder_names_each_value_once_across_towers():
