@@ -17,28 +17,28 @@ kernel or the table has none, and any other value to the formula),
 ``dot_vanishes`` (the dot product of two differences is zero) and
 ``scaled_is`` (a difference b - o equals rho (a - o) on both coordinates);
 ``sqdist``, a squared distance as a value, is the carrier formula on every
-table.  Over one tower the tests are methods of ``_KernelTable`` on the
-integer vectors, each a few ``scalars`` kernels (``_isub``, ``_iadd``,
-``_imul``, ``_isq``); a product or square of sparse vectors at dimension 8
-or more sums the tower's basis products over its pairs of nonzero
-coordinates, and any other takes the halving recursion, by ``scalars``'s
-sparse rule.  A squared distance (``sqdist_num``) reads each point's
-integer form, its two coordinate vectors over d = lcm(d_x, d_y) (``_form``),
-kept once per table.  At depth <= 2 it is one straight-line expression on
-two forms (``_isq_closed``): no recursion, no difference vector.  At
-dimension 8 or more it subtracts the forms' nonzero (coordinate, value)
-pairs (``_isub_pairs``) and, where each difference passes the square's
-rule, sums both squares in one sparse kernel (``_isq_sum``) on the basis
-products the table resolves once, reading only those of nonzero pairs;
-any other difference is squared dense.  Built gadgets share one
-``TowerDesc`` object, so the tower test is an identity check.
+table.  Over one tower, Q included, the tests are methods of
+``_KernelTable`` on the integer vectors, each a few ``scalars`` kernels
+(``_isub``, ``_iadd``, ``_imul``, ``_isq``); a product or square of sparse
+vectors at dimension 8 or more sums the tower's basis products over its
+pairs of nonzero coordinates, and any other takes the halving recursion,
+by ``scalars``'s sparse rule.  Each point's integer form, its two
+coordinate vectors over d = lcm(d_x, d_y) (``_form``), is built once, with
+the table; ``sqdist_num``, ``same`` and the rows read it.  At depth <= 2 a
+squared distance is one straight-line expression on two forms
+(``_isq_closed``): no recursion, no difference vector.  At dimension 8 or
+more it subtracts the forms' nonzero (coordinate, value) pairs
+(``_isub_pairs``), kept on first read, and, where each difference passes
+the square's rule, sums both squares in one sparse kernel (``_isq_sum``)
+on the basis products the table resolves once, reading only those of
+nonzero pairs; any other difference is squared dense.  ``same``
+cross-multiplies two forms.  Built gadgets share one ``TowerDesc``
+object, so the tower test is an identity check.
 
-``relation_vanishes`` reads each point's row, packed on its first read
-(``same`` reads two points' difference, which costs less than two rows):
-the point's two coordinate vectors over d = lcm(d_x, d_y), 2*dim integers
-m_j, as R = sum(m_j 2^(w j)), w = ``ROW_BUDGET`` + the bit length of the
-table's largest |m_j|, fixed before the first row by one scan of every
-point (``_Rows``).  Then
+``relation_vanishes`` reads each point's row, packed from its form on its
+first read: the form's 2*dim integers m_j as R = sum(m_j 2^(w j)),
+w = ``ROW_BUDGET`` + the bit length of the table's largest |m_j|, fixed
+before the first row by one scan of every form (``_Rows``).  Then
 sum(c_i R_i/d_i) is zero iff sum(f_i R_i) is, f_i = c_i lcm(d)/d_i, by the
 evaluation lemma while sum|f_i| < 2^ROW_BUDGET (every digit is at most
 sum|f_i| max|m_j| < 2^w); a relation over that takes the formula.  The
@@ -46,15 +46,16 @@ evaluation lemma, on which ``models``'s packed table rests too: a sum of
 s_j B^j with every |s_j| < B is zero only if every s_j is, as with s_t the
 lowest nonzero one the sum over B^t is s_t (mod B).
 
-Over Q (every coordinate a ``TowerElem`` of depth 0) the table holds each
-point as plain ``int`` coordinates over one denominator, the ``lcm`` of its
-two; a squared distance with value a/b is then b*(dx^2 + dy^2) == a*k^2,
-for the difference (dx, dy) over k, and point equality and the integer
-combinations are a few integer operations each; the dot products take the
-tower kernel at depth 0.  The denominators are kept per point: one common denominator L
-of all the points would grow with their number (L^2 had 4.2 million bits on
-80 points with distinct 4,000-digit denominators).  Every other point set
-(coordinates over different towers, ``FunElem``, ``Fraction``,
+Over Q (every coordinate a ``TowerElem`` of depth 0) a form is two
+integers (x, y) over d: a squared distance with value a/b is
+b*(dx^2 + dy^2) == a*k^2, for the difference (dx, dy) over k (the closed
+form's depth-0 line), and a relation is zero iff sum(f_i x_i) and
+sum(f_i y_i) are, summed directly, with no row packed; the dot products
+take the tower kernel at depth 0.  The denominators are kept per point:
+one common denominator L of all the points would grow with their number
+(L^2 had 4.2 million bits on 80 points with distinct 4,000-digit
+denominators), so a test costs what the points it reads cost.  Every other
+point set (coordinates over different towers, ``FunElem``, ``Fraction``,
 ``Polynomial``) takes the base ``PointTable``, the carrier formula, which
 is also the reference the kernels are tested against.
 
@@ -235,15 +236,14 @@ def _form(p: Point) -> tuple[IVec, int]:
 
 class _Rows(dict):
     """A kernel table's rows by point name: each point's row R and
-    denominator d (module docstring), packed on its first read.  Before
-    the first, one scan takes every point's integer form (``_form``) and
-    fixes w by their largest |m_j|."""
+    denominator d (module docstring), packed from its kept form on its
+    first read, at the w that every form fixes by its largest |m_j|."""
 
     __slots__ = ("forms", "shifts")
 
-    def __init__(self, coords: Mapping[Any, Point], dim: int) -> None:
+    def __init__(self, forms: Mapping[Any, tuple[IVec, int]], dim: int) -> None:
         super().__init__()
-        self.forms = forms = {name: _form(p) for name, p in coords.items()}
+        self.forms = forms
         w = max([max(map(abs, m)) for m, _ in forms.values()]).bit_length() + ROW_BUDGET
         self.shifts = range(0, 2 * w * dim, w)
 
@@ -254,41 +254,40 @@ class _Rows(dict):
 
 
 class _KernelTable(PointTable):
-    """``TowerElem``s of one tower, decided on the integer vectors of the
-    points of ``_coords`` by the ``scalars`` kernels ``_isub``, ``_iadd``,
-    ``_imul`` and ``_isq``, or on their rows; no test builds an element or
-    reduces one.  ``_coords`` are the points themselves, or, for a table
-    built from forms, each point's unreduced integer form (``_Form``
-    coordinates) that ``points`` are the values of; as forms need not be
-    canonical, ``same`` cross-multiplies two points' kept forms at depth
-    <= 2 and tests their difference above.  ``rows``
-    holds the rows packed so far (``_Rows``), None before a relation reads
-    one; ``_nz`` each point as ``sqdist_num`` reads it (``_kept``), by
-    name, as read so far; ``_basis`` the tower's basis products at depth
-    >= 3, resolved once per table."""
+    """``TowerElem``s of one tower, Q included, decided on the integer
+    vectors of the points of ``_coords`` by the ``scalars`` kernels
+    ``_isub``, ``_iadd``, ``_imul`` and ``_isq``, or on their rows; no test
+    builds an element or reduces one.  ``_coords`` are the points
+    themselves, or, for a table built from forms, each point's unreduced
+    integer form (``_Form`` coordinates) that ``points`` are the values of.
+    ``forms`` holds each point's integer form (x + y, d) (``_form``), built
+    with the table; as forms need not be canonical, ``same``
+    cross-multiplies two.  ``rows`` holds the rows packed so far
+    (``_Rows``), None before a relation reads one, and always over Q, where
+    a relation sums the forms.  At depth >= 3 ``_nz`` holds each form's
+    nonzero pairs (``_kept``), by name, as read so far, and ``_basis`` the
+    tower's basis products, resolved once per table."""
 
-    __slots__ = ("tower", "_coords", "_nz", "_basis", "rows")
+    __slots__ = ("tower", "_coords", "forms", "_nz", "_basis", "rows")
 
     def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
         super().__init__(points)
         self.tower, self._coords = tower, points if coords is None else coords
-        self._nz, self.rows, self._basis = {}, None, _basis_products(tower._rads, tower.dim) if tower.depth >= 3 else None
+        self.forms = {name: _form(p) for name, p in self._coords.items()}
+        self._nz, self.rows = {}, None
+        self._basis = _basis_products(tower._rads, tower.dim) if tower.depth >= 3 else None
 
     def _kept(self, name) -> tuple:
-        """The point as ``sqdist_num`` reads it, kept: its integer form
-        (x + y, d) (``_form``) at depth <= 2, which ``same`` reads too, else
-        ((x pairs, y pairs), d), each vector's nonzero (coordinate, value) pairs."""
-        m, d = _form(self._coords[name])
+        """The form as the sparse path reads it, kept: ((x pairs, y pairs),
+        d), each vector's nonzero (coordinate, value) pairs (``_pairs``)."""
+        m, d = self.forms[name]
         n = self.tower.dim
-        kept = self._nz[name] = (m, d) if n <= 4 else ((_pairs(m[:n]), _pairs(m[n:])), d)
+        kept = self._nz[name] = (_pairs(m[:n]), _pairs(m[n:])), d
         return kept
 
     def same(self, p, q) -> bool:
-        if self.tower.dim <= 4:
-            (a, kp), (b, kq) = self._nz.get(p) or self._kept(p), self._nz.get(q) or self._kept(q)
-            return a == b if kp == kq else [c * kq for c in a] == [c * kp for c in b]
-        (x, _), (y, _) = self._ivec((p, q))
-        return not any(x) and not any(y)
+        (a, kp), (b, kq) = self.forms[p], self.forms[q]
+        return a == b if kp == kq else [c * kq for c in a] == [c * kp for c in b]
 
     def _ivec(self, u: tuple) -> tuple[tuple[IVec, int], tuple[IVec, int]]:
         """The difference u as an unreduced integer pair per coordinate."""
@@ -296,14 +295,15 @@ class _KernelTable(PointTable):
         return _isub(a.x._n, a.x._d, b.x._n, b.x._d), _isub(a.y._n, a.y._d, b.y._n, b.y._d)
 
     def sqdist_num(self, p, q) -> tuple[IVec, int]:
-        # p - q = (fa a - fb b)/k on the two points as kept
-        rads, nz = self.tower._rads, self._nz
-        (a, kp), (b, kq) = nz.get(p) or self._kept(p), nz.get(q) or self._kept(q)
-        fa, fb, k = (1, 1, kp) if kp == kq else (kq, kp, kp * kq)
+        rads = self.tower._rads
         if len(rads) <= 2:
-            s, ks = _isq_closed(rads, a, fa, b, fb)
-            return s, k * k * ks
-        s = _isq_sum(self._basis, _isub_pairs(a[0], fa, b[0], fb), _isub_pairs(a[1], fa, b[1], fb))
+            (a, kp), (b, kq) = self.forms[p], self.forms[q]
+            return _isq_closed(rads, a, kp, b, kq)
+        # p - q = (fa a - fb b)/k on the two points as kept
+        nz = self._nz
+        ((ax, ay), kp), ((bx, by), kq) = nz.get(p) or self._kept(p), nz.get(q) or self._kept(q)
+        fa, fb, k = (1, 1, kp) if kp == kq else (kq, kp, kp * kq)
+        s = _isq_sum(self._basis, _isub_pairs(ax, fa, bx, fb), _isub_pairs(ay, fa, by, fb))
         if s is not None:
             return s[0], k * k * s[1]
         (u, ku), (v, kv) = self._ivec((p, q))
@@ -317,10 +317,19 @@ class _KernelTable(PointTable):
         return n[0] * e == m * k and not any(n[1:])
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        """sum(f_i R_i) == 0 on the rows, or the formula over the budget."""
+        """sum(f_i R_i) == 0 on the rows, or the formula over the budget;
+        over Q, where a form is two integers, sum(f_i x_i) and sum(f_i y_i)."""
+        if not self.tower.gens:
+            forms = self.forms
+            k, x, y = lcm(*[forms[n][1] for n in relation]), 0, 0
+            for n, c in relation.items():
+                (a, b), d = forms[n]
+                f = c * (k // d)
+                x, y = x + f * a, y + f * b
+            return not x and not y
         rows = self.rows
         if rows is None and relation:
-            rows = self.rows = _Rows(self._coords, self.tower.dim)
+            rows = self.rows = _Rows(self.forms, self.tower.dim)
         terms = [(c, *rows[n]) for n, c in relation.items()]
         k = lcm(*[d for _, _, d in terms])
         coeffs = [c * (k // d) for c, _, d in terms]
@@ -364,52 +373,11 @@ class _Form:
         self._n, self._d = n, d
 
 
-class _RationalTable(_KernelTable):
-    """Points of Q, each held as plain integers (X, Y, d): its coordinates
-    over their least common denominator d, so equal points have equal
-    triples.  A difference of two points lies over the denominator they
-    share, or the product of theirs, so a test costs what the few points it
-    reads cost, however many other denominators the table holds."""
-
-    __slots__ = ("_xyd",)
-
-    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
-        super().__init__(points, tower, coords)
-        self._xyd = xyd = {}
-        for name, p in self._coords.items():
-            x, y = p.x, p.y
-            d = x._d if x._d == y._d else lcm(x._d, y._d)
-            xyd[name] = (x._n[0] * (d // x._d), y._n[0] * (d // y._d), d)
-
-    def _difference(self, u: tuple) -> tuple[int, int, int]:
-        (x1, y1, d1), (x0, y0, d0) = self._xyd[u[0]], self._xyd[u[1]]
-        if d1 == d0:
-            return x1 - x0, y1 - y0, d1
-        return x1 * d0 - x0 * d1, y1 * d0 - y0 * d1, d1 * d0
-
-    def sqdist_num(self, p, q) -> tuple[IVec, int]:
-        dx, dy, k = self._difference((p, q))
-        return (dx * dx + dy * dy,), k * k
-
-    def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
-        (n,), k = self.sqdist_num(p, q)
-        return n * e == m * k
-
-    def same(self, p, q) -> bool:
-        dx, dy, _ = self._difference((p, q))
-        return not dx and not dy
-
-    def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        terms = [(c, *self._xyd[n]) for n, c in relation.items()]
-        k = lcm(*[d for _, _, _, d in terms])
-        return not sum([c * x * (k // d) for c, x, _, d in terms]) and not sum([c * y * (k // d) for c, _, y, d in terms])
-
-
 def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
     """The table of ``points``, its carrier picked once for all of them, in
-    one scan of their coordinates: plain integers when every coordinate is a
-    ``TowerElem`` of Q; the tower kernels for ``TowerElem``s of one tower;
-    otherwise the formula (``PointTable``).  A table is returned as it is."""
+    one scan of their coordinates: the tower kernels (``form_table``) when
+    every coordinate is a ``TowerElem`` of one tower, Q included; otherwise
+    the formula (``PointTable``).  A table is returned as it is."""
     if isinstance(points, PointTable):
         return points
     values = points.values()
@@ -418,10 +386,10 @@ def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
 
 
 def form_table(points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> _KernelTable:
-    """The kernel table of points over ``tower``: the tower kernels, or plain
-    integers over Q; with ``coords``, the points' integer forms (``_Form``
-    coordinates over ``tower``), which need not be canonical."""
-    return _KernelTable(points, tower, coords) if tower.gens else _RationalTable(points, tower, coords)
+    """The kernel table of points over ``tower``, Q included; with
+    ``coords``, the points' integer forms (``_Form`` coordinates over
+    ``tower``), which need not be canonical."""
+    return _KernelTable(points, tower, coords)
 
 
 def mapped_table(apply: Callable[[Point], Point], points: Mapping[Any, Point] | PointTable) -> PointTable:

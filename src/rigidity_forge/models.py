@@ -424,7 +424,10 @@ class _PackedTable(_KernelTable):
       polynomial; any other rho takes the formula), c = delta k1 ... k4 k_R:
       2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
     - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
-      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s."""
+      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s.
+      The bound is on each coordinate of c*y(B), which the rows pack; over
+      Q the table sums those coordinates directly (``cm``), so it covers
+      the direct sums as it does the rows."""
 
     __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square")
 

@@ -184,7 +184,9 @@ class _FieldOps:
 # v2, v3), C0 = (u0 u2 + v0 v2) rd + (u1 u3 + v1 v3) r, C1 = rd (u0 u3 +
 # u1 u2 + v0 v3 + v1 v2) and t = rd sd, the sum (A0 + A1 g1 + (B0 + B1 g1)
 # g2^2 + 2 (C0 + C1 g1) g2)/rd is (A0 t + B0 s0 rd + B1 s1 r, A1 t +
-# (B0 s1 + B1 s0) rd, 2 C0 t, 2 C1 t) over rd t.
+# (B0 s1 + B1 s0) rd, 2 C0 t, 2 C1 t) over rd t.  The difference of two
+# forms over ka and kb is (u, v)/k, k = ka if they agree, else ka kb: k^2
+# more in each denominator.
 # ---------------------------------------------------------------------------
 
 def _canon(n: IVec, d: int) -> tuple[IVec, int]:
@@ -253,17 +255,23 @@ def _isq_sum(basis: _BasisProducts, u: Pairs, v: Pairs) -> tuple[IVec, int] | No
     return _isq_sparse(basis, u, v)
 
 
-def _isq_closed(rads: Rads, a: IVec, fa: int, b: IVec, fb: int) -> tuple[IVec, int]:
-    """u^2 + v^2 for (u, v) = fa*a - fb*b, a and b two points' integer forms
-    x + y of dimension <= 4, in closed form (see the comment above)."""
+def _isq_closed(rads: Rads, a: IVec, ka: int, b: IVec, kb: int) -> tuple[IVec, int]:
+    """u^2 + v^2 and its positive denominator for (u, v) = a/ka - b/kb, a and
+    b two points' integer forms x + y of dimension <= 4 over ka, kb > 0, in
+    closed form (see the comment above) on (fa*a - fb*b)/k."""
+    if ka == kb:
+        fa = fb = 1
+        k = ka * ka
+    else:
+        fa, fb, k = kb, ka, ka * ka * kb * kb
     if not rads:
         u0, v0 = a[0] * fa - b[0] * fb, a[1] * fa - b[1] * fb
-        return (u0 * u0 + v0 * v0,), 1
+        return (u0 * u0 + v0 * v0,), k
     (r,), rd = rads[0]
     if len(rads) == 1:
         (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
         u0, u1, v0, v1 = a0 * fa - b0 * fb, a1 * fa - b1 * fb, a2 * fa - b2 * fb, a3 * fa - b3 * fb
-        return ((u0 * u0 + v0 * v0) * rd + (u1 * u1 + v1 * v1) * r, 2 * rd * (u0 * u1 + v0 * v1)), rd
+        return ((u0 * u0 + v0 * v0) * rd + (u1 * u1 + v1 * v1) * r, 2 * rd * (u0 * u1 + v0 * v1)), rd * k
     (a0, a1, a2, a3, a4, a5, a6, a7), (b0, b1, b2, b3, b4, b5, b6, b7) = a, b
     u0, u1, u2, u3 = a0 * fa - b0 * fb, a1 * fa - b1 * fb, a2 * fa - b2 * fb, a3 * fa - b3 * fb
     v0, v1, v2, v3 = a4 * fa - b4 * fb, a5 * fa - b5 * fb, a6 * fa - b6 * fb, a7 * fa - b7 * fb
@@ -272,7 +280,7 @@ def _isq_closed(rads: Rads, a: IVec, fa: int, b: IVec, fb: int) -> tuple[IVec, i
     a0, a1 = (u0 * u0 + v0 * v0) * rd + (u1 * u1 + v1 * v1) * r, 2 * rd * (u0 * u1 + v0 * v1)
     b0, b1 = (u2 * u2 + v2 * v2) * rd + (u3 * u3 + v3 * v3) * r, 2 * rd * (u2 * u3 + v2 * v3)
     c0, c1 = (u0 * u2 + v0 * v2) * rd + (u1 * u3 + v1 * v3) * r, rd * (u0 * u3 + u1 * u2 + v0 * v3 + v1 * v2)
-    return (a0 * t + b0 * s0 * rd + b1 * s1 * r, a1 * t + (b0 * s1 + b1 * s0) * rd, 2 * c0 * t, 2 * c1 * t), rd * t
+    return (a0 * t + b0 * s0 * rd + b1 * s1 * r, a1 * t + (b0 * s1 + b1 * s0) * rd, 2 * c0 * t, 2 * c1 * t), rd * t * k
 
 
 def _pairs(a: IVec) -> Pairs:

@@ -20,9 +20,10 @@ DERANDOMIZED = settings(derandomize=True, database=None)
 
 def table_kind(table) -> str | None:
     """The kind of a point table: "formula" for the base table, the carrier
-    formula and the reference of every table test, or one of its three fast
-    paths, "rational", "kernel" and "packed"; None for any other object."""
-    kinds = {cm.PointTable: "formula", cm._RationalTable: "rational", cm._KernelTable: "kernel", models._PackedTable: "packed"}
+    formula and the reference of every table test, or one of its two fast
+    paths, "kernel" (one tower, Q included) and "packed"; None for any
+    other object."""
+    kinds = {cm.PointTable: "formula", cm._KernelTable: "kernel", models._PackedTable: "packed"}
     return kinds.get(type(table))
 
 

@@ -652,12 +652,14 @@ def ijoin(u, ku, v, kv):
     return tuple(x * kv for x in u) + tuple(y * ku for y in v), ku * kv
 
 
-def halving_sum(rads, a, fa, b, fb):
-    """u^2 + v^2 for the difference (u, v) = fa*a - fb*b of two points'
-    integer forms by the halving recursion (``recursive_isq``), on the
-    dense u and v: the reference of the closed form (``_isq_closed``)."""
-    w, n = [x * fa - y * fb for x, y in zip(a, b)], len(a) >> 1
-    return iadd(*recursive_isq(rads, tuple(w[:n])), *recursive_isq(rads, tuple(w[n:])))
+def halving_sum(rads, a, ka, b, kb):
+    """u^2 + v^2 and its denominator for the difference (u, v) = a/ka - b/kb
+    of two points' integer forms by the halving recursion
+    (``recursive_isq``), on the dense u and v over ka*kb: the reference of
+    the closed form (``_isq_closed``)."""
+    w, n = [x * kb - y * ka for x, y in zip(a, b)], len(a) >> 1
+    s, k = iadd(*recursive_isq(rads, tuple(w[:n])), *recursive_isq(rads, tuple(w[n:])))
+    return s, k * (ka * kb) ** 2
 
 
 @contextmanager

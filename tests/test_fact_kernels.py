@@ -1,7 +1,7 @@
 """Facts decided on the integer form.
 
-Every fact kind's ``holds`` on the rational, kernel, packed and form tables
-against the base ``PointTable``, the carrier formula; ``verify_preservation``
+Every fact kind's ``holds`` on the kernel (Q included), packed and form
+tables against the base ``PointTable``, the carrier formula; ``verify_preservation``
 and ``verify_structure`` against the carrier-arithmetic report references;
 counters showing that the kernels build no carrier object, and the point
 tables: each report call classifies its points once.  The inputs and the
@@ -83,8 +83,8 @@ def formula_agrees(run):
     """``run(verify_preservation, verify_structure)`` on the fast paths,
     after asserting that it equals ``run(oracle_preservation,
     oracle_structure)`` under the ``references``; the fast run builds the
-    rational, kernel and packed tables (all three, or the kinds ``run``
-    reaches), the reference run no table but the base ``PointTable``."""
+    kernel and packed tables (both, or the kinds ``run`` reaches), the
+    reference run no table but the base ``PointTable``."""
     with tables_built() as fast_tables:
         fast = run(verify_preservation, verify_structure)
     with references(), tables_built() as formula_tables:
@@ -101,7 +101,7 @@ def test_kernels_give_the_oracle_verdicts_and_reports():
     the same with the formula everywhere, the reference of every table
     fast path."""
     fast, kinds = formula_agrees(lambda *reports: soundness_pass(*reports) + q_moving_reports(TOWERS[1:4], reports[0]))
-    assert kinds == {"formula", "rational", "kernel", "packed"}
+    assert kinds == {"formula", "kernel", "packed"}
     assert len(fast) == 96 + 5 + 5 + 6
     assert all(v.ok and report.ok for _, _, v, report in fast[:96])
     assert all(report.ok for report in fast[96:101])
@@ -855,7 +855,7 @@ def test_chain_scale_tables_give_the_oracle_verdicts_and_reports():
     towers = [d.gadget.tower.depth for d in built]
     assert towers[1:5] == [0] * 4 and min(towers[5:]) >= 1  # span 5 adjoins a root
     kernel, kinds = formula_agrees(lambda preservation, _: verdicts_and_reports(built + decoded, preservation))
-    assert kinds == {"rational", "kernel"}
+    assert kinds == {"kernel"}
     checks, controls = [x for x in kernel if isinstance(x, tuple)], [x for x in kernel if not isinstance(x, tuple)]
     assert len(checks) > 24 and all(v.ok and v.checked > 0 and report.ok for v, report in checks)
     assert len(controls) == 24 and all(not v.ok and v.violated_index == 0 for v in controls)
@@ -915,7 +915,7 @@ def rational_fact_cases(draw):
 def test_rational_tables_match_the_oracle(case):
     fact, points = case
     table = cm.point_table(points)
-    assert table_kind(table) == "rational" and cm.point_table(table) is table
+    assert table_kind(table) == "kernel" and table.tower is QQ and cm.point_table(table) is table
     assert fact.holds(table) == fact.holds(points) == fact.holds(cm.PointTable(points)) == oracle_holds(fact, points), fact
 
 
@@ -930,7 +930,7 @@ def test_rational_table_reads_every_denominator():
     assert table.sqdist_is("P", "Q", d2) and not table.sqdist_is("P", "Q", d2 + F(1, 10))
     (n,), k = table.sqdist_num("P", "Q")
     assert table.tower is QQ and k == (3 * big * 2) ** 2 and F(n, k) == d2
-    assert table._xyd["P"] == (big, 3, 3 * big) and table._xyd["R"] == (3, 2, 3)
+    assert table.forms["P"] == ((big, 3), 3 * big) and table.forms["R"] == ((3, 2), 3)
     assert table.sqdist("P", "R") == sqdist(p, r) and table.sqdist("P", "R").tower is QQ
     assert not table.same("P", "Q") and table.same("Q", "Q")
     assert table.relation_vanishes({"P": 1, "Q": -1, "R": 0}) is False and table.relation_vanishes({})
@@ -942,7 +942,7 @@ def test_rational_table_reads_every_denominator():
     points["D"] = points["C"] + (points["B"] - points["A"])
     points["E"], points["G"] = rational_point(F(1, 2), F(1, 6)), rational_point(0, 1)
     mixed = cm.point_table(points)
-    assert sorted({d for _, _, d in mixed._xyd.values()}) == [1, 6, 15, 30]
+    assert sorted({d for _, d in mixed.forms.values()}) == [1, 6, 15, 30]
     assert VecEq("A", "B", "C", "D").holds(mixed) and not VecEq("A", "B", "C", "E").holds(mixed)
     assert Distinct("A", "E").holds(mixed) and Distinct("C", "G").holds(mixed) and not Distinct("A", "A").holds(mixed)
     perp = cm.point_table({"O": rational_point(0, 0), "U": rational_point(F(1, 3), F(1, 7)), "W": rational_point(F(-1, 7), F(1, 3))})
@@ -961,7 +961,7 @@ def test_rational_table_cost_stays_with_the_points_a_test_reads():
     points = {f"P{i}": Point(QQ.rational(F(i, denominator())), QQ.rational(F(1, denominator()))) for i in range(40)}
     table = cm.point_table(points)
     bits = (10**3999).bit_length() + 1
-    assert max(abs(v).bit_length() for xyd in table._xyd.values() for v in xyd) <= 2 * bits
+    assert max(abs(v).bit_length() for m, d in table.forms.values() for v in (*m, d)) <= 2 * bits
     assert table.sqdist_num("P0", "P39")[1].bit_length() <= 8 * bits
     facts = [SqDistKnown(f"P{i}", f"P{i + 1}", F(1)) for i in range(39)] + [VecScale("P1", "P2", "P3", "P4", F(2)), DotZero("P5", "P6", "P7", "P8")]
     assert [fact.holds(table) for fact in facts] == [oracle_holds(fact, points) for fact in facts]
@@ -987,7 +987,7 @@ def _classification_counts(monkeypatch):
     scan = counting("scan", cm._one_tower)
     for module in (cm, models):
         monkeypatch.setattr(module, "_one_tower", scan)
-    kernel = cm._KernelTable
+    kernel = type(cm.point_table({"O": rational_point(0, 0)}))
     for name in CM_KERNELS:
         monkeypatch.setattr(kernel, name, counting("kernel", getattr(kernel, name)))
     monkeypatch.setattr(kernel, "sqdist_num", counting("sqdist_num", kernel.sqdist_num))
@@ -1007,7 +1007,7 @@ def test_the_value_and_construction_kernels_are_gone():
     tower kernel at depth 0."""
     for name in ("tower_sqdist", "fun_sqdist", "fun_circle_point", "fun_frame_orthonormal"):
         assert not hasattr(scalars, name), name
-    assert "sqdist" not in cm._KernelTable.__dict__ and "dot_vanishes" not in cm._RationalTable.__dict__
+    assert "sqdist" not in cm._KernelTable.__dict__
     # K(eps) facts run the tower kernels on packed numerators: no K(eps) fact
     # kernel is left, and a kernel table has no carrier flag
     for name in ("fun_sqdist_num", "fun_sqdist_is", "_fsumsq", "_frows_equal", "fun_comb_vanishes", "_fun_factor", "fun_form_vanishes", "_fproducts"):
@@ -1016,7 +1016,7 @@ def test_the_value_and_construction_kernels_are_gone():
     # the tower fact kernels are the kernel table's methods, against rationals only
     for name in ("tower_sqdist_num", "tower_sqdist_is", "_ivanishes", "tower_comb_vanishes", "_tower_factor", "tower_form_vanishes", "constant_form"):
         assert not hasattr(scalars, name) and not hasattr(cm, name), name
-    assert [cls for cls in (cm.PointTable, cm._RationalTable, cm._KernelTable, models._PackedTable) if "sqdist_is" in cls.__dict__] == [cm.PointTable]
+    assert [cls for cls in (cm.PointTable, cm._KernelTable, models._PackedTable) if "sqdist_is" in cls.__dict__] == [cm.PointTable]
 
 
 def test_an_empty_relation_vanishes_on_every_table(packed_table):
@@ -1036,13 +1036,13 @@ def test_an_empty_relation_vanishes_on_every_table(packed_table):
             tables[table_kind(images)] += 1
             assert fact.holds(images) and images.relation_vanishes({})
         assert check_derivation(entry.derivation, model).ok
-    assert tables == {"packed": 2, "kernel": 3}
+    assert tables == {"packed": 2, "kernel": 4}
 
 
 def _row_tables(tower, points):
     """Each fast table of ``points`` with its reference, the base table of
-    the same points: the points' own table (kernel, or rational at depth 0),
-    each conjugation's form table, plain and under a rational frame with a
+    the same points: the points' own kernel table (Q included), each
+    conjugation's form table, plain and under a rational frame with a
     translation (unreduced forms over several denominators), and the eps
     rotation's packed table."""
     out = [(cm.point_table(points), cm.PointTable(points))]
@@ -1081,7 +1081,7 @@ def test_rows_decide_relations_and_equality_as_the_formula(tower):
         kinds.append(table_kind(table))
         assert [table.relation_vanishes(r) for r in relations] == [reference.relation_vanishes(r) for r in relations] == [True, True, False, False, True, False, False]
         assert all(table.same(p, q) == reference.same(p, q) == (p == q or {p, q} == {"A", "G"}) for p in points for q in points)
-    assert kinds == ["rational" if tower.depth == 0 else "kernel"] + ["kernel"] * (len(kinds) - 2) + ["packed"]
+    assert kinds == ["kernel"] * (len(kinds) - 1) + ["packed"]
 
 
 def test_rows_at_the_budget_match_the_formula():
@@ -1211,7 +1211,7 @@ def test_perp_d4_distances_read_only_the_pairs_of_their_nonzero_coordinates(monk
 
     fresh = not basis.rows
     monkeypatch.setattr(basis, "rows", CountedRows(basis.rows))
-    kernel = cm._KernelTable
+    kernel = type(cm.point_table({"O": rational_point(0, 0)}))
     real_ivec = kernel._ivec
     monkeypatch.setattr(kernel, "_ivec", lambda *args: dense.append(args) or real_ivec(*args))
     distances = lambda: all(cm.point_table(gadget.points).sqdist_is(e.p, e.q, e.d2) for e in gadget.certificate)
@@ -1231,8 +1231,8 @@ CLOSED_TOWERS = {
 @pytest.mark.parametrize("tower", CLOSED_TOWERS.values(), ids=CLOSED_TOWERS.keys())
 def test_closed_form_squared_distances_match_the_formula(tower):
     """A squared distance at depth <= 2, the closed form on the two points'
-    integer forms, on every table kind (``_row_tables``, and at depth 0 a
-    kernel table built directly, as the packed table over Q is one): the
+    integer forms, on every table kind (``_row_tables``, and kernel tables
+    built directly): the
     kernel and form tables give the base table's formula, every table
     gives what the halving recursion gives on the dense difference, over a
     positive denominator.  The towers have fractional radicands (rd != 1)
@@ -1280,8 +1280,7 @@ def test_closed_form_squared_distances_match_the_formula(tower):
             for (p, q), (num, k) in fast.items():
                 assert TowerElem(table.tower, [F(c, k) for c in num]) == reference.sqdist(p, q), (p, q)
         assert "Z" not in named or table.sqdist_num("O", "Z")[0] == (0,) * n
-    expected = ["rational", "packed"] if not tower.depth else ["kernel"] * (len(kinds) - 3) + ["packed"]
-    assert kinds == expected + ["kernel", "kernel"] and len(kinds) >= 4
+    assert kinds == ["kernel"] * (len(kinds) - 3) + ["packed", "kernel", "kernel"] and len(kinds) >= 4
 
 
 def test_low_depth_distances_build_no_difference_and_square_nothing(monkeypatch):
@@ -1374,36 +1373,96 @@ def test_a_table_packs_only_the_rows_its_relations_read(monkeypatch):
     assert len(built) == 5 and len(built[0].points) == 111 and [len(t.rows) for t in built] == [67] * 5
 
 
-def test_rational_reports_classify_once_and_take_no_tower_kernel(monkeypatch):
+def _counted_tables(monkeypatch):
+    """The point tables built while the returned list is read, each object
+    as its constructor ends, and the differences (``_ivec``) the kernel
+    tables build, as (table, difference)."""
+    built, ivecs, kernel = [], [], type(cm.point_table({"O": rational_point(0, 0)}))
+    real_init, real_ivec = cm.PointTable.__init__, kernel._ivec
+    monkeypatch.setattr(cm.PointTable, "__init__", lambda self, points: built.append(self) or real_init(self, points))
+    monkeypatch.setattr(kernel, "_ivec", lambda self, u: ivecs.append((self, u)) or real_ivec(self, u))
+    return built, ivecs
+
+
+def test_rational_reports_classify_once_and_pack_no_row(monkeypatch):
     """A span-80 chain over Q: ``Gadget.validate``, replay (validate, then
     ``_finish``), ``check_derivation``, ``recheck_derivation`` and
     ``verify_preservation`` (the source points, whose table is the
-    identity's image table) classify their points once per table and never
-    reach the tower kernels."""
+    identity's image table) classify their points once, on one kernel table
+    per report, which sums its relations on the points' forms: it packs no
+    row and builds no difference (``_ivec``)."""
     gadget = chain_scale_gadgets()[4]
     derivation = replay(gadget)
     pairs = certificate_pairs(gadget)
     assert gadget.tower.depth == 0 and len(gadget.points) == 162 and len(derivation.facts) == 482
     counts = _classification_counts(monkeypatch)
-    for run, tables in (
-        (gadget.validate, 1),
-        (lambda: replay(gadget), 2),
-        (lambda: check_derivation(derivation, identity_model()), 1),
-        (lambda: recheck_derivation(derivation), 1),
-        (lambda: verify_preservation(identity_model(), pairs), 1),
+    built, ivecs = _counted_tables(monkeypatch)
+    n = len(gadget.certificate)
+    nonzero = sum(isinstance(fact, NonzeroDist) for fact in derivation.facts)
+    # one squared-distance kernel call per certificate pair, per nonzero fact, and per side of a preserved pair
+    for run, tables, sqdists in (
+        (gadget.validate, 1, n),
+        (lambda: replay(gadget), 2, n),
+        (lambda: check_derivation(derivation, identity_model()), 1, n + nonzero),
+        (lambda: recheck_derivation(derivation), 1, n),
+        (lambda: verify_preservation(identity_model(), pairs), 1, 2 * n),
     ):
-        counts.update(scan=0, kernel=0, sqdist_num=0)
+        counts.update(scan=0, sqdist_num=0)
+        built.clear()
         run()
-        assert counts == {"scan": tables, "kernel": 0, "sqdist_num": 0}
-    # the counters do see a report over a tower (one scan, the tower kernel per pair)
+        assert counts["scan"] == tables and [table_kind(t) for t in built] == ["kernel"] * tables
+        assert all(t.tower is QQ and t.rows is None for t in built) and ivecs == []
+        assert counts["sqdist_num"] == sqdists
+    assert counts["kernel"] > 0
+    # the counters do see rows and differences over a tower (one scan, the tower kernel per pair)
     bridge = chain_scale_gadgets()[5]
     counts.update(scan=0, kernel=0, sqdist_num=0)
     bridge.validate()
     assert counts["scan"] == 1 and counts["sqdist_num"] == len(bridge.certificate) and counts["kernel"] > 0
+    bridge = replay(bridge)
+    counts.update(scan=0)
+    built.clear()
+    assert check_derivation(bridge, identity_model()).ok
+    assert counts["scan"] == 1 and built[0].rows and ivecs == []
+    names = list(bridge.gadget.points)
+    built[0].dot_vanishes(tuple(names[:2]), tuple(names[1:3]))
+    assert len(ivecs) == 2
     # ``sqdist`` is the formula: it builds no table
     counts.update(scan=0, kernel=0)
     assert sqdist(gadget.points["A0"], gadget.points["C0"]) == 1
     assert counts["scan"] == counts["kernel"] == 0
+
+
+def test_each_table_forms_each_point_once(monkeypatch):
+    """Counted with no clock: through validate, replay, recheck and
+    model-check (``check_derivation`` and ``verify_preservation``) under
+    the identity and, over a tower, the first conjugation, the span-80
+    chain and the seven chain-scale bridges build each point's integer form
+    (``cm._form``) exactly once per table, with the table; over Q a table
+    packs no row and builds no difference (``_ivec``)."""
+    gadgets_ = [chain_scale_gadgets()[4]] + chain_scale_gadgets()[5:]
+    forms, real_form = [], cm._form
+    monkeypatch.setattr(cm, "_form", lambda p: forms.append(p) or real_form(p))
+    built, ivecs = _counted_tables(monkeypatch)
+    kernels = 0
+    for gadget in gadgets_:
+        derivation, pairs = replay(gadget), certificate_pairs(gadget)
+        models_ = [identity_model()] + ([conjugation_model(gadget.tower, 0)] if gadget.tower.depth else [])
+        runs = [gadget.validate, lambda: replay(gadget), lambda: recheck_derivation(derivation)]
+        runs += [lambda m=m: check_derivation(derivation, m).ok and verify_preservation(m, pairs).ok for m in models_]
+        for run in runs:
+            built.clear()
+            forms.clear()
+            ivecs.clear()
+            assert run() is not False
+            tables = [t for t in built if table_kind(t) == "kernel"]
+            assert tables and len(tables) == len(built)
+            assert len(forms) == sum(len(t.points) for t in tables)
+            assert all(len(t.forms) == len(t.points) for t in tables)
+            if gadget.tower.depth == 0:
+                assert all(t.rows is None for t in tables) and ivecs == []
+            kernels += len(tables)
+    assert kernels >= 8 * 5
 
 
 def test_non_rational_reports_classify_once(monkeypatch):
@@ -1716,7 +1775,7 @@ def test_form_tables_answer_every_test_as_the_apply_tables(packed_table):
         for model in (ModelMap(Embedding("identity"), make_pythagorean_rotation(F(1, 2), translation=(F(1, 3), F(0)))), eps_rotation_model()):
             table = model.image_table(points)
             assert table.same("A", "C") and not table.same("A", "B")
-            assert table_kind(table) == ("packed" if model.embedding.kind == "function_field" else "rational" if tower is QQ else "kernel")
+            assert table_kind(table) == ("packed" if model.embedding.kind == "function_field" else "kernel")
 
 
 def _eps_form_cases():
