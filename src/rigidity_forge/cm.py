@@ -18,39 +18,31 @@ kernel or the table has none, and any other value to the formula),
 ``scaled_is`` (a difference b - o equals rho (a - o) on both coordinates);
 ``sqdist``, a squared distance as a value, is the carrier formula on every
 table.  Over one tower, Q included, the tests are methods of
-``_KernelTable`` on the integer vectors, each a few ``scalars`` kernels
-(``_isub``, ``_iadd``, ``_imul``, ``_isq``); a product or square of sparse
-vectors at dimension 8 or more sums the tower's basis products over its
-pairs of nonzero coordinates, and any other takes the halving recursion,
-by ``scalars``'s sparse rule.  Each point's integer form, its two
-coordinate vectors over d = lcm(d_x, d_y) (``_form``), is built once, with
-the table; ``sqdist_num``, ``same`` and the rows read it.  At depth <= 2 a
-squared distance is one straight-line expression on two forms
-(``_isq_closed``): no recursion, no difference vector.  At dimension 8 or
-more it subtracts the forms' nonzero (coordinate, value) pairs
-(``_isub_pairs``), kept on first read, and, where each difference passes
-the square's rule, sums both squares in one sparse kernel (``_isq_sum``)
-on the basis products the table resolves once, reading only those of
-nonzero pairs; any other difference is squared dense.  ``same``
-cross-multiplies two forms.  Built gadgets share one ``TowerDesc``
-object, so the tower test is an identity check.
-
-``relation_vanishes`` reads each point's row, packed from its form on its
-first read: the form's 2*dim integers m_j as R = sum(m_j 2^(w j)),
-w = ``ROW_BUDGET`` + the bit length of the table's largest |m_j|, fixed
-before the first row by one scan of every form (``_Rows``).  Then
-sum(c_i R_i/d_i) is zero iff sum(f_i R_i) is, f_i = c_i lcm(d)/d_i, by the
-evaluation lemma while sum|f_i| < 2^ROW_BUDGET (every digit is at most
-sum|f_i| max|m_j| < 2^w); a relation over that takes the formula.  The
-evaluation lemma, on which ``models``'s packed table rests too: a sum of
-s_j B^j with every |s_j| < B is zero only if every s_j is, as with s_t the
-lowest nonzero one the sum over B^t is s_t (mod B).
+``_KernelTable`` on each point's integer form, its two coordinate vectors
+over d = lcm(d_x, d_y) joined as one vector x + y (``_form``), the one
+state the table keeps per point: built once, with the table, or handed to
+it.  A test reads a few ``scalars`` kernels (``_isub``, ``_iadd``,
+``_imul``, ``_isq``); a product or square of sparse vectors at dimension 8
+or more sums the tower's basis products over its pairs of nonzero
+coordinates, and any other takes the halving recursion, by ``scalars``'s
+sparse rule.  At depth <= 2 a squared distance is one straight-line
+expression on two forms (``_isq_closed``): no recursion, no difference
+vector.  At dimension 8 or more it subtracts the forms' nonzero
+(coordinate, value) pairs (``_isub_pairs``), kept on first read, and,
+where each difference passes the square's rule, sums both squares in one
+sparse kernel (``_isq_sum``) on the basis products the table resolves
+once, reading only those of nonzero pairs; any other difference is
+squared dense.  ``same`` cross-multiplies two forms, and a relation
+sum(c_i P_i) over forms (m_i, d_i) is zero iff sum(f_i m_i) is,
+f_i = c_i lcm(d)/d_i, summed over each form's nonzero coordinates, exact
+at any coefficient size.  Built gadgets share one ``TowerDesc`` object, so the
+tower test is an identity check.
 
 Over Q (every coordinate a ``TowerElem`` of depth 0) a form is two
 integers (x, y) over d: a squared distance with value a/b is
 b*(dx^2 + dy^2) == a*k^2, for the difference (dx, dy) over k (the closed
 form's depth-0 line), and a relation is zero iff sum(f_i x_i) and
-sum(f_i y_i) are, summed directly, with no row packed; the dot products
+sum(f_i y_i) are, one loop over two integers per point; the dot products
 take the tower kernel at depth 0.  The denominators are kept per point:
 one common denominator L of all the points would grow with their number
 (L^2 had 4.2 million bits on 80 points with distinct 4,000-digit
@@ -62,14 +54,14 @@ is also the reference the kernels are tested against.
 A model's images have one table, ``image_table(model, points)``: the
 model's own ``image_table`` where it has one, else each point object
 mapped once by ``apply`` (``mapped_table``), the one mapping loop.
-``models.ModelMap.image_table`` builds a kernel table from forms
-(``form_table``), each image's unreduced integer form, with no image
-element built and no coordinate classified; its ``points`` map an image
-by ``apply`` only when a formula fallback reads one.  Every kernel table
-compares two points by cross-multiplying (``same``), as these forms need
-not be canonical.  K(eps) images are decided in ``models``: its
-``_PackedTable``, a ``_KernelTable`` on numerators packed at eps = 2^w,
-is the one kernel table over K(eps).
+``models.ModelMap.image_table`` hands a kernel table each image's
+unreduced integer form, with no image element built and no coordinate
+classified; its ``points`` map an image by ``apply`` only when a formula
+fallback reads one.  Every kernel table compares two points by
+cross-multiplying (``same``), as these forms need not be canonical.
+K(eps) images are decided in ``models``: its ``_PackedTable``, a
+``_KernelTable`` on numerators packed at eps = 2^w, is the one kernel
+table over K(eps).
 
 The facts are written once, against the table's tests; a fact given a
 plain mapping builds the table of its points.  A table lives for one call.
@@ -78,18 +70,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import lcm
-from operator import lshift, mul
 from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
 from .scalars import QQ, IVec, TowerDesc, TowerElem, _basis_products, _iadd, _imul, _isq, _isq_closed, _isq_sum, _isub, _isub_pairs, _pairs
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
-
-ROW_BUDGET = 64  # bits of a row digit above the table's largest |m_j| (module docstring)
-
 
 def _is_zero(x: Scalar) -> bool:
     z = getattr(x, "is_zero", None)
@@ -224,57 +212,32 @@ class PointTable:
         return self._vec(u) == self._vec(w).scaled(rho)
 
 
-def _form(p: Point) -> tuple[IVec, int]:
-    """A point's integer form: its two coordinate vectors over
-    d = lcm(d_x, d_y), as one vector x + y, and d."""
-    x, y = p.x, p.y
-    if x._d == y._d:
-        return x._n + y._n, x._d
-    d = lcm(x._d, y._d)
-    return tuple([c * (d // x._d) for c in x._n] + [c * (d // y._d) for c in y._n]), d
-
-
-class _Rows(dict):
-    """A kernel table's rows by point name: each point's row R and
-    denominator d (module docstring), packed from its kept form on its
-    first read, at the w that every form fixes by its largest |m_j|."""
-
-    __slots__ = ("forms", "shifts")
-
-    def __init__(self, forms: Mapping[Any, tuple[IVec, int]], dim: int) -> None:
-        super().__init__()
-        self.forms = forms
-        w = max([max(map(abs, m)) for m, _ in forms.values()]).bit_length() + ROW_BUDGET
-        self.shifts = range(0, 2 * w * dim, w)
-
-    def __missing__(self, name) -> tuple[int, int]:
-        m, d = self.forms[name]
-        row = self[name] = sum(map(lshift, m, self.shifts)), d
-        return row
+def _form(xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
+    """A point's integer form: its two coordinate vectors xn/xd and yn/yd
+    over d = lcm(xd, yd), as one vector x + y, and d."""
+    if xd == yd:
+        return xn + yn, xd
+    d = lcm(xd, yd)
+    return tuple([c * (d // xd) for c in xn] + [c * (d // yd) for c in yn]), d
 
 
 class _KernelTable(PointTable):
-    """``TowerElem``s of one tower, Q included, decided on the integer
-    vectors of the points of ``_coords`` by the ``scalars`` kernels
-    ``_isub``, ``_iadd``, ``_imul`` and ``_isq``, or on their rows; no test
-    builds an element or reduces one.  ``_coords`` are the points
-    themselves, or, for a table built from forms, each point's unreduced
-    integer form (``_Form`` coordinates) that ``points`` are the values of.
-    ``forms`` holds each point's integer form (x + y, d) (``_form``), built
-    with the table; as forms need not be canonical, ``same``
-    cross-multiplies two.  ``rows`` holds the rows packed so far
-    (``_Rows``), None before a relation reads one, and always over Q, where
-    a relation sums the forms.  At depth >= 3 ``_nz`` holds each form's
-    nonzero pairs (``_kept``), by name, as read so far, and ``_basis`` the
-    tower's basis products, resolved once per table."""
+    """``TowerElem``s of one tower, Q included, decided on each point's
+    integer form (x + y, d) (``_form``) by the ``scalars`` kernels
+    ``_isub``, ``_iadd``, ``_imul`` and ``_isq``; no test builds an element
+    or reduces one.  ``forms`` holds the forms by point name: built from the
+    points with the table, or handed to it (an image table's unreduced
+    forms, of which ``points`` are the values); as forms need not be
+    canonical, ``same`` cross-multiplies two.  At depth >= 3 ``_nz`` holds
+    each form's nonzero pairs (``_kept``), by name, as read so far, and
+    ``_basis`` the tower's basis products, resolved once per table."""
 
-    __slots__ = ("tower", "_coords", "forms", "_nz", "_basis", "rows")
+    __slots__ = ("tower", "forms", "_nz", "_basis")
 
-    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> None:
+    def __init__(self, points: Mapping[Any, Point], tower: TowerDesc, forms: Mapping[Any, tuple[IVec, int]] | None = None) -> None:
         super().__init__(points)
-        self.tower, self._coords = tower, points if coords is None else coords
-        self.forms = {name: _form(p) for name, p in self._coords.items()}
-        self._nz, self.rows = {}, None
+        self.tower, self._nz = tower, {}
+        self.forms = {name: _form(p.x._n, p.x._d, p.y._n, p.y._d) for name, p in points.items()} if forms is None else forms
         self._basis = _basis_products(tower._rads, tower.dim) if tower.depth >= 3 else None
 
     def _kept(self, name) -> tuple:
@@ -289,10 +252,13 @@ class _KernelTable(PointTable):
         (a, kp), (b, kq) = self.forms[p], self.forms[q]
         return a == b if kp == kq else [c * kq for c in a] == [c * kp for c in b]
 
-    def _ivec(self, u: tuple) -> tuple[tuple[IVec, int], tuple[IVec, int]]:
-        """The difference u as an unreduced integer pair per coordinate."""
-        a, b = self._coords[u[0]], self._coords[u[1]]
-        return _isub(a.x._n, a.x._d, b.x._n, b.x._d), _isub(a.y._n, a.y._d, b.y._n, b.y._d)
+    def _ivec(self, u: tuple) -> tuple[IVec, IVec, int]:
+        """The difference u of two forms, split into its x and y vectors,
+        over one denominator."""
+        (a, ka), (b, kb) = self.forms[u[0]], self.forms[u[1]]
+        v, k = _isub(a, ka, b, kb)
+        n = self.tower.dim
+        return v[:n], v[n:], k
 
     def sqdist_num(self, p, q) -> tuple[IVec, int]:
         rads = self.tower._rads
@@ -306,10 +272,10 @@ class _KernelTable(PointTable):
         s = _isq_sum(self._basis, _isub_pairs(ax, fa, bx, fb), _isub_pairs(ay, fa, by, fb))
         if s is not None:
             return s[0], k * k * s[1]
-        (u, ku), (v, kv) = self._ivec((p, q))
-        su, ksu = _isq(rads, u)
-        sv, ksv = _isq(rads, v)
-        return _iadd(su, ku * ku * ksu, sv, kv * kv * ksv)
+        u, v, k = self._ivec((p, q))
+        (su, ksu), (sv, ksv) = _isq(rads, u), _isq(rads, v)
+        s, ks = _iadd(su, ksu, sv, ksv)
+        return s, k * k * ks
 
     def sqdist_is_form(self, p, q, m: int, e: int) -> bool:
         # n/k cross-multiplied with m/e; a rational has no coordinate past the first
@@ -317,37 +283,42 @@ class _KernelTable(PointTable):
         return n[0] * e == m * k and not any(n[1:])
 
     def relation_vanishes(self, relation: Mapping[Any, int]) -> bool:
-        """sum(f_i R_i) == 0 on the rows, or the formula over the budget;
-        over Q, where a form is two integers, sum(f_i x_i) and sum(f_i y_i)."""
+        """sum(f_i m_i) == 0 on the forms, coordinate by coordinate, adding
+        each form's nonzero coordinates only; over Q, where a form is two
+        integers, sum(f_i x_i) and sum(f_i y_i)."""
+        forms = self.forms
         if not self.tower.gens:
-            forms = self.forms
             k, x, y = lcm(*[forms[n][1] for n in relation]), 0, 0
             for n, c in relation.items():
                 (a, b), d = forms[n]
                 f = c * (k // d)
                 x, y = x + f * a, y + f * b
             return not x and not y
-        rows = self.rows
-        if rows is None and relation:
-            rows = self.rows = _Rows(self.forms, self.tower.dim)
-        terms = [(c, *rows[n]) for n, c in relation.items()]
-        k = lcm(*[d for _, _, d in terms])
-        coeffs = [c * (k // d) for c, _, d in terms]
-        if sum(map(abs, coeffs)).bit_length() > ROW_BUDGET:
-            return PointTable.relation_vanishes(self, relation)
-        return not sum(map(mul, coeffs, [r for _, r, _ in terms]))
+        terms = [forms[n] for n in relation]
+        k = lcm(*[d for _, d in terms])
+        spots = range(2 * self.tower.dim)
+        total = [0] * len(spots)
+        for c, (m, d) in zip(relation.values(), terms):
+            f = c * (k // d)
+            for i in compress(spots, m):
+                total[i] += f * m[i]
+        return not any(total)
 
     def dot_vanishes(self, u: tuple, w: tuple) -> bool:
+        # the two differences' denominators divide both products alike
         rads = self.tower._rads
-        (ux, kux), (uy, kuy) = self._ivec(u)
-        (wx, kwx), (wy, kwy) = self._ivec(w)
+        ux, uy, _ = self._ivec(u)
+        wx, wy, _ = self._ivec(w)
         x, kx = _imul(rads, ux, wx)
         y, ky = _imul(rads, uy, wy)
-        return not any(_iadd(x, kx * kux * kwx, y, ky * kuy * kwy)[0])
+        return not any(_iadd(x, kx, y, ky)[0])
 
-    def _constant(self, rho):
-        """rho as the kernels read it, if a constant of the table's tower; else None."""
-        return rho if isinstance(rho, TowerElem) and (rho.tower is self.tower or rho.tower == self.tower) else None
+    def _constant(self, rho) -> tuple[IVec, int] | None:
+        """rho as the kernels read it, an integer vector over a denominator,
+        if a constant of the table's tower; else None."""
+        if isinstance(rho, TowerElem) and (rho.tower is self.tower or rho.tower == self.tower):
+            return rho._n, rho._d
+        return None
 
     def scaled_is(self, u: tuple, w: tuple, rho: Scalar) -> bool:
         """u - rho * w vanishes on each coordinate, on the integer form where
@@ -355,41 +326,26 @@ class _KernelTable(PointTable):
         r = self._constant(rho)
         if r is None:
             return super().scaled_is(u, w, rho)
-        rads = self.tower._rads
-        for (a, ka), (b, kb) in zip(self._ivec(u), self._ivec(w)):
-            c, kc = _imul(rads, b, r._n)
-            if any(_isub(a, ka, c, kb * kc * r._d)[0]):
+        (n, d), rads = r, self.tower._rads
+        ux, uy, ku = self._ivec(u)
+        wx, wy, kw = self._ivec(w)
+        for a, b in ((ux, wx), (uy, wy)):
+            c, kc = _imul(rads, b, n)
+            if any(_isub(a, ku, c, kw * kc * d)[0]):
                 return False
         return True
 
 
-class _Form:
-    """An integer vector ``_n`` over ``_d``, as the tower kernels read it: an
-    image's unreduced form, or a packed numerator."""
-
-    __slots__ = ("_n", "_d")
-
-    def __init__(self, n: IVec, d: int) -> None:
-        self._n, self._d = n, d
-
-
 def point_table(points: Mapping[Any, Point] | PointTable) -> PointTable:
     """The table of ``points``, its carrier picked once for all of them, in
-    one scan of their coordinates: the tower kernels (``form_table``) when
+    one scan of their coordinates: the tower kernels (``_KernelTable``) when
     every coordinate is a ``TowerElem`` of one tower, Q included; otherwise
     the formula (``PointTable``).  A table is returned as it is."""
     if isinstance(points, PointTable):
         return points
     values = points.values()
     tower = _one_tower([p.x for p in values] + [p.y for p in values])
-    return PointTable(points) if tower is None else form_table(points, tower)
-
-
-def form_table(points: Mapping[Any, Point], tower: TowerDesc, coords: Mapping[Any, Point] | None = None) -> _KernelTable:
-    """The kernel table of points over ``tower``, Q included; with
-    ``coords``, the points' integer forms (``_Form`` coordinates over
-    ``tower``), which need not be canonical."""
-    return _KernelTable(points, tower, coords)
+    return PointTable(points) if tower is None else _KernelTable(points, tower)
 
 
 def mapped_table(apply: Callable[[Point], Point], points: Mapping[Any, Point] | PointTable) -> PointTable:

@@ -24,15 +24,17 @@ K(eps) frame over Q on one denominator D has one coefficient pair per power
 of eps, and ``_packed_table`` evaluates each row at eps = 2^w, the table's
 width, to one pair, so its images are formed by the same expression, their
 numerators packed over D lifted to the points' tower.  ``image_table``
-hands the forms of a whole point set, unreduced, to their table
-(``cm.form_table``, or ``_PackedTable``), so a check builds and classifies
-no image.  The forms apply with no frame or a frame with integer rows,
-under every embedding: the inclusion into K(eps) keeps the vector, its
-images being K's own values.  They do not apply to other frames (a K(eps)
-frame with a translation or entries over a tower among them), ``FunElem``
-inputs, rational coordinates, mixed towers or points outside a
-conjugation's domain prefix: there ``image_table`` maps each point by
-``apply`` (``cm.mapped_table``), the formula for ``FunElem`` images.
+joins each image's two coordinate forms into its integer form
+(``cm._form``) and hands the forms of a whole point set, unreduced, to
+their table (``cm._KernelTable``, or ``_PackedTable``), so a check builds
+and classifies no image.  The forms apply with no frame or a frame with
+integer rows, under every embedding: the inclusion into K(eps) keeps the
+vector, its images being K's own values.  They do not apply to other
+frames (a K(eps) frame with a translation or entries over a tower among
+them), ``FunElem`` inputs, rational coordinates, mixed towers or points
+outside a conjugation's domain prefix: there ``image_table`` maps each
+point by ``apply`` (``cm.mapped_table``), the formula for ``FunElem``
+images.
 Every embedding fixes Q, so ``int`` and ``Fraction`` values are elements
 of Q.
 
@@ -69,7 +71,7 @@ from math import lcm
 from operator import mul
 from typing import Any, Callable, Sequence
 
-from .cm import Point, PointTable, _Form, _is_zero, _KernelTable, _one_tower, circle_point, form_table, image_table, mapped_table, point_table
+from .cm import Point, PointTable, _form, _is_zero, _KernelTable, _one_tower, circle_point, image_table, mapped_table, point_table
 from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _canon, _elem, _funit, _isq, fun_pack, tower_conjugate, tower_join
 
 
@@ -301,11 +303,8 @@ class ModelMap:
         images = _Images(self.apply, points)
         if frame is not None and frame._kfield:
             return _packed_table(frame, image_tower, points, images, vectors)
-        if frame is None:
-            forms = {key: Point(_Form(xn, xd), _Form(yn, yd)) for key, (xn, xd, yn, yd) in vectors.items()}
-        else:
-            forms = _forms(frame._kernel, vectors)
-        return form_table(images, image_tower, {name: forms[id(p)] for name, p in points.items()})
+        forms = {key: _form(*v) for key, v in vectors.items()} if frame is None else _forms(frame._kernel, vectors)
+        return _KernelTable(images, image_tower, {name: forms[id(p)] for name, p in points.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +358,10 @@ def _row_form(row: FrameRow, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec
 
 
 def _forms(rows: Sequence[FrameRow], vectors: dict) -> dict:
-    """Each point's image form, by key: a ``_row_form`` per frame row."""
-    return {key: Point(*[_Form(*_row_form(row, *v)) for row in rows]) for key, v in vectors.items()}
+    """Each point's image form, by key: a ``_row_form`` per frame row, the
+    two joined by ``cm._form``."""
+    rx, ry = rows
+    return {key: _form(*_row_form(rx, *v), *_row_form(ry, *v)) for key, v in vectors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +383,10 @@ class _PackedTable(_KernelTable):
     (``scalars.fun_pack``) once per table, and the ``_KernelTable`` tests
     decide every test on the packed vectors (``sqdist_num`` too: a packed
     table is never a report's source table).  The table is given the bounds
-    of its numerators and D: ``top``, the largest |coefficient|, ``rows``,
-    the most rows, and ``k``, the largest numerator denominator; then
-    ``pack(shifts)`` gives each point's packed coordinates.  Its one
+    of its numerators and D, as the forms hold them (a point's two
+    numerators over its one k, ``cm._form``): ``top``, the largest
+    |coefficient|, ``rows``, the most rows, and ``k``, the largest k; then
+    ``pack(shifts)`` gives each point's packed form, by name.  Its one
     producer is ``_packed_table``, which reads these bounds off the frame's
     rows and D and each point's ``lcm``, and forms each image from the
     frame's rows packed at B (``_row_form``), unreduced.  ``cm.point_table``
@@ -393,9 +395,11 @@ class _PackedTable(_KernelTable):
     Exactness.  Evaluation at B is a ring homomorphism Q[eps] -> Q and the
     tower product has rational structure constants, so a kernel returns
     n/k = y(B), y in Q[eps]^dim the value the test asks to be zero, and
-    answers n == 0.  By the evaluation lemma (``cm``) the test is exact if
-    c*y has every coefficient below B in absolute value for some integer
-    c > 0.  Let |x| be the largest coefficient sum of a coordinate of x and
+    answers n == 0.  By the evaluation lemma (a sum of s_j B^j with every
+    |s_j| < B is zero only if every s_j is, as with s_t the lowest nonzero
+    one the sum over B^t is s_t (mod B)) the test is exact if c*y has every
+    coefficient below B in absolute value for some integer c > 0.  Let |x|
+    be the largest coefficient sum of a coordinate of x and
     (delta, C) = ``TowerDesc._product_bound``,
     read off the tower's basis products e_S*e_T = sum(s_STU e_U), the
     structure constants that the sparse product kernels sum
@@ -424,10 +428,8 @@ class _PackedTable(_KernelTable):
       polynomial; any other rho takes the formula), c = delta k1 ... k4 k_R:
       2^(2kb) (delta k_R + C|R|)|U| < 2^(a+3kb+db+cb+s+1) <= 2^t1;
     - ``relation_vanishes``, coefficients s_i on T points, c = lcm(k_i):
-      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s.
-      The bound is on each coordinate of c*y(B), which the rows pack; over
-      Q the table sums those coordinates directly (``cm``), so it covers
-      the direct sums as it does the rows."""
+      sum|s_i| 2^(T kb + a) < 2^(s+a), if they fit: sum|s_i| 2^(T kb) < 2^s,
+      on each coordinate of c*y(B), the sums the table takes (``cm``)."""
 
     __slots__ = ("width", "_budget", "_kb", "_den", "_shifts", "_square")
 
@@ -463,7 +465,7 @@ class _PackedTable(_KernelTable):
         if isinstance(rho, FunElem) and (rho.tower is self.tower or rho.tower == self.tower) and _funit(rho._d) and len(rho._n[0]) <= 1:
             (row,), k = rho._n if rho._n[0] else (((0,) * self.tower.dim,), 1)
             if max(_bits(max(map(abs, row)), 1), k.bit_length()) <= self._budget:
-                return _Form(row, k)
+                return row, k
         return None
 
 
@@ -471,8 +473,9 @@ def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Poi
     """The packed table of the images of ``points`` under a K(eps) frame:
     each frame row is evaluated at eps = 2^w (``fun_pack``, once per row),
     a row with one coefficient pair, and each point's form is packed as
-    ``_row_form`` builds it.  The width's bounds read each point's ``lcm``
-    k: a coefficient of a numerator is at most
+    ``_forms`` builds it.  The width's bounds read each point's form, its
+    two rows joined over k, the ``lcm`` of k_a xd and k_b yd over both
+    rows: a coefficient of row (p, q; k_a, k_b) is there at most
     (k/(k_a xd)) max|p_i| max|xn_j| + (k/(k_b yd)) max|q_i| max|yn_j|."""
     rows, k = frame.matrix[0][0]._d
     pad = (0,) * (tower.dim - 1)
@@ -481,9 +484,10 @@ def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Poi
     peaks = [(max(abs(p) for p, _ in row[0]), max(abs(q) for _, q in row[0])) for row in frame._kernel]
     for xn, xd, yn, yd in vectors.values():
         x_top, y_top = max(map(abs, xn)), max(map(abs, yn))
+        k = lcm(*[lcm(ka * xd, kb * yd) for _, ka, kb, _, _ in frame._kernel])
         for (_, ka, kb, _, _), (p_top, q_top) in zip(frame._kernel, peaks):
-            k = lcm(ka * xd, kb * yd)
-            top, k_max = max(top, k // (ka * xd) * p_top * x_top + k // (kb * yd) * q_top * y_top), max(k_max, k)
+            top = max(top, k // (ka * xd) * p_top * x_top + k // (kb * yd) * q_top * y_top)
+        k_max = max(k_max, k)
 
     def pack(shifts: range) -> dict:
         packed = [((fun_pack(row[0], 2, shifts),),) + row[1:] for row in frame._kernel]

@@ -4,6 +4,7 @@ for tests that assert which point table a report ran on."""
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -79,28 +80,31 @@ def count_fractions_within(monkeypatch):
 
 def _pack_fun_points(points):
     """The packed table of ``FunElem`` points of one tower over one
-    denominator pair, built by its own constructor: the bounds are read off
-    the canonical numerators and D, and each numerator is packed as it is.
-    None for any other point set.  ``models._packed_table``, the one
-    producer in the package, packs images under a K(eps) frame from their
-    forms; this packer reaches the table's tests on any such points."""
+    denominator pair, built by its own constructor: each point's form is
+    its two numerators joined over k = lcm(k_x, k_y), packed as they are,
+    and the bounds are read off these forms and D.  None for any other
+    point set.  ``models._packed_table``, the one producer in the package,
+    packs images under a K(eps) frame from their forms; this packer reaches
+    the table's tests on any such points."""
     coords = [c for p in points.values() for c in (p.x, p.y)]
     if not coords or not all(isinstance(c, scalars.FunElem) for c in coords):
         return None
     tower, den = coords[0].tower, coords[0]._d
     if any(c.tower != tower or c._d != den for c in coords):
         return None
-    polys = [c._n[0] for c in coords] + [den[0]]
+    joined = {}
+    for name, p in points.items():
+        (xr, kx), (yr, ky) = p.x._n, p.y._n
+        k = lcm(kx, ky)
+        joined[name] = ([[c * (k // kx) for c in r] for r in xr], [[c * (k // ky) for c in r] for r in yr]), k
+    polys = [rows for pair, _ in joined.values() for rows in pair] + [den[0]]
     top = max(map(abs, chain.from_iterable(chain.from_iterable(polys))), default=0)
-    k = max(c._n[1] for c in coords)
 
     def pack(shifts):
-        return {
-            name: cm.Point(*[cm._Form(scalars.fun_pack(c._n[0], tower.dim, shifts), c._n[1]) for c in (p.x, p.y)])
-            for name, p in points.items()
-        }
+        packed = lambda rows: scalars.fun_pack(rows, tower.dim, shifts)
+        return {name: (packed(xr) + packed(yr), k) for name, ((xr, yr), k) in joined.items()}
 
-    return models._PackedTable(points, tower, den, top, max(map(len, polys)), k, pack)
+    return models._PackedTable(points, tower, den, top, max(map(len, polys)), max(k for _, k in joined.values()), pack)
 
 
 @pytest.fixture(scope="session")

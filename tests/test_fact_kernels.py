@@ -1054,12 +1054,12 @@ def _row_tables(tower, points):
 
 @pytest.mark.parametrize("tower", INTEGER_TOWERS + FRACTIONAL_TOWERS, ids=lambda t: f"depth{t.depth}")
 def test_rows_decide_relations_and_equality_as_the_formula(tower):
-    """``relation_vanishes`` on the packed rows, and ``same``, of every
-    table kind against the base table, over both tower families at depths 0-4:
+    """``relation_vanishes`` on the forms, and ``same``, of every table
+    kind against the base table, over both tower families at depths 0-4:
     seeded points over mixed per-point denominators, combinations of them
     that vanish, the same moved on y only or with one coefficient off, a
     point equal to another but built apart, the empty relation, and a point
-    over a 4,000-digit denominator, whose relations exceed the row budget."""
+    over a 4,000-digit denominator, whose scaled coefficients exceed 2^64."""
     points = seeded_points(tower, tower.depth, "ABC")
     a, b, c = points["A"], points["B"], points["C"]
     points["D"] = c + (a - b)
@@ -1085,13 +1085,14 @@ def test_rows_decide_relations_and_equality_as_the_formula(tower):
 
 
 def test_rows_at_the_budget_match_the_formula():
-    """Coefficients whose f_i sum to just under and just over
-    2^``ROW_BUDGET``, on the kernel, form and packed tables of Q(sqrt 2):
-    under it the rows decide, over it the formula.  Over it the rows could
-    be wrong: 2^B (1, 0) + 2^B (1, 0) - (r0, 0) has x = 2^(B+1) - r0, not
-    zero, and in a table whose largest coefficient is 1 (w = B + 1) its
-    digits 2^(B+1) and -1 sum to 2^(B+1) - 2^w = 0."""
-    tower, bits = INTEGER_TOWERS[1], cm.ROW_BUDGET
+    """Coefficients whose f_i sum to just under and just over 2^64, on the
+    kernel, form and packed tables of Q(sqrt 2), each against the formula.
+    Rows packed 64 bits above the largest coefficient would be wrong over
+    it: 2^64 (1, 0) + 2^64 (1, 0) - (r0, 0) has x = 2^65 - r0, not zero,
+    and in a table whose largest coefficient is 1 (w = 65) its digits 2^65
+    and -1 sum to 2^65 - 2^w = 0; the forms' direct sums are exact at any
+    size."""
+    tower, bits = INTEGER_TOWERS[1], 64
     o = Point(tower.rational(F(1, 3)), tower.rational(F(2, 3)))
     a = Point(tower.rational(F(2, 3)) + tower.generator(0), tower.rational(F(-1, 3)))
     points = {"O": o, "A": a, "B": Point(2 * a.x - o.x, 2 * a.y - o.y)}  # all over 3, so f_i = c_i
@@ -1112,7 +1113,7 @@ def test_rows_at_the_budget_match_the_formula():
         assert table.same("P", "Q") and not table.same("P", "R")
         assert not table.relation_vanishes({"P": 2**bits, "Q": 2**bits, "R": -1})
         assert not reference.relation_vanishes({"P": 2**bits, "Q": 2**bits, "R": -1})
-        # 2^j (1, 0) - (r0, 0) is zero on rows of width j: every width up to the budget's is passed
+        # 2^j (1, 0) - (r0, 0) is zero on rows of width j: no width up to 65 passes it
         assert not any(table.relation_vanishes({"P": 2**j, "R": -1}) for j in range(bits + 2))
 
 
@@ -1341,36 +1342,37 @@ def test_perp_d4_distances_resolve_the_basis_products_once(monkeypatch):
 
 
 def test_a_table_packs_only_the_rows_its_relations_read(monkeypatch):
-    """Rows are packed per point on first read, counted with no clock: a
-    table packs none before a relation reads one, none for the empty
-    relation, and then only the points its relations name, at a width
-    that every point of the table fixes before the first row.  The corpus
-    chain whose one relation cancels to {} packs none under every model of
-    its family, and each of criterion 9's structure reports packs 67 of
-    its 111 points, the ones its additivity relations name."""
+    """Relations sum the points' forms, which every kernel table holds from
+    the start, and answer as the formula: the empty relation, relations on
+    seeded points, and a table whose coefficients range from 1 to 2^65,
+    where rows packed 64 bits above the largest coefficient of P and R
+    alone would make W = (2^65, 0) and R = (r0, 0) equal.  The corpus chain
+    whose one relation cancels to {} is decided under every model of its
+    family, and criterion 9's five structure reports on one table of 111
+    points each."""
     points = seeded_points(INTEGER_TOWERS[2], 2, "ABCDE")
-    table = cm.point_table(points)
-    assert table_kind(table) == "kernel" and table.relation_vanishes({}) and table.rows is None
-    table.relation_vanishes({"A": 1, "B": -1, "C": 1, "D": -1})
-    table.relation_vanishes({"A": 2, "B": -2})
-    assert set(table.rows) == {"A", "B", "C", "D"}
-    # w covers every point before the first row: at the 65 bits that P and R
-    # alone give, the rows of W = (2^65, 0) and R = (r0, 0) would be equal
+    table, reference = cm.point_table(points), cm.PointTable(points)
+    relations = [{}, {"A": 1, "B": -1, "C": 1, "D": -1}, {"A": 2, "B": -2}]
+    assert table_kind(table) == "kernel" and len(table.forms) == len(points)
+    assert [table.relation_vanishes(r) for r in relations] == [reference.relation_vanishes(r) for r in relations]
+    assert table.relation_vanishes({})
     tower = INTEGER_TOWERS[1]
     zero = tower.zero()
-    wide = cm.point_table({"P": Point(tower.one(), zero), "R": Point(tower.generator(0), zero), "W": Point(tower.rational(2**65), zero)})
-    assert not wide.relation_vanishes({"P": 1, "R": -1}) and not wide.relation_vanishes({"W": 1, "R": -1})
+    spread = {"P": Point(tower.one(), zero), "R": Point(tower.generator(0), zero), "W": Point(tower.rational(2**65), zero)}
+    wide, reference = cm.point_table(spread), cm.PointTable(spread)
+    for relation in ({"P": 1, "R": -1}, {"W": 1, "R": -1}, {"W": 1, "P": -(2**65)}):
+        assert wide.relation_vanishes(relation) == reference.relation_vanishes(relation) == ("P" in relation and "W" in relation), relation
     built, real = [], cm.PointTable.__init__
     monkeypatch.setattr(cm.PointTable, "__init__", lambda self, points: built.append(self) or real(self, points))
     entry = next(e for e in suite.replay_corpus() if e.label == "chain[|v|/s=0]")
     built.clear()
     assert all(check_derivation(entry.derivation, model).ok for _, model in suite.model_family(entry.gadget))
     kinds = [table_kind(t) for t in built]
-    assert {"kernel", "packed"} <= set(kinds) and all(t.rows is None for t in built if table_kind(t) != "formula")
+    assert {"kernel", "packed"} <= set(kinds)
     models_, lambdas, us = criterion_9_data()
     built.clear()
     assert all(verify_structure(model, lambdas, us).ok for model in models_)
-    assert len(built) == 5 and len(built[0].points) == 111 and [len(t.rows) for t in built] == [67] * 5
+    assert len(built) == 5 and len(built[0].points) == 111
 
 
 def _counted_tables(monkeypatch):
@@ -1389,8 +1391,8 @@ def test_rational_reports_classify_once_and_pack_no_row(monkeypatch):
     ``_finish``), ``check_derivation``, ``recheck_derivation`` and
     ``verify_preservation`` (the source points, whose table is the
     identity's image table) classify their points once, on one kernel table
-    per report, which sums its relations on the points' forms: it packs no
-    row and builds no difference (``_ivec``)."""
+    per report, which sums its relations on the points' forms and builds
+    no difference (``_ivec``)."""
     gadget = chain_scale_gadgets()[4]
     derivation = replay(gadget)
     pairs = certificate_pairs(gadget)
@@ -1411,10 +1413,10 @@ def test_rational_reports_classify_once_and_pack_no_row(monkeypatch):
         built.clear()
         run()
         assert counts["scan"] == tables and [table_kind(t) for t in built] == ["kernel"] * tables
-        assert all(t.tower is QQ and t.rows is None for t in built) and ivecs == []
+        assert all(t.tower is QQ for t in built) and ivecs == []
         assert counts["sqdist_num"] == sqdists
     assert counts["kernel"] > 0
-    # the counters do see rows and differences over a tower (one scan, the tower kernel per pair)
+    # the counters do see differences over a tower (one scan, the tower kernel per pair)
     bridge = chain_scale_gadgets()[5]
     counts.update(scan=0, kernel=0, sqdist_num=0)
     bridge.validate()
@@ -1423,7 +1425,7 @@ def test_rational_reports_classify_once_and_pack_no_row(monkeypatch):
     counts.update(scan=0)
     built.clear()
     assert check_derivation(bridge, identity_model()).ok
-    assert counts["scan"] == 1 and built[0].rows and ivecs == []
+    assert counts["scan"] == 1 and table_kind(built[0]) == "kernel" and ivecs == []
     names = list(bridge.gadget.points)
     built[0].dot_vanishes(tuple(names[:2]), tuple(names[1:3]))
     assert len(ivecs) == 2
@@ -1438,11 +1440,12 @@ def test_each_table_forms_each_point_once(monkeypatch):
     model-check (``check_derivation`` and ``verify_preservation``) under
     the identity and, over a tower, the first conjugation, the span-80
     chain and the seven chain-scale bridges build each point's integer form
-    (``cm._form``) exactly once per table, with the table; over Q a table
-    packs no row and builds no difference (``_ivec``)."""
+    (``cm._form``, which ``models`` calls for images) exactly once per
+    table; over Q a table builds no difference (``_ivec``)."""
     gadgets_ = [chain_scale_gadgets()[4]] + chain_scale_gadgets()[5:]
     forms, real_form = [], cm._form
-    monkeypatch.setattr(cm, "_form", lambda p: forms.append(p) or real_form(p))
+    for module in (cm, models):
+        monkeypatch.setattr(module, "_form", lambda *form: forms.append(form) or real_form(*form))
     built, ivecs = _counted_tables(monkeypatch)
     kernels = 0
     for gadget in gadgets_:
@@ -1460,7 +1463,7 @@ def test_each_table_forms_each_point_once(monkeypatch):
             assert len(forms) == sum(len(t.points) for t in tables)
             assert all(len(t.forms) == len(t.points) for t in tables)
             if gadget.tower.depth == 0:
-                assert all(t.rows is None for t in tables) and ivecs == []
+                assert ivecs == []
             kernels += len(tables)
     assert kernels >= 8 * 5
 
@@ -1807,6 +1810,60 @@ def test_the_width_bounds_of_forms_cover_the_reduced_images(packed_table):
         top = max(abs(v) for rows in polys for row in rows for v in row)
         assert a >= models._bits(top, max(map(len, polys))) and kb >= max(c._n[1] for c in coords).bit_length()
         assert table.width >= packed_table({name: model.apply(p) for name, p in points.items()}).width
+
+
+def _signed_digits(v, w):
+    """The digits of v in base 2^w, lowest first, each in (-2^(w-1), 2^(w-1)]."""
+    out, half = [], 1 << (w - 1)
+    while v:
+        d = v & ((1 << w) - 1)
+        d -= (d > half) << w
+        out.append(d)
+        v = (v - d) >> w
+    return out
+
+
+def test_the_width_bounds_cover_the_joined_forms_it_packs():
+    """A packed table's width bounds, a (coefficients) and kb
+    (denominators), cover the forms it packs: each point's two image
+    numerators joined over k, the lcm of their denominators.  Under the
+    rotation and the reflection at 5 eps and at 15 eps/2, as a model file
+    gives them (``codec``), with frame rows over the denominator pairs
+    (25, 5) and (5, 25), and (225, 15) and (15, 225), each packed
+    coordinate is unpacked into its signed digits at 2^w: the digits over k
+    are the numerator the frame's rows give by ``Fraction``s, k < 2^kb, and
+    each coordinate's digits sum below 2^a in absolute value.  Bounding
+    each row's form alone misses the join: at 5 eps, (7, 1/5) and (1, 3/5)
+    pack coefficients up to 875 against a bound of 375, and at 15 eps/2,
+    (1000/3, 1/25) packs over a denominator of 16,875 against 5,625."""
+    eps = FunElem.eps()
+    cases = [
+        (5 * eps, {"A": rational_point(7, F(1, 5)), "B": rational_point(1, F(3, 5))}),
+        (15 * eps / 2, {"A": rational_point(F(1000, 3), F(1, 25)), "O": rational_point(0, 0)}),
+    ]
+    checked = 0
+    for t, points in cases:
+        for reflection in (False, True):
+            model = ModelMap(Embedding("function_field"), make_pythagorean_rotation(t, reflection=reflection))
+            frame = codec.decode_model(codec.encode_model(model)).frame
+            assert frame._kfield and {row[1:3] for row in frame._kernel} in ({(25, 5), (5, 25)}, {(225, 15), (15, 225)})
+            table = ModelMap(Embedding("function_field"), frame).image_table(points)
+            assert table_kind(table) == "packed" and table.tower is QQ
+            kb = table._kb
+            a = (table._budget - 64) // 2 - kb
+            rows, _ = models.frame_rows(frame.matrix, None)
+            for name, p in points.items():
+                m, k = table.forms[name]
+                assert k.bit_length() <= kb, (t, name)
+                for (pairs, ka, kc, _, _), coordinate in zip(rows, m):
+                    numerator = [F(pi, ka) * p.x.as_fraction() + F(qi, kc) * p.y.as_fraction() for pi, qi in pairs]
+                    while numerator and not numerator[-1]:
+                        numerator.pop()
+                    digits = _signed_digits(coordinate, table.width)
+                    assert [F(d, k) for d in digits] == numerator, (t, name)
+                    assert sum(map(abs, digits)).bit_length() <= a, (t, name)
+                    checked += 1
+    assert checked == 2 * 2 * 2 * 2
 
 
 def test_checks_and_reports_build_no_image(monkeypatch):

@@ -510,7 +510,7 @@ def test_kfield_sqdist_runs_the_integer_kernel(monkeypatch):
         return run
 
     def counting_kernel(table, p, q):
-        counts["kernel"] += table_kind(table) == "packed" and isinstance(table._coords[p].x, cm._Form)
+        counts["kernel"] += table_kind(table) == "packed" and isinstance(table.points, models._Images)
         return real_kernel(table, p, q)
 
     def counting_apply(self, p):

@@ -1081,8 +1081,9 @@ def test_sqdist_off_the_kernel_shape_takes_the_formula(monkeypatch, packed_table
     framed = {0: frame, 1: Point(frame.y, frame.x)}
     assert table_kind(cm.point_table(framed)) == "formula" and not cm.point_table(framed).sqdist_is(0, 1, 0)
     assert kernel_calls == []
-    packed_table(framed).sqdist_is(0, 1, 0)  # the counter does see the kernel
-    assert len(kernel_calls) == 1 and isinstance(kernel_calls[0][0]._coords[0].x, cm._Form)
+    packed = packed_table(framed)
+    packed.sqdist_is(0, 1, 0)  # the counter does see the kernel
+    assert len(kernel_calls) == 1 and kernel_calls[0][0] is packed and table_kind(packed) == "packed"
 
 
 def test_fun_add_mul_eq_construct_no_tower_elem(monkeypatch):
