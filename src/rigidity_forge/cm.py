@@ -68,14 +68,13 @@ plain mapping builds the table of its points.  A table lives for one call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 from math import lcm
 from typing import Any, Callable, Mapping, Sequence
 
 from .poly import det
-from .scalars import QQ, IVec, TowerDesc, TowerElem, _basis_products, _iadd, _imul, _isq, _isq_closed, _isq_sum, _isub, _isub_pairs, _pairs
+from .scalars import QQ, IVec, TowerDesc, TowerElem, _basis_products, _iadd, _imul, _isq, _isq_closed, _isq_sum, _isub, _isub_pairs, _pairs, record
 
 Scalar = Any  # Fraction | TowerElem | FunElem | Polynomial | int
 
@@ -86,7 +85,7 @@ def _is_zero(x: Scalar) -> bool:
     return x == 0
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     """A point of F^2; both coordinates must come from one field carrier."""
 
@@ -100,7 +99,7 @@ class Point:
         return Point(self.x + other.x, self.y + other.y)
 
 
-@dataclass(frozen=True)
+@record
 class Vec2:
     x: Scalar
     y: Scalar

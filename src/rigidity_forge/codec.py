@@ -588,7 +588,8 @@ def dumps(obj: Any) -> str:
 def _write(value: Any, newline: str, out: list[str]) -> None:
     """Append the pieces of ``value``'s text to ``out``, at the indentation
     that ``newline`` (a line break and the current indentation) carries;
-    each list member is one piece, joined once (a string is quoted in place)."""
+    each list member is one piece, joined once (a string is quoted and an
+    int written in place)."""
     kind = type(value)
     if kind is dict and value:
         inner = newline + "  "
@@ -605,8 +606,11 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for v in value:
-            if type(v) is str:
+            member = type(v)
+            if member is str:
                 out += (sep, _quote(v))
+            elif member is int:
+                out += (sep, int.__repr__(v))
             else:
                 pieces = [sep]
                 _write(v, inner, pieces)

@@ -59,7 +59,7 @@ from .gadgets import (
     _pair,
     layout_goal,
 )
-from .scalars import _frac_sqrt
+from .scalars import _frac_sqrt, record
 
 
 class EngineError(ValueError):
@@ -95,7 +95,7 @@ class ModelUndefinedAtPoint(EngineError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SqDistKnown:
     """|f(p) - f(q)|^2 = v."""
 
@@ -107,7 +107,7 @@ class SqDistKnown:
         return point_table(points).sqdist_is(self.p, self.q, self.v)
 
 
-@dataclass(frozen=True)
+@record
 class Distinct:
     """f(p) != f(q)."""
 
@@ -118,7 +118,7 @@ class Distinct:
         return not point_table(points).same(self.p, self.q)
 
 
-@dataclass(frozen=True)
+@record
 class NonzeroDist:
     """|f(p) - f(q)|^2 != 0."""
 
@@ -210,7 +210,7 @@ def _in_span(target: dict[str, int], premises: Sequence[dict[str, int]]) -> bool
     return not reduce(target)
 
 
-@dataclass(frozen=True)
+@record
 class Justification:
     rule: str
     premises: tuple[int, ...] = ()
@@ -644,7 +644,7 @@ def replay(gadget: Gadget) -> Derivation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     ok: bool
     checked: int

@@ -39,6 +39,7 @@ from .scalars import (
     adjoin_sqrt,
     _elem,
     _frac_sqrt,
+    record,
     tower_join,
 )
 
@@ -93,7 +94,7 @@ class InvalidGadget(GadgetError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AffineComb:
     """f(c) = t*f(a) + (1-t)*f(b)."""
 
@@ -106,7 +107,7 @@ class AffineComb:
         return point_table(p).relation_vanishes(_linear_relation(self))
 
 
-@dataclass(frozen=True)
+@record
 class VecEq:
     """f(b) - f(a) = f(d) - f(c)."""
 
@@ -119,7 +120,7 @@ class VecEq:
         return point_table(p).relation_vanishes(_linear_relation(self))
 
 
-@dataclass(frozen=True)
+@record
 class VecScale:
     """f(b) - f(a) = r * (f(d) - f(c))."""
 
@@ -133,7 +134,7 @@ class VecScale:
         return point_table(p).relation_vanishes(_linear_relation(self))
 
 
-@dataclass(frozen=True)
+@record
 class DotZero:
     """(f(b) - f(a)) . (f(d) - f(c)) = 0."""
 
@@ -200,7 +201,7 @@ def layout_goal(layout: Mapping) -> Goal:
     raise InvalidGadget(f"unknown layout kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class CertEntry:
     p: str
     q: str
@@ -592,7 +593,7 @@ def kempe_quad_distances(quad: str, unknowns: Mapping[str, object] = KEMPE_SYMBO
     return tuple(named[frozenset(pair)] for pair in combinations(quad, 2))
 
 
-@dataclass(frozen=True)
+@record
 class KempeIdentity:
     """One bordered-determinant factorization certifying the linkage rule:
     det(quad), after the optional substitution, equals constant * factors."""

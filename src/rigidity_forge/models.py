@@ -72,7 +72,7 @@ from operator import mul
 from typing import Any, Callable, Sequence
 
 from .cm import Point, PointTable, _form, _is_zero, _KernelTable, _one_tower, circle_point, image_table, mapped_table, point_table
-from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _canon, _elem, _funit, _isq, fun_pack, tower_conjugate, tower_join
+from .scalars import QQ, FunElem, IPoly, IVec, TowerDesc, TowerElem, _canon, _elem, _funit, _isq, fun_pack, record, tower_conjugate, tower_join
 
 
 def _kept(n: IVec) -> IVec:
@@ -180,16 +180,16 @@ class OrthoAffine:
     ``apply`` is the formula.  Two frame shapes also carry integer rows,
     ``_kernel``, that map two ``TowerElem``s of one tower straight to the
     integer form of the image (``_row_form``): a rational frame (every
-    entry an ``int`` or ``Fraction``) and a K(eps) frame (``_kfield``: every
-    matrix entry a ``FunElem`` over Q, all over one denominator D, no
-    translation), whose images lie over D lifted to the points' tower.
+    entry an ``int`` or ``Fraction``) and a K(eps) frame (every matrix
+    entry a ``FunElem`` over Q, no translation), whose images lie over the
+    entries' common denominator D, ``_kfield``, lifted to the points' tower.
     Each row is one image coordinate (``frame_rows``).
     """
 
     matrix: tuple[tuple, tuple]  # rows ((m00, m01), (m10, m11))
     translation: tuple | None = None
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _kfield: bool = field(default=False, init=False, repr=False, compare=False)
+    _kfield: IPoly | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (m00, m01), (m10, m11) = self.matrix
@@ -253,7 +253,7 @@ class _Images(Mapping):
         return len(self._points)
 
 
-@dataclass(frozen=True)
+@record
 class ModelMap:
     """Embedding applied coordinatewise, then an orthogonal-affine frame.
 
@@ -301,7 +301,7 @@ class ModelMap:
                 x, y = p.x, p.y
                 vectors[id(p)] = (vector(x._n), x._d, vector(y._n), y._d)
         images = _Images(self.apply, points)
-        if frame is not None and frame._kfield:
+        if frame is not None and frame._kfield is not None:
             return _packed_table(frame, image_tower, points, images, vectors)
         forms = {key: _form(*v) for key, v in vectors.items()} if frame is None else _forms(frame._kernel, vectors)
         return _KernelTable(images, image_tower, {name: forms[id(p)] for name, p in points.items()})
@@ -316,32 +316,39 @@ class ModelMap:
 FrameRow = tuple[tuple[tuple[int, int], ...], int, int, int, int]
 
 
-def frame_rows(matrix, translation) -> tuple[tuple[FrameRow, ...], bool] | None:
-    """The integer rows of a frame, one per image coordinate, and whether
-    they map into K(eps): a row is the pairs (p_i, q_i), the integer
-    coefficients of eps^i in the row's two entries over their denominators
-    k_a and k_b, then k_a, k_b and the translation c = p_c/q_c.  A rational
-    frame (every entry an ``int`` or ``Fraction``) has one pair per row; a
-    K(eps) frame (every matrix entry a ``FunElem`` over Q, all on one
-    denominator D, no translation) one per power of eps, and its images lie
-    over D.  None for any other frame."""
+def frame_rows(matrix, translation) -> tuple[tuple[FrameRow, ...], IPoly | None] | None:
+    """The integer rows of a frame, one per image coordinate, and the
+    denominator D of its images in K(eps), None for a rational frame: a row
+    is the pairs (p_i, q_i), the integer coefficients of eps^i in the row's
+    two entries over their denominators k_a and k_b, then k_a, k_b and the
+    translation c = p_c/q_c.  A rational frame (every entry an ``int`` or
+    ``Fraction``) has one pair per row; a K(eps) frame (every matrix entry a
+    ``FunElem`` over Q, no translation) one per power of eps, the entries'
+    numerators over one common denominator D: the denominator they hold, if
+    one, else that of their lowest terms (monic, so equal values share it),
+    if one.  None for any other frame."""
     entries = [e for row in matrix for e in row]
-    if translation is None and all(isinstance(e, FunElem) and e.tower.depth == 0 and e._d == entries[0]._d for e in entries):
+    if translation is None and all(isinstance(e, FunElem) and e.tower.depth == 0 for e in entries):
+        terms = [(e._n, e._d) for e in entries]
+        if any(d != terms[0][1] for _, d in terms):
+            terms = [e._canonical() for e in entries]
+        den = terms[0][1]
+        if any(d != den for _, d in terms):
+            return None
         rows = []
-        for a, b in matrix:
-            (ra, ka), (rb, kb) = a._n, b._n
+        for ((ra, ka), _), ((rb, kb), _) in zip(terms[::2], terms[1::2]):
             length = max(len(ra), len(rb))
             pa = [r[0] for r in ra] + [0] * (length - len(ra))
             pb = [r[0] for r in rb] + [0] * (length - len(rb))
             rows.append((tuple(zip(pa, pb)), ka, kb, 0, 1))
-        return tuple(rows), True
+        return tuple(rows), den
     if not all(isinstance(e, (int, Fraction)) for e in entries + list(translation or ())):
         return None
     rows = []
     for (a, b), c in zip(matrix, translation or (0, 0)):
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         rows.append((((a.numerator, b.numerator),), a.denominator, b.denominator, c.numerator, c.denominator))
-    return tuple(rows), False
+    return tuple(rows), None
 
 
 def _row_form(row: FrameRow, xn: IVec, xd: int, yn: IVec, yd: int) -> tuple[IVec, int]:
@@ -477,7 +484,7 @@ def _packed_table(frame: OrthoAffine, tower: TowerDesc, points: Mapping[Any, Poi
     two rows joined over k, the ``lcm`` of k_a xd and k_b yd over both
     rows: a coefficient of row (p, q; k_a, k_b) is there at most
     (k/(k_a xd)) max|p_i| max|xn_j| + (k/(k_b yd)) max|q_i| max|yn_j|."""
-    rows, k = frame.matrix[0][0]._d
+    rows, k = frame._kfield
     pad = (0,) * (tower.dim - 1)
     den = (tuple([r + pad for r in rows]), k)
     top, k_max = max(abs(c) for r in den[0] for c in r), 1
@@ -518,13 +525,13 @@ def eps_rotation_model(reflection: bool = False) -> ModelMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PairCheck:
     pair: tuple[Point, Point]
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class PreservationReport:
     ok: bool
     checks: tuple[PairCheck, ...]
@@ -576,7 +583,7 @@ def verify_preservation(model: ModelMap, pairs: Sequence[tuple[Point, Point]]) -
     return PreservationReport(ok=all(check.ok for check in checks), checks=checks)
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     additivity_ok: bool
     theta_ok: bool

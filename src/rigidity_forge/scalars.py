@@ -55,7 +55,7 @@ element by one integer matrix-vector product.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import chain, compress
@@ -88,6 +88,32 @@ def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` sets each
+    field through its slot's ``__set__``, as ``_elem`` builds a
+    ``TowerElem``, instead of one ``object.__setattr__`` per field.  The
+    ``__init__`` is built from source, as ``dataclasses`` builds its own,
+    with the same signature: the fields in order, their defaults, by
+    position or keyword.  Equality, hashing, ``repr``, ``fields`` and
+    ``FrozenInstanceError`` on assignment are the dataclass's.  A record
+    computes no field after ``__init__`` and caches no property."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    scope, params, body = {}, [], []
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        body.append(f"\n    _set_{f.name}(self, {f.name})")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 class _FieldOps:
@@ -837,7 +863,7 @@ def _merge(base: TowerDesc, other: TowerDesc) -> tuple[TowerDesc, Callable[[Towe
     return tower, into
 
 
-@dataclass(frozen=True)
+@record
 class AdjoinResult:
     tower: TowerDesc
     root: TowerElem

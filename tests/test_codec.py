@@ -190,6 +190,7 @@ def test_dumps_is_json_dumps_with_indent_2():
     @example({"": [], "a": {}, "b": [[], {}, [[{}]]]})
     @example(["\ud800", "\udfff\ud800", {"\x00\"\\": "\x1f\u2028"}])
     @example([True, False, None, 0, -1, 10**3999, -(10**3999)])
+    @example([3, True, -7, False, [], 0, {}, [1, -(10**40), [False, 2]], {"k": [5, True, [], -1]}, -2])
     @example("top-level string")
     def run(tree):
         assert codec.dumps(tree) == json.dumps(tree, indent=2)

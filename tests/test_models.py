@@ -40,10 +40,12 @@ from conftest import DERANDOMIZED, table_kind
 from harness import (
     FRACTIONAL_TOWERS,
     INTEGER_TOWERS,
+    altered,
     certificate_pairs,
     criterion_9_data,
     formula_everywhere,
     negative_controls,
+    oracle_preservation,
     references,
     sparse_rationals,
     tower_chain,
@@ -716,8 +718,9 @@ def test_frame_kernels_match_the_generic_formula_on_random_frames(case):
     multiples ("l", k, i) by a rational and, over a radical, an irrational
     lambda_k, scaled by ``model.rho``."""
     model, shape, points = case
-    # a K(eps) frame with a translation or two denominators takes the formula
-    assert (model.frame._kernel is not None) == (shape in ("rational", "kfield"))
+    # a K(eps) frame with a translation takes the formula; one whose entries
+    # hold two denominators has rows over their common one
+    assert (model.frame._kernel is not None) == (shape != "kfield-translated")
     tower, n = points[0].x.tower, len(points)
     lams = [tower.rational(F(-2, 3))] + ([tower.one() + tower.generator(tower.depth - 1)] if tower.depth else [])
     named = {"o": Point(tower.zero(), tower.zero())}
@@ -806,6 +809,34 @@ def _eps_models_sweep():
     registered, _, us = criterion_9_data()
     for model in registered[2:4]:
         yield model, us, list(combinations(us, 2)), None
+
+
+@pytest.mark.parametrize("t", [F(1, 5), F(2, 15), F(15, 2)])
+def test_eps_frames_built_in_process_pack_over_one_common_denominator(t):
+    """A K(eps) frame built in process holds its entries over the unreduced
+    denominators their arithmetic left: the rotation and the reflection at
+    eps/5 hold 15625 + 625 eps^2 on the diagonal and 625 + 25 eps^2 off it,
+    equal values over two denominators.  Their rows lie over the entries'
+    one common denominator, so the image tables of corpus gadgets over Q and
+    over towers of depth 1 and 2 are packed in process, as they are for the
+    same frame read from a model file; the verdicts, those of the divisions
+    with their ratio altered too, and the preservation reports are the
+    formula's."""
+    corpus = suite.replay_corpus()
+    derivations = [corpus[i].derivation for i in (0, 5, 11, 12)]
+    for reflection in (False, True):
+        frame = make_pythagorean_rotation(t.numerator * FunElem.eps() / t.denominator, reflection=reflection)
+        assert len({e._d for row in frame.matrix for e in row}) == 2
+        model = ModelMap(Embedding("function_field"), frame)
+        for derivation in derivations:
+            gadget = derivation.gadget
+            assert table_kind(model.image_table(gadget.points)) == "packed"
+            pairs = certificate_pairs(gadget)
+            subjects = [derivation, altered(derivation)] if isinstance(gadget.goal, AffineComb) else [derivation]
+            fast = [check_derivation(s, model) for s in subjects] + [verify_preservation(model, pairs)]
+            with references():
+                assert [check_derivation(s, model) for s in subjects] + [oracle_preservation(model, pairs)] == fast
+            assert [r.ok for r in fast] == [True, False][: len(subjects)] + [True]
 
 
 def test_eps_images_take_no_fun_elem_arithmetic(monkeypatch):
